@@ -25,17 +25,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateTau, SingularDenominator, TruncationOverflow
-from .inversion import recover_pair
+from .inversion import PointPair, recover_pair
 from .moduli import moduli_from_tau
 from .quadrature import tanh_sinh_01
 from .theta import (
     ALL_CHARACTERISTICS,
-    HalfCharacteristic,
     PeriodMatrix,
     Point2,
     SeriesControl,
-    _fsum_complex,
-    theta2,
+    fsum_rows,
+    theta_values,
 )
 
 __all__ = [
@@ -47,6 +46,7 @@ __all__ = [
     "elliptic_identity_residuals",
     "splitting_residuals",
     "degenerate_inversion_residuals",
+    "degenerate_inversion",
     "sn_ode_residual",
     "complete_integral_residuals",
 ]
@@ -104,7 +104,7 @@ def theta1(
     n = _radius1(z, tau, ctrl)
     m = np.arange(-n, n + 1, dtype=float) + c.a / 2.0
     expo = 1j * math.pi * (tau * m * m + 2.0 * m * (z + c.b / 2.0))
-    return _fsum_complex(np.exp(expo))
+    return fsum_rows(np.exp(expo)[None, :])[0]
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +165,9 @@ def elliptic_identity_residuals(
     ]
 
 
+_GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def splitting_residuals(
     point: Point2,
     tau1: complex,
@@ -173,14 +176,13 @@ def splitting_residuals(
 ) -> dict[str, float]:
     """Relative gap between the genus-2 value at tau12=0 and the genus-1 product."""
     tau = PeriodMatrix(tau1, tau2, 0.0)
-    out: dict[str, float] = {}
-    for c in ALL_CHARACTERISTICS:
-        g2 = theta2(c, point, tau, ctrl)
-        g1 = theta1(Genus1Characteristic(c.a, c.b), point.u, tau1, ctrl) * theta1(
-            Genus1Characteristic(c.c, c.d), point.v, tau2, ctrl
-        )
-        out[f"split-{c.label()}"] = _rel(g2, g1)
-    return out
+    g2 = theta_values(ALL_CHARACTERISTICS, point, tau, ctrl)
+    g1u = {ab: theta1(Genus1Characteristic(*ab), point.u, tau1, ctrl) for ab in _GENUS1_BITS}
+    g1v = {cd: theta1(Genus1Characteristic(*cd), point.v, tau2, ctrl) for cd in _GENUS1_BITS}
+    return {
+        f"split-{c.label()}": _rel(value, g1u[(c.a, c.b)] * g1v[(c.c, c.d)])
+        for c, value in zip(ALL_CHARACTERISTICS, g2)
+    }
 
 
 def degenerate_inversion_residuals(
@@ -195,6 +197,16 @@ def degenerate_inversion_residuals(
     The three symmetric-function relations, the collapse of the three moduli
     to one, and the unordered pair match are all reported.
     """
+    return degenerate_inversion(point, tau1, tau2, ctrl)[0]
+
+
+def degenerate_inversion(
+    point: Point2,
+    tau1: complex,
+    tau2: complex,
+    ctrl: SeriesControl = SeriesControl(),
+) -> tuple[dict[str, float], PointPair]:
+    """degenerate_inversion_residuals plus the pair recovered at tau12=0."""
     tau = PeriodMatrix(tau1, tau2, 0.0)
     ms = moduli_from_tau(tau, ctrl)
     pair = recover_pair(point, tau, ctrl)
@@ -211,7 +223,7 @@ def degenerate_inversion_residuals(
     predicted = (x * x, 1.0 / k0sq)
     direct = max(_rel(x1, predicted[0]), _rel(x2, predicted[1]))
     crossed = max(_rel(x1, predicted[1]), _rel(x2, predicted[0]))
-    return {
+    residuals = {
         "x1x2-product": _rel(k0sq * x1 * x2, x * x),
         "complement-product": _rel(
             (k0sq / (1.0 - k0sq)) * (1.0 - x1) * (1.0 - x2), -(1.0 - x * x)
@@ -221,6 +233,7 @@ def degenerate_inversion_residuals(
         "collapse-k2sq": _rel(k0sq, ms.k2_sq),
         "pair-match": min(direct, crossed),
     }
+    return residuals, pair
 
 
 def sn_ode_residual(

@@ -10,7 +10,8 @@ class G2ThetaError(Exception):
 
 
 class TruncationOverflow(G2ThetaError):
-    """Required lattice truncation radius exceeds the configured maximum."""
+    """Required lattice truncation radius exceeds the configured maximum,
+    or a lattice term leaves double range."""
 
 
 class DegenerateTau(G2ThetaError):

@@ -43,10 +43,10 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta2,
-    theta2_grad,
-    theta_null,
-    theta_null_grad,
+    theta_grads,
+    theta_null_grads,
+    theta_nulls,
+    theta_table,
 )
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "flow_constants",
     "flow_residuals",
     "abelian_differential_residuals",
+    "stencil_residuals",
     "addition_formula_residuals",
     "derivative_formula_residuals",
 ]
@@ -76,8 +77,8 @@ class FlowConstants:
     det: complex
 
 
-def _nul(bits, tau, ctrl):
-    return theta_null(HalfCharacteristic(*bits), tau, ctrl)
+def _chars(*bits_seq) -> tuple[HalfCharacteristic, ...]:
+    return tuple(HalfCharacteristic(*bits) for bits in bits_seq)
 
 
 def flow_constants(
@@ -91,22 +92,24 @@ def flow_constants(
     return.
     """
     ms = moduli_from_tau(tau, ctrl)
-    du1010, dv1010 = theta_null_grad(HalfCharacteristic(1, 0, 1, 0), tau, ctrl)
-    du1110, dv1110 = theta_null_grad(HalfCharacteristic(1, 1, 1, 0), tau, ctrl)
-    den = _nul((1, 0, 0, 1), tau, ctrl) * _nul((0, 0, 0, 1), tau, ctrl)
-    den_tilde = _nul((1, 0, 0, 1), tau, ctrl) * _nul((0, 0, 1, 1), tau, ctrl)
+    n = theta_nulls(tau, ctrl)
+    grads = theta_null_grads(tau, ctrl)
+    du1010, dv1010 = grads[(1, 0, 1, 0)]
+    du1110, dv1110 = grads[(1, 1, 1, 0)]
+    den = n[(1, 0, 0, 1)] * n[(0, 0, 0, 1)]
+    den_tilde = n[(1, 0, 0, 1)] * n[(0, 0, 1, 1)]
 
-    a_u = 2.0 / (ms.kp2 * ms.k02 * ms.k12) * _nul((0, 0, 1, 0), tau, ctrl) * du1010 / den
-    b_u = 2.0 / (ms.kp1 * ms.k01 * ms.k12) * _nul((0, 1, 1, 0), tau, ctrl) * du1110 / den
-    a_tilde = 2.0 / (ms.k02 * ms.k12) * _nul((0, 0, 0, 0), tau, ctrl) * du1010 / den_tilde
-    b_tilde = 2.0 / (ms.k01 * ms.k12) * _nul((0, 1, 0, 0), tau, ctrl) * du1110 / den_tilde
+    a_u = 2.0 / (ms.kp2 * ms.k02 * ms.k12) * n[(0, 0, 1, 0)] * du1010 / den
+    b_u = 2.0 / (ms.kp1 * ms.k01 * ms.k12) * n[(0, 1, 1, 0)] * du1110 / den
+    a_tilde = 2.0 / (ms.k02 * ms.k12) * n[(0, 0, 0, 0)] * du1010 / den_tilde
+    b_tilde = 2.0 / (ms.k01 * ms.k12) * n[(0, 1, 0, 0)] * du1110 / den_tilde
     if abs(a_u - a_tilde) > 1e-8 * abs(a_u):
         raise TildeMismatch(f"a = {a_u} but tilde expression gives {a_tilde}")
     if abs(b_u - b_tilde) > 1e-8 * abs(b_u):
         raise TildeMismatch(f"b = {b_u} but tilde expression gives {b_tilde}")
 
-    c_v = 2.0 / (ms.kp2 * ms.k02 * ms.k12) * _nul((0, 0, 1, 0), tau, ctrl) * dv1010 / den
-    d_v = 2.0 / (ms.kp1 * ms.k01 * ms.k12) * _nul((0, 1, 1, 0), tau, ctrl) * dv1110 / den
+    c_v = 2.0 / (ms.kp2 * ms.k02 * ms.k12) * n[(0, 0, 1, 0)] * dv1010 / den
+    d_v = 2.0 / (ms.kp1 * ms.k01 * ms.k12) * n[(0, 1, 1, 0)] * dv1110 / den
 
     big_a = -a_u + b_u
     big_b = a_u * ms.k2_sq - b_u * ms.k1_sq
@@ -153,15 +156,7 @@ def _pair_stencil(point: Point2, tau: PeriodMatrix, ctrl: SeriesControl, h: floa
     return center, d_du, d_dv
 
 
-def flow_residuals(
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-    h: float = 1e-5,
-) -> list[float]:
-    """Residuals |FD - closed form| for dx1/du, dx2/du, dx1/dv, dx2/dv."""
-    fc = flow_constants(tau, ctrl)
-    center, d_du, d_dv = _pair_stencil(point, tau, ctrl, h)
+def _flow_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
     x1, x2 = center.x1, center.x2
     dx = x2 - x1
 
@@ -183,15 +178,7 @@ def flow_residuals(
     return best
 
 
-def abelian_differential_residuals(
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-    h: float = 1e-5,
-) -> list[float]:
-    """Residuals of the inverted system: du and dv recovered from dx1, dx2."""
-    fc = flow_constants(tau, ctrl)
-    center, d_du, d_dv = _pair_stencil(point, tau, ctrl, h)
+def _abelian_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
     x1, x2 = center.x1, center.x2
 
     best = None
@@ -205,58 +192,105 @@ def abelian_differential_residuals(
     return best
 
 
-def _th(bits, point, tau, ctrl):
-    return theta2(HalfCharacteristic(*bits), point, tau, ctrl)
+def stencil_residuals(
+    point: Point2,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+    h: float = 1e-5,
+) -> tuple[list[float], list[float]]:
+    """flow_residuals and abelian_differential_residuals from one shared stencil."""
+    fc = flow_constants(tau, ctrl)
+    stencil = _pair_stencil(point, tau, ctrl, h)
+    return _flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)
+
+
+def flow_residuals(
+    point: Point2,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+    h: float = 1e-5,
+) -> list[float]:
+    """Residuals |FD - closed form| for dx1/du, dx2/du, dx1/dv, dx2/dv."""
+    return stencil_residuals(point, tau, ctrl, h)[0]
+
+
+def abelian_differential_residuals(
+    point: Point2,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+    h: float = 1e-5,
+) -> list[float]:
+    """Residuals of the inverted system: du and dv recovered from dx1, dx2."""
+    return stencil_residuals(point, tau, ctrl, h)[1]
+
+
+# characteristics the addition theorems read at p + q and p - q, and at p and q
+_SHIFTED_CHARS = _chars((1, 0, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1))
+_ADDITION_CHARS = _chars(
+    (1, 0, 0, 0), (0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0),
+    (0, 0, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0), (0, 1, 1, 0),
+)
 
 
 def addition_formula_residuals(
     p: Point2, q: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the two four-point addition theorems at (p, q)."""
-    plus = Point2(p.u + q.u, p.v + q.v)
-    minus = Point2(p.u - q.u, p.v - q.v)
+    plus = theta_table(_SHIFTED_CHARS, Point2(p.u + q.u, p.v + q.v), tau, ctrl)
+    minus = theta_table(_SHIFTED_CHARS, Point2(p.u - q.u, p.v - q.v), tau, ctrl)
+    tp = theta_table(_ADDITION_CHARS, p, tau, ctrl)
+    tq = theta_table(_ADDITION_CHARS, q, tau, ctrl)
+    n = theta_nulls(tau, ctrl)
 
     lhs1 = (
-        _nul((1, 0, 0, 1), tau, ctrl)
-        * _nul((0, 0, 0, 1), tau, ctrl)
+        n[(1, 0, 0, 1)]
+        * n[(0, 0, 0, 1)]
         * (
-            _th((1, 0, 1, 1), plus, tau, ctrl) * _th((0, 0, 1, 1), minus, tau, ctrl)
-            - _th((0, 0, 1, 1), plus, tau, ctrl) * _th((1, 0, 1, 1), minus, tau, ctrl)
+            plus[(1, 0, 1, 1)] * minus[(0, 0, 1, 1)]
+            - plus[(0, 0, 1, 1)] * minus[(1, 0, 1, 1)]
         )
     )
     rhs1 = 2.0 * (
-        _th((1, 0, 0, 0), p, tau, ctrl)
-        * _th((0, 0, 0, 0), p, tau, ctrl)
-        * _th((0, 0, 1, 0), q, tau, ctrl)
-        * _th((1, 0, 1, 0), q, tau, ctrl)
-        - _th((1, 1, 0, 0), p, tau, ctrl)
-        * _th((0, 1, 0, 0), p, tau, ctrl)
-        * _th((1, 1, 1, 0), q, tau, ctrl)
-        * _th((0, 1, 1, 0), q, tau, ctrl)
+        tp[(1, 0, 0, 0)]
+        * tp[(0, 0, 0, 0)]
+        * tq[(0, 0, 1, 0)]
+        * tq[(1, 0, 1, 0)]
+        - tp[(1, 1, 0, 0)]
+        * tp[(0, 1, 0, 0)]
+        * tq[(1, 1, 1, 0)]
+        * tq[(0, 1, 1, 0)]
     )
 
     lhs2 = (
-        _nul((1, 0, 0, 1), tau, ctrl)
-        * _nul((0, 0, 1, 1), tau, ctrl)
+        n[(1, 0, 0, 1)]
+        * n[(0, 0, 1, 1)]
         * (
-            _th((1, 0, 0, 1), plus, tau, ctrl) * _th((0, 0, 1, 1), minus, tau, ctrl)
-            - _th((0, 0, 1, 1), plus, tau, ctrl) * _th((1, 0, 0, 1), minus, tau, ctrl)
+            plus[(1, 0, 0, 1)] * minus[(0, 0, 1, 1)]
+            - plus[(0, 0, 1, 1)] * minus[(1, 0, 0, 1)]
         )
     )
     rhs2 = 2.0 * (
-        -_th((0, 0, 0, 0), p, tau, ctrl)
-        * _th((1, 0, 1, 0), p, tau, ctrl)
-        * _th((0, 0, 0, 0), q, tau, ctrl)
-        * _th((1, 0, 1, 0), q, tau, ctrl)
-        + _th((0, 1, 0, 0), p, tau, ctrl)
-        * _th((1, 1, 1, 0), p, tau, ctrl)
-        * _th((0, 1, 0, 0), q, tau, ctrl)
-        * _th((1, 1, 1, 0), q, tau, ctrl)
+        -tp[(0, 0, 0, 0)]
+        * tp[(1, 0, 1, 0)]
+        * tq[(0, 0, 0, 0)]
+        * tq[(1, 0, 1, 0)]
+        + tp[(0, 1, 0, 0)]
+        * tp[(1, 1, 1, 0)]
+        * tq[(0, 1, 0, 0)]
+        * tq[(1, 1, 1, 0)]
     )
     return [
         abs(lhs1 - rhs1) / (1.0 + max(abs(lhs1), abs(rhs1))),
         abs(lhs2 - rhs2) / (1.0 + max(abs(lhs2), abs(rhs2))),
     ]
+
+
+# what the derivative formulas read at their point: values, then gradients
+_DERIVATIVE_CHARS = _chars(
+    (0, 0, 1, 1), (1, 0, 1, 1), (1, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0),
+    (1, 1, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0),
+)
+_GRADIENT_CHARS = _chars((1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 1, 1))
 
 
 def derivative_formula_residuals(
@@ -270,55 +304,33 @@ def derivative_formula_residuals(
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
     """
-    ref = _th((0, 0, 1, 1), point, tau, ctrl)
-    scale = max(
-        abs(theta_null(c, tau, ctrl))
-        for c in (HalfCharacteristic(0, 0, 0, 0), HalfCharacteristic(0, 0, 1, 1))
-    )
+    th = theta_table(_DERIVATIVE_CHARS, point, tau, ctrl)
+    n = theta_nulls(tau, ctrl)
+    ref = th[(0, 0, 1, 1)]
+    scale = max(abs(n[(0, 0, 0, 0)]), abs(n[(0, 0, 1, 1)]))
     if abs(ref) <= 1e-10 * scale:
         raise SingularDenominator("theta[00;11] vanishes at the point")
 
-    g1011 = theta2_grad(HalfCharacteristic(1, 0, 1, 1), point, tau, ctrl)
-    g1001 = theta2_grad(HalfCharacteristic(1, 0, 0, 1), point, tau, ctrl)
-    g0011 = theta2_grad(HalfCharacteristic(0, 0, 1, 1), point, tau, ctrl)
-    t1011 = _th((1, 0, 1, 1), point, tau, ctrl)
-    t1001 = _th((1, 0, 0, 1), point, tau, ctrl)
-    d1010 = theta_null_grad(HalfCharacteristic(1, 0, 1, 0), tau, ctrl)
-    d1110 = theta_null_grad(HalfCharacteristic(1, 1, 1, 0), tau, ctrl)
+    g1011, g1001, g0011 = theta_grads(_GRADIENT_CHARS, point, tau, ctrl)
+    t1011 = th[(1, 0, 1, 1)]
+    t1001 = th[(1, 0, 0, 1)]
+    null_grads = theta_null_grads(tau, ctrl)
+    d1010 = null_grads[(1, 0, 1, 0)]
+    d1110 = null_grads[(1, 1, 1, 0)]
 
     out = []
     for idx in (0, 1):
-        lhs = (
-            _nul((1, 0, 0, 1), tau, ctrl)
-            * _nul((0, 0, 0, 1), tau, ctrl)
-            * (g1011[idx] * ref - t1011 * g0011[idx])
-        )
+        lhs = n[(1, 0, 0, 1)] * n[(0, 0, 0, 1)] * (g1011[idx] * ref - t1011 * g0011[idx])
         rhs = (
-            _nul((0, 0, 1, 0), tau, ctrl)
-            * d1010[idx]
-            * _th((1, 0, 0, 0), point, tau, ctrl)
-            * _th((0, 0, 0, 0), point, tau, ctrl)
-            - _nul((0, 1, 1, 0), tau, ctrl)
-            * d1110[idx]
-            * _th((1, 1, 0, 0), point, tau, ctrl)
-            * _th((0, 1, 0, 0), point, tau, ctrl)
+            n[(0, 0, 1, 0)] * d1010[idx] * th[(1, 0, 0, 0)] * th[(0, 0, 0, 0)]
+            - n[(0, 1, 1, 0)] * d1110[idx] * th[(1, 1, 0, 0)] * th[(0, 1, 0, 0)]
         )
         out.append(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
     for idx in (0, 1):
-        lhs = (
-            _nul((1, 0, 0, 1), tau, ctrl)
-            * _nul((0, 0, 1, 1), tau, ctrl)
-            * (g1001[idx] * ref - t1001 * g0011[idx])
-        )
+        lhs = n[(1, 0, 0, 1)] * n[(0, 0, 1, 1)] * (g1001[idx] * ref - t1001 * g0011[idx])
         rhs = (
-            -_nul((0, 0, 0, 0), tau, ctrl)
-            * d1010[idx]
-            * _th((0, 0, 0, 0), point, tau, ctrl)
-            * _th((1, 0, 1, 0), point, tau, ctrl)
-            + _nul((0, 1, 0, 0), tau, ctrl)
-            * d1110[idx]
-            * _th((0, 1, 0, 0), point, tau, ctrl)
-            * _th((1, 1, 1, 0), point, tau, ctrl)
+            -n[(0, 0, 0, 0)] * d1010[idx] * th[(0, 0, 0, 0)] * th[(1, 0, 1, 0)]
+            + n[(0, 1, 0, 0)] * d1110[idx] * th[(0, 1, 0, 0)] * th[(1, 1, 1, 0)]
         )
         out.append(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .degeneration import (
     complete_integral_residuals,
-    degenerate_inversion_residuals,
+    degenerate_inversion,
     elliptic_identity_residuals,
     elliptic_modulus,
     jacobi_functions,
@@ -38,15 +38,13 @@ from .errors import (
     StencilCrossesDivisor,
 )
 from .flow import (
-    abelian_differential_residuals,
     addition_formula_residuals,
     derivative_formula_residuals,
-    flow_residuals,
+    stencil_residuals,
 )
 from .inversion import (
     PARAMETERIZATION_LABELS,
     parameterization_residuals,
-    recover_pair,
     unit_sum_identity_residuals,
 )
 from .moduli import (
@@ -57,7 +55,7 @@ from .moduli import (
 )
 from .riemann import Quadruple, fundamental_identity_residuals, riemann_relation_residuals
 from .rng import SampleStream
-from .theta import DEFAULT_TAU, PeriodMatrix, Point2, SeriesControl
+from .theta import ALL_CHARACTERISTICS, DEFAULT_TAU, PeriodMatrix, Point2, SeriesControl
 
 __all__ = [
     "VERSION",
@@ -353,9 +351,8 @@ def _suite_flow(cfg: RunConfig) -> SuiteResult:
 
     def evaluate(sample):
         point = Point2(sample[0], sample[1])
-        res = flow_residuals(point, cfg.tau, cfg.series, h=cfg.fd_step)
-        res += abelian_differential_residuals(point, cfg.tau, cfg.series, h=cfg.fd_step)
-        return list(zip(labels, res))
+        flow, abelian = stencil_residuals(point, cfg.tau, cfg.series, h=cfg.fd_step)
+        return list(zip(labels, flow + abelian))
 
     return _run_sampled(
         "flow", cfg, labels, frozenset(labels), _draw_point, evaluate
@@ -392,7 +389,7 @@ def _suite_degeneration(cfg: RunConfig) -> SuiteResult:
     split_tau = PeriodMatrix(tau1, tau2, 0.0)
     ms = moduli_from_tau(split_tau, cfg.series)
     constant_predicted = 1.0 / ms.k0_sq
-    split_labels = sorted(splitting_residuals(Point2(0.0, 0.0), tau1, tau2, cfg.series))
+    split_labels = sorted(f"split-{c.label()}" for c in ALL_CHARACTERISTICS)
     inv_labels = [
         "x1x2-product",
         "complement-product",
@@ -407,9 +404,8 @@ def _suite_degeneration(cfg: RunConfig) -> SuiteResult:
     def evaluate(sample):
         point = Point2(sample[0], sample[1])
         rows = sorted(splitting_residuals(point, tau1, tau2, cfg.series).items())
-        inv = degenerate_inversion_residuals(point, tau1, tau2, cfg.series)
+        inv, pair = degenerate_inversion(point, tau1, tau2, cfg.series)
         rows += [(label, inv[label]) for label in inv_labels]
-        pair = recover_pair(point, split_tau, cfg.series)
         member = min((pair.x1, pair.x2), key=lambda x: abs(x - constant_predicted))
         constants.append((member, sample))
         return rows
@@ -508,14 +504,17 @@ def run_suites(config: RunConfig) -> Report:
 
 
 def parse_complex_pair(text: str) -> complex:
-    """Parse 'RE,IM' into a complex number."""
+    """Parse 'RE,IM' into a finite complex number."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigInvalid(f"expected RE,IM, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        re, im = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigInvalid(f"expected RE,IM, got {text!r}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ConfigInvalid(f"expected finite RE,IM, got {text!r}")
+    return complex(re, im)
 
 
 _CONFIG_KEYS = {

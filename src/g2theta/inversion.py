@@ -22,16 +22,22 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import CoincidentPoints, InvalidFactorIndex, SingularDenominator
+from .errors import (
+    CoincidentPoints,
+    DivisionByZeroModulus,
+    InvalidFactorIndex,
+    SingularDenominator,
+)
 from .moduli import ModuliSet, moduli_from_tau
 from .theta import (
+    ALL_CHARACTERISTICS,
     EVEN_CHARACTERISTICS,
     HalfCharacteristic,
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta2,
-    theta_null,
+    theta_nulls,
+    theta_table,
 )
 
 __all__ = [
@@ -47,7 +53,11 @@ __all__ = [
     "PARAMETERIZATION_LABELS",
 ]
 
-_TH_REF = HalfCharacteristic(0, 0, 1, 1)  # reference denominator theta
+_TH_REF = (0, 0, 1, 1)  # reference denominator theta
+# what recover_pair reads at its point: the reference, the two numerators of
+# the symmetric functions, and the bracket that fixes the sign class
+_PAIR_BITS = (_TH_REF, (1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 1))
+_PAIR_CHARS = tuple(HalfCharacteristic(*bits) for bits in _PAIR_BITS)
 
 
 @dataclass(frozen=True)
@@ -108,15 +118,12 @@ def f_factor(i: int, j: int, x: complex, curve: CurveSpec) -> complex:
 
 
 def _null_scale(tau: PeriodMatrix, ctrl: SeriesControl) -> float:
-    return max(abs(theta_null(c, tau, ctrl)) for c in EVEN_CHARACTERISTICS)
+    nulls = theta_nulls(tau, ctrl)
+    return max(abs(nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
 
 
-def _theta_sq(bits, point, tau, ctrl) -> complex:
-    return theta2(HalfCharacteristic(*bits), point, tau, ctrl) ** 2
-
-
-def _reference_denominator(point, tau, ctrl) -> complex:
-    ref = theta2(_TH_REF, point, tau, ctrl)
+def _reference_denominator(th: dict, point, tau, ctrl) -> complex:
+    ref = th[_TH_REF]
     if abs(ref) <= 1e-10 * _null_scale(tau, ctrl):
         raise SingularDenominator(
             f"theta[00;11]({point.u}, {point.v}) ~ 0: point on the theta divisor"
@@ -124,20 +131,20 @@ def _reference_denominator(point, tau, ctrl) -> complex:
     return ref * ref
 
 
+def _symmetric_from_thetas(ms: ModuliSet, th: dict, den: complex) -> SymmetricFunctions:
+    kkk = ms.k0 * ms.k1 * ms.k2
+    s2 = th[(1, 0, 1, 1)] ** 2 / (kkk * den)
+    one_minus = -(ms.kp0 * ms.kp1 * ms.kp2 / kkk) * th[(1, 0, 0, 1)] ** 2 / den
+    s1 = 1.0 + s2 - one_minus
+    return SymmetricFunctions(s1=s1, s2=s2)
+
+
 def symmetric_functions(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> SymmetricFunctions:
     ms = moduli_from_tau(tau, ctrl)
-    den = _reference_denominator(point, tau, ctrl)
-    kkk = ms.k0 * ms.k1 * ms.k2
-    s2 = _theta_sq((1, 0, 1, 1), point, tau, ctrl) / (kkk * den)
-    one_minus = (
-        -(ms.kp0 * ms.kp1 * ms.kp2 / kkk)
-        * _theta_sq((1, 0, 0, 1), point, tau, ctrl)
-        / den
-    )
-    s1 = 1.0 + s2 - one_minus
-    return SymmetricFunctions(s1=s1, s2=s2)
+    th = theta_table(_PAIR_CHARS[:3], point, tau, ctrl)
+    return _symmetric_from_thetas(ms, th, _reference_denominator(th, point, tau, ctrl))
 
 
 def _solve_pair(sf: SymmetricFunctions) -> tuple[complex, complex]:
@@ -175,8 +182,13 @@ def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
     ms = moduli_from_tau(tau, ctrl)
-    sf = symmetric_functions(point, tau, ctrl)
-    x1, x2 = _solve_pair(sf)
+    return _pair_from_thetas(ms, theta_table(_PAIR_CHARS, point, tau, ctrl), point, tau, ctrl)
+
+
+def _pair_from_thetas(ms: ModuliSet, th: dict, point, tau, ctrl) -> PointPair:
+    """recover_pair from theta values already evaluated at the point."""
+    den = _reference_denominator(th, point, tau, ctrl)
+    x1, x2 = _solve_pair(_symmetric_from_thetas(ms, th, den))
     if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
         raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
     curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
@@ -184,9 +196,7 @@ def recover_pair(
     sigma2 = cmath.sqrt(f5(x2, curve))
 
     # resolve the essential sign class against one bracket parameterization
-    lhs_ratio = _theta_sq((0, 0, 0, 1), point, tau, ctrl) / _reference_denominator(
-        point, tau, ctrl
-    )
+    lhs_ratio = th[(0, 0, 0, 1)] ** 2 / den
     pref = -1.0 / (ms.kp0 * ms.kp1 * ms.kp2)
     fx1 = f_factor(0, 1, x1, curve)
     fx2 = f_factor(0, 1, x2, curve)
@@ -212,6 +222,9 @@ def recover_pair(
 
 # (characteristic bits, F-factor indices or None, prefactor builder, polynomial builder)
 def _parameterization_table(ms: ModuliSet):
+    for name in ("kp0", "kp1", "kp2", "k01", "k02", "k12"):
+        if getattr(ms, name) == 0:
+            raise DivisionByZeroModulus(f"modulus {name} vanishes")
     k0, k1, k2 = ms.k0, ms.k1, ms.k2
     kp0, kp1, kp2 = ms.kp0, ms.kp1, ms.kp2
     k01, k02, k12 = ms.k01, ms.k02, ms.k12
@@ -254,23 +267,24 @@ def parameterization_residuals(
     recovered by recover_pair.
     """
     ms = moduli_from_tau(tau, ctrl)
-    pair = recover_pair(point, tau, ctrl)
+    th = theta_table(ALL_CHARACTERISTICS, point, tau, ctrl)
+    pair = _pair_from_thetas(ms, th, point, tau, ctrl)
     x1, x2, sg1, sg2 = pair.x1, pair.x2, pair.sigma1, pair.sigma2
     curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
-    den = _reference_denominator(point, tau, ctrl)
+    den = _reference_denominator(th, point, tau, ctrl)
     poly, bracket = _parameterization_table(ms)
 
     out: list[tuple[str, float]] = []
     idx = 1
     for bits, pref, lin in poly:
-        lhs = _theta_sq(bits, point, tau, ctrl) / den
+        lhs = th[bits] ** 2 / den
         rhs = pref * lin(x1) * lin(x2)
         out.append(
             (f"param-{idx:02d}", abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
         )
         idx += 1
     for bits, (i, j), pref in bracket:
-        lhs_ratio = _theta_sq(bits, point, tau, ctrl) / den
+        lhs_ratio = th[bits] ** 2 / den
         fx1 = f_factor(i, j, x1, curve)
         fx2 = f_factor(i, j, x2, curve)
         lhs, rhs = _bracket_residual_terms(lhs_ratio, pref, fx1, fx2, x1, x2, sg1, sg2)
@@ -288,22 +302,31 @@ _UNIT_SUM_TERMS = (
     ((1, 0, 0, 0), ((1, (0, 0, 0, 0), (1, 0, 1, 1)), (1, (0, 0, 1, 0), (1, 0, 0, 1)), (1, (1, 1, 1, 1), (0, 1, 0, 0)))),
     ((1, 1, 0, 0), ((1, (0, 1, 0, 0), (1, 0, 1, 1)), (1, (0, 1, 1, 0), (1, 0, 0, 1)), (1, (1, 1, 1, 1), (0, 0, 0, 0)))),
 )
+_UNIT_SUM_CHARS = tuple(
+    HalfCharacteristic(*bits)
+    for bits in dict.fromkeys(
+        [_TH_REF] + [tb for _, terms in _UNIT_SUM_TERMS for _, _, tb in terms]
+    )
+)
 
 
 def unit_sum_identity_residuals(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the three theta identities expressing 1 as a signed sum."""
-    den_th = _reference_denominator(point, tau, ctrl)
+    th = theta_table(_UNIT_SUM_CHARS, point, tau, ctrl)
+    den_th = _reference_denominator(th, point, tau, ctrl)
+
+    nulls = theta_nulls(tau, ctrl)
 
     def nul2(bits):
-        return theta_null(HalfCharacteristic(*bits), tau, ctrl) ** 2
+        return nulls[bits] ** 2
 
     out = []
     for den_bits, terms in _UNIT_SUM_TERMS:
         den = nul2(den_bits) * den_th
         vals = [
-            sign * nul2(nb) * _theta_sq(tb, point, tau, ctrl) / den
+            sign * nul2(nb) * th[tb] ** 2 / den
             for sign, nb, tb in terms
         ]
         total = sum(vals)

@@ -25,7 +25,7 @@ from .theta import (
     EVEN_CHARACTERISTICS,
     PeriodMatrix,
     SeriesControl,
-    theta_null,
+    theta_nulls,
 )
 
 __all__ = [
@@ -62,10 +62,8 @@ class ModuliSet:
 
 
 def _null_sq(tau: PeriodMatrix, ctrl: SeriesControl) -> dict[tuple, complex]:
-    return {
-        (c.a, c.c, c.b, c.d): theta_null(c, tau, ctrl) ** 2
-        for c in EVEN_CHARACTERISTICS
-    }
+    nulls = theta_nulls(tau, ctrl)
+    return {c.bits: nulls[c.bits] ** 2 for c in EVEN_CHARACTERISTICS}
 
 
 def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> ModuliSet:

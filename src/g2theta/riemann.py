@@ -27,8 +27,9 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta2,
-    theta_null,
+    theta_nulls,
+    theta_table,
+    theta_values,
 )
 
 __all__ = [
@@ -64,6 +65,10 @@ _VARIANT_PAIRS = {
     ProductVariant.M3: (HalfCharacteristic(0, 0, 1, 0), HalfCharacteristic(0, 1, 1, 0)),
 }
 
+_VARIANTS = (ProductVariant.M, ProductVariant.M1, ProductVariant.M2, ProductVariant.M3)
+# every characteristic a product reads, variant pairs in _VARIANTS order
+_PRODUCT_CHARS = tuple(c for t in _VARIANTS for c in _VARIANT_PAIRS[t])
+
 # rows of 2A; its own inverse up to the factor 4 (S @ S == 4 I)
 _S_ROWS = (
     (1, 1, 1, 1),
@@ -84,19 +89,38 @@ def riemann_transform(q: Quadruple) -> Quadruple:
     return Quadruple(tuple(new))
 
 
+def _fold_products(values) -> complex:
+    """Sum over characteristics of the product over points.
+
+    values[i][k] is theta of the k-th characteristic of a variant pair at the
+    i-th point of the quadruple.
+    """
+    total = 0.0 + 0.0j
+    for k in (0, 1):
+        prod = 1.0 + 0.0j
+        for vals in values:
+            prod *= vals[k]
+        total += prod
+    return total
+
+
 def product_m(
     variant: ProductVariant,
     q: Quadruple,
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
-    total = 0.0 + 0.0j
-    for c in _VARIANT_PAIRS[variant]:
-        prod = 1.0 + 0.0j
-        for p in q.points:
-            prod *= theta2(c, p, tau, ctrl)
-        total += prod
-    return total
+    chars = _VARIANT_PAIRS[variant]
+    return _fold_products([theta_values(chars, p, tau, ctrl) for p in q.points])
+
+
+def _all_products(q: Quadruple, tau: PeriodMatrix, ctrl: SeriesControl) -> list[complex]:
+    """The four products in _VARIANTS order, one stacked evaluation per point."""
+    values = [theta_values(_PRODUCT_CHARS, p, tau, ctrl) for p in q.points]
+    return [
+        _fold_products([vals[2 * j : 2 * j + 2] for vals in values])
+        for j in range(len(_VARIANTS))
+    ]
 
 
 def _relation_residuals(lhs_vec, rhs_vec):
@@ -116,10 +140,8 @@ def riemann_relation_residuals(
     q: Quadruple, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Eight residuals: the four forward relations, then the four inverse ones."""
-    qt = riemann_transform(q)
-    variants = (ProductVariant.M, ProductVariant.M1, ProductVariant.M2, ProductVariant.M3)
-    m = [product_m(t, q, tau, ctrl) for t in variants]
-    mt = [product_m(t, qt, tau, ctrl) for t in variants]
+    m = _all_products(q, tau, ctrl)
+    mt = _all_products(riemann_transform(q), tau, ctrl)
     return _relation_residuals(m, mt) + _relation_residuals(mt, m)
 
 
@@ -150,6 +172,13 @@ _FUNDAMENTAL_TERMS = (
         ),
     ),
 )
+_FUNDAMENTAL_CHARS = tuple(
+    HalfCharacteristic(*bits)
+    for bits in dict.fromkeys(
+        [t0 for (_, t0), _ in _FUNDAMENTAL_TERMS]
+        + [tb for _, terms in _FUNDAMENTAL_TERMS for _, _, tb in terms]
+    )
+)
 
 
 def fundamental_identity_residuals(
@@ -157,11 +186,15 @@ def fundamental_identity_residuals(
 ) -> list[float]:
     """Residuals of the three four-term squared-theta identities at (u, v)."""
 
+    nulls = theta_nulls(tau, ctrl)
+
     def nul2(bits):
-        return theta_null(HalfCharacteristic(*bits), tau, ctrl) ** 2
+        return nulls[bits] ** 2
+
+    th = theta_table(_FUNDAMENTAL_CHARS, point, tau, ctrl)
 
     def th2(bits):
-        return theta2(HalfCharacteristic(*bits), point, tau, ctrl) ** 2
+        return th[bits] ** 2
 
     out = []
     for (n0, t0), rhs_terms in _FUNDAMENTAL_TERMS:

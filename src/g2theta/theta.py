@@ -8,9 +8,14 @@ The basic object is the two-variable series
 
 for bits a, b, c, d in {0, 1} and a period matrix (tau1, tau12; tau12, tau2)
 with positive-definite imaginary part.  The lattice sum is truncated to a
-square box whose radius comes from the Gaussian decay of the summand; terms
-are accumulated with exact summation (math.fsum) in a fixed order so results
-are bit-reproducible run to run.
+square box whose radius comes from the Gaussian decay of the summand.  The
+radius depends on the point only, so theta_values evaluates any set of
+characteristics at one point from one stacked grid of terms, one row per
+characteristic.  Each row is summed exactly (math.fsum, correctly rounded),
+so every output is bit-reproducible run to run and does not depend on which
+other characteristics were evaluated with it.  theta2 and theta2_grad are
+the one-characteristic forms; the sixteen nulls and null gradients of a
+period matrix are one memoized evaluation each.
 
 Also here: parity of a characteristic, and the half/full period shift rules
 expressing theta at a shifted argument through theta at the original one.
@@ -21,9 +26,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,8 +49,14 @@ __all__ = [
     "DEFAULT_TAU",
     "parity",
     "truncation_radius",
+    "fsum_rows",
+    "theta_values",
+    "theta_table",
+    "theta_grads",
     "theta2",
     "theta2_grad",
+    "theta_nulls",
+    "theta_null_grads",
     "theta_null",
     "theta_null_grad",
     "half_shift",
@@ -70,6 +83,10 @@ class HalfCharacteristic:
     @property
     def is_odd(self) -> bool:
         return (self.a * self.b + self.c * self.d) % 2 == 1
+
+    @property
+    def bits(self) -> tuple[int, int, int, int]:
+        return (self.a, self.c, self.b, self.d)
 
     def label(self) -> str:
         return f"{self.a}{self.c}{self.b}{self.d}"
@@ -158,22 +175,83 @@ def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> 
     return n
 
 
-def _term_grid(c: HalfCharacteristic, point: Point2, tau: PeriodMatrix, n: int):
+def _stacked_terms(chars, point: Point2, tau: PeriodMatrix, ctrl: SeriesControl):
+    """Lattice terms of every characteristic on one box, shape (K, 2N+1, 2N+1).
+
+    Row k holds the terms of chars[k] with m ascending along axis 1 and n
+    along axis 2.  Each element goes through the same floating-point
+    operations, in the same order, as a one-characteristic grid would, so a
+    value does not depend on which other characteristics share the stack.
+    """
+    n = truncation_radius(tau, point, ctrl)
     idx = np.arange(-n, n + 1, dtype=np.float64)
-    p = (idx + 0.5 * c.a)[:, None]
-    q = (idx + 0.5 * c.c)[None, :]
+    # half[:, j] is 0.5 * (a, c, b, d)[j] of each characteristic, shape (K, 1, 1)
+    half = 0.5 * np.array([c.bits for c in chars], dtype=np.float64)[:, :, None, None]
+    p = idx[None, :, None] + half[:, 0]
+    q = idx[None, None, :] + half[:, 1]
     expo = (
         tau.tau1 * p * p
         + tau.tau2 * q * q
         + 2.0 * tau.tau12 * p * q
-        + 2.0 * (p * (point.u + 0.5 * c.b) + q * (point.v + 0.5 * c.d))
+        + 2.0 * (p * (point.u + half[:, 2]) + q * (point.v + half[:, 3]))
     )
     return p, q, np.exp(_IPI * expo)
 
 
-def _fsum_complex(arr: np.ndarray) -> complex:
-    flat = arr.ravel()  # fixed C order: m ascending outer, n ascending inner
-    return complex(math.fsum(flat.real), math.fsum(flat.imag))
+def fsum_rows(terms: np.ndarray) -> list[complex]:
+    """Correctly rounded sum of each row of a complex array, via math.fsum.
+
+    Exact summation makes every sum independent of term order and of the
+    shape of the array it came in, so results are bit-reproducible.  A
+    non-finite term (the series overflowed double range) raises
+    TruncationOverflow instead of returning NaN or inf.
+    """
+    rows = terms.reshape(len(terms), -1)
+    try:
+        out = [
+            complex(math.fsum(re), math.fsum(im))
+            for re, im in zip(rows.real.tolist(), rows.imag.tolist())
+        ]
+    except (ValueError, OverflowError) as exc:
+        raise TruncationOverflow(f"lattice sum left double range: {exc}") from exc
+    if not all(map(cmath.isfinite, out)):
+        raise TruncationOverflow("lattice sum left double range: non-finite term")
+    return out
+
+
+def theta_values(
+    chars,
+    point: Point2,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+) -> list[complex]:
+    """theta[c](point) for every c in chars, from one stacked lattice grid."""
+    _, _, terms = _stacked_terms(chars, point, tau, ctrl)
+    return fsum_rows(terms)
+
+
+def theta_table(
+    chars,
+    point: Point2,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+) -> dict[tuple[int, int, int, int], complex]:
+    """theta_values keyed by the bits of each characteristic."""
+    return {c.bits: v for c, v in zip(chars, theta_values(chars, point, tau, ctrl))}
+
+
+def theta_grads(
+    chars,
+    point: Point2,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+) -> list[tuple[complex, complex]]:
+    """(d theta/du, d theta/dv) for every c in chars by term-wise differentiation."""
+    p, q, terms = _stacked_terms(chars, point, tau, ctrl)
+    two_pi_i = 2j * math.pi
+    du = fsum_rows((two_pi_i * p) * terms)
+    dv = fsum_rows((two_pi_i * q) * terms)
+    return list(zip(du, dv))
 
 
 def theta2(
@@ -182,9 +260,7 @@ def theta2(
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
-    n = truncation_radius(tau, point, ctrl)
-    _, _, terms = _term_grid(c, point, tau, n)
-    return _fsum_complex(terms)
+    return theta_values((c,), point, tau, ctrl)[0]
 
 
 def theta2_grad(
@@ -194,27 +270,45 @@ def theta2_grad(
     ctrl: SeriesControl = SeriesControl(),
 ) -> tuple[complex, complex]:
     """(d theta/du, d theta/dv) by term-wise differentiation of the series."""
-    n = truncation_radius(tau, point, ctrl)
-    p, q, terms = _term_grid(c, point, tau, n)
-    two_pi_i = 2j * math.pi
-    du = _fsum_complex((two_pi_i * p) * terms)
-    dv = _fsum_complex((two_pi_i * q) * terms)
-    return du, dv
+    return theta_grads((c,), point, tau, ctrl)[0]
 
 
-@lru_cache(maxsize=None)
+_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
+
+# Null caches are bounded so that a process sweeping many period matrices
+# keeps a fixed footprint; a verification run reuses only a few taus.
+_NULL_CACHE_TAUS = 128
+
+
+@lru_cache(maxsize=_NULL_CACHE_TAUS)
+def theta_nulls(
+    tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
+) -> Mapping[tuple[int, int, int, int], complex]:
+    """All sixteen theta[c](0, 0), keyed by c.bits; one memoized evaluation per tau."""
+    values = theta_values(ALL_CHARACTERISTICS, ORIGIN, tau, ctrl)
+    return MappingProxyType(dict(zip(_ALL_BITS, values)))
+
+
+@lru_cache(maxsize=_NULL_CACHE_TAUS)
+def theta_null_grads(
+    tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
+) -> Mapping[tuple[int, int, int, int], tuple[complex, complex]]:
+    """All sixteen null gradients (d/du, d/dv), keyed by c.bits; memoized per tau."""
+    grads = theta_grads(ALL_CHARACTERISTICS, ORIGIN, tau, ctrl)
+    return MappingProxyType(dict(zip(_ALL_BITS, grads)))
+
+
 def theta_null(
     c: HalfCharacteristic, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> complex:
-    """theta[c](0, 0); memoized since verification reuses nulls heavily."""
-    return theta2(c, ORIGIN, tau, ctrl)
+    """theta[c](0, 0), read from the memoized all-characteristic evaluation."""
+    return theta_nulls(tau, ctrl)[c.bits]
 
 
-@lru_cache(maxsize=None)
 def theta_null_grad(
     c: HalfCharacteristic, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> tuple[complex, complex]:
-    return theta2_grad(c, ORIGIN, tau, ctrl)
+    return theta_null_grads(tau, ctrl)[c.bits]
 
 
 class ShiftKind(enum.Enum):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +195,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         "--v=0.1,-0.05",
     ]) == 2
     capsys.readouterr()
+
+
+def test_cli_invert_rejects_unusable_points(capsys):
+    # non-finite input is a configuration error, code 1
+    assert main(["invert", "--u=nan,0", "--v=0,0"]) == 1
+    assert main(["invert", "--u=0,0", "--v=inf,0"]) == 1
+    assert main(["verify", "--tau12=0,nan", "--samples", "1"]) == 1
+    # a finite point whose lattice terms overflow: numerical failure, code 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["invert", "--u=0,50", "--v=0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "double range" in err
 
 
 def test_cli_moduli_output(capsys):

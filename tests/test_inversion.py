@@ -1,5 +1,7 @@
 """Two-point recovery from theta ratios and the 15 ratio parameterizations."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 from conftest import DIVISOR_U, DIVISOR_V, draw_points
 
 import g2theta.inversion as inversion
-from g2theta.errors import CoincidentPoints, InvalidFactorIndex, SingularDenominator
+from g2theta.errors import (
+    CoincidentPoints,
+    DivisionByZeroModulus,
+    InvalidFactorIndex,
+    SingularDenominator,
+)
 from g2theta.inversion import (
     PARAMETERIZATION_LABELS,
     CurveSpec,
@@ -167,8 +174,17 @@ def test_coincident_pair_guard(monkeypatch):
     # evaluation (noise keeps it above threshold), so feed one in directly
     monkeypatch.setattr(
         inversion,
-        "symmetric_functions",
-        lambda point, tau, ctrl=None: SymmetricFunctions(s1=2.0 + 0.0j, s2=1.0 + 0.0j),
+        "_symmetric_from_thetas",
+        lambda ms, th, den: SymmetricFunctions(s1=2.0 + 0.0j, s2=1.0 + 0.0j),
     )
     with pytest.raises(CoincidentPoints):
         inversion.recover_pair(Point2(0.1, 0.1), DEFAULT_TAU)
+
+
+def test_vanishing_modulus_root_in_a_denominator_is_typed(monkeypatch):
+    # k01 sits only in parameterization denominators, so the pair is still
+    # recovered and the table must refuse the zero root with a typed error
+    ms = dataclasses.replace(moduli_from_tau(DEFAULT_TAU), k01=0j)
+    monkeypatch.setattr(inversion, "moduli_from_tau", lambda tau, ctrl=None: ms)
+    with pytest.raises(DivisionByZeroModulus):
+        parameterization_residuals(Point2(0.1, 0.1), DEFAULT_TAU)

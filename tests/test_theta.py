@@ -6,7 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_theta2, draw_points
+import numpy as np
+
+from conftest import brute_theta2, draw_points, reference_theta2, reference_theta2_grad
 
 from g2theta.errors import DegenerateTau, TruncationOverflow
 from g2theta.theta import (
@@ -24,8 +26,10 @@ from g2theta.theta import (
     shifted_argument,
     theta2,
     theta2_grad,
+    theta_grads,
     theta_null,
     theta_null_grad,
+    theta_values,
     truncation_radius,
 )
 
@@ -48,6 +52,52 @@ def test_matches_brute_force_double_sum():
             got = theta2(c, point, DEFAULT_TAU)
             ref = brute_theta2(c, point, DEFAULT_TAU)
             assert abs(got - ref) / max(1.0, abs(ref)) < 1e-13, c.label()
+
+
+# DEFAULT_TAU and a tau12 = 0 matrix; the last two points need radius 5
+KERNEL_TAUS = [DEFAULT_TAU, PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.0)]
+KERNEL_POINTS = TEST_POINTS[:2] + [
+    Point2(0.23 + 0.55j, -0.4 - 0.5j),
+    Point2(-0.45 - 0.3j, 0.12 + 0.35j),
+]
+
+
+def test_stacked_kernel_is_bit_identical_to_one_grid_per_characteristic():
+    radii = set()
+    for tau in KERNEL_TAUS:
+        for point in KERNEL_POINTS:
+            radii.add(truncation_radius(tau, point, SeriesControl()))
+            values = theta_values(ALL_CHARACTERISTICS, point, tau)
+            grads = theta_grads(ALL_CHARACTERISTICS, point, tau)
+            for c, value, grad in zip(ALL_CHARACTERISTICS, values, grads):
+                assert value == reference_theta2(c, point, tau), (c.label(), point)
+                assert grad == reference_theta2_grad(c, point, tau), (c.label(), point)
+            # a row does not depend on the other rows of its stack
+            subset = ALL_CHARACTERISTICS[::-3]
+            assert theta_values(subset, point, tau) == [
+                values[ALL_CHARACTERISTICS.index(c)] for c in subset
+            ]
+    assert radii == {4, 5}
+
+
+def test_one_characteristic_forms_and_nulls_match_the_reference():
+    for tau in KERNEL_TAUS:
+        for c in ALL_CHARACTERISTICS:
+            assert theta_null(c, tau) == reference_theta2(c, ORIGIN, tau)
+            assert theta_null_grad(c, tau) == reference_theta2_grad(c, ORIGIN, tau)
+            point = KERNEL_POINTS[2]
+            assert theta2(c, point, tau) == reference_theta2(c, point, tau)
+            assert theta2_grad(c, point, tau) == reference_theta2_grad(c, point, tau)
+
+
+def test_non_finite_lattice_terms_raise_truncation_overflow():
+    # |Im u| = 50 keeps the radius under max_radius but overflows exp
+    far = Point2(50j, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TruncationOverflow):
+            theta_values(ALL_CHARACTERISTICS, far, DEFAULT_TAU)
+        with pytest.raises(TruncationOverflow):
+            theta_grads(ALL_CHARACTERISTICS[:1], far, DEFAULT_TAU)
 
 
 def test_parity_counts_and_values():
