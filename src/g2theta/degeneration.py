@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
+    _NULL_CACHE_TAUS,
     fsum_rows,
     theta_values,
 )
@@ -107,15 +110,20 @@ def theta1(
     return fsum_rows(np.exp(expo)[None, :])[0]
 
 
-@lru_cache(maxsize=None)
-def _null1(a: int, b: int, tau: complex, ctrl: SeriesControl) -> complex:
-    return theta1(Genus1Characteristic(a, b), 0.0, tau, ctrl)
+_GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@lru_cache(maxsize=_NULL_CACHE_TAUS)
+def _nulls1(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
+    """All four theta[a; b](0), keyed by (a, b); one memoized evaluation per tau."""
+    return MappingProxyType(
+        {ab: theta1(Genus1Characteristic(*ab), 0.0, tau, ctrl) for ab in _GENUS1_BITS}
+    )
 
 
 def elliptic_modulus(tau: complex, ctrl: SeriesControl = SeriesControl()) -> EllipticModulus:
-    n00 = _null1(0, 0, tau, ctrl)
-    n10 = _null1(1, 0, tau, ctrl)
-    n01 = _null1(0, 1, tau, ctrl)
+    nulls = _nulls1(tau, ctrl)
+    n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     k_sq = (n10 / n00) ** 4
     kp_sq = (n01 / n00) ** 4
     return EllipticModulus(
@@ -127,9 +135,8 @@ def jacobi_functions(
     z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
 ) -> tuple[complex, complex, complex, EllipticModulus]:
     """sn, cn, dn at theta argument z (the sn argument is u = 2Kz)."""
-    n00 = _null1(0, 0, tau, ctrl)
-    n10 = _null1(1, 0, tau, ctrl)
-    n01 = _null1(0, 1, tau, ctrl)
+    nulls = _nulls1(tau, ctrl)
+    n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     t01 = theta1(Genus1Characteristic(0, 1), z, tau, ctrl)
     if abs(t01) <= 1e-10 * abs(n00):
         raise SingularDenominator(f"theta[0;1]({z}) vanishes")
@@ -150,9 +157,8 @@ def elliptic_identity_residuals(
     z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the three squared-theta identities and the null quartic."""
-    n00 = _null1(0, 0, tau, ctrl)
-    n10 = _null1(1, 0, tau, ctrl)
-    n01 = _null1(0, 1, tau, ctrl)
+    nulls = _nulls1(tau, ctrl)
+    n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     t00, t01, t10, t11 = (
         theta1(Genus1Characteristic(a, b), z, tau, ctrl)
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -163,9 +169,6 @@ def elliptic_identity_residuals(
         _rel(n00**2 * t01**2, n01**2 * t00**2 + n10**2 * t11**2),
         _rel(n00**4, n01**4 + n10**4),
     ]
-
-
-_GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def splitting_residuals(
@@ -212,8 +215,8 @@ def degenerate_inversion(
     pair = recover_pair(point, tau, ctrl)
     x1, x2 = pair.x1, pair.x2
 
-    n00 = _null1(0, 0, tau1, ctrl)
-    n10 = _null1(1, 0, tau1, ctrl)
+    nulls = _nulls1(tau1, ctrl)
+    n00, n10 = nulls[0, 0], nulls[1, 0]
     t01 = theta1(Genus1Characteristic(0, 1), point.u, tau1, ctrl)
     if abs(t01) <= 1e-10 * abs(n00):
         raise SingularDenominator(f"theta[0;1]({point.u}) vanishes")
@@ -246,8 +249,8 @@ def sn_ode_residual(
 
     u = 2Kz with K = (pi/2) theta^2[0;0](0), so dx/du = (dx/dz) / (2K).
     """
-    n00 = _null1(0, 0, tau, ctrl)
-    n10 = _null1(1, 0, tau, ctrl)
+    nulls = _nulls1(tau, ctrl)
+    n00, n10 = nulls[0, 0], nulls[1, 0]
     mod = elliptic_modulus(tau, ctrl)
     big_k = math.pi / 2.0 * n00 * n00
 
@@ -287,7 +290,7 @@ def complete_integral_residuals(
 
     big_k = tanh_sinh_01(integrand(m))
     big_kp = tanh_sinh_01(integrand(mp))
-    n00 = _null1(0, 0, tau, ctrl)
+    n00 = _nulls1(tau, ctrl)[0, 0]
     return [
         abs(1j * big_kp / big_k - tau) / (1.0 + abs(tau)),
         _rel(n00 * n00, 2.0 * big_k / math.pi),

@@ -36,17 +36,17 @@ from .errors import (
     StencilCrossesDivisor,
     TildeMismatch,
 )
-from .inversion import recover_pair
+from .inversion import recover_pairs
 from .moduli import moduli_from_tau
 from .theta import (
     HalfCharacteristic,
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta_grads,
+    theta_grads_at,
     theta_null_grads,
     theta_nulls,
-    theta_table,
+    theta_values_at,
 )
 
 __all__ = [
@@ -136,21 +136,24 @@ def _match_to_reference(ref: tuple[complex, complex], cand) -> tuple[complex, co
 
 
 def _pair_stencil(point: Point2, tau: PeriodMatrix, ctrl: SeriesControl, h: float):
-    """Center pair plus matched pairs at (u +- h, v) and (u, v +- h)."""
-    center = recover_pair(point, tau, ctrl)
+    """Center pair plus matched pairs at (u +- h, v) and (u, v +- h), one grid."""
+    offsets = ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
+    points = [point] + [Point2(point.u + du, point.v + dv) for du, dv in offsets]
+    pairs = recover_pairs(points, tau, ctrl)
+    center = next(pairs)
     ref = (center.x1, center.x2)
 
-    def pair_at(du: float, dv: float):
+    matched = []
+    for du, dv in offsets:
         try:
-            p = recover_pair(Point2(point.u + du, point.v + dv), tau, ctrl)
+            p = next(pairs)
         except (SingularDenominator, CoincidentPoints) as exc:
             raise StencilCrossesDivisor(
                 f"stencil point at offset ({du}, {dv}) failed: {exc}"
             ) from exc
-        return _match_to_reference(ref, (p.x1, p.x2))
+        matched.append(_match_to_reference(ref, (p.x1, p.x2)))
 
-    up, um = pair_at(h, 0.0), pair_at(-h, 0.0)
-    vp, vm = pair_at(0.0, h), pair_at(0.0, -h)
+    up, um, vp, vm = matched
     d_du = ((up[0] - um[0]) / (2 * h), (up[1] - um[1]) / (2 * h))
     d_dv = ((vp[0] - vm[0]) / (2 * h), (vp[1] - vm[1]) / (2 * h))
     return center, d_du, d_dv
@@ -180,6 +183,9 @@ def _flow_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
 
 def _abelian_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
     x1, x2 = center.x1, center.x2
+    if center.sigma1 == 0 or center.sigma2 == 0:
+        # a branch point of the pair, as at the collapsed root of a split tau
+        raise SingularDenominator(f"sigma vanishes at the pair ({x1}, {x2})")
 
     best = None
     for s in (1.0, -1.0):
@@ -198,7 +204,11 @@ def stencil_residuals(
     ctrl: SeriesControl = SeriesControl(),
     h: float = 1e-5,
 ) -> tuple[list[float], list[float]]:
-    """flow_residuals and abelian_differential_residuals from one shared stencil."""
+    """flow_residuals and abelian_differential_residuals from one shared stencil.
+
+    The Abelian residuals divide by sigma_i, so a pair at a branch point
+    (sigma_i = 0) raises SingularDenominator.
+    """
     fc = flow_constants(tau, ctrl)
     stencil = _pair_stencil(point, tau, ctrl, h)
     return _flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)
@@ -224,6 +234,12 @@ def abelian_differential_residuals(
     return stencil_residuals(point, tau, ctrl, h)[1]
 
 
+def _tables(chars, rows) -> list[dict]:
+    """Key each point's row of per-characteristic results by c.bits."""
+    bits = [c.bits for c in chars]
+    return [dict(zip(bits, row)) for row in rows]
+
+
 # characteristics the addition theorems read at p + q and p - q, and at p and q
 _SHIFTED_CHARS = _chars((1, 0, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1))
 _ADDITION_CHARS = _chars(
@@ -236,10 +252,9 @@ def addition_formula_residuals(
     p: Point2, q: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the two four-point addition theorems at (p, q)."""
-    plus = theta_table(_SHIFTED_CHARS, Point2(p.u + q.u, p.v + q.v), tau, ctrl)
-    minus = theta_table(_SHIFTED_CHARS, Point2(p.u - q.u, p.v - q.v), tau, ctrl)
-    tp = theta_table(_ADDITION_CHARS, p, tau, ctrl)
-    tq = theta_table(_ADDITION_CHARS, q, tau, ctrl)
+    shifted = (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
+    plus, minus = _tables(_SHIFTED_CHARS, theta_values_at(_SHIFTED_CHARS, shifted, tau, ctrl))
+    tp, tq = _tables(_ADDITION_CHARS, theta_values_at(_ADDITION_CHARS, (p, q), tau, ctrl))
     n = theta_nulls(tau, ctrl)
 
     lhs1 = (
@@ -285,12 +300,12 @@ def addition_formula_residuals(
     ]
 
 
-# what the derivative formulas read at their point: values, then gradients
+# what the derivative formulas read at their point, values and gradients
+# from one grid; the gradients of the first three enter the formulas
 _DERIVATIVE_CHARS = _chars(
     (0, 0, 1, 1), (1, 0, 1, 1), (1, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0),
     (1, 1, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0),
 )
-_GRADIENT_CHARS = _chars((1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 1, 1))
 
 
 def derivative_formula_residuals(
@@ -304,14 +319,16 @@ def derivative_formula_residuals(
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
     """
-    th = theta_table(_DERIVATIVE_CHARS, point, tau, ctrl)
+    values, grads = theta_grads_at(_DERIVATIVE_CHARS, (point,), tau, ctrl)
+    [th] = _tables(_DERIVATIVE_CHARS, values)
+    [g] = _tables(_DERIVATIVE_CHARS, grads)
     n = theta_nulls(tau, ctrl)
     ref = th[(0, 0, 1, 1)]
     scale = max(abs(n[(0, 0, 0, 0)]), abs(n[(0, 0, 1, 1)]))
     if abs(ref) <= 1e-10 * scale:
         raise SingularDenominator("theta[00;11] vanishes at the point")
 
-    g1011, g1001, g0011 = theta_grads(_GRADIENT_CHARS, point, tau, ctrl)
+    g1011, g1001, g0011 = g[(1, 0, 1, 1)], g[(1, 0, 0, 1)], g[(0, 0, 1, 1)]
     t1011 = th[(1, 0, 1, 1)]
     t1001 = th[(1, 0, 0, 1)]
     null_grads = theta_null_grads(tau, ctrl)

@@ -20,6 +20,7 @@ sign convention is applied coherently across all formulas.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +39,7 @@ from .theta import (
     SeriesControl,
     theta_nulls,
     theta_table,
+    theta_values_at,
 )
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "f_factor",
     "symmetric_functions",
     "recover_pair",
+    "recover_pairs",
     "parameterization_residuals",
     "unit_sum_identity_residuals",
     "PARAMETERIZATION_LABELS",
@@ -181,8 +184,20 @@ def _bracket_residual_terms(
 def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
+    return next(recover_pairs((point,), tau, ctrl))
+
+
+def recover_pairs(
+    points, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
+) -> Iterator[PointPair]:
+    """recover_pair at each point in order, from one grid and one moduli set.
+
+    A generator: each pair is resolved when it is reached, so a point that
+    fails raises there, after the pairs of the points before it.
+    """
     ms = moduli_from_tau(tau, ctrl)
-    return _pair_from_thetas(ms, theta_table(_PAIR_CHARS, point, tau, ctrl), point, tau, ctrl)
+    for point, values in zip(points, theta_values_at(_PAIR_CHARS, points, tau, ctrl)):
+        yield _pair_from_thetas(ms, dict(zip(_PAIR_BITS, values)), point, tau, ctrl)
 
 
 def _pair_from_thetas(ms: ModuliSet, th: dict, point, tau, ctrl) -> PointPair:

@@ -29,7 +29,7 @@ from .theta import (
     SeriesControl,
     theta_nulls,
     theta_table,
-    theta_values,
+    theta_values_at,
 )
 
 __all__ = [
@@ -110,13 +110,11 @@ def product_m(
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
-    chars = _VARIANT_PAIRS[variant]
-    return _fold_products([theta_values(chars, p, tau, ctrl) for p in q.points])
+    return _fold_products(theta_values_at(_VARIANT_PAIRS[variant], q.points, tau, ctrl))
 
 
-def _all_products(q: Quadruple, tau: PeriodMatrix, ctrl: SeriesControl) -> list[complex]:
-    """The four products in _VARIANTS order, one stacked evaluation per point."""
-    values = [theta_values(_PRODUCT_CHARS, p, tau, ctrl) for p in q.points]
+def _all_products(values) -> list[complex]:
+    """The four products in _VARIANTS order from _PRODUCT_CHARS values per point."""
     return [
         _fold_products([vals[2 * j : 2 * j + 2] for vals in values])
         for j in range(len(_VARIANTS))
@@ -139,9 +137,14 @@ def _relation_residuals(lhs_vec, rhs_vec):
 def riemann_relation_residuals(
     q: Quadruple, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
-    """Eight residuals: the four forward relations, then the four inverse ones."""
-    m = _all_products(q, tau, ctrl)
-    mt = _all_products(riemann_transform(q), tau, ctrl)
+    """Eight residuals: the four forward relations, then the four inverse ones.
+
+    The quadruple and its transform are evaluated together, on one grid.
+    """
+    points = q.points + riemann_transform(q).points
+    values = theta_values_at(_PRODUCT_CHARS, points, tau, ctrl)
+    m = _all_products(values[:4])
+    mt = _all_products(values[4:])
     return _relation_residuals(m, mt) + _relation_residuals(mt, m)
 
 

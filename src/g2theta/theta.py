@@ -8,14 +8,17 @@ The basic object is the two-variable series
 
 for bits a, b, c, d in {0, 1} and a period matrix (tau1, tau12; tau12, tau2)
 with positive-definite imaginary part.  The lattice sum is truncated to a
-square box whose radius comes from the Gaussian decay of the summand.  The
-radius depends on the point only, so theta_values evaluates any set of
-characteristics at one point from one stacked grid of terms, one row per
-characteristic.  Each row is summed exactly (math.fsum, correctly rounded),
+square box whose radius comes from the Gaussian decay of the summand.
+theta_values_at evaluates any set of characteristics at any set of points
+from one grid of terms, shape (points, characteristics, 2N+1, 2N+1), on the
+box of the largest radius among the points; terms outside a point's own box
+are set to zero.  Each row is summed correctly rounded by exact_row_sums, a
+certified vectorized sum that hands the rows it cannot settle to math.fsum,
 so every output is bit-reproducible run to run and does not depend on which
-other characteristics were evaluated with it.  theta2 and theta2_grad are
-the one-characteristic forms; the sixteen nulls and null gradients of a
-period matrix are one memoized evaluation each.
+other points or characteristics were evaluated with it.  theta_grads_at
+gives values and gradients from one grid.  theta_values, theta_grads,
+theta2 and theta2_grad are the one-point forms; the sixteen nulls and null
+gradients of a period matrix are one memoized evaluation each.
 
 Also here: parity of a characteristic, and the half/full period shift rules
 expressing theta at a shifted argument through theta at the original one.
@@ -50,6 +53,9 @@ __all__ = [
     "parity",
     "truncation_radius",
     "fsum_rows",
+    "exact_row_sums",
+    "theta_values_at",
+    "theta_grads_at",
     "theta_values",
     "theta_table",
     "theta_grads",
@@ -175,48 +181,172 @@ def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> 
     return n
 
 
-def _stacked_terms(chars, point: Point2, tau: PeriodMatrix, ctrl: SeriesControl):
-    """Lattice terms of every characteristic on one box, shape (K, 2N+1, 2N+1).
+def _lattice_terms(chars, points, tau: PeriodMatrix, ctrl: SeriesControl):
+    """Lattice terms of every characteristic at every point, shape (P, K, 2N+1, 2N+1).
 
-    Row k holds the terms of chars[k] with m ascending along axis 1 and n
-    along axis 2.  Each element goes through the same floating-point
-    operations, in the same order, as a one-characteristic grid would, so a
-    value does not depend on which other characteristics share the stack.
+    N is the largest truncation radius among the points.  Entry [i, k] holds
+    the terms of chars[k] at points[i], m ascending along axis 2 and n along
+    axis 3; the terms a point's own radius leaves out are set to exactly 0,
+    so its exact row sum is the sum over its own box.  Each element goes
+    through the same floating-point operations, in the same order, as a
+    one-characteristic grid at one point: the quadratic form is computed
+    once and shared by all points, then the linear term of each point is
+    added to it.  exp overflow is not reported here; it shows up as a
+    non-finite term when the rows are summed.
     """
-    n = truncation_radius(tau, point, ctrl)
+    radii = [truncation_radius(tau, point, ctrl) for point in points]
+    n = max(radii)
     idx = np.arange(-n, n + 1, dtype=np.float64)
     # half[:, j] is 0.5 * (a, c, b, d)[j] of each characteristic, shape (K, 1, 1)
     half = 0.5 * np.array([c.bits for c in chars], dtype=np.float64)[:, :, None, None]
     p = idx[None, :, None] + half[:, 0]
     q = idx[None, None, :] + half[:, 1]
-    expo = (
-        tau.tau1 * p * p
-        + tau.tau2 * q * q
-        + 2.0 * tau.tau12 * p * q
-        + 2.0 * (p * (point.u + half[:, 2]) + q * (point.v + half[:, 3]))
-    )
-    return p, q, np.exp(_IPI * expo)
+    quad = tau.tau1 * p * p + tau.tau2 * q * q + 2.0 * tau.tau12 * p * q
+    u = np.array([point.u for point in points], dtype=np.complex128)[:, None, None, None]
+    v = np.array([point.v for point in points], dtype=np.complex128)[:, None, None, None]
+    # the exponent becomes the terms in place, one (P, K, 2N+1, 2N+1) array;
+    # sums and products commute exactly, so the operations are unchanged
+    terms = p * (u + half[:, 2]) + q * (v + half[:, 3])
+    terms *= 2.0
+    np.add(quad, terms, out=terms)
+    np.multiply(_IPI, terms, out=terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(terms, out=terms)
+    for i, radius in enumerate(radii):
+        cut = n - radius
+        if cut:
+            terms[i, :, :cut] = 0.0
+            terms[i, :, -cut:] = 0.0
+            terms[i, :, :, :cut] = 0.0
+            terms[i, :, :, -cut:] = 0.0
+    return p, q, terms
+
+
+def _fsum(row: list[float]) -> float:
+    try:
+        return math.fsum(row)
+    except (ValueError, OverflowError) as exc:
+        raise TruncationOverflow(f"lattice sum left double range: {exc}") from exc
 
 
 def fsum_rows(terms: np.ndarray) -> list[complex]:
     """Correctly rounded sum of each row of a complex array, via math.fsum.
 
-    Exact summation makes every sum independent of term order and of the
-    shape of the array it came in, so results are bit-reproducible.  A
-    non-finite term (the series overflowed double range) raises
+    A non-finite term (the series overflowed double range) raises
     TruncationOverflow instead of returning NaN or inf.
     """
     rows = terms.reshape(len(terms), -1)
-    try:
-        out = [
-            complex(math.fsum(re), math.fsum(im))
-            for re, im in zip(rows.real.tolist(), rows.imag.tolist())
-        ]
-    except (ValueError, OverflowError) as exc:
-        raise TruncationOverflow(f"lattice sum left double range: {exc}") from exc
+    out = [
+        complex(_fsum(re), _fsum(im))
+        for re, im in zip(rows.real.tolist(), rows.imag.tolist())
+    ]
     if not all(map(cmath.isfinite, out)):
         raise TruncationOverflow("lattice sum left double range: non-finite term")
     return out
+
+
+# rows whose largest term reaches this go to math.fsum; below it the
+# splitting constant of exact_row_sums stays far from overflow
+_EXACT_MAX = 2.0**900
+_TINY = 2.0**-1074  # smallest positive double
+
+
+def exact_row_sums(rows: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a real (R, T) array.
+
+    Equal bit for bit to math.fsum of each row, computed with array
+    operations (Rump, Ogita and Oishi, Accurate floating-point summation,
+    Part I, SIAM J. Sci. Comput. 31, 2008).  With max|x| < 2^e and
+    sigma = 2^(e+M), 2^M >= T + 2, each term splits exactly into
+    hi = (sigma + x) - sigma and lo = x - hi.  The hi parts are multiples of
+    ulp(sigma)/2 whose partial sums stay below sigma, so their sum is exact
+    in any order; the sum of the lo parts is off by at most
+    2 T^2 2^-106 sigma.  TwoSum folds the two into res + err, and res is the
+    correctly rounded sum when |err| plus that bound is below half the gap
+    from res to its nearer neighbour.  A row that is not settled this way
+    has the same exact sum as the row of its hi sum and lo parts.  When its
+    terms cancelled, the largest of those is near ulp(sigma), so one more
+    pass on that row works on a much finer grid.  Rows still unsettled are
+    summed with math.fsum, and so is every row when some term reaches 2^900.
+
+    A non-finite term, or a sum beyond double range, raises
+    TruncationOverflow.
+    """
+    amax = np.abs(rows).max(axis=1, initial=0.0)
+    if not amax.max(initial=0.0) < _EXACT_MAX:
+        if not np.isfinite(amax).all():
+            raise TruncationOverflow("lattice sum left double range: non-finite term")
+        return np.array([_fsum(row) for row in rows.tolist()])
+    return _split_sums(rows, amax, refine=True)
+
+
+def _split_sums(rows: np.ndarray, amax: np.ndarray, refine: bool) -> np.ndarray:
+    """exact_row_sums of finite rows below 2^900; amax is max|x| per row."""
+    width = rows.shape[1]
+    _, e = np.frexp(amax)
+    sigma = np.ldexp(1.0, e + (width + 1).bit_length())
+    part = np.add(sigma[:, None], rows)  # hi, then lo in place
+    part -= sigma[:, None]
+    high = part.sum(axis=1)
+    np.subtract(rows, part, out=part)
+    low = part.sum(axis=1)
+    res = high + low
+    back = res - high
+    err = (high - (res - back)) + (low - back)
+    # sigma is a power of two, so this product is exact unless it underflows,
+    # and _TINY covers that rounding
+    bound = sigma * (2.0 * width * width * 2.0**-106) + _TINY
+    # the spacing just below |res| is the smaller of the two gaps around res
+    half_gap = 0.5 * np.spacing(np.nextafter(np.abs(res), 0.0))
+    bad = np.flatnonzero(~(np.abs(err) + bound < half_gap))
+    if len(bad) and refine:
+        exact = np.column_stack((high[bad], part[bad]))
+        res[bad] = _split_sums(exact, np.abs(exact).max(axis=1), refine=False)
+    elif len(bad):
+        for i, row in zip(bad.tolist(), rows[bad].tolist()):
+            res[i] = _fsum(row)
+    return res
+
+
+def _complex_sums(terms: np.ndarray) -> np.ndarray:
+    """exact_row_sums of the real and imaginary parts over the last two axes."""
+    flat = terms.reshape(-1, terms.shape[-2] * terms.shape[-1])
+    sums = exact_row_sums(np.concatenate((flat.real, flat.imag)))
+    out = np.empty(len(flat), dtype=np.complex128)
+    out.real = sums[: len(flat)]
+    out.imag = sums[len(flat) :]
+    return out.reshape(terms.shape[:-2])
+
+
+def theta_values_at(
+    chars,
+    points,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+) -> list[list[complex]]:
+    """theta[c](point) for every point (outer) and c in chars (inner), one grid."""
+    _, _, terms = _lattice_terms(chars, points, tau, ctrl)
+    return _complex_sums(terms).tolist()
+
+
+def theta_grads_at(
+    chars,
+    points,
+    tau: PeriodMatrix,
+    ctrl: SeriesControl = SeriesControl(),
+) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
+    """Values and (d theta/du, d theta/dv) at every point, from one grid.
+
+    Gradients come from term-wise differentiation of the series; both lists
+    are indexed [point][characteristic] like theta_values_at.
+    """
+    p, q, terms = _lattice_terms(chars, points, tau, ctrl)
+    two_pi_i = 2j * math.pi
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
+        jets = np.stack((terms, (two_pi_i * p) * terms, (two_pi_i * q) * terms))
+    sums = _complex_sums(jets)
+    values, du, dv = sums.tolist()
+    return values, [list(zip(du_i, dv_i)) for du_i, dv_i in zip(du, dv)]
 
 
 def theta_values(
@@ -226,8 +356,7 @@ def theta_values(
     ctrl: SeriesControl = SeriesControl(),
 ) -> list[complex]:
     """theta[c](point) for every c in chars, from one stacked lattice grid."""
-    _, _, terms = _stacked_terms(chars, point, tau, ctrl)
-    return fsum_rows(terms)
+    return theta_values_at(chars, (point,), tau, ctrl)[0]
 
 
 def theta_table(
@@ -247,11 +376,7 @@ def theta_grads(
     ctrl: SeriesControl = SeriesControl(),
 ) -> list[tuple[complex, complex]]:
     """(d theta/du, d theta/dv) for every c in chars by term-wise differentiation."""
-    p, q, terms = _stacked_terms(chars, point, tau, ctrl)
-    two_pi_i = 2j * math.pi
-    du = fsum_rows((two_pi_i * p) * terms)
-    dv = fsum_rows((two_pi_i * q) * terms)
-    return list(zip(du, dv))
+    return theta_grads_at(chars, (point,), tau, ctrl)[1][0]
 
 
 def theta2(

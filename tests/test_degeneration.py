@@ -191,3 +191,18 @@ def test_quadrature_reference_integrals():
 def test_quadrature_refuses_wild_oscillation():
     with pytest.raises(QuadratureNonconvergence):
         tanh_sinh_01(lambda x, dist: math.sin(1e8 * x) * 1e6)
+
+
+def test_genus1_nulls_are_one_bounded_entry_per_tau():
+    from g2theta import degeneration, theta
+
+    degeneration._nulls1.cache_clear()
+    taus = [complex(0.05 * k, 1.0 + 0.1 * k) for k in range(3)]
+    for tau in taus:
+        elliptic_modulus(tau)
+        jacobi_functions(0.1 + 0.05j, tau)
+        nulls = degeneration._nulls1(tau, degeneration.SeriesControl())
+        assert dict(nulls) == {(c.a, c.b): theta1(c, 0.0, tau) for c in CHARS1}
+    info = degeneration._nulls1.cache_info()
+    assert info.currsize == len(taus)
+    assert info.maxsize == theta._NULL_CACHE_TAUS

@@ -1,6 +1,10 @@
 """Seeded sampling, config parsing, JSON report stability, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,37 @@ def test_cli_invert_rejects_unusable_points(capsys):
         assert main(["invert", "--u=0,50", "--v=0,0"]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "double range" in err
+
+
+def _run_cli(*args):
+    """g2theta in a fresh interpreter, so stderr holds everything it prints."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "g2theta.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+
+
+def test_cli_overflowing_point_exits_2_without_numpy_warnings():
+    proc = _run_cli("invert", "--u=0,50", "--v=0,0")
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "double range" in proc.stderr
+
+
+def test_cli_split_tau_verify_reports_instead_of_crashing(tmp_path):
+    # at tau12 = 0 a pair can sit on the collapsed root 1/k0^2 where sigma = 0;
+    # that sample is skipped, and the suites that fail there give code 2
+    out = tmp_path / "split.json"
+    proc = _run_cli(
+        "verify", "--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,0",
+        "--samples", "60", "--seed", "4", "--json", str(out),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    flow = {s["name"]: s for s in json.loads(out.read_text())["suites"]}["flow"]
+    assert flow["skip_reasons"] == {"SingularDenominator": 1}
 
 
 def test_cli_moduli_output(capsys):

@@ -1,5 +1,6 @@
 """Series evaluation against a brute-force oracle, parity, shift rules, truncation."""
 
+import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -27,9 +28,11 @@ from g2theta.theta import (
     theta2,
     theta2_grad,
     theta_grads,
+    theta_grads_at,
     theta_null,
     theta_null_grad,
     theta_values,
+    theta_values_at,
     truncation_radius,
 )
 
@@ -80,6 +83,24 @@ def test_stacked_kernel_is_bit_identical_to_one_grid_per_characteristic():
     assert radii == {4, 5}
 
 
+# radii 4, 5 and 6 at DEFAULT_TAU, evaluated together on one radius-6 grid
+MIXED_RADIUS_POINTS = KERNEL_POINTS + [Point2(0.1 + 0.9j, -0.2 - 0.75j), TEST_POINTS[2]]
+
+
+def test_multi_point_grid_equals_per_point_evaluation():
+    radii = [truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in MIXED_RADIUS_POINTS]
+    assert set(radii) == {4, 5, 6}
+    values = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, DEFAULT_TAU)
+    jets, grads = theta_grads_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, DEFAULT_TAU)
+    assert jets == values
+    for point, vals, grad in zip(MIXED_RADIUS_POINTS, values, grads):
+        assert vals == theta_values(ALL_CHARACTERISTICS, point, DEFAULT_TAU), point
+        assert grad == theta_grads(ALL_CHARACTERISTICS, point, DEFAULT_TAU), point
+    # the order of the points does not matter either
+    backwards = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS[::-1], DEFAULT_TAU)
+    assert backwards == values[::-1]
+
+
 def test_one_characteristic_forms_and_nulls_match_the_reference():
     for tau in KERNEL_TAUS:
         for c in ALL_CHARACTERISTICS:
@@ -93,11 +114,14 @@ def test_one_characteristic_forms_and_nulls_match_the_reference():
 def test_non_finite_lattice_terms_raise_truncation_overflow():
     # |Im u| = 50 keeps the radius under max_radius but overflows exp
     far = Point2(50j, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy must not warn either
         with pytest.raises(TruncationOverflow):
             theta_values(ALL_CHARACTERISTICS, far, DEFAULT_TAU)
         with pytest.raises(TruncationOverflow):
             theta_grads(ALL_CHARACTERISTICS[:1], far, DEFAULT_TAU)
+        with pytest.raises(TruncationOverflow):
+            theta_values_at(ALL_CHARACTERISTICS, [ORIGIN, far], DEFAULT_TAU)
 
 
 def test_parity_counts_and_values():

@@ -1,4 +1,5 @@
-"""Work counts of the stacked theta kernel: each point is evaluated once.
+"""Work counts of the theta kernel: each point is evaluated once, and the
+multi-point checks evaluate all their points on one grid.
 
 The counts are deterministic, so they pin the evaluation structure without
 depending on timing.
@@ -39,21 +40,27 @@ def test_recover_pair_builds_one_grid_and_one_moduli_set(monkeypatch):
 
 
 def test_flow_suite_recovers_at_most_five_pairs_per_attempt(monkeypatch):
-    pairs = []
-    _counting(monkeypatch, flow, "recover_pair", pairs)
+    stencils, grids = [], []
+    _counting(monkeypatch, flow, "recover_pairs", stencils)
+    _counting(monkeypatch, inversion, "theta_values_at", grids)
     result = run_suites(RunConfig(samples=4, suites=("flow",))).suites[0]
     attempts = result.samples_run + sum(result.skip_reasons.values())
     assert result.samples_run == 4
-    assert len(pairs) <= 5 * attempts
+    # one 5-point stencil per attempt, evaluated on one grid
+    assert len(stencils) == len(grids) == attempts
+    assert all(len(args[0]) == 5 for args in stencils)
+    assert all(len(args[1]) == 5 for args in grids)
 
 
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
     calls = []
-    _counting(monkeypatch, riemann, "theta_values", calls)
+    _counting(monkeypatch, riemann, "theta_values_at", calls)
     pts = draw_points(9, "work-counts-riemann", 4)
     quad = Quadruple(tuple(pts))
     riemann_relation_residuals(quad, DEFAULT_TAU)
-    points = [args[1] for args in calls]
+    # the quadruple and its transform share one kernel call
+    assert len(calls) == 1
+    points = calls[0][1]
     assert len(points) == len(set(points)) == 8
 
 
