@@ -27,17 +27,16 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateTau, SingularDenominator, TruncationOverflow
-from .inversion import PointPair, recover_pair
-from .moduli import moduli_from_tau
+from .inversion import PointPair, _recover_pairs
 from .quadrature import tanh_sinh_01
 from .theta import (
+    _NULL_CACHE_TAUS,
     ALL_CHARACTERISTICS,
     PeriodMatrix,
     Point2,
     SeriesControl,
-    _NULL_CACHE_TAUS,
-    fsum_rows,
-    theta_values,
+    complex_row_sums,
+    curve_data,
 )
 
 __all__ = [
@@ -95,6 +94,34 @@ def _radius1(z: complex, tau: complex, ctrl: SeriesControl) -> int:
     return n
 
 
+def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
+    """theta1 of each (characteristic, z, tau) row, all from one (R, 2N+1) grid.
+
+    N is the largest radius among the rows; the terms a row's own radius
+    leaves out are set to exactly 0.  Each term goes through the operations
+    of the one-row series, i pi (tau m^2 + 2 m (z + b/2)) with m = k + a/2,
+    in the same order, and each row is summed exactly, so a value does not
+    depend on the other rows of its grid.
+    """
+    for _, _, tau in rows:
+        if tau.imag <= 0:
+            raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
+    radii = [_radius1(z, tau, ctrl) for _, z, tau in rows]
+    n = max(radii)
+    half_a = np.array([c.a / 2.0 for c, _, _ in rows])[:, None]
+    m = np.arange(-n, n + 1, dtype=float) + half_a
+    taus = np.array([tau for _, _, tau in rows], dtype=complex)[:, None]
+    shift = np.array([z + c.b / 2.0 for c, z, _ in rows], dtype=complex)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
+        terms = np.exp(1j * math.pi * (taus * m * m + 2.0 * m * shift))
+    for i, radius in enumerate(radii):
+        cut = n - radius
+        if cut:
+            terms[i, :cut] = 0.0
+            terms[i, -cut:] = 0.0
+    return complex_row_sums(terms).tolist()
+
+
 def theta1(
     c: Genus1Characteristic,
     z: complex,
@@ -102,23 +129,23 @@ def theta1(
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
     """One-variable theta with half-integer characteristic [a; b]."""
-    if tau.imag <= 0:
-        raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
-    n = _radius1(z, tau, ctrl)
-    m = np.arange(-n, n + 1, dtype=float) + c.a / 2.0
-    expo = 1j * math.pi * (tau * m * m + 2.0 * m * (z + c.b / 2.0))
-    return fsum_rows(np.exp(expo)[None, :])[0]
+    return _theta1_values([(c, z, tau)], ctrl)[0]
 
 
 _GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_GENUS1_CHARS = tuple(Genus1Characteristic(*ab) for ab in _GENUS1_BITS)
+_G01, _G11 = Genus1Characteristic(0, 1), Genus1Characteristic(1, 1)
+
+
+def _theta1_table(z: complex, tau: complex, ctrl: SeriesControl) -> dict:
+    """All four theta1[a; b](z), keyed by (a, b), from one grid."""
+    return dict(zip(_GENUS1_BITS, _theta1_values([(c, z, tau) for c in _GENUS1_CHARS], ctrl)))
 
 
 @lru_cache(maxsize=_NULL_CACHE_TAUS)
 def _nulls1(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
     """All four theta[a; b](0), keyed by (a, b); one memoized evaluation per tau."""
-    return MappingProxyType(
-        {ab: theta1(Genus1Characteristic(*ab), 0.0, tau, ctrl) for ab in _GENUS1_BITS}
-    )
+    return MappingProxyType(_theta1_table(0.0, tau, ctrl))
 
 
 def elliptic_modulus(tau: complex, ctrl: SeriesControl = SeriesControl()) -> EllipticModulus:
@@ -137,12 +164,10 @@ def jacobi_functions(
     """sn, cn, dn at theta argument z (the sn argument is u = 2Kz)."""
     nulls = _nulls1(tau, ctrl)
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t01 = theta1(Genus1Characteristic(0, 1), z, tau, ctrl)
+    t = _theta1_table(z, tau, ctrl)
+    t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     if abs(t01) <= 1e-10 * abs(n00):
         raise SingularDenominator(f"theta[0;1]({z}) vanishes")
-    t00 = theta1(Genus1Characteristic(0, 0), z, tau, ctrl)
-    t10 = theta1(Genus1Characteristic(1, 0), z, tau, ctrl)
-    t11 = theta1(Genus1Characteristic(1, 1), z, tau, ctrl)
     sn = -(n00 * t11) / (n10 * t01)
     cn = (n01 * t10) / (n10 * t01)
     dn = (n01 * t00) / (n00 * t01)
@@ -159,10 +184,8 @@ def elliptic_identity_residuals(
     """Residuals of the three squared-theta identities and the null quartic."""
     nulls = _nulls1(tau, ctrl)
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t00, t01, t10, t11 = (
-        theta1(Genus1Characteristic(a, b), z, tau, ctrl)
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
-    )
+    t = _theta1_table(z, tau, ctrl)
+    t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     return [
         _rel(n00**2 * t00**2, n01**2 * t01**2 + n10**2 * t10**2),
         _rel(n00**2 * t11**2, n10**2 * t01**2 - n01**2 * t10**2),
@@ -179,9 +202,10 @@ def splitting_residuals(
 ) -> dict[str, float]:
     """Relative gap between the genus-2 value at tau12=0 and the genus-1 product."""
     tau = PeriodMatrix(tau1, tau2, 0.0)
-    g2 = theta_values(ALL_CHARACTERISTICS, point, tau, ctrl)
-    g1u = {ab: theta1(Genus1Characteristic(*ab), point.u, tau1, ctrl) for ab in _GENUS1_BITS}
-    g1v = {cd: theta1(Genus1Characteristic(*cd), point.v, tau2, ctrl) for cd in _GENUS1_BITS}
+    g2 = curve_data(tau, ctrl).values_at(ALL_CHARACTERISTICS, (point,))[0]
+    args = ((point.u, tau1), (point.v, tau2))
+    g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
+    g1u, g1v = dict(zip(_GENUS1_BITS, g1[:4])), dict(zip(_GENUS1_BITS, g1[4:]))
     return {
         f"split-{c.label()}": _rel(value, g1u[(c.a, c.b)] * g1v[(c.c, c.d)])
         for c, value in zip(ALL_CHARACTERISTICS, g2)
@@ -210,17 +234,17 @@ def degenerate_inversion(
     ctrl: SeriesControl = SeriesControl(),
 ) -> tuple[dict[str, float], PointPair]:
     """degenerate_inversion_residuals plus the pair recovered at tau12=0."""
-    tau = PeriodMatrix(tau1, tau2, 0.0)
-    ms = moduli_from_tau(tau, ctrl)
-    pair = recover_pair(point, tau, ctrl)
+    cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
+    ms = cd.moduli
+    pair = next(_recover_pairs(cd, (point,)))
     x1, x2 = pair.x1, pair.x2
 
     nulls = _nulls1(tau1, ctrl)
     n00, n10 = nulls[0, 0], nulls[1, 0]
-    t01 = theta1(Genus1Characteristic(0, 1), point.u, tau1, ctrl)
+    t01, t11 = _theta1_values([(_G01, point.u, tau1), (_G11, point.u, tau1)], ctrl)
     if abs(t01) <= 1e-10 * abs(n00):
         raise SingularDenominator(f"theta[0;1]({point.u}) vanishes")
-    x = (n00 * theta1(Genus1Characteristic(1, 1), point.u, tau1, ctrl)) / (n10 * t01)
+    x = (n00 * t11) / (n10 * t01)
 
     k0sq = ms.k0_sq
     predicted = (x * x, 1.0 / k0sq)
@@ -254,14 +278,17 @@ def sn_ode_residual(
     mod = elliptic_modulus(tau, ctrl)
     big_k = math.pi / 2.0 * n00 * n00
 
-    def xfun(zz: complex) -> complex:
-        t01 = theta1(Genus1Characteristic(0, 1), zz, tau, ctrl)
-        if abs(t01) <= 1e-10 * abs(n00):
-            raise SingularDenominator(f"theta[0;1]({zz}) vanishes")
-        return (n00 * theta1(Genus1Characteristic(1, 1), zz, tau, ctrl)) / (n10 * t01)
+    args = (z + h, z - h, z)
+    values = _theta1_values([(c, zz, tau) for zz in args for c in (_G01, _G11)], ctrl)
 
-    dxdu = (xfun(z + h) - xfun(z - h)) / (2.0 * h) / (2.0 * big_k)
-    xv = xfun(z)
+    def xfun(k: int) -> complex:
+        t01, t11 = values[2 * k], values[2 * k + 1]
+        if abs(t01) <= 1e-10 * abs(n00):
+            raise SingularDenominator(f"theta[0;1]({args[k]}) vanishes")
+        return (n00 * t11) / (n10 * t01)
+
+    dxdu = (xfun(0) - xfun(1)) / (2.0 * h) / (2.0 * big_k)
+    xv = xfun(2)
     return _rel(dxdu * dxdu, (1.0 - xv * xv) * (1.0 - mod.k_sq * xv * xv))
 
 

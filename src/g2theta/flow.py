@@ -36,17 +36,14 @@ from .errors import (
     StencilCrossesDivisor,
     TildeMismatch,
 )
-from .inversion import recover_pairs
-from .moduli import moduli_from_tau
+from .inversion import _recover_pairs
 from .theta import (
+    CurveData,
     HalfCharacteristic,
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta_grads_at,
-    theta_null_grads,
-    theta_nulls,
-    theta_values_at,
+    curve_data,
 )
 
 __all__ = [
@@ -84,6 +81,11 @@ def _chars(*bits_seq) -> tuple[HalfCharacteristic, ...]:
 def flow_constants(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> FlowConstants:
+    """The flow constants of tau, built once per period matrix (CurveData.flow_constants)."""
+    return curve_data(tau, ctrl).flow_constants
+
+
+def build_flow_constants(cd: CurveData) -> FlowConstants:
     """Build the flow constants from theta-null derivatives at the origin.
 
     a_u and b_u have a second, independent expression (different null
@@ -91,9 +93,9 @@ def flow_constants(
     moduli-root branch bookkeeping upstream is broken and we refuse to
     return.
     """
-    ms = moduli_from_tau(tau, ctrl)
-    n = theta_nulls(tau, ctrl)
-    grads = theta_null_grads(tau, ctrl)
+    ms = cd.moduli
+    n = cd.nulls
+    grads = cd.null_grads
     du1010, dv1010 = grads[(1, 0, 1, 0)]
     du1110, dv1110 = grads[(1, 1, 1, 0)]
     den = n[(1, 0, 0, 1)] * n[(0, 0, 0, 1)]
@@ -135,11 +137,11 @@ def _match_to_reference(ref: tuple[complex, complex], cand) -> tuple[complex, co
     return (a1, a2) if keep <= swap else (a2, a1)
 
 
-def _pair_stencil(point: Point2, tau: PeriodMatrix, ctrl: SeriesControl, h: float):
+def _pair_stencil(point: Point2, cd: CurveData, h: float):
     """Center pair plus matched pairs at (u +- h, v) and (u, v +- h), one grid."""
     offsets = ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
     points = [point] + [Point2(point.u + du, point.v + dv) for du, dv in offsets]
-    pairs = recover_pairs(points, tau, ctrl)
+    pairs = _recover_pairs(cd, points)
     center = next(pairs)
     ref = (center.x1, center.x2)
 
@@ -209,8 +211,9 @@ def stencil_residuals(
     The Abelian residuals divide by sigma_i, so a pair at a branch point
     (sigma_i = 0) raises SingularDenominator.
     """
-    fc = flow_constants(tau, ctrl)
-    stencil = _pair_stencil(point, tau, ctrl, h)
+    cd = curve_data(tau, ctrl)
+    fc = cd.flow_constants
+    stencil = _pair_stencil(point, cd, h)
     return _flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)
 
 
@@ -252,10 +255,11 @@ def addition_formula_residuals(
     p: Point2, q: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the two four-point addition theorems at (p, q)."""
+    cd = curve_data(tau, ctrl)
     shifted = (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
-    plus, minus = _tables(_SHIFTED_CHARS, theta_values_at(_SHIFTED_CHARS, shifted, tau, ctrl))
-    tp, tq = _tables(_ADDITION_CHARS, theta_values_at(_ADDITION_CHARS, (p, q), tau, ctrl))
-    n = theta_nulls(tau, ctrl)
+    plus, minus = _tables(_SHIFTED_CHARS, cd.values_at(_SHIFTED_CHARS, shifted))
+    tp, tq = _tables(_ADDITION_CHARS, cd.values_at(_ADDITION_CHARS, (p, q)))
+    n = cd.nulls
 
     lhs1 = (
         n[(1, 0, 0, 1)]
@@ -319,10 +323,11 @@ def derivative_formula_residuals(
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
     """
-    values, grads = theta_grads_at(_DERIVATIVE_CHARS, (point,), tau, ctrl)
+    cd = curve_data(tau, ctrl)
+    values, grads = cd.grads_at(_DERIVATIVE_CHARS, (point,))
     [th] = _tables(_DERIVATIVE_CHARS, values)
     [g] = _tables(_DERIVATIVE_CHARS, grads)
-    n = theta_nulls(tau, ctrl)
+    n = cd.nulls
     ref = th[(0, 0, 1, 1)]
     scale = max(abs(n[(0, 0, 0, 0)]), abs(n[(0, 0, 1, 1)]))
     if abs(ref) <= 1e-10 * scale:
@@ -331,7 +336,7 @@ def derivative_formula_residuals(
     g1011, g1001, g0011 = g[(1, 0, 1, 1)], g[(1, 0, 0, 1)], g[(0, 0, 1, 1)]
     t1011 = th[(1, 0, 1, 1)]
     t1001 = th[(1, 0, 0, 1)]
-    null_grads = theta_null_grads(tau, ctrl)
+    null_grads = cd.null_grads
     d1010 = null_grads[(1, 0, 1, 0)]
     d1110 = null_grads[(1, 1, 1, 0)]
 

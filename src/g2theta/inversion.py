@@ -29,17 +29,15 @@ from .errors import (
     InvalidFactorIndex,
     SingularDenominator,
 )
-from .moduli import ModuliSet, moduli_from_tau
+from .moduli import ModuliSet
 from .theta import (
     ALL_CHARACTERISTICS,
-    EVEN_CHARACTERISTICS,
+    CurveData,
     HalfCharacteristic,
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta_nulls,
-    theta_table,
-    theta_values_at,
+    curve_data,
 )
 
 __all__ = [
@@ -120,14 +118,9 @@ def f_factor(i: int, j: int, x: complex, curve: CurveSpec) -> complex:
     return _linear_factor(i, x, curve) * _linear_factor(j, x, curve)
 
 
-def _null_scale(tau: PeriodMatrix, ctrl: SeriesControl) -> float:
-    nulls = theta_nulls(tau, ctrl)
-    return max(abs(nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
-
-
-def _reference_denominator(th: dict, point, tau, ctrl) -> complex:
+def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
     ref = th[_TH_REF]
-    if abs(ref) <= 1e-10 * _null_scale(tau, ctrl):
+    if abs(ref) <= 1e-10 * cd.null_scale:
         raise SingularDenominator(
             f"theta[00;11]({point.u}, {point.v}) ~ 0: point on the theta divisor"
         )
@@ -145,9 +138,10 @@ def _symmetric_from_thetas(ms: ModuliSet, th: dict, den: complex) -> SymmetricFu
 def symmetric_functions(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> SymmetricFunctions:
-    ms = moduli_from_tau(tau, ctrl)
-    th = theta_table(_PAIR_CHARS[:3], point, tau, ctrl)
-    return _symmetric_from_thetas(ms, th, _reference_denominator(th, point, tau, ctrl))
+    cd = curve_data(tau, ctrl)
+    ms = cd.moduli
+    th = cd.table(_PAIR_CHARS[:3], point)
+    return _symmetric_from_thetas(ms, th, _reference_denominator(th, point, cd))
 
 
 def _solve_pair(sf: SymmetricFunctions) -> tuple[complex, complex]:
@@ -184,7 +178,7 @@ def _bracket_residual_terms(
 def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
-    return next(recover_pairs((point,), tau, ctrl))
+    return next(_recover_pairs(curve_data(tau, ctrl), (point,)))
 
 
 def recover_pairs(
@@ -195,14 +189,18 @@ def recover_pairs(
     A generator: each pair is resolved when it is reached, so a point that
     fails raises there, after the pairs of the points before it.
     """
-    ms = moduli_from_tau(tau, ctrl)
-    for point, values in zip(points, theta_values_at(_PAIR_CHARS, points, tau, ctrl)):
-        yield _pair_from_thetas(ms, dict(zip(_PAIR_BITS, values)), point, tau, ctrl)
+    yield from _recover_pairs(curve_data(tau, ctrl), points)
 
 
-def _pair_from_thetas(ms: ModuliSet, th: dict, point, tau, ctrl) -> PointPair:
+def _recover_pairs(cd: CurveData, points) -> Iterator[PointPair]:
+    ms = cd.moduli
+    for point, values in zip(points, cd.values_at(_PAIR_CHARS, points)):
+        yield _pair_from_thetas(cd, ms, dict(zip(_PAIR_BITS, values)), point)
+
+
+def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPair:
     """recover_pair from theta values already evaluated at the point."""
-    den = _reference_denominator(th, point, tau, ctrl)
+    den = _reference_denominator(th, point, cd)
     x1, x2 = _solve_pair(_symmetric_from_thetas(ms, th, den))
     if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
         raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
@@ -281,12 +279,13 @@ def parameterization_residuals(
     linear factor vanishes stay regular.  All use the single sign class
     recovered by recover_pair.
     """
-    ms = moduli_from_tau(tau, ctrl)
-    th = theta_table(ALL_CHARACTERISTICS, point, tau, ctrl)
-    pair = _pair_from_thetas(ms, th, point, tau, ctrl)
+    cd = curve_data(tau, ctrl)
+    ms = cd.moduli
+    th = cd.table(ALL_CHARACTERISTICS, point)
+    pair = _pair_from_thetas(cd, ms, th, point)
     x1, x2, sg1, sg2 = pair.x1, pair.x2, pair.sigma1, pair.sigma2
     curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
-    den = _reference_denominator(th, point, tau, ctrl)
+    den = _reference_denominator(th, point, cd)
     poly, bracket = _parameterization_table(ms)
 
     out: list[tuple[str, float]] = []
@@ -329,10 +328,11 @@ def unit_sum_identity_residuals(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the three theta identities expressing 1 as a signed sum."""
-    th = theta_table(_UNIT_SUM_CHARS, point, tau, ctrl)
-    den_th = _reference_denominator(th, point, tau, ctrl)
+    cd = curve_data(tau, ctrl)
+    th = cd.table(_UNIT_SUM_CHARS, point)
+    den_th = _reference_denominator(th, point, cd)
 
-    nulls = theta_nulls(tau, ctrl)
+    nulls = cd.nulls
 
     def nul2(bits):
         return nulls[bits] ** 2

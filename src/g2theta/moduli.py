@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from .errors import DegenerateTau, DivisionByZeroModulus
 from .theta import (
     EVEN_CHARACTERISTICS,
+    CurveData,
     PeriodMatrix,
     SeriesControl,
-    theta_nulls,
+    curve_data,
 )
 
 __all__ = [
@@ -61,13 +62,22 @@ class ModuliSet:
     k12: complex
 
 
-def _null_sq(tau: PeriodMatrix, ctrl: SeriesControl) -> dict[tuple, complex]:
-    nulls = theta_nulls(tau, ctrl)
+def _null_sq(cd: CurveData) -> dict[tuple, complex]:
+    nulls = cd.nulls
     return {c.bits: nulls[c.bits] ** 2 for c in EVEN_CHARACTERISTICS}
 
 
 def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> ModuliSet:
-    n = _null_sq(tau, ctrl)
+    """The moduli of tau, built once per period matrix (CurveData.moduli)."""
+    return curve_data(tau, ctrl).moduli
+
+
+def build_moduli(cd: CurveData) -> ModuliSet:
+    """The nine squared moduli and their principal roots from the nulls of a CurveData.
+
+    Raises DegenerateTau when a denominator null vanishes.
+    """
+    n = _null_sq(cd)
     scale = max(abs(v) for v in n.values())
     for denom in ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)):
         if abs(n[denom]) <= 1e-10 * scale:
@@ -136,7 +146,7 @@ def null_ratios_from_moduli(ms: ModuliSet) -> dict[tuple, complex]:
 def direct_null_ratios(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> dict[tuple, complex]:
-    n = _null_sq(tau, ctrl)
+    n = _null_sq(curve_data(tau, ctrl))
     base = n[(0, 0, 0, 0)]
     return {bits: n[bits] / base for bits in RATIO_CHARACTERISTICS}
 
@@ -175,8 +185,9 @@ def moduli_consistency_residuals(
     difference formulas for k_ij^2, the complements k'_i^2 = 1 - k_i^2 and
     differences k_ij^2 = k_i^2 - k_j^2 of the recorded fields.
     """
-    ms = moduli_from_tau(tau, ctrl)
-    n = _null_sq(tau, ctrl)
+    cd = curve_data(tau, ctrl)
+    ms = cd.moduli
+    n = _null_sq(cd)
 
     def rel(lhs: complex, rhs: complex) -> float:
         return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))

@@ -17,8 +17,19 @@ certified vectorized sum that hands the rows it cannot settle to math.fsum,
 so every output is bit-reproducible run to run and does not depend on which
 other points or characteristics were evaluated with it.  theta_grads_at
 gives values and gradients from one grid.  theta_values, theta_grads,
-theta2 and theta2_grad are the one-point forms; the sixteen nulls and null
-gradients of a period matrix are one memoized evaluation each.
+theta2 and theta2_grad are the one-point forms.
+
+What depends on the period matrix alone is built once, in its CurveData:
+on construction, the sixteen nulls (one all-characteristic evaluation) and
+the null scale max |theta[even](0)|; on first use, the null gradients, the
+moduli and the flow constants, each kept once built (a build that raises
+keeps nothing and raises again on the next access); and, per truncation
+radius used, the quadratic forms tau1 p^2 + tau2 q^2 + 2 tau12 p q of the
+four lattice classes (a, c), from which every grid gathers its rows.
+curve_data(tau, ctrl) keeps the CurveData of the last 64 period matrices
+(_NULL_CACHE_TAUS), least recently used dropped first, and each of them the
+forms of at most 4 radii (_FORMS_PER_CURVE).  theta_nulls, theta_null_grads
+and moduli.moduli_from_tau read it.
 
 Also here: parity of a characteristic, and the half/full period shift rules
 expressing theta at a shifted argument through theta at the original one.
@@ -30,9 +41,9 @@ import cmath
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -52,8 +63,10 @@ __all__ = [
     "DEFAULT_TAU",
     "parity",
     "truncation_radius",
-    "fsum_rows",
     "exact_row_sums",
+    "complex_row_sums",
+    "CurveData",
+    "curve_data",
     "theta_values_at",
     "theta_grads_at",
     "theta_values",
@@ -181,7 +194,46 @@ def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> 
     return n
 
 
-def _lattice_terms(chars, points, tau: PeriodMatrix, ctrl: SeriesControl):
+@dataclass(frozen=True)
+class _LatticeForm:
+    """The tau-only factors of the lattice terms on the box of one radius N.
+
+    p[a] holds m + a/2 down axis 1 and q[c] holds n + c/2 along axis 2, for
+    m, n in [-N, N]; quad[2a + c] is tau1 p^2 + tau2 q^2 + 2 tau12 p q of the
+    lattice class (a, c), shape (2N+1, 2N+1).
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    quad: np.ndarray
+
+
+def _lattice_form(tau: PeriodMatrix, n: int) -> _LatticeForm:
+    idx = np.arange(-n, n + 1, dtype=np.float64)
+    half = np.array([0.0, 0.5])[:, None, None]
+    p = idx[None, :, None] + half
+    q = idx[None, None, :] + half
+    pc, qc = p[[0, 0, 1, 1]], q[[0, 1, 0, 1]]
+    quad = tau.tau1 * pc * pc + tau.tau2 * qc * qc + 2.0 * tau.tau12 * pc * qc
+    return _LatticeForm(p, q, quad)
+
+
+@lru_cache(maxsize=64)
+def _char_layout(chars: tuple[HalfCharacteristic, ...]) -> tuple[np.ndarray, ...]:
+    """Where a characteristic set reads the lattice forms, and its argument shifts.
+
+    Returns a and c (rows of p and q), 2a + c (rows of quad), and b/2 and
+    d/2 shaped (K, 1, 1); the arrays are shared, so they are read-only.
+    """
+    bits = np.array([c.bits for c in chars], dtype=np.intp)  # columns a, c, b, d
+    half = 0.5 * bits[:, 2:, None, None]
+    layout = (bits[:, 0], bits[:, 1], 2 * bits[:, 0] + bits[:, 1], half[:, 0], half[:, 1])
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _lattice_terms(chars, points, cd: CurveData):
     """Lattice terms of every characteristic at every point, shape (P, K, 2N+1, 2N+1).
 
     N is the largest truncation radius among the points.  Entry [i, k] holds
@@ -189,26 +241,24 @@ def _lattice_terms(chars, points, tau: PeriodMatrix, ctrl: SeriesControl):
     axis 3; the terms a point's own radius leaves out are set to exactly 0,
     so its exact row sum is the sum over its own box.  Each element goes
     through the same floating-point operations, in the same order, as a
-    one-characteristic grid at one point: the quadratic form is computed
-    once and shared by all points, then the linear term of each point is
-    added to it.  exp overflow is not reported here; it shows up as a
-    non-finite term when the rows are summed.
+    one-characteristic grid at one point: the quadratic form of each row is
+    gathered from the lattice forms of cd at radius N, and the linear term
+    of each point is added to it.  exp overflow is not reported here; it
+    shows up as a non-finite term when the rows are summed.
     """
+    tau, ctrl = cd.tau, cd.ctrl
     radii = [truncation_radius(tau, point, ctrl) for point in points]
     n = max(radii)
-    idx = np.arange(-n, n + 1, dtype=np.float64)
-    # half[:, j] is 0.5 * (a, c, b, d)[j] of each characteristic, shape (K, 1, 1)
-    half = 0.5 * np.array([c.bits for c in chars], dtype=np.float64)[:, :, None, None]
-    p = idx[None, :, None] + half[:, 0]
-    q = idx[None, None, :] + half[:, 1]
-    quad = tau.tau1 * p * p + tau.tau2 * q * q + 2.0 * tau.tau12 * p * q
+    form = cd._form(n)
+    a, c, lattice, half_b, half_d = _char_layout(tuple(chars))
+    p, q = form.p[a], form.q[c]
     u = np.array([point.u for point in points], dtype=np.complex128)[:, None, None, None]
     v = np.array([point.v for point in points], dtype=np.complex128)[:, None, None, None]
     # the exponent becomes the terms in place, one (P, K, 2N+1, 2N+1) array;
     # sums and products commute exactly, so the operations are unchanged
-    terms = p * (u + half[:, 2]) + q * (v + half[:, 3])
+    terms = p * (u + half_b) + q * (v + half_d)
     terms *= 2.0
-    np.add(quad, terms, out=terms)
+    np.add(form.quad[lattice], terms, out=terms)
     np.multiply(_IPI, terms, out=terms)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(terms, out=terms)
@@ -229,22 +279,6 @@ def _fsum(row: list[float]) -> float:
         raise TruncationOverflow(f"lattice sum left double range: {exc}") from exc
 
 
-def fsum_rows(terms: np.ndarray) -> list[complex]:
-    """Correctly rounded sum of each row of a complex array, via math.fsum.
-
-    A non-finite term (the series overflowed double range) raises
-    TruncationOverflow instead of returning NaN or inf.
-    """
-    rows = terms.reshape(len(terms), -1)
-    out = [
-        complex(_fsum(re), _fsum(im))
-        for re, im in zip(rows.real.tolist(), rows.imag.tolist())
-    ]
-    if not all(map(cmath.isfinite, out)):
-        raise TruncationOverflow("lattice sum left double range: non-finite term")
-    return out
-
-
 # rows whose largest term reaches this go to math.fsum; below it the
 # splitting constant of exact_row_sums stays far from overflow
 _EXACT_MAX = 2.0**900
@@ -256,37 +290,43 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
 
     Equal bit for bit to math.fsum of each row, computed with array
     operations (Rump, Ogita and Oishi, Accurate floating-point summation,
-    Part I, SIAM J. Sci. Comput. 31, 2008).  With max|x| < 2^e and
-    sigma = 2^(e+M), 2^M >= T + 2, each term splits exactly into
-    hi = (sigma + x) - sigma and lo = x - hi.  The hi parts are multiples of
-    ulp(sigma)/2 whose partial sums stay below sigma, so their sum is exact
-    in any order; the sum of the lo parts is off by at most
+    Part I, SIAM J. Sci. Comput. 31, 2008).  With max|x| < 2^e over all
+    the rows and sigma = 2^(e+M), 2^M >= T + 2, each term splits exactly
+    into hi = (sigma + x) - sigma and lo = x - hi.  The hi parts are
+    multiples of ulp(sigma)/2 whose partial sums stay below sigma, so their
+    sum is exact in any order; the sum of the lo parts is off by at most
     2 T^2 2^-106 sigma.  TwoSum folds the two into res + err, and res is the
     correctly rounded sum when |err| plus that bound is below half the gap
     from res to its nearer neighbour.  A row that is not settled this way
     has the same exact sum as the row of its hi sum and lo parts.  When its
-    terms cancelled, the largest of those is near ulp(sigma), so one more
-    pass on that row works on a much finer grid.  Rows still unsettled are
-    summed with math.fsum, and so is every row when some term reaches 2^900.
+    terms cancelled, or are all far below the largest term of the rows, the
+    largest of those is far below sigma, so one more pass on that row, split
+    at its own largest part, works on a much finer grid.  Rows still
+    unsettled are summed with math.fsum, and so is every row when some term
+    reaches 2^900.
 
     A non-finite term, or a sum beyond double range, raises
     TruncationOverflow.
     """
-    amax = np.abs(rows).max(axis=1, initial=0.0)
-    if not amax.max(initial=0.0) < _EXACT_MAX:
-        if not np.isfinite(amax).all():
+    top = np.abs(rows).max(initial=0.0)
+    if not top < _EXACT_MAX:
+        if not np.isfinite(top):
             raise TruncationOverflow("lattice sum left double range: non-finite term")
         return np.array([_fsum(row) for row in rows.tolist()])
-    return _split_sums(rows, amax, refine=True)
+    return _split_sums(rows, top, refine=True)
 
 
-def _split_sums(rows: np.ndarray, amax: np.ndarray, refine: bool) -> np.ndarray:
-    """exact_row_sums of finite rows below 2^900; amax is max|x| per row."""
+def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
+    """exact_row_sums of finite rows below 2^900.
+
+    amax bounds max|x| of each row: one value for all rows, or a column of
+    one per row.
+    """
     width = rows.shape[1]
     _, e = np.frexp(amax)
     sigma = np.ldexp(1.0, e + (width + 1).bit_length())
-    part = np.add(sigma[:, None], rows)  # hi, then lo in place
-    part -= sigma[:, None]
+    part = rows + sigma  # hi, then lo in place
+    part -= sigma
     high = part.sum(axis=1)
     np.subtract(rows, part, out=part)
     low = part.sum(axis=1)
@@ -295,27 +335,141 @@ def _split_sums(rows: np.ndarray, amax: np.ndarray, refine: bool) -> np.ndarray:
     err = (high - (res - back)) + (low - back)
     # sigma is a power of two, so this product is exact unless it underflows,
     # and _TINY covers that rounding
-    bound = sigma * (2.0 * width * width * 2.0**-106) + _TINY
-    # the spacing just below |res| is the smaller of the two gaps around res
+    bound = np.ravel(sigma) * (2.0 * width * width * 2.0**-106) + _TINY
+    # the spacing just below |res| is the smaller of the two gaps around res;
+    # every value here is finite, so >= is the negation of <
     half_gap = 0.5 * np.spacing(np.nextafter(np.abs(res), 0.0))
-    bad = np.flatnonzero(~(np.abs(err) + bound < half_gap))
-    if len(bad) and refine:
+    bad = np.abs(err) + bound >= half_gap
+    if not bad.any():
+        return res
+    bad = np.nonzero(bad)
+    if refine:
         exact = np.column_stack((high[bad], part[bad]))
-        res[bad] = _split_sums(exact, np.abs(exact).max(axis=1), refine=False)
-    elif len(bad):
-        for i, row in zip(bad.tolist(), rows[bad].tolist()):
-            res[i] = _fsum(row)
+        res[bad] = _split_sums(exact, np.abs(exact).max(axis=1, keepdims=True), refine=False)
+    else:
+        res[bad] = [_fsum(row) for row in rows[bad].tolist()]
     return res
 
 
-def _complex_sums(terms: np.ndarray) -> np.ndarray:
-    """exact_row_sums of the real and imaginary parts over the last two axes."""
-    flat = terms.reshape(-1, terms.shape[-2] * terms.shape[-1])
-    sums = exact_row_sums(np.concatenate((flat.real, flat.imag)))
-    out = np.empty(len(flat), dtype=np.complex128)
-    out.real = sums[: len(flat)]
-    out.imag = sums[len(flat) :]
-    return out.reshape(terms.shape[:-2])
+def complex_row_sums(rows: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a complex (R, T) array.
+
+    The real and imaginary parts are summed in one exact_row_sums call.
+    """
+    count = len(rows)
+    sums = exact_row_sums(np.concatenate((rows.real, rows.imag)))
+    out = np.empty(count, dtype=np.complex128)
+    out.real = sums[:count]
+    out.imag = sums[count:]
+    return out
+
+
+def _grid_sums(terms: np.ndarray) -> np.ndarray:
+    """complex_row_sums over the last two axes."""
+    rows = terms.reshape(-1, terms.shape[-2] * terms.shape[-1])
+    return complex_row_sums(rows).reshape(terms.shape[:-2])
+
+
+_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
+
+# Per-tau data is kept for this many period matrices, least recently used
+# dropped first, so a process sweeping many of them keeps a fixed footprint;
+# a verification run reuses about twenty.
+_NULL_CACHE_TAUS = 64
+# Lattice forms kept per period matrix, oldest dropped first; the checks at
+# sampled points use two or three radii.
+_FORMS_PER_CURVE = 4
+
+
+@dataclass(frozen=True, eq=False)
+class CurveData:
+    """What the theta functions of one period matrix share at every point.
+
+    Built on construction: nulls, all sixteen theta[c](0, 0) keyed by
+    c.bits, from one all-characteristic evaluation, and null_scale, the
+    largest |theta[c](0, 0)| over the even c.  Built on first use and then
+    kept: null_grads (the sixteen (d/du, d/dv) theta[c](0, 0)), moduli (the
+    ModuliSet) and flow_constants (the FlowConstants); a build that raises
+    keeps nothing, so every later access raises again.  The lattice forms
+    (the quadratic form of each lattice class) are kept for each truncation
+    radius used, at most _FORMS_PER_CURVE of them.
+
+    curve_data(tau, ctrl) keeps one CurveData per (tau, ctrl).
+    """
+
+    tau: PeriodMatrix
+    ctrl: SeriesControl
+    nulls: Mapping[tuple[int, int, int, int], complex] = field(init=False)
+    null_scale: float = field(init=False)
+    _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        values = self.values_at(ALL_CHARACTERISTICS, (ORIGIN,))[0]
+        nulls = MappingProxyType(dict(zip(_ALL_BITS, values)))
+        object.__setattr__(self, "nulls", nulls)
+        scale = max(abs(nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
+        object.__setattr__(self, "null_scale", scale)
+
+    @cached_property
+    def null_grads(self) -> Mapping[tuple[int, int, int, int], tuple[complex, complex]]:
+        grads = self.grads_at(ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
+        return MappingProxyType(dict(zip(_ALL_BITS, grads)))
+
+    # moduli.py and flow.py, which define these results, import this module,
+    # so their build functions are imported at first use
+    @cached_property
+    def moduli(self):
+        from .moduli import build_moduli
+
+        return build_moduli(self)
+
+    @cached_property
+    def flow_constants(self):
+        from .flow import build_flow_constants
+
+        return build_flow_constants(self)
+
+    def values_at(self, chars, points) -> list[list[complex]]:
+        """theta[c](point) for every point (outer) and c in chars (inner), one grid."""
+        _, _, terms = _lattice_terms(chars, points, self)
+        return _grid_sums(terms).tolist()
+
+    def grads_at(
+        self, chars, points
+    ) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
+        """Values and (d theta/du, d theta/dv) at every point, from one grid.
+
+        Gradients come from term-wise differentiation of the series; both lists
+        are indexed [point][characteristic] like values_at.
+        """
+        p, q, terms = _lattice_terms(chars, points, self)
+        two_pi_i = 2j * math.pi
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
+            jets = np.stack((terms, (two_pi_i * p) * terms, (two_pi_i * q) * terms))
+        values, du, dv = _grid_sums(jets).tolist()
+        return values, [list(zip(du_i, dv_i)) for du_i, dv_i in zip(du, dv)]
+
+    def table(self, chars, point: Point2) -> dict[tuple[int, int, int, int], complex]:
+        """theta[c](point) keyed by c.bits, from one grid."""
+        return {c.bits: v for c, v in zip(chars, self.values_at(chars, (point,))[0])}
+
+    def _form(self, n: int) -> _LatticeForm:
+        form = self._forms.get(n)
+        if form is None:
+            if len(self._forms) >= _FORMS_PER_CURVE:
+                self._forms.pop(next(iter(self._forms)), None)
+            form = self._forms[n] = _lattice_form(self.tau, n)
+        return form
+
+
+@lru_cache(maxsize=_NULL_CACHE_TAUS)
+def _curve_data(tau: PeriodMatrix, ctrl: SeriesControl) -> CurveData:
+    return CurveData(tau, ctrl)
+
+
+def curve_data(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> CurveData:
+    """The CurveData of (tau, ctrl), kept for the last _NULL_CACHE_TAUS period matrices."""
+    return _curve_data(tau, ctrl)
 
 
 def theta_values_at(
@@ -325,8 +479,7 @@ def theta_values_at(
     ctrl: SeriesControl = SeriesControl(),
 ) -> list[list[complex]]:
     """theta[c](point) for every point (outer) and c in chars (inner), one grid."""
-    _, _, terms = _lattice_terms(chars, points, tau, ctrl)
-    return _complex_sums(terms).tolist()
+    return curve_data(tau, ctrl).values_at(chars, points)
 
 
 def theta_grads_at(
@@ -335,18 +488,8 @@ def theta_grads_at(
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
-    """Values and (d theta/du, d theta/dv) at every point, from one grid.
-
-    Gradients come from term-wise differentiation of the series; both lists
-    are indexed [point][characteristic] like theta_values_at.
-    """
-    p, q, terms = _lattice_terms(chars, points, tau, ctrl)
-    two_pi_i = 2j * math.pi
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
-        jets = np.stack((terms, (two_pi_i * p) * terms, (two_pi_i * q) * terms))
-    sums = _complex_sums(jets)
-    values, du, dv = sums.tolist()
-    return values, [list(zip(du_i, dv_i)) for du_i, dv_i in zip(du, dv)]
+    """Values and (d theta/du, d theta/dv) at every point, from one grid."""
+    return curve_data(tau, ctrl).grads_at(chars, points)
 
 
 def theta_values(
@@ -356,7 +499,7 @@ def theta_values(
     ctrl: SeriesControl = SeriesControl(),
 ) -> list[complex]:
     """theta[c](point) for every c in chars, from one stacked lattice grid."""
-    return theta_values_at(chars, (point,), tau, ctrl)[0]
+    return curve_data(tau, ctrl).values_at(chars, (point,))[0]
 
 
 def theta_table(
@@ -366,7 +509,7 @@ def theta_table(
     ctrl: SeriesControl = SeriesControl(),
 ) -> dict[tuple[int, int, int, int], complex]:
     """theta_values keyed by the bits of each characteristic."""
-    return {c.bits: v for c, v in zip(chars, theta_values(chars, point, tau, ctrl))}
+    return curve_data(tau, ctrl).table(chars, point)
 
 
 def theta_grads(
@@ -376,7 +519,7 @@ def theta_grads(
     ctrl: SeriesControl = SeriesControl(),
 ) -> list[tuple[complex, complex]]:
     """(d theta/du, d theta/dv) for every c in chars by term-wise differentiation."""
-    return theta_grads_at(chars, (point,), tau, ctrl)[1][0]
+    return curve_data(tau, ctrl).grads_at(chars, (point,))[1][0]
 
 
 def theta2(
@@ -398,35 +541,24 @@ def theta2_grad(
     return theta_grads((c,), point, tau, ctrl)[0]
 
 
-_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
-
-# Null caches are bounded so that a process sweeping many period matrices
-# keeps a fixed footprint; a verification run reuses only a few taus.
-_NULL_CACHE_TAUS = 128
-
-
-@lru_cache(maxsize=_NULL_CACHE_TAUS)
 def theta_nulls(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> Mapping[tuple[int, int, int, int], complex]:
-    """All sixteen theta[c](0, 0), keyed by c.bits; one memoized evaluation per tau."""
-    values = theta_values(ALL_CHARACTERISTICS, ORIGIN, tau, ctrl)
-    return MappingProxyType(dict(zip(_ALL_BITS, values)))
+    """All sixteen theta[c](0, 0), keyed by c.bits; read from curve_data."""
+    return curve_data(tau, ctrl).nulls
 
 
-@lru_cache(maxsize=_NULL_CACHE_TAUS)
 def theta_null_grads(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> Mapping[tuple[int, int, int, int], tuple[complex, complex]]:
-    """All sixteen null gradients (d/du, d/dv), keyed by c.bits; memoized per tau."""
-    grads = theta_grads(ALL_CHARACTERISTICS, ORIGIN, tau, ctrl)
-    return MappingProxyType(dict(zip(_ALL_BITS, grads)))
+    """All sixteen null gradients (d/du, d/dv), keyed by c.bits; read from curve_data."""
+    return curve_data(tau, ctrl).null_grads
 
 
 def theta_null(
     c: HalfCharacteristic, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> complex:
-    """theta[c](0, 0), read from the memoized all-characteristic evaluation."""
+    """theta[c](0, 0), read from the all-characteristic evaluation of curve_data."""
     return theta_nulls(tau, ctrl)[c.bits]
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from g2theta.degeneration import _radius1
 from g2theta.rng import SampleStream
 from g2theta.theta import Point2, SeriesControl, truncation_radius
 
@@ -67,6 +68,18 @@ def reference_theta2_grad(c, point, tau, ctrl=SeriesControl()):
     p, q, terms = _reference_grid(c, point, tau, n)
     two_pi_i = 2j * math.pi
     return _reference_fsum((two_pi_i * p) * terms), _reference_fsum((two_pi_i * q) * terms)
+
+
+def reference_theta1(c, z, tau, ctrl=SeriesControl()):
+    """One genus-1 value on its own row of terms, summed with math.fsum.
+
+    The production radius is used, so the genus-1 grid must reproduce this
+    value bit for bit.
+    """
+    n = _radius1(z, tau, ctrl)
+    m = np.arange(-n, n + 1, dtype=float) + c.a / 2.0
+    expo = 1j * math.pi * (tau * m * m + 2.0 * m * (z + c.b / 2.0))
+    return _reference_fsum(np.exp(expo))
 
 
 def draw_points(seed, label, count):

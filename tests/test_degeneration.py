@@ -7,8 +7,9 @@ import mpmath
 import pytest
 from scipy.special import ellipj, ellipk
 
-from conftest import draw_points
+from conftest import draw_points, reference_theta1
 
+from g2theta import degeneration
 from g2theta.degeneration import (
     Genus1Characteristic,
     complete_integral_residuals,
@@ -28,7 +29,7 @@ from g2theta.errors import (
 )
 from g2theta.quadrature import tanh_sinh_01
 from g2theta.rng import SampleStream
-from g2theta.theta import ALL_CHARACTERISTICS, Point2
+from g2theta.theta import ALL_CHARACTERISTICS, Point2, SeriesControl
 
 TAU1 = 0.1 + 1.1j
 TAU2 = -0.15 + 1.3j
@@ -51,6 +52,21 @@ def test_series_matches_brute_force_sum():
                 got = theta1(c, z, tau)
                 ref = brute_theta1(c, z, tau)
                 assert abs(got - ref) < 1e-13 * (1.0 + abs(ref))
+
+
+def test_genus1_grid_is_bit_identical_to_one_row_per_value():
+    stream = SampleStream(4, "genus1-grid")
+    # the float and signed-zero arguments are the ones the nulls and the
+    # degeneration suite pass
+    zs = [0.0, 0j, complex(-0.0, -0.0)]
+    zs += [stream.next_complex(-0.5, 0.5, -1.5, 1.5) for _ in range(12)]
+    rows = [(c, z, tau) for tau in (1j, TAU1, -0.2 + 0.8j) for z in zs for c in CHARS1]
+    radii = {degeneration._radius1(z, tau, SeriesControl()) for _, z, tau in rows}
+    assert len(radii) >= 3
+    expected = [reference_theta1(c, z, tau) for c, z, tau in rows]
+    assert [theta1(c, z, tau) for c, z, tau in rows] == expected
+    # one grid for all rows, as the call sites use it
+    assert degeneration._theta1_values(rows, SeriesControl()) == expected
 
 
 def test_matches_reference_library():

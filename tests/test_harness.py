@@ -213,14 +213,20 @@ def test_cli_invert_rejects_unusable_points(capsys):
     assert "finite" in err and "double range" in err
 
 
-def _run_cli(*args):
-    """g2theta in a fresh interpreter, so stderr holds everything it prints."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args):
+    """A fresh interpreter with src on the path, so stderr holds everything it prints."""
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
-        [sys.executable, "-m", "g2theta.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300, check=False,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300, check=False
     )
+
+
+def _run_cli(*args):
+    return _run_python("-m", "g2theta.cli", *args)
 
 
 def test_cli_overflowing_point_exits_2_without_numpy_warnings():
@@ -268,3 +274,12 @@ def test_cli_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "script", [["fd_convergence.py", "--points", "1"], ["split_limit_scan.py"]]
+)
+def test_scripts_run_to_completion(script):
+    proc = _run_python(str(ROOT / "scripts" / script[0]), *script[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -27,7 +27,7 @@ from g2theta.inversion import (
     unit_sum_identity_residuals,
 )
 from g2theta.moduli import moduli_from_tau
-from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2
+from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 DIVISOR_POINT = Point2(DIVISOR_U, DIVISOR_V)
@@ -185,6 +185,6 @@ def test_vanishing_modulus_root_in_a_denominator_is_typed(monkeypatch):
     # k01 sits only in parameterization denominators, so the pair is still
     # recovered and the table must refuse the zero root with a typed error
     ms = dataclasses.replace(moduli_from_tau(DEFAULT_TAU), k01=0j)
-    monkeypatch.setattr(inversion, "moduli_from_tau", lambda tau, ctrl=None: ms)
+    monkeypatch.setattr(CurveData, "moduli", property(lambda cd: ms))
     with pytest.raises(DivisionByZeroModulus):
         parameterization_residuals(Point2(0.1, 0.1), DEFAULT_TAU)

@@ -11,7 +11,11 @@ import numpy as np
 
 from conftest import brute_theta2, draw_points, reference_theta2, reference_theta2_grad
 
+import g2theta.theta as theta
 from g2theta.errors import DegenerateTau, TruncationOverflow
+from g2theta.flow import flow_constants
+from g2theta.moduli import moduli_from_tau
+from g2theta.rng import SampleStream
 from g2theta.theta import (
     ALL_CHARACTERISTICS,
     DEFAULT_TAU,
@@ -22,6 +26,7 @@ from g2theta.theta import (
     Point2,
     SeriesControl,
     ShiftKind,
+    curve_data,
     half_shift,
     parity,
     shifted_argument,
@@ -99,6 +104,79 @@ def test_multi_point_grid_equals_per_point_evaluation():
     # the order of the points does not matter either
     backwards = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS[::-1], DEFAULT_TAU)
     assert backwards == values[::-1]
+
+
+def _fresh_taus(count, label):
+    """Period matrices from the harness's Siegel box, as the curves sweep draws them."""
+    stream = SampleStream(1, label)
+    return [
+        PeriodMatrix(
+            stream.next_complex(-0.3, 0.3, 0.9, 1.5),
+            stream.next_complex(-0.3, 0.3, 0.9, 1.5),
+            stream.next_complex(-0.1, 0.1, 0.1, 0.35),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_curve_cache_holds_at_most_its_bound():
+    for tau in _fresh_taus(300, "curve-cache-sweep"):
+        moduli_from_tau(tau)
+    info = theta._curve_data.cache_info()
+    assert info.maxsize == theta._NULL_CACHE_TAUS
+    assert info.currsize <= info.maxsize
+
+
+def test_values_are_the_same_after_their_curve_is_evicted():
+    radii = set()
+    for tau in KERNEL_TAUS:
+        cd = curve_data(tau)
+        first = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, tau)
+        for other in _fresh_taus(theta._NULL_CACHE_TAUS, "curve-cache-evict"):
+            curve_data(other)
+        assert curve_data(tau) is not cd
+        again = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, tau)
+        assert again == first
+        for point, values in zip(MIXED_RADIUS_POINTS, again):
+            radii.add(truncation_radius(tau, point, SeriesControl()))
+            assert values == [reference_theta2(c, point, tau) for c in ALL_CHARACTERISTICS]
+    assert radii >= {4, 5, 6}
+
+
+def test_a_curve_keeps_the_lattice_forms_of_a_few_radii():
+    cd = curve_data(KERNEL_TAUS[1])
+    points = [Point2(0.1 + 0.25j * k, -0.35j * k) for k in range(10)]
+    radii = {truncation_radius(cd.tau, point, cd.ctrl) for point in points}
+    assert len(radii) > theta._FORMS_PER_CURVE
+    for point in points:
+        assert cd.values_at(ALL_CHARACTERISTICS[:3], (point,))[0] == [
+            reference_theta2(c, point, cd.tau) for c in ALL_CHARACTERISTICS[:3]
+        ]
+    assert len(cd._forms) <= theta._FORMS_PER_CURVE
+
+
+def _tau_with_vanishing_null():
+    """A period matrix whose even null theta[00;01](0) vanishes.
+
+    -(diag(tau1, tau2) + [[0, 1], [1, 0]])^-1 + [[1, 0], [0, 0]] is a
+    symplectic image of a split period matrix, where theta[11;11](0) = 0.
+    """
+    split = np.array([[0.1 + 1.1j, 1.0], [1.0, -0.15 + 1.3j]])
+    tau = -np.linalg.inv(split) + np.array([[1.0, 0.0], [0.0, 0.0]])
+    return PeriodMatrix(complex(tau[0, 0]), complex(tau[1, 1]), complex(tau[0, 1]))
+
+
+def test_a_failed_moduli_build_raises_on_every_access():
+    tau = _tau_with_vanishing_null()
+    cd = curve_data(tau)
+    for _ in range(2):
+        with pytest.raises(DegenerateTau):
+            moduli_from_tau(tau)
+        with pytest.raises(DegenerateTau):
+            cd.moduli
+        with pytest.raises(DegenerateTau):
+            flow_constants(tau)
+    assert curve_data(tau) is cd
 
 
 def test_one_characteristic_forms_and_nulls_match_the_reference():
