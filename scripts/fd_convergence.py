@@ -10,7 +10,7 @@ at the floor.
 import argparse
 import sys
 
-from g2theta.flow import flow_residuals
+from g2theta.flow import stencil_residuals
 from g2theta.rng import SampleStream
 from g2theta.theta import DEFAULT_TAU, Point2
 
@@ -34,7 +34,7 @@ def main() -> int:
     print(f"{'h':>12} {'max residual':>14} {'ratio':>8}")
     prev = None
     for h in hs:
-        worst = max(max(flow_residuals(p, DEFAULT_TAU, h=h)) for p in pts)
+        worst = max(max(stencil_residuals(p, DEFAULT_TAU, h=h)[0]) for p in pts)
         ratio = f"{prev / worst:8.3f}" if prev else " " * 8
         print(f"{h:>12.3e} {worst:>14.6e} {ratio}")
         prev = worst

@@ -7,211 +7,9 @@ parameterizations and flow equations, and the genus-1 degeneration down to
 Jacobi elliptic functions and complete integrals.  The harness submodule
 runs all of it as seeded verification suites with deterministic JSON
 reports; the `g2theta` console script fronts it.
+
+The package re-exports nothing: import each name from its module, e.g.
+`from g2theta.theta import curve_data`.
 """
 
-from .degeneration import (
-    EllipticModulus,
-    Genus1Characteristic,
-    complete_integral_residuals,
-    degenerate_inversion,
-    degenerate_inversion_residuals,
-    elliptic_identity_residuals,
-    elliptic_modulus,
-    jacobi_functions,
-    sn_ode_residual,
-    splitting_residuals,
-    theta1,
-)
-from .errors import (
-    CoincidentPoints,
-    ConfigInvalid,
-    DegenerateTau,
-    DivisionByZeroModulus,
-    G2ThetaError,
-    InvalidFactorIndex,
-    QuadratureNonconvergence,
-    SingularDenominator,
-    SingularJacobian,
-    StencilCrossesDivisor,
-    TildeMismatch,
-    TruncationOverflow,
-)
-from .flow import (
-    FlowConstants,
-    abelian_differential_residuals,
-    addition_formula_residuals,
-    derivative_formula_residuals,
-    flow_constants,
-    flow_residuals,
-    stencil_residuals,
-)
-from .harness import (
-    SUITE_ORDER,
-    VERSION,
-    Report,
-    RunConfig,
-    SuiteResult,
-    report_to_json,
-    run_suites,
-)
-from .inversion import (
-    PARAMETERIZATION_LABELS,
-    CurveSpec,
-    PointPair,
-    SymmetricFunctions,
-    f5,
-    f_factor,
-    parameterization_residuals,
-    recover_pair,
-    symmetric_functions,
-    unit_sum_identity_residuals,
-)
-from .moduli import (
-    RATIO_CHARACTERISTICS,
-    ModuliSet,
-    direct_null_ratios,
-    moduli_consistency_residuals,
-    moduli_from_tau,
-    null_ratio_signs,
-    null_ratios_from_moduli,
-)
-from .quadrature import tanh_sinh_01
-from .riemann import (
-    ProductVariant,
-    Quadruple,
-    fundamental_identity_residuals,
-    product_m,
-    riemann_relation_residuals,
-    riemann_transform,
-)
-from .rng import SampleStream
-from .theta import (
-    ALL_CHARACTERISTICS,
-    DEFAULT_TAU,
-    EVEN_CHARACTERISTICS,
-    ODD_CHARACTERISTICS,
-    ORIGIN,
-    HalfCharacteristic,
-    PeriodMatrix,
-    Point2,
-    SeriesControl,
-    ShiftKind,
-    ShiftRule,
-    half_shift,
-    parity,
-    shifted_argument,
-    theta2,
-    theta2_grad,
-    theta_grads,
-    theta_grads_at,
-    theta_null,
-    theta_null_grad,
-    theta_null_grads,
-    theta_nulls,
-    theta_table,
-    theta_values,
-    theta_values_at,
-    truncation_radius,
-)
-
-__version__ = VERSION
-
-__all__ = [
-    "__version__",
-    "VERSION",
-    # theta core
-    "HalfCharacteristic",
-    "PeriodMatrix",
-    "Point2",
-    "SeriesControl",
-    "ShiftKind",
-    "ShiftRule",
-    "ALL_CHARACTERISTICS",
-    "EVEN_CHARACTERISTICS",
-    "ODD_CHARACTERISTICS",
-    "DEFAULT_TAU",
-    "ORIGIN",
-    "parity",
-    "theta_values",
-    "theta_values_at",
-    "theta_table",
-    "theta_grads",
-    "theta_grads_at",
-    "theta2",
-    "theta2_grad",
-    "theta_nulls",
-    "theta_null_grads",
-    "theta_null",
-    "theta_null_grad",
-    "truncation_radius",
-    "half_shift",
-    "shifted_argument",
-    # riemann relations and fundamental identities
-    "Quadruple",
-    "ProductVariant",
-    "riemann_transform",
-    "product_m",
-    "riemann_relation_residuals",
-    "fundamental_identity_residuals",
-    # moduli
-    "ModuliSet",
-    "RATIO_CHARACTERISTICS",
-    "moduli_from_tau",
-    "null_ratios_from_moduli",
-    "direct_null_ratios",
-    "null_ratio_signs",
-    "moduli_consistency_residuals",
-    # inversion
-    "CurveSpec",
-    "SymmetricFunctions",
-    "PointPair",
-    "PARAMETERIZATION_LABELS",
-    "f5",
-    "f_factor",
-    "symmetric_functions",
-    "recover_pair",
-    "parameterization_residuals",
-    "unit_sum_identity_residuals",
-    # flow and appendix formulas
-    "FlowConstants",
-    "flow_constants",
-    "flow_residuals",
-    "abelian_differential_residuals",
-    "stencil_residuals",
-    "addition_formula_residuals",
-    "derivative_formula_residuals",
-    # degeneration
-    "Genus1Characteristic",
-    "EllipticModulus",
-    "theta1",
-    "elliptic_modulus",
-    "jacobi_functions",
-    "elliptic_identity_residuals",
-    "splitting_residuals",
-    "degenerate_inversion_residuals",
-    "degenerate_inversion",
-    "sn_ode_residual",
-    "complete_integral_residuals",
-    "tanh_sinh_01",
-    # harness
-    "RunConfig",
-    "SuiteResult",
-    "Report",
-    "SUITE_ORDER",
-    "run_suites",
-    "report_to_json",
-    "SampleStream",
-    # errors
-    "G2ThetaError",
-    "TruncationOverflow",
-    "DegenerateTau",
-    "DivisionByZeroModulus",
-    "SingularDenominator",
-    "CoincidentPoints",
-    "SingularJacobian",
-    "TildeMismatch",
-    "StencilCrossesDivisor",
-    "InvalidFactorIndex",
-    "QuadratureNonconvergence",
-    "ConfigInvalid",
-]
+from .harness import VERSION as __version__  # noqa: F401

@@ -89,7 +89,7 @@ def _cmd_moduli(args) -> int:
     for name in ("k0_sq", "k1_sq", "k2_sq", "kp0_sq", "kp1_sq", "kp2_sq",
                  "k01_sq", "k02_sq", "k12_sq"):
         print(f"  {name:<7} = {_fmt(getattr(ms, name))}")
-    print("principal roots:")
+    print("roots:")
     for name in ("k0", "k1", "k2", "kp0", "kp1", "kp2", "k01", "k02", "k12"):
         print(f"  {name:<7} = {_fmt(getattr(ms, name))}")
     print("consistency residuals:")

@@ -35,6 +35,7 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
+    _rel,
     complex_row_sums,
     curve_data,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "jacobi_functions",
     "elliptic_identity_residuals",
     "splitting_residuals",
-    "degenerate_inversion_residuals",
     "degenerate_inversion",
     "sn_ode_residual",
     "complete_integral_residuals",
@@ -174,10 +174,6 @@ def jacobi_functions(
     return sn, cn, dn, elliptic_modulus(tau, ctrl)
 
 
-def _rel(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-
-
 def elliptic_identity_residuals(
     z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
@@ -212,28 +208,19 @@ def splitting_residuals(
     }
 
 
-def degenerate_inversion_residuals(
-    point: Point2,
-    tau1: complex,
-    tau2: complex,
-    ctrl: SeriesControl = SeriesControl(),
-) -> dict[str, float]:
-    """Inversion at tau12=0 against the elliptic prediction {x^2, 1/k0^2}.
-
-    x is the theta-ratio form of -sn at theta argument u, so x^2 = sn^2(2Ku).
-    The three symmetric-function relations, the collapse of the three moduli
-    to one, and the unordered pair match are all reported.
-    """
-    return degenerate_inversion(point, tau1, tau2, ctrl)[0]
-
-
 def degenerate_inversion(
     point: Point2,
     tau1: complex,
     tau2: complex,
     ctrl: SeriesControl = SeriesControl(),
 ) -> tuple[dict[str, float], PointPair]:
-    """degenerate_inversion_residuals plus the pair recovered at tau12=0."""
+    """Inversion at tau12=0 against the elliptic prediction {x^2, 1/k0^2}.
+
+    x is the theta-ratio form of -sn at theta argument u, so x^2 = sn^2(2Ku).
+    Returns the residuals, keyed by label, of the three symmetric-function
+    relations, the collapse of the three moduli to one and the unordered
+    pair match, and the pair recovered at tau12=0.
+    """
     cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
     ms = cd.moduli
     pair = next(_recover_pairs(cd, (point,)))

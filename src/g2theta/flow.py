@@ -43,14 +43,13 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
+    _rel,
     curve_data,
 )
 
 __all__ = [
     "FlowConstants",
     "flow_constants",
-    "flow_residuals",
-    "abelian_differential_residuals",
     "stencil_residuals",
     "addition_formula_residuals",
     "derivative_formula_residuals",
@@ -175,9 +174,7 @@ def _flow_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
             -(fc.C + fc.D * x1) * sg2 / dx,
         )
         fd = (d_du[0], d_du[1], d_dv[0], d_dv[1])
-        res = [
-            abs(f - c) / (1.0 + max(abs(f), abs(c))) for f, c in zip(fd, closed)
-        ]
+        res = [_rel(f, c) for f, c in zip(fd, closed)]
         if best is None or max(res) < max(best):
             best = res
     return best
@@ -206,35 +203,20 @@ def stencil_residuals(
     ctrl: SeriesControl = SeriesControl(),
     h: float = 1e-5,
 ) -> tuple[list[float], list[float]]:
-    """flow_residuals and abelian_differential_residuals from one shared stencil.
+    """Flow and Abelian-differential residuals from one shared stencil.
 
-    The Abelian residuals divide by sigma_i, so a pair at a branch point
-    (sigma_i = 0) raises SingularDenominator.
+    Returns (flow, abelian).  flow holds the relative residuals of the
+    central finite differences of the pair against the closed-form flow
+    equations, for dx1/du, dx2/du, dx1/dv and dx2/dv.  abelian holds
+    |du - 1| and |dv - 1| for du and dv recovered from the same
+    differences through the inverted system.  Both are minimized over the
+    global sign of the sigma_i.  The Abelian residuals divide by sigma_i,
+    so a pair at a branch point (sigma_i = 0) raises SingularDenominator.
     """
     cd = curve_data(tau, ctrl)
     fc = cd.flow_constants
     stencil = _pair_stencil(point, cd, h)
     return _flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)
-
-
-def flow_residuals(
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-    h: float = 1e-5,
-) -> list[float]:
-    """Residuals |FD - closed form| for dx1/du, dx2/du, dx1/dv, dx2/dv."""
-    return stencil_residuals(point, tau, ctrl, h)[0]
-
-
-def abelian_differential_residuals(
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-    h: float = 1e-5,
-) -> list[float]:
-    """Residuals of the inverted system: du and dv recovered from dx1, dx2."""
-    return stencil_residuals(point, tau, ctrl, h)[1]
 
 
 def _tables(chars, rows) -> list[dict]:
@@ -298,10 +280,7 @@ def addition_formula_residuals(
         * tq[(0, 1, 0, 0)]
         * tq[(1, 1, 1, 0)]
     )
-    return [
-        abs(lhs1 - rhs1) / (1.0 + max(abs(lhs1), abs(rhs1))),
-        abs(lhs2 - rhs2) / (1.0 + max(abs(lhs2), abs(rhs2))),
-    ]
+    return [_rel(lhs1, rhs1), _rel(lhs2, rhs2)]
 
 
 # what the derivative formulas read at their point, values and gradients
@@ -347,12 +326,12 @@ def derivative_formula_residuals(
             n[(0, 0, 1, 0)] * d1010[idx] * th[(1, 0, 0, 0)] * th[(0, 0, 0, 0)]
             - n[(0, 1, 1, 0)] * d1110[idx] * th[(1, 1, 0, 0)] * th[(0, 1, 0, 0)]
         )
-        out.append(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+        out.append(_rel(lhs, rhs))
     for idx in (0, 1):
         lhs = n[(1, 0, 0, 1)] * n[(0, 0, 1, 1)] * (g1001[idx] * ref - t1001 * g0011[idx])
         rhs = (
             -n[(0, 0, 0, 0)] * d1010[idx] * th[(0, 0, 0, 0)] * th[(1, 0, 1, 0)]
             + n[(0, 1, 0, 0)] * d1110[idx] * th[(0, 1, 0, 0)] * th[(1, 1, 1, 0)]
         )
-        out.append(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+        out.append(_rel(lhs, rhs))
     return out

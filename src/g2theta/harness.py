@@ -591,10 +591,13 @@ def config_from_sources(
     cfg_samples = (
         samples if samples is not None else _parse_int("samples", fv.get("samples", "100"))
     )
-    series = SeriesControl(
-        tol=_parse_float("series_tol", fv.get("series_tol", "1e-14")),
-        max_radius=_parse_int("max_radius", fv.get("max_radius", "64")),
-    )
+    try:
+        series = SeriesControl(
+            tol=_parse_float("series_tol", fv.get("series_tol", "1e-14")),
+            max_radius=_parse_int("max_radius", fv.get("max_radius", "64")),
+        )
+    except ValueError as exc:
+        raise ConfigInvalid(f"series settings: {exc}") from exc
     if suites is not None:
         requested = list(suites)
     elif "suites" in fv:

@@ -13,8 +13,9 @@ squared formula).  Fifteen theta-squared ratios are parameterized by the
 pair; all are certified against the recovered data with one consistent
 sign class.
 
-Moduli roots always come from a single ModuliSet (principal branch), so any
-sign convention is applied coherently across all formulas.
+Moduli roots always come from a single ModuliSet, each signed as its
+unsquared theta-null quotient (see moduli.build_moduli), so one sign
+convention holds across all formulas.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
+    _rel,
     curve_data,
 )
 
@@ -48,7 +50,6 @@ __all__ = [
     "f_factor",
     "symmetric_functions",
     "recover_pair",
-    "recover_pairs",
     "parameterization_residuals",
     "unit_sum_identity_residuals",
     "PARAMETERIZATION_LABELS",
@@ -181,18 +182,12 @@ def recover_pair(
     return next(_recover_pairs(curve_data(tau, ctrl), (point,)))
 
 
-def recover_pairs(
-    points, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> Iterator[PointPair]:
+def _recover_pairs(cd: CurveData, points) -> Iterator[PointPair]:
     """recover_pair at each point in order, from one grid and one moduli set.
 
     A generator: each pair is resolved when it is reached, so a point that
     fails raises there, after the pairs of the points before it.
     """
-    yield from _recover_pairs(curve_data(tau, ctrl), points)
-
-
-def _recover_pairs(cd: CurveData, points) -> Iterator[PointPair]:
     ms = cd.moduli
     for point, values in zip(points, cd.values_at(_PAIR_CHARS, points)):
         yield _pair_from_thetas(cd, ms, dict(zip(_PAIR_BITS, values)), point)
@@ -220,7 +215,7 @@ def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPai
         lhs, rhs = _bracket_residual_terms(
             lhs_ratio, pref, fx1, fx2, x1, x2, sigma1, s2_signed
         )
-        res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+        res = _rel(lhs, rhs)
         if best_res is None or res < best_res:
             best_res = res
             best_flip = flip
@@ -293,18 +288,14 @@ def parameterization_residuals(
     for bits, pref, lin in poly:
         lhs = th[bits] ** 2 / den
         rhs = pref * lin(x1) * lin(x2)
-        out.append(
-            (f"param-{idx:02d}", abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
-        )
+        out.append((f"param-{idx:02d}", _rel(lhs, rhs)))
         idx += 1
     for bits, (i, j), pref in bracket:
         lhs_ratio = th[bits] ** 2 / den
         fx1 = f_factor(i, j, x1, curve)
         fx2 = f_factor(i, j, x2, curve)
         lhs, rhs = _bracket_residual_terms(lhs_ratio, pref, fx1, fx2, x1, x2, sg1, sg2)
-        out.append(
-            (f"param-{idx:02d}", abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
-        )
+        out.append((f"param-{idx:02d}", _rel(lhs, rhs)))
         idx += 1
     return out
 

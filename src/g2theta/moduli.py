@@ -9,10 +9,13 @@ with complements k'_i^2 = 1 - k_i^2 and differences k_ij^2 = k_i^2 - k_j^2
 also given directly by null products.  Inversely, each of the nine squared
 null ratios theta^2[.](0)/theta^2[0000](0) is a product of moduli roots.
 
-All roots recorded here are principal-branch square roots.  Root-product
-formulas are therefore certified only up to one sign per formula; the sign
-is detected against the directly computed ratio and reported, never hidden
-(see null_ratio_signs).
+Each root recorded here is signed as the quotient of unsquared theta-nulls
+whose square defines it (k0 = theta[1000] theta[1100] / (theta[0000]
+theta[0100]), and so on), not taken on the principal branch: near the
+negative real axis, where Im tau is small, the principal root of a square
+can have the opposite sign.  The nine root-product formulas for the null
+ratios then hold with sign +1; the sign is still detected against the
+directly computed ratio and reported, never hidden (see null_ratio_signs).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .theta import (
     CurveData,
     PeriodMatrix,
     SeriesControl,
+    _rel,
     curve_data,
 )
 
@@ -72,10 +76,40 @@ def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) ->
     return curve_data(tau, ctrl).moduli
 
 
-def build_moduli(cd: CurveData) -> ModuliSet:
-    """The nine squared moduli and their principal roots from the nulls of a CurveData.
+# each modulus root as a quotient of even theta-nulls, (numerator, denominator)
+# characteristics in ModuliSet field order: the squared modulus is the same
+# quotient of squared nulls
+_ROOT_QUOTIENTS = (
+    (((1, 0, 0, 0), (1, 1, 0, 0)), ((0, 0, 0, 0), (0, 1, 0, 0))),  # k0
+    (((1, 0, 0, 1), (1, 1, 0, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),  # k1
+    (((1, 0, 0, 1), (1, 0, 0, 0)), ((0, 0, 0, 1), (0, 0, 0, 0))),  # k2
+    (((0, 0, 1, 0), (0, 1, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 0))),  # k'0
+    (((0, 0, 1, 1), (0, 1, 1, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),  # k'1
+    (((0, 0, 1, 1), (0, 0, 1, 0)), ((0, 0, 0, 1), (0, 0, 0, 0))),  # k'2
+    (((1, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))),  # k01
+    (((1, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))),  # k02
+    (((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1)), ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 0, 0))),  # k12
+)
 
-    Raises DegenerateTau when a denominator null vanishes.
+
+def _quotient(values, num, den) -> complex:
+    """prod values[num] / prod values[den], each product taken left to right."""
+    top = values[num[0]]
+    for bits in num[1:]:
+        top *= values[bits]
+    bottom = values[den[0]]
+    for bits in den[1:]:
+        bottom *= values[bits]
+    return top / bottom
+
+
+def build_moduli(cd: CurveData) -> ModuliSet:
+    """The nine squared moduli and their roots from the nulls of a CurveData.
+
+    Each root is cmath.sqrt of its square, negated when that lies nearer to
+    minus the quotient of unsquared nulls whose square is the squared
+    modulus; so each root carries the sign of its null quotient.  Raises
+    DegenerateTau when a denominator null vanishes.
     """
     n = _null_sq(cd)
     scale = max(abs(v) for v in n.values())
@@ -85,30 +119,17 @@ def build_moduli(cd: CurveData) -> ModuliSet:
                 f"even theta-null {denom} vanishes (|.|^2 = {abs(n[denom]):.3e}); "
                 "tau lies on a singular locus"
             )
-    k0_sq = n[(1, 0, 0, 0)] * n[(1, 1, 0, 0)] / (n[(0, 0, 0, 0)] * n[(0, 1, 0, 0)])
-    k1_sq = n[(1, 0, 0, 1)] * n[(1, 1, 0, 0)] / (n[(0, 0, 0, 1)] * n[(0, 1, 0, 0)])
-    k2_sq = n[(1, 0, 0, 1)] * n[(1, 0, 0, 0)] / (n[(0, 0, 0, 1)] * n[(0, 0, 0, 0)])
-    kp0_sq = n[(0, 0, 1, 0)] * n[(0, 1, 1, 0)] / (n[(0, 0, 0, 0)] * n[(0, 1, 0, 0)])
-    kp1_sq = n[(0, 0, 1, 1)] * n[(0, 1, 1, 0)] / (n[(0, 0, 0, 1)] * n[(0, 1, 0, 0)])
-    kp2_sq = n[(0, 0, 1, 1)] * n[(0, 0, 1, 0)] / (n[(0, 0, 0, 1)] * n[(0, 0, 0, 0)])
-    k01_sq = (
-        n[(1, 1, 0, 0)] * n[(1, 1, 1, 1)] * n[(0, 1, 1, 0)]
-        / (n[(0, 1, 0, 0)] * n[(0, 0, 0, 0)] * n[(0, 0, 0, 1)])
-    )
-    k02_sq = (
-        n[(1, 0, 0, 0)] * n[(1, 1, 1, 1)] * n[(0, 0, 1, 0)]
-        / (n[(0, 0, 0, 0)] * n[(0, 1, 0, 0)] * n[(0, 0, 0, 1)])
-    )
-    k12_sq = (
-        n[(1, 0, 0, 1)] * n[(1, 1, 1, 1)] * n[(0, 0, 1, 1)]
-        / (n[(0, 0, 0, 1)] * n[(0, 1, 0, 0)] * n[(0, 0, 0, 0)])
-    )
-    return ModuliSet(
-        k0_sq, k1_sq, k2_sq, kp0_sq, kp1_sq, kp2_sq, k01_sq, k02_sq, k12_sq,
-        cmath.sqrt(k0_sq), cmath.sqrt(k1_sq), cmath.sqrt(k2_sq),
-        cmath.sqrt(kp0_sq), cmath.sqrt(kp1_sq), cmath.sqrt(kp2_sq),
-        cmath.sqrt(k01_sq), cmath.sqrt(k02_sq), cmath.sqrt(k12_sq),
-    )
+    nulls = cd.nulls
+    squares, roots = [], []
+    for num, den in _ROOT_QUOTIENTS:
+        square = _quotient(n, num, den)
+        root = cmath.sqrt(square)
+        quotient = _quotient(nulls, num, den)
+        if abs(root + quotient) < abs(root - quotient):
+            root = -root
+        squares.append(square)
+        roots.append(root)
+    return ModuliSet(*squares, *roots)
 
 
 RATIO_CHARACTERISTICS = (
@@ -158,8 +179,8 @@ def null_ratio_signs(
 
     Returns bits -> (sign, residual) where sign in {+1, -1} makes the product
     closest to the direct ratio and residual is the remaining relative error.
-    Principal roots carry no global sign convention, so a -1 here is not a
-    defect; it is the record of the branch the formula landed on at this tau.
+    With every root signed as its null quotient each product equals its
+    ratio, so the signs read +1; a -1 records a root that left its quotient.
     """
     ms = moduli_from_tau(tau, ctrl)
     products = null_ratios_from_moduli(ms)
@@ -168,9 +189,8 @@ def null_ratio_signs(
     for bits in RATIO_CHARACTERISTICS:
         d = direct[bits]
         p = products[bits]
-        scale = 1.0 + max(abs(d), abs(p))
-        plus = abs(p - d) / scale
-        minus = abs(p + d) / scale
+        plus = _rel(p, d)
+        minus = _rel(p, -d)
         out[bits] = (1, plus) if plus <= minus else (-1, minus)
     return out
 
@@ -188,19 +208,15 @@ def moduli_consistency_residuals(
     cd = curve_data(tau, ctrl)
     ms = cd.moduli
     n = _null_sq(cd)
-
-    def rel(lhs: complex, rhs: complex) -> float:
-        return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-
     out: list[tuple[str, float]] = []
 
     # k_i^2 expressed through primed nulls: r/(1+r) with r = k_i^2/(1-k_i^2)
     r0 = n[(1, 0, 0, 0)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 0)] * n[(0, 1, 1, 0)])
     r1 = n[(1, 0, 0, 1)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 1)] * n[(0, 1, 1, 0)])
     r2 = n[(1, 0, 0, 1)] * n[(1, 0, 0, 0)] / (n[(0, 0, 1, 1)] * n[(0, 0, 1, 0)])
-    out.append(("k0sq-two-ways", rel(r0 / (1.0 + r0), ms.k0_sq)))
-    out.append(("k1sq-two-ways", rel(r1 / (1.0 + r1), ms.k1_sq)))
-    out.append(("k2sq-two-ways", rel(r2 / (1.0 + r2), ms.k2_sq)))
+    out.append(("k0sq-two-ways", _rel(r0 / (1.0 + r0), ms.k0_sq)))
+    out.append(("k1sq-two-ways", _rel(r1 / (1.0 + r1), ms.k1_sq)))
+    out.append(("k2sq-two-ways", _rel(r2 / (1.0 + r2), ms.k2_sq)))
 
     # sum rules among products of squared nulls
     sums = (
@@ -224,16 +240,16 @@ def moduli_consistency_residuals(
     d12 = (n[(1, 0, 0, 1)] / n[(0, 0, 0, 1)]) * (
         n[(0, 0, 0, 0)] * n[(1, 1, 0, 0)] - n[(1, 0, 0, 0)] * n[(0, 1, 0, 0)]
     ) / (n[(0, 1, 0, 0)] * n[(0, 0, 0, 0)])
-    out.append(("k01sq-difference-form", rel(d01, ms.k01_sq)))
-    out.append(("k02sq-difference-form", rel(d02, ms.k02_sq)))
-    out.append(("k12sq-difference-form", rel(d12, ms.k12_sq)))
+    out.append(("k01sq-difference-form", _rel(d01, ms.k01_sq)))
+    out.append(("k02sq-difference-form", _rel(d02, ms.k02_sq)))
+    out.append(("k12sq-difference-form", _rel(d12, ms.k12_sq)))
 
-    out.append(("k0sq-complement", rel(ms.kp0_sq, 1.0 - ms.k0_sq)))
-    out.append(("k1sq-complement", rel(ms.kp1_sq, 1.0 - ms.k1_sq)))
-    out.append(("k2sq-complement", rel(ms.kp2_sq, 1.0 - ms.k2_sq)))
+    out.append(("k0sq-complement", _rel(ms.kp0_sq, 1.0 - ms.k0_sq)))
+    out.append(("k1sq-complement", _rel(ms.kp1_sq, 1.0 - ms.k1_sq)))
+    out.append(("k2sq-complement", _rel(ms.kp2_sq, 1.0 - ms.k2_sq)))
 
-    out.append(("k01sq-as-difference", rel(ms.k01_sq, ms.k0_sq - ms.k1_sq)))
-    out.append(("k02sq-as-difference", rel(ms.k02_sq, ms.k0_sq - ms.k2_sq)))
-    out.append(("k12sq-as-difference", rel(ms.k12_sq, ms.k1_sq - ms.k2_sq)))
+    out.append(("k01sq-as-difference", _rel(ms.k01_sq, ms.k0_sq - ms.k1_sq)))
+    out.append(("k02sq-as-difference", _rel(ms.k02_sq, ms.k0_sq - ms.k2_sq)))
+    out.append(("k12sq-as-difference", _rel(ms.k12_sq, ms.k1_sq - ms.k2_sq)))
 
     return out

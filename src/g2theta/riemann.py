@@ -27,9 +27,7 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
-    theta_nulls,
-    theta_table,
-    theta_values_at,
+    curve_data,
 )
 
 __all__ = [
@@ -110,7 +108,7 @@ def product_m(
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
-    return _fold_products(theta_values_at(_VARIANT_PAIRS[variant], q.points, tau, ctrl))
+    return _fold_products(curve_data(tau, ctrl).values_at(_VARIANT_PAIRS[variant], q.points))
 
 
 def _all_products(values) -> list[complex]:
@@ -142,7 +140,7 @@ def riemann_relation_residuals(
     The quadruple and its transform are evaluated together, on one grid.
     """
     points = q.points + riemann_transform(q).points
-    values = theta_values_at(_PRODUCT_CHARS, points, tau, ctrl)
+    values = curve_data(tau, ctrl).values_at(_PRODUCT_CHARS, points)
     m = _all_products(values[:4])
     mt = _all_products(values[4:])
     return _relation_residuals(m, mt) + _relation_residuals(mt, m)
@@ -188,13 +186,13 @@ def fundamental_identity_residuals(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the three four-term squared-theta identities at (u, v)."""
-
-    nulls = theta_nulls(tau, ctrl)
+    cd = curve_data(tau, ctrl)
+    nulls = cd.nulls
 
     def nul2(bits):
         return nulls[bits] ** 2
 
-    th = theta_table(_FUNDAMENTAL_CHARS, point, tau, ctrl)
+    th = cd.table(_FUNDAMENTAL_CHARS, point)
 
     def th2(bits):
         return th[bits] ** 2

@@ -9,15 +9,6 @@ The basic object is the two-variable series
 for bits a, b, c, d in {0, 1} and a period matrix (tau1, tau12; tau12, tau2)
 with positive-definite imaginary part.  The lattice sum is truncated to a
 square box whose radius comes from the Gaussian decay of the summand.
-theta_values_at evaluates any set of characteristics at any set of points
-from one grid of terms, shape (points, characteristics, 2N+1, 2N+1), on the
-box of the largest radius among the points; terms outside a point's own box
-are set to zero.  Each row is summed correctly rounded by exact_row_sums, a
-certified vectorized sum that hands the rows it cannot settle to math.fsum,
-so every output is bit-reproducible run to run and does not depend on which
-other points or characteristics were evaluated with it.  theta_grads_at
-gives values and gradients from one grid.  theta_values, theta_grads,
-theta2 and theta2_grad are the one-point forms.
 
 What depends on the period matrix alone is built once, in its CurveData:
 on construction, the sixteen nulls (one all-characteristic evaluation) and
@@ -28,10 +19,22 @@ radius used, the quadratic forms tau1 p^2 + tau2 q^2 + 2 tau12 p q of the
 four lattice classes (a, c), from which every grid gathers its rows.
 curve_data(tau, ctrl) keeps the CurveData of the last 64 period matrices
 (_NULL_CACHE_TAUS), least recently used dropped first, and each of them the
-forms of at most 4 radii (_FORMS_PER_CURVE).  theta_nulls, theta_null_grads
-and moduli.moduli_from_tau read it.
+forms of at most 4 radii (_FORMS_PER_CURVE).
 
-Also here: parity of a characteristic, and the half/full period shift rules
+Theta values come two ways.  Batched: CurveData.values_at evaluates any set
+of characteristics at any set of points from one grid of terms, shape
+(points, characteristics, 2N+1, 2N+1), on the box of the largest radius
+among the points; terms outside a point's own box are set to zero.  Each
+row is summed correctly rounded by exact_row_sums, a certified vectorized
+sum that hands the rows it cannot settle to math.fsum, so every output is
+bit-reproducible run to run and does not depend on which other points or
+characteristics were evaluated with it.  CurveData.grads_at gives values
+and gradients from one grid, CurveData.table keys one point's values by
+characteristic, and CurveData.nulls / null_grads hold the values at the
+origin.  Scalar: theta2 and theta2_grad read one value of curve_data.
+
+Also here: parity of a characteristic, the relative residual _rel that the
+identity checks of every layer report, and the half/full period shift rules
 expressing theta at a shifted argument through theta at the original one.
 """
 
@@ -67,17 +70,8 @@ __all__ = [
     "complex_row_sums",
     "CurveData",
     "curve_data",
-    "theta_values_at",
-    "theta_grads_at",
-    "theta_values",
-    "theta_table",
-    "theta_grads",
     "theta2",
     "theta2_grad",
-    "theta_nulls",
-    "theta_null_grads",
-    "theta_null",
-    "theta_null_grad",
     "half_shift",
     "shifted_argument",
 ]
@@ -131,6 +125,11 @@ def parity(c: HalfCharacteristic) -> int:
     return -1 if c.is_odd else 1
 
 
+def _rel(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| / (1 + max(|lhs|, |rhs|)): the residual of an identity lhs = rhs."""
+    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+
+
 @dataclass(frozen=True)
 class PeriodMatrix:
     tau1: complex
@@ -166,8 +165,8 @@ class SeriesControl:
     max_radius: int = 64
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_radius < 4:
             raise ValueError("max_radius must be at least 4")
 
@@ -472,63 +471,14 @@ def curve_data(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> Curv
     return _curve_data(tau, ctrl)
 
 
-def theta_values_at(
-    chars,
-    points,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> list[list[complex]]:
-    """theta[c](point) for every point (outer) and c in chars (inner), one grid."""
-    return curve_data(tau, ctrl).values_at(chars, points)
-
-
-def theta_grads_at(
-    chars,
-    points,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
-    """Values and (d theta/du, d theta/dv) at every point, from one grid."""
-    return curve_data(tau, ctrl).grads_at(chars, points)
-
-
-def theta_values(
-    chars,
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> list[complex]:
-    """theta[c](point) for every c in chars, from one stacked lattice grid."""
-    return curve_data(tau, ctrl).values_at(chars, (point,))[0]
-
-
-def theta_table(
-    chars,
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> dict[tuple[int, int, int, int], complex]:
-    """theta_values keyed by the bits of each characteristic."""
-    return curve_data(tau, ctrl).table(chars, point)
-
-
-def theta_grads(
-    chars,
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> list[tuple[complex, complex]]:
-    """(d theta/du, d theta/dv) for every c in chars by term-wise differentiation."""
-    return curve_data(tau, ctrl).grads_at(chars, (point,))[1][0]
-
-
 def theta2(
     c: HalfCharacteristic,
     point: Point2,
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
-    return theta_values((c,), point, tau, ctrl)[0]
+    """theta[c](point), read from the CurveData of (tau, ctrl)."""
+    return curve_data(tau, ctrl).values_at((c,), (point,))[0][0]
 
 
 def theta2_grad(
@@ -538,34 +488,7 @@ def theta2_grad(
     ctrl: SeriesControl = SeriesControl(),
 ) -> tuple[complex, complex]:
     """(d theta/du, d theta/dv) by term-wise differentiation of the series."""
-    return theta_grads((c,), point, tau, ctrl)[0]
-
-
-def theta_nulls(
-    tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> Mapping[tuple[int, int, int, int], complex]:
-    """All sixteen theta[c](0, 0), keyed by c.bits; read from curve_data."""
-    return curve_data(tau, ctrl).nulls
-
-
-def theta_null_grads(
-    tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> Mapping[tuple[int, int, int, int], tuple[complex, complex]]:
-    """All sixteen null gradients (d/du, d/dv), keyed by c.bits; read from curve_data."""
-    return curve_data(tau, ctrl).null_grads
-
-
-def theta_null(
-    c: HalfCharacteristic, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> complex:
-    """theta[c](0, 0), read from the all-characteristic evaluation of curve_data."""
-    return theta_nulls(tau, ctrl)[c.bits]
-
-
-def theta_null_grad(
-    c: HalfCharacteristic, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> tuple[complex, complex]:
-    return theta_null_grads(tau, ctrl)[c.bits]
+    return curve_data(tau, ctrl).grads_at((c,), (point,))[1][0][0]
 
 
 class ShiftKind(enum.Enum):

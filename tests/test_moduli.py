@@ -5,9 +5,10 @@ import cmath
 import mpmath
 import pytest
 
-from conftest import brute_theta2
+from conftest import brute_theta2, draw_points
 
 from g2theta.errors import DivisionByZeroModulus
+from g2theta.inversion import parameterization_residuals
 from g2theta.moduli import (
     RATIO_CHARACTERISTICS,
     ModuliSet,
@@ -18,7 +19,7 @@ from g2theta.moduli import (
     null_ratios_from_moduli,
 )
 from g2theta.rng import SampleStream
-from g2theta.theta import DEFAULT_TAU, HalfCharacteristic, PeriodMatrix, Point2
+from g2theta.theta import DEFAULT_TAU, HalfCharacteristic, PeriodMatrix, Point2, curve_data
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 TAU_DIAG = (-0.3, 0.3, 0.9, 1.5)
@@ -85,7 +86,8 @@ def test_roots_square_back_to_recorded_squares():
             root = getattr(ms, stem)
             sq = getattr(ms, stem + "_sq")
             assert abs(root * root - sq) / (1.0 + abs(sq)) < 4e-15
-            # principal branch: nonnegative real part, +imag on the cut
+            # inside the Siegel box every null quotient lies on the principal
+            # side, so no root is negated there
             assert root == cmath.sqrt(sq)
 
 
@@ -119,8 +121,38 @@ def test_null_ratio_products_match_direct_ratios():
         assert residual < 1e-12, bits
     for tau in draw_tau(7, "moduli-signs", 5):
         for bits, (sign, residual) in null_ratio_signs(tau).items():
-            assert sign in (1, -1), bits
+            assert sign == 1, bits
             assert residual < 1e-10, (bits, residual)
+
+
+# small Im tau: k'0^2 = -1.28e-3 + 8.1e-6i lies just above the cut, where the
+# principal root has the opposite sign to theta[0010] theta[0110] / (theta[0000] theta[0100])
+SMALL_IM_TAU = PeriodMatrix(0.1 + 0.3j, 0.3j, 0.01j)
+
+
+def _null_quotient(nulls, num, den):
+    value = 1.0 + 0.0j
+    for bits in num:
+        value *= nulls[bits]
+    for bits in den:
+        value /= nulls[bits]
+    return value
+
+
+def test_roots_take_the_sign_of_their_null_quotient_at_small_im_tau():
+    ms = moduli_from_tau(SMALL_IM_TAU)
+    nulls = curve_data(SMALL_IM_TAU).nulls
+    for name, (num, den) in SQUARED_DEFS.items():
+        root = getattr(ms, name[: -len("_sq")])
+        quotient = _null_quotient(nulls, num, den)
+        assert abs(root - quotient) < abs(root + quotient), name
+    for bits, (sign, residual) in null_ratio_signs(SMALL_IM_TAU).items():
+        assert sign == 1, bits
+        assert residual < 1e-10, (bits, residual)
+    # the principal kp0 would leave these residuals of order 1
+    for point in draw_points(11, "small-im-tau", 4):
+        worst = max(value for _, value in parameterization_residuals(point, SMALL_IM_TAU))
+        assert worst < 1e-6, (point, worst)
 
 
 def test_primed_ratio_uses_three_roots_only():

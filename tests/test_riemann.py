@@ -13,7 +13,7 @@ from g2theta.riemann import (
     riemann_relation_residuals,
     riemann_transform,
 )
-from g2theta.theta import DEFAULT_TAU, HalfCharacteristic, Point2, theta_null
+from g2theta.theta import DEFAULT_TAU, HalfCharacteristic, Point2, curve_data
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 ZEROS = Quadruple((ORIGIN, ORIGIN, ORIGIN, ORIGIN))
@@ -66,7 +66,7 @@ def test_transform_is_involution():
 
 def test_products_at_zero_quadruple():
     def nul(bits):
-        return theta_null(HalfCharacteristic(*bits), DEFAULT_TAU)
+        return curve_data(DEFAULT_TAU).nulls[bits]
 
     m = product_m(ProductVariant.M, ZEROS, DEFAULT_TAU)
     m3 = product_m(ProductVariant.M3, ZEROS, DEFAULT_TAU)
@@ -136,7 +136,7 @@ def test_third_identity_reduces_to_null_sum_at_origin():
     assert rows["null-sum-3"] < 1e-12
 
     def nul2(bits):
-        return theta_null(HalfCharacteristic(*bits), DEFAULT_TAU) ** 2
+        return curve_data(DEFAULT_TAU).nulls[bits] ** 2
 
     lhs = nul2((0, 0, 0, 1)) * nul2((0, 0, 0, 0))
     rhs = nul2((0, 0, 1, 1)) * nul2((0, 0, 1, 0)) + nul2((1, 0, 0, 1)) * nul2((1, 0, 0, 0))

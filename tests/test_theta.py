@@ -32,12 +32,6 @@ from g2theta.theta import (
     shifted_argument,
     theta2,
     theta2_grad,
-    theta_grads,
-    theta_grads_at,
-    theta_null,
-    theta_null_grad,
-    theta_values,
-    theta_values_at,
     truncation_radius,
 )
 
@@ -51,7 +45,7 @@ TEST_POINTS = [
 
 
 def _null_scale(tau):
-    return max(abs(theta_null(c, tau)) for c in EVEN_CHARACTERISTICS)
+    return max(abs(curve_data(tau).nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
 
 
 def test_matches_brute_force_double_sum():
@@ -73,16 +67,17 @@ KERNEL_POINTS = TEST_POINTS[:2] + [
 def test_stacked_kernel_is_bit_identical_to_one_grid_per_characteristic():
     radii = set()
     for tau in KERNEL_TAUS:
+        cd = curve_data(tau)
         for point in KERNEL_POINTS:
             radii.add(truncation_radius(tau, point, SeriesControl()))
-            values = theta_values(ALL_CHARACTERISTICS, point, tau)
-            grads = theta_grads(ALL_CHARACTERISTICS, point, tau)
+            values = cd.values_at(ALL_CHARACTERISTICS, (point,))[0]
+            grads = cd.grads_at(ALL_CHARACTERISTICS, (point,))[1][0]
             for c, value, grad in zip(ALL_CHARACTERISTICS, values, grads):
                 assert value == reference_theta2(c, point, tau), (c.label(), point)
                 assert grad == reference_theta2_grad(c, point, tau), (c.label(), point)
             # a row does not depend on the other rows of its stack
             subset = ALL_CHARACTERISTICS[::-3]
-            assert theta_values(subset, point, tau) == [
+            assert cd.values_at(subset, (point,))[0] == [
                 values[ALL_CHARACTERISTICS.index(c)] for c in subset
             ]
     assert radii == {4, 5}
@@ -95,14 +90,15 @@ MIXED_RADIUS_POINTS = KERNEL_POINTS + [Point2(0.1 + 0.9j, -0.2 - 0.75j), TEST_PO
 def test_multi_point_grid_equals_per_point_evaluation():
     radii = [truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in MIXED_RADIUS_POINTS]
     assert set(radii) == {4, 5, 6}
-    values = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, DEFAULT_TAU)
-    jets, grads = theta_grads_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, DEFAULT_TAU)
+    cd = curve_data(DEFAULT_TAU)
+    values = cd.values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
+    jets, grads = cd.grads_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
     assert jets == values
     for point, vals, grad in zip(MIXED_RADIUS_POINTS, values, grads):
-        assert vals == theta_values(ALL_CHARACTERISTICS, point, DEFAULT_TAU), point
-        assert grad == theta_grads(ALL_CHARACTERISTICS, point, DEFAULT_TAU), point
+        assert vals == cd.values_at(ALL_CHARACTERISTICS, (point,))[0], point
+        assert grad == cd.grads_at(ALL_CHARACTERISTICS, (point,))[1][0], point
     # the order of the points does not matter either
-    backwards = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS[::-1], DEFAULT_TAU)
+    backwards = cd.values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS[::-1])
     assert backwards == values[::-1]
 
 
@@ -131,11 +127,11 @@ def test_values_are_the_same_after_their_curve_is_evicted():
     radii = set()
     for tau in KERNEL_TAUS:
         cd = curve_data(tau)
-        first = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, tau)
+        first = cd.values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
         for other in _fresh_taus(theta._NULL_CACHE_TAUS, "curve-cache-evict"):
             curve_data(other)
         assert curve_data(tau) is not cd
-        again = theta_values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS, tau)
+        again = curve_data(tau).values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
         assert again == first
         for point, values in zip(MIXED_RADIUS_POINTS, again):
             radii.add(truncation_radius(tau, point, SeriesControl()))
@@ -182,8 +178,8 @@ def test_a_failed_moduli_build_raises_on_every_access():
 def test_one_characteristic_forms_and_nulls_match_the_reference():
     for tau in KERNEL_TAUS:
         for c in ALL_CHARACTERISTICS:
-            assert theta_null(c, tau) == reference_theta2(c, ORIGIN, tau)
-            assert theta_null_grad(c, tau) == reference_theta2_grad(c, ORIGIN, tau)
+            assert curve_data(tau).nulls[c.bits] == reference_theta2(c, ORIGIN, tau)
+            assert curve_data(tau).null_grads[c.bits] == reference_theta2_grad(c, ORIGIN, tau)
             point = KERNEL_POINTS[2]
             assert theta2(c, point, tau) == reference_theta2(c, point, tau)
             assert theta2_grad(c, point, tau) == reference_theta2_grad(c, point, tau)
@@ -192,14 +188,15 @@ def test_one_characteristic_forms_and_nulls_match_the_reference():
 def test_non_finite_lattice_terms_raise_truncation_overflow():
     # |Im u| = 50 keeps the radius under max_radius but overflows exp
     far = Point2(50j, 0.0)
+    cd = curve_data(DEFAULT_TAU)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy must not warn either
         with pytest.raises(TruncationOverflow):
-            theta_values(ALL_CHARACTERISTICS, far, DEFAULT_TAU)
+            cd.values_at(ALL_CHARACTERISTICS, (far,))
         with pytest.raises(TruncationOverflow):
-            theta_grads(ALL_CHARACTERISTICS[:1], far, DEFAULT_TAU)
+            cd.grads_at(ALL_CHARACTERISTICS[:1], (far,))
         with pytest.raises(TruncationOverflow):
-            theta_values_at(ALL_CHARACTERISTICS, [ORIGIN, far], DEFAULT_TAU)
+            cd.values_at(ALL_CHARACTERISTICS, [ORIGIN, far])
 
 
 def test_parity_counts_and_values():
@@ -235,13 +232,13 @@ def test_negation_flips_odd_values(ci, ur, ui, vr, vi):
 def test_odd_nulls_vanish():
     scale = _null_scale(DEFAULT_TAU)
     for c in ODD_CHARACTERISTICS:
-        assert abs(theta_null(c, DEFAULT_TAU)) <= 1e-13 * scale
+        assert abs(curve_data(DEFAULT_TAU).nulls[c.bits]) <= 1e-13 * scale
 
 
 def test_even_null_gradients_vanish():
     scale = _null_scale(DEFAULT_TAU)
     for c in EVEN_CHARACTERISTICS:
-        du, dv = theta_null_grad(c, DEFAULT_TAU)
+        du, dv = curve_data(DEFAULT_TAU).null_grads[c.bits]
         assert max(abs(du), abs(dv)) <= 1e-13 * scale
 
 
@@ -282,7 +279,7 @@ def test_value_stable_when_box_grows():
 def test_gradient_matches_finite_differences():
     h = 1e-5
     c = HalfCharacteristic(1, 0, 1, 0)
-    du, _ = theta_null_grad(c, DEFAULT_TAU)
+    du, _ = curve_data(DEFAULT_TAU).null_grads[c.bits]
     fd = (
         theta2(c, Point2(h, 0.0), DEFAULT_TAU)
         - theta2(c, Point2(-h, 0.0), DEFAULT_TAU)
@@ -376,6 +373,8 @@ def test_series_control_validation():
         SeriesControl(tol=0.0)
     with pytest.raises(ValueError):
         SeriesControl(tol=-1e-10)
+    with pytest.raises(ValueError):
+        SeriesControl(tol=float("inf"))
     with pytest.raises(ValueError):
         SeriesControl(max_radius=3)
     SeriesControl(tol=1e-10, max_radius=4)

@@ -12,7 +12,6 @@ import g2theta.degeneration as degeneration
 import g2theta.flow as flow
 import g2theta.inversion as inversion
 import g2theta.moduli as moduli
-import g2theta.riemann as riemann
 import g2theta.theta as theta
 from conftest import draw_points
 
@@ -64,8 +63,9 @@ def test_flow_suite_recovers_at_most_five_pairs_per_attempt(monkeypatch):
 
 
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
+    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     calls = []
-    _counting(monkeypatch, riemann, "theta_values_at", calls)
+    _counting(monkeypatch, theta, "_lattice_terms", calls)
     pts = draw_points(9, "work-counts-riemann", 4)
     quad = Quadruple(tuple(pts))
     riemann_relation_residuals(quad, DEFAULT_TAU)
