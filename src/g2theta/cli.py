@@ -19,10 +19,16 @@ from .harness import (
     parse_config_file,
     report_to_json,
     run_suites,
+    tau_from_sources,
 )
 from .inversion import parameterization_residuals, recover_pair
-from .moduli import moduli_consistency_residuals, moduli_from_tau
-from .theta import DEFAULT_TAU, PeriodMatrix, Point2
+from .moduli import (
+    COLLAPSE_TOL,
+    branch_points_collapse,
+    moduli_consistency_residuals,
+    moduli_from_tau,
+)
+from .theta import Point2
 
 __all__ = ["main"]
 
@@ -42,12 +48,11 @@ def _add_tau_flags(sub) -> None:
     sub.add_argument("--tau12", type=parse_complex_pair, metavar="RE,IM", default=None)
 
 
-def _tau_from_flags(args) -> PeriodMatrix:
-    return PeriodMatrix(
-        args.tau1 if args.tau1 is not None else DEFAULT_TAU.tau1,
-        args.tau2 if args.tau2 is not None else DEFAULT_TAU.tau2,
-        args.tau12 if args.tau12 is not None else DEFAULT_TAU.tau12,
-    )
+def _open_report(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write report file {path}: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -61,10 +66,13 @@ def _cmd_verify(args) -> int:
         samples=args.samples,
         suites=args.suite,
     )
+    if args.json:
+        # an unwritable path fails before the suites run; "a" keeps an existing report
+        _open_report(args.json, "a").close()
     report = run_suites(cfg)
     text = report_to_json(report)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_report(args.json, "w") as fh:
             fh.write(text)
         for s in report.suites:
             verdict = "pass" if s.passed else "FAIL"
@@ -80,7 +88,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
-    tau = _tau_from_flags(args)
+    tau = tau_from_sources(None, args.tau1, args.tau2, args.tau12)
     ms = moduli_from_tau(tau)
     print(f"tau1  = {_fmt(tau.tau1)}")
     print(f"tau2  = {_fmt(tau.tau2)}")
@@ -95,14 +103,16 @@ def _cmd_moduli(args) -> int:
     print("consistency residuals:")
     for label, value in moduli_consistency_residuals(tau):
         print(f"  {label:<24} {value:.3e}")
-    collapse = max(abs(ms.k0_sq - ms.k1_sq), abs(ms.k0_sq - ms.k2_sq))
-    if collapse / (1.0 + abs(ms.k0_sq)) < 1e-10:
-        print("note: moduli collapse, k0^2 = k1^2 = k2^2 within 1e-10 (split period matrix)")
+    if branch_points_collapse(ms):
+        print(
+            f"note: moduli collapse, k0^2 = k1^2 = k2^2 within {COLLAPSE_TOL:g} "
+            "(split period matrix)"
+        )
     return 0
 
 
 def _cmd_invert(args) -> int:
-    tau = _tau_from_flags(args)
+    tau = tau_from_sources(None, args.tau1, args.tau2, args.tau12)
     point = Point2(args.u, args.v)
     pair = recover_pair(point, tau)
     print(f"x1     = {_fmt(pair.x1)}")

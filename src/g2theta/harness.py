@@ -1,14 +1,27 @@
 """Verification suites over seeded samples, with a deterministic JSON report.
 
-Each suite draws its own sample stream (seeded counter-based generator, see
-rng.py), evaluates a fixed set of labeled residual checks per sample, and
-aggregates max/mean residuals in sample order.  Points that land on a theta
-divisor or otherwise break a precondition are re-drawn up to 10 times, then
-counted as skipped; a suite passes when every residual is within tolerance
-and less than 20% of its samples were skipped.
+Every suite is one _Suite record in _SUITES, and one loop, _run_suite, runs
+them all.  A record gives the boxes a sample draws (one complex number per
+box, from the suite's own counter-based stream, see rng.py), the labels of
+the residuals evaluate(cfg, sample) returns for one sample, and which of
+them are finite-difference checks.  Suites that end with checks made once
+per run also give the labels of those final rows and finalize(cfg, notes,
+extras), which sees the note evaluate returned with every sample that ran.
+
+The loop folds the residuals in one order: the configured tau as sample 0
+when the record asks for it, then the stream samples in draw order, then
+the final rows.  The mean is a float sum taken in that order, and the first
+largest residual names the worst check.  A drawn sample that lands on a
+theta divisor or otherwise breaks a precondition is re-drawn up to 10 times,
+then counted as skipped; the configured tau is never skipped.  A suite
+passes when every residual is within its tolerance and less than 20% of its
+samples were skipped.
 
 Identity checks are measured against tol_identity; finite-difference checks
 (the flow suite and the sn-ode check of the elliptic suite) against tol_fd.
+The parameterizations and flow suites read the point pair on the configured
+curve, so run_suites refuses, with DegenerateTau, a configured tau whose
+branch points collapse (a split period matrix) before any suite runs.
 
 Reports serialize with fixed key order and 17-significant-digit floats, so
 two runs with the same config produce byte-identical JSON.
@@ -18,7 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from .degeneration import (
     complete_integral_residuals,
@@ -42,13 +57,12 @@ from .flow import (
     derivative_formula_residuals,
     stencil_residuals,
 )
-from .inversion import (
-    PARAMETERIZATION_LABELS,
-    parameterization_residuals,
-    unit_sum_identity_residuals,
-)
+from .inversion import PARAMETERIZATION_LABELS, parameterization_residuals
 from .moduli import (
+    COLLAPSE_TOL,
+    CONSISTENCY_LABELS,
     RATIO_CHARACTERISTICS,
+    branch_points_collapse,
     moduli_consistency_residuals,
     moduli_from_tau,
     null_ratio_signs,
@@ -66,22 +80,12 @@ __all__ = [
     "run_suites",
     "parse_config_file",
     "parse_complex_pair",
+    "tau_from_sources",
+    "config_from_sources",
     "report_to_json",
 ]
 
 VERSION = "0.1.0"
-
-SUITE_ORDER = (
-    "riemann",
-    "fundamental",
-    "moduli",
-    "parameterizations",
-    "flow",
-    "addition",
-    "derivative",
-    "degeneration",
-    "elliptic",
-)
 
 # sampling box for theta arguments (and genus-1 z draws)
 _BOX = (-0.5, 0.5, -0.2, 0.2)
@@ -89,13 +93,193 @@ _BOX = (-0.5, 0.5, -0.2, 0.2)
 _TAU_DIAG = (-0.3, 0.3, 0.9, 1.5)
 _TAU_OFF = (-0.1, 0.1, 0.1, 0.35)
 
-_SKIPPABLE = (
-    SingularDenominator,
-    CoincidentPoints,
-    StencilCrossesDivisor,
-    DivisionByZeroModulus,
-    DegenerateTau,
+_SKIPPABLE = (SingularDenominator, CoincidentPoints, StencilCrossesDivisor,
+              DivisionByZeroModulus, DegenerateTau)
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: what each sample draws, the residuals it gives, how a run ends.
+
+    evaluate(cfg, sample) returns the sample's residuals in label order and
+    a note; finalize(cfg, notes, extras) gets the (note, sample) of every
+    sample that ran, records what it reports beyond residuals in extras, and
+    returns one (residual, point) per final label.
+    """
+
+    boxes: tuple[tuple[float, float, float, float], ...]
+    labels: tuple[str, ...]
+    evaluate: Callable[[RunConfig, list[complex]], tuple[list[float], object]]
+    fd_labels: frozenset[str] = frozenset()
+    final_labels: tuple[str, ...] = ()
+    finalize: Callable[[RunConfig, list, dict], list[tuple[float, list[complex]]]] | None = None
+    config_tau_first: bool = False  # the configured tau is sample 0
+    reads_curve: bool = False  # needs the pair on the configured curve
+
+
+def _moduli_final(cfg, notes, extras):
+    """Root-product null ratios at the configured tau, sign branch recorded."""
+    signs = null_ratio_signs(cfg.tau, cfg.series)
+    extras["null_ratio_signs"] = {
+        "".join(map(str, bits)): signs[bits][0] for bits in RATIO_CHARACTERISTICS
+    }
+    point = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
+    return [(signs[bits][1], point) for bits in RATIO_CHARACTERISTICS]
+
+
+_SPLIT_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS)
+_INVERSION_LABELS = (
+    "x1x2-product", "complement-product", "third-factor",
+    "collapse-k1sq", "collapse-k2sq", "pair-match",
 )
+
+
+def _degeneration_sample(cfg, sample):
+    """Split locus attached to the configured diagonal: tau12 is forced to 0."""
+    point, tau1, tau2 = Point2(*sample), cfg.tau.tau1, cfg.tau.tau2
+    split = splitting_residuals(point, tau1, tau2, cfg.series)
+    inv, pair = degenerate_inversion(point, tau1, tau2, cfg.series)
+    residuals = [split[label] for label in _SPLIT_LABELS]
+    return residuals + [inv[label] for label in _INVERSION_LABELS], pair
+
+
+def _degeneration_final(cfg, notes, extras):
+    """Spread of the pair member frozen at 1/k0^2 of the split curve."""
+    split_tau = PeriodMatrix(cfg.tau.tau1, cfg.tau.tau2, 0.0)
+    predicted = 1.0 / moduli_from_tau(split_tau, cfg.series).k0_sq
+    members = [
+        (min((pair.x1, pair.x2), key=lambda x: abs(x - predicted)), sample)
+        for pair, sample in notes
+    ]
+    if not members:
+        return [(0.0, [])]  # a 0.0 row moves neither the max nor the mean
+    base, point = members[0]
+    extras["constant_member"] = base
+    spread = 0.0
+    for member, sample in members[1:]:
+        gap = abs(member - base) / (1.0 + abs(base))
+        if gap > spread:
+            spread, point = gap, sample
+    return [(spread, point)]
+
+
+def _elliptic_sample(cfg, sample):
+    """Genus-1 theory at tau = tau1 of the config."""
+    z, tau = sample[0], cfg.tau.tau1
+    rows = elliptic_identity_residuals(z, tau, cfg.series)
+    sn, cn, dn, mod = jacobi_functions(z, tau, cfg.series)
+    rows += [
+        abs(sn * sn + cn * cn - 1.0),
+        abs(dn * dn + mod.k_sq * sn * sn - 1.0),
+        sn_ode_residual(z, tau, cfg.series, h=cfg.fd_step),
+    ]
+    return rows, None
+
+
+def _elliptic_final(cfg, notes, extras):
+    """Complete integrals at two fixed taus and the self-dual modulus at i."""
+    rows = []
+    for t in (1j, 1.5j):
+        res = complete_integral_residuals(t, cfg.series)
+        rows += [(res[0], [t]), (res[1], [t])]
+    mod_i = elliptic_modulus(1j, cfg.series)
+    extras["modulus_sq_at_i"] = mod_i.k_sq
+    rows.append((abs(mod_i.k_sq - 0.5), [1j]))
+    return rows
+
+
+def _flow_sample(cfg, sample):
+    flow, abelian = stencil_residuals(Point2(*sample), cfg.tau, cfg.series, h=cfg.fd_step)
+    return flow + abelian, None
+
+
+_FLOW_LABELS = (
+    "flow-dx1-du", "flow-dx2-du", "flow-dx1-dv", "flow-dx2-dv", "abelian-du", "abelian-dv"
+)
+
+_SUITES = {
+    "riemann": _Suite(
+        boxes=(_BOX,) * 8,
+        labels=tuple(f"riemann-{way}-{i}" for way in ("forward", "inverse") for i in range(1, 5)),
+        evaluate=lambda cfg, s: (
+            riemann_relation_residuals(
+                Quadruple(tuple(map(Point2, s[::2], s[1::2]))), cfg.tau, cfg.series
+            ),
+            None,
+        ),
+    ),
+    "fundamental": _Suite(
+        boxes=(_BOX, _BOX),
+        labels=("fund-1", "fund-2", "fund-3"),
+        evaluate=lambda cfg, s: (
+            fundamental_identity_residuals(Point2(*s), cfg.tau, cfg.series), None
+        ),
+    ),
+    "moduli": _Suite(
+        boxes=(_TAU_DIAG, _TAU_DIAG, _TAU_OFF),
+        labels=CONSISTENCY_LABELS,
+        evaluate=lambda cfg, s: (
+            [value for _, value in moduli_consistency_residuals(PeriodMatrix(*s), cfg.series)],
+            None,
+        ),
+        final_labels=tuple("ratio-" + "".join(map(str, bits)) for bits in RATIO_CHARACTERISTICS),
+        finalize=_moduli_final,
+        config_tau_first=True,
+    ),
+    "parameterizations": _Suite(
+        boxes=(_BOX, _BOX),
+        labels=PARAMETERIZATION_LABELS,
+        evaluate=lambda cfg, s: (
+            [value for _, value in parameterization_residuals(Point2(*s), cfg.tau, cfg.series)],
+            None,
+        ),
+        reads_curve=True,
+    ),
+    "flow": _Suite(
+        boxes=(_BOX, _BOX),
+        labels=_FLOW_LABELS,
+        evaluate=_flow_sample,
+        fd_labels=frozenset(_FLOW_LABELS),
+        reads_curve=True,
+    ),
+    "addition": _Suite(
+        boxes=(_BOX,) * 4,
+        labels=("addition-1", "addition-2"),
+        evaluate=lambda cfg, s: (
+            addition_formula_residuals(*map(Point2, s[::2], s[1::2]), cfg.tau, cfg.series), None
+        ),
+    ),
+    "derivative": _Suite(
+        boxes=(_BOX, _BOX),
+        labels=("deriv-ratio1-du", "deriv-ratio1-dv", "deriv-ratio2-du", "deriv-ratio2-dv"),
+        evaluate=lambda cfg, s: (
+            derivative_formula_residuals(Point2(*s), cfg.tau, cfg.series), None
+        ),
+    ),
+    "degeneration": _Suite(
+        boxes=(_BOX, _BOX),
+        labels=_SPLIT_LABELS + _INVERSION_LABELS,
+        evaluate=_degeneration_sample,
+        final_labels=("constant-member-spread",),
+        finalize=_degeneration_final,
+    ),
+    "elliptic": _Suite(
+        boxes=(_BOX,),
+        labels=(
+            "elliptic-sq-1", "elliptic-sq-2", "elliptic-sq-3", "elliptic-null-quartic",
+            "jacobi-sn-cn", "jacobi-dn", "sn-ode",
+        ),
+        evaluate=_elliptic_sample,
+        fd_labels=frozenset(["sn-ode"]),
+        final_labels=(
+            "complete-tau-i", "complete-norm-i", "complete-tau-1.5i", "complete-norm-1.5i",
+            "self-dual-modulus",
+        ),
+        finalize=_elliptic_final,
+    ),
+}
+
+SUITE_ORDER = tuple(_SUITES)
 
 
 @dataclass(frozen=True)
@@ -150,350 +334,87 @@ class Report:
     passed: bool
 
 
-class _Aggregate:
-    """Deterministic fold of labeled residuals in evaluation order."""
-
-    def __init__(self, tol_identity: float, tol_fd: float, fd_labels: frozenset[str]):
-        self.tol_identity = tol_identity
-        self.tol_fd = tol_fd
-        self.fd_labels = fd_labels
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self.worst_check = ""
-        self.worst_point: list[complex] = []
-        self.within = True
-
-    def add(self, label: str, value: float, point: list[complex]) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-            self.worst_check = label
-            self.worst_point = list(point)
-        tol = self.tol_fd if label in self.fd_labels else self.tol_identity
-        if value > tol:
-            self.within = False
-
-
-def _run_sampled(
-    name: str,
-    cfg: RunConfig,
-    checks: list[str],
-    fd_labels: frozenset[str],
-    draw,
-    evaluate,
-    finalize=None,
-    first_sample=None,
-) -> SuiteResult:
-    """Shared sampling loop: draw, evaluate labeled rows, aggregate, finalize.
-
-    draw(stream) -> sample; evaluate(sample) -> list of (label, residual);
-    a sample is a list of complex scalars, recorded verbatim as the worst
-    point.  first_sample, when given, is evaluated before the stream draws
-    (it counts toward the sample budget and is never skipped silently).
-    """
+def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
+    """Draw, evaluate and fold one suite's samples, then its final rows."""
+    suite = _SUITES[name]
     stream = SampleStream(cfg.seed, name)
-    agg = _Aggregate(cfg.tol_identity, cfg.tol_fd, fd_labels)
-    extras: dict = {}
-    skipped = 0
+    rows: list[tuple[str, float, list[complex]]] = []  # in fold order
+    notes: list[tuple[object, list[complex]]] = []
     skip_reasons: dict[str, int] = {}
-    samples_run = 0
+    skipped = 0
 
-    budget = cfg.samples
-    if first_sample is not None:
-        for label, value in evaluate(first_sample):
-            agg.add(label, value, first_sample)
-        samples_run += 1
-        budget -= 1
+    def take(sample, evaluated):
+        residuals, note = evaluated
+        rows.extend(
+            (label, value, sample)
+            for label, value in zip(suite.labels, residuals, strict=True)
+        )
+        notes.append((note, sample))
 
-    for _ in range(max(budget, 0)):
-        rows = None
-        sample = None
+    draws = cfg.samples
+    if suite.config_tau_first:
+        sample = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
+        take(sample, suite.evaluate(cfg, sample))
+        draws -= 1
+    for _ in range(draws):
         for _attempt in range(10):
-            sample = draw(stream)
+            sample = [stream.next_complex(*box) for box in suite.boxes]
             try:
-                rows = evaluate(sample)
+                evaluated = suite.evaluate(cfg, sample)
             except _SKIPPABLE as exc:
                 reason = type(exc).__name__
                 skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-                rows = None
                 continue
+            take(sample, evaluated)
             break
-        if rows is None:
+        else:
             skipped += 1
-            continue
-        samples_run += 1
-        for label, value in rows:
-            agg.add(label, value, sample)
 
-    if finalize is not None:
-        for label, value, point in finalize(extras):
-            agg.add(label, value, point)
+    extras: dict = {}
+    if suite.finalize is not None:
+        final = suite.finalize(cfg, notes, extras)
+        rows.extend(
+            (label, value, point)
+            for label, (value, point) in zip(suite.final_labels, final, strict=True)
+        )
 
-    mean = agg.total / agg.count if agg.count else 0.0
-    passed = agg.within and (skipped < 0.2 * cfg.samples)
+    total, worst, worst_check, worst_point, within = 0.0, 0.0, "", [], True
+    for label, value, point in rows:
+        total += value
+        if value > worst:
+            worst, worst_check, worst_point = value, label, list(point)
+        if value > (cfg.tol_fd if label in suite.fd_labels else cfg.tol_identity):
+            within = False
     return SuiteResult(
         name=name,
-        passed=passed,
+        passed=within and skipped < 0.2 * cfg.samples,
         tolerance=cfg.tol_identity,
         fd_tolerance=cfg.tol_fd,
-        samples_run=samples_run,
+        samples_run=len(notes),
         skipped=skipped,
         skip_reasons=dict(sorted(skip_reasons.items())),
-        max_residual=agg.max,
-        mean_residual=mean,
-        worst_check=agg.worst_check,
-        worst_point=agg.worst_point,
-        checks=checks,
+        max_residual=worst,
+        mean_residual=total / len(rows) if rows else 0.0,
+        worst_check=worst_check,
+        worst_point=worst_point,
+        checks=list(suite.labels + suite.final_labels),
         extras=extras,
     )
 
 
-def _draw_point(stream: SampleStream) -> list[complex]:
-    return [stream.next_complex(*_BOX), stream.next_complex(*_BOX)]
-
-
-def _suite_riemann(cfg: RunConfig) -> SuiteResult:
-    labels = [f"riemann-forward-{i}" for i in range(1, 5)] + [
-        f"riemann-inverse-{i}" for i in range(1, 5)
-    ]
-
-    def draw(stream):
-        return [stream.next_complex(*_BOX) for _ in range(8)]
-
-    def evaluate(sample):
-        quad = Quadruple((
-            Point2(sample[0], sample[1]),
-            Point2(sample[2], sample[3]),
-            Point2(sample[4], sample[5]),
-            Point2(sample[6], sample[7]),
-        ))
-        res = riemann_relation_residuals(quad, cfg.tau, cfg.series)
-        return list(zip(labels, res))
-
-    return _run_sampled("riemann", cfg, labels, frozenset(), draw, evaluate)
-
-
-def _suite_fundamental(cfg: RunConfig) -> SuiteResult:
-    labels = ["fund-1", "fund-2", "fund-3"]
-
-    def evaluate(sample):
-        res = fundamental_identity_residuals(Point2(sample[0], sample[1]), cfg.tau, cfg.series)
-        return list(zip(labels, res))
-
-    return _run_sampled("fundamental", cfg, labels, frozenset(), _draw_point, evaluate)
-
-
-def _suite_moduli(cfg: RunConfig) -> SuiteResult:
-    consistency_labels = [label for label, _ in moduli_consistency_residuals(cfg.tau, cfg.series)]
-    ratio_labels = ["ratio-" + "".join(map(str, bits)) for bits in RATIO_CHARACTERISTICS]
-    labels = consistency_labels + ratio_labels
-
-    def draw(stream):
-        return [
-            stream.next_complex(*_TAU_DIAG),
-            stream.next_complex(*_TAU_DIAG),
-            stream.next_complex(*_TAU_OFF),
-        ]
-
-    def evaluate(sample):
-        tau = PeriodMatrix(sample[0], sample[1], sample[2])
-        return moduli_consistency_residuals(tau, cfg.series)
-
-    def finalize(extras):
-        # root-product null ratios at the config tau, sign branch recorded
-        signs = null_ratio_signs(cfg.tau, cfg.series)
-        extras["null_ratio_signs"] = {
-            "".join(map(str, bits)): signs[bits][0] for bits in RATIO_CHARACTERISTICS
-        }
-        point = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
-        return [
-            ("ratio-" + "".join(map(str, bits)), signs[bits][1], point)
-            for bits in RATIO_CHARACTERISTICS
-        ]
-
-    first = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
-    return _run_sampled(
-        "moduli", cfg, labels, frozenset(), draw, evaluate,
-        finalize=finalize, first_sample=first,
-    )
-
-
-def _suite_parameterizations(cfg: RunConfig) -> SuiteResult:
-    unit_labels = ["unit-sum-1", "unit-sum-2", "unit-sum-3"]
-
-    def evaluate(sample):
-        point = Point2(sample[0], sample[1])
-        rows = list(parameterization_residuals(point, cfg.tau, cfg.series))
-        rows += list(zip(unit_labels, unit_sum_identity_residuals(point, cfg.tau, cfg.series)))
-        return rows
-
-    return _run_sampled(
-        "parameterizations",
-        cfg,
-        list(PARAMETERIZATION_LABELS) + unit_labels,
-        frozenset(),
-        _draw_point,
-        evaluate,
-    )
-
-
-def _suite_flow(cfg: RunConfig) -> SuiteResult:
-    labels = [
-        "flow-dx1-du",
-        "flow-dx2-du",
-        "flow-dx1-dv",
-        "flow-dx2-dv",
-        "abelian-du",
-        "abelian-dv",
-    ]
-
-    def evaluate(sample):
-        point = Point2(sample[0], sample[1])
-        flow, abelian = stencil_residuals(point, cfg.tau, cfg.series, h=cfg.fd_step)
-        return list(zip(labels, flow + abelian))
-
-    return _run_sampled(
-        "flow", cfg, labels, frozenset(labels), _draw_point, evaluate
-    )
-
-
-def _suite_addition(cfg: RunConfig) -> SuiteResult:
-    labels = ["addition-1", "addition-2"]
-
-    def draw(stream):
-        return [stream.next_complex(*_BOX) for _ in range(4)]
-
-    def evaluate(sample):
-        p = Point2(sample[0], sample[1])
-        q = Point2(sample[2], sample[3])
-        return list(zip(labels, addition_formula_residuals(p, q, cfg.tau, cfg.series)))
-
-    return _run_sampled("addition", cfg, labels, frozenset(), draw, evaluate)
-
-
-def _suite_derivative(cfg: RunConfig) -> SuiteResult:
-    labels = ["deriv-ratio1-du", "deriv-ratio1-dv", "deriv-ratio2-du", "deriv-ratio2-dv"]
-
-    def evaluate(sample):
-        point = Point2(sample[0], sample[1])
-        return list(zip(labels, derivative_formula_residuals(point, cfg.tau, cfg.series)))
-
-    return _run_sampled("derivative", cfg, labels, frozenset(), _draw_point, evaluate)
-
-
-def _suite_degeneration(cfg: RunConfig) -> SuiteResult:
-    """Split locus attached to the configured diagonal: tau12 is forced to 0."""
-    tau1, tau2 = cfg.tau.tau1, cfg.tau.tau2
-    split_tau = PeriodMatrix(tau1, tau2, 0.0)
-    ms = moduli_from_tau(split_tau, cfg.series)
-    constant_predicted = 1.0 / ms.k0_sq
-    split_labels = sorted(f"split-{c.label()}" for c in ALL_CHARACTERISTICS)
-    inv_labels = [
-        "x1x2-product",
-        "complement-product",
-        "third-factor",
-        "collapse-k1sq",
-        "collapse-k2sq",
-        "pair-match",
-    ]
-    labels = split_labels + inv_labels + ["constant-member-spread"]
-    constants: list[tuple[complex, list[complex]]] = []
-
-    def evaluate(sample):
-        point = Point2(sample[0], sample[1])
-        rows = sorted(splitting_residuals(point, tau1, tau2, cfg.series).items())
-        inv, pair = degenerate_inversion(point, tau1, tau2, cfg.series)
-        rows += [(label, inv[label]) for label in inv_labels]
-        member = min((pair.x1, pair.x2), key=lambda x: abs(x - constant_predicted))
-        constants.append((member, sample))
-        return rows
-
-    def finalize(extras):
-        if not constants:
-            return []
-        base, _ = constants[0]
-        extras["constant_member"] = base
-        spread, point = 0.0, constants[0][1]
-        for member, sample in constants[1:]:
-            gap = abs(member - base) / (1.0 + abs(base))
-            if gap > spread:
-                spread, point = gap, sample
-        return [("constant-member-spread", spread, point)]
-
-    return _run_sampled(
-        "degeneration", cfg, labels, frozenset(), _draw_point, evaluate, finalize=finalize
-    )
-
-
-def _suite_elliptic(cfg: RunConfig) -> SuiteResult:
-    """Genus-1 theory at tau = tau1 of the config, plus fixed-integral checks."""
-    tau = cfg.tau.tau1
-    labels = [
-        "elliptic-sq-1",
-        "elliptic-sq-2",
-        "elliptic-sq-3",
-        "elliptic-null-quartic",
-        "jacobi-sn-cn",
-        "jacobi-dn",
-        "sn-ode",
-        "complete-tau-i",
-        "complete-norm-i",
-        "complete-tau-1.5i",
-        "complete-norm-1.5i",
-        "self-dual-modulus",
-    ]
-
-    def draw(stream):
-        return [stream.next_complex(*_BOX)]
-
-    def evaluate(sample):
-        z = sample[0]
-        rows = list(
-            zip(
-                ["elliptic-sq-1", "elliptic-sq-2", "elliptic-sq-3", "elliptic-null-quartic"],
-                elliptic_identity_residuals(z, tau, cfg.series),
-            )
-        )
-        sn, cn, dn, mod = jacobi_functions(z, tau, cfg.series)
-        rows.append(("jacobi-sn-cn", abs(sn * sn + cn * cn - 1.0)))
-        rows.append(("jacobi-dn", abs(dn * dn + mod.k_sq * sn * sn - 1.0)))
-        rows.append(("sn-ode", sn_ode_residual(z, tau, cfg.series, h=cfg.fd_step)))
-        return rows
-
-    def finalize(extras):
-        out = []
-        for t, tag in ((1j, "i"), (1.5j, "1.5i")):
-            res = complete_integral_residuals(t, cfg.series)
-            out.append((f"complete-tau-{tag}", res[0], [t]))
-            out.append((f"complete-norm-{tag}", res[1], [t]))
-        mod_i = elliptic_modulus(1j, cfg.series)
-        extras["modulus_sq_at_i"] = mod_i.k_sq
-        out.append(("self-dual-modulus", abs(mod_i.k_sq - 0.5), [1j]))
-        return out
-
-    return _run_sampled(
-        "elliptic", cfg, labels, frozenset(["sn-ode"]), draw, evaluate, finalize=finalize
-    )
-
-
-_SUITE_RUNNERS = {
-    "riemann": _suite_riemann,
-    "fundamental": _suite_fundamental,
-    "moduli": _suite_moduli,
-    "parameterizations": _suite_parameterizations,
-    "flow": _suite_flow,
-    "addition": _suite_addition,
-    "derivative": _suite_derivative,
-    "degeneration": _suite_degeneration,
-    "elliptic": _suite_elliptic,
-}
+_SUITE_RUNNERS = {name: partial(_run_suite, name) for name in SUITE_ORDER}
 
 
 def run_suites(config: RunConfig) -> Report:
     config.validate()
     selected = [name for name in SUITE_ORDER if name in config.suites]
+    if any(_SUITES[name].reads_curve for name in selected) and branch_points_collapse(
+        moduli_from_tau(config.tau, config.series)
+    ):
+        raise DegenerateTau(
+            f"moduli collapse, k0^2 = k1^2 = k2^2 within {COLLAPSE_TOL:g} (split period "
+            "matrix): the parameterizations and flow suites need five distinct branch points"
+        )
     results = [_SUITE_RUNNERS[name](config) for name in selected]
     return Report(
         version=VERSION,
@@ -517,19 +438,14 @@ def parse_complex_pair(text: str) -> complex:
     return complex(re, im)
 
 
-_CONFIG_KEYS = {
-    "tau1",
-    "tau2",
-    "tau12",
-    "seed",
-    "samples",
-    "tol_identity",
-    "tol_fd",
-    "fd_step",
-    "series_tol",
-    "max_radius",
-    "suites",
-}
+_DEFAULTS = RunConfig()
+_TAU_KEYS = ("tau1", "tau2", "tau12")
+# the int and float fields of RunConfig share their config-file key
+_NUMBER_KEYS = tuple(
+    f.name for f in fields(RunConfig) if type(getattr(_DEFAULTS, f.name)) in (int, float)
+)
+_SERIES_KEYS = {"series_tol": "tol", "max_radius": "max_radius"}  # key -> SeriesControl field
+_CONFIG_KEYS = {*_TAU_KEYS, *_NUMBER_KEYS, *_SERIES_KEYS, "suites"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -538,7 +454,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -553,18 +469,29 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _parse_int(name: str, text: str) -> int:
+def _parse_number(name: str, text: str, kind: type):
     try:
-        return int(text, 0)
+        return int(text, 0) if kind is int else float(text)
     except ValueError as exc:
-        raise ConfigInvalid(f"{name} must be an integer, got {text!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ConfigInvalid(f"{name} must be {what}, got {text!r}") from exc
 
 
-def _parse_float(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{name} must be a number, got {text!r}") from exc
+def tau_from_sources(
+    file_values: dict[str, str] | None = None,
+    tau1: complex | None = None,
+    tau2: complex | None = None,
+    tau12: complex | None = None,
+) -> PeriodMatrix:
+    """The period matrix from flags, else config-file values, else DEFAULT_TAU."""
+    fv = file_values or {}
+    flags = dict(zip(_TAU_KEYS, (tau1, tau2, tau12)))
+    return PeriodMatrix(*(
+        flags[key] if flags[key] is not None
+        else parse_complex_pair(fv[key]) if key in fv
+        else getattr(DEFAULT_TAU, key)
+        for key in _TAU_KEYS
+    ))
 
 
 def config_from_sources(
@@ -576,51 +503,34 @@ def config_from_sources(
     samples: int | None = None,
     suites: list[str] | None = None,
 ) -> RunConfig:
-    """Merge defaults, config-file values, and flag overrides (flags win)."""
+    """Merge defaults, config-file values, and flag overrides (flags win).
+
+    The defaults are those of RunConfig, SeriesControl and DEFAULT_TAU.
+    """
     fv = dict(file_values or {})
 
-    def file_complex(key: str, default: complex) -> complex:
-        return parse_complex_pair(fv[key]) if key in fv else default
+    def read(key: str, default):
+        return _parse_number(key, fv[key], type(default)) if key in fv else default
 
-    t1 = tau1 if tau1 is not None else file_complex("tau1", DEFAULT_TAU.tau1)
-    t2 = tau2 if tau2 is not None else file_complex("tau2", DEFAULT_TAU.tau2)
-    t12 = tau12 if tau12 is not None else file_complex("tau12", DEFAULT_TAU.tau12)
-    tau = PeriodMatrix(t1, t2, t12)
-
-    cfg_seed = seed if seed is not None else _parse_int("seed", fv.get("seed", "0"))
-    cfg_samples = (
-        samples if samples is not None else _parse_int("samples", fv.get("samples", "100"))
-    )
+    tau = tau_from_sources(fv, tau1, tau2, tau12)
+    flags = {"seed": seed, "samples": samples}
+    numbers = {
+        key: flags[key] if flags.get(key) is not None else read(key, getattr(_DEFAULTS, key))
+        for key in _NUMBER_KEYS
+    }
     try:
-        series = SeriesControl(
-            tol=_parse_float("series_tol", fv.get("series_tol", "1e-14")),
-            max_radius=_parse_int("max_radius", fv.get("max_radius", "64")),
-        )
+        series = SeriesControl(**{
+            name: read(key, getattr(_DEFAULTS.series, name)) for key, name in _SERIES_KEYS.items()
+        })
     except ValueError as exc:
         raise ConfigInvalid(f"series settings: {exc}") from exc
-    if suites is not None:
-        requested = list(suites)
-    elif "suites" in fv:
-        requested = [s.strip() for s in fv["suites"].split(",") if s.strip()]
-    else:
-        requested = list(SUITE_ORDER)
-    unknown = [s for s in requested if s not in SUITE_ORDER]
-    if unknown:
-        raise ConfigInvalid(f"unknown suites: {unknown}; known: {list(SUITE_ORDER)}")
-    ordered = tuple(name for name in SUITE_ORDER if name in requested)
-
-    cfg = RunConfig(
-        tau=tau,
-        seed=cfg_seed,
-        samples=cfg_samples,
-        tol_identity=_parse_float("tol_identity", fv.get("tol_identity", "1e-8")),
-        tol_fd=_parse_float("tol_fd", fv.get("tol_fd", "1e-5")),
-        fd_step=_parse_float("fd_step", fv.get("fd_step", "1e-5")),
-        series=series,
-        suites=ordered,
-    )
+    if suites is None:
+        suites = SUITE_ORDER if "suites" not in fv else [
+            s.strip() for s in fv["suites"].split(",") if s.strip()
+        ]
+    cfg = RunConfig(tau=tau, series=series, suites=tuple(suites), **numbers)
     cfg.validate()
-    return cfg
+    return replace(cfg, suites=tuple(name for name in SUITE_ORDER if name in cfg.suites))
 
 
 def _fmt_float(x: float) -> str:

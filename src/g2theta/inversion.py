@@ -51,7 +51,6 @@ __all__ = [
     "symmetric_functions",
     "recover_pair",
     "parameterization_residuals",
-    "unit_sum_identity_residuals",
     "PARAMETERIZATION_LABELS",
 ]
 
@@ -260,19 +259,32 @@ def _parameterization_table(ms: ModuliSet):
     return poly, bracket
 
 
-PARAMETERIZATION_LABELS = tuple(f"param-{i:02d}" for i in range(1, 16))
+# the three decompositions of unity tying parameterizations 1..5 together:
+# 1 = sum of three signed null-weighted theta-squared ratios, one per k_i;
+# each term is (sign, null bits, theta bits), after the null of the sum
+_UNIT_SUM_TERMS = (
+    ((1, 0, 0, 1), ((1, (0, 0, 0, 1), (1, 0, 1, 1)), (1, (0, 0, 1, 1), (1, 0, 0, 1)), (-1, (1, 1, 1, 1), (0, 1, 0, 1)))),
+    ((1, 0, 0, 0), ((1, (0, 0, 0, 0), (1, 0, 1, 1)), (1, (0, 0, 1, 0), (1, 0, 0, 1)), (1, (1, 1, 1, 1), (0, 1, 0, 0)))),
+    ((1, 1, 0, 0), ((1, (0, 1, 0, 0), (1, 0, 1, 1)), (1, (0, 1, 1, 0), (1, 0, 0, 1)), (1, (1, 1, 1, 1), (0, 0, 0, 0)))),
+)
+
+PARAMETERIZATION_LABELS = tuple(f"param-{i:02d}" for i in range(1, 16)) + tuple(
+    f"unit-sum-{i}" for i in range(1, 4)
+)
 
 
 def parameterization_residuals(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[tuple[str, float]]:
-    """Relative residuals of all 15 theta-squared ratio parameterizations.
+    """Relative residuals of the 15 theta-squared ratio parameterizations,
+    then of the three theta identities expressing 1 as a signed sum.
 
     Residuals 1-5 compare the ratio against a moduli prefactor times a
     symmetric polynomial in (x1, x2); 6-15 are the square-root bracket
     forms, evaluated with denominators cleared so that points where a
     linear factor vanishes stay regular.  All use the single sign class
-    recovered by recover_pair.
+    recovered by recover_pair.  Every row reads one table of the sixteen
+    theta values at the point.
     """
     cd = curve_data(tau, ctrl)
     ms = cd.moduli
@@ -283,59 +295,16 @@ def parameterization_residuals(
     den = _reference_denominator(th, point, cd)
     poly, bracket = _parameterization_table(ms)
 
-    out: list[tuple[str, float]] = []
-    idx = 1
-    for bits, pref, lin in poly:
-        lhs = th[bits] ** 2 / den
-        rhs = pref * lin(x1) * lin(x2)
-        out.append((f"param-{idx:02d}", _rel(lhs, rhs)))
-        idx += 1
+    out = [_rel(th[bits] ** 2 / den, pref * lin(x1) * lin(x2)) for bits, pref, lin in poly]
     for bits, (i, j), pref in bracket:
         lhs_ratio = th[bits] ** 2 / den
         fx1 = f_factor(i, j, x1, curve)
         fx2 = f_factor(i, j, x2, curve)
         lhs, rhs = _bracket_residual_terms(lhs_ratio, pref, fx1, fx2, x1, x2, sg1, sg2)
-        out.append((f"param-{idx:02d}", _rel(lhs, rhs)))
-        idx += 1
-    return out
-
-
-# the three decompositions of unity tying parameterizations 1..5 together:
-# 1 = sum of three signed null-weighted theta-squared ratios, one per k_i
-_UNIT_SUM_TERMS = (
-    ((1, 0, 0, 1), ((1, (0, 0, 0, 1), (1, 0, 1, 1)), (1, (0, 0, 1, 1), (1, 0, 0, 1)), (-1, (1, 1, 1, 1), (0, 1, 0, 1)))),
-    ((1, 0, 0, 0), ((1, (0, 0, 0, 0), (1, 0, 1, 1)), (1, (0, 0, 1, 0), (1, 0, 0, 1)), (1, (1, 1, 1, 1), (0, 1, 0, 0)))),
-    ((1, 1, 0, 0), ((1, (0, 1, 0, 0), (1, 0, 1, 1)), (1, (0, 1, 1, 0), (1, 0, 0, 1)), (1, (1, 1, 1, 1), (0, 0, 0, 0)))),
-)
-_UNIT_SUM_CHARS = tuple(
-    HalfCharacteristic(*bits)
-    for bits in dict.fromkeys(
-        [_TH_REF] + [tb for _, terms in _UNIT_SUM_TERMS for _, _, tb in terms]
-    )
-)
-
-
-def unit_sum_identity_residuals(
-    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Residuals of the three theta identities expressing 1 as a signed sum."""
-    cd = curve_data(tau, ctrl)
-    th = cd.table(_UNIT_SUM_CHARS, point)
-    den_th = _reference_denominator(th, point, cd)
-
+        out.append(_rel(lhs, rhs))
     nulls = cd.nulls
-
-    def nul2(bits):
-        return nulls[bits] ** 2
-
-    out = []
     for den_bits, terms in _UNIT_SUM_TERMS:
-        den = nul2(den_bits) * den_th
-        vals = [
-            sign * nul2(nb) * th[tb] ** 2 / den
-            for sign, nb, tb in terms
-        ]
-        total = sum(vals)
-        scale = 1.0 + max(abs(t) for t in vals)
-        out.append(abs(total - 1.0) / scale)
-    return out
+        den_sum = nulls[den_bits] ** 2 * den
+        vals = [sign * nulls[nb] ** 2 * th[tb] ** 2 / den_sum for sign, nb, tb in terms]
+        out.append(abs(sum(vals) - 1.0) / (1.0 + max(abs(t) for t in vals)))
+    return list(zip(PARAMETERIZATION_LABELS, out, strict=True))

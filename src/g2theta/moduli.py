@@ -40,6 +40,9 @@ __all__ = [
     "direct_null_ratios",
     "null_ratio_signs",
     "moduli_consistency_residuals",
+    "branch_points_collapse",
+    "CONSISTENCY_LABELS",
+    "COLLAPSE_TOL",
     "RATIO_CHARACTERISTICS",
 ]
 
@@ -195,10 +198,20 @@ def null_ratio_signs(
     return out
 
 
+_KIJ = ("k01", "k02", "k12")
+CONSISTENCY_LABELS = (
+    *(f"k{i}sq-two-ways" for i in range(3)),
+    *(f"null-sum-{i}" for i in range(1, 4)),
+    *(f"{kij}sq-difference-form" for kij in _KIJ),
+    *(f"k{i}sq-complement" for i in range(3)),
+    *(f"{kij}sq-as-difference" for kij in _KIJ),
+)
+
+
 def moduli_consistency_residuals(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[tuple[str, float]]:
-    """Labeled residuals of the null-level consistency relations.
+    """Residuals of the null-level consistency relations, labeled by CONSISTENCY_LABELS.
 
     Covers: each k_i^2 computed two independent ways (primed-null ratio
     r/(1+r) vs the direct product), the three null sum rules, the three
@@ -208,27 +221,28 @@ def moduli_consistency_residuals(
     cd = curve_data(tau, ctrl)
     ms = cd.moduli
     n = _null_sq(cd)
-    out: list[tuple[str, float]] = []
 
     # k_i^2 expressed through primed nulls: r/(1+r) with r = k_i^2/(1-k_i^2)
     r0 = n[(1, 0, 0, 0)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 0)] * n[(0, 1, 1, 0)])
     r1 = n[(1, 0, 0, 1)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 1)] * n[(0, 1, 1, 0)])
     r2 = n[(1, 0, 0, 1)] * n[(1, 0, 0, 0)] / (n[(0, 0, 1, 1)] * n[(0, 0, 1, 0)])
-    out.append(("k0sq-two-ways", _rel(r0 / (1.0 + r0), ms.k0_sq)))
-    out.append(("k1sq-two-ways", _rel(r1 / (1.0 + r1), ms.k1_sq)))
-    out.append(("k2sq-two-ways", _rel(r2 / (1.0 + r2), ms.k2_sq)))
+    out = [
+        _rel(r0 / (1.0 + r0), ms.k0_sq),
+        _rel(r1 / (1.0 + r1), ms.k1_sq),
+        _rel(r2 / (1.0 + r2), ms.k2_sq),
+    ]
 
     # sum rules among products of squared nulls
     sums = (
-        ("null-sum-1", (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)),
-        ("null-sum-2", (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)),
-        ("null-sum-3", (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0)),
+        ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)),
+        ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)),
+        ((0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0)),
     )
-    for label, a1, a2, b1, b2, c1, c2 in sums:
+    for a1, a2, b1, b2, c1, c2 in sums:
         lhs = n[a1] * n[a2]
         t1, t2 = n[b1] * n[b2], n[c1] * n[c2]
         scale = 1.0 + max(abs(lhs), abs(t1), abs(t2))
-        out.append((label, abs(lhs - t1 - t2) / scale))
+        out.append(abs(lhs - t1 - t2) / scale)
 
     # difference formulas: k_ij^2 from two-null cross terms vs triple product
     d01 = (n[(1, 1, 0, 0)] / n[(0, 1, 0, 0)]) * (
@@ -240,16 +254,28 @@ def moduli_consistency_residuals(
     d12 = (n[(1, 0, 0, 1)] / n[(0, 0, 0, 1)]) * (
         n[(0, 0, 0, 0)] * n[(1, 1, 0, 0)] - n[(1, 0, 0, 0)] * n[(0, 1, 0, 0)]
     ) / (n[(0, 1, 0, 0)] * n[(0, 0, 0, 0)])
-    out.append(("k01sq-difference-form", _rel(d01, ms.k01_sq)))
-    out.append(("k02sq-difference-form", _rel(d02, ms.k02_sq)))
-    out.append(("k12sq-difference-form", _rel(d12, ms.k12_sq)))
+    out += [
+        _rel(d01, ms.k01_sq),
+        _rel(d02, ms.k02_sq),
+        _rel(d12, ms.k12_sq),
+        _rel(ms.kp0_sq, 1.0 - ms.k0_sq),
+        _rel(ms.kp1_sq, 1.0 - ms.k1_sq),
+        _rel(ms.kp2_sq, 1.0 - ms.k2_sq),
+        _rel(ms.k01_sq, ms.k0_sq - ms.k1_sq),
+        _rel(ms.k02_sq, ms.k0_sq - ms.k2_sq),
+        _rel(ms.k12_sq, ms.k1_sq - ms.k2_sq),
+    ]
+    return list(zip(CONSISTENCY_LABELS, out, strict=True))
 
-    out.append(("k0sq-complement", _rel(ms.kp0_sq, 1.0 - ms.k0_sq)))
-    out.append(("k1sq-complement", _rel(ms.kp1_sq, 1.0 - ms.k1_sq)))
-    out.append(("k2sq-complement", _rel(ms.kp2_sq, 1.0 - ms.k2_sq)))
 
-    out.append(("k01sq-as-difference", _rel(ms.k01_sq, ms.k0_sq - ms.k1_sq)))
-    out.append(("k02sq-as-difference", _rel(ms.k02_sq, ms.k0_sq - ms.k2_sq)))
-    out.append(("k12sq-as-difference", _rel(ms.k12_sq, ms.k1_sq - ms.k2_sq)))
+COLLAPSE_TOL = 1e-10
 
-    return out
+
+def branch_points_collapse(ms: ModuliSet) -> bool:
+    """True when k0^2 = k1^2 = k2^2 within COLLAPSE_TOL, relative to 1 + |k0^2|.
+
+    Then the five branch points of the curve collapse to three, as at a split
+    period matrix (tau12 = 0), and the pair on the curve loses its meaning.
+    """
+    gap = max(abs(ms.k0_sq - ms.k1_sq), abs(ms.k0_sq - ms.k2_sq))
+    return gap / (1.0 + abs(ms.k0_sq)) < COLLAPSE_TOL

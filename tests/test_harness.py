@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import g2theta.cli as cli
+import g2theta.harness as harness
 from g2theta.cli import main
-from g2theta.errors import ConfigInvalid
+from g2theta.errors import ConfigInvalid, DegenerateTau, SingularDenominator
+from g2theta.flow import stencil_residuals
 from g2theta.harness import (
-    SUITE_ORDER,
     VERSION,
     RunConfig,
     config_from_sources,
@@ -24,6 +27,10 @@ from g2theta.harness import (
     run_suites,
 )
 from g2theta.rng import SampleStream, fnv1a64, mix64
+from g2theta.theta import PeriodMatrix, Point2
+
+DATA = Path(__file__).resolve().parent / "data"
+SPLIT_TAU = PeriodMatrix(1.1j, 1.3j, 0.0)
 
 
 def test_mix_and_hash_known_answers():
@@ -87,6 +94,42 @@ def test_reports_are_byte_identical():
         assert suite["passed"] is True
         # floats are written as .17g, so the parse is lossless
         assert format(suite["max_residual"], ".17g") in first
+
+
+@pytest.mark.parametrize(
+    ("name", "tau"),
+    [
+        ("verify_default_samples20.json", None),
+        ("verify_alt_tau_samples20.json", PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j)),
+    ],
+)
+def test_reports_match_golden_files(name, tau):
+    # the reports of `g2theta verify --samples 20` at the default config and
+    # at --tau1=0.2,1.4 --tau2=-0.1,0.95 --tau12=0.03,0.3, byte for byte
+    cfg = RunConfig(samples=20) if tau is None else RunConfig(tau=tau, samples=20)
+    assert report_to_json(run_suites(cfg)) == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
+    def divisor(cfg, sample):
+        raise SingularDenominator("on the divisor")
+
+    suite = harness._SUITES["degeneration"]
+    monkeypatch.setitem(harness._SUITES, "degeneration", replace(suite, evaluate=divisor))
+    result = run_suites(RunConfig(samples=3, suites=("degeneration",))).suites[0]
+    assert (result.samples_run, result.skipped) == (0, 3)
+    assert result.skip_reasons == {"SingularDenominator": 30}
+    assert (result.max_residual, result.mean_residual) == (0.0, 0.0)
+    assert (result.worst_check, result.worst_point, result.extras) == ("", [], {})
+    assert result.passed is False
+
+
+def test_a_residual_list_that_drifts_from_its_labels_fails_loudly(monkeypatch):
+    suite = harness._SUITES["fundamental"]
+    short = replace(suite, evaluate=lambda cfg, sample: ([0.0, 0.0], None))
+    monkeypatch.setitem(harness._SUITES, "fundamental", short)
+    with pytest.raises(ValueError):
+        run_suites(RunConfig(samples=1, suites=("fundamental",)))
 
 
 def test_parse_config_file(tmp_path):
@@ -154,6 +197,11 @@ def test_config_merging_and_suite_normalization():
         config_from_sources({"suites": "bogus"})
     with pytest.raises(ConfigInvalid):
         config_from_sources({"samples": "many"})
+
+
+def test_config_defaults_come_from_run_config():
+    assert config_from_sources({}) == RunConfig()
+    assert config_from_sources(None, suites=["flow", "flow"]).suites == ("flow",)
 
 
 def test_cli_verify_writes_parseable_report(capsys):
@@ -250,17 +298,50 @@ def test_cli_bad_series_settings_exit_1_without_traceback(tmp_path, line):
 
 
 def test_cli_split_tau_verify_reports_instead_of_crashing(tmp_path):
-    # at tau12 = 0 a pair can sit on the collapsed root 1/k0^2 where sigma = 0;
-    # that sample is skipped, and the suites that fail there give code 2
+    # at tau12 = 0 the branch points collapse, so the suites that read the
+    # pair on the curve refuse the period matrix: code 3, before any suite runs
     out = tmp_path / "split.json"
     proc = _run_cli(
         "verify", "--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,0",
         "--samples", "60", "--seed", "4", "--json", str(out),
     )
     assert "Traceback" not in proc.stderr
-    assert proc.returncode == 2
-    flow = {s["name"]: s for s in json.loads(out.read_text())["suites"]}["flow"]
-    assert flow["skip_reasons"] == {"SingularDenominator": 1}
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and "moduli collapse" in proc.stderr
+    # the flow stencil there raises a skippable error, not a division by zero:
+    # this pair sits on the collapsed root 1/k0^2, where sigma = 0
+    point = Point2(0.2568588991595585 - 0.05753327218064916j, -0.17557780446869053 + 0.009911243493877508j)
+    with pytest.raises(SingularDenominator):
+        stencil_residuals(point, SPLIT_TAU, h=1e-5)
+
+
+def test_split_tau_refused_only_by_suites_that_read_the_curve():
+    for suites in (("flow",), ("parameterizations",)):
+        with pytest.raises(DegenerateTau):
+            run_suites(RunConfig(tau=SPLIT_TAU, samples=2, suites=suites))
+    report = run_suites(RunConfig(tau=SPLIT_TAU, samples=2, suites=("moduli", "degeneration")))
+    assert report.passed
+
+
+def test_cli_unreadable_config_and_unwritable_report_exit_1_without_traceback(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# r\xe9glage\nseed = 1\n".encode("latin-1"))
+    proc = _run_cli("verify", "--config", str(cfg), "--samples", "2", "--suite", "fundamental")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "cannot read config file" in proc.stderr
+
+    report = tmp_path / "missing" / "x.json"
+    proc = _run_cli("verify", "--samples", "2", "--suite", "fundamental", "--json", str(report))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "cannot write report file" in proc.stderr
+
+
+def test_cli_unwritable_report_is_refused_before_the_suites_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suites", lambda cfg: pytest.fail("the suites ran"))
+    assert main(["verify", "--json", str(tmp_path / "missing" / "x.json")]) == 1
+    assert "cannot write report file" in capsys.readouterr().err
 
 
 def test_cli_moduli_output(capsys):
@@ -281,6 +362,8 @@ def test_cli_invert_output(capsys):
         assert marker in text
     for idx in range(1, 16):
         assert f"param-{idx:02d}" in text
+    for idx in range(1, 4):
+        assert f"unit-sum-{idx}" in text
 
 
 def test_cli_version_flag():

@@ -1,4 +1,5 @@
-"""Two-point recovery from theta ratios and the 15 ratio parameterizations."""
+"""Two-point recovery from theta ratios, the 15 ratio parameterizations and
+the three unit sums."""
 
 import dataclasses
 
@@ -24,7 +25,6 @@ from g2theta.inversion import (
     parameterization_residuals,
     recover_pair,
     symmetric_functions,
-    unit_sum_identity_residuals,
 )
 from g2theta.moduli import moduli_from_tau
 from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2
@@ -117,29 +117,37 @@ def test_pair_consistent_with_symmetric_functions(ur, ui, vr, vi):
         assert abs(sg * sg - val) < 1e-10 * (1.0 + abs(val))
 
 
+def _worst(rows, prefix):
+    """The largest residual among the rows whose label starts with prefix."""
+    return max(value for label, value in rows if label.startswith(prefix))
+
+
 def test_parameterizations_at_seeded_points():
     worst_param = 0.0
     worst_unit = 0.0
     for pt in draw_points(17, "inversion", 20):
         rows = parameterization_residuals(pt, DEFAULT_TAU)
         assert tuple(lab for lab, _ in rows) == PARAMETERIZATION_LABELS
-        worst_param = max(worst_param, max(r for _, r in rows))
-        worst_unit = max(worst_unit, max(unit_sum_identity_residuals(pt, DEFAULT_TAU)))
+        worst_param = max(worst_param, _worst(rows, "param-"))
+        worst_unit = max(worst_unit, _worst(rows, "unit-sum-"))
     assert worst_param < 1e-8
     assert worst_unit < 1e-10
+    # fifteen ratios, then the three unit sums
+    assert PARAMETERIZATION_LABELS[15:] == ("unit-sum-1", "unit-sum-2", "unit-sum-3")
 
 
 def test_first_parameterization_vanishes_at_origin():
-    rows = dict(parameterization_residuals(ORIGIN, DEFAULT_TAU))
-    assert rows["param-01"] < 1e-12
-    assert max(unit_sum_identity_residuals(ORIGIN, DEFAULT_TAU)) < 1e-10
+    rows = parameterization_residuals(ORIGIN, DEFAULT_TAU)
+    assert dict(rows)["param-01"] < 1e-12
+    assert _worst(rows, "unit-sum-") < 1e-10
 
 
 def test_near_block_diagonal_tau():
     tau = PeriodMatrix(1.1j, 1.3j, 0.01j)
     pt = Point2(0.11 - 0.04j, -0.07 + 0.06j)
-    assert max(r for _, r in parameterization_residuals(pt, tau)) < 1e-8
-    assert max(unit_sum_identity_residuals(pt, tau)) < 1e-10
+    rows = parameterization_residuals(pt, tau)
+    assert _worst(rows, "param-") < 1e-8
+    assert _worst(rows, "unit-sum-") < 1e-10
 
 
 def test_block_diagonal_collapse_pins_one_member():
@@ -152,19 +160,14 @@ def test_block_diagonal_collapse_pins_one_member():
     pair = recover_pair(pt, tau)
     assert abs(pair.x1 * ms.k0_sq - 1.0) < 1e-12
     assert abs(pair.sigma1) < 1e-12
-    rows = dict(parameterization_residuals(pt, tau))
-    assert rows["param-01"] < 1e-12
-    assert rows["param-02"] < 1e-12
-    assert max(unit_sum_identity_residuals(pt, tau)) < 1e-12
+    rows = parameterization_residuals(pt, tau)
+    assert dict(rows)["param-01"] < 1e-12
+    assert dict(rows)["param-02"] < 1e-12
+    assert _worst(rows, "unit-sum-") < 1e-12
 
 
 def test_divisor_point_raises_everywhere():
-    for fn in (
-        symmetric_functions,
-        recover_pair,
-        parameterization_residuals,
-        unit_sum_identity_residuals,
-    ):
+    for fn in (symmetric_functions, recover_pair, parameterization_residuals):
         with pytest.raises(SingularDenominator):
             fn(DIVISOR_POINT, DEFAULT_TAU)
 

@@ -1,9 +1,10 @@
 """The public surface of each layer, as a span tracer sees it.
 
 perfbench/spans.py wraps every callable a layer names in its __all__, and
-each suite runner in harness._SUITE_RUNNERS.  A stale __all__ entry or a
-runner the harness does not dispatch through would break only a traced run,
-so both are checked here.
+each entry of harness._SUITE_RUNNERS: one per suite of harness._SUITES, the
+sampling loop _run_suite bound to the suite's name.  A stale __all__ entry,
+or a runner the harness does not dispatch through, would break only a
+traced run, so both are checked here.
 """
 
 import ast

@@ -10,8 +10,10 @@ from conftest import brute_theta2, draw_points
 from g2theta.errors import DivisionByZeroModulus
 from g2theta.inversion import parameterization_residuals
 from g2theta.moduli import (
+    CONSISTENCY_LABELS,
     RATIO_CHARACTERISTICS,
     ModuliSet,
+    branch_points_collapse,
     direct_null_ratios,
     moduli_consistency_residuals,
     moduli_from_tau,
@@ -109,6 +111,7 @@ def test_consistency_residuals_at_default_and_seeded_tau():
     for tau in taus:
         rows = moduli_consistency_residuals(tau)
         assert len(rows) == 15
+        assert tuple(label for label, _ in rows) == CONSISTENCY_LABELS
         worst = max(r for _, r in rows)
         assert worst < 1e-10, (tau, max(rows, key=lambda t: t[1]))
 
@@ -173,6 +176,15 @@ def test_block_diagonal_tau_collapses_to_one_elliptic_modulus():
     assert abs(ms.k2_sq - ref) < 1e-13
     assert abs(ms.k01_sq) < 1e-13
     assert abs(ms.k12_sq) < 1e-13
+
+
+@pytest.mark.parametrize(
+    ("tau12", "collapsed"), [(0.0, True), (1e-5j, True), (1e-3j, False), (0.2j, False)]
+)
+def test_branch_points_collapse_near_a_split_period_matrix(tau12, collapsed):
+    # relative collapse |k0^2 - k_i^2| / (1 + |k0^2|): 4e-17, 6.2e-11, 6.2e-7, O(1)
+    ms = moduli_from_tau(PeriodMatrix(1.1j, 1.3j, tau12))
+    assert branch_points_collapse(ms) is collapsed
 
 
 def test_small_cross_modulus_keeps_moduli_nearly_equal():

@@ -62,6 +62,16 @@ def test_flow_suite_recovers_at_most_five_pairs_per_attempt(monkeypatch):
     assert all(len(args[1]) == 5 for args in grids)
 
 
+def test_parameterizations_suite_builds_one_grid_per_attempt(monkeypatch):
+    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
+    grids = []
+    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    result = run_suites(RunConfig(samples=5, suites=("parameterizations",))).suites[0]
+    attempts = result.samples_run + sum(result.skip_reasons.values())
+    # the ratios, the pair and the unit sums all read one 16-characteristic grid
+    assert [len(args[0]) for args in grids] == [16] * attempts
+
+
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
     theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     calls = []
