@@ -8,6 +8,8 @@ Exit codes: 0 success (every selected suite passed), 1 bad configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .errors import ConfigInvalid, DegenerateTau, G2ThetaError
@@ -21,7 +23,7 @@ from .harness import (
     run_suites,
     tau_from_sources,
 )
-from .inversion import parameterization_residuals, recover_pair
+from .inversion import invert_point
 from .moduli import (
     COLLAPSE_TOL,
     branch_points_collapse,
@@ -55,6 +57,23 @@ def _open_report(path: str, mode: str):
         raise ConfigInvalid(f"cannot write report file {path}: {exc}") from exc
 
 
+def _reserve_report(path: str) -> bool:
+    """Fail before the suites run if the report cannot be written.
+
+    Returns True when this call created the file.  An existing file is only
+    opened for append, so it keeps its content until the report replaces it.
+    """
+    try:
+        open(path, "x", encoding="utf-8").close()
+        return True
+    except FileExistsError:
+        pass
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write report file {path}: {exc}") from exc
+    _open_report(path, "a").close()
+    return False
+
+
 def _cmd_verify(args) -> int:
     file_values = parse_config_file(args.config) if args.config else None
     cfg = config_from_sources(
@@ -66,11 +85,15 @@ def _cmd_verify(args) -> int:
         samples=args.samples,
         suites=args.suite,
     )
-    if args.json:
-        # an unwritable path fails before the suites run; "a" keeps an existing report
-        _open_report(args.json, "a").close()
-    report = run_suites(cfg)
-    text = report_to_json(report)
+    created = _reserve_report(args.json) if args.json else False
+    try:
+        report = run_suites(cfg)
+        text = report_to_json(report)
+    except BaseException:
+        if created:  # a run that writes no report leaves no empty file behind
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(args.json)
+        raise
     if args.json:
         with _open_report(args.json, "w") as fh:
             fh.write(text)
@@ -113,15 +136,14 @@ def _cmd_moduli(args) -> int:
 
 def _cmd_invert(args) -> int:
     tau = tau_from_sources(None, args.tau1, args.tau2, args.tau12)
-    point = Point2(args.u, args.v)
-    pair = recover_pair(point, tau)
+    pair, residuals = invert_point(Point2(args.u, args.v), tau)
     print(f"x1     = {_fmt(pair.x1)}")
     print(f"x2     = {_fmt(pair.x2)}")
     print(f"sigma1 = {_fmt(pair.sigma1)}")
     print(f"sigma2 = {_fmt(pair.sigma2)}")
     print(f"sign class flipped from principal: {pair.sign_flipped}")
     print("parameterization residuals:")
-    for label, value in parameterization_residuals(point, tau):
+    for label, value in residuals:
         print(f"  {label:<10} {value:.3e}")
     return 0
 

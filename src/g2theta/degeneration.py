@@ -26,12 +26,21 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateTau, SingularDenominator, TruncationOverflow
-from .inversion import PointPair, _recover_pairs
+from .errors import (
+    ConfigInvalid,
+    DegenerateTau,
+    PointError,
+    SingularDenominator,
+    TruncationOverflow,
+    outcome,
+    settle,
+)
+from .inversion import PointPair, _pair_from_thetas
 from .quadrature import tanh_sinh_01
 from .theta import (
     _NULL_CACHE_TAUS,
     ALL_CHARACTERISTICS,
+    _by_grid,
     PeriodMatrix,
     Point2,
     SeriesControl,
@@ -95,30 +104,31 @@ def _radius1(z: complex, tau: complex, ctrl: SeriesControl) -> int:
 
 
 def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
-    """theta1 of each (characteristic, z, tau) row, all from one (R, 2N+1) grid.
+    """theta1 of each (characteristic, z, tau) row, in input order.
 
-    N is the largest radius among the rows; the terms a row's own radius
-    leaves out are set to exactly 0.  Each term goes through the operations
-    of the one-row series, i pi (tau m^2 + 2 m (z + b/2)) with m = k + a/2,
-    in the same order, and each row is summed exactly, so a value does not
-    depend on the other rows of its grid.
+    The rows are evaluated on bounded grids of one radius each, 2N+1 terms a
+    row (theta._by_grid).  Each term goes through the operations of the
+    one-row series, i pi (tau m^2 + 2 m (z + b/2)) with m = k + a/2, in the
+    same order, and each row is summed exactly, so a value does not depend
+    on the other rows of its grid.
     """
     for _, _, tau in rows:
         if tau.imag <= 0:
             raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
     radii = [_radius1(z, tau, ctrl) for _, z, tau in rows]
-    n = max(radii)
+    return _by_grid(
+        radii, lambda n: 2 * n + 1, lambda n, idx: _theta1_grid([rows[i] for i in idx], n)
+    )
+
+
+def _theta1_grid(rows, n: int) -> list[complex]:
+    """theta1 of rows that share the radius n, from one (R, 2n+1) grid."""
     half_a = np.array([c.a / 2.0 for c, _, _ in rows])[:, None]
     m = np.arange(-n, n + 1, dtype=float) + half_a
     taus = np.array([tau for _, _, tau in rows], dtype=complex)[:, None]
     shift = np.array([z + c.b / 2.0 for c, z, _ in rows], dtype=complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
         terms = np.exp(1j * math.pi * (taus * m * m + 2.0 * m * shift))
-    for i, radius in enumerate(radii):
-        cut = n - radius
-        if cut:
-            terms[i, :cut] = 0.0
-            terms[i, -cut:] = 0.0
     return complex_row_sums(terms).tolist()
 
 
@@ -134,7 +144,8 @@ def theta1(
 
 _GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _GENUS1_CHARS = tuple(Genus1Characteristic(*ab) for ab in _GENUS1_BITS)
-_G01, _G11 = Genus1Characteristic(0, 1), Genus1Characteristic(1, 1)
+_ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
+_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 
 
 def _theta1_table(z: complex, tau: complex, ctrl: SeriesControl) -> dict:
@@ -162,31 +173,70 @@ def jacobi_functions(
     z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
 ) -> tuple[complex, complex, complex, EllipticModulus]:
     """sn, cn, dn at theta argument z (the sn argument is u = 2Kz)."""
-    nulls = _nulls1(tau, ctrl)
+    sn, cn, dn = _jacobi(_nulls1(tau, ctrl), _theta1_table(z, tau, ctrl), z)
+    return sn, cn, dn, elliptic_modulus(tau, ctrl)
+
+
+def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
+    """sn, cn, dn from the nulls and the four theta1 values t at z."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t = _theta1_table(z, tau, ctrl)
     t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     if abs(t01) <= 1e-10 * abs(n00):
         raise SingularDenominator(f"theta[0;1]({z}) vanishes")
     sn = -(n00 * t11) / (n10 * t01)
     cn = (n01 * t10) / (n10 * t01)
     dn = (n01 * t00) / (n00 * t01)
-    return sn, cn, dn, elliptic_modulus(tau, ctrl)
+    return sn, cn, dn
 
 
 def elliptic_identity_residuals(
     z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the three squared-theta identities and the null quartic."""
-    nulls = _nulls1(tau, ctrl)
+    return _identity_rows(_nulls1(tau, ctrl), _theta1_table(z, tau, ctrl))
+
+
+def _identity_rows(nulls, t) -> list[float]:
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t = _theta1_table(z, tau, ctrl)
     t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     return [
         _rel(n00**2 * t00**2, n01**2 * t01**2 + n10**2 * t10**2),
         _rel(n00**2 * t11**2, n10**2 * t01**2 - n01**2 * t10**2),
         _rel(n00**2 * t01**2, n01**2 * t00**2 + n10**2 * t11**2),
         _rel(n00**4, n01**4 + n10**4),
+    ]
+
+
+def _elliptic_checks(
+    zs, tau: complex, ctrl: SeriesControl, h: float
+) -> list[list[float] | PointError]:
+    """The elliptic suite's seven residuals at each z, or the PointError raised there.
+
+    The identities, the Jacobi-function identities sn^2 + cn^2 = 1 and
+    dn^2 + k^2 sn^2 = 1, and sn_ode_residual read one genus-1 evaluation:
+    the four values at z, and theta1[0;1], theta1[1;1] at z + h and z - h.
+    """
+    nulls = _nulls1(tau, ctrl)
+    mod = elliptic_modulus(tau, ctrl)
+    rows = []
+    for z in zs:
+        rows += [(c, z, tau) for c in _GENUS1_CHARS]
+        rows += [(c, arg, tau) for arg in (z + h, z - h) for c in _ODE_CHARS]
+    values = _theta1_values(rows, ctrl)
+    return [
+        outcome(_elliptic_rows, nulls, mod, z, values[8 * i : 8 * i + 8], h)
+        for i, z in enumerate(zs)
+    ]
+
+
+def _elliptic_rows(nulls, mod: EllipticModulus, z, values, h: float) -> list[float]:
+    t = dict(zip(_GENUS1_BITS, values[:4]))
+    sn, cn, dn = _jacobi(nulls, t, z)
+    stencil = (values[4:6], values[6:8], (t[0, 1], t[1, 1]))
+    return _identity_rows(nulls, t) + [
+        abs(sn * sn + cn * cn - 1.0),
+        abs(dn * dn + mod.k_sq * sn * sn - 1.0),
+        _sn_ode(nulls, mod, stencil, (z + h, z - h, z), h),
     ]
 
 
@@ -197,11 +247,23 @@ def splitting_residuals(
     ctrl: SeriesControl = SeriesControl(),
 ) -> dict[str, float]:
     """Relative gap between the genus-2 value at tau12=0 and the genus-1 product."""
-    tau = PeriodMatrix(tau1, tau2, 0.0)
-    g2 = curve_data(tau, ctrl).values_at(ALL_CHARACTERISTICS, (point,))[0]
-    args = ((point.u, tau1), (point.v, tau2))
+    _, [values] = _split_values((point,), tau1, tau2, ctrl)
+    return _splitting_rows(*values)
+
+
+def _split_values(points, tau1: complex, tau2: complex, ctrl: SeriesControl):
+    """The CurveData at tau12 = 0 and, at each point, its sixteen theta values
+    there with the four genus-1 values at (u, tau1) and at (v, tau2), keyed
+    by (a, b); one values_at call and one genus-1 evaluation for all points."""
+    cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
+    g2 = cd.values_at(ALL_CHARACTERISTICS, points)
+    args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
     g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
-    g1u, g1v = dict(zip(_GENUS1_BITS, g1[:4])), dict(zip(_GENUS1_BITS, g1[4:]))
+    tables = [dict(zip(_GENUS1_BITS, g1[i : i + 4])) for i in range(0, len(g1), 4)]
+    return cd, [(row, tables[2 * i], tables[2 * i + 1]) for i, row in enumerate(g2)]
+
+
+def _splitting_rows(g2, g1u, g1v) -> dict[str, float]:
     return {
         f"split-{c.label()}": _rel(value, g1u[(c.a, c.b)] * g1v[(c.c, c.d)])
         for c, value in zip(ALL_CHARACTERISTICS, g2)
@@ -221,14 +283,29 @@ def degenerate_inversion(
     relations, the collapse of the three moduli to one and the unordered
     pair match, and the pair recovered at tau12=0.
     """
-    cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
+    _, inversion, pair = settle(_degenerations((point,), tau1, tau2, ctrl)[0])
+    return inversion, pair
+
+
+def _degenerations(points, tau1: complex, tau2: complex, ctrl: SeriesControl):
+    """splitting_residuals and degenerate_inversion at each point, from the
+    values of _split_values: (splitting, inversion, pair), or the
+    PointError raised at the point."""
+    cd, values = _split_values(points, tau1, tau2, ctrl)
     ms = cd.moduli
-    pair = next(_recover_pairs(cd, (point,)))
+    return [
+        outcome(_degeneration_rows, cd, ms, point, *at_point, tau1, ctrl)
+        for point, at_point in zip(points, values)
+    ]
+
+
+def _degeneration_rows(cd, ms, point: Point2, g2, g1u, g1v, tau1: complex, ctrl: SeriesControl):
+    pair = _pair_from_thetas(cd, ms, dict(zip(_ALL_BITS, g2)), point)
     x1, x2 = pair.x1, pair.x2
 
     nulls = _nulls1(tau1, ctrl)
     n00, n10 = nulls[0, 0], nulls[1, 0]
-    t01, t11 = _theta1_values([(_G01, point.u, tau1), (_G11, point.u, tau1)], ctrl)
+    t01, t11 = g1u[0, 1], g1u[1, 1]
     if abs(t01) <= 1e-10 * abs(n00):
         raise SingularDenominator(f"theta[0;1]({point.u}) vanishes")
     x = (n00 * t11) / (n10 * t01)
@@ -247,7 +324,7 @@ def degenerate_inversion(
         "collapse-k2sq": _rel(k0sq, ms.k2_sq),
         "pair-match": min(direct, crossed),
     }
-    return residuals, pair
+    return _splitting_rows(g2, g1u, g1v), residuals, pair
 
 
 def sn_ode_residual(
@@ -261,15 +338,19 @@ def sn_ode_residual(
     u = 2Kz with K = (pi/2) theta^2[0;0](0), so dx/du = (dx/dz) / (2K).
     """
     nulls = _nulls1(tau, ctrl)
-    n00, n10 = nulls[0, 0], nulls[1, 0]
     mod = elliptic_modulus(tau, ctrl)
+    args = (z + h, z - h, z)
+    values = _theta1_values([(c, zz, tau) for zz in args for c in _ODE_CHARS], ctrl)
+    return _sn_ode(nulls, mod, (values[0:2], values[2:4], values[4:6]), args, h)
+
+
+def _sn_ode(nulls, mod: EllipticModulus, values, args, h: float) -> float:
+    """sn_ode_residual from the (theta1[0;1], theta1[1;1]) pairs at args."""
+    n00, n10 = nulls[0, 0], nulls[1, 0]
     big_k = math.pi / 2.0 * n00 * n00
 
-    args = (z + h, z - h, z)
-    values = _theta1_values([(c, zz, tau) for zz in args for c in (_G01, _G11)], ctrl)
-
     def xfun(k: int) -> complex:
-        t01, t11 = values[2 * k], values[2 * k + 1]
+        t01, t11 = values[k]
         if abs(t01) <= 1e-10 * abs(n00):
             raise SingularDenominator(f"theta[0;1]({args[k]}) vanishes")
         return (n00 * t11) / (n10 * t01)

@@ -2,6 +2,11 @@
 
 Every failure mode the library reports deliberately is one of these; anything
 else escaping is a bug.  The CLI maps them to exit codes (see cli module).
+
+A PointError belongs to one evaluation point.  The batched evaluations of
+the suites (one grid of theta values for many points) return it as that
+point's outcome and go on with the other points; every other error raises
+for the whole batch.  outcome and settle convert between the two forms.
 """
 
 
@@ -22,11 +27,15 @@ class DivisionByZeroModulus(G2ThetaError):
     """A modulus appearing in a denominator vanishes."""
 
 
-class SingularDenominator(G2ThetaError):
+class PointError(G2ThetaError):
+    """Base class for the errors raised at one evaluation point."""
+
+
+class SingularDenominator(PointError):
     """A theta value appearing in a denominator vanishes at the given point."""
 
 
-class CoincidentPoints(G2ThetaError):
+class CoincidentPoints(PointError):
     """Recovered pair has x1 too close to x2 for sign resolution."""
 
 
@@ -38,7 +47,7 @@ class TildeMismatch(G2ThetaError):
     """Two independent expressions for a flow constant disagree."""
 
 
-class StencilCrossesDivisor(G2ThetaError):
+class StencilCrossesDivisor(PointError):
     """A finite-difference stencil point hit a divisor or coincident pair."""
 
 
@@ -52,3 +61,18 @@ class QuadratureNonconvergence(G2ThetaError):
 
 class ConfigInvalid(G2ThetaError):
     """Run configuration (file or flags) could not be validated."""
+
+
+def outcome(fn, *args):
+    """fn(*args), or the PointError it raised: one point's outcome in a batch."""
+    try:
+        return fn(*args)
+    except PointError as exc:
+        return exc
+
+
+def settle(result):
+    """The value of an outcome; the PointError it holds is raised."""
+    if isinstance(result, PointError):
+        raise result
+    return result

@@ -30,11 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    CoincidentPoints,
+    PointError,
     SingularDenominator,
     SingularJacobian,
     StencilCrossesDivisor,
     TildeMismatch,
+    outcome,
+    settle,
 )
 from .inversion import _recover_pairs
 from .theta import (
@@ -136,22 +138,32 @@ def _match_to_reference(ref: tuple[complex, complex], cand) -> tuple[complex, co
     return (a1, a2) if keep <= swap else (a2, a1)
 
 
-def _pair_stencil(point: Point2, cd: CurveData, h: float):
-    """Center pair plus matched pairs at (u +- h, v) and (u, v +- h), one grid."""
-    offsets = ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
-    points = [point] + [Point2(point.u + du, point.v + dv) for du, dv in offsets]
-    pairs = _recover_pairs(cd, points)
-    center = next(pairs)
+_STENCIL_SIZE = 5
+
+
+def _stencil_points(point: Point2, h: float) -> list[Point2]:
+    """The center, then (u +- h, v) and (u, v +- h)."""
+    return [point] + [Point2(point.u + du, point.v + dv) for du, dv in _offsets(h)]
+
+
+def _offsets(h: float):
+    return ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
+
+
+def _pair_stencil(pairs, h: float):
+    """Center pair plus the four offset pairs matched to it, and the central differences.
+
+    pairs holds the recover_pair outcomes at the points of _stencil_points.
+    """
+    center = settle(pairs[0])
     ref = (center.x1, center.x2)
 
     matched = []
-    for du, dv in offsets:
-        try:
-            p = next(pairs)
-        except (SingularDenominator, CoincidentPoints) as exc:
+    for (du, dv), p in zip(_offsets(h), pairs[1:], strict=True):
+        if isinstance(p, PointError):
             raise StencilCrossesDivisor(
-                f"stencil point at offset ({du}, {dv}) failed: {exc}"
-            ) from exc
+                f"stencil point at offset ({du}, {dv}) failed: {p}"
+            ) from p
         matched.append(_match_to_reference(ref, (p.x1, p.x2)))
 
     up, um, vp, vm = matched
@@ -213,9 +225,24 @@ def stencil_residuals(
     global sign of the sigma_i.  The Abelian residuals divide by sigma_i,
     so a pair at a branch point (sigma_i = 0) raises SingularDenominator.
     """
-    cd = curve_data(tau, ctrl)
+    return settle(_stencils(curve_data(tau, ctrl), (point,), h)[0])
+
+
+def _stencils(
+    cd: CurveData, points, h: float
+) -> list[tuple[list[float], list[float]] | PointError]:
+    """The outcome of stencil_residuals at each point, all stencils from one
+    recover-pairs call: (flow, abelian), or the PointError raised there."""
     fc = cd.flow_constants
-    stencil = _pair_stencil(point, cd, h)
+    pairs = _recover_pairs(cd, [s for point in points for s in _stencil_points(point, h)])
+    return [
+        outcome(_stencil_rows, fc, pairs[i : i + _STENCIL_SIZE], h)
+        for i in range(0, len(pairs), _STENCIL_SIZE)
+    ]
+
+
+def _stencil_rows(fc: FlowConstants, pairs, h: float) -> tuple[list[float], list[float]]:
+    stencil = _pair_stencil(pairs, h)
     return _flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)
 
 
@@ -237,12 +264,25 @@ def addition_formula_residuals(
     p: Point2, q: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the two four-point addition theorems at (p, q)."""
-    cd = curve_data(tau, ctrl)
-    shifted = (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
-    plus, minus = _tables(_SHIFTED_CHARS, cd.values_at(_SHIFTED_CHARS, shifted))
-    tp, tq = _tables(_ADDITION_CHARS, cd.values_at(_ADDITION_CHARS, (p, q)))
-    n = cd.nulls
+    return _addition_formulas(curve_data(tau, ctrl), ((p, q),))[0]
 
+
+def _addition_formulas(cd: CurveData, pairs) -> list[list[float]]:
+    """addition_formula_residuals at each (p, q): one values_at call for
+    every p + q and p - q, one for every p and q."""
+    shifted = [
+        x for p, q in pairs for x in (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
+    ]
+    points = [x for pq in pairs for x in pq]
+    at_shifted = _tables(_SHIFTED_CHARS, cd.values_at(_SHIFTED_CHARS, shifted))
+    at_points = _tables(_ADDITION_CHARS, cd.values_at(_ADDITION_CHARS, points))
+    return [
+        _addition_rows(cd.nulls, *at_shifted[i : i + 2], *at_points[i : i + 2])
+        for i in range(0, len(at_points), 2)
+    ]
+
+
+def _addition_rows(n, plus, minus, tp, tq) -> list[float]:
     lhs1 = (
         n[(1, 0, 0, 1)]
         * n[(0, 0, 0, 1)]
@@ -302,10 +342,20 @@ def derivative_formula_residuals(
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
     """
-    cd = curve_data(tau, ctrl)
-    values, grads = cd.grads_at(_DERIVATIVE_CHARS, (point,))
-    [th] = _tables(_DERIVATIVE_CHARS, values)
-    [g] = _tables(_DERIVATIVE_CHARS, grads)
+    return settle(_derivative_formulas(curve_data(tau, ctrl), (point,))[0])
+
+
+def _derivative_formulas(cd: CurveData, points) -> list[list[float] | PointError]:
+    """The outcome of derivative_formula_residuals at each point, values and
+    gradients from one grads_at call: the residuals, or the PointError raised there."""
+    values, grads = cd.grads_at(_DERIVATIVE_CHARS, points)
+    return [
+        outcome(_derivative_rows, cd, th, g)
+        for th, g in zip(_tables(_DERIVATIVE_CHARS, values), _tables(_DERIVATIVE_CHARS, grads))
+    ]
+
+
+def _derivative_rows(cd: CurveData, th: dict, g: dict) -> list[float]:
     n = cd.nulls
     ref = th[(0, 0, 1, 1)]
     scale = max(abs(n[(0, 0, 0, 0)]), abs(n[(0, 0, 1, 1)]))

@@ -3,19 +3,29 @@
 Every suite is one _Suite record in _SUITES, and one loop, _run_suite, runs
 them all.  A record gives the boxes a sample draws (one complex number per
 box, from the suite's own counter-based stream, see rng.py), the labels of
-the residuals evaluate(cfg, sample) returns for one sample, and which of
-them are finite-difference checks.  Suites that end with checks made once
-per run also give the labels of those final rows and finalize(cfg, notes,
-extras), which sees the note evaluate returned with every sample that ran.
+the residuals each sample gives, and which of them are finite-difference
+checks.  evaluate(cfg, samples) takes a batch of samples and returns one
+outcome per sample: its residuals and a note, or the PointError raised at
+it; the batched checks behind it read the theta values of the whole batch
+from one kernel call.  Suites that end with checks made once per run also
+give the labels of those final rows and finalize(cfg, notes, extras), which
+sees the note evaluate returned with every sample that ran.
+
+A drawn sample that lands on a theta divisor or otherwise breaks a
+precondition is re-drawn up to 10 times, then counted as skipped; the
+configured tau, evaluated as a batch of one, is never skipped.  The loop
+draws as many samples as are still open, evaluates them as one batch and
+replays that walk over the outcomes, until no sample is open.  Every open
+sample needs at least one more draw, so no batch holds a draw the walk
+would not reach, and the draws are the same as one at a time.  A batch that
+raises is evaluated again one sample at a time, so an error that is not a
+skip is raised at the first draw that raises it.
 
 The loop folds the residuals in one order: the configured tau as sample 0
 when the record asks for it, then the stream samples in draw order, then
 the final rows.  The mean is a float sum taken in that order, and the first
-largest residual names the worst check.  A drawn sample that lands on a
-theta divisor or otherwise breaks a precondition is re-drawn up to 10 times,
-then counted as skipped; the configured tau is never skipped.  A suite
-passes when every residual is within its tolerance and less than 20% of its
-samples were skipped.
+largest residual names the worst check.  A suite passes when every residual
+is within its tolerance and less than 20% of its samples were skipped.
 
 Identity checks are measured against tol_identity; finite-difference checks
 (the flow suite and the sn-ode check of the elliptic suite) against tol_fd.
@@ -36,28 +46,20 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from .degeneration import (
+    _degenerations,
+    _elliptic_checks,
     complete_integral_residuals,
-    degenerate_inversion,
-    elliptic_identity_residuals,
     elliptic_modulus,
-    jacobi_functions,
-    sn_ode_residual,
-    splitting_residuals,
 )
 from .errors import (
-    CoincidentPoints,
     ConfigInvalid,
     DegenerateTau,
     DivisionByZeroModulus,
-    SingularDenominator,
-    StencilCrossesDivisor,
+    G2ThetaError,
+    PointError,
 )
-from .flow import (
-    addition_formula_residuals,
-    derivative_formula_residuals,
-    stencil_residuals,
-)
-from .inversion import PARAMETERIZATION_LABELS, parameterization_residuals
+from .flow import _addition_formulas, _derivative_formulas, _stencils
+from .inversion import PARAMETERIZATION_LABELS, _parameterizations
 from .moduli import (
     COLLAPSE_TOL,
     CONSISTENCY_LABELS,
@@ -67,9 +69,17 @@ from .moduli import (
     moduli_from_tau,
     null_ratio_signs,
 )
-from .riemann import Quadruple, fundamental_identity_residuals, riemann_relation_residuals
+from .riemann import Quadruple, _fundamental_identities, _riemann_relations
 from .rng import SampleStream
-from .theta import ALL_CHARACTERISTICS, DEFAULT_TAU, PeriodMatrix, Point2, SeriesControl
+from .theta import (
+    ALL_CHARACTERISTICS,
+    DEFAULT_TAU,
+    CurveData,
+    PeriodMatrix,
+    Point2,
+    SeriesControl,
+    curve_data,
+)
 
 __all__ = [
     "VERSION",
@@ -93,28 +103,40 @@ _BOX = (-0.5, 0.5, -0.2, 0.2)
 _TAU_DIAG = (-0.3, 0.3, 0.9, 1.5)
 _TAU_OFF = (-0.1, 0.1, 0.1, 0.35)
 
-_SKIPPABLE = (SingularDenominator, CoincidentPoints, StencilCrossesDivisor,
-              DivisionByZeroModulus, DegenerateTau)
+_SKIPPABLE = (PointError, DivisionByZeroModulus, DegenerateTau)
 
 
 @dataclass(frozen=True)
 class _Suite:
     """One suite: what each sample draws, the residuals it gives, how a run ends.
 
-    evaluate(cfg, sample) returns the sample's residuals in label order and
-    a note; finalize(cfg, notes, extras) gets the (note, sample) of every
-    sample that ran, records what it reports beyond residuals in extras, and
-    returns one (residual, point) per final label.
+    evaluate(cfg, samples) returns one outcome per sample, in order: the
+    sample's residuals in label order and a note, or the PointError raised
+    at the sample.  finalize(cfg, notes, extras) gets the (note, sample) of
+    every sample that ran, records what it reports beyond residuals in
+    extras, and returns one (residual, point) per final label.
     """
 
     boxes: tuple[tuple[float, float, float, float], ...]
     labels: tuple[str, ...]
-    evaluate: Callable[[RunConfig, list[complex]], tuple[list[float], object]]
+    evaluate: Callable[
+        [RunConfig, list[list[complex]]], list[tuple[list[float], object] | PointError]
+    ]
     fd_labels: frozenset[str] = frozenset()
     final_labels: tuple[str, ...] = ()
     finalize: Callable[[RunConfig, list, dict], list[tuple[float, list[complex]]]] | None = None
     config_tau_first: bool = False  # the configured tau is sample 0
     reads_curve: bool = False  # needs the pair on the configured curve
+
+
+def _noted(results, noted=lambda residuals: (residuals, None)):
+    """The outcome of each result of a batched check: noted(result), the
+    sample's residuals and note, or the PointError raised at the sample."""
+    return [result if isinstance(result, PointError) else noted(result) for result in results]
+
+
+def _points(batch) -> list[Point2]:
+    return [Point2(*sample) for sample in batch]
 
 
 def _moduli_final(cfg, notes, extras):
@@ -134,13 +156,14 @@ _INVERSION_LABELS = (
 )
 
 
-def _degeneration_sample(cfg, sample):
+def _degeneration_batch(cfg, batch):
     """Split locus attached to the configured diagonal: tau12 is forced to 0."""
-    point, tau1, tau2 = Point2(*sample), cfg.tau.tau1, cfg.tau.tau2
-    split = splitting_residuals(point, tau1, tau2, cfg.series)
-    inv, pair = degenerate_inversion(point, tau1, tau2, cfg.series)
-    residuals = [split[label] for label in _SPLIT_LABELS]
-    return residuals + [inv[label] for label in _INVERSION_LABELS], pair
+    results = _degenerations(_points(batch), cfg.tau.tau1, cfg.tau.tau2, cfg.series)
+    return _noted(results, lambda result: (
+        [result[0][label] for label in _SPLIT_LABELS]
+        + [result[1][label] for label in _INVERSION_LABELS],
+        result[2],  # the pair
+    ))
 
 
 def _degeneration_final(cfg, notes, extras):
@@ -163,19 +186,6 @@ def _degeneration_final(cfg, notes, extras):
     return [(spread, point)]
 
 
-def _elliptic_sample(cfg, sample):
-    """Genus-1 theory at tau = tau1 of the config."""
-    z, tau = sample[0], cfg.tau.tau1
-    rows = elliptic_identity_residuals(z, tau, cfg.series)
-    sn, cn, dn, mod = jacobi_functions(z, tau, cfg.series)
-    rows += [
-        abs(sn * sn + cn * cn - 1.0),
-        abs(dn * dn + mod.k_sq * sn * sn - 1.0),
-        sn_ode_residual(z, tau, cfg.series, h=cfg.fd_step),
-    ]
-    return rows, None
-
-
 def _elliptic_final(cfg, notes, extras):
     """Complete integrals at two fixed taus and the self-dual modulus at i."""
     rows = []
@@ -188,9 +198,8 @@ def _elliptic_final(cfg, notes, extras):
     return rows
 
 
-def _flow_sample(cfg, sample):
-    flow, abelian = stencil_residuals(Point2(*sample), cfg.tau, cfg.series, h=cfg.fd_step)
-    return flow + abelian, None
+def _curve(cfg) -> CurveData:
+    return curve_data(cfg.tau, cfg.series)
 
 
 _FLOW_LABELS = (
@@ -201,27 +210,24 @@ _SUITES = {
     "riemann": _Suite(
         boxes=(_BOX,) * 8,
         labels=tuple(f"riemann-{way}-{i}" for way in ("forward", "inverse") for i in range(1, 5)),
-        evaluate=lambda cfg, s: (
-            riemann_relation_residuals(
-                Quadruple(tuple(map(Point2, s[::2], s[1::2]))), cfg.tau, cfg.series
-            ),
-            None,
-        ),
+        evaluate=lambda cfg, batch: _noted(_riemann_relations(
+            _curve(cfg), [Quadruple(tuple(map(Point2, s[::2], s[1::2]))) for s in batch]
+        )),
     ),
     "fundamental": _Suite(
         boxes=(_BOX, _BOX),
         labels=("fund-1", "fund-2", "fund-3"),
-        evaluate=lambda cfg, s: (
-            fundamental_identity_residuals(Point2(*s), cfg.tau, cfg.series), None
-        ),
+        evaluate=lambda cfg, batch: _noted(_fundamental_identities(_curve(cfg), _points(batch))),
     ),
     "moduli": _Suite(
         boxes=(_TAU_DIAG, _TAU_DIAG, _TAU_OFF),
         labels=CONSISTENCY_LABELS,
-        evaluate=lambda cfg, s: (
-            [value for _, value in moduli_consistency_residuals(PeriodMatrix(*s), cfg.series)],
-            None,
-        ),
+        # every sample is a period matrix of its own, with a grid of its own
+        evaluate=lambda cfg, batch: [
+            ([value for _, value in moduli_consistency_residuals(PeriodMatrix(*s), cfg.series)],
+             None)
+            for s in batch
+        ],
         final_labels=tuple("ratio-" + "".join(map(str, bits)) for bits in RATIO_CHARACTERISTICS),
         finalize=_moduli_final,
         config_tau_first=True,
@@ -229,37 +235,35 @@ _SUITES = {
     "parameterizations": _Suite(
         boxes=(_BOX, _BOX),
         labels=PARAMETERIZATION_LABELS,
-        evaluate=lambda cfg, s: (
-            [value for _, value in parameterization_residuals(Point2(*s), cfg.tau, cfg.series)],
-            None,
-        ),
+        evaluate=lambda cfg, batch: _parameterizations(_curve(cfg), _points(batch)),
         reads_curve=True,
     ),
     "flow": _Suite(
         boxes=(_BOX, _BOX),
         labels=_FLOW_LABELS,
-        evaluate=_flow_sample,
+        evaluate=lambda cfg, batch: _noted(
+            _stencils(_curve(cfg), _points(batch), cfg.fd_step),
+            lambda result: (result[0] + result[1], None),  # flow, then abelian rows
+        ),
         fd_labels=frozenset(_FLOW_LABELS),
         reads_curve=True,
     ),
     "addition": _Suite(
         boxes=(_BOX,) * 4,
         labels=("addition-1", "addition-2"),
-        evaluate=lambda cfg, s: (
-            addition_formula_residuals(*map(Point2, s[::2], s[1::2]), cfg.tau, cfg.series), None
-        ),
+        evaluate=lambda cfg, batch: _noted(_addition_formulas(
+            _curve(cfg), [(Point2(s[0], s[1]), Point2(s[2], s[3])) for s in batch]
+        )),
     ),
     "derivative": _Suite(
         boxes=(_BOX, _BOX),
         labels=("deriv-ratio1-du", "deriv-ratio1-dv", "deriv-ratio2-du", "deriv-ratio2-dv"),
-        evaluate=lambda cfg, s: (
-            derivative_formula_residuals(Point2(*s), cfg.tau, cfg.series), None
-        ),
+        evaluate=lambda cfg, batch: _noted(_derivative_formulas(_curve(cfg), _points(batch))),
     ),
     "degeneration": _Suite(
         boxes=(_BOX, _BOX),
         labels=_SPLIT_LABELS + _INVERSION_LABELS,
-        evaluate=_degeneration_sample,
+        evaluate=_degeneration_batch,
         final_labels=("constant-member-spread",),
         finalize=_degeneration_final,
     ),
@@ -269,7 +273,10 @@ _SUITES = {
             "elliptic-sq-1", "elliptic-sq-2", "elliptic-sq-3", "elliptic-null-quartic",
             "jacobi-sn-cn", "jacobi-dn", "sn-ode",
         ),
-        evaluate=_elliptic_sample,
+        # genus-1 theory at tau = tau1 of the config
+        evaluate=lambda cfg, batch: _noted(
+            _elliptic_checks([s[0] for s in batch], cfg.tau.tau1, cfg.series, cfg.fd_step)
+        ),
         fd_labels=frozenset(["sn-ode"]),
         final_labels=(
             "complete-tau-i", "complete-norm-i", "complete-tau-1.5i", "complete-norm-1.5i",
@@ -334,6 +341,27 @@ class Report:
     passed: bool
 
 
+def _outcomes(suite: _Suite, cfg: RunConfig, batch: list[list[complex]]) -> list:
+    """suite.evaluate over the batch, one outcome per sample.
+
+    A batch that raises is evaluated again one sample at a time, in order:
+    a skippable error becomes its sample's outcome, and any other error is
+    raised at the first sample that raises it, as the one-by-one walk would.
+    """
+    if len(batch) > 1:
+        try:
+            return suite.evaluate(cfg, batch)
+        except G2ThetaError:
+            pass
+    outcomes = []
+    for sample in batch:
+        try:
+            outcomes += suite.evaluate(cfg, [sample])
+        except _SKIPPABLE as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     """Draw, evaluate and fold one suite's samples, then its final rows."""
     suite = _SUITES[name]
@@ -343,32 +371,41 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     skip_reasons: dict[str, int] = {}
     skipped = 0
 
-    def take(sample, evaluated):
-        residuals, note = evaluated
+    def take(sample, outcome):
+        residuals, note = outcome
         rows.extend(
             (label, value, sample)
             for label, value in zip(suite.labels, residuals, strict=True)
         )
         notes.append((note, sample))
 
-    draws = cfg.samples
-    if suite.config_tau_first:
+    unresolved = cfg.samples
+    if suite.config_tau_first:  # never skipped: an error there ends the run
         sample = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
-        take(sample, suite.evaluate(cfg, sample))
-        draws -= 1
-    for _ in range(draws):
-        for _attempt in range(10):
-            sample = [stream.next_complex(*box) for box in suite.boxes]
-            try:
-                evaluated = suite.evaluate(cfg, sample)
-            except _SKIPPABLE as exc:
-                reason = type(exc).__name__
+        [outcome] = _outcomes(suite, cfg, [sample])
+        if isinstance(outcome, G2ThetaError):
+            raise outcome
+        take(sample, outcome)
+        unresolved -= 1
+    # every unresolved sample needs one more draw at least, so a batch of
+    # that many holds only draws the one-by-one walk reaches
+    failed = 0  # failed attempts of the current sample
+    while unresolved:
+        batch = [
+            [stream.next_complex(*box) for box in suite.boxes] for _ in range(unresolved)
+        ]
+        for sample, outcome in zip(batch, _outcomes(suite, cfg, batch), strict=True):
+            if isinstance(outcome, _SKIPPABLE):
+                reason = type(outcome).__name__
                 skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-                continue
-            take(sample, evaluated)
-            break
-        else:
-            skipped += 1
+                failed += 1
+                if failed < 10:
+                    continue
+                skipped += 1
+            else:
+                take(sample, outcome)
+            failed = 0
+            unresolved -= 1
 
     extras: dict = {}
     if suite.finalize is not None:

@@ -21,14 +21,16 @@ convention holds across all formulas.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
     CoincidentPoints,
     DivisionByZeroModulus,
     InvalidFactorIndex,
+    PointError,
     SingularDenominator,
+    outcome,
+    settle,
 )
 from .moduli import ModuliSet
 from .theta import (
@@ -51,6 +53,7 @@ __all__ = [
     "symmetric_functions",
     "recover_pair",
     "parameterization_residuals",
+    "invert_point",
     "PARAMETERIZATION_LABELS",
 ]
 
@@ -59,6 +62,7 @@ _TH_REF = (0, 0, 1, 1)  # reference denominator theta
 # the symmetric functions, and the bracket that fixes the sign class
 _PAIR_BITS = (_TH_REF, (1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 1))
 _PAIR_CHARS = tuple(HalfCharacteristic(*bits) for bits in _PAIR_BITS)
+_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 
 
 @dataclass(frozen=True)
@@ -178,18 +182,17 @@ def _bracket_residual_terms(
 def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
-    return next(_recover_pairs(curve_data(tau, ctrl), (point,)))
+    return settle(_recover_pairs(curve_data(tau, ctrl), (point,))[0])
 
 
-def _recover_pairs(cd: CurveData, points) -> Iterator[PointPair]:
-    """recover_pair at each point in order, from one grid and one moduli set.
-
-    A generator: each pair is resolved when it is reached, so a point that
-    fails raises there, after the pairs of the points before it.
-    """
+def _recover_pairs(cd: CurveData, points) -> list[PointPair | PointError]:
+    """The outcome of recover_pair at each point, from one values_at call and
+    one moduli set: the pair, or the PointError raised at that point."""
     ms = cd.moduli
-    for point, values in zip(points, cd.values_at(_PAIR_CHARS, points)):
-        yield _pair_from_thetas(cd, ms, dict(zip(_PAIR_BITS, values)), point)
+    return [
+        outcome(_pair_from_thetas, cd, ms, dict(zip(_PAIR_BITS, values)), point)
+        for point, values in zip(points, cd.values_at(_PAIR_CHARS, points))
+    ]
 
 
 def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPair:
@@ -286,9 +289,30 @@ def parameterization_residuals(
     recovered by recover_pair.  Every row reads one table of the sixteen
     theta values at the point.
     """
-    cd = curve_data(tau, ctrl)
+    return invert_point(point, tau, ctrl)[1]
+
+
+def invert_point(
+    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
+) -> tuple[PointPair, list[tuple[str, float]]]:
+    """recover_pair and parameterization_residuals at the point, from one grid."""
+    rows, pair = settle(_parameterizations(curve_data(tau, ctrl), (point,))[0])
+    return pair, list(zip(PARAMETERIZATION_LABELS, rows, strict=True))
+
+
+def _parameterizations(cd: CurveData, points) -> list[tuple[list[float], PointPair] | PointError]:
+    """The outcome at each point, from one values_at call of all sixteen
+    characteristics: the residuals in PARAMETERIZATION_LABELS order and the
+    recovered pair, or the PointError raised at that point."""
     ms = cd.moduli
-    th = cd.table(ALL_CHARACTERISTICS, point)
+    values = cd.values_at(ALL_CHARACTERISTICS, points)
+    return [
+        outcome(_parameterization_rows, cd, ms, dict(zip(_ALL_BITS, row)), point)
+        for point, row in zip(points, values)
+    ]
+
+
+def _parameterization_rows(cd: CurveData, ms: ModuliSet, th: dict, point):
     pair = _pair_from_thetas(cd, ms, th, point)
     x1, x2, sg1, sg2 = pair.x1, pair.x2, pair.sigma1, pair.sigma2
     curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
@@ -307,4 +331,4 @@ def parameterization_residuals(
         den_sum = nulls[den_bits] ** 2 * den
         vals = [sign * nulls[nb] ** 2 * th[tb] ** 2 / den_sum for sign, nb, tb in terms]
         out.append(abs(sum(vals) - 1.0) / (1.0 + max(abs(t) for t in vals)))
-    return list(zip(PARAMETERIZATION_LABELS, out, strict=True))
+    return out, pair

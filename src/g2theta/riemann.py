@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .theta import (
+    CurveData,
     HalfCharacteristic,
     PeriodMatrix,
     Point2,
@@ -135,15 +136,21 @@ def _relation_residuals(lhs_vec, rhs_vec):
 def riemann_relation_residuals(
     q: Quadruple, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
-    """Eight residuals: the four forward relations, then the four inverse ones.
+    """Eight residuals: the four forward relations, then the four inverse ones."""
+    return _riemann_relations(curve_data(tau, ctrl), (q,))[0]
 
-    The quadruple and its transform are evaluated together, on one grid.
-    """
-    points = q.points + riemann_transform(q).points
-    values = curve_data(tau, ctrl).values_at(_PRODUCT_CHARS, points)
-    m = _all_products(values[:4])
-    mt = _all_products(values[4:])
-    return _relation_residuals(m, mt) + _relation_residuals(mt, m)
+
+def _riemann_relations(cd: CurveData, quads) -> list[list[float]]:
+    """riemann_relation_residuals of each quadruple; all the quadruples and
+    their transforms are evaluated in one values_at call."""
+    points = [p for q in quads for p in q.points + riemann_transform(q).points]
+    values = cd.values_at(_PRODUCT_CHARS, points)
+    out = []
+    for i in range(0, len(values), 8):
+        m = _all_products(values[i : i + 4])
+        mt = _all_products(values[i + 4 : i + 8])
+        out.append(_relation_residuals(m, mt) + _relation_residuals(mt, m))
+    return out
 
 
 # each identity: null(n0)^2 th(t0)^2 = sum of signed null^2 th^2 terms
@@ -186,22 +193,21 @@ def fundamental_identity_residuals(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> list[float]:
     """Residuals of the three four-term squared-theta identities at (u, v)."""
-    cd = curve_data(tau, ctrl)
-    nulls = cd.nulls
+    return _fundamental_identities(curve_data(tau, ctrl), (point,))[0]
 
-    def nul2(bits):
-        return nulls[bits] ** 2
 
-    th = cd.table(_FUNDAMENTAL_CHARS, point)
-
-    def th2(bits):
-        return th[bits] ** 2
-
+def _fundamental_identities(cd: CurveData, points) -> list[list[float]]:
+    """fundamental_identity_residuals at each point, from one values_at call."""
+    null_sq = {bits: value**2 for bits, value in cd.nulls.items()}
     out = []
-    for (n0, t0), rhs_terms in _FUNDAMENTAL_TERMS:
-        lhs = nul2(n0) * th2(t0)
-        terms = [sign * nul2(nb) * th2(tb) for sign, nb, tb in rhs_terms]
-        rhs = sum(terms)
-        scale = 1.0 + max(abs(lhs), max(abs(t) for t in terms))
-        out.append(abs(lhs - rhs) / scale)
+    for values in cd.values_at(_FUNDAMENTAL_CHARS, points):
+        th_sq = {c.bits: value**2 for c, value in zip(_FUNDAMENTAL_CHARS, values)}
+        rows = []
+        for (n0, t0), rhs_terms in _FUNDAMENTAL_TERMS:
+            lhs = null_sq[n0] * th_sq[t0]
+            terms = [sign * null_sq[nb] * th_sq[tb] for sign, nb, tb in rhs_terms]
+            rhs = sum(terms)
+            scale = 1.0 + max(abs(lhs), max(abs(t) for t in terms))
+            rows.append(abs(lhs - rhs) / scale)
+        out.append(rows)
     return out

@@ -22,15 +22,17 @@ curve_data(tau, ctrl) keeps the CurveData of the last 64 period matrices
 forms of at most 4 radii (_FORMS_PER_CURVE).
 
 Theta values come two ways.  Batched: CurveData.values_at evaluates any set
-of characteristics at any set of points from one grid of terms, shape
-(points, characteristics, 2N+1, 2N+1), on the box of the largest radius
-among the points; terms outside a point's own box are set to zero.  Each
-row is summed correctly rounded by exact_row_sums, a certified vectorized
-sum that hands the rows it cannot settle to math.fsum, so every output is
-bit-reproducible run to run and does not depend on which other points or
-characteristics were evaluated with it.  CurveData.grads_at gives values
-and gradients from one grid, CurveData.table keys one point's values by
-characteristic, and CurveData.nulls / null_grads hold the values at the
+of characteristics at any number of points.  It splits the points into
+grids of terms, shape (points, characteristics, 2N+1, 2N+1): a grid holds
+points of one truncation radius N and at most _GRID_TERMS terms, so the
+kernel's memory stays bounded however many points a batch holds, and the
+values come back in input order.  Each row is summed correctly rounded by
+exact_row_sums, a certified vectorized sum that hands the rows it cannot
+settle to math.fsum, so every output is bit-reproducible run to run and
+does not depend on which other points or characteristics were evaluated
+with it.  CurveData.grads_at gives values and gradients on the same grids,
+whose budget counts the three jets, CurveData.table keys one point's values
+by characteristic, and CurveData.nulls / null_grads hold the values at the
 origin.  Scalar: theta2 and theta2_grad read one value of curve_data.
 
 Also here: parity of a characteristic, the relative residual _rel that the
@@ -232,23 +234,19 @@ def _char_layout(chars: tuple[HalfCharacteristic, ...]) -> tuple[np.ndarray, ...
     return layout
 
 
-def _lattice_terms(chars, points, cd: CurveData):
+def _lattice_terms(chars, points, cd: CurveData, radius: int):
     """Lattice terms of every characteristic at every point, shape (P, K, 2N+1, 2N+1).
 
-    N is the largest truncation radius among the points.  Entry [i, k] holds
+    N is radius, the truncation radius the points share.  Entry [i, k] holds
     the terms of chars[k] at points[i], m ascending along axis 2 and n along
-    axis 3; the terms a point's own radius leaves out are set to exactly 0,
-    so its exact row sum is the sum over its own box.  Each element goes
-    through the same floating-point operations, in the same order, as a
-    one-characteristic grid at one point: the quadratic form of each row is
-    gathered from the lattice forms of cd at radius N, and the linear term
-    of each point is added to it.  exp overflow is not reported here; it
-    shows up as a non-finite term when the rows are summed.
+    axis 3.  Each element goes through the same floating-point operations,
+    in the same order, as a one-characteristic grid at one point: the
+    quadratic form of each row is gathered from the lattice forms of cd at
+    radius N, and the linear term of each point is added to it.  exp
+    overflow is not reported here; it shows up as a non-finite term when
+    the rows are summed.
     """
-    tau, ctrl = cd.tau, cd.ctrl
-    radii = [truncation_radius(tau, point, ctrl) for point in points]
-    n = max(radii)
-    form = cd._form(n)
+    form = cd._form(radius)
     a, c, lattice, half_b, half_d = _char_layout(tuple(chars))
     p, q = form.p[a], form.q[c]
     u = np.array([point.u for point in points], dtype=np.complex128)[:, None, None, None]
@@ -261,14 +259,39 @@ def _lattice_terms(chars, points, cd: CurveData):
     np.multiply(_IPI, terms, out=terms)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(terms, out=terms)
-    for i, radius in enumerate(radii):
-        cut = n - radius
-        if cut:
-            terms[i, :, :cut] = 0.0
-            terms[i, :, -cut:] = 0.0
-            terms[i, :, :, :cut] = 0.0
-            terms[i, :, :, -cut:] = 0.0
     return p, q, terms
+
+
+# A grid holds the points of one truncation radius and at most this many
+# lattice terms in all: characteristics x (2N+1)^2 per point, times three
+# jets for gradients.  A point over the budget on its own gets a grid to
+# itself.  The budget bounds the kernel's temporaries, a few arrays of the
+# grid's size, however many points a batch holds; past a few thousand terms
+# a larger grid saves little per-call overhead.
+_GRID_TERMS = 8192
+
+
+def _by_grid(radii, item_terms, evaluate) -> list:
+    """evaluate(n, indices) over bounded grids, the results in input order.
+
+    radii[i] is the truncation radius of item i.  Items are grouped by radius,
+    in order of first appearance, and each group is cut, in input order, into
+    grids of at most _GRID_TERMS terms, item_terms(n) per item.  evaluate
+    returns one result per index it is given.
+    """
+    if len(radii) == 1:
+        return evaluate(radii[0], [0])
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(radii):
+        groups.setdefault(n, []).append(i)
+    out = [None] * len(radii)
+    for n, items in groups.items():
+        step = max(1, _GRID_TERMS // item_terms(n))
+        for start in range(0, len(items), step):
+            grid = items[start : start + step]
+            for i, result in zip(grid, evaluate(n, grid), strict=True):
+                out[i] = result
+    return out
 
 
 def _fsum(row: list[float]) -> float:
@@ -429,28 +452,45 @@ class CurveData:
         return build_flow_constants(self)
 
     def values_at(self, chars, points) -> list[list[complex]]:
-        """theta[c](point) for every point (outer) and c in chars (inner), one grid."""
-        _, _, terms = _lattice_terms(chars, points, self)
-        return _grid_sums(terms).tolist()
+        """theta[c](point) for every point (outer) and c in chars (inner).
+
+        The points are evaluated on bounded grids of one radius each (_by_grid).
+        """
+
+        def grid(n, idx):
+            _, _, terms = _lattice_terms(chars, [points[i] for i in idx], self, n)
+            return _grid_sums(terms).tolist()
+
+        return self._on_grids(chars, points, 1, grid)
 
     def grads_at(
         self, chars, points
     ) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
-        """Values and (d theta/du, d theta/dv) at every point, from one grid.
+        """Values and (d theta/du, d theta/dv) at every point, on the grids of values_at.
 
         Gradients come from term-wise differentiation of the series; both lists
         are indexed [point][characteristic] like values_at.
         """
-        p, q, terms = _lattice_terms(chars, points, self)
         two_pi_i = 2j * math.pi
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
-            jets = np.stack((terms, (two_pi_i * p) * terms, (two_pi_i * q) * terms))
-        values, du, dv = _grid_sums(jets).tolist()
-        return values, [list(zip(du_i, dv_i)) for du_i, dv_i in zip(du, dv)]
+
+        def grid(n, idx):
+            p, q, terms = _lattice_terms(chars, [points[i] for i in idx], self, n)
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
+                jets = np.stack((terms, (two_pi_i * p) * terms, (two_pi_i * q) * terms))
+            values, du, dv = _grid_sums(jets).tolist()
+            return [(vals, list(zip(du_i, dv_i))) for vals, du_i, dv_i in zip(values, du, dv)]
+
+        jets = self._on_grids(chars, points, 3, grid)
+        return [vals for vals, _ in jets], [grads for _, grads in jets]
 
     def table(self, chars, point: Point2) -> dict[tuple[int, int, int, int], complex]:
         """theta[c](point) keyed by c.bits, from one grid."""
         return {c.bits: v for c, v in zip(chars, self.values_at(chars, (point,))[0])}
+
+    def _on_grids(self, chars, points, jets, grid):
+        radii = [truncation_radius(self.tau, point, self.ctrl) for point in points]
+        per_point = jets * len(chars)
+        return _by_grid(radii, lambda n: per_point * (2 * n + 1) ** 2, grid)
 
     def _form(self, n: int) -> _LatticeForm:
         form = self._forms.get(n)

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 import g2theta.cli as cli
 import g2theta.harness as harness
 from g2theta.cli import main
-from g2theta.errors import ConfigInvalid, DegenerateTau, SingularDenominator
+from g2theta.errors import (
+    CoincidentPoints,
+    ConfigInvalid,
+    DegenerateTau,
+    G2ThetaError,
+    PointError,
+    SingularDenominator,
+    StencilCrossesDivisor,
+    TruncationOverflow,
+)
 from g2theta.flow import stencil_residuals
 from g2theta.harness import (
     VERSION,
@@ -110,9 +119,17 @@ def test_reports_match_golden_files(name, tau):
     assert report_to_json(run_suites(cfg)) == (DATA / name).read_text(encoding="utf-8")
 
 
+def test_a_report_of_full_batches_matches_its_golden_file():
+    # `g2theta verify --samples 100 --seed 7`: each suite's first batch holds
+    # 100 samples, spread over many grids of each radius
+    cfg = RunConfig(seed=7, samples=100)
+    golden = (DATA / "verify_seed7_samples100.json").read_text(encoding="utf-8")
+    assert report_to_json(run_suites(cfg)) == golden
+
+
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
-    def divisor(cfg, sample):
-        raise SingularDenominator("on the divisor")
+    def divisor(cfg, batch):
+        return [SingularDenominator("on the divisor") for _ in batch]
 
     suite = harness._SUITES["degeneration"]
     monkeypatch.setitem(harness._SUITES, "degeneration", replace(suite, evaluate=divisor))
@@ -126,10 +143,180 @@ def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatc
 
 def test_a_residual_list_that_drifts_from_its_labels_fails_loudly(monkeypatch):
     suite = harness._SUITES["fundamental"]
-    short = replace(suite, evaluate=lambda cfg, sample: ([0.0, 0.0], None))
+    short = replace(suite, evaluate=lambda cfg, batch: [([0.0, 0.0], None) for _ in batch])
     monkeypatch.setitem(harness._SUITES, "fundamental", short)
     with pytest.raises(ValueError):
         run_suites(RunConfig(samples=1, suites=("fundamental",)))
+
+
+def _one_by_one_walk(name, cfg):
+    """The sampling walk without batches: the reference for _run_suite.
+
+    Each draw is evaluated alone, as soon as it is drawn; a skippable error
+    costs its sample one of 10 attempts.  The fold is the harness's own.
+    """
+    suite = harness._SUITES[name]
+    stream = SampleStream(cfg.seed, name)
+    rows, notes, skip_reasons, skipped = [], [], {}, 0
+
+    def evaluate(sample):
+        try:
+            [outcome] = suite.evaluate(cfg, [sample])
+        except harness._SKIPPABLE as exc:
+            return exc
+        if isinstance(outcome, G2ThetaError) and not isinstance(outcome, harness._SKIPPABLE):
+            raise outcome
+        return outcome
+
+    def take(sample, outcome):
+        residuals, note = outcome
+        rows.extend(
+            (label, value, sample) for label, value in zip(suite.labels, residuals, strict=True)
+        )
+        notes.append((note, sample))
+
+    draws = cfg.samples
+    if suite.config_tau_first:
+        sample = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
+        take(sample, evaluate(sample))
+        draws -= 1
+    for _ in range(draws):
+        for _attempt in range(10):
+            sample = [stream.next_complex(*box) for box in suite.boxes]
+            outcome = evaluate(sample)
+            if isinstance(outcome, G2ThetaError):
+                reason = type(outcome).__name__
+                skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
+                continue
+            take(sample, outcome)
+            break
+        else:
+            skipped += 1
+    extras = {}
+    if suite.finalize is not None:
+        final = suite.finalize(cfg, notes, extras)
+        rows.extend(
+            (label, value, point)
+            for label, (value, point) in zip(suite.final_labels, final, strict=True)
+        )
+    total, worst, worst_check, worst_point, within = 0.0, 0.0, "", [], True
+    for label, value, point in rows:
+        total += value
+        if value > worst:
+            worst, worst_check, worst_point = value, label, list(point)
+        if value > (cfg.tol_fd if label in suite.fd_labels else cfg.tol_identity):
+            within = False
+    return harness.SuiteResult(
+        name=name,
+        passed=within and skipped < 0.2 * cfg.samples,
+        tolerance=cfg.tol_identity,
+        fd_tolerance=cfg.tol_fd,
+        samples_run=len(notes),
+        skipped=skipped,
+        skip_reasons=dict(sorted(skip_reasons.items())),
+        max_residual=worst,
+        mean_residual=total / len(rows) if rows else 0.0,
+        worst_check=worst_check,
+        worst_point=worst_point,
+        checks=list(suite.labels + suite.final_labels),
+        extras=extras,
+    )
+
+
+def _inject(monkeypatch, name, cfg, errors):
+    """Make the draws at the given stream indices fail with errors[index].
+
+    A PointError is returned as its sample's outcome; any other error is
+    raised by every batch that holds the draw, as a kernel error would be,
+    and a batch that holds several raises the last of them.  The real
+    evaluate runs on the other draws, all together.
+    """
+    suite = harness._SUITES[name]
+    stream = SampleStream(cfg.seed, name)
+    index = {
+        tuple(stream.next_complex(*box) for box in suite.boxes): i for i in range(40 * cfg.samples)
+    }
+
+    def evaluate(cfg, batch):
+        at = [index.get(tuple(sample)) for sample in batch]
+        for i in reversed(at):
+            if i in errors and not isinstance(errors[i], PointError):
+                raise errors[i]
+        clean = [sample for sample, i in zip(batch, at) if i not in errors]
+        results = iter(suite.evaluate(cfg, clean) if clean else [])
+        return [errors[i] if i in errors else next(results) for i in at]
+
+    monkeypatch.setitem(harness._SUITES, name, replace(suite, evaluate=evaluate))
+
+
+@pytest.mark.parametrize("name", ["flow", "degeneration", "moduli"])
+def test_batched_walk_with_skips_equals_the_one_by_one_walk(monkeypatch, name):
+    # six stream samples; moduli evaluates the configured tau first
+    cfg = RunConfig(samples=6 + (name == "moduli"), suites=(name,))
+    # draws by sample: 0 | 1 2 | 3 | 4..13, ten failed attempts, skipped |
+    # 14 15 | 16 17; the failure at draw 1 sits in the middle of the first
+    # batch, and DegenerateTau (not a PointError) is raised by its batch
+    errors = {
+        1: SingularDenominator("mid-batch"),
+        4: CoincidentPoints("coincident"),
+        **{i: StencilCrossesDivisor(f"crossing {i}") for i in range(5, 15)},
+        16: DegenerateTau("degenerate"),
+    }
+    _inject(monkeypatch, name, cfg, errors)
+    batches = []
+    outcomes = harness._outcomes
+
+    def recorded(suite, cfg, batch):
+        batches.append(batch)
+        return outcomes(suite, cfg, batch)
+
+    monkeypatch.setattr(harness, "_outcomes", recorded)
+    batched = harness._run_suite(name, cfg)
+    assert batched == _one_by_one_walk(name, cfg)
+    assert (batched.samples_run, batched.skipped) == (cfg.samples - 1, 1)
+    assert batched.skip_reasons == {
+        "CoincidentPoints": 1, "DegenerateTau": 1, "SingularDenominator": 1,
+        "StencilCrossesDivisor": 10,
+    }
+    # the walk takes draws 0..17; each batch holds as many draws as samples
+    # are still open, so no draw past 17 is evaluated
+    drawn = [sample for batch in batches for sample in batch]
+    if name == "moduli":  # the configured tau is a batch of one
+        assert batches[0] == [[cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]]
+        drawn = drawn[1:]
+    assert drawn == _draws(name, cfg.seed, 18)
+    assert len(batches[-1]) < len(batches[1])
+
+
+def _draws(name, seed, count):
+    stream = SampleStream(seed, name)
+    boxes = harness._SUITES[name].boxes
+    return [[stream.next_complex(*box) for box in boxes] for _ in range(count)]
+
+
+def test_an_overflow_the_walk_reaches_is_raised_as_the_one_by_one_walk_raises_it(monkeypatch):
+    cfg = RunConfig(samples=5, suites=("fundamental",))
+    errors = {
+        2: SingularDenominator("skipped first"),
+        3: TruncationOverflow("required radius 70 exceeds max_radius 64"),
+        4: TruncationOverflow("lattice sum left double range: non-finite term"),
+    }
+    _inject(monkeypatch, "fundamental", cfg, errors)
+    with pytest.raises(TruncationOverflow) as reference:
+        _one_by_one_walk("fundamental", cfg)
+    with pytest.raises(TruncationOverflow) as batched:
+        harness._run_suite("fundamental", cfg)
+    assert str(batched.value) == str(reference.value) == "required radius 70 exceeds max_radius 64"
+
+
+def test_an_overflow_past_the_last_draw_is_never_evaluated(monkeypatch):
+    # 5 samples with one skip take draws 0..5; draw 6 is never reached
+    cfg = RunConfig(samples=5, suites=("fundamental",))
+    errors = {1: SingularDenominator("on the divisor"), 6: TruncationOverflow("unreached")}
+    _inject(monkeypatch, "fundamental", cfg, errors)
+    result = harness._run_suite("fundamental", cfg)
+    assert result == _one_by_one_walk("fundamental", cfg)
+    assert (result.samples_run, result.skip_reasons) == (5, {"SingularDenominator": 1})
 
 
 def test_parse_config_file(tmp_path):
@@ -313,6 +500,21 @@ def test_cli_split_tau_verify_reports_instead_of_crashing(tmp_path):
     point = Point2(0.2568588991595585 - 0.05753327218064916j, -0.17557780446869053 + 0.009911243493877508j)
     with pytest.raises(SingularDenominator):
         stencil_residuals(point, SPLIT_TAU, h=1e-5)
+
+
+def test_cli_failed_verify_leaves_no_report_file_it_created(tmp_path):
+    split = ("--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,0")
+    created = tmp_path / "x.json"
+    proc = _run_cli("verify", *split, "--json", str(created))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert not created.exists()
+    # a report already there is left as it was
+    existing = tmp_path / "old.json"
+    existing.write_text("{}\n", encoding="utf-8")
+    proc = _run_cli("verify", *split, "--json", str(existing))
+    assert proc.returncode == 3
+    assert existing.read_text(encoding="utf-8") == "{}\n"
 
 
 def test_split_tau_refused_only_by_suites_that_read_the_curve():

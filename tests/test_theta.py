@@ -102,6 +102,56 @@ def test_multi_point_grid_equals_per_point_evaluation():
     assert backwards == values[::-1]
 
 
+def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
+    # radii 4, 5 and 6 interleaved, enough points of each radius to fill
+    # several grids, so values come back from many grids in input order
+    stream = SampleStream(2, "bounded-grids")
+    points = [
+        Point2(stream.next_uniform(-0.5, 0.5) + im * 1j, stream.next_uniform(-0.5, 0.5) - im * 1j)
+        for _ in range(24)
+        for im in (0.05, 0.35, 0.95)
+    ]
+    radii = [truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in points]
+    assert set(radii) == {4, 5, 6}
+    cd = curve_data(DEFAULT_TAU)
+    grids = []
+    original = theta._lattice_terms
+
+    def counted(chars, pts, cd, n):
+        grids.append((len(chars) * len(pts) * (2 * n + 1) ** 2, n))
+        return original(chars, pts, cd, n)
+
+    monkeypatch.setattr(theta, "_lattice_terms", counted)
+    values = cd.values_at(ALL_CHARACTERISTICS, points)
+    jets, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
+    assert len(grids) > 2 * len(set(radii))
+    assert all(terms <= theta._GRID_TERMS for terms, _ in grids)
+    assert jets == values
+    for point, vals, grad in zip(points, values, grads):
+        assert vals == cd.values_at(ALL_CHARACTERISTICS, (point,))[0], point
+        assert grad == cd.grads_at(ALL_CHARACTERISTICS, (point,))[1][0], point
+
+
+def test_a_point_over_the_grid_budget_gets_a_grid_of_its_own(monkeypatch):
+    # two radius-4 points, each 16 x 81 = 1296 terms, against a 1000-term budget
+    points = KERNEL_POINTS[:2]
+    assert {truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in points} == {4}
+    cd = curve_data(DEFAULT_TAU)
+    grids = []
+    original = theta._lattice_terms
+
+    def counted(chars, pts, cd, n):
+        grids.append((len(chars), len(pts)))
+        return original(chars, pts, cd, n)
+
+    monkeypatch.setattr(theta, "_lattice_terms", counted)
+    monkeypatch.setattr(theta, "_GRID_TERMS", 1000)
+    values = cd.values_at(ALL_CHARACTERISTICS, points)
+    assert grids == [(16, 1), (16, 1)]
+    for point, vals in zip(points, values):
+        assert vals == [reference_theta2(c, point, DEFAULT_TAU) for c in ALL_CHARACTERISTICS]
+
+
 def _fresh_taus(count, label):
     """Period matrices from the harness's Siegel box, as the curves sweep draws them."""
     stream = SampleStream(1, label)

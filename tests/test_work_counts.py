@@ -1,6 +1,7 @@
-"""Work counts of the theta kernel: each point is evaluated once, the
-multi-point checks evaluate all their points on one grid, and the per-tau
-data (moduli, flow constants) is built once per period matrix.
+"""Work counts of the theta kernel: each point is evaluated once, each
+batch of a suite evaluates its points in one kernel call, on grids of one
+radius within the term budget, and the per-tau data (moduli, flow
+constants) is built once per period matrix.
 
 The counts are deterministic, so they pin the evaluation structure without
 depending on timing.
@@ -15,6 +16,7 @@ import g2theta.moduli as moduli
 import g2theta.theta as theta
 from conftest import draw_points
 
+from g2theta.cli import main
 from g2theta.harness import RunConfig, run_suites
 from g2theta.riemann import Quadruple, riemann_relation_residuals
 from g2theta.theta import DEFAULT_TAU, PeriodMatrix
@@ -48,56 +50,109 @@ def test_recover_pair_builds_one_grid_and_one_moduli_set(monkeypatch):
     assert len(builds) == 1
 
 
-def test_flow_suite_recovers_at_most_five_pairs_per_attempt(monkeypatch):
+def _grid_sizes(monkeypatch, sizes):
+    """Record the number of terms of every grid summed, genus 2 (jets
+    included) and genus 1."""
+    for module in (theta, degeneration):
+        original = module.complex_row_sums
+
+        def counted(rows, original=original):
+            sizes.append(rows.size)
+            return original(rows)
+
+        monkeypatch.setattr(module, "complex_row_sums", counted)
+
+
+def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
     flow.flow_constants(DEFAULT_TAU)  # the null gradients are a grid of their own
     stencils, grids = [], []
     _counting(monkeypatch, flow, "_recover_pairs", stencils)
     _counting(monkeypatch, theta, "_lattice_terms", grids)
     result = run_suites(RunConfig(samples=4, suites=("flow",))).suites[0]
-    attempts = result.samples_run + sum(result.skip_reasons.values())
-    assert result.samples_run == 4
-    # one 5-point stencil per attempt, evaluated on one grid
-    assert len(stencils) == len(grids) == attempts
-    assert all(len(args[1]) == 5 for args in stencils)
-    assert all(len(args[1]) == 5 for args in grids)
+    assert (result.samples_run, result.skip_reasons) == (4, {})
+    # one batch: the 5-point stencils of all four samples in one call, on
+    # grids of one radius each (4 characteristics x 81 terms a point at radius 4)
+    assert [len(args[1]) for args in stencils] == [20]
+    assert sum(len(args[1]) for args in grids) == 20
+    assert len(grids) == len({args[3] for args in grids})
 
 
-def test_parameterizations_suite_builds_one_grid_per_attempt(monkeypatch):
+def test_parameterizations_suite_builds_one_grid_per_batch(monkeypatch):
     theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
     _counting(monkeypatch, theta, "_lattice_terms", grids)
     result = run_suites(RunConfig(samples=5, suites=("parameterizations",))).suites[0]
-    attempts = result.samples_run + sum(result.skip_reasons.values())
-    # the ratios, the pair and the unit sums all read one 16-characteristic grid
-    assert [len(args[0]) for args in grids] == [16] * attempts
+    assert (result.samples_run, result.skip_reasons) == (5, {})
+    # the ratios, the pair and the unit sums of all five samples read one
+    # 16-characteristic grid per radius
+    assert [len(args[0]) for args in grids] == [16] * len(grids)
+    assert sum(len(args[1]) for args in grids) == 5
+    assert len(grids) == len({args[3] for args in grids})
 
 
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
     theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
-    calls = []
-    _counting(monkeypatch, theta, "_lattice_terms", calls)
+    calls, grids = [], []
+    _counting(monkeypatch, theta.CurveData, "values_at", calls)
+    _counting(monkeypatch, theta, "_lattice_terms", grids)
     pts = draw_points(9, "work-counts-riemann", 4)
     quad = Quadruple(tuple(pts))
     riemann_relation_residuals(quad, DEFAULT_TAU)
-    # the quadruple and its transform share one kernel call
+    # the quadruple and its transform share one values_at call, and each
+    # point is on one grid
     assert len(calls) == 1
-    points = calls[0][1]
+    points = [point for args in grids for point in args[1]]
     assert len(points) == len(set(points)) == 8
 
 
 def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     cfg = RunConfig(samples=3, suites=("degeneration",))
     run_suites(cfg)  # memoizes the nulls of the split period matrix
-    radii, genus1 = [], []
-    _counting(monkeypatch, theta, "truncation_radius", radii)
+    grids, genus1 = [], []
+    _counting(monkeypatch, theta, "_lattice_terms", grids)
     _counting(monkeypatch, degeneration, "_theta1_values", genus1)
     result = run_suites(cfg).suites[0]
-    attempts = result.samples_run + sum(result.skip_reasons.values())
-    # one stacked grid for the splitting check, one for the recovered pair
-    assert len(radii) == 2 * attempts
-    # one genus-1 grid for the splitting (four values at each argument), one
-    # for x (two values)
-    assert [len(args[0]) for args in genus1] == [8, 2] * attempts
+    assert (result.samples_run, result.skip_reasons) == (3, {})
+    # one batch: the splitting check and the recovered pair read one
+    # 16-characteristic grid at tau12 = 0 ...
+    assert [len(args[0]) for args in grids] == [16] * len(grids)
+    assert sum(len(args[1]) for args in grids) == 3
+    # ... and one genus-1 evaluation, four values at u and four at v
+    assert [len(args[0]) for args in genus1] == [8 * 3]
+
+
+def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once(monkeypatch):
+    theta._curve_data.cache_clear()
+    degeneration._nulls1.cache_clear()
+    grids, genus1, sizes = [], [], []
+    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, degeneration, "_theta1_grid", genus1)
+    _grid_sizes(monkeypatch, sizes)
+    report = run_suites(RunConfig(samples=20))
+    assert report.passed
+    assert max(sizes) <= theta._GRID_TERMS
+    # the 305 grids of one sample at a time, less than a third of them
+    assert len(sizes) == len(grids) + len(genus1) < 305 / 3
+    # each point is evaluated once per period matrix; the origin twice, for
+    # the nulls and for the null gradients
+    evaluated = Counter(
+        (cd.tau, point) for chars, points, cd, _ in grids for point in points
+    )
+    assert {key: n for key, n in evaluated.items() if n > 1} == {
+        (DEFAULT_TAU, theta.ORIGIN): 2
+    }
+    rows = Counter(row for rows, _ in genus1 for row in rows)
+    assert max(rows.values()) == 1
+
+
+def test_cli_invert_builds_one_grid_at_its_point(monkeypatch, capsys):
+    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
+    grids = []
+    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    assert main(["invert", "--u", "0.21,-0.09", "--v=-0.13,0.11"]) == 0
+    capsys.readouterr()
+    # the pair and all 18 parameterization rows read one 16-characteristic grid
+    assert [(len(args[0]), len(args[1])) for args in grids] == [(16, 1)]
 
 
 def test_verify_builds_per_tau_data_once(monkeypatch):
