@@ -64,8 +64,8 @@ from .moduli import (
     COLLAPSE_TOL,
     CONSISTENCY_LABELS,
     RATIO_CHARACTERISTICS,
+    _consistency_residuals,
     branch_points_collapse,
-    moduli_consistency_residuals,
     moduli_from_tau,
     null_ratio_signs,
 )
@@ -202,6 +202,17 @@ def _curve(cfg) -> CurveData:
     return curve_data(cfg.tau, cfg.series)
 
 
+def _sample_curve(cfg, sample) -> CurveData:
+    """The per-tau data of a moduli sample, a period matrix of its own.
+
+    A drawn period matrix is used once, so its CurveData is built here and
+    kept out of the curve_data cache, where a run of 64 or more samples
+    would push out the configured tau's; the configured tau is read from it.
+    """
+    tau = PeriodMatrix(*sample)
+    return _curve(cfg) if tau == cfg.tau else CurveData(tau, cfg.series)
+
+
 _FLOW_LABELS = (
     "flow-dx1-du", "flow-dx2-du", "flow-dx1-dv", "flow-dx2-dv", "abelian-du", "abelian-dv"
 )
@@ -222,10 +233,8 @@ _SUITES = {
     "moduli": _Suite(
         boxes=(_TAU_DIAG, _TAU_DIAG, _TAU_OFF),
         labels=CONSISTENCY_LABELS,
-        # every sample is a period matrix of its own, with a grid of its own
         evaluate=lambda cfg, batch: [
-            ([value for _, value in moduli_consistency_residuals(PeriodMatrix(*s), cfg.series)],
-             None)
+            ([value for _, value in _consistency_residuals(_sample_curve(cfg, s))], None)
             for s in batch
         ],
         final_labels=tuple("ratio-" + "".join(map(str, bits)) for bits in RATIO_CHARACTERISTICS),

@@ -218,7 +218,11 @@ def moduli_consistency_residuals(
     difference formulas for k_ij^2, the complements k'_i^2 = 1 - k_i^2 and
     differences k_ij^2 = k_i^2 - k_j^2 of the recorded fields.
     """
-    cd = curve_data(tau, ctrl)
+    return _consistency_residuals(curve_data(tau, ctrl))
+
+
+def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
+    """moduli_consistency_residuals from the per-tau data cd."""
     ms = cd.moduli
     n = _null_sq(cd)
 

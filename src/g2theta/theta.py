@@ -11,10 +11,11 @@ with positive-definite imaginary part.  The lattice sum is truncated to a
 square box whose radius comes from the Gaussian decay of the summand.
 
 What depends on the period matrix alone is built once, in its CurveData:
-on construction, the sixteen nulls (one all-characteristic evaluation) and
-the null scale max |theta[even](0)|; on first use, the null gradients, the
-moduli and the flow constants, each kept once built (a build that raises
-keeps nothing and raises again on the next access); and, per truncation
+on construction, from one grid at the origin, the sixteen nulls, the null
+scale max |theta[even](0)| and the null gradients of the two odd
+characteristics [10;10] and [11;10], which the flow constants read; on first
+use, the moduli and the flow constants, each kept once built (a build that
+raises keeps nothing and raises again on the next access); and, per truncation
 radius used, the quadratic forms tau1 p^2 + tau2 q^2 + 2 tau12 p q of the
 four lattice classes (a, c), from which every grid gathers its rows.
 curve_data(tau, ctrl) keeps the CurveData of the last 64 period matrices
@@ -32,8 +33,9 @@ settle to math.fsum, so every output is bit-reproducible run to run and
 does not depend on which other points or characteristics were evaluated
 with it.  CurveData.grads_at gives values and gradients on the same grids,
 whose budget counts the three jets, CurveData.table keys one point's values
-by characteristic, and CurveData.nulls / null_grads hold the values at the
-origin.  Scalar: theta2 and theta2_grad read one value of curve_data.
+by characteristic, and CurveData.nulls / null_grads hold the values and the
+two odd gradients at the origin.  Scalar: theta2 and theta2_grad read one
+value of curve_data.
 
 Also here: parity of a characteristic, the relative residual _rel that the
 identity checks of every layer report, and the half/full period shift rules
@@ -342,11 +344,20 @@ def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
     """exact_row_sums of finite rows below 2^900.
 
     amax bounds max|x| of each row: one value for all rows, or a column of
-    one per row.
+    one per row.  One value gives one split constant, computed on Python
+    floats, which costs less than numpy's scalar calls.
     """
     width = rows.shape[1]
-    _, e = np.frexp(amax)
-    sigma = np.ldexp(1.0, e + (width + 1).bit_length())
+    shift = (width + 1).bit_length()
+    # sigma is a power of two, so the product in the bound is exact unless it
+    # underflows, and _TINY covers that rounding
+    lo_error = 2.0 * width * width * 2.0**-106
+    if np.ndim(amax) == 0:
+        sigma = math.ldexp(1.0, math.frexp(amax)[1] + shift)
+        bound = sigma * lo_error + _TINY
+    else:
+        sigma = np.ldexp(1.0, np.frexp(amax)[1] + shift)
+        bound = sigma[:, 0] * lo_error + _TINY
     part = rows + sigma  # hi, then lo in place
     part -= sigma
     high = part.sum(axis=1)
@@ -355,9 +366,6 @@ def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
     res = high + low
     back = res - high
     err = (high - (res - back)) + (low - back)
-    # sigma is a power of two, so this product is exact unless it underflows,
-    # and _TINY covers that rounding
-    bound = np.ravel(sigma) * (2.0 * width * width * 2.0**-106) + _TINY
     # the spacing just below |res| is the smaller of the two gaps around res;
     # every value here is finite, so >= is the negation of <
     half_gap = 0.5 * np.spacing(np.nextafter(np.abs(res), 0.0))
@@ -392,7 +400,22 @@ def _grid_sums(terms: np.ndarray) -> np.ndarray:
     return complex_row_sums(rows).reshape(terms.shape[:-2])
 
 
+def _jet_terms(p, q, terms):
+    """The d/du and d/dv terms, (2 pi i p) terms and (2 pi i q) terms.
+
+    Term-wise differentiation of the series; p and q are the lattice rows
+    _lattice_terms returned with terms, or the same rows of them.
+    """
+    two_pi_i = 2j * math.pi
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise when summed
+        return (two_pi_i * p) * terms, (two_pi_i * q) * terms
+
+
 _ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
+# The null gradients CurveData keeps: those of the odd theta[10;10] and
+# theta[11;10], whose u and v derivatives at the origin give the flow
+# constants; the even gradients vanish there.
+_NULL_GRAD_BITS = ((1, 0, 1, 0), (1, 1, 1, 0))
 
 # Per-tau data is kept for this many period matrices, least recently used
 # dropped first, so a process sweeping many of them keeps a fixed footprint;
@@ -407,14 +430,16 @@ _FORMS_PER_CURVE = 4
 class CurveData:
     """What the theta functions of one period matrix share at every point.
 
-    Built on construction: nulls, all sixteen theta[c](0, 0) keyed by
-    c.bits, from one all-characteristic evaluation, and null_scale, the
-    largest |theta[c](0, 0)| over the even c.  Built on first use and then
-    kept: null_grads (the sixteen (d/du, d/dv) theta[c](0, 0)), moduli (the
-    ModuliSet) and flow_constants (the FlowConstants); a build that raises
-    keeps nothing, so every later access raises again.  The lattice forms
-    (the quadratic form of each lattice class) are kept for each truncation
-    radius used, at most _FORMS_PER_CURVE of them.
+    Built on construction, from one grid at the origin whose rows are
+    summed together: nulls, all sixteen theta[c](0, 0) keyed by c.bits;
+    null_grads, (d/du, d/dv) theta[c](0, 0) for the two odd c = [10;10] and
+    [11;10], keyed by c.bits, from the same lattice terms; and null_scale,
+    the largest |theta[c](0, 0)| over the even c.  Built on first use and
+    then kept: moduli (the ModuliSet) and flow_constants (the
+    FlowConstants); a build that raises keeps nothing, so every later access
+    raises again.  Other gradients at the origin come from grads_at.  The
+    lattice forms (the quadratic form of each lattice class) are kept for
+    each truncation radius used, at most _FORMS_PER_CURVE of them.
 
     curve_data(tau, ctrl) keeps one CurveData per (tau, ctrl).
     """
@@ -422,20 +447,25 @@ class CurveData:
     tau: PeriodMatrix
     ctrl: SeriesControl
     nulls: Mapping[tuple[int, int, int, int], complex] = field(init=False)
+    null_grads: Mapping[tuple[int, int, int, int], tuple[complex, complex]] = field(init=False)
     null_scale: float = field(init=False)
     _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        values = self.values_at(ALL_CHARACTERISTICS, (ORIGIN,))[0]
+        # one grid at the origin: the sixteen null rows, then the d/du and the
+        # d/dv rows of the two odd characteristics, summed together
+        radius = truncation_radius(self.tau, ORIGIN, self.ctrl)
+        p, q, terms = _lattice_terms(ALL_CHARACTERISTICS, (ORIGIN,), self, radius)
+        odd = [_ALL_BITS.index(bits) for bits in _NULL_GRAD_BITS]
+        jets = _jet_terms(p[odd], q[odd], terms[:, odd])
+        sums = _grid_sums(np.concatenate((terms, *jets), axis=1))[0].tolist()
+        values, du, dv = sums[:16], sums[16:18], sums[18:]
         nulls = MappingProxyType(dict(zip(_ALL_BITS, values)))
         object.__setattr__(self, "nulls", nulls)
+        grads = dict(zip(_NULL_GRAD_BITS, zip(du, dv)))
+        object.__setattr__(self, "null_grads", MappingProxyType(grads))
         scale = max(abs(nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
         object.__setattr__(self, "null_scale", scale)
-
-    @cached_property
-    def null_grads(self) -> Mapping[tuple[int, int, int, int], tuple[complex, complex]]:
-        grads = self.grads_at(ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
-        return MappingProxyType(dict(zip(_ALL_BITS, grads)))
 
     # moduli.py and flow.py, which define these results, import this module,
     # so their build functions are imported at first use
@@ -471,13 +501,10 @@ class CurveData:
         Gradients come from term-wise differentiation of the series; both lists
         are indexed [point][characteristic] like values_at.
         """
-        two_pi_i = 2j * math.pi
 
         def grid(n, idx):
             p, q, terms = _lattice_terms(chars, [points[i] for i in idx], self, n)
-            with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
-                jets = np.stack((terms, (two_pi_i * p) * terms, (two_pi_i * q) * terms))
-            values, du, dv = _grid_sums(jets).tolist()
+            values, du, dv = _grid_sums(np.stack((terms, *_jet_terms(p, q, terms)))).tolist()
             return [(vals, list(zip(du_i, dv_i))) for vals, du_i, dv_i in zip(values, du, dv)]
 
         jets = self._on_grids(chars, points, 3, grid)

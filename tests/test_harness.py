@@ -127,6 +127,15 @@ def test_a_report_of_full_batches_matches_its_golden_file():
     assert report_to_json(run_suites(cfg)) == golden
 
 
+def test_an_alternate_tau_report_of_more_samples_than_the_cache_holds_matches_its_golden_file():
+    # `g2theta verify --samples 100 --tau1=0.2,1.4 --tau2=-0.1,0.95
+    # --tau12=0.03,0.3`: the moduli suite draws 99 period matrices, more
+    # than the curve_data cache holds
+    cfg = RunConfig(tau=PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j), samples=100)
+    golden = (DATA / "verify_alt_tau_samples100.json").read_text(encoding="utf-8")
+    assert report_to_json(run_suites(cfg)) == golden
+
+
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
     def divisor(cfg, batch):
         return [SingularDenominator("on the divisor") for _ in batch]

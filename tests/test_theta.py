@@ -227,9 +227,16 @@ def test_a_failed_moduli_build_raises_on_every_access():
 
 def test_one_characteristic_forms_and_nulls_match_the_reference():
     for tau in KERNEL_TAUS:
-        for c in ALL_CHARACTERISTICS:
-            assert curve_data(tau).nulls[c.bits] == reference_theta2(c, ORIGIN, tau)
-            assert curve_data(tau).null_grads[c.bits] == reference_theta2_grad(c, ORIGIN, tau)
+        cd = curve_data(tau)
+        # the null gradients built with the nulls: the two odd ones the flow
+        # constants read
+        assert list(cd.null_grads) == [(1, 0, 1, 0), (1, 1, 1, 0)]
+        for bits, grad in cd.null_grads.items():
+            assert grad == reference_theta2_grad(HalfCharacteristic(*bits), ORIGIN, tau)
+        origin_grads = cd.grads_at(ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
+        for c, grad in zip(ALL_CHARACTERISTICS, origin_grads, strict=True):
+            assert cd.nulls[c.bits] == reference_theta2(c, ORIGIN, tau)
+            assert grad == reference_theta2_grad(c, ORIGIN, tau)
             point = KERNEL_POINTS[2]
             assert theta2(c, point, tau) == reference_theta2(c, point, tau)
             assert theta2_grad(c, point, tau) == reference_theta2_grad(c, point, tau)
@@ -287,8 +294,9 @@ def test_odd_nulls_vanish():
 
 def test_even_null_gradients_vanish():
     scale = _null_scale(DEFAULT_TAU)
-    for c in EVEN_CHARACTERISTICS:
-        du, dv = curve_data(DEFAULT_TAU).null_grads[c.bits]
+    grads = curve_data(DEFAULT_TAU).grads_at(EVEN_CHARACTERISTICS, (ORIGIN,))[1][0]
+    assert len(grads) == 10
+    for du, dv in grads:
         assert max(abs(du), abs(dv)) <= 1e-13 * scale
 
 

@@ -50,6 +50,25 @@ def test_recover_pair_builds_one_grid_and_one_moduli_set(monkeypatch):
     assert len(builds) == 1
 
 
+def test_a_fresh_tau_evaluates_the_origin_once(monkeypatch):
+    # the per-tau work of one curves benchmark operation, at a period matrix
+    # no other test uses
+    tau = PeriodMatrix(0.13 + 1.19j, -0.07 + 1.08j, 0.04 + 0.23j)
+    grids, sizes = [], []
+    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _grid_sizes(monkeypatch, sizes)
+    moduli.moduli_from_tau(tau)
+    moduli.moduli_consistency_residuals(tau)
+    moduli.null_ratio_signs(tau)
+    flow.flow_constants(tau)
+    # one grid at the origin: the 16 nulls and the (d/du, d/dv) rows of
+    # [10;10] and [11;10], 20 rows of 81 terms at radius 4
+    assert [(len(chars), points, radius) for chars, points, _, radius in grids] == [
+        (16, (theta.ORIGIN,), 4)
+    ]
+    assert sizes == [20 * 81]
+
+
 def _grid_sizes(monkeypatch, sizes):
     """Record the number of terms of every grid summed, genus 2 (jets
     included) and genus 1."""
@@ -64,7 +83,7 @@ def _grid_sizes(monkeypatch, sizes):
 
 
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
-    flow.flow_constants(DEFAULT_TAU)  # the null gradients are a grid of their own
+    flow.flow_constants(DEFAULT_TAU)  # the nulls and null gradients are a grid of their own
     stencils, grids = [], []
     _counting(monkeypatch, flow, "_recover_pairs", stencils)
     _counting(monkeypatch, theta, "_lattice_terms", grids)
@@ -133,14 +152,12 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     assert max(sizes) <= theta._GRID_TERMS
     # the 305 grids of one sample at a time, less than a third of them
     assert len(sizes) == len(grids) + len(genus1) < 305 / 3
-    # each point is evaluated once per period matrix; the origin twice, for
-    # the nulls and for the null gradients
+    # each point is evaluated once per period matrix, the origin too: the
+    # nulls and the null gradients are one grid
     evaluated = Counter(
         (cd.tau, point) for chars, points, cd, _ in grids for point in points
     )
-    assert {key: n for key, n in evaluated.items() if n > 1} == {
-        (DEFAULT_TAU, theta.ORIGIN): 2
-    }
+    assert {key: n for key, n in evaluated.items() if n > 1} == {}
     rows = Counter(row for rows, _ in genus1 for row in rows)
     assert max(rows.values()) == 1
 
@@ -165,5 +182,22 @@ def test_verify_builds_per_tau_data_once(monkeypatch):
     # the configured tau, its split partner and the moduli suite's samples
     per_tau = Counter((cd.tau, cd.ctrl) for (cd,) in moduli_builds)
     assert len(per_tau) >= 21
+    assert max(per_tau.values()) == 1
+    assert [cd.tau for (cd,) in flow_builds] == [DEFAULT_TAU]
+
+
+def test_a_run_of_more_samples_than_the_cache_holds_builds_per_tau_data_once(monkeypatch):
+    theta._curve_data.cache_clear()
+    moduli_builds, flow_builds = [], []
+    _counting(monkeypatch, moduli, "build_moduli", moduli_builds)
+    _counting(monkeypatch, flow, "build_flow_constants", flow_builds)
+    cfg = RunConfig(samples=100, suites=("fundamental", "moduli", "flow"))
+    assert 100 > theta._NULL_CACHE_TAUS
+    report = run_suites(cfg)
+    assert report.passed
+    # the moduli suite's 99 drawn period matrices do not push the configured
+    # tau's per-tau data out of the cache
+    per_tau = Counter((cd.tau, cd.ctrl) for (cd,) in moduli_builds)
+    assert len(per_tau) == 100
     assert max(per_tau.values()) == 1
     assert [cd.tau for (cd,) in flow_builds] == [DEFAULT_TAU]
