@@ -1,8 +1,9 @@
 """Command-line interface: verify suites, print moduli, invert a point.
 
-Exit codes: 0 success (every selected suite passed), 1 bad configuration,
-2 numerical failure (suite over tolerance or a divisor/singularity error),
-3 degenerate period matrix.
+Exit codes: 0 success (every selected suite passed, every invert residual
+within tolerance), 1 bad configuration, 2 numerical failure (suite or invert
+residual over tolerance, or a divisor/singularity error), 3 degenerate
+period matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import ConfigInvalid, DegenerateTau, G2ThetaError
 from .harness import (
     SUITE_ORDER,
     VERSION,
+    RunConfig,
     config_from_sources,
     parse_complex_pair,
     parse_config_file,
@@ -145,6 +147,12 @@ def _cmd_invert(args) -> int:
     print("parameterization residuals:")
     for label, value in residuals:
         print(f"  {label:<10} {value:.3e}")
+    tol = RunConfig().tol_identity
+    over = [row for row in residuals if not row[1] <= tol]
+    if over:
+        label, worst = max(over, key=lambda row: row[1])
+        print(f"error: {label} = {worst:.3e} exceeds {tol:g}", file=sys.stderr)
+        return 2
     return 0
 
 

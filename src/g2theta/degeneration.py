@@ -29,11 +29,8 @@ import numpy as np
 from .errors import (
     ConfigInvalid,
     DegenerateTau,
-    PointError,
     SingularDenominator,
     TruncationOverflow,
-    outcome,
-    settle,
 )
 from .inversion import PointPair, _pair_from_thetas
 from .quadrature import tanh_sinh_01
@@ -95,7 +92,10 @@ class EllipticModulus:
 
 def _radius1(z: complex, tau: complex, ctrl: SeriesControl) -> int:
     lam = tau.imag
-    n = int(abs(z.imag) / lam + math.sqrt(math.log(1.0 / ctrl.tol) / (math.pi * lam))) + 1
+    reach = abs(z.imag) / lam + math.sqrt(math.log(1.0 / ctrl.tol) / (math.pi * lam))
+    if not math.isfinite(reach):
+        raise TruncationOverflow(f"genus-1 series radius is not finite ({reach}) at z = {z}")
+    n = int(reach) + 1
     if n > ctrl.max_radius:
         raise TruncationOverflow(
             f"genus-1 series needs radius {n} > max_radius {ctrl.max_radius}"
@@ -207,10 +207,8 @@ def _identity_rows(nulls, t) -> list[float]:
     ]
 
 
-def _elliptic_checks(
-    zs, tau: complex, ctrl: SeriesControl, h: float
-) -> list[list[float] | PointError]:
-    """The elliptic suite's seven residuals at each z, or the PointError raised there.
+def _elliptic_checks(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[list[float]]:
+    """The elliptic suite's seven residuals at each z.
 
     The identities, the Jacobi-function identities sn^2 + cn^2 = 1 and
     dn^2 + k^2 sn^2 = 1, and sn_ode_residual read one genus-1 evaluation:
@@ -223,10 +221,7 @@ def _elliptic_checks(
         rows += [(c, z, tau) for c in _GENUS1_CHARS]
         rows += [(c, arg, tau) for arg in (z + h, z - h) for c in _ODE_CHARS]
     values = _theta1_values(rows, ctrl)
-    return [
-        outcome(_elliptic_rows, nulls, mod, z, values[8 * i : 8 * i + 8], h)
-        for i, z in enumerate(zs)
-    ]
+    return [_elliptic_rows(nulls, mod, z, values[8 * i : 8 * i + 8], h) for i, z in enumerate(zs)]
 
 
 def _elliptic_rows(nulls, mod: EllipticModulus, z, values, h: float) -> list[float]:
@@ -283,18 +278,17 @@ def degenerate_inversion(
     relations, the collapse of the three moduli to one and the unordered
     pair match, and the pair recovered at tau12=0.
     """
-    _, inversion, pair = settle(_degenerations((point,), tau1, tau2, ctrl)[0])
+    [(_, inversion, pair)] = _degenerations((point,), tau1, tau2, ctrl)
     return inversion, pair
 
 
 def _degenerations(points, tau1: complex, tau2: complex, ctrl: SeriesControl):
     """splitting_residuals and degenerate_inversion at each point, from the
-    values of _split_values: (splitting, inversion, pair), or the
-    PointError raised at the point."""
+    values of _split_values: (splitting, inversion, pair)."""
     cd, values = _split_values(points, tau1, tau2, ctrl)
     ms = cd.moduli
     return [
-        outcome(_degeneration_rows, cd, ms, point, *at_point, tau1, ctrl)
+        _degeneration_rows(cd, ms, point, *at_point, tau1, ctrl)
         for point, at_point in zip(points, values)
     ]
 

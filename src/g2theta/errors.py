@@ -3,10 +3,11 @@
 Every failure mode the library reports deliberately is one of these; anything
 else escaping is a bug.  The CLI maps them to exit codes (see cli module).
 
-A PointError belongs to one evaluation point.  The batched evaluations of
-the suites (one grid of theta values for many points) return it as that
-point's outcome and go on with the other points; every other error raises
-for the whole batch.  outcome and settle convert between the two forms.
+A PointError belongs to one evaluation point.  Every error is raised, in the
+batched evaluations of the suites (one grid of theta values for many
+points) as elsewhere, and never returned as a value.  The harness evaluates
+a batch that raises again one sample at a time; that is the one place where
+an error becomes a skipped sample.
 """
 
 
@@ -62,17 +63,3 @@ class QuadratureNonconvergence(G2ThetaError):
 class ConfigInvalid(G2ThetaError):
     """Run configuration (file or flags) could not be validated."""
 
-
-def outcome(fn, *args):
-    """fn(*args), or the PointError it raised: one point's outcome in a batch."""
-    try:
-        return fn(*args)
-    except PointError as exc:
-        return exc
-
-
-def settle(result):
-    """The value of an outcome; the PointError it holds is raised."""
-    if isinstance(result, PointError):
-        raise result
-    return result

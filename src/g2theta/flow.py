@@ -35,10 +35,8 @@ from .errors import (
     SingularJacobian,
     StencilCrossesDivisor,
     TildeMismatch,
-    outcome,
-    settle,
 )
-from .inversion import _recover_pairs
+from .inversion import _pair_from_thetas, _pair_tables
 from .theta import (
     CurveData,
     HalfCharacteristic,
@@ -150,20 +148,26 @@ def _offsets(h: float):
     return ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
 
 
-def _pair_stencil(pairs, h: float):
+def _pair_stencil(cd: CurveData, points, tables, h: float):
     """Center pair plus the four offset pairs matched to it, and the central differences.
 
-    pairs holds the recover_pair outcomes at the points of _stencil_points.
+    points are the five of _stencil_points, and tables holds what
+    recover_pair reads at each (_pair_tables).  An error at the center is
+    raised as it is; a PointError at an offset is raised as
+    StencilCrossesDivisor.
     """
-    center = settle(pairs[0])
+    ms = cd.moduli
+    center = _pair_from_thetas(cd, ms, tables[0], points[0])
     ref = (center.x1, center.x2)
 
     matched = []
-    for (du, dv), p in zip(_offsets(h), pairs[1:], strict=True):
-        if isinstance(p, PointError):
+    for (du, dv), point, th in zip(_offsets(h), points[1:], tables[1:], strict=True):
+        try:
+            p = _pair_from_thetas(cd, ms, th, point)
+        except PointError as exc:
             raise StencilCrossesDivisor(
-                f"stencil point at offset ({du}, {dv}) failed: {p}"
-            ) from p
+                f"stencil point at offset ({du}, {dv}) failed: {exc}"
+            ) from exc
         matched.append(_match_to_reference(ref, (p.x1, p.x2)))
 
     up, um, vp, vm = matched
@@ -225,25 +229,21 @@ def stencil_residuals(
     global sign of the sigma_i.  The Abelian residuals divide by sigma_i,
     so a pair at a branch point (sigma_i = 0) raises SingularDenominator.
     """
-    return settle(_stencils(curve_data(tau, ctrl), (point,), h)[0])
+    return _stencils(curve_data(tau, ctrl), (point,), h)[0]
 
 
-def _stencils(
-    cd: CurveData, points, h: float
-) -> list[tuple[list[float], list[float]] | PointError]:
-    """The outcome of stencil_residuals at each point, all stencils from one
-    recover-pairs call: (flow, abelian), or the PointError raised there."""
+def _stencils(cd: CurveData, points, h: float) -> list[tuple[list[float], list[float]]]:
+    """stencil_residuals at each point, (flow, abelian), with what recover_pair
+    reads at every stencil point from one _pair_tables call."""
     fc = cd.flow_constants
-    pairs = _recover_pairs(cd, [s for point in points for s in _stencil_points(point, h)])
-    return [
-        outcome(_stencil_rows, fc, pairs[i : i + _STENCIL_SIZE], h)
-        for i in range(0, len(pairs), _STENCIL_SIZE)
-    ]
-
-
-def _stencil_rows(fc: FlowConstants, pairs, h: float) -> tuple[list[float], list[float]]:
-    stencil = _pair_stencil(pairs, h)
-    return _flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)
+    stencil_points = [s for point in points for s in _stencil_points(point, h)]
+    tables = _pair_tables(cd, stencil_points)
+    out = []
+    for i in range(0, len(stencil_points), _STENCIL_SIZE):
+        at = slice(i, i + _STENCIL_SIZE)
+        stencil = _pair_stencil(cd, stencil_points[at], tables[at], h)
+        out.append((_flow_rows(fc, *stencil), _abelian_rows(fc, *stencil)))
+    return out
 
 
 def _tables(chars, rows) -> list[dict]:
@@ -342,15 +342,15 @@ def derivative_formula_residuals(
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
     """
-    return settle(_derivative_formulas(curve_data(tau, ctrl), (point,))[0])
+    return _derivative_formulas(curve_data(tau, ctrl), (point,))[0]
 
 
-def _derivative_formulas(cd: CurveData, points) -> list[list[float] | PointError]:
-    """The outcome of derivative_formula_residuals at each point, values and
-    gradients from one grads_at call: the residuals, or the PointError raised there."""
+def _derivative_formulas(cd: CurveData, points) -> list[list[float]]:
+    """derivative_formula_residuals at each point, values and gradients from
+    one grads_at call."""
     values, grads = cd.grads_at(_DERIVATIVE_CHARS, points)
     return [
-        outcome(_derivative_rows, cd, th, g)
+        _derivative_rows(cd, th, g)
         for th, g in zip(_tables(_DERIVATIVE_CHARS, values), _tables(_DERIVATIVE_CHARS, grads))
     ]
 

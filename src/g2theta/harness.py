@@ -4,12 +4,12 @@ Every suite is one _Suite record in _SUITES, and one loop, _run_suite, runs
 them all.  A record gives the boxes a sample draws (one complex number per
 box, from the suite's own counter-based stream, see rng.py), the labels of
 the residuals each sample gives, and which of them are finite-difference
-checks.  evaluate(cfg, samples) takes a batch of samples and returns one
-outcome per sample: its residuals and a note, or the PointError raised at
-it; the batched checks behind it read the theta values of the whole batch
-from one kernel call.  Suites that end with checks made once per run also
-give the labels of those final rows and finalize(cfg, notes, extras), which
-sees the note evaluate returned with every sample that ran.
+checks.  evaluate(cfg, samples) takes a batch of samples and returns the
+residuals and a note of each, or raises; the batched checks behind it read
+the theta values of the whole batch from one kernel call.  Suites that end
+with checks made once per run also give the labels of those final rows and
+finalize(cfg, notes, extras), which sees the note evaluate returned with
+every sample that ran.
 
 A drawn sample that lands on a theta divisor or otherwise breaks a
 precondition is re-drawn up to 10 times, then counted as skipped; the
@@ -17,9 +17,12 @@ configured tau, evaluated as a batch of one, is never skipped.  The loop
 draws as many samples as are still open, evaluates them as one batch and
 replays that walk over the outcomes, until no sample is open.  Every open
 sample needs at least one more draw, so no batch holds a draw the walk
-would not reach, and the draws are the same as one at a time.  A batch that
-raises is evaluated again one sample at a time, so an error that is not a
-skip is raised at the first draw that raises it.
+would not reach, and the draws are the same as one at a time.  Errors take
+one path: a batch that raises, a skip included, is evaluated again one
+sample at a time (_outcomes), where a skippable error becomes its sample's
+outcome and any other error is raised at the first draw that raises it.
+No value depends on which samples share a batch, so the replay gives the
+same residuals.
 
 The loop folds the residuals in one order: the configured tau as sample 0
 when the record asks for it, then the stream samples in draw order, then
@@ -110,29 +113,22 @@ _SKIPPABLE = (PointError, DivisionByZeroModulus, DegenerateTau)
 class _Suite:
     """One suite: what each sample draws, the residuals it gives, how a run ends.
 
-    evaluate(cfg, samples) returns one outcome per sample, in order: the
-    sample's residuals in label order and a note, or the PointError raised
-    at the sample.  finalize(cfg, notes, extras) gets the (note, sample) of
-    every sample that ran, records what it reports beyond residuals in
-    extras, and returns one (residual, point) per final label.
+    evaluate(cfg, samples) returns, in order, each sample's residuals in
+    label order and a note; an error at any sample raises for the whole
+    batch, and _outcomes sorts it out.  finalize(cfg, notes, extras) gets
+    the (note, sample) of every sample that ran, records what it reports
+    beyond residuals in extras, and returns one (residual, point) per final
+    label.
     """
 
     boxes: tuple[tuple[float, float, float, float], ...]
     labels: tuple[str, ...]
-    evaluate: Callable[
-        [RunConfig, list[list[complex]]], list[tuple[list[float], object] | PointError]
-    ]
+    evaluate: Callable[[RunConfig, list[list[complex]]], list[tuple[list[float], object]]]
     fd_labels: frozenset[str] = frozenset()
     final_labels: tuple[str, ...] = ()
     finalize: Callable[[RunConfig, list, dict], list[tuple[float, list[complex]]]] | None = None
     config_tau_first: bool = False  # the configured tau is sample 0
     reads_curve: bool = False  # needs the pair on the configured curve
-
-
-def _noted(results, noted=lambda residuals: (residuals, None)):
-    """The outcome of each result of a batched check: noted(result), the
-    sample's residuals and note, or the PointError raised at the sample."""
-    return [result if isinstance(result, PointError) else noted(result) for result in results]
 
 
 def _points(batch) -> list[Point2]:
@@ -159,11 +155,14 @@ _INVERSION_LABELS = (
 def _degeneration_batch(cfg, batch):
     """Split locus attached to the configured diagonal: tau12 is forced to 0."""
     results = _degenerations(_points(batch), cfg.tau.tau1, cfg.tau.tau2, cfg.series)
-    return _noted(results, lambda result: (
-        [result[0][label] for label in _SPLIT_LABELS]
-        + [result[1][label] for label in _INVERSION_LABELS],
-        result[2],  # the pair
-    ))
+    return [
+        (
+            [split[label] for label in _SPLIT_LABELS]
+            + [inversion[label] for label in _INVERSION_LABELS],
+            pair,
+        )
+        for split, inversion, pair in results
+    ]
 
 
 def _degeneration_final(cfg, notes, extras):
@@ -221,14 +220,16 @@ _SUITES = {
     "riemann": _Suite(
         boxes=(_BOX,) * 8,
         labels=tuple(f"riemann-{way}-{i}" for way in ("forward", "inverse") for i in range(1, 5)),
-        evaluate=lambda cfg, batch: _noted(_riemann_relations(
+        evaluate=lambda cfg, batch: [(r, None) for r in _riemann_relations(
             _curve(cfg), [Quadruple(tuple(map(Point2, s[::2], s[1::2]))) for s in batch]
-        )),
+        )],
     ),
     "fundamental": _Suite(
         boxes=(_BOX, _BOX),
         labels=("fund-1", "fund-2", "fund-3"),
-        evaluate=lambda cfg, batch: _noted(_fundamental_identities(_curve(cfg), _points(batch))),
+        evaluate=lambda cfg, batch: [
+            (r, None) for r in _fundamental_identities(_curve(cfg), _points(batch))
+        ],
     ),
     "moduli": _Suite(
         boxes=(_TAU_DIAG, _TAU_DIAG, _TAU_OFF),
@@ -250,24 +251,26 @@ _SUITES = {
     "flow": _Suite(
         boxes=(_BOX, _BOX),
         labels=_FLOW_LABELS,
-        evaluate=lambda cfg, batch: _noted(
-            _stencils(_curve(cfg), _points(batch), cfg.fd_step),
-            lambda result: (result[0] + result[1], None),  # flow, then abelian rows
-        ),
+        evaluate=lambda cfg, batch: [
+            (flow + abelian, None)
+            for flow, abelian in _stencils(_curve(cfg), _points(batch), cfg.fd_step)
+        ],
         fd_labels=frozenset(_FLOW_LABELS),
         reads_curve=True,
     ),
     "addition": _Suite(
         boxes=(_BOX,) * 4,
         labels=("addition-1", "addition-2"),
-        evaluate=lambda cfg, batch: _noted(_addition_formulas(
+        evaluate=lambda cfg, batch: [(r, None) for r in _addition_formulas(
             _curve(cfg), [(Point2(s[0], s[1]), Point2(s[2], s[3])) for s in batch]
-        )),
+        )],
     ),
     "derivative": _Suite(
         boxes=(_BOX, _BOX),
         labels=("deriv-ratio1-du", "deriv-ratio1-dv", "deriv-ratio2-du", "deriv-ratio2-dv"),
-        evaluate=lambda cfg, batch: _noted(_derivative_formulas(_curve(cfg), _points(batch))),
+        evaluate=lambda cfg, batch: [
+            (r, None) for r in _derivative_formulas(_curve(cfg), _points(batch))
+        ],
     ),
     "degeneration": _Suite(
         boxes=(_BOX, _BOX),
@@ -283,9 +286,9 @@ _SUITES = {
             "jacobi-sn-cn", "jacobi-dn", "sn-ode",
         ),
         # genus-1 theory at tau = tau1 of the config
-        evaluate=lambda cfg, batch: _noted(
-            _elliptic_checks([s[0] for s in batch], cfg.tau.tau1, cfg.series, cfg.fd_step)
-        ),
+        evaluate=lambda cfg, batch: [(r, None) for r in _elliptic_checks(
+            [s[0] for s in batch], cfg.tau.tau1, cfg.series, cfg.fd_step
+        )],
         fd_labels=frozenset(["sn-ode"]),
         final_labels=(
             "complete-tau-i", "complete-norm-i", "complete-tau-1.5i", "complete-norm-1.5i",
@@ -351,11 +354,14 @@ class Report:
 
 
 def _outcomes(suite: _Suite, cfg: RunConfig, batch: list[list[complex]]) -> list:
-    """suite.evaluate over the batch, one outcome per sample.
+    """suite.evaluate over the batch, one outcome per sample: the sample's
+    (residuals, note), or the skippable error raised at it.
 
-    A batch that raises is evaluated again one sample at a time, in order:
-    a skippable error becomes its sample's outcome, and any other error is
-    raised at the first sample that raises it, as the one-by-one walk would.
+    This is where the errors of a batch become outcomes.  A batch that
+    raises, whatever the error, is evaluated again one sample at a time, in
+    order: a skippable error becomes its sample's outcome, and any other
+    error is raised at the first sample that raises it, as the one-by-one
+    walk would.
     """
     if len(batch) > 1:
         try:

@@ -27,10 +27,7 @@ from .errors import (
     CoincidentPoints,
     DivisionByZeroModulus,
     InvalidFactorIndex,
-    PointError,
     SingularDenominator,
-    outcome,
-    settle,
 )
 from .moduli import ModuliSet
 from .theta import (
@@ -182,17 +179,15 @@ def _bracket_residual_terms(
 def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
-    return settle(_recover_pairs(curve_data(tau, ctrl), (point,))[0])
-
-
-def _recover_pairs(cd: CurveData, points) -> list[PointPair | PointError]:
-    """The outcome of recover_pair at each point, from one values_at call and
-    one moduli set: the pair, or the PointError raised at that point."""
+    cd = curve_data(tau, ctrl)
     ms = cd.moduli
-    return [
-        outcome(_pair_from_thetas, cd, ms, dict(zip(_PAIR_BITS, values)), point)
-        for point, values in zip(points, cd.values_at(_PAIR_CHARS, points))
-    ]
+    [th] = _pair_tables(cd, (point,))
+    return _pair_from_thetas(cd, ms, th, point)
+
+
+def _pair_tables(cd: CurveData, points) -> list[dict]:
+    """What recover_pair reads at each point, keyed by bits, from one values_at call."""
+    return [dict(zip(_PAIR_BITS, values)) for values in cd.values_at(_PAIR_CHARS, points)]
 
 
 def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPair:
@@ -296,18 +291,17 @@ def invert_point(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> tuple[PointPair, list[tuple[str, float]]]:
     """recover_pair and parameterization_residuals at the point, from one grid."""
-    rows, pair = settle(_parameterizations(curve_data(tau, ctrl), (point,))[0])
+    [(rows, pair)] = _parameterizations(curve_data(tau, ctrl), (point,))
     return pair, list(zip(PARAMETERIZATION_LABELS, rows, strict=True))
 
 
-def _parameterizations(cd: CurveData, points) -> list[tuple[list[float], PointPair] | PointError]:
-    """The outcome at each point, from one values_at call of all sixteen
-    characteristics: the residuals in PARAMETERIZATION_LABELS order and the
-    recovered pair, or the PointError raised at that point."""
+def _parameterizations(cd: CurveData, points) -> list[tuple[list[float], PointPair]]:
+    """The residuals in PARAMETERIZATION_LABELS order and the recovered pair
+    at each point, from one values_at call of all sixteen characteristics."""
     ms = cd.moduli
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     return [
-        outcome(_parameterization_rows, cd, ms, dict(zip(_ALL_BITS, row)), point)
+        _parameterization_rows(cd, ms, dict(zip(_ALL_BITS, row)), point)
         for point, row in zip(points, values)
     ]
 

@@ -141,6 +141,8 @@ class PeriodMatrix:
     tau12: complex
 
     def __post_init__(self):
+        if not all(cmath.isfinite(entry) for entry in (self.tau1, self.tau2, self.tau12)):
+            raise DegenerateTau(f"period matrix entries must be finite, got {self}")
         y1, y2, y12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
         # positive definiteness of Im tau via leading minors
         if not (y1 > 0.0 and y1 * y2 - y12 * y12 > 0.0):
@@ -150,11 +152,16 @@ class PeriodMatrix:
 
     @property
     def lambda_min(self) -> float:
-        """Smallest eigenvalue of Im tau; controls the Gaussian decay rate."""
+        """Smallest eigenvalue of Im tau; controls the Gaussian decay rate.
+
+        Computed as det / (half_tr + rad), the determinant over the largest
+        eigenvalue: half_tr - rad cancels when one diagonal entry is much
+        larger than the other.
+        """
         y1, y2, y12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
         half_tr = 0.5 * (y1 + y2)
         rad = math.hypot(0.5 * (y1 - y2), y12)
-        return half_tr - rad
+        return (y1 * y2 - y12 * y12) / (half_tr + rad)
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,10 @@ def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> 
     """
     lmin = tau.lambda_min
     r0 = (abs(point.u.imag) + abs(point.v.imag)) / lmin
-    n = int(math.floor(r0 + math.sqrt(math.log(1.0 / ctrl.tol) / (math.pi * lmin)))) + 1
+    reach = r0 + math.sqrt(math.log(1.0 / ctrl.tol) / (math.pi * lmin))
+    if not math.isfinite(reach):
+        raise TruncationOverflow(f"required radius is not finite ({reach}) at {point}")
+    n = int(math.floor(reach)) + 1
     if n > ctrl.max_radius:
         raise TruncationOverflow(
             f"required radius {n} exceeds max_radius {ctrl.max_radius}"
@@ -245,8 +255,8 @@ def _lattice_terms(chars, points, cd: CurveData, radius: int):
     in the same order, as a one-characteristic grid at one point: the
     quadratic form of each row is gathered from the lattice forms of cd at
     radius N, and the linear term of each point is added to it.  exp
-    overflow is not reported here; it shows up as a non-finite term when
-    the rows are summed.
+    overflow and a non-finite argument are not reported here; either shows
+    up as a non-finite term when the rows are summed.
     """
     form = cd._form(radius)
     a, c, lattice, half_b, half_d = _char_layout(tuple(chars))
@@ -255,11 +265,11 @@ def _lattice_terms(chars, points, cd: CurveData, radius: int):
     v = np.array([point.v for point in points], dtype=np.complex128)[:, None, None, None]
     # the exponent becomes the terms in place, one (P, K, 2N+1, 2N+1) array;
     # sums and products commute exactly, so the operations are unchanged
-    terms = p * (u + half_b) + q * (v + half_d)
-    terms *= 2.0
-    np.add(form.quad[lattice], terms, out=terms)
-    np.multiply(_IPI, terms, out=terms)
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = p * (u + half_b) + q * (v + half_d)
+        terms *= 2.0
+        np.add(form.quad[lattice], terms, out=terms)
+        np.multiply(_IPI, terms, out=terms)
         np.exp(terms, out=terms)
     return p, q, terms
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DIVISOR_U, DIVISOR_V
+
 import g2theta.cli as cli
 import g2theta.harness as harness
 from g2theta.cli import main
@@ -20,7 +22,6 @@ from g2theta.errors import (
     ConfigInvalid,
     DegenerateTau,
     G2ThetaError,
-    PointError,
     SingularDenominator,
     StencilCrossesDivisor,
     TruncationOverflow,
@@ -138,7 +139,7 @@ def test_an_alternate_tau_report_of_more_samples_than_the_cache_holds_matches_it
 
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
     def divisor(cfg, batch):
-        return [SingularDenominator("on the divisor") for _ in batch]
+        raise SingularDenominator("on the divisor")
 
     suite = harness._SUITES["degeneration"]
     monkeypatch.setitem(harness._SUITES, "degeneration", replace(suite, evaluate=divisor))
@@ -173,8 +174,6 @@ def _one_by_one_walk(name, cfg):
             [outcome] = suite.evaluate(cfg, [sample])
         except harness._SKIPPABLE as exc:
             return exc
-        if isinstance(outcome, G2ThetaError) and not isinstance(outcome, harness._SKIPPABLE):
-            raise outcome
         return outcome
 
     def take(sample, outcome):
@@ -235,10 +234,9 @@ def _one_by_one_walk(name, cfg):
 def _inject(monkeypatch, name, cfg, errors):
     """Make the draws at the given stream indices fail with errors[index].
 
-    A PointError is returned as its sample's outcome; any other error is
-    raised by every batch that holds the draw, as a kernel error would be,
-    and a batch that holds several raises the last of them.  The real
-    evaluate runs on the other draws, all together.
+    Every batch that holds such a draw raises, as a real check does: a
+    batch that holds several raises the last of them.  The real evaluate
+    runs on the batches that hold none.
     """
     suite = harness._SUITES[name]
     stream = SampleStream(cfg.seed, name)
@@ -247,13 +245,11 @@ def _inject(monkeypatch, name, cfg, errors):
     }
 
     def evaluate(cfg, batch):
-        at = [index.get(tuple(sample)) for sample in batch]
-        for i in reversed(at):
-            if i in errors and not isinstance(errors[i], PointError):
+        for sample in reversed(batch):
+            i = index.get(tuple(sample))
+            if i in errors:
                 raise errors[i]
-        clean = [sample for sample, i in zip(batch, at) if i not in errors]
-        results = iter(suite.evaluate(cfg, clean) if clean else [])
-        return [errors[i] if i in errors else next(results) for i in at]
+        return suite.evaluate(cfg, batch)
 
     monkeypatch.setitem(harness._SUITES, name, replace(suite, evaluate=evaluate))
 
@@ -264,7 +260,7 @@ def test_batched_walk_with_skips_equals_the_one_by_one_walk(monkeypatch, name):
     cfg = RunConfig(samples=6 + (name == "moduli"), suites=(name,))
     # draws by sample: 0 | 1 2 | 3 | 4..13, ten failed attempts, skipped |
     # 14 15 | 16 17; the failure at draw 1 sits in the middle of the first
-    # batch, and DegenerateTau (not a PointError) is raised by its batch
+    # batch, and DegenerateTau is a skip that is not a PointError
     errors = {
         1: SingularDenominator("mid-batch"),
         4: CoincidentPoints("coincident"),
@@ -326,6 +322,35 @@ def test_an_overflow_past_the_last_draw_is_never_evaluated(monkeypatch):
     result = harness._run_suite("fundamental", cfg)
     assert result == _one_by_one_walk("fundamental", cfg)
     assert (result.samples_run, result.skip_reasons) == (5, {"SingularDenominator": 1})
+
+
+def _outcome_key(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome
+
+
+@pytest.mark.parametrize(
+    ("name", "bad", "error"),
+    [
+        # a stencil offset of this point lands on the divisor of theta[00;11]
+        ("flow", [DIVISOR_U - 1e-5, DIVISOR_V], StencilCrossesDivisor),
+        ("parameterizations", [DIVISOR_U, DIVISOR_V], SingularDenominator),
+        ("derivative", [DIVISOR_U, DIVISOR_V], SingularDenominator),
+    ],
+)
+def test_a_real_error_in_a_batch_gives_the_outcomes_of_one_sample_at_a_time(name, bad, error):
+    cfg = RunConfig(suites=(name,))
+    suite = harness._SUITES[name]
+    good = [0.21 - 0.09j, -0.13 + 0.11j]
+    batch = [good, bad, [0.1 + 0.05j, -0.2 + 0.1j]]
+    batched = harness._outcomes(suite, cfg, batch)
+    alone = [outcome for sample in batch for outcome in harness._outcomes(suite, cfg, [sample])]
+    assert [_outcome_key(o) for o in batched] == [_outcome_key(o) for o in alone]
+    assert type(batched[1]) is error
+    assert not isinstance(batched[0], Exception) and not isinstance(batched[2], Exception)
+    with pytest.raises(error):  # the check itself raises it, batched or alone
+        suite.evaluate(cfg, [bad])
 
 
 def test_parse_config_file(tmp_path):
@@ -575,6 +600,24 @@ def test_cli_invert_output(capsys):
         assert f"param-{idx:02d}" in text
     for idx in range(1, 4):
         assert f"unit-sum-{idx}" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a nearly split period matrix: every row is printed, param-03 is 4.6e-2
+        ["--u=0.11,-0.04", "--v=-0.07,0.06", "--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,1e-7"],
+        # a huge real part leaves the phases of the lattice terms meaningless
+        ["--u=1e12,0.1", "--v=0.2,0"],
+    ],
+)
+def test_cli_invert_exits_2_when_a_residual_exceeds_the_identity_tolerance(argv, capsys):
+    assert main(["invert", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "unit-sum-3" in captured.out  # every row is printed first
+    tol = RunConfig().tol_identity
+    assert captured.err.startswith("error: param-03 = ")
+    assert captured.err.rstrip().endswith(f"exceeds {tol:g}")
 
 
 def test_cli_version_flag():

@@ -1,9 +1,11 @@
 """Series evaluation against a brute-force oracle, parity, shift rules, truncation."""
 
+import math
 import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
 from hypothesis import given, settings
 
@@ -12,8 +14,11 @@ import numpy as np
 from conftest import brute_theta2, draw_points, reference_theta2, reference_theta2_grad
 
 import g2theta.theta as theta
+from g2theta.cli import main
+from g2theta.degeneration import Genus1Characteristic, theta1
 from g2theta.errors import DegenerateTau, TruncationOverflow
 from g2theta.flow import flow_constants
+from g2theta.inversion import recover_pair
 from g2theta.moduli import moduli_from_tau
 from g2theta.rng import SampleStream
 from g2theta.theta import (
@@ -322,6 +327,64 @@ def test_truncation_overflow_for_nearly_flat_imaginary_part():
         truncation_radius(tau, ORIGIN, SeriesControl())
     with pytest.raises(TruncationOverflow):
         theta2(HalfCharacteristic(0, 0, 0, 0), ORIGIN, tau, SeriesControl())
+
+
+@pytest.mark.parametrize("y1", [1.1, 1e16, 1e20, 1e300])
+def test_lambda_min_keeps_its_precision_when_one_diagonal_entry_is_large(y1):
+    tau = PeriodMatrix(complex(0.0, y1), 1.3j, 0.25j)
+    with mpmath.workdps(700):  # enough digits for the cancelling closed form
+        y1m, y2m, y12m = mpmath.mpf(y1), mpmath.mpf(1.3), mpmath.mpf(0.25)
+        exact = (y1m + y2m) / 2 - mpmath.sqrt(((y1m - y2m) / 2) ** 2 + y12m**2)
+        assert abs(tau.lambda_min - exact) <= 4 * math.ulp(float(exact))
+    if y1 > 1e15:
+        # the smaller eigenvalue is about 1.3, which needs radius 4 for |Im v| = 0.5;
+        # as half_tr - rad it read 2.0 or 0.0, radius 3 or a division by zero
+        assert truncation_radius(tau, Point2(0.0, 0.5j), SeriesControl()) == 4
+
+
+def test_cli_moduli_at_a_huge_diagonal_entry_exits_without_a_traceback(capsys):
+    assert main(["moduli", "--tau1=0,1e300"]) == 0
+    assert "moduli collapse" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (complex(0.0, math.inf), 1.3j, 0.25j),
+        (1.1j, complex(math.nan, 1.3), 0.25j),
+        (1.1j, 1.3j, complex(math.inf, 0.25)),
+        (1.1j, 1.3j, complex(0.0, math.nan)),
+    ],
+)
+def test_non_finite_period_matrix_entries_are_refused(entries):
+    with pytest.raises(DegenerateTau, match="finite"):
+        PeriodMatrix(*entries)
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: recover_pair(Point2(complex(0.0, _INF), 0.0), DEFAULT_TAU),
+        lambda: recover_pair(Point2(complex(0.0, _NAN), 0.0), DEFAULT_TAU),
+        lambda: recover_pair(Point2(0.1, complex(0.0, -_INF)), DEFAULT_TAU),
+        lambda: recover_pair(Point2(complex(_INF, 0.1), 0.0), DEFAULT_TAU),
+        lambda: theta1(Genus1Characteristic(0, 0), complex(0.0, _INF), 1j),
+        lambda: theta1(Genus1Characteristic(1, 1), complex(0.0, _NAN), 1j),
+        lambda: theta1(Genus1Characteristic(1, 1), complex(_INF, 0.0), 1j),
+    ],
+    ids=[
+        "genus2-inf-im", "genus2-nan-im", "genus2-v-inf-im", "genus2-inf-re",
+        "genus1-inf-im", "genus1-nan-im", "genus1-inf-re",
+    ],
+)
+def test_non_finite_arguments_raise_truncation_overflow(evaluate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy must not warn either
+        with pytest.raises(TruncationOverflow):
+            evaluate()
 
 
 def test_value_stable_when_box_grows():

@@ -85,7 +85,7 @@ def _grid_sizes(monkeypatch, sizes):
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
     flow.flow_constants(DEFAULT_TAU)  # the nulls and null gradients are a grid of their own
     stencils, grids = [], []
-    _counting(monkeypatch, flow, "_recover_pairs", stencils)
+    _counting(monkeypatch, flow, "_pair_tables", stencils)
     _counting(monkeypatch, theta, "_lattice_terms", grids)
     result = run_suites(RunConfig(samples=4, suites=("flow",))).suites[0]
     assert (result.samples_run, result.skip_reasons) == (4, {})
