@@ -198,7 +198,8 @@ def _flow_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
 
 def _abelian_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
     x1, x2 = center.x1, center.x2
-    if center.sigma1 == 0 or center.sigma2 == 0:
+    small, large = sorted((abs(center.sigma1), abs(center.sigma2)))
+    if small <= 1e-10 * large:
         # a branch point of the pair, as at the collapsed root of a split tau
         raise SingularDenominator(f"sigma vanishes at the pair ({x1}, {x2})")
 
@@ -227,7 +228,8 @@ def stencil_residuals(
     |du - 1| and |dv - 1| for du and dv recovered from the same
     differences through the inverted system.  Both are minimized over the
     global sign of the sigma_i.  The Abelian residuals divide by sigma_i,
-    so a pair at a branch point (sigma_i = 0) raises SingularDenominator.
+    so a pair at a branch point, one |sigma_i| at most 1e-10 times the
+    other, raises SingularDenominator.
     """
     return _stencils(curve_data(tau, ctrl), (point,), h)[0]
 

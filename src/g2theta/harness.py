@@ -98,7 +98,7 @@ __all__ = [
     "report_to_json",
 ]
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 # sampling box for theta arguments (and genus-1 z draws)
 _BOX = (-0.5, 0.5, -0.2, 0.2)

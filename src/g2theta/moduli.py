@@ -112,7 +112,8 @@ def build_moduli(cd: CurveData) -> ModuliSet:
     Each root is cmath.sqrt of its square, negated when that lies nearer to
     minus the quotient of unsquared nulls whose square is the squared
     modulus; so each root carries the sign of its null quotient.  Raises
-    DegenerateTau when a denominator null vanishes.
+    DegenerateTau when a denominator null vanishes, or when some k_i^2 is
+    zero or not finite, as when the nulls with a = 1 underflow.
     """
     n = _null_sq(cd)
     scale = max(abs(v) for v in n.values())
@@ -132,6 +133,12 @@ def build_moduli(cd: CurveData) -> ModuliSet:
             root = -root
         squares.append(square)
         roots.append(root)
+    for name, square in zip(("k0", "k1", "k2"), squares):
+        if square == 0 or not cmath.isfinite(square):
+            raise DegenerateTau(
+                f"squared modulus {name}^2 = {square} is zero or not finite; "
+                "tau lies outside the range of the theta-null quotients"
+            )
     return ModuliSet(*squares, *roots)
 
 

@@ -10,14 +10,42 @@ for bits a, b, c, d in {0, 1} and a period matrix (tau1, tau12; tau12, tau2)
 with positive-definite imaginary part.  The lattice sum is truncated to a
 square box whose radius comes from the Gaussian decay of the summand.
 
+The kernel factors each term (Deconinck et al., Computing Riemann theta
+functions, Math. Comp. 73, 2004).  With p = m + a/2, q = n + c/2 and
+quad = tau1 p^2 + tau2 q^2 + 2 tau12 p q, a term is
+
+    [exp(2 pi i p u) exp(2 pi i q v)] * [exp(i pi quad) (-1)^(m b + n d) i^(a b + c d)]
+
+The first bracket depends on the point and the lattice class (a, c) alone,
+4 (2N+1) exp calls per point; the second on the characteristic alone, the
+tau factor of the class times an exact unit.  So a term costs one complex
+product, where the direct sum spends one complex exp.  The factors stay
+within exp(+-700), and so keep full relative precision, when
+pi (N + 1/2)^2 (y1 + y2 + 2|y12|) <= 700 with Y = Im tau (_in_factor_range):
+that bounds the tau factor at a box corner and, as a point of radius N has
+|Im u| + |Im v| < N lambda_min, the point factors too.  A radius past it
+keeps the direct sum; at DEFAULT_TAU that is N >= 9, which needs
+|Im u| + |Im v| above about 4.4.  Against a 30-digit mpmath sum over 80
+points with |Re| <= 1 and |Im| <= 0.4, values are within 6.6e-16 and
+1.25e-15 of max(1, |theta|), and gradients within 9.6e-16 and 2.7e-15, at
+DEFAULT_TAU and at (0.2+1.4i, -0.1+0.95i, 0.03+0.3i): below the figures of
+the direct sum, which tests/test_theta.py holds as bounds.
+
+A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
+rounded real part, and its terms take the sign of
+theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).  Both steps are
+exact, and the phases no longer lose accuracy as |Re u| grows.
+
 What depends on the period matrix alone is built once, in its CurveData:
-on construction, from one grid at the origin, the sixteen nulls, the null
-scale max |theta[even](0)| and the null gradients of the two odd
-characteristics [10;10] and [11;10], which the flow constants read; on first
-use, the moduli and the flow constants, each kept once built (a build that
-raises keeps nothing and raises again on the next access); and, per truncation
-radius used, the quadratic forms tau1 p^2 + tau2 q^2 + 2 tau12 p q of the
-four lattice classes (a, c), from which every grid gathers its rows.
+on construction, from one grid at the origin, the ten even nulls (the six
+odd nulls are exactly 0 and are not summed), the null scale
+max |theta[even](0)| and the null gradients of the two odd characteristics
+[10;10] and [11;10], which the flow constants read; on first use, the
+moduli and the flow constants, each kept once built (a build that raises
+keeps nothing and raises again on the next access); and, per truncation
+radius used, the tau factors of the four lattice classes (a, c), or their
+quadratic forms where the factors would leave range, from which every grid
+gathers its rows.
 curve_data(tau, ctrl) keeps the CurveData of the last 64 period matrices
 (_NULL_CACHE_TAUS), least recently used dropped first, and each of them the
 forms of at most 4 radii (_FORMS_PER_CURVE).
@@ -81,6 +109,7 @@ __all__ = [
 ]
 
 _IPI = 1j * math.pi
+_TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
@@ -207,43 +236,104 @@ def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> 
     return n
 
 
+# On the factored path every factor has |log|factor|| <= _FACTOR_LOG, and so
+# does the product of a row and a column factor: exp(-_FACTOR_LOG) is a
+# normal double and exp(_FACTOR_LOG) is finite, so each keeps its full
+# relative precision.  Only a term that underflows when the tau factor
+# multiplies in loses precision, and it is below 2^-1022.
+_FACTOR_LOG = 700.0
+
+
+def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
+    """Whether the lattice terms of radius n may be built from factors.
+
+    Every lattice row p and column q of the box has |p|, |q| <= n + 1/2, so
+    pi Im quad, the -log of the tau factor, is at most its value at a box
+    corner, pi (n + 1/2)^2 (y1 + y2 + 2|y12|) with Y = Im tau.  A point of
+    truncation radius n has |Im u| + |Im v| < n lambda_min, so the log of
+    its row times column factor is below 2 pi (n + 1/2) n lambda_min, and
+    y1 + y2 >= 2 lambda_min makes that smaller than the corner bound.  So
+    one test on the corner bound keeps every factor in range.
+    """
+    y1, y2, y12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag
+    corner = math.pi * (n + 0.5) ** 2 * (y1 + y2 + 2.0 * abs(y12))
+    return corner <= _FACTOR_LOG
+
+
 @dataclass(frozen=True)
 class _LatticeForm:
     """The tau-only factors of the lattice terms on the box of one radius N.
 
-    p[a] holds m + a/2 down axis 1 and q[c] holds n + c/2 along axis 2, for
-    m, n in [-N, N]; quad[2a + c] is tau1 p^2 + tau2 q^2 + 2 tau12 p q of the
-    lattice class (a, c), shape (2N+1, 2N+1).
+    offsets[a] holds m + a/2 for m in [-N, N]; p[a] holds it down axis 1 and
+    q[c] along axis 2.  With quad[2a + c] = tau1 p^2 + tau2 q^2 + 2 tau12 p q
+    of the lattice class (a, c), shape (2N+1, 2N+1), a form holds one of two
+    tables: tau_factor = exp(i pi quad) where the factors of radius N stay
+    in double range (_in_factor_range), else quad itself for the per-term
+    exp, and None for the other.
     """
 
-    p: np.ndarray
-    q: np.ndarray
-    quad: np.ndarray
+    offsets: np.ndarray
+    quad: np.ndarray | None
+    tau_factor: np.ndarray | None
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.offsets[:, :, None]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.offsets[:, None, :]
 
 
 def _lattice_form(tau: PeriodMatrix, n: int) -> _LatticeForm:
-    idx = np.arange(-n, n + 1, dtype=np.float64)
-    half = np.array([0.0, 0.5])[:, None, None]
-    p = idx[None, :, None] + half
-    q = idx[None, None, :] + half
+    offsets = np.arange(-n, n + 1) + np.array([[0.0], [0.5]])
+    p, q = offsets[:, :, None], offsets[:, None, :]
     pc, qc = p[[0, 0, 1, 1]], q[[0, 1, 0, 1]]
     quad = tau.tau1 * pc * pc + tau.tau2 * qc * qc + 2.0 * tau.tau12 * pc * qc
-    return _LatticeForm(p, q, quad)
+    if not _in_factor_range(tau, n):
+        return _LatticeForm(offsets, quad, None)
+    np.multiply(_IPI, quad, out=quad)
+    return _LatticeForm(offsets, None, np.exp(quad, out=quad))
+
+
+@lru_cache(maxsize=16)
+def _unit_grid(n: int) -> np.ndarray:
+    """The argument shifts of every characteristic on the box of radius n.
+
+    Entry [8a + 4c + 2b + d] (the order of ALL_CHARACTERISTICS) is
+    exp(i pi (p b + q d)) = (-1)^(m b + n d) i^(a b + c d), shape
+    (2n+1, 2n+1): a unit, exact.  Shared, so read-only.
+    """
+    sign = np.where(np.arange(-n, n + 1) % 2 == 0, 1.0, -1.0)
+    units = np.array([np.ones_like(sign), sign, np.ones_like(sign), 1j * sign])  # row 2a + b
+    a, c, b, d = np.array(_ALL_BITS).T
+    grid = units[2 * a + b][:, :, None] * units[2 * c + d][:, None, :]
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=64)
 def _char_layout(chars: tuple[HalfCharacteristic, ...]) -> tuple[np.ndarray, ...]:
     """Where a characteristic set reads the lattice forms, and its argument shifts.
 
-    Returns a and c (rows of p and q), 2a + c (rows of quad), and b/2 and
-    d/2 shaped (K, 1, 1); the arrays are shared, so they are read-only.
+    Returns a and c (rows of offsets), 2a + c (rows of quad and tau_factor),
+    8a + 4c + 2b + d (entries of _unit_grid), and b/2 and d/2 shaped
+    (K, 1, 1); the arrays are shared, so they are read-only.
     """
     bits = np.array([c.bits for c in chars], dtype=np.intp)  # columns a, c, b, d
+    a, c, b, d = bits.T
     half = 0.5 * bits[:, 2:, None, None]
-    layout = (bits[:, 0], bits[:, 1], 2 * bits[:, 0] + bits[:, 1], half[:, 0], half[:, 1])
+    layout = (a, c, 2 * a + c, 8 * a + 4 * c + 2 * b + d, half[:, 0], half[:, 1])
     for array in layout:
         array.flags.writeable = False
     return layout
+
+
+# A component u (or v) whose real part reaches this in size is evaluated at
+# u - k (v - l), k (l) its rounded real part: the lattice phases 2 pi p u
+# lose accuracy in proportion to |Re u|.  The harness evaluates no point
+# with a real part beyond 1, so its values keep the unreduced path.
+_REDUCE_RE = 2.0
 
 
 def _lattice_terms(chars, points, cd: CurveData, radius: int):
@@ -252,25 +342,57 @@ def _lattice_terms(chars, points, cd: CurveData, radius: int):
     N is radius, the truncation radius the points share.  Entry [i, k] holds
     the terms of chars[k] at points[i], m ascending along axis 2 and n along
     axis 3.  Each element goes through the same floating-point operations,
-    in the same order, as a one-characteristic grid at one point: the
-    quadratic form of each row is gathered from the lattice forms of cd at
-    radius N, and the linear term of each point is added to it.  exp
+    in the same order, as a one-characteristic grid at one point.
+
+    Factored, where the lattice form of cd at radius N has its tau factor:
+    the term at lattice row p = m + a/2 and column q = n + c/2 is
+
+        [exp(2 pi i p u) exp(2 pi i q v)] [exp(i pi quad) (-1)^(m b + n d) i^(a b + c d)]
+
+    The first bracket depends on the point and the lattice class (a, c)
+    alone: 4 (2N+1) exp calls and 4 (2N+1)^2 products per point.  The second
+    depends on the characteristic alone: the tau factor times an exact unit,
+    once per grid.  So each term costs one complex product.  Otherwise each
+    term is one exp of i pi (quad + 2 p (u + b/2) + 2 q (v + d/2)).  exp
     overflow and a non-finite argument are not reported here; either shows
     up as a non-finite term when the rows are summed.
     """
     form = cd._form(radius)
-    a, c, lattice, half_b, half_d = _char_layout(tuple(chars))
+    a, c, lattice, code, half_b, half_d = _char_layout(tuple(chars))
     p, q = form.p[a], form.q[c]
-    u = np.array([point.u for point in points], dtype=np.complex128)[:, None, None, None]
-    v = np.array([point.v for point in points], dtype=np.complex128)[:, None, None, None]
-    # the exponent becomes the terms in place, one (P, K, 2N+1, 2N+1) array;
-    # sums and products commute exactly, so the operations are unchanged
+    z = np.array([(point.u, point.v) for point in points], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = p * (u + half_b) + q * (v + half_d)
-        terms *= 2.0
-        np.add(form.quad[lattice], terms, out=terms)
-        np.multiply(_IPI, terms, out=terms)
-        np.exp(terms, out=terms)
+        shift = None
+        far = np.abs(z.real) >= _REDUCE_RE
+        if far.any():
+            # theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v): the
+            # terms at (u - k, v - l), k and l the rounded real parts of the
+            # far components, times that sign; x - rint(x) is exact, and so
+            # is the sign
+            shift = np.where(far, np.rint(z.real), 0.0)
+            z -= shift
+        if form.tau_factor is None:
+            u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
+            # the exponent becomes the terms in place, one (P, K, 2N+1, 2N+1)
+            # array; sums and products commute exactly, so the operations
+            # are unchanged
+            terms = p * (u + half_b) + q * (v + half_d)
+            terms *= 2.0
+            np.add(form.quad[lattice], terms, out=terms)
+            np.multiply(_IPI, terms, out=terms)
+            np.exp(terms, out=terms)
+        else:
+            width = 2 * radius + 1
+            # exp(2 pi i (m + a/2) z) for z = u, v and a = 0, 1: (P, 2, 2, 2N+1)
+            factors = np.exp(_TWO_PI_I * (form.offsets * z[:, :, None, None]))
+            # row times column factor of each lattice class, [i, 2a + c]
+            classes = factors[:, 0, :, None, :, None] * factors[:, 1, None, :, None, :]
+            terms = classes.reshape(len(z), 4, width, width)[:, lattice]
+            terms *= form.tau_factor[lattice] * _unit_grid(radius)[code]
+        if shift is not None:
+            odd = np.abs(np.fmod(shift, 2.0))  # k mod 2, NaN for an infinite k
+            sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * a + odd[:, 1, None] * c, 2.0)
+            terms *= sign[:, :, None, None]
     return p, q, terms
 
 
@@ -416,9 +538,8 @@ def _jet_terms(p, q, terms):
     Term-wise differentiation of the series; p and q are the lattice rows
     _lattice_terms returned with terms, or the same rows of them.
     """
-    two_pi_i = 2j * math.pi
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise when summed
-        return (two_pi_i * p) * terms, (two_pi_i * q) * terms
+        return (_TWO_PI_I * p) * terms, (_TWO_PI_I * q) * terms
 
 
 _ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
@@ -426,6 +547,10 @@ _ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 # theta[11;10], whose u and v derivatives at the origin give the flow
 # constants; the even gradients vanish there.
 _NULL_GRAD_BITS = ((1, 0, 1, 0), (1, 1, 1, 0))
+_EVEN_BITS = tuple(c.bits for c in EVEN_CHARACTERISTICS)
+# The characteristics of the grid at the origin: the even ones, whose rows
+# give the nulls, then the two odd ones whose jets give the null gradients.
+_ORIGIN_CHARS = EVEN_CHARACTERISTICS + tuple(HalfCharacteristic(*bits) for bits in _NULL_GRAD_BITS)
 
 # Per-tau data is kept for this many period matrices, least recently used
 # dropped first, so a process sweeping many of them keeps a fixed footprint;
@@ -441,15 +566,18 @@ class CurveData:
     """What the theta functions of one period matrix share at every point.
 
     Built on construction, from one grid at the origin whose rows are
-    summed together: nulls, all sixteen theta[c](0, 0) keyed by c.bits;
-    null_grads, (d/du, d/dv) theta[c](0, 0) for the two odd c = [10;10] and
-    [11;10], keyed by c.bits, from the same lattice terms; and null_scale,
-    the largest |theta[c](0, 0)| over the even c.  Built on first use and
-    then kept: moduli (the ModuliSet) and flow_constants (the
-    FlowConstants); a build that raises keeps nothing, so every later access
-    raises again.  Other gradients at the origin come from grads_at.  The
-    lattice forms (the quadratic form of each lattice class) are kept for
-    each truncation radius used, at most _FORMS_PER_CURVE of them.
+    summed together: nulls, all sixteen theta[c](0, 0) keyed by c.bits,
+    where the six odd ones are exactly 0 and are not summed (on the box they
+    leave only its unpaired edge, a sum far below the terms that only
+    math.fsum can round); null_grads, (d/du, d/dv) theta[c](0, 0) for the
+    two odd c = [10;10] and [11;10], keyed by c.bits, from the same lattice
+    terms; and null_scale, the largest |theta[c](0, 0)| over the even c.
+    Built on first use and then kept: moduli (the ModuliSet) and
+    flow_constants (the FlowConstants); a build that raises keeps nothing,
+    so every later access raises again.  Other gradients at the origin come
+    from grads_at.  The lattice forms (the tau factor, or the quadratic
+    form, of each lattice class) are kept for each truncation radius used,
+    at most _FORMS_PER_CURVE of them.
 
     curve_data(tau, ctrl) keeps one CurveData per (tau, ctrl).
     """
@@ -462,20 +590,20 @@ class CurveData:
     _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # one grid at the origin: the sixteen null rows, then the d/du and the
-        # d/dv rows of the two odd characteristics, summed together
+        # one grid at the origin: the ten even null rows, then the d/du and
+        # the d/dv rows of the two odd characteristics, summed together
         radius = truncation_radius(self.tau, ORIGIN, self.ctrl)
-        p, q, terms = _lattice_terms(ALL_CHARACTERISTICS, (ORIGIN,), self, radius)
-        odd = [_ALL_BITS.index(bits) for bits in _NULL_GRAD_BITS]
-        jets = _jet_terms(p[odd], q[odd], terms[:, odd])
-        sums = _grid_sums(np.concatenate((terms, *jets), axis=1))[0].tolist()
-        values, du, dv = sums[:16], sums[16:18], sums[18:]
-        nulls = MappingProxyType(dict(zip(_ALL_BITS, values)))
-        object.__setattr__(self, "nulls", nulls)
+        p, q, terms = _lattice_terms(_ORIGIN_CHARS, (ORIGIN,), self, radius)
+        even = len(_EVEN_BITS)
+        jets = _jet_terms(p[even:], q[even:], terms[:, even:])
+        sums = _grid_sums(np.concatenate((terms[:, :even], *jets), axis=1))[0].tolist()
+        values, du, dv = sums[:even], sums[even : even + 2], sums[even + 2 :]
+        nulls = dict.fromkeys(_ALL_BITS, 0j)
+        nulls.update(zip(_EVEN_BITS, values))
+        object.__setattr__(self, "nulls", MappingProxyType(nulls))
         grads = dict(zip(_NULL_GRAD_BITS, zip(du, dv)))
         object.__setattr__(self, "null_grads", MappingProxyType(grads))
-        scale = max(abs(nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
-        object.__setattr__(self, "null_scale", scale)
+        object.__setattr__(self, "null_scale", max(abs(value) for value in values))
 
     # moduli.py and flow.py, which define these results, import this module,
     # so their build functions are imported at first use

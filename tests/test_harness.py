@@ -1,5 +1,6 @@
 """Seeded sampling, config parsing, JSON report stability, CLI exit codes."""
 
+import importlib.util
 import json
 import os
 from dataclasses import replace
@@ -36,8 +37,9 @@ from g2theta.harness import (
     report_to_json,
     run_suites,
 )
+from g2theta.inversion import recover_pair
 from g2theta.rng import SampleStream, fnv1a64, mix64
-from g2theta.theta import PeriodMatrix, Point2
+from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2
 
 DATA = Path(__file__).resolve().parent / "data"
 SPLIT_TAU = PeriodMatrix(1.1j, 1.3j, 0.0)
@@ -106,35 +108,39 @@ def test_reports_are_byte_identical():
         assert format(suite["max_residual"], ".17g") in first
 
 
-@pytest.mark.parametrize(
-    ("name", "tau"),
-    [
-        ("verify_default_samples20.json", None),
-        ("verify_alt_tau_samples20.json", PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j)),
-    ],
-)
-def test_reports_match_golden_files(name, tau):
+def _golden_table():
+    """GOLDENS of scripts/regen_goldens.py, the configs the golden files hold."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GOLDENS
+
+
+GOLDENS = _golden_table()
+
+
+def _assert_golden(name):
+    assert report_to_json(run_suites(GOLDENS[name])) == (DATA / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["verify_default_samples20.json", "verify_alt_tau_samples20.json"])
+def test_reports_match_golden_files(name):
     # the reports of `g2theta verify --samples 20` at the default config and
     # at --tau1=0.2,1.4 --tau2=-0.1,0.95 --tau12=0.03,0.3, byte for byte
-    cfg = RunConfig(samples=20) if tau is None else RunConfig(tau=tau, samples=20)
-    assert report_to_json(run_suites(cfg)) == (DATA / name).read_text(encoding="utf-8")
+    _assert_golden(name)
 
 
 def test_a_report_of_full_batches_matches_its_golden_file():
-    # `g2theta verify --samples 100 --seed 7`: each suite's first batch holds
-    # 100 samples, spread over many grids of each radius
-    cfg = RunConfig(seed=7, samples=100)
-    golden = (DATA / "verify_seed7_samples100.json").read_text(encoding="utf-8")
-    assert report_to_json(run_suites(cfg)) == golden
+    _assert_golden("verify_seed7_samples100.json")
 
 
 def test_an_alternate_tau_report_of_more_samples_than_the_cache_holds_matches_its_golden_file():
-    # `g2theta verify --samples 100 --tau1=0.2,1.4 --tau2=-0.1,0.95
-    # --tau12=0.03,0.3`: the moduli suite draws 99 period matrices, more
-    # than the curve_data cache holds
-    cfg = RunConfig(tau=PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j), samples=100)
-    golden = (DATA / "verify_alt_tau_samples100.json").read_text(encoding="utf-8")
-    assert report_to_json(run_suites(cfg)) == golden
+    _assert_golden("verify_alt_tau_samples100.json")
+
+
+def test_the_golden_table_covers_every_golden_file():
+    assert sorted(GOLDENS) == sorted(path.name for path in DATA.glob("verify_*.json"))
 
 
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
@@ -607,8 +613,6 @@ def test_cli_invert_output(capsys):
     [
         # a nearly split period matrix: every row is printed, param-03 is 4.6e-2
         ["--u=0.11,-0.04", "--v=-0.07,0.06", "--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,1e-7"],
-        # a huge real part leaves the phases of the lattice terms meaningless
-        ["--u=1e12,0.1", "--v=0.2,0"],
     ],
 )
 def test_cli_invert_exits_2_when_a_residual_exceeds_the_identity_tolerance(argv, capsys):
@@ -618,6 +622,15 @@ def test_cli_invert_exits_2_when_a_residual_exceeds_the_identity_tolerance(argv,
     tol = RunConfig().tol_identity
     assert captured.err.startswith("error: param-03 = ")
     assert captured.err.rstrip().endswith(f"exceeds {tol:g}")
+
+
+def test_invert_at_a_huge_real_part_equals_the_pair_in_the_cell(capsys):
+    # theta[c](u + k, v) = (-1)^(a k) theta[c](u, v): the kernel evaluates
+    # at u - 1e12 = 0.1i exactly, so the pair is the same to the bit
+    far = recover_pair(Point2(1e12 + 0.1j, 0.2), DEFAULT_TAU)
+    assert far == recover_pair(Point2(0.1j, 0.2), DEFAULT_TAU)
+    assert main(["invert", "--u=1e12,0.1", "--v=0.2,0"]) == 0
+    assert "unit-sum-3" in capsys.readouterr().out
 
 
 def test_cli_version_flag():

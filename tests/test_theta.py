@@ -1,23 +1,33 @@
 """Series evaluation against a brute-force oracle, parity, shift rules, truncation."""
 
+import cmath
+import importlib.util
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import numpy as np
 
-from conftest import brute_theta2, draw_points, reference_theta2, reference_theta2_grad
+from conftest import (
+    brute_theta2,
+    draw_points,
+    mp_theta_jets,
+    reference_theta2,
+    reference_theta2_grad,
+)
 
 import g2theta.theta as theta
 from g2theta.cli import main
 from g2theta.degeneration import Genus1Characteristic, theta1
 from g2theta.errors import DegenerateTau, TruncationOverflow
 from g2theta.flow import flow_constants
+from g2theta.harness import RunConfig, run_suites
 from g2theta.inversion import recover_pair
 from g2theta.moduli import moduli_from_tau
 from g2theta.rng import SampleStream
@@ -26,6 +36,7 @@ from g2theta.theta import (
     DEFAULT_TAU,
     EVEN_CHARACTERISTICS,
     ODD_CHARACTERISTICS,
+    CurveData,
     HalfCharacteristic,
     PeriodMatrix,
     Point2,
@@ -240,7 +251,8 @@ def test_one_characteristic_forms_and_nulls_match_the_reference():
             assert grad == reference_theta2_grad(HalfCharacteristic(*bits), ORIGIN, tau)
         origin_grads = cd.grads_at(ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
         for c, grad in zip(ALL_CHARACTERISTICS, origin_grads, strict=True):
-            assert cd.nulls[c.bits] == reference_theta2(c, ORIGIN, tau)
+            # an odd null is exactly 0, not the sum of its unpaired box edge
+            assert cd.nulls[c.bits] == (0j if c.is_odd else reference_theta2(c, ORIGIN, tau))
             assert grad == reference_theta2_grad(c, ORIGIN, tau)
             point = KERNEL_POINTS[2]
             assert theta2(c, point, tau) == reference_theta2(c, point, tau)
@@ -259,6 +271,146 @@ def test_non_finite_lattice_terms_raise_truncation_overflow():
             cd.grads_at(ALL_CHARACTERISTICS[:1], (far,))
         with pytest.raises(TruncationOverflow):
             cd.values_at(ALL_CHARACTERISTICS, [ORIGIN, far])
+
+
+ALT_TAU = PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j)
+
+
+@pytest.mark.parametrize(
+    ("tau", "value_bound", "grad_bound"),
+    [(DEFAULT_TAU, 1.0e-15, 1.5e-15), (ALT_TAU, 1.28e-15, 3.0e-15)],
+    ids=["default", "alt"],
+)
+def test_values_and_gradients_match_mpmath_over_the_widened_box(tau, value_bound, grad_bound):
+    # 80 seeded points with |Re| <= 1 and |Im| <= 0.4, every characteristic;
+    # the error is |err| / max(1, |exact|).  On these points the per-term exp
+    # kernel reached 1.08e-15 and 1.28e-15 on values, 2.18e-15 and 4.26e-15
+    # on gradients, at DEFAULT_TAU and ALT_TAU; each bound is below that.
+    stream = SampleStream(0, "mpmath-accuracy")
+    points = [
+        Point2(stream.next_complex(-1.0, 1.0, -0.4, 0.4), stream.next_complex(-1.0, 1.0, -0.4, 0.4))
+        for _ in range(80)
+    ]
+    values, grads = curve_data(tau).grads_at(ALL_CHARACTERISTICS, points)
+    value_err = grad_err = 0.0
+    for vals, grad, exact in zip(values, grads, mp_theta_jets(tau, points), strict=True):
+        for c, value, jet in zip(ALL_CHARACTERISTICS, vals, grad, strict=True):
+            ref, *ref_jet = exact[c.bits]
+            value_err = max(value_err, abs(value - ref) / max(1.0, abs(ref)))
+            for got, want in zip(jet, ref_jet):
+                grad_err = max(grad_err, abs(got - want) / max(1.0, abs(want)))
+    assert value_err <= value_bound
+    assert grad_err <= grad_bound
+
+
+# Im tau1 = 8 stretches the lattice Gaussian, so the corners of the square
+# box leave the factored range at radius 5 (pi 5.5^2 9.8 > 700) while the
+# points of that radius stay near the origin
+STRETCHED_TAU = PeriodMatrix(0.1 + 8j, -0.15 + 1.3j, 0.05 + 0.25j)
+
+
+def _one_path(monkeypatch, tau, factored, points):
+    """grads_at on a fresh CurveData whose every radius takes the one path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(theta, "_FACTOR_LOG", math.inf if factored else -math.inf)
+        return CurveData(tau, SeriesControl()).grads_at(ALL_CHARACTERISTICS, points)
+
+
+def test_the_range_guard_sits_where_the_tau_factor_would_leave_range():
+    # pi (n + 1/2)^2 (y1 + y2 + 2 |y12|) <= 700
+    assert [n for n in range(1, 12) if theta._in_factor_range(DEFAULT_TAU, n)] == list(range(1, 9))
+    assert [n for n in range(1, 12) if theta._in_factor_range(STRETCHED_TAU, n)] == [1, 2, 3, 4]
+    cd = curve_data(STRETCHED_TAU)
+    assert cd._form(4).tau_factor is not None
+    assert cd._form(5).tau_factor is None
+
+
+def test_the_two_kernel_paths_agree_on_both_sides_of_the_range_guard(monkeypatch):
+    inside, outside = Point2(0.3 + 0.9j, -0.2 - 0.36j), Point2(0.3 + 1.2j, -0.2 - 0.48j)
+    points = (inside, outside)
+    assert [truncation_radius(STRETCHED_TAU, p, SeriesControl()) for p in points] == [4, 5]
+    values, grads = curve_data(STRETCHED_TAU).grads_at(ALL_CHARACTERISTICS, points)
+    factored = _one_path(monkeypatch, STRETCHED_TAU, True, points)
+    exp_path = _one_path(monkeypatch, STRETCHED_TAU, False, points)
+    # radius 4 is factored and radius 5 keeps the exp kernel
+    assert (values[0], grads[0]) == (factored[0][0], factored[1][0])
+    assert (values[1], grads[1]) == (exp_path[0][1], exp_path[1][1])
+    for i in range(2):
+        pairs = list(zip(factored[0][i], exp_path[0][i], strict=True))
+        pairs += [(f[j], e[j]) for f, e in zip(factored[1][i], exp_path[1][i]) for j in (0, 1)]
+        for f, e in pairs:
+            assert abs(f - e) <= 1e-15 * max(1.0, abs(e))
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [DEFAULT_TAU, STRETCHED_TAU, PeriodMatrix(0.1 + 0.3j, 0.3j, 0.01j), PeriodMatrix(1e300j, 1.3j, 0.25j)],
+    ids=["default", "stretched", "small-im", "huge-diagonal"],
+)
+def test_every_point_the_exp_kernel_evaluates_still_evaluates(monkeypatch, tau):
+    # from the origin out past max_radius: wherever the per-term exp kernel
+    # gives finite values, the kernel gives finite values close to them, and
+    # the same bits where the range guard keeps the exp kernel
+    for y in np.linspace(0.0, 60.0, 31):
+        point = Point2(0.3 + y * 1j, -0.2 - 0.4 * y * 1j)
+        try:
+            head = _one_path(monkeypatch, tau, False, (point,))[0][0]
+        except TruncationOverflow:
+            continue
+        assert all(cmath.isfinite(value) for value in head)
+        values = curve_data(tau).values_at(ALL_CHARACTERISTICS, (point,))[0]
+        assert all(cmath.isfinite(value) for value in values), y
+        scale = max(1.0, max(abs(value) for value in head))
+        assert max(abs(a - b) for a, b in zip(values, head)) <= 1e-13 * scale, y
+        radius = truncation_radius(tau, point, SeriesControl())
+        if not theta._in_factor_range(tau, radius):
+            assert values == head, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-(2**40), 2**40), l=st.integers(-(2**40), 2**40))
+@example(k=1, l=0)
+@example(k=-2, l=1)
+@example(k=3, l=-3)
+def test_whole_periods_in_the_real_parts_change_only_the_sign(k, l):
+    # theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).  The dyadic
+    # real parts keep u + k and v + l exact, so where every moved component
+    # is past the reduction threshold the kernel sums the same terms
+    base = Point2(0.25 + 0.1j, -0.375 - 0.15j)
+    far = Point2(base.u + k, base.v + l)
+    values, grads = curve_data(DEFAULT_TAU).grads_at(ALL_CHARACTERISTICS, (base, far))
+    reduced = all(
+        shift == 0 or abs(z.real + shift) >= theta._REDUCE_RE
+        for z, shift in ((base.u, k), (base.v, l))
+    )
+    for c, x, y, gx, gy in zip(ALL_CHARACTERISTICS, *values, *grads, strict=True):
+        sign = -1 if (c.a * k + c.c * l) % 2 else 1
+        expected = [sign * x, sign * gx[0], sign * gx[1]]
+        got = [y, gy[0], gy[1]]
+        if reduced:
+            assert got == expected
+        else:
+            assert all(abs(g - e) <= 1e-14 * max(1.0, abs(e)) for g, e in zip(got, expected))
+
+
+def test_no_point_the_harness_or_the_benchmark_evaluates_is_reduced(monkeypatch):
+    largest = []
+    original = theta._lattice_terms
+
+    def spy(chars, points, cd, radius):
+        largest.append(max(max(abs(p.u.real), abs(p.v.real)) for p in points))
+        return original(chars, points, cd, radius)
+
+    monkeypatch.setattr(theta, "_lattice_terms", spy)
+    for cfg in (RunConfig(samples=20), RunConfig(tau=ALT_TAU, samples=20)):
+        run_suites(cfg)
+    assert 0.5 < max(largest) < theta._REDUCE_RE
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert max(abs(x) for x in workloads.POINT_BOX[:2]) < theta._REDUCE_RE
+    assert all(abs(z.real) < theta._REDUCE_RE for pair in workloads.CURVE_POINTS for z in pair)
 
 
 def test_parity_counts_and_values():
@@ -343,8 +495,12 @@ def test_lambda_min_keeps_its_precision_when_one_diagonal_entry_is_large(y1):
 
 
 def test_cli_moduli_at_a_huge_diagonal_entry_exits_without_a_traceback(capsys):
-    assert main(["moduli", "--tau1=0,1e300"]) == 0
-    assert "moduli collapse" in capsys.readouterr().out
+    # the nulls with a = 1 underflow there, so k0^2 = k1^2 = k2^2 = 0: refused
+    assert main(["moduli", "--tau1=0,1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: squared modulus k0^2 = 0j is zero or not finite")
+    with pytest.raises(DegenerateTau, match="k0\\^2"):
+        moduli_from_tau(PeriodMatrix(1e300j, 1.3j, 0.25j))
 
 
 @pytest.mark.parametrize(

@@ -61,12 +61,13 @@ def test_a_fresh_tau_evaluates_the_origin_once(monkeypatch):
     moduli.moduli_consistency_residuals(tau)
     moduli.null_ratio_signs(tau)
     flow.flow_constants(tau)
-    # one grid at the origin: the 16 nulls and the (d/du, d/dv) rows of
-    # [10;10] and [11;10], 20 rows of 81 terms at radius 4
+    # one grid at the origin: the 10 even nulls and the (d/du, d/dv) rows
+    # of [10;10] and [11;10], 14 rows of 81 terms at radius 4; the six odd
+    # nulls are exactly 0 and are not summed
     assert [(len(chars), points, radius) for chars, points, _, radius in grids] == [
-        (16, (theta.ORIGIN,), 4)
+        (12, (theta.ORIGIN,), 4)
     ]
-    assert sizes == [20 * 81]
+    assert sizes == [14 * 81]
 
 
 def _grid_sizes(monkeypatch, sizes):
