@@ -12,7 +12,7 @@ import sys
 
 from g2theta.flow import stencil_residuals
 from g2theta.rng import SampleStream
-from g2theta.theta import DEFAULT_TAU, Point2
+from g2theta.theta import DEFAULT_TAU, Point2, curve_data
 
 
 def main() -> int:
@@ -30,11 +30,12 @@ def main() -> int:
         for _ in range(args.points)
     ]
 
+    cd = curve_data(DEFAULT_TAU)
     hs = [1e-2 / 2**i for i in range(16)]
     print(f"{'h':>12} {'max residual':>14} {'ratio':>8}")
     prev = None
     for h in hs:
-        worst = max(max(stencil_residuals(p, DEFAULT_TAU, h=h)[0]) for p in pts)
+        worst = max(max(flow) for flow, _ in stencil_residuals(cd, pts, h))
         ratio = f"{prev / worst:8.3f}" if prev else " " * 8
         print(f"{h:>12.3e} {worst:>14.6e} {ratio}")
         prev = worst

@@ -10,9 +10,9 @@ story on one line per tau12 so the safe operating range is visible.
 import argparse
 import sys
 
-from g2theta.inversion import parameterization_residuals, recover_pair
+from g2theta.inversion import parameterization_residuals
 from g2theta.moduli import moduli_from_tau
-from g2theta.theta import PeriodMatrix, Point2
+from g2theta.theta import PeriodMatrix, Point2, curve_data
 
 
 def main() -> int:
@@ -28,9 +28,8 @@ def main() -> int:
     for t in scales:
         tau = PeriodMatrix(args.tau1_im * 1j, args.tau2_im * 1j, t * 1j)
         ms = moduli_from_tau(tau)
-        pair = recover_pair(pt, tau)
-        rows = parameterization_residuals(pt, tau)
-        worst = max(r for label, r in rows if label.startswith("param-"))
+        [(rows, pair)] = parameterization_residuals(curve_data(tau), [pt])
+        worst = max(rows[:15])  # param-01 to param-15, without the unit sums
         print(
             f"{t:>10.1e} {abs(ms.k0_sq - ms.k1_sq):>12.3e} "
             f"{abs(pair.x1 - 1.0 / ms.k0_sq):>12.3e} "

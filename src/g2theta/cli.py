@@ -3,7 +3,8 @@
 Exit codes: 0 success (every selected suite passed, every invert residual
 within tolerance), 1 bad configuration, 2 numerical failure (suite or invert
 residual over tolerance, or a divisor/singularity error), 3 degenerate
-period matrix.
+period matrix (a split one included, where verify's parameterizations and
+flow suites and invert refuse it before printing anything).
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from .harness import (
     run_suites,
     tau_from_sources,
 )
-from .inversion import invert_point
+from .inversion import PARAMETERIZATION_LABELS, parameterization_residuals
 from .moduli import (
     COLLAPSE_TOL,
     branch_points_collapse,
     moduli_consistency_residuals,
     moduli_from_tau,
+    require_five_branch_points,
 )
-from .theta import Point2
+from .theta import Point2, curve_data
 
 __all__ = ["main"]
 
@@ -137,8 +139,10 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    tau = tau_from_sources(None, args.tau1, args.tau2, args.tau12)
-    pair, residuals = invert_point(Point2(args.u, args.v), tau)
+    cd = curve_data(tau_from_sources(None, args.tau1, args.tau2, args.tau12))
+    require_five_branch_points(cd.moduli)
+    [(rows, pair)] = parameterization_residuals(cd, [Point2(args.u, args.v)])
+    residuals = list(zip(PARAMETERIZATION_LABELS, rows, strict=True))
     print(f"x1     = {_fmt(pair.x1)}")
     print(f"x2     = {_fmt(pair.x2)}")
     print(f"sigma1 = {_fmt(pair.sigma1)}")

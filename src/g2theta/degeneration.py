@@ -10,6 +10,11 @@ module certifies that entire chain plus the classical one-variable theory it
 lands on: squared-theta identities, the sn differential equation, and the
 complete-integral relation tau = iK'/K.
 
+The checks are batched: degeneration_residuals takes a batch of points and
+the diagonal (tau1, tau2) of the split period matrix, elliptic_residuals a
+batch of theta arguments z and tau.  Each returns one result per item and
+reads the theta values of the whole batch together.
+
 Conventions: genus-1 characteristics are column vectors [a; b] with the odd
 one [1; 1]; sn, cn, dn take the theta argument z with u = 2Kz, where
 K = (pi/2) theta^2[0;0](0) links the two normalizations.
@@ -35,6 +40,7 @@ from .errors import (
 from .inversion import PointPair, _pair_from_thetas
 from .quadrature import tanh_sinh_01
 from .theta import (
+    _ALL_BITS,
     _NULL_CACHE_TAUS,
     ALL_CHARACTERISTICS,
     _by_grid,
@@ -52,11 +58,10 @@ __all__ = [
     "theta1",
     "elliptic_modulus",
     "jacobi_functions",
-    "elliptic_identity_residuals",
-    "splitting_residuals",
-    "degenerate_inversion",
-    "sn_ode_residual",
+    "elliptic_residuals",
+    "degeneration_residuals",
     "complete_integral_residuals",
+    "DEGENERATION_LABELS",
 ]
 
 
@@ -145,7 +150,6 @@ def theta1(
 _GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _GENUS1_CHARS = tuple(Genus1Characteristic(*ab) for ab in _GENUS1_BITS)
 _ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
-_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 
 
 def _theta1_table(z: complex, tau: complex, ctrl: SeriesControl) -> dict:
@@ -189,14 +193,8 @@ def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
     return sn, cn, dn
 
 
-def elliptic_identity_residuals(
-    z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Residuals of the three squared-theta identities and the null quartic."""
-    return _identity_rows(_nulls1(tau, ctrl), _theta1_table(z, tau, ctrl))
-
-
 def _identity_rows(nulls, t) -> list[float]:
+    """Residuals of the three squared-theta identities and the null quartic."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     return [
@@ -207,12 +205,14 @@ def _identity_rows(nulls, t) -> list[float]:
     ]
 
 
-def _elliptic_checks(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[list[float]]:
-    """The elliptic suite's seven residuals at each z.
+def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[list[float]]:
+    """The seven residuals of the genus-1 theory at each theta argument z.
 
-    The identities, the Jacobi-function identities sn^2 + cn^2 = 1 and
-    dn^2 + k^2 sn^2 = 1, and sn_ode_residual read one genus-1 evaluation:
-    the four values at z, and theta1[0;1], theta1[1;1] at z + h and z - h.
+    In order: the three squared-theta identities and the null quartic, the
+    Jacobi-function identities sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1, and
+    the sn ODE (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) with dx/du by a central
+    difference of step h.  All the z read one genus-1 evaluation: the four
+    values at each z, and theta1[0;1], theta1[1;1] at z + h and z - h.
     """
     nulls = _nulls1(tau, ctrl)
     mod = elliptic_modulus(tau, ctrl)
@@ -235,61 +235,55 @@ def _elliptic_rows(nulls, mod: EllipticModulus, z, values, h: float) -> list[flo
     ]
 
 
-def splitting_residuals(
-    point: Point2,
-    tau1: complex,
-    tau2: complex,
-    ctrl: SeriesControl = SeriesControl(),
-) -> dict[str, float]:
-    """Relative gap between the genus-2 value at tau12=0 and the genus-1 product."""
-    _, [values] = _split_values((point,), tau1, tau2, ctrl)
-    return _splitting_rows(*values)
+def _sn_ode(nulls, mod: EllipticModulus, values, args, h: float) -> float:
+    """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2), dx/du by central FD,
+    from the (theta1[0;1], theta1[1;1]) pairs at args = (z + h, z - h, z).
+
+    u = 2Kz with K = (pi/2) theta^2[0;0](0), so dx/du = (dx/dz) / (2K).
+    """
+    n00, n10 = nulls[0, 0], nulls[1, 0]
+    big_k = math.pi / 2.0 * n00 * n00
+
+    def xfun(k: int) -> complex:
+        t01, t11 = values[k]
+        if abs(t01) <= 1e-10 * abs(n00):
+            raise SingularDenominator(f"theta[0;1]({args[k]}) vanishes")
+        return (n00 * t11) / (n10 * t01)
+
+    dxdu = (xfun(0) - xfun(1)) / (2.0 * h) / (2.0 * big_k)
+    xv = xfun(2)
+    return _rel(dxdu * dxdu, (1.0 - xv * xv) * (1.0 - mod.k_sq * xv * xv))
 
 
-def _split_values(points, tau1: complex, tau2: complex, ctrl: SeriesControl):
-    """The CurveData at tau12 = 0 and, at each point, its sixteen theta values
-    there with the four genus-1 values at (u, tau1) and at (v, tau2), keyed
-    by (a, b); one values_at call and one genus-1 evaluation for all points."""
+DEGENERATION_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS) + (
+    "x1x2-product", "complement-product", "third-factor",
+    "collapse-k1sq", "collapse-k2sq", "pair-match",
+)
+
+
+def degeneration_residuals(
+    points, tau1: complex, tau2: complex, ctrl: SeriesControl
+) -> list[tuple[list[float], PointPair]]:
+    """At each point, the residuals in DEGENERATION_LABELS order and the pair
+    recovered at tau12 = 0.
+
+    The split-* rows are the relative gaps between the sixteen genus-2 values
+    at tau12 = 0 and their genus-1 products at (u, tau1) and (v, tau2).  The
+    others check the inversion at tau12 = 0 against the elliptic prediction
+    {x^2, 1/k0^2}, x the theta-ratio form of -sn at theta argument u, so
+    x^2 = sn^2(2Ku): the three symmetric-function relations, the collapse of
+    the three moduli to one and the unordered pair match.  All the points
+    read one values_at call and one genus-1 evaluation.
+    """
     cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
     g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
     tables = [dict(zip(_GENUS1_BITS, g1[i : i + 4])) for i in range(0, len(g1), 4)]
-    return cd, [(row, tables[2 * i], tables[2 * i + 1]) for i, row in enumerate(g2)]
-
-
-def _splitting_rows(g2, g1u, g1v) -> dict[str, float]:
-    return {
-        f"split-{c.label()}": _rel(value, g1u[(c.a, c.b)] * g1v[(c.c, c.d)])
-        for c, value in zip(ALL_CHARACTERISTICS, g2)
-    }
-
-
-def degenerate_inversion(
-    point: Point2,
-    tau1: complex,
-    tau2: complex,
-    ctrl: SeriesControl = SeriesControl(),
-) -> tuple[dict[str, float], PointPair]:
-    """Inversion at tau12=0 against the elliptic prediction {x^2, 1/k0^2}.
-
-    x is the theta-ratio form of -sn at theta argument u, so x^2 = sn^2(2Ku).
-    Returns the residuals, keyed by label, of the three symmetric-function
-    relations, the collapse of the three moduli to one and the unordered
-    pair match, and the pair recovered at tau12=0.
-    """
-    [(_, inversion, pair)] = _degenerations((point,), tau1, tau2, ctrl)
-    return inversion, pair
-
-
-def _degenerations(points, tau1: complex, tau2: complex, ctrl: SeriesControl):
-    """splitting_residuals and degenerate_inversion at each point, from the
-    values of _split_values: (splitting, inversion, pair)."""
-    cd, values = _split_values(points, tau1, tau2, ctrl)
     ms = cd.moduli
     return [
-        _degeneration_rows(cd, ms, point, *at_point, tau1, ctrl)
-        for point, at_point in zip(points, values)
+        _degeneration_rows(cd, ms, point, row, tables[2 * i], tables[2 * i + 1], tau1, ctrl)
+        for i, (point, row) in enumerate(zip(points, g2))
     ]
 
 
@@ -308,50 +302,17 @@ def _degeneration_rows(cd, ms, point: Point2, g2, g1u, g1v, tau1: complex, ctrl:
     predicted = (x * x, 1.0 / k0sq)
     direct = max(_rel(x1, predicted[0]), _rel(x2, predicted[1]))
     crossed = max(_rel(x1, predicted[1]), _rel(x2, predicted[0]))
-    residuals = {
-        "x1x2-product": _rel(k0sq * x1 * x2, x * x),
-        "complement-product": _rel(
-            (k0sq / (1.0 - k0sq)) * (1.0 - x1) * (1.0 - x2), -(1.0 - x * x)
-        ),
-        "third-factor": _rel((1.0 - k0sq * x1) * (1.0 - k0sq * x2), 0.0),
-        "collapse-k1sq": _rel(k0sq, ms.k1_sq),
-        "collapse-k2sq": _rel(k0sq, ms.k2_sq),
-        "pair-match": min(direct, crossed),
-    }
-    return _splitting_rows(g2, g1u, g1v), residuals, pair
-
-
-def sn_ode_residual(
-    z: complex,
-    tau: complex,
-    ctrl: SeriesControl = SeriesControl(),
-    h: float = 1e-5,
-) -> float:
-    """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2), dx/du by central FD.
-
-    u = 2Kz with K = (pi/2) theta^2[0;0](0), so dx/du = (dx/dz) / (2K).
-    """
-    nulls = _nulls1(tau, ctrl)
-    mod = elliptic_modulus(tau, ctrl)
-    args = (z + h, z - h, z)
-    values = _theta1_values([(c, zz, tau) for zz in args for c in _ODE_CHARS], ctrl)
-    return _sn_ode(nulls, mod, (values[0:2], values[2:4], values[4:6]), args, h)
-
-
-def _sn_ode(nulls, mod: EllipticModulus, values, args, h: float) -> float:
-    """sn_ode_residual from the (theta1[0;1], theta1[1;1]) pairs at args."""
-    n00, n10 = nulls[0, 0], nulls[1, 0]
-    big_k = math.pi / 2.0 * n00 * n00
-
-    def xfun(k: int) -> complex:
-        t01, t11 = values[k]
-        if abs(t01) <= 1e-10 * abs(n00):
-            raise SingularDenominator(f"theta[0;1]({args[k]}) vanishes")
-        return (n00 * t11) / (n10 * t01)
-
-    dxdu = (xfun(0) - xfun(1)) / (2.0 * h) / (2.0 * big_k)
-    xv = xfun(2)
-    return _rel(dxdu * dxdu, (1.0 - xv * xv) * (1.0 - mod.k_sq * xv * xv))
+    split = [
+        _rel(value, g1u[c.a, c.b] * g1v[c.c, c.d]) for c, value in zip(ALL_CHARACTERISTICS, g2)
+    ]
+    return split + [
+        _rel(k0sq * x1 * x2, x * x),
+        _rel((k0sq / (1.0 - k0sq)) * (1.0 - x1) * (1.0 - x2), -(1.0 - x * x)),
+        _rel((1.0 - k0sq * x1) * (1.0 - k0sq * x2), 0.0),
+        _rel(k0sq, ms.k1_sq),
+        _rel(k0sq, ms.k2_sq),
+        min(direct, crossed),
+    ], pair
 
 
 def complete_integral_residuals(

@@ -23,6 +23,11 @@ meaningful, and a wrong relative sign fails loudly.
 Derivative nulls are always term-wise differentiated series, never finite
 differences; the finite-difference noise budget is reserved for the outer
 comparisons.
+
+Each check takes the CurveData of the period matrix and a batch (points,
+or (p, q) pairs for the addition theorems) and returns one result per
+item.  The theta values of the whole batch come from one kernel call, and
+no result depends on which items share a batch.
 """
 
 from __future__ import annotations
@@ -214,29 +219,20 @@ def _abelian_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
     return best
 
 
-def stencil_residuals(
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-    h: float = 1e-5,
-) -> tuple[list[float], list[float]]:
-    """Flow and Abelian-differential residuals from one shared stencil.
+def stencil_residuals(cd: CurveData, points, h: float) -> list[tuple[list[float], list[float]]]:
+    """Flow and Abelian-differential residuals at each point, each from one
+    shared stencil of step h.
 
-    Returns (flow, abelian).  flow holds the relative residuals of the
-    central finite differences of the pair against the closed-form flow
+    Returns (flow, abelian) per point.  flow holds the relative residuals of
+    the central finite differences of the pair against the closed-form flow
     equations, for dx1/du, dx2/du, dx1/dv and dx2/dv.  abelian holds
     |du - 1| and |dv - 1| for du and dv recovered from the same
     differences through the inverted system.  Both are minimized over the
     global sign of the sigma_i.  The Abelian residuals divide by sigma_i,
     so a pair at a branch point, one |sigma_i| at most 1e-10 times the
-    other, raises SingularDenominator.
+    other, raises SingularDenominator.  What recover_pair reads at every
+    stencil point comes from one _pair_tables call.
     """
-    return _stencils(curve_data(tau, ctrl), (point,), h)[0]
-
-
-def _stencils(cd: CurveData, points, h: float) -> list[tuple[list[float], list[float]]]:
-    """stencil_residuals at each point, (flow, abelian), with what recover_pair
-    reads at every stencil point from one _pair_tables call."""
     fc = cd.flow_constants
     stencil_points = [s for point in points for s in _stencil_points(point, h)]
     tables = _pair_tables(cd, stencil_points)
@@ -262,16 +258,9 @@ _ADDITION_CHARS = _chars(
 )
 
 
-def addition_formula_residuals(
-    p: Point2, q: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Residuals of the two four-point addition theorems at (p, q)."""
-    return _addition_formulas(curve_data(tau, ctrl), ((p, q),))[0]
-
-
-def _addition_formulas(cd: CurveData, pairs) -> list[list[float]]:
-    """addition_formula_residuals at each (p, q): one values_at call for
-    every p + q and p - q, one for every p and q."""
+def addition_formula_residuals(cd: CurveData, pairs) -> list[list[float]]:
+    """Residuals of the two four-point addition theorems at each (p, q): one
+    values_at call for every p + q and p - q, one for every p and q."""
     shifted = [
         x for p, q in pairs for x in (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
     ]
@@ -333,23 +322,17 @@ _DERIVATIVE_CHARS = _chars(
 )
 
 
-def derivative_formula_residuals(
-    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Residuals of the four closed forms for d/du, d/dv of two theta ratios.
+def derivative_formula_residuals(cd: CurveData, points) -> list[list[float]]:
+    """Residuals at each point of the four closed forms for d/du, d/dv of
+    two theta ratios.
 
     The derivative of theta[10;11]/theta[00;11] (and of theta[10;01]/theta[00;11])
     is evaluated through term-wise gradients and the quotient rule, and
     compared against products of nulls, null derivatives, and theta values.
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
+    Values and gradients come from one grads_at call.
     """
-    return _derivative_formulas(curve_data(tau, ctrl), (point,))[0]
-
-
-def _derivative_formulas(cd: CurveData, points) -> list[list[float]]:
-    """derivative_formula_residuals at each point, values and gradients from
-    one grads_at call."""
     values, grads = cd.grads_at(_DERIVATIVE_CHARS, points)
     return [
         _derivative_rows(cd, th, g)

@@ -49,10 +49,11 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from .degeneration import (
-    _degenerations,
-    _elliptic_checks,
+    DEGENERATION_LABELS,
     complete_integral_residuals,
+    degeneration_residuals,
     elliptic_modulus,
+    elliptic_residuals,
 )
 from .errors import (
     ConfigInvalid,
@@ -61,21 +62,19 @@ from .errors import (
     G2ThetaError,
     PointError,
 )
-from .flow import _addition_formulas, _derivative_formulas, _stencils
-from .inversion import PARAMETERIZATION_LABELS, _parameterizations
+from .flow import addition_formula_residuals, derivative_formula_residuals, stencil_residuals
+from .inversion import PARAMETERIZATION_LABELS, parameterization_residuals
 from .moduli import (
-    COLLAPSE_TOL,
     CONSISTENCY_LABELS,
     RATIO_CHARACTERISTICS,
     _consistency_residuals,
-    branch_points_collapse,
     moduli_from_tau,
     null_ratio_signs,
+    require_five_branch_points,
 )
-from .riemann import Quadruple, _fundamental_identities, _riemann_relations
+from .riemann import Quadruple, fundamental_identity_residuals, riemann_relation_residuals
 from .rng import SampleStream
 from .theta import (
-    ALL_CHARACTERISTICS,
     DEFAULT_TAU,
     CurveData,
     PeriodMatrix,
@@ -145,26 +144,6 @@ def _moduli_final(cfg, notes, extras):
     return [(signs[bits][1], point) for bits in RATIO_CHARACTERISTICS]
 
 
-_SPLIT_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS)
-_INVERSION_LABELS = (
-    "x1x2-product", "complement-product", "third-factor",
-    "collapse-k1sq", "collapse-k2sq", "pair-match",
-)
-
-
-def _degeneration_batch(cfg, batch):
-    """Split locus attached to the configured diagonal: tau12 is forced to 0."""
-    results = _degenerations(_points(batch), cfg.tau.tau1, cfg.tau.tau2, cfg.series)
-    return [
-        (
-            [split[label] for label in _SPLIT_LABELS]
-            + [inversion[label] for label in _INVERSION_LABELS],
-            pair,
-        )
-        for split, inversion, pair in results
-    ]
-
-
 def _degeneration_final(cfg, notes, extras):
     """Spread of the pair member frozen at 1/k0^2 of the split curve."""
     split_tau = PeriodMatrix(cfg.tau.tau1, cfg.tau.tau2, 0.0)
@@ -220,7 +199,7 @@ _SUITES = {
     "riemann": _Suite(
         boxes=(_BOX,) * 8,
         labels=tuple(f"riemann-{way}-{i}" for way in ("forward", "inverse") for i in range(1, 5)),
-        evaluate=lambda cfg, batch: [(r, None) for r in _riemann_relations(
+        evaluate=lambda cfg, batch: [(r, None) for r in riemann_relation_residuals(
             _curve(cfg), [Quadruple(tuple(map(Point2, s[::2], s[1::2]))) for s in batch]
         )],
     ),
@@ -228,7 +207,7 @@ _SUITES = {
         boxes=(_BOX, _BOX),
         labels=("fund-1", "fund-2", "fund-3"),
         evaluate=lambda cfg, batch: [
-            (r, None) for r in _fundamental_identities(_curve(cfg), _points(batch))
+            (r, None) for r in fundamental_identity_residuals(_curve(cfg), _points(batch))
         ],
     ),
     "moduli": _Suite(
@@ -245,7 +224,7 @@ _SUITES = {
     "parameterizations": _Suite(
         boxes=(_BOX, _BOX),
         labels=PARAMETERIZATION_LABELS,
-        evaluate=lambda cfg, batch: _parameterizations(_curve(cfg), _points(batch)),
+        evaluate=lambda cfg, batch: parameterization_residuals(_curve(cfg), _points(batch)),
         reads_curve=True,
     ),
     "flow": _Suite(
@@ -253,7 +232,7 @@ _SUITES = {
         labels=_FLOW_LABELS,
         evaluate=lambda cfg, batch: [
             (flow + abelian, None)
-            for flow, abelian in _stencils(_curve(cfg), _points(batch), cfg.fd_step)
+            for flow, abelian in stencil_residuals(_curve(cfg), _points(batch), cfg.fd_step)
         ],
         fd_labels=frozenset(_FLOW_LABELS),
         reads_curve=True,
@@ -261,7 +240,7 @@ _SUITES = {
     "addition": _Suite(
         boxes=(_BOX,) * 4,
         labels=("addition-1", "addition-2"),
-        evaluate=lambda cfg, batch: [(r, None) for r in _addition_formulas(
+        evaluate=lambda cfg, batch: [(r, None) for r in addition_formula_residuals(
             _curve(cfg), [(Point2(s[0], s[1]), Point2(s[2], s[3])) for s in batch]
         )],
     ),
@@ -269,13 +248,16 @@ _SUITES = {
         boxes=(_BOX, _BOX),
         labels=("deriv-ratio1-du", "deriv-ratio1-dv", "deriv-ratio2-du", "deriv-ratio2-dv"),
         evaluate=lambda cfg, batch: [
-            (r, None) for r in _derivative_formulas(_curve(cfg), _points(batch))
+            (r, None) for r in derivative_formula_residuals(_curve(cfg), _points(batch))
         ],
     ),
     "degeneration": _Suite(
         boxes=(_BOX, _BOX),
-        labels=_SPLIT_LABELS + _INVERSION_LABELS,
-        evaluate=_degeneration_batch,
+        labels=DEGENERATION_LABELS,
+        # the split locus attached to the configured diagonal: tau12 is forced to 0
+        evaluate=lambda cfg, batch: degeneration_residuals(
+            _points(batch), cfg.tau.tau1, cfg.tau.tau2, cfg.series
+        ),
         final_labels=("constant-member-spread",),
         finalize=_degeneration_final,
     ),
@@ -286,7 +268,7 @@ _SUITES = {
             "jacobi-sn-cn", "jacobi-dn", "sn-ode",
         ),
         # genus-1 theory at tau = tau1 of the config
-        evaluate=lambda cfg, batch: [(r, None) for r in _elliptic_checks(
+        evaluate=lambda cfg, batch: [(r, None) for r in elliptic_residuals(
             [s[0] for s in batch], cfg.tau.tau1, cfg.series, cfg.fd_step
         )],
         fd_labels=frozenset(["sn-ode"]),
@@ -460,13 +442,8 @@ _SUITE_RUNNERS = {name: partial(_run_suite, name) for name in SUITE_ORDER}
 def run_suites(config: RunConfig) -> Report:
     config.validate()
     selected = [name for name in SUITE_ORDER if name in config.suites]
-    if any(_SUITES[name].reads_curve for name in selected) and branch_points_collapse(
-        moduli_from_tau(config.tau, config.series)
-    ):
-        raise DegenerateTau(
-            f"moduli collapse, k0^2 = k1^2 = k2^2 within {COLLAPSE_TOL:g} (split period "
-            "matrix): the parameterizations and flow suites need five distinct branch points"
-        )
+    if any(_SUITES[name].reads_curve for name in selected):
+        require_five_branch_points(moduli_from_tau(config.tau, config.series))
     results = [_SUITE_RUNNERS[name](config) for name in selected]
     return Report(
         version=VERSION,

@@ -11,7 +11,10 @@ quadratic, and the square-root data sigma_i = sqrt(f5(x_i)) is resolved up
 to the one essential sign class (simultaneous negation drops out of every
 squared formula).  Fifteen theta-squared ratios are parameterized by the
 pair; all are certified against the recovered data with one consistent
-sign class.
+sign class.  recover_pair inverts one point on the curve of a period
+matrix; parameterization_residuals takes the CurveData and a batch of
+points, reads all sixteen theta values of the batch from one kernel call,
+and gives each point's residuals with the pair recovered there.
 
 Moduli roots always come from a single ModuliSet, each signed as its
 unsquared theta-null quotient (see moduli.build_moduli), so one sign
@@ -31,6 +34,7 @@ from .errors import (
 )
 from .moduli import ModuliSet
 from .theta import (
+    _ALL_BITS,
     ALL_CHARACTERISTICS,
     CurveData,
     HalfCharacteristic,
@@ -50,7 +54,6 @@ __all__ = [
     "symmetric_functions",
     "recover_pair",
     "parameterization_residuals",
-    "invert_point",
     "PARAMETERIZATION_LABELS",
 ]
 
@@ -59,7 +62,6 @@ _TH_REF = (0, 0, 1, 1)  # reference denominator theta
 # the symmetric functions, and the bracket that fixes the sign class
 _PAIR_BITS = (_TH_REF, (1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 1))
 _PAIR_CHARS = tuple(HalfCharacteristic(*bits) for bits in _PAIR_BITS)
-_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 
 
 @dataclass(frozen=True)
@@ -271,33 +273,22 @@ PARAMETERIZATION_LABELS = tuple(f"param-{i:02d}" for i in range(1, 16)) + tuple(
 )
 
 
-def parameterization_residuals(
-    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> list[tuple[str, float]]:
-    """Relative residuals of the 15 theta-squared ratio parameterizations,
-    then of the three theta identities expressing 1 as a signed sum.
+def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float], PointPair]]:
+    """At each point, the residuals in PARAMETERIZATION_LABELS order and the
+    pair recovered there.
+
+    The residuals are relative: those of the 15 theta-squared ratio
+    parameterizations, then of the three theta identities expressing 1 as a
+    signed sum.
 
     Residuals 1-5 compare the ratio against a moduli prefactor times a
     symmetric polynomial in (x1, x2); 6-15 are the square-root bracket
     forms, evaluated with denominators cleared so that points where a
     linear factor vanishes stay regular.  All use the single sign class
-    recovered by recover_pair.  Every row reads one table of the sixteen
-    theta values at the point.
+    recovered by recover_pair.  Every row and the pair read one table of the
+    sixteen theta values at the point, and the tables of all the points come
+    from one values_at call.
     """
-    return invert_point(point, tau, ctrl)[1]
-
-
-def invert_point(
-    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> tuple[PointPair, list[tuple[str, float]]]:
-    """recover_pair and parameterization_residuals at the point, from one grid."""
-    [(rows, pair)] = _parameterizations(curve_data(tau, ctrl), (point,))
-    return pair, list(zip(PARAMETERIZATION_LABELS, rows, strict=True))
-
-
-def _parameterizations(cd: CurveData, points) -> list[tuple[list[float], PointPair]]:
-    """The residuals in PARAMETERIZATION_LABELS order and the recovered pair
-    at each point, from one values_at call of all sixteen characteristics."""
     ms = cd.moduli
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     return [

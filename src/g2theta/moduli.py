@@ -41,6 +41,7 @@ __all__ = [
     "null_ratio_signs",
     "moduli_consistency_residuals",
     "branch_points_collapse",
+    "require_five_branch_points",
     "CONSISTENCY_LABELS",
     "COLLAPSE_TOL",
     "RATIO_CHARACTERISTICS",
@@ -290,3 +291,16 @@ def branch_points_collapse(ms: ModuliSet) -> bool:
     """
     gap = max(abs(ms.k0_sq - ms.k1_sq), abs(ms.k0_sq - ms.k2_sq))
     return gap / (1.0 + abs(ms.k0_sq)) < COLLAPSE_TOL
+
+
+def require_five_branch_points(ms: ModuliSet) -> None:
+    """Raise DegenerateTau when the branch points collapse (branch_points_collapse).
+
+    The point pair on the curve, which the parameterizations and flow suites
+    and g2theta invert read, needs five distinct branch points.
+    """
+    if branch_points_collapse(ms):
+        raise DegenerateTau(
+            f"moduli collapse, k0^2 = k1^2 = k2^2 within {COLLAPSE_TOL:g} (split period "
+            "matrix): the parameterizations and flow suites need five distinct branch points"
+        )

@@ -17,16 +17,15 @@ from .errors import QuadratureNonconvergence
 
 __all__ = ["tanh_sinh_01"]
 
+_TOL = 1e-12  # agreement of successive levels, relative, floored at 1
+_LEVEL_CAP = 12  # node-density doublings before giving up
 
-def tanh_sinh_01(
-    f: Callable[[float, float], float],
-    tol: float = 1e-12,
-    level_cap: int = 12,
-) -> float:
+
+def tanh_sinh_01(f: Callable[[float, float], float]) -> float:
     """Integrate f over (0, 1); f(x, dist) with dist = min(x, 1-x) exact.
 
     Levels double the node density; converged when successive levels agree
-    to tol (relative, floored at 1) after at least three refinements.
+    to _TOL (relative, floored at 1) after at least three refinements.
     """
     half_pi = math.pi / 2.0
 
@@ -54,12 +53,12 @@ def tanh_sinh_01(
 
     h = 1.0
     s = level_sum(h, skip_even=False) * h
-    for level in range(1, level_cap + 1):
+    for level in range(1, _LEVEL_CAP + 1):
         h /= 2.0
         s_new = s / 2.0 + level_sum(h, skip_even=True) * h
-        if level >= 3 and abs(s_new - s) <= tol * (1.0 + abs(s_new)):
+        if level >= 3 and abs(s_new - s) <= _TOL * (1.0 + abs(s_new)):
             return s_new
         s = s_new
     raise QuadratureNonconvergence(
-        f"tanh-sinh did not converge to {tol} within {level_cap} levels"
+        f"tanh-sinh did not converge to {_TOL} within {_LEVEL_CAP} levels"
     )

@@ -133,16 +133,10 @@ def _relation_residuals(lhs_vec, rhs_vec):
     return out
 
 
-def riemann_relation_residuals(
-    q: Quadruple, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Eight residuals: the four forward relations, then the four inverse ones."""
-    return _riemann_relations(curve_data(tau, ctrl), (q,))[0]
-
-
-def _riemann_relations(cd: CurveData, quads) -> list[list[float]]:
-    """riemann_relation_residuals of each quadruple; all the quadruples and
-    their transforms are evaluated in one values_at call."""
+def riemann_relation_residuals(cd: CurveData, quads) -> list[list[float]]:
+    """Eight residuals of each quadruple: the four forward relations, then
+    the four inverse ones.  All the quadruples and their transforms are
+    evaluated in one values_at call."""
     points = [p for q in quads for p in q.points + riemann_transform(q).points]
     values = cd.values_at(_PRODUCT_CHARS, points)
     out = []
@@ -189,15 +183,9 @@ _FUNDAMENTAL_CHARS = tuple(
 )
 
 
-def fundamental_identity_residuals(
-    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Residuals of the three four-term squared-theta identities at (u, v)."""
-    return _fundamental_identities(curve_data(tau, ctrl), (point,))[0]
-
-
-def _fundamental_identities(cd: CurveData, points) -> list[list[float]]:
-    """fundamental_identity_residuals at each point, from one values_at call."""
+def fundamental_identity_residuals(cd: CurveData, points) -> list[list[float]]:
+    """Residuals of the three four-term squared-theta identities at each
+    point (u, v), from one values_at call."""
     null_sq = {bits: value**2 for bits, value in cd.nulls.items()}
     out = []
     for values in cd.values_at(_FUNDAMENTAL_CHARS, points):

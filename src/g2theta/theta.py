@@ -65,19 +65,16 @@ by characteristic, and CurveData.nulls / null_grads hold the values and the
 two odd gradients at the origin.  Scalar: theta2 and theta2_grad read one
 value of curve_data.
 
-Also here: parity of a characteristic, the relative residual _rel that the
-identity checks of every layer report, and the half/full period shift rules
-expressing theta at a shifted argument through theta at the original one.
+Also here: parity of a characteristic, and the relative residual _rel that
+the identity checks of every layer report.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -90,8 +87,6 @@ __all__ = [
     "PeriodMatrix",
     "Point2",
     "SeriesControl",
-    "ShiftKind",
-    "ShiftRule",
     "ALL_CHARACTERISTICS",
     "EVEN_CHARACTERISTICS",
     "ODD_CHARACTERISTICS",
@@ -104,8 +99,6 @@ __all__ = [
     "curve_data",
     "theta2",
     "theta2_grad",
-    "half_shift",
-    "shifted_argument",
 ]
 
 _IPI = 1j * math.pi
@@ -136,10 +129,6 @@ class HalfCharacteristic:
 
     def label(self) -> str:
         return f"{self.a}{self.c}{self.b}{self.d}"
-
-
-def ch(a: int, c: int, b: int, d: int) -> HalfCharacteristic:
-    return HalfCharacteristic(a, c, b, d)
 
 
 ALL_CHARACTERISTICS = tuple(
@@ -694,70 +683,3 @@ def theta2_grad(
 ) -> tuple[complex, complex]:
     """(d theta/du, d theta/dv) by term-wise differentiation of the series."""
     return curve_data(tau, ctrl).grads_at((c,), (point,))[1][0][0]
-
-
-class ShiftKind(enum.Enum):
-    U_HALF = "u_half"                    # u -> u + 1/2
-    U_TAU_HALF = "u_tau_half"            # u -> u + tau1/2, v -> v + tau12/2
-    U_TAU_PLUS_HALF = "u_tau_plus_half"  # u -> u + tau1/2 + 1/2, v -> v + tau12/2
-    U_ONE = "u_one"                      # u -> u + 1
-    U_TAU_FULL = "u_tau_full"            # u -> u + tau1, v -> v + tau12
-
-
-@dataclass(frozen=True)
-class ShiftRule:
-    """theta[old](shifted args) = sign * exp(i*pi*(tau1_coeff*tau1 + u_coeff*u)) * theta[new](u, v)."""
-
-    kind: ShiftKind
-    new_characteristic: HalfCharacteristic
-    sign: complex
-    tau1_coeff: Fraction
-    u_coeff: Fraction
-
-    def factor(self, point: Point2, tau: PeriodMatrix) -> complex:
-        expo = complex(self.tau1_coeff) * tau.tau1 + complex(self.u_coeff) * point.u
-        return self.sign * cmath.exp(_IPI * expo)
-
-
-def shifted_argument(kind: ShiftKind, point: Point2, tau: PeriodMatrix) -> Point2:
-    u, v = point.u, point.v
-    if kind is ShiftKind.U_HALF:
-        return Point2(u + 0.5, v)
-    if kind is ShiftKind.U_TAU_HALF:
-        return Point2(u + tau.tau1 / 2.0, v + tau.tau12 / 2.0)
-    if kind is ShiftKind.U_TAU_PLUS_HALF:
-        return Point2(u + tau.tau1 / 2.0 + 0.5, v + tau.tau12 / 2.0)
-    if kind is ShiftKind.U_ONE:
-        return Point2(u + 1.0, v)
-    if kind is ShiftKind.U_TAU_FULL:
-        return Point2(u + tau.tau1, v + tau.tau12)
-    raise ValueError(f"unknown shift kind {kind!r}")
-
-
-def half_shift(c: HalfCharacteristic, kind: ShiftKind) -> ShiftRule:
-    """Transformation rule for a half- or full-period shift in the u direction.
-
-    Shifts act on (u, v) jointly where the period couples them (tau1 shifts in
-    u drag tau12/2 shifts in v).  The v-direction rules are the mirror images
-    swapping (a, b, tau1) with (c, d, tau2); they are not needed by the
-    verification suites and are omitted.
-    """
-    a, b = c.a, c.b
-    zero = Fraction(0)
-    if kind is ShiftKind.U_HALF:
-        sign = -1.0 if (a == 1 and b == 1) else 1.0
-        return ShiftRule(kind, ch(a, c.c, 1 - b, c.d), complex(sign), zero, zero)
-    if kind is ShiftKind.U_TAU_HALF:
-        sign = 1.0 + 0.0j if b == 0 else -1.0j
-        return ShiftRule(kind, ch(1 - a, c.c, b, c.d), sign, Fraction(-1, 4), Fraction(-1))
-    if kind is ShiftKind.U_TAU_PLUS_HALF:
-        if b == 0:
-            sign = -1.0j
-        else:
-            sign = 1.0 + 0.0j if a == 0 else -1.0 + 0.0j
-        return ShiftRule(kind, ch(1 - a, c.c, 1 - b, c.d), sign, Fraction(-1, 4), Fraction(-1))
-    if kind is ShiftKind.U_ONE:
-        return ShiftRule(kind, c, complex((-1.0) ** a), zero, zero)
-    if kind is ShiftKind.U_TAU_FULL:
-        return ShiftRule(kind, c, complex((-1.0) ** b), Fraction(-1), Fraction(-2))
-    raise ValueError(f"unknown shift kind {kind!r}")

@@ -1,6 +1,11 @@
-"""Shared test helpers: a brute-force series oracle and seeded point draws."""
+"""Shared test helpers: a brute-force series oracle, seeded point draws and
+the half/full period shift rules."""
 
+import cmath
+import enum
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,6 +14,8 @@ from g2theta.degeneration import _radius1
 from g2theta.rng import SampleStream
 from g2theta.theta import (
     ALL_CHARACTERISTICS,
+    HalfCharacteristic,
+    PeriodMatrix,
     Point2,
     SeriesControl,
     _in_factor_range,
@@ -166,3 +173,78 @@ def draw_points(seed, label, count):
         Point2(stream.next_complex(*BOX), stream.next_complex(*BOX))
         for _ in range(count)
     ]
+
+
+# The half/full period shift rules in the u direction: theta at a shifted
+# argument through theta at the original one.
+
+
+def ch(a: int, c: int, b: int, d: int) -> HalfCharacteristic:
+    return HalfCharacteristic(a, c, b, d)
+
+
+class ShiftKind(enum.Enum):
+    U_HALF = "u_half"                    # u -> u + 1/2
+    U_TAU_HALF = "u_tau_half"            # u -> u + tau1/2, v -> v + tau12/2
+    U_TAU_PLUS_HALF = "u_tau_plus_half"  # u -> u + tau1/2 + 1/2, v -> v + tau12/2
+    U_ONE = "u_one"                      # u -> u + 1
+    U_TAU_FULL = "u_tau_full"            # u -> u + tau1, v -> v + tau12
+
+
+@dataclass(frozen=True)
+class ShiftRule:
+    """theta[old](shifted args) = sign * exp(i*pi*(tau1_coeff*tau1 + u_coeff*u)) * theta[new](u, v)."""
+
+    kind: ShiftKind
+    new_characteristic: HalfCharacteristic
+    sign: complex
+    tau1_coeff: Fraction
+    u_coeff: Fraction
+
+    def factor(self, point: Point2, tau: PeriodMatrix) -> complex:
+        expo = complex(self.tau1_coeff) * tau.tau1 + complex(self.u_coeff) * point.u
+        return self.sign * cmath.exp(1j * math.pi * expo)
+
+
+def shifted_argument(kind: ShiftKind, point: Point2, tau: PeriodMatrix) -> Point2:
+    u, v = point.u, point.v
+    if kind is ShiftKind.U_HALF:
+        return Point2(u + 0.5, v)
+    if kind is ShiftKind.U_TAU_HALF:
+        return Point2(u + tau.tau1 / 2.0, v + tau.tau12 / 2.0)
+    if kind is ShiftKind.U_TAU_PLUS_HALF:
+        return Point2(u + tau.tau1 / 2.0 + 0.5, v + tau.tau12 / 2.0)
+    if kind is ShiftKind.U_ONE:
+        return Point2(u + 1.0, v)
+    if kind is ShiftKind.U_TAU_FULL:
+        return Point2(u + tau.tau1, v + tau.tau12)
+    raise ValueError(f"unknown shift kind {kind!r}")
+
+
+def half_shift(c: HalfCharacteristic, kind: ShiftKind) -> ShiftRule:
+    """Transformation rule for a half- or full-period shift in the u direction.
+
+    Shifts act on (u, v) jointly where the period couples them (tau1 shifts in
+    u drag tau12/2 shifts in v).  The v-direction rules are the mirror images
+    swapping (a, b, tau1) with (c, d, tau2); they are not needed by the
+    verification suites and are omitted.
+    """
+    a, b = c.a, c.b
+    zero = Fraction(0)
+    if kind is ShiftKind.U_HALF:
+        sign = -1.0 if (a == 1 and b == 1) else 1.0
+        return ShiftRule(kind, ch(a, c.c, 1 - b, c.d), complex(sign), zero, zero)
+    if kind is ShiftKind.U_TAU_HALF:
+        sign = 1.0 + 0.0j if b == 0 else -1.0j
+        return ShiftRule(kind, ch(1 - a, c.c, b, c.d), sign, Fraction(-1, 4), Fraction(-1))
+    if kind is ShiftKind.U_TAU_PLUS_HALF:
+        if b == 0:
+            sign = -1.0j
+        else:
+            sign = 1.0 + 0.0j if a == 0 else -1.0 + 0.0j
+        return ShiftRule(kind, ch(1 - a, c.c, 1 - b, c.d), sign, Fraction(-1, 4), Fraction(-1))
+    if kind is ShiftKind.U_ONE:
+        return ShiftRule(kind, c, complex((-1.0) ** a), zero, zero)
+    if kind is ShiftKind.U_TAU_FULL:
+        return ShiftRule(kind, c, complex((-1.0) ** b), Fraction(-1), Fraction(-2))
+    raise ValueError(f"unknown shift kind {kind!r}")

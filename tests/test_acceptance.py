@@ -8,14 +8,13 @@ import time
 
 import pytest
 
-from conftest import draw_points
+from conftest import ShiftKind, draw_points, half_shift, shifted_argument
 
 from g2theta.degeneration import (
     complete_integral_residuals,
-    elliptic_identity_residuals,
+    degeneration_residuals,
     elliptic_modulus,
-    sn_ode_residual,
-    splitting_residuals,
+    elliptic_residuals,
 )
 from g2theta.flow import (
     addition_formula_residuals,
@@ -37,12 +36,12 @@ from g2theta.theta import (
     DEFAULT_TAU,
     PeriodMatrix,
     Point2,
-    ShiftKind,
-    half_shift,
-    shifted_argument,
+    SeriesControl,
+    curve_data,
     theta2,
 )
 
+CD = curve_data(DEFAULT_TAU)
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 
 
@@ -53,10 +52,8 @@ def _report(name, ok, detail):
 def test_criterion_1_riemann_relations():
     start = time.perf_counter()
     pts = draw_points(101, "acc-riemann", 400)
-    worst = 0.0
-    for i in range(100):
-        q = Quadruple(tuple(pts[4 * i : 4 * i + 4]))
-        worst = max(worst, max(riemann_relation_residuals(q, DEFAULT_TAU)))
+    quads = [Quadruple(tuple(pts[4 * i : 4 * i + 4])) for i in range(100)]
+    worst = max(max(r) for r in riemann_relation_residuals(CD, quads))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 10.0
     _report(
@@ -69,9 +66,8 @@ def test_criterion_1_riemann_relations():
 
 
 def test_criterion_2_fundamental_identities():
-    worst = 0.0
-    for pt in draw_points(102, "acc-fundamental", 100):
-        worst = max(worst, max(fundamental_identity_residuals(pt, DEFAULT_TAU)))
+    rows = fundamental_identity_residuals(CD, draw_points(102, "acc-fundamental", 100))
+    worst = max(max(r) for r in rows)
     ok = worst < 1e-10
     _report("fundamental-identities", ok, f"max residual {worst:.3e} over 100 points")
     assert ok
@@ -112,9 +108,8 @@ def test_criterion_4_moduli_consistency():
 
 
 def test_criterion_5_parameterizations():
-    worst = 0.0
-    for pt in draw_points(105, "acc-params", 100):
-        worst = max(worst, max(r for _, r in parameterization_residuals(pt, DEFAULT_TAU)))
+    rows = parameterization_residuals(CD, draw_points(105, "acc-params", 100))
+    worst = max(max(r) for r, _ in rows)
     ok = worst < 1e-8
     _report(
         "parameterizations", ok,
@@ -152,15 +147,14 @@ def test_criterion_5_origin_pair_forced_values():
 def test_criterion_6_flow_equations():
     flow_constants(DEFAULT_TAU)  # raises on tilde disagreement beyond 1e-8
     pts = draw_points(106, "acc-flow", 20)
-    worst = 0.0
-    worst_ratio = (4.0, 4.0)
-    for pt in pts:
-        flow, abelian = stencil_residuals(pt, DEFAULT_TAU, h=1e-5)
-        worst = max(worst, max(flow), max(abelian))
-        ratio = max(stencil_residuals(pt, DEFAULT_TAU, h=1e-4)[0]) / max(
-            stencil_residuals(pt, DEFAULT_TAU, h=5e-5)[0]
+    worst = max(max(flow + abelian) for flow, abelian in stencil_residuals(CD, pts, 1e-5))
+    ratios = [
+        max(coarse) / max(fine)
+        for (coarse, _), (fine, _) in zip(
+            stencil_residuals(CD, pts, 1e-4), stencil_residuals(CD, pts, 5e-5)
         )
-        worst_ratio = min(worst_ratio[0], ratio), max(worst_ratio[1], ratio)
+    ]
+    worst_ratio = min(ratios), max(ratios)
     ok = worst < 1e-6 and 3.5 < worst_ratio[0] and worst_ratio[1] < 4.5
     _report(
         "flow-equations", ok,
@@ -173,12 +167,10 @@ def test_criterion_6_flow_equations():
 
 def test_criterion_7_addition_and_derivative_formulas():
     pts = draw_points(107, "acc-addition", 200)
-    worst_add = 0.0
-    for p, q in zip(pts[0::2], pts[1::2]):
-        worst_add = max(worst_add, max(addition_formula_residuals(p, q, DEFAULT_TAU)))
-    worst_der = 0.0
-    for pt in draw_points(108, "acc-derivative", 100):
-        worst_der = max(worst_der, max(derivative_formula_residuals(pt, DEFAULT_TAU)))
+    pairs = list(zip(pts[0::2], pts[1::2]))
+    worst_add = max(max(r) for r in addition_formula_residuals(CD, pairs))
+    points = draw_points(108, "acc-derivative", 100)
+    worst_der = max(max(r) for r in derivative_formula_residuals(CD, points))
     ok = worst_add < 1e-10 and worst_der < 1e-9
     _report(
         "addition-derivative", ok,
@@ -191,15 +183,14 @@ def test_criterion_7_addition_and_derivative_formulas():
 
 def test_criterion_8_genus1_degeneration():
     tau1, tau2 = 0.1 + 1.1j, -0.15 + 1.3j
-    worst_split = 0.0
-    for pt in draw_points(109, "acc-split", 10):
-        worst_split = max(worst_split, max(splitting_residuals(pt, tau1, tau2).values()))
+    ctrl = SeriesControl()
+    split = degeneration_residuals(draw_points(109, "acc-split", 10), tau1, tau2, ctrl)
+    worst_split = max(max(rows[:16]) for rows, _ in split)  # the split-* rows
 
     stream = SampleStream(110, "acc-elliptic")
-    worst_ell = 0.0
-    for _ in range(10):
-        z = stream.next_complex(-0.4, 0.4, -0.2, 0.2)
-        worst_ell = max(worst_ell, max(elliptic_identity_residuals(z, tau1)))
+    zs = [stream.next_complex(-0.4, 0.4, -0.2, 0.2) for _ in range(10)]
+    # the three squared-theta identities and the null quartic
+    worst_ell = max(max(rows[:4]) for rows in elliptic_residuals(zs, tau1, ctrl, 1e-5))
 
     tau = PeriodMatrix(tau1, tau2, 0.0)
     ms = moduli_from_tau(tau)
@@ -207,7 +198,7 @@ def test_criterion_8_genus1_degeneration():
     spread = max(abs(v - members[0]) for v in members)
     const_gap = max(spread, abs(members[0] - 1.0 / ms.k0_sq))
 
-    ode = max(sn_ode_residual(0.17 - 0.06j, tau1), sn_ode_residual(0.0, tau1))
+    ode = max(rows[6] for rows in elliptic_residuals([0.17 - 0.06j, 0.0], tau1, ctrl, 1e-5))
     integ = max(
         max(complete_integral_residuals(1.0j)),
         max(complete_integral_residuals(1.5j)),

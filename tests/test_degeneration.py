@@ -11,14 +11,13 @@ from conftest import draw_points, reference_theta1
 
 from g2theta import degeneration
 from g2theta.degeneration import (
+    DEGENERATION_LABELS,
     Genus1Characteristic,
     complete_integral_residuals,
-    degenerate_inversion,
-    elliptic_identity_residuals,
+    degeneration_residuals,
     elliptic_modulus,
+    elliptic_residuals,
     jacobi_functions,
-    sn_ode_residual,
-    splitting_residuals,
     theta1,
 )
 from g2theta.errors import (
@@ -35,6 +34,20 @@ TAU1 = 0.1 + 1.1j
 TAU2 = -0.15 + 1.3j
 CHARS1 = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1))
 ZS = (0.23 - 0.11j, -0.37 + 0.21j)
+CTRL = SeriesControl()
+
+
+def _degeneration_rows(points):
+    """The degeneration residuals at each point, keyed by label."""
+    return [
+        dict(zip(DEGENERATION_LABELS, rows, strict=True))
+        for rows, _ in degeneration_residuals(points, TAU1, TAU2, CTRL)
+    ]
+
+
+def _sn_ode(z, h=1e-5):
+    """The sn ODE residual, the last of the elliptic residuals at z."""
+    return elliptic_residuals([z], TAU1, CTRL, h)[0][6]
 
 
 def brute_theta1(c, z, tau, radius=30):
@@ -88,11 +101,9 @@ def test_odd_null_vanishes_and_bad_tau_rejected():
 
 
 def test_block_diagonal_values_split_into_products():
-    expected_keys = {f"split-{c.label()}" for c in ALL_CHARACTERISTICS}
-    for pt in draw_points(29, "split", 5):
-        rows = splitting_residuals(pt, TAU1, TAU2)
-        assert set(rows) == expected_keys
-        assert max(rows.values()) < 1e-12
+    keys = [f"split-{c.label()}" for c in ALL_CHARACTERISTICS]
+    for rows in _degeneration_rows(draw_points(29, "split", 5)):
+        assert max(rows[key] for key in keys) < 1e-12
 
 
 def test_modulus_complement_and_duality():
@@ -137,28 +148,22 @@ def test_jacobi_rejects_zero_of_reference_theta():
 
 
 def test_identities_at_seeded_points_and_zero():
-    assert max(elliptic_identity_residuals(0.0, TAU1)) < 1e-12
+    # the first four rows: the three squared-theta identities and the null quartic
+    assert max(elliptic_residuals([0.0], TAU1, CTRL, 1e-5)[0][:4]) < 1e-12
     stream = SampleStream(31, "elliptic")
-    worst = 0.0
-    for _ in range(10):
-        z = stream.next_complex(-0.4, 0.4, -0.2, 0.2)
-        worst = max(worst, max(elliptic_identity_residuals(z, TAU1)))
-    assert worst < 1e-11
+    zs = [stream.next_complex(-0.4, 0.4, -0.2, 0.2) for _ in range(10)]
+    assert max(max(rows[:4]) for rows in elliptic_residuals(zs, TAU1, CTRL, 1e-5)) < 1e-11
 
 
 def test_degenerate_inversion_matches_elliptic_prediction():
-    keys = {
+    keys = (
         "x1x2-product", "complement-product", "third-factor",
         "collapse-k1sq", "collapse-k2sq", "pair-match",
-    }
-    worst = 0.0
-    for pt in draw_points(37, "degen", 15):
-        rows = degenerate_inversion(pt, TAU1, TAU2)[0]
-        assert set(rows) == keys
-        worst = max(worst, max(rows.values()))
-    assert worst < 1e-8
-    on_axis = degenerate_inversion(Point2(0.0, 0.13 + 0.05j), TAU1, TAU2)[0]
-    assert max(on_axis.values()) < 1e-8
+    )
+    assert DEGENERATION_LABELS[16:] == keys
+    on_axis = Point2(0.0, 0.13 + 0.05j)
+    for rows in _degeneration_rows(draw_points(37, "degen", 15) + [on_axis]):
+        assert max(rows[key] for key in keys) < 1e-8
 
 
 def test_collapsed_member_constant_across_points():
@@ -175,10 +180,10 @@ def test_collapsed_member_constant_across_points():
 
 def test_sn_ode_residual_and_step_scaling():
     z0 = 0.17 - 0.06j
-    assert sn_ode_residual(z0, TAU1, h=1e-5) < 1e-6
-    ratio = sn_ode_residual(z0, TAU1, h=2e-4) / sn_ode_residual(z0, TAU1, h=1e-4)
+    assert _sn_ode(z0) < 1e-6
+    ratio = _sn_ode(z0, h=2e-4) / _sn_ode(z0, h=1e-4)
     assert 3.5 < ratio < 4.5
-    assert sn_ode_residual(0.0, TAU1) < 1e-6
+    assert _sn_ode(0.0) < 1e-6
 
 
 def test_complete_integrals_reproduce_tau_and_null():

@@ -15,8 +15,9 @@ from g2theta.flow import (
 from g2theta.inversion import recover_pair
 from g2theta.moduli import moduli_from_tau
 from g2theta.rng import SampleStream
-from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2
+from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, curve_data
 
+CD = curve_data(DEFAULT_TAU)
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 FLOW_POINTS = draw_points(0, "flow", 20)
 
@@ -50,25 +51,21 @@ def test_constants_defined_at_seeded_tau():
 
 
 def test_flow_matches_finite_differences():
-    worst = 0.0
-    for pt in FLOW_POINTS:
-        worst = max(worst, max(stencil_residuals(pt, DEFAULT_TAU, h=1e-5)[0]))
-    assert worst < 1e-6
+    rows = stencil_residuals(CD, FLOW_POINTS, 1e-5)
+    assert max(max(flow) for flow, _ in rows) < 1e-6
 
 
 def test_abelian_differentials_recover_unit_rates():
-    worst = 0.0
-    for pt in FLOW_POINTS:
-        worst = max(worst, max(stencil_residuals(pt, DEFAULT_TAU, h=1e-5)[1]))
-    assert worst < 1e-6
+    rows = stencil_residuals(CD, FLOW_POINTS, 1e-5)
+    assert max(max(abelian) for _, abelian in rows) < 1e-6
 
 
 def test_flow_residual_scales_quadratically_in_step():
     # central differences: halving h must cut the residual by about 4
-    for pt in FLOW_POINTS[:6]:
-        coarse = max(stencil_residuals(pt, DEFAULT_TAU, h=1e-4)[0])
-        fine = max(stencil_residuals(pt, DEFAULT_TAU, h=5e-5)[0])
-        assert 3.5 < coarse / fine < 4.5
+    coarse = stencil_residuals(CD, FLOW_POINTS[:6], 1e-4)
+    fine = stencil_residuals(CD, FLOW_POINTS[:6], 5e-5)
+    for (flow_coarse, _), (flow_fine, _) in zip(coarse, fine):
+        assert 3.5 < max(flow_coarse) / max(flow_fine) < 4.5
 
 
 def test_jacobian_determinant_identity():
@@ -93,32 +90,26 @@ def test_jacobian_determinant_identity():
 
 def test_addition_formulas_at_seeded_pairs():
     pts = draw_points(19, "addition", 40)
-    worst = 0.0
-    for p, q in zip(pts[0::2], pts[1::2]):
-        worst = max(worst, max(addition_formula_residuals(p, q, DEFAULT_TAU)))
-    assert worst < 1e-12
+    rows = addition_formula_residuals(CD, list(zip(pts[0::2], pts[1::2])))
+    assert max(max(r) for r in rows) < 1e-12
 
 
 def test_addition_formulas_special_arguments():
     p, q = Point2(0.21 - 0.09j, -0.13 + 0.11j), Point2(-0.32 + 0.05j, 0.18 - 0.07j)
-    assert max(addition_formula_residuals(p, ORIGIN, DEFAULT_TAU)) < 1e-12
-    assert max(addition_formula_residuals(ORIGIN, p, DEFAULT_TAU)) < 1e-12
-    assert max(addition_formula_residuals(q, p, DEFAULT_TAU)) < 1e-12
     shifted = Point2(p.u + 1.0, p.v)
-    assert max(addition_formula_residuals(shifted, q, DEFAULT_TAU)) < 1e-12
+    for pair in ((p, ORIGIN), (ORIGIN, p), (q, p), (shifted, q)):
+        assert max(addition_formula_residuals(CD, [pair])[0]) < 1e-12
 
 
 def test_derivative_formulas_at_seeded_points_and_origin():
-    worst = 0.0
-    for pt in draw_points(23, "derivative", 20):
-        worst = max(worst, max(derivative_formula_residuals(pt, DEFAULT_TAU)))
-    assert worst < 1e-12
-    assert max(derivative_formula_residuals(ORIGIN, DEFAULT_TAU)) < 1e-12
+    rows = derivative_formula_residuals(CD, draw_points(23, "derivative", 20))
+    assert max(max(r) for r in rows) < 1e-12
+    assert max(derivative_formula_residuals(CD, [ORIGIN])[0]) < 1e-12
 
 
 def test_derivative_formulas_reject_divisor_point():
     with pytest.raises(SingularDenominator):
-        derivative_formula_residuals(Point2(DIVISOR_U, DIVISOR_V), DEFAULT_TAU)
+        derivative_formula_residuals(CD, [Point2(DIVISOR_U, DIVISOR_V)])
 
 
 def test_stencil_near_divisor_raises():
@@ -127,4 +118,4 @@ def test_stencil_near_divisor_raises():
     recover_pair(near, DEFAULT_TAU)
     # the flow and the Abelian residuals share this stencil
     with pytest.raises(StencilCrossesDivisor):
-        stencil_residuals(near, DEFAULT_TAU, h=1e-5)
+        stencil_residuals(CD, [near], 1e-5)

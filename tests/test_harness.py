@@ -39,7 +39,7 @@ from g2theta.harness import (
 )
 from g2theta.inversion import recover_pair
 from g2theta.rng import SampleStream, fnv1a64, mix64
-from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2
+from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, curve_data
 
 DATA = Path(__file__).resolve().parent / "data"
 SPLIT_TAU = PeriodMatrix(1.1j, 1.3j, 0.0)
@@ -108,16 +108,16 @@ def test_reports_are_byte_identical():
         assert format(suite["max_residual"], ".17g") in first
 
 
-def _golden_table():
-    """GOLDENS of scripts/regen_goldens.py, the configs the golden files hold."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
-    spec = importlib.util.spec_from_file_location("regen_goldens", path)
+def _load_script(name):
+    """The module of scripts/<name>, imported without running its main."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.GOLDENS
+    return module
 
 
-GOLDENS = _golden_table()
+GOLDENS = _load_script("regen_goldens.py").GOLDENS  # the configs the golden files hold
 
 
 def _assert_golden(name):
@@ -539,7 +539,7 @@ def test_cli_split_tau_verify_reports_instead_of_crashing(tmp_path):
     # this pair sits on the collapsed root 1/k0^2, where sigma = 0
     point = Point2(0.2568588991595585 - 0.05753327218064916j, -0.17557780446869053 + 0.009911243493877508j)
     with pytest.raises(SingularDenominator):
-        stencil_residuals(point, SPLIT_TAU, h=1e-5)
+        stencil_residuals(curve_data(SPLIT_TAU), [point], 1e-5)
 
 
 def test_cli_failed_verify_leaves_no_report_file_it_created(tmp_path):
@@ -611,8 +611,9 @@ def test_cli_invert_output(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # a nearly split period matrix: every row is printed, param-03 is 4.6e-2
-        ["--u=0.11,-0.04", "--v=-0.07,0.06", "--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,1e-7"],
+        # close to a split period matrix, not split: every row is printed,
+        # param-04 is 2.4e-8
+        ["--u=0.11,-0.04", "--v=-0.07,0.06", "--tau1=0,1.1", "--tau2=0,1.3", "--tau12=0,1e-4"],
     ],
 )
 def test_cli_invert_exits_2_when_a_residual_exceeds_the_identity_tolerance(argv, capsys):
@@ -620,8 +621,21 @@ def test_cli_invert_exits_2_when_a_residual_exceeds_the_identity_tolerance(argv,
     captured = capsys.readouterr()
     assert "unit-sum-3" in captured.out  # every row is printed first
     tol = RunConfig().tol_identity
-    assert captured.err.startswith("error: param-03 = ")
+    assert captured.err.startswith("error: param-04 = ")
     assert captured.err.rstrip().endswith(f"exceeds {tol:g}")
+
+
+@pytest.mark.parametrize("tau12", ["0,0", "0,1e-7"])
+def test_cli_invert_refuses_a_split_period_matrix_before_printing(tau12, capsys):
+    # k0^2 = k1^2 = k2^2 within 1e-10: the pair and its parameterizations
+    # lose their meaning, so invert exits 3 with verify's message
+    argv = ["--u=0.1,0.1", "--v=0.2,0", "--tau1=0,1.1", "--tau2=0,1.3", f"--tau12={tau12}"]
+    assert main(["invert", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    with pytest.raises(DegenerateTau) as verify_error:
+        run_suites(RunConfig(tau=SPLIT_TAU, samples=1, suites=("parameterizations",)))
+    assert captured.err == f"error: {verify_error.value}\n"
 
 
 def test_invert_at_a_huge_real_part_equals_the_pair_in_the_cell(capsys):
@@ -640,9 +654,17 @@ def test_cli_version_flag():
 
 
 @pytest.mark.parametrize(
-    "script", [["fd_convergence.py", "--points", "1"], ["split_limit_scan.py"]]
+    "script",
+    [
+        # a header, then one row per step size or per tau12
+        ("fd_convergence.py", ["--points", "1"], 1 + 16),
+        ("split_limit_scan.py", [], 1 + 7),
+    ],
 )
-def test_scripts_run_to_completion(script):
-    proc = _run_python(str(ROOT / "scripts" / script[0]), *script[1:])
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_scripts_run_to_completion(script, monkeypatch, capsys):
+    name, argv, lines = script
+    module = _load_script(name)
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    assert module.main() == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines

@@ -27,7 +27,7 @@ from g2theta.inversion import (
     symmetric_functions,
 )
 from g2theta.moduli import moduli_from_tau
-from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2
+from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, curve_data
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 DIVISOR_POINT = Point2(DIVISOR_U, DIVISOR_V)
@@ -117,6 +117,12 @@ def test_pair_consistent_with_symmetric_functions(ur, ui, vr, vi):
         assert abs(sg * sg - val) < 1e-10 * (1.0 + abs(val))
 
 
+def _labeled_rows(point, tau):
+    """The parameterization residuals at the point, keyed by label, in order."""
+    [(rows, _)] = parameterization_residuals(curve_data(tau), [point])
+    return list(zip(PARAMETERIZATION_LABELS, rows, strict=True))
+
+
 def _worst(rows, prefix):
     """The largest residual among the rows whose label starts with prefix."""
     return max(value for label, value in rows if label.startswith(prefix))
@@ -126,8 +132,7 @@ def test_parameterizations_at_seeded_points():
     worst_param = 0.0
     worst_unit = 0.0
     for pt in draw_points(17, "inversion", 20):
-        rows = parameterization_residuals(pt, DEFAULT_TAU)
-        assert tuple(lab for lab, _ in rows) == PARAMETERIZATION_LABELS
+        rows = _labeled_rows(pt, DEFAULT_TAU)
         worst_param = max(worst_param, _worst(rows, "param-"))
         worst_unit = max(worst_unit, _worst(rows, "unit-sum-"))
     assert worst_param < 1e-8
@@ -137,7 +142,7 @@ def test_parameterizations_at_seeded_points():
 
 
 def test_first_parameterization_vanishes_at_origin():
-    rows = parameterization_residuals(ORIGIN, DEFAULT_TAU)
+    rows = _labeled_rows(ORIGIN, DEFAULT_TAU)
     assert dict(rows)["param-01"] < 1e-12
     assert _worst(rows, "unit-sum-") < 1e-10
 
@@ -145,7 +150,7 @@ def test_first_parameterization_vanishes_at_origin():
 def test_near_block_diagonal_tau():
     tau = PeriodMatrix(1.1j, 1.3j, 0.01j)
     pt = Point2(0.11 - 0.04j, -0.07 + 0.06j)
-    rows = parameterization_residuals(pt, tau)
+    rows = _labeled_rows(pt, tau)
     assert _worst(rows, "param-") < 1e-8
     assert _worst(rows, "unit-sum-") < 1e-10
 
@@ -160,14 +165,14 @@ def test_block_diagonal_collapse_pins_one_member():
     pair = recover_pair(pt, tau)
     assert abs(pair.x1 * ms.k0_sq - 1.0) < 1e-12
     assert abs(pair.sigma1) < 1e-12
-    rows = parameterization_residuals(pt, tau)
+    rows = _labeled_rows(pt, tau)
     assert dict(rows)["param-01"] < 1e-12
     assert dict(rows)["param-02"] < 1e-12
     assert _worst(rows, "unit-sum-") < 1e-12
 
 
 def test_divisor_point_raises_everywhere():
-    for fn in (symmetric_functions, recover_pair, parameterization_residuals):
+    for fn in (symmetric_functions, recover_pair, _labeled_rows):
         with pytest.raises(SingularDenominator):
             fn(DIVISOR_POINT, DEFAULT_TAU)
 
@@ -190,4 +195,4 @@ def test_vanishing_modulus_root_in_a_denominator_is_typed(monkeypatch):
     ms = dataclasses.replace(moduli_from_tau(DEFAULT_TAU), k01=0j)
     monkeypatch.setattr(CurveData, "moduli", property(lambda cd: ms))
     with pytest.raises(DivisionByZeroModulus):
-        parameterization_residuals(Point2(0.1, 0.1), DEFAULT_TAU)
+        parameterization_residuals(curve_data(DEFAULT_TAU), [Point2(0.1, 0.1)])

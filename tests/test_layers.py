@@ -1,10 +1,15 @@
-"""The public surface of each layer, as a span tracer sees it.
+"""The public surface of each layer, as a span tracer sees it, and the
+batched identity checks it exposes.
 
 perfbench/spans.py wraps every callable a layer names in its __all__, and
 each entry of harness._SUITE_RUNNERS: one per suite of harness._SUITES, the
 sampling loop _run_suite bound to the suite's name.  A stale __all__ entry,
 or a runner the harness does not dispatch through, would break only a
 traced run, so both are checked here.
+
+Every identity check takes a batch and returns one result per item; the
+harness passes whole batches and the tests mostly batches of one, so a
+batch must give, bit for bit, what its items give one at a time.
 """
 
 import ast
@@ -13,8 +18,23 @@ import inspect
 
 import pytest
 
+from conftest import draw_points
+
 import g2theta.harness as harness
+from g2theta.degeneration import degeneration_residuals, elliptic_residuals
+from g2theta.flow import (
+    addition_formula_residuals,
+    derivative_formula_residuals,
+    stencil_residuals,
+)
 from g2theta.harness import SUITE_ORDER, RunConfig, run_suites
+from g2theta.inversion import parameterization_residuals
+from g2theta.riemann import (
+    Quadruple,
+    fundamental_identity_residuals,
+    riemann_relation_residuals,
+)
+from g2theta.theta import DEFAULT_TAU, Point2, SeriesControl, curve_data
 
 LAYERS = (
     "theta",
@@ -70,3 +90,38 @@ def test_run_suites_dispatches_every_suite_through_the_runner_table(monkeypatch)
     report = run_suites(RunConfig(samples=1))
     assert calls == list(SUITE_ORDER)
     assert [s.name for s in report.suites] == list(SUITE_ORDER)
+
+
+CD = curve_data(DEFAULT_TAU)
+TAU1, TAU2 = 0.1 + 1.1j, -0.15 + 1.3j
+# two points of the harness box, and one far enough out to need a larger
+# truncation radius, so the batch spans more than one grid
+POINTS = draw_points(43, "batch-of-three", 2) + [Point2(0.31 + 0.55j, -0.22 - 0.48j)]
+QUADS = [Quadruple(tuple(draw_points(44, f"batch-quad-{i}", 4))) for i in range(3)]
+
+BATCHED_CHECKS = {
+    "riemann": (lambda items: riemann_relation_residuals(CD, items), QUADS),
+    "fundamental": (lambda items: fundamental_identity_residuals(CD, items), POINTS),
+    "stencil": (lambda items: stencil_residuals(CD, items, 1e-5), POINTS),
+    "addition": (
+        lambda items: addition_formula_residuals(CD, items),
+        list(zip(POINTS, POINTS[1:] + POINTS[:1])),
+    ),
+    "derivative": (lambda items: derivative_formula_residuals(CD, items), POINTS),
+    "parameterization": (lambda items: parameterization_residuals(CD, items), POINTS),
+    "degeneration": (
+        lambda items: degeneration_residuals(items, TAU1, TAU2, SeriesControl()),
+        POINTS,
+    ),
+    "elliptic": (
+        lambda items: elliptic_residuals(items, TAU1, SeriesControl(), 1e-5),
+        [point.u for point in POINTS],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BATCHED_CHECKS)
+def test_a_batch_gives_what_its_items_give_one_at_a_time(name):
+    check, items = BATCHED_CHECKS[name]
+    assert len(items) == 3
+    assert check(items) == [result for item in items for result in check([item])]

@@ -15,6 +15,7 @@ from g2theta.riemann import (
 )
 from g2theta.theta import DEFAULT_TAU, HalfCharacteristic, Point2, curve_data
 
+CD = curve_data(DEFAULT_TAU)
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 ZEROS = Quadruple((ORIGIN, ORIGIN, ORIGIN, ORIGIN))
 
@@ -86,14 +87,12 @@ def test_product_matches_brute_force():
 
 
 def test_relations_at_zero_quadruple():
-    assert max(riemann_relation_residuals(ZEROS, DEFAULT_TAU)) < 1e-11
+    assert max(riemann_relation_residuals(CD, [ZEROS])[0]) < 1e-11
 
 
 def test_relations_at_seeded_quadruples():
-    worst = 0.0
-    for q in _draw_quadruples(11, "relations", 25):
-        worst = max(worst, max(riemann_relation_residuals(q, DEFAULT_TAU)))
-    assert worst < 1e-10
+    rows = riemann_relation_residuals(CD, _draw_quadruples(11, "relations", 25))
+    assert max(max(r) for r in rows) < 1e-10
 
 
 def test_relation_roundtrip():
@@ -116,27 +115,24 @@ def test_products_even_under_negation():
         a = product_m(t, GENERIC, DEFAULT_TAU)
         b = product_m(t, neg, DEFAULT_TAU)
         assert abs(a - b) / max(1.0, abs(a)) < 1e-12
-    res_pos = riemann_relation_residuals(GENERIC, DEFAULT_TAU)
-    res_neg = riemann_relation_residuals(neg, DEFAULT_TAU)
+    res_pos, res_neg = riemann_relation_residuals(CD, [GENERIC, neg])
     assert max(abs(a - b) for a, b in zip(res_pos, res_neg)) < 1e-12
 
 
 def test_fundamental_identities_at_origin_and_seeded_points():
-    assert max(fundamental_identity_residuals(ORIGIN, DEFAULT_TAU)) < 1e-11
-    worst = 0.0
-    for p in draw_points(13, "fundamental", 20):
-        worst = max(worst, max(fundamental_identity_residuals(p, DEFAULT_TAU)))
-    assert worst < 1e-10
+    assert max(fundamental_identity_residuals(CD, [ORIGIN])[0]) < 1e-11
+    rows = fundamental_identity_residuals(CD, draw_points(13, "fundamental", 20))
+    assert max(max(r) for r in rows) < 1e-10
 
 
 def test_third_identity_reduces_to_null_sum_at_origin():
     # at the origin the third identity and the third null sum rule coincide
-    assert fundamental_identity_residuals(ORIGIN, DEFAULT_TAU)[2] < 1e-12
+    assert fundamental_identity_residuals(CD, [ORIGIN])[0][2] < 1e-12
     rows = dict(moduli_consistency_residuals(DEFAULT_TAU))
     assert rows["null-sum-3"] < 1e-12
 
     def nul2(bits):
-        return curve_data(DEFAULT_TAU).nulls[bits] ** 2
+        return CD.nulls[bits] ** 2
 
     lhs = nul2((0, 0, 0, 1)) * nul2((0, 0, 0, 0))
     rhs = nul2((0, 0, 1, 1)) * nul2((0, 0, 1, 0)) + nul2((1, 0, 0, 1)) * nul2((1, 0, 0, 0))
@@ -148,4 +144,4 @@ def test_fundamental_identity_survives_half_period_shift():
     shifted = Point2(
         base.u + DEFAULT_TAU.tau1 / 2.0, base.v + DEFAULT_TAU.tau12 / 2.0
     )
-    assert max(fundamental_identity_residuals(shifted, DEFAULT_TAU)) < 1e-10
+    assert max(fundamental_identity_residuals(CD, [shifted])[0]) < 1e-10

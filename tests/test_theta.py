@@ -15,11 +15,14 @@ from hypothesis import example, given, settings
 import numpy as np
 
 from conftest import (
+    ShiftKind,
     brute_theta2,
     draw_points,
+    half_shift,
     mp_theta_jets,
     reference_theta2,
     reference_theta2_grad,
+    shifted_argument,
 )
 
 import g2theta.theta as theta
@@ -41,11 +44,8 @@ from g2theta.theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
-    ShiftKind,
     curve_data,
-    half_shift,
     parity,
-    shifted_argument,
     theta2,
     theta2_grad,
     truncation_radius,

@@ -111,13 +111,13 @@ def test_parameterizations_suite_builds_one_grid_per_batch(monkeypatch):
 
 
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
-    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
+    cd = theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     calls, grids = [], []
     _counting(monkeypatch, theta.CurveData, "values_at", calls)
     _counting(monkeypatch, theta, "_lattice_terms", grids)
     pts = draw_points(9, "work-counts-riemann", 4)
     quad = Quadruple(tuple(pts))
-    riemann_relation_residuals(quad, DEFAULT_TAU)
+    riemann_relation_residuals(cd, [quad])
     # the quadruple and its transform share one values_at call, and each
     # point is on one grid
     assert len(calls) == 1
