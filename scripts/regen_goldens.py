@@ -23,8 +23,11 @@ GOLDENS = {
     "verify_default_samples20.json": RunConfig(samples=20),
     # g2theta verify --samples 20 --tau1=0.2,1.4 --tau2=-0.1,0.95 --tau12=0.03,0.3
     "verify_alt_tau_samples20.json": RunConfig(tau=ALT_TAU, samples=20),
-    # g2theta verify --samples 100 --seed 7: each suite's first batch holds
-    # 100 samples, spread over many grids of each radius
+    # g2theta verify --samples 100 --seed N, N = 0 (the default config), 1
+    # and 7: each suite's first batch holds 100 samples, spread over many
+    # grids of each radius
+    "verify_seed0_samples100.json": RunConfig(seed=0, samples=100),
+    "verify_seed1_samples100.json": RunConfig(seed=1, samples=100),
     "verify_seed7_samples100.json": RunConfig(seed=7, samples=100),
     # g2theta verify --samples 100 --tau1=0.2,1.4 --tau2=-0.1,0.95
     # --tau12=0.03,0.3: the moduli suite draws 99 period matrices, more than

@@ -10,60 +10,43 @@ for bits a, b, c, d in {0, 1} and a period matrix (tau1, tau12; tau12, tau2)
 with positive-definite imaginary part.  The lattice sum is truncated to a
 square box whose radius comes from the Gaussian decay of the summand.
 
-The kernel factors each term (Deconinck et al., Computing Riemann theta
-functions, Math. Comp. 73, 2004).  With p = m + a/2, q = n + c/2 and
+The kernel sums each lattice class (a, c) once for all four of its
+characteristics.  With p = m + a/2, q = n + c/2 and
 quad = tau1 p^2 + tau2 q^2 + 2 tau12 p q, a term is
 
-    [exp(2 pi i p u) exp(2 pi i q v)] * [exp(i pi quad) (-1)^(m b + n d) i^(a b + c d)]
+    [exp(2 pi i p u) exp(2 pi i q v) exp(i pi quad)] (-1)^(m b + n d) i^(a b + c d)
 
-The first bracket depends on the point and the lattice class (a, c) alone,
-4 (2N+1) exp calls per point; the second on the characteristic alone, the
-tau factor of the class times an exact unit.  So a term costs one complex
-product, where the direct sum spends one complex exp.  The factors stay
-within exp(+-700), and so keep full relative precision, when
-pi (N + 1/2)^2 (y1 + y2 + 2|y12|) <= 700 with Y = Im tau (_in_factor_range):
-that bounds the tau factor at a box corner and, as a point of radius N has
-|Im u| + |Im v| < N lambda_min, the point factors too.  A radius past it
-keeps the direct sum; at DEFAULT_TAU that is N >= 9, which needs
-|Im u| + |Im v| above about 4.4.  Against a 30-digit mpmath sum over 80
-points with |Re| <= 1 and |Im| <= 0.4, values are within 6.6e-16 and
-1.25e-15 of max(1, |theta|), and gradients within 9.6e-16 and 2.7e-15, at
-DEFAULT_TAU and at (0.2+1.4i, -0.1+0.95i, 0.03+0.3i): below the figures of
-the direct sum, which tests/test_theta.py holds as bounds.
+The bracket, the class term, depends on the point and (a, c) alone, and
+the exact unit on (b, d) and the parities of m and n.  The class term is
+factored (Deconinck et al., Computing Riemann theta functions, Math. Comp.
+73, 2004): 4 (2N+1) exp calls per point and one complex product per term,
+while the factors stay within exp(+-700) (_in_factor_range; at DEFAULT_TAU
+up to N = 8), else one exp per class term.  Against a 30-digit mpmath sum
+over 80 points with |Re| <= 1 and |Im| <= 0.4, values are within 6.6e-16
+and 1.25e-15 of max(1, |theta|), and gradients within 9.6e-16 and 2.7e-15,
+at DEFAULT_TAU and at (0.2+1.4i, -0.1+0.95i, 0.03+0.3i).
+
+Every output is the correctly rounded sum of its own row of terms, the
+bits math.fsum gives.  The class terms are split once into hi + lo, as in
+exact_row_sums, and hi and lo are each summed four ways, signed by
+(-1)^(m b + n d).  Sums of hi parts are exact under any signs and in any
+order, and the error bound of the lo sum holds for any summation tree, so
+a characteristic's high and low, its unit applied as a swap or negation of
+real and imaginary parts, certify its own row; the row of an output left
+unsettled is built and summed by exact_row_sums.  So every output is
+bit-reproducible and does not depend on what was evaluated with it.
 
 A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
-rounded real part, and its terms take the sign of
-theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).  Both steps are
-exact, and the phases no longer lose accuracy as |Re u| grows.
+rounded real part, and its terms take the exact sign of
+theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).
 
-What depends on the period matrix alone is built once, in its CurveData:
-on construction, from one grid at the origin, the ten even nulls (the six
-odd nulls are exactly 0 and are not summed), the null scale
-max |theta[even](0)| and the null gradients of the two odd characteristics
-[10;10] and [11;10], which the flow constants read; on first use, the
-moduli and the flow constants, each kept once built (a build that raises
-keeps nothing and raises again on the next access); and, per truncation
-radius used, the tau factors of the four lattice classes (a, c), or their
-quadratic forms where the factors would leave range, from which every grid
-gathers its rows.
-curve_data(tau, ctrl) keeps the CurveData of the last 64 period matrices
-(_NULL_CACHE_TAUS), least recently used dropped first, and each of them the
-forms of at most 4 radii (_FORMS_PER_CURVE).
-
-Theta values come two ways.  Batched: CurveData.values_at evaluates any set
-of characteristics at any number of points.  It splits the points into
-grids of terms, shape (points, characteristics, 2N+1, 2N+1): a grid holds
-points of one truncation radius N and at most _GRID_TERMS terms, so the
-kernel's memory stays bounded however many points a batch holds, and the
-values come back in input order.  Each row is summed correctly rounded by
-exact_row_sums, a certified vectorized sum that hands the rows it cannot
-settle to math.fsum, so every output is bit-reproducible run to run and
-does not depend on which other points or characteristics were evaluated
-with it.  CurveData.grads_at gives values and gradients on the same grids,
-whose budget counts the three jets, CurveData.table keys one point's values
-by characteristic, and CurveData.nulls / null_grads hold the values and the
-two odd gradients at the origin.  Scalar: theta2 and theta2_grad read one
-value of curve_data.
+Theta values come two ways.  Batched: CurveData, built once per period
+matrix and kept by curve_data for the last _NULL_CACHE_TAUS of them, holds
+the nulls and evaluates values (values_at, table) and gradients (grads_at)
+of any characteristics at any number of points, on grids of one truncation
+radius N and at most _GRID_TERMS terms, (2N+1)^2 per output, so memory
+stays bounded however many points a batch holds.  Scalar: theta2 and
+theta2_grad read one value of curve_data.
 
 Also here: parity of a characteristic, and the relative residual _rel that
 the identity checks of every layer report.
@@ -208,41 +191,44 @@ ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> int:
     """Box radius N so the lattice tail beyond N is below ctrl.tol relatively.
 
-    The summand decays like exp(-pi*lmin*(r - r0)^2) where lmin is the smallest
-    eigenvalue of Im tau and r0 = (|Im u| + |Im v|)/lmin accounts for the
+    The summand decays like exp(-pi*lmin*(r - r0)^2), lmin the smallest
+    eigenvalue of Im tau; r0 = (|Im u| + |Im v|)/lmin accounts for the
     argument pulling the Gaussian peak off the origin.
     """
+    return _radius(point, *_decay(tau, ctrl.tol), ctrl.max_radius)
+
+
+def _decay(tau: PeriodMatrix, tol: float) -> tuple[float, float]:
+    """lmin, and how far past r0 the summand stays above tol."""
     lmin = tau.lambda_min
-    r0 = (abs(point.u.imag) + abs(point.v.imag)) / lmin
-    reach = r0 + math.sqrt(math.log(1.0 / ctrl.tol) / (math.pi * lmin))
+    return lmin, math.sqrt(math.log(1.0 / tol) / (math.pi * lmin))
+
+
+def _radius(point: Point2, lmin: float, reach: float, max_radius: int) -> int:
+    """truncation_radius from the _decay of the period matrix."""
+    reach = (abs(point.u.imag) + abs(point.v.imag)) / lmin + reach
     if not math.isfinite(reach):
         raise TruncationOverflow(f"required radius is not finite ({reach}) at {point}")
     n = int(math.floor(reach)) + 1
-    if n > ctrl.max_radius:
-        raise TruncationOverflow(
-            f"required radius {n} exceeds max_radius {ctrl.max_radius}"
-        )
+    if n > max_radius:
+        raise TruncationOverflow(f"required radius {n} exceeds max_radius {max_radius}")
     return n
 
 
-# On the factored path every factor has |log|factor|| <= _FACTOR_LOG, and so
-# does the product of a row and a column factor: exp(-_FACTOR_LOG) is a
-# normal double and exp(_FACTOR_LOG) is finite, so each keeps its full
-# relative precision.  Only a term that underflows when the tau factor
-# multiplies in loses precision, and it is below 2^-1022.
+# On the factored path every factor, and a row times a column factor, has
+# |log| <= _FACTOR_LOG: exp(-700) is a normal double and exp(700) is finite,
+# so each keeps its full relative precision.  Only a term that underflows
+# when the tau factor multiplies in loses precision, and it is below 2^-1022.
 _FACTOR_LOG = 700.0
 
 
 def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
     """Whether the lattice terms of radius n may be built from factors.
 
-    Every lattice row p and column q of the box has |p|, |q| <= n + 1/2, so
-    pi Im quad, the -log of the tau factor, is at most its value at a box
-    corner, pi (n + 1/2)^2 (y1 + y2 + 2|y12|) with Y = Im tau.  A point of
-    truncation radius n has |Im u| + |Im v| < n lambda_min, so the log of
-    its row times column factor is below 2 pi (n + 1/2) n lambda_min, and
-    y1 + y2 >= 2 lambda_min makes that smaller than the corner bound.  So
-    one test on the corner bound keeps every factor in range.
+    pi Im quad, the -log of the tau factor, is largest at a box corner.  A
+    point of radius n has |Im u| + |Im v| < n lambda_min, so its row times
+    column factor stays within exp(2 pi (n + 1/2) n lambda_min), below the
+    corner bound as y1 + y2 >= 2 lambda_min.
     """
     y1, y2, y12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag
     corner = math.pi * (n + 0.5) ** 2 * (y1 + y2 + 2.0 * abs(y12))
@@ -253,25 +239,15 @@ def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
 class _LatticeForm:
     """The tau-only factors of the lattice terms on the box of one radius N.
 
-    offsets[a] holds m + a/2 for m in [-N, N]; p[a] holds it down axis 1 and
-    q[c] along axis 2.  With quad[2a + c] = tau1 p^2 + tau2 q^2 + 2 tau12 p q
-    of the lattice class (a, c), shape (2N+1, 2N+1), a form holds one of two
-    tables: tau_factor = exp(i pi quad) where the factors of radius N stay
-    in double range (_in_factor_range), else quad itself for the per-term
-    exp, and None for the other.
+    offsets[a] holds m + a/2 for m in [-N, N].  quad[2a + c] is the (2N+1,
+    2N+1) table of tau1 p^2 + tau2 q^2 + 2 tau12 p q, p = offsets[a] down and
+    q = offsets[c] across; a form keeps tau_factor = exp(i pi quad) where
+    _in_factor_range, else quad itself, and None for the other.
     """
 
     offsets: np.ndarray
     quad: np.ndarray | None
     tau_factor: np.ndarray | None
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.offsets[:, :, None]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.offsets[:, None, :]
 
 
 def _lattice_form(tau: PeriodMatrix, n: int) -> _LatticeForm:
@@ -286,111 +262,118 @@ def _lattice_form(tau: PeriodMatrix, n: int) -> _LatticeForm:
 
 
 @lru_cache(maxsize=16)
-def _unit_grid(n: int) -> np.ndarray:
-    """The argument shifts of every characteristic on the box of radius n.
+def _parity_signs(radius: int) -> np.ndarray:
+    """The signs (-1)^(m b + n d) that sum a class grid once per (b, d).
 
-    Entry [8a + 4c + 2b + d] (the order of ALL_CHARACTERISTICS) is
-    exp(i pi (p b + q d)) = (-1)^(m b + n d) i^(a b + c d), shape
-    (2n+1, 2n+1): a unit, exact.  Shared, so read-only.
+    A class grid of W^2 terms, W = 2 radius + 1, read as 2 W^2 doubles (parts
+    r = 0, 1 interleaved), times this (2 W^2, 8) matrix gives part r of its
+    signed sum for (b, d) in column 2 (2b + d) + r.  Shared, so read-only.
     """
-    sign = np.where(np.arange(-n, n + 1) % 2 == 0, 1.0, -1.0)
-    units = np.array([np.ones_like(sign), sign, np.ones_like(sign), 1j * sign])  # row 2a + b
-    a, c, b, d = np.array(_ALL_BITS).T
-    grid = units[2 * a + b][:, :, None] * units[2 * c + d][:, None, :]
-    grid.flags.writeable = False
-    return grid
+    sign = np.where(np.arange(-radius, radius + 1) % 2 == 0, 1.0, -1.0)
+    rows = np.array([np.ones_like(sign), sign])  # (-1)^(m b) at [b, m]
+    signs = (rows[:, None, :, None] * rows[None, :, None, :]).reshape(4, -1)
+    matrix = (signs.T[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(-1, 8)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=64)
-def _char_layout(chars: tuple[HalfCharacteristic, ...]) -> tuple[np.ndarray, ...]:
-    """Where a characteristic set reads the lattice forms, and its argument shifts.
+def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...]):
+    """The class-jet grids a request sums, and where each of its outputs reads them.
 
-    Returns a and c (rows of offsets), 2a + c (rows of quad and tau_factor),
-    8a + 4c + 2b + d (entries of _unit_grid), and b/2 and d/2 shaped
-    (K, 1, 1); the arrays are shared, so they are read-only.
+    The outputs are theta[c] for c in values, then d/du and d/dv theta[c]
+    for c in grads.  Returns grids, the (jet, 2a + c) of each grid, ascending
+    (jet 0 the class term, 1 and 2 its d/du and d/dv); classes, the classes
+    read, ascending; grid_class, the position there of each grid's class;
+    and columns and signs: part r of output k is signs[2k + r] times
+    sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part r of grid g
+    signed for (b, d) (_parity_signs).  The arrays are shared, so read-only.
     """
-    bits = np.array([c.bits for c in chars], dtype=np.intp)  # columns a, c, b, d
-    a, c, b, d = bits.T
-    half = 0.5 * bits[:, 2:, None, None]
-    layout = (a, c, 2 * a + c, 8 * a + 4 * c + 2 * b + d, half[:, 0], half[:, 1])
-    for array in layout:
+    wanted = [(c, 0) for c in values] + [(c, jet) for jet in (1, 2) for c in grads]
+    grids = sorted({(jet, 2 * c.a + c.c) for c, jet in wanted})
+    classes = sorted({cls for _, cls in grids})
+    columns, signs = [], []
+    for c, jet in wanted:
+        column = 8 * grids.index((jet, 2 * c.a + c.c)) + 2 * (2 * c.b + c.d)
+        # the unit i^(ab + cd) takes (re, im) to (re, im), (-im, re) or (-re, -im)
+        power = c.a * c.b + c.c * c.d
+        columns += (column + power % 2, column + 1 - power % 2)
+        signs += ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))[power]
+    grid_class = [classes.index(cls) for _, cls in grids]
+    layout = (tuple(grids), *map(np.array, (classes, grid_class, columns, signs)))
+    for array in layout[1:]:
         array.flags.writeable = False
     return layout
 
 
+@lru_cache(maxsize=16)
+def _jet_factors(radius: int, grids: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The factor of each class-jet grid at this radius, shape (G, 2N+1, 2N+1).
+
+    1 for a value; 2 pi i p for d/du and 2 pi i q for d/dv, term-wise
+    differentiation.  Shared, so read-only.
+    """
+    two_pi_i = _TWO_PI_I * (np.arange(-radius, radius + 1) + np.array([[0.0], [0.5]]))
+    jet, cls = np.array(grids).T
+    jet = jet[:, None, None]
+    cols = np.where(jet == 2, two_pi_i[cls & 1, None, :], 1.0 + 0.0j)
+    factors = np.where(jet == 1, two_pi_i[cls >> 1, :, None], cols)
+    factors.flags.writeable = False
+    return factors
+
+
 # A component u (or v) whose real part reaches this in size is evaluated at
-# u - k (v - l), k (l) its rounded real part: the lattice phases 2 pi p u
-# lose accuracy in proportion to |Re u|.  The harness evaluates no point
-# with a real part beyond 1, so its values keep the unreduced path.
+# u - k (v - l), k (l) its rounded real part: the phases 2 pi p u lose
+# accuracy in proportion to |Re u|.  No harness point has |Re| beyond 1.
 _REDUCE_RE = 2.0
 
 
-def _lattice_terms(chars, points, cd: CurveData, radius: int):
-    """Lattice terms of every characteristic at every point, shape (P, K, 2N+1, 2N+1).
+def _class_terms(layout, points, cd: CurveData, radius: int) -> np.ndarray:
+    """The class-jet grids of a _layout at every point, shape (P, G, 2N+1, 2N+1).
 
-    N is radius, the truncation radius the points share.  Entry [i, k] holds
-    the terms of chars[k] at points[i], m ascending along axis 2 and n along
-    axis 3.  Each element goes through the same floating-point operations,
-    in the same order, as a one-characteristic grid at one point.
-
-    Factored, where the lattice form of cd at radius N has its tau factor:
-    the term at lattice row p = m + a/2 and column q = n + c/2 is
-
-        [exp(2 pi i p u) exp(2 pi i q v)] [exp(i pi quad) (-1)^(m b + n d) i^(a b + c d)]
-
-    The first bracket depends on the point and the lattice class (a, c)
-    alone: 4 (2N+1) exp calls and 4 (2N+1)^2 products per point.  The second
-    depends on the characteristic alone: the tau factor times an exact unit,
-    once per grid.  So each term costs one complex product.  Otherwise each
-    term is one exp of i pi (quad + 2 p (u + b/2) + 2 q (v + d/2)).  exp
-    overflow and a non-finite argument are not reported here; either shows
-    up as a non-finite term when the rows are summed.
+    N is radius, the points' truncation radius; m ascends along axis 2 and n
+    along axis 3.  exp overflow and a non-finite argument are not reported
+    here; either shows up as a non-finite term when it is summed.
     """
     form = cd._form(radius)
-    a, c, lattice, code, half_b, half_d = _char_layout(tuple(chars))
-    p, q = form.p[a], form.q[c]
+    grids, classes, grid_class = layout[:3]
+    a, c = classes >> 1, classes & 1
     z = np.array([(point.u, point.v) for point in points], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = None
         far = np.abs(z.real) >= _REDUCE_RE
         if far.any():
-            # theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v): the
-            # terms at (u - k, v - l), k and l the rounded real parts of the
-            # far components, times that sign; x - rint(x) is exact, and so
-            # is the sign
+            # the terms at (u - k, v - l) times (-1)^(a k + c l); x - rint(x)
+            # is exact, and so is the sign
             shift = np.where(far, np.rint(z.real), 0.0)
             z -= shift
         if form.tau_factor is None:
+            # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
-            # the exponent becomes the terms in place, one (P, K, 2N+1, 2N+1)
-            # array; sums and products commute exactly, so the operations
-            # are unchanged
-            terms = p * (u + half_b) + q * (v + half_d)
+            terms = form.offsets[a, :, None] * u + form.offsets[c, None, :] * v
             terms *= 2.0
-            np.add(form.quad[lattice], terms, out=terms)
+            np.add(form.quad[classes], terms, out=terms)
             np.multiply(_IPI, terms, out=terms)
             np.exp(terms, out=terms)
         else:
-            width = 2 * radius + 1
             # exp(2 pi i (m + a/2) z) for z = u, v and a = 0, 1: (P, 2, 2, 2N+1)
             factors = np.exp(_TWO_PI_I * (form.offsets * z[:, :, None, None]))
-            # row times column factor of each lattice class, [i, 2a + c]
-            classes = factors[:, 0, :, None, :, None] * factors[:, 1, None, :, None, :]
-            terms = classes.reshape(len(z), 4, width, width)[:, lattice]
-            terms *= form.tau_factor[lattice] * _unit_grid(radius)[code]
+            terms = factors[:, 0, a, :, None] * factors[:, 1, c, None, :]
+            terms *= form.tau_factor[classes]
         if shift is not None:
             odd = np.abs(np.fmod(shift, 2.0))  # k mod 2, NaN for an infinite k
             sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * a + odd[:, 1, None] * c, 2.0)
             terms *= sign[:, :, None, None]
-    return p, q, terms
+        if len(grids) > len(classes):  # derivative grids
+            terms = terms[:, grid_class] * _jet_factors(radius, grids)
+    return terms
 
 
 # A grid holds the points of one truncation radius and at most this many
-# lattice terms in all: characteristics x (2N+1)^2 per point, times three
-# jets for gradients.  A point over the budget on its own gets a grid to
-# itself.  The budget bounds the kernel's temporaries, a few arrays of the
-# grid's size, however many points a batch holds; past a few thousand terms
-# a larger grid saves little per-call overhead.
+# terms in all, counted as (2N+1)^2 per output row (characteristic and jet);
+# a point over the budget on its own gets a grid to itself.  The budget
+# bounds the kernel's temporaries however many points a batch holds; past a
+# few thousand terms a larger grid saves little per-call overhead.
 _GRID_TERMS = 8192
 
 
@@ -448,9 +431,7 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     largest of those is far below sigma, so one more pass on that row, split
     at its own largest part, works on a much finer grid.  Rows still
     unsettled are summed with math.fsum, and so is every row when some term
-    reaches 2^900.
-
-    A non-finite term, or a sum beyond double range, raises
+    reaches 2^900.  A non-finite term, or a sum past double range, raises
     TruncationOverflow.
     """
     top = np.abs(rows).max(initial=0.0)
@@ -464,42 +445,54 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
 def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
     """exact_row_sums of finite rows below 2^900.
 
-    amax bounds max|x| of each row: one value for all rows, or a column of
-    one per row.  One value gives one split constant, computed on Python
-    floats, which costs less than numpy's scalar calls.
+    amax bounds max|x| of each row: one value for all rows (one split
+    constant, computed on Python floats), or a column of one per row.
     """
-    width = rows.shape[1]
-    shift = (width + 1).bit_length()
+    parts, bound = _split(rows, amax, rows.shape[1])
+    high, low = parts.sum(axis=2)
+    res, bad = _settle(high, low, bound)
+    if not bad.any():
+        return res
+    bad = np.nonzero(bad)
+    if refine:
+        exact = np.column_stack((high[bad], parts[1][bad]))
+        res[bad] = _split_sums(exact, np.abs(exact).max(axis=1, keepdims=True), refine=False)
+    else:
+        res[bad] = [_fsum(row) for row in rows[bad].tolist()]
+    return res
+
+
+def _split(rows: np.ndarray, amax, terms: int):
+    """The hi and lo parts of rows split at sigma, stacked, and the bound on a lo sum."""
+    shift = (terms + 1).bit_length()
     # sigma is a power of two, so the product in the bound is exact unless it
     # underflows, and _TINY covers that rounding
-    lo_error = 2.0 * width * width * 2.0**-106
+    lo_error = 2.0 * terms * terms * 2.0**-106
     if np.ndim(amax) == 0:
         sigma = math.ldexp(1.0, math.frexp(amax)[1] + shift)
         bound = sigma * lo_error + _TINY
     else:
         sigma = np.ldexp(1.0, np.frexp(amax)[1] + shift)
         bound = sigma[:, 0] * lo_error + _TINY
-    part = rows + sigma  # hi, then lo in place
-    part -= sigma
-    high = part.sum(axis=1)
-    np.subtract(rows, part, out=part)
-    low = part.sum(axis=1)
+    parts = np.empty((2, *rows.shape))
+    np.add(rows, sigma, out=parts[0])
+    parts[0] -= sigma
+    np.subtract(rows, parts[0], out=parts[1])
+    return parts, bound
+
+
+def _settle(high, low, bound):
+    """res = high + low, and where it may not be the correctly rounded sum.
+
+    TwoSum gives the rounding error of res; bound bounds the error of low.
+    """
     res = high + low
     back = res - high
     err = (high - (res - back)) + (low - back)
     # the spacing just below |res| is the smaller of the two gaps around res;
     # every value here is finite, so >= is the negation of <
     half_gap = 0.5 * np.spacing(np.nextafter(np.abs(res), 0.0))
-    bad = np.abs(err) + bound >= half_gap
-    if not bad.any():
-        return res
-    bad = np.nonzero(bad)
-    if refine:
-        exact = np.column_stack((high[bad], part[bad]))
-        res[bad] = _split_sums(exact, np.abs(exact).max(axis=1, keepdims=True), refine=False)
-    else:
-        res[bad] = [_fsum(row) for row in rows[bad].tolist()]
-    return res
+    return res, np.abs(err) + bound >= half_gap
 
 
 def complex_row_sums(rows: np.ndarray) -> np.ndarray:
@@ -515,20 +508,34 @@ def complex_row_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_sums(terms: np.ndarray) -> np.ndarray:
-    """complex_row_sums over the last two axes."""
-    rows = terms.reshape(-1, terms.shape[-2] * terms.shape[-1])
-    return complex_row_sums(rows).reshape(terms.shape[:-2])
+def _grid_sums(values, grads, points, cd: CurveData, radius: int) -> np.ndarray:
+    """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
 
-
-def _jet_terms(p, q, terms):
-    """The d/du and d/dv terms, (2 pi i p) terms and (2 pi i q) terms.
-
-    Term-wise differentiation of the series; p and q are the lattice rows
-    _lattice_terms returned with terms, or the same rows of them.
+    Shape (P, R), R = len(values) + 2 len(grads), each the correctly rounded
+    sum of its row of terms of this radius.  Rows left unsettled, and all
+    rows when a term is non-finite or reaches 2^900, go to exact_row_sums.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise when summed
-        return (_TWO_PI_I * p) * terms, (_TWO_PI_I * q) * terms
+    layout = _layout(tuple(values), tuple(grads))
+    columns, signs = layout[3:]
+    terms = _class_terms(layout, points, cd, radius)
+    count, width = len(points), terms.shape[-1] ** 2
+    flat = terms.view(np.float64).reshape(-1, 2 * width)
+    top = np.abs(flat).max()
+    if top < _EXACT_MAX:
+        parts, bound = _split(flat, top, width)
+        sums = (parts.reshape(-1, 2 * width) @ _parity_signs(radius)).reshape(2, count, -1)
+        high, low = np.take(sums, columns, axis=2) * signs
+        res, bad = _settle(high, low, bound)
+    else:
+        shape = (count, len(columns))
+        res, bad = np.empty(shape), np.ones(shape, dtype=bool)
+    if bad.any():
+        at, out = np.nonzero(bad)
+        column = columns[out]
+        parts = terms.view(np.float64).reshape(count, -1, width, 2)[at, column // 8, :, column % 2]
+        parts *= _parity_signs(radius)[::2, column // 2 % 4 * 2].T * signs[out, None]
+        res[at, out] = exact_row_sums(parts)
+    return res.view(np.complex128)
 
 
 _ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
@@ -536,10 +543,8 @@ _ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 # theta[11;10], whose u and v derivatives at the origin give the flow
 # constants; the even gradients vanish there.
 _NULL_GRAD_BITS = ((1, 0, 1, 0), (1, 1, 1, 0))
+_NULL_GRAD_CHARS = tuple(HalfCharacteristic(*bits) for bits in _NULL_GRAD_BITS)
 _EVEN_BITS = tuple(c.bits for c in EVEN_CHARACTERISTICS)
-# The characteristics of the grid at the origin: the even ones, whose rows
-# give the nulls, then the two odd ones whose jets give the null gradients.
-_ORIGIN_CHARS = EVEN_CHARACTERISTICS + tuple(HalfCharacteristic(*bits) for bits in _NULL_GRAD_BITS)
 
 # Per-tau data is kept for this many period matrices, least recently used
 # dropped first, so a process sweeping many of them keeps a fixed footprint;
@@ -554,21 +559,16 @@ _FORMS_PER_CURVE = 4
 class CurveData:
     """What the theta functions of one period matrix share at every point.
 
-    Built on construction, from one grid at the origin whose rows are
-    summed together: nulls, all sixteen theta[c](0, 0) keyed by c.bits,
-    where the six odd ones are exactly 0 and are not summed (on the box they
-    leave only its unpaired edge, a sum far below the terms that only
-    math.fsum can round); null_grads, (d/du, d/dv) theta[c](0, 0) for the
+    Built on construction, from one grid at the origin: nulls, all sixteen
+    theta[c](0, 0) keyed by c.bits, where the six odd ones are exactly 0 and
+    are not summed (on the box they leave only its unpaired edge, a sum far
+    below the terms that only math.fsum can round); null_grads, (d/du, d/dv) theta[c](0, 0) for the
     two odd c = [10;10] and [11;10], keyed by c.bits, from the same lattice
     terms; and null_scale, the largest |theta[c](0, 0)| over the even c.
     Built on first use and then kept: moduli (the ModuliSet) and
     flow_constants (the FlowConstants); a build that raises keeps nothing,
-    so every later access raises again.  Other gradients at the origin come
-    from grads_at.  The lattice forms (the tau factor, or the quadratic
-    form, of each lattice class) are kept for each truncation radius used,
-    at most _FORMS_PER_CURVE of them.
-
-    curve_data(tau, ctrl) keeps one CurveData per (tau, ctrl).
+    so every later access raises again.  Kept too: the lattice forms of at
+    most _FORMS_PER_CURVE radii, and the _decay constants of each point's radius.
     """
 
     tau: PeriodMatrix
@@ -577,16 +577,14 @@ class CurveData:
     null_grads: Mapping[tuple[int, int, int, int], tuple[complex, complex]] = field(init=False)
     null_scale: float = field(init=False)
     _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
+    _decay_constants: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # one grid at the origin: the ten even null rows, then the d/du and
-        # the d/dv rows of the two odd characteristics, summed together
-        radius = truncation_radius(self.tau, ORIGIN, self.ctrl)
-        p, q, terms = _lattice_terms(_ORIGIN_CHARS, (ORIGIN,), self, radius)
-        even = len(_EVEN_BITS)
-        jets = _jet_terms(p[even:], q[even:], terms[:, even:])
-        sums = _grid_sums(np.concatenate((terms[:, :even], *jets), axis=1))[0].tolist()
-        values, du, dv = sums[:even], sums[even : even + 2], sums[even + 2 :]
+        object.__setattr__(self, "_decay_constants", _decay(self.tau, self.ctrl.tol))
+        # one grid at the origin: the even nulls, then d/du and d/dv of the two odd ones
+        grid = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), self, self._radius(ORIGIN))
+        sums = grid[0].tolist()
+        values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
         nulls = dict.fromkeys(_ALL_BITS, 0j)
         nulls.update(zip(_EVEN_BITS, values))
         object.__setattr__(self, "nulls", MappingProxyType(nulls))
@@ -613,12 +611,7 @@ class CurveData:
 
         The points are evaluated on bounded grids of one radius each (_by_grid).
         """
-
-        def grid(n, idx):
-            _, _, terms = _lattice_terms(chars, [points[i] for i in idx], self, n)
-            return _grid_sums(terms).tolist()
-
-        return self._on_grids(chars, points, 1, grid)
+        return self._on_grids(tuple(chars), (), points)
 
     def grads_at(
         self, chars, points
@@ -628,23 +621,30 @@ class CurveData:
         Gradients come from term-wise differentiation of the series; both lists
         are indexed [point][characteristic] like values_at.
         """
-
-        def grid(n, idx):
-            p, q, terms = _lattice_terms(chars, [points[i] for i in idx], self, n)
-            values, du, dv = _grid_sums(np.stack((terms, *_jet_terms(p, q, terms)))).tolist()
-            return [(vals, list(zip(du_i, dv_i))) for vals, du_i, dv_i in zip(values, du, dv)]
-
-        jets = self._on_grids(chars, points, 3, grid)
-        return [vals for vals, _ in jets], [grads for _, grads in jets]
+        chars = tuple(chars)
+        k = len(chars)
+        rows = self._on_grids(chars, chars, points)
+        return [row[:k] for row in rows], [list(zip(row[k : 2 * k], row[2 * k :])) for row in rows]
 
     def table(self, chars, point: Point2) -> dict[tuple[int, int, int, int], complex]:
         """theta[c](point) keyed by c.bits, from one grid."""
         return {c.bits: v for c, v in zip(chars, self.values_at(chars, (point,))[0])}
 
-    def _on_grids(self, chars, points, jets, grid):
-        radii = [truncation_radius(self.tau, point, self.ctrl) for point in points]
-        per_point = jets * len(chars)
+    def _on_grids(self, values, grads, points) -> list[list[complex]]:
+        """The rows of _grid_sums(values, grads) at every point, on bounded grids."""
+        per_point = len(values) + 2 * len(grads)
+        if not per_point:
+            return [[] for _ in points]
+        radii = [self._radius(point) for point in points]
+
+        def grid(n, idx):
+            return _grid_sums(values, grads, [points[i] for i in idx], self, n).tolist()
+
         return _by_grid(radii, lambda n: per_point * (2 * n + 1) ** 2, grid)
+
+    def _radius(self, point: Point2) -> int:
+        """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""
+        return _radius(point, *self._decay_constants, self.ctrl.max_radius)
 
     def _form(self, n: int) -> _LatticeForm:
         form = self._forms.get(n)

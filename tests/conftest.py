@@ -51,11 +51,12 @@ def brute_theta2(c, point, tau, radius=30):
 def _reference_grid(c, point, tau, n):
     """The lattice terms of one characteristic at one point, radius n.
 
-    The operations of the production kernel, in the same order: where the
-    factors of radius n stay in range, the row factor exp(2 pi i p u) times
-    the column factor exp(2 pi i q v), times the tau factor exp(i pi quad)
-    times the unit (-1)^(m b + n d) i^(a b + c d); elsewhere one exp of the
-    whole exponent.
+    The operations of the production kernel, in the same order, up to the
+    sign of a zero: the term of the lattice class (a, c) times the unit
+    (-1)^(m b + n d) i^(a b + c d).  Where the factors of radius n stay in
+    range the class term is the row factor exp(2 pi i p u) times the column
+    factor exp(2 pi i q v), times the tau factor exp(i pi quad); elsewhere
+    it is one exp of i pi (quad + 2 p u + 2 q v).
     """
     idx = np.arange(-n, n + 1, dtype=np.float64)
     p_row = idx + 0.5 * c.a
@@ -63,16 +64,15 @@ def _reference_grid(c, point, tau, n):
     p = p_row[:, None]
     q = q_col[None, :]
     quad = tau.tau1 * p * p + tau.tau2 * q * q + 2.0 * tau.tau12 * p * q
+    row_unit = 1j ** (c.a * c.b) * (-1.0) ** (idx * c.b)
+    col_unit = 1j ** (c.c * c.d) * (-1.0) ** (idx * c.d)
+    unit = row_unit[:, None] * col_unit[None, :]
     if not _in_factor_range(tau, n):
-        expo = quad + 2.0 * (p * (point.u + 0.5 * c.b) + q * (point.v + 0.5 * c.d))
-        return p, q, np.exp(1j * math.pi * expo)
+        return p, q, np.exp(1j * math.pi * (quad + 2.0 * (p * point.u + q * point.v))) * unit
     two_pi_i = 2j * math.pi
     row = np.exp(two_pi_i * (p_row * point.u))
     col = np.exp(two_pi_i * (q_col * point.v))
-    row_unit = 1j ** (c.a * c.b) * (-1.0) ** (idx * c.b)
-    col_unit = 1j ** (c.c * c.d) * (-1.0) ** (idx * c.d)
-    weight = np.exp(1j * math.pi * quad) * (row_unit[:, None] * col_unit[None, :])
-    return p, q, (row[:, None] * col[None, :]) * weight
+    return p, q, (row[:, None] * col[None, :]) * (np.exp(1j * math.pi * quad) * unit)
 
 
 def _reference_fsum(arr):

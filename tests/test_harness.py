@@ -135,6 +135,12 @@ def test_a_report_of_full_batches_matches_its_golden_file():
     _assert_golden("verify_seed7_samples100.json")
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reports_of_full_batches_at_the_other_standing_seeds_match_their_golden_files(seed):
+    # `g2theta verify --samples 100 --seed N`; seed 0 is the default config
+    _assert_golden(f"verify_seed{seed}_samples100.json")
+
+
 def test_an_alternate_tau_report_of_more_samples_than_the_cache_holds_matches_its_golden_file():
     _assert_golden("verify_alt_tau_samples100.json")
 

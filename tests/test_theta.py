@@ -3,6 +3,7 @@
 import cmath
 import importlib.util
 import math
+import struct
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from conftest import (
     ShiftKind,
+    _reference_grid,
     brute_theta2,
     draw_points,
     half_shift,
@@ -25,6 +27,7 @@ from conftest import (
     shifted_argument,
 )
 
+import g2theta.harness as harness
 import g2theta.theta as theta
 from g2theta.cli import main
 from g2theta.degeneration import Genus1Characteristic, theta1
@@ -131,13 +134,13 @@ def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
     assert set(radii) == {4, 5, 6}
     cd = curve_data(DEFAULT_TAU)
     grids = []
-    original = theta._lattice_terms
+    original = theta._grid_sums
 
-    def counted(chars, pts, cd, n):
-        grids.append((len(chars) * len(pts) * (2 * n + 1) ** 2, n))
-        return original(chars, pts, cd, n)
+    def counted(values, grads, pts, cd, n):
+        grids.append(((len(values) + 2 * len(grads)) * len(pts) * (2 * n + 1) ** 2, n))
+        return original(values, grads, pts, cd, n)
 
-    monkeypatch.setattr(theta, "_lattice_terms", counted)
+    monkeypatch.setattr(theta, "_grid_sums", counted)
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     jets, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
     assert len(grids) > 2 * len(set(radii))
@@ -154,13 +157,13 @@ def test_a_point_over_the_grid_budget_gets_a_grid_of_its_own(monkeypatch):
     assert {truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in points} == {4}
     cd = curve_data(DEFAULT_TAU)
     grids = []
-    original = theta._lattice_terms
+    original = theta._grid_sums
 
-    def counted(chars, pts, cd, n):
-        grids.append((len(chars), len(pts)))
-        return original(chars, pts, cd, n)
+    def counted(values, grads, pts, cd, n):
+        grids.append((len(values), len(pts)))
+        return original(values, grads, pts, cd, n)
 
-    monkeypatch.setattr(theta, "_lattice_terms", counted)
+    monkeypatch.setattr(theta, "_grid_sums", counted)
     monkeypatch.setattr(theta, "_GRID_TERMS", 1000)
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     assert grids == [(16, 1), (16, 1)]
@@ -283,9 +286,10 @@ ALT_TAU = PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j)
 )
 def test_values_and_gradients_match_mpmath_over_the_widened_box(tau, value_bound, grad_bound):
     # 80 seeded points with |Re| <= 1 and |Im| <= 0.4, every characteristic;
-    # the error is |err| / max(1, |exact|).  On these points the per-term exp
-    # kernel reached 1.08e-15 and 1.28e-15 on values, 2.18e-15 and 4.26e-15
-    # on gradients, at DEFAULT_TAU and ALT_TAU; each bound is below that.
+    # the error is |err| / max(1, |exact|).  The factored kernel reaches
+    # 6.54e-16 and 1.24e-15 on values, 9.58e-16 and 2.67e-15 on gradients, at
+    # DEFAULT_TAU and ALT_TAU; with the range guard forced shut (one exp per
+    # class term) it reaches 9.1e-16, 1.27e-15, 2.07e-15 and 2.27e-15.
     stream = SampleStream(0, "mpmath-accuracy")
     points = [
         Point2(stream.next_complex(-1.0, 1.0, -0.4, 0.4), stream.next_complex(-1.0, 1.0, -0.4, 0.4))
@@ -393,24 +397,132 @@ def test_whole_periods_in_the_real_parts_change_only_the_sign(k, l):
             assert all(abs(g - e) <= 1e-14 * max(1.0, abs(e)) for g, e in zip(got, expected))
 
 
-def test_no_point_the_harness_or_the_benchmark_evaluates_is_reduced(monkeypatch):
-    largest = []
-    original = theta._lattice_terms
-
-    def spy(chars, points, cd, radius):
-        largest.append(max(max(abs(p.u.real), abs(p.v.real)) for p in points))
-        return original(chars, points, cd, radius)
-
-    monkeypatch.setattr(theta, "_lattice_terms", spy)
-    for cfg in (RunConfig(samples=20), RunConfig(tau=ALT_TAU, samples=20)):
-        run_suites(cfg)
-    assert 0.5 < max(largest) < theta._REDUCE_RE
+def _perfbench_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_no_point_the_harness_or_the_benchmark_evaluates_is_reduced(monkeypatch):
+    largest = []
+    original = theta._grid_sums
+
+    def spy(values, grads, points, cd, radius):
+        largest.append(max(max(abs(p.u.real), abs(p.v.real)) for p in points))
+        return original(values, grads, points, cd, radius)
+
+    monkeypatch.setattr(theta, "_grid_sums", spy)
+    for cfg in (RunConfig(samples=20), RunConfig(tau=ALT_TAU, samples=20)):
+        run_suites(cfg)
+    assert 0.5 < max(largest) < theta._REDUCE_RE
+    workloads = _perfbench_workloads()
     assert max(abs(x) for x in workloads.POINT_BOX[:2]) < theta._REDUCE_RE
     assert all(abs(z.real) < theta._REDUCE_RE for pair in workloads.CURVE_POINTS for z in pair)
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _fsum_bits(terms) -> bytes:
+    flat = terms.ravel()
+    return _bits(complex(math.fsum(flat.real), math.fsum(flat.imag)))
+
+
+def _explicit_sums(tau, point, radius):
+    """math.fsum of each characteristic's own terms, as bytes: the 16 values,
+    then the 16 d/du and the 16 d/dv, in the order of ALL_CHARACTERISTICS.
+
+    The terms are built one characteristic at a time (conftest's
+    _reference_grid); a component with |Re| >= 2 is moved by its rounded
+    real part, which multiplies the terms by (-1)^(a k + c l).
+    """
+    k, l = (round(z.real) if abs(z.real) >= theta._REDUCE_RE else 0 for z in (point.u, point.v))
+    near = Point2(point.u - k, point.v - l)
+    jets = ([], [], [])
+    for c in ALL_CHARACTERISTICS:
+        p, q, terms = _reference_grid(c, near, tau, radius)
+        terms = terms * (-1.0) ** (c.a * k + c.c * l)
+        for sums, row in zip(jets, (terms, (2j * math.pi * p) * terms, (2j * math.pi * q) * terms)):
+            sums.append(_fsum_bits(row))
+    return [bits for sums in jets for bits in sums]
+
+
+_COMPONENTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    radius=st.integers(3, 8),
+    tau=st.sampled_from([DEFAULT_TAU, ALT_TAU, STRETCHED_TAU]),
+    parts=st.lists(st.tuples(_COMPONENTS, _COMPONENTS), min_size=1, max_size=3),
+)
+@example(radius=4, tau=DEFAULT_TAU, parts=[((2.5, 0.1), (-2.0, -0.2)), ((0.3, -0.4), (2.75, 0.0))])
+@example(radius=8, tau=STRETCHED_TAU, parts=[((-2.25, 0.3), (0.4, -0.1))])
+def test_the_class_kernel_sums_every_row_as_fsum_does(radius, tau, parts):
+    # each value and gradient of one class-grid kernel call equals, bit for
+    # bit, math.fsum of its own characteristic's terms; STRETCHED_TAU takes
+    # the per-term exp from radius 5 on
+    points = [Point2(complex(*u), complex(*v)) for u, v in parts]
+    got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, curve_data(tau), radius)
+    for point, row in zip(points, got.tolist(), strict=True):
+        assert [_bits(z) for z in row] == _explicit_sums(tau, point, radius), point
+
+
+def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatch):
+    cd = curve_data(DEFAULT_TAU)
+    points = KERNEL_POINTS  # radii 4 and 5
+    split, fsum = theta._split, theta._fsum
+    rows = []
+
+    def unsettled(*args):
+        return split(*args)[0], math.inf  # no error bound certifies anything
+
+    def counted(row):
+        rows.append(row)
+        return fsum(row)
+
+    monkeypatch.setattr(theta, "_split", unsettled)
+    monkeypatch.setattr(theta, "_fsum", counted)
+    values, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
+    # every real and imaginary part of every value and gradient went to math.fsum
+    assert len(rows) == len(points) * 3 * 16 * 2
+    for point, vals, grad in zip(points, values, grads, strict=True):
+        radius = truncation_radius(DEFAULT_TAU, point, SeriesControl())
+        got = [_bits(z) for z in vals] + [_bits(g[0]) for g in grad] + [_bits(g[1]) for g in grad]
+        assert got == _explicit_sums(DEFAULT_TAU, point, radius), point
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_an_empty_characteristic_set_gives_one_empty_list_per_point(count):
+    points = KERNEL_POINTS[:count] + [ORIGIN] * max(0, count - len(KERNEL_POINTS))
+    cd = curve_data(DEFAULT_TAU)
+    assert cd.values_at((), points) == [[] for _ in range(count)]
+    assert cd.grads_at([], points) == ([[] for _ in range(count)], [[] for _ in range(count)])
+
+
+def test_curve_data_radii_equal_truncation_radius_over_the_harness_and_benchmark_boxes():
+    workloads = _perfbench_workloads()
+    stream = SampleStream(3, "curve-radii")
+    diag, off = harness._TAU_DIAG, harness._TAU_OFF
+    assert (diag, off) == (workloads.TAU_DIAG, workloads.TAU_OFF)
+    taus = [DEFAULT_TAU, ALT_TAU] + [
+        PeriodMatrix(stream.next_complex(*diag), stream.next_complex(*diag), stream.next_complex(*off))
+        for _ in range(20)
+    ]
+    # the harness box, the sums p + q its addition suite evaluates, and the
+    # point box of the invert workload
+    x0, x1, y0, y1 = harness._BOX
+    boxes = [harness._BOX, (2 * x0, 2 * x1, 2 * y0, 2 * y1), workloads.POINT_BOX]
+    for tau in taus:
+        points = [ORIGIN] + [Point2(*pair) for pair in workloads.CURVE_POINTS]
+        points += [Point2(stream.next_complex(*box), stream.next_complex(*box)) for box in boxes * 20]
+        cd = CurveData(tau, SeriesControl())
+        assert [cd._radius(p) for p in points] == [
+            truncation_radius(tau, p, SeriesControl()) for p in points
+        ]
 
 
 def test_parity_counts_and_values():

@@ -37,11 +37,11 @@ def test_recover_pair_builds_one_grid_and_one_moduli_set(monkeypatch):
     tau = PeriodMatrix(0.07 + 1.23j, -0.11 + 1.17j, 0.03 + 0.21j)
     points = draw_points(5, "work-counts", 6)
     grids, builds = [], []
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     _counting(monkeypatch, moduli, "build_moduli", builds)
     inversion.recover_pair(points[0], tau)
-    # the all-16 null grid, then the grid at the point
-    assert [len(args[1]) for args in grids] == [1, 1]
+    # the null grid, then the grid at the point
+    assert [len(args[2]) for args in grids] == [1, 1]
     assert len(builds) == 1
     for point in points:
         inversion.recover_pair(point, tau)
@@ -55,73 +55,97 @@ def test_a_fresh_tau_evaluates_the_origin_once(monkeypatch):
     # no other test uses
     tau = PeriodMatrix(0.13 + 1.19j, -0.07 + 1.08j, 0.04 + 0.23j)
     grids, sizes = [], []
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     _grid_sizes(monkeypatch, sizes)
     moduli.moduli_from_tau(tau)
     moduli.moduli_consistency_residuals(tau)
     moduli.null_ratio_signs(tau)
     flow.flow_constants(tau)
-    # one grid at the origin: the 10 even nulls and the (d/du, d/dv) rows
-    # of [10;10] and [11;10], 14 rows of 81 terms at radius 4; the six odd
-    # nulls are exactly 0 and are not summed
-    assert [(len(chars), points, radius) for chars, points, _, radius in grids] == [
-        (12, (theta.ORIGIN,), 4)
+    # one grid at the origin: the 10 even nulls and the (d/du, d/dv) of
+    # [10;10] and [11;10], at radius 4; the six odd nulls are exactly 0 and
+    # are not summed
+    assert [(len(values), len(grads), points, radius) for values, grads, points, _, radius in grids] == [
+        (10, 2, (theta.ORIGIN,), 4)
     ]
-    assert sizes == [14 * 81]
+    # the values of the four lattice classes and the two jets of the classes
+    # (1, 0) and (1, 1): 8 class-jet grids of 81 terms for 14 outputs
+    assert sizes == [8 * 81]
+
+
+def test_each_lattice_class_is_summed_once_for_all_of_its_characteristics(monkeypatch):
+    cd = theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
+    point = theta.Point2(0.31 - 0.18j, -0.42 + 0.2j)
+    assert cd._radius(point) == 4
+    sizes = []
+    _grid_sizes(monkeypatch, sizes)
+    cd.values_at(theta.ALL_CHARACTERISTICS, (point,))
+    # 4 lattice classes of 81 terms, not one grid per characteristic (16 x 81
+    # = 1,296 terms)
+    assert sizes == [4 * 81]
+    cd.grads_at(theta.ALL_CHARACTERISTICS, (point,))
+    assert sizes[1:] == [3 * 4 * 81]
+    inversion.recover_pair(point, DEFAULT_TAU)
+    # the four characteristics recover_pair reads lie in two lattice classes
+    assert sizes[2:] == [2 * 81]
 
 
 def _grid_sizes(monkeypatch, sizes):
-    """Record the number of terms of every grid summed, genus 2 (jets
-    included) and genus 1."""
-    for module in (theta, degeneration):
-        original = module.complex_row_sums
+    """Record the number of terms of every grid summed: the class-jet grids
+    of genus 2 and the rows of genus 1."""
+    class_terms, row_sums = theta._class_terms, degeneration.complex_row_sums
 
-        def counted(rows, original=original):
-            sizes.append(rows.size)
-            return original(rows)
+    def counted_terms(*args):
+        terms = class_terms(*args)
+        sizes.append(terms.size)
+        return terms
 
-        monkeypatch.setattr(module, "complex_row_sums", counted)
+    def counted_rows(rows):
+        sizes.append(rows.size)
+        return row_sums(rows)
+
+    monkeypatch.setattr(theta, "_class_terms", counted_terms)
+    monkeypatch.setattr(degeneration, "complex_row_sums", counted_rows)
 
 
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
     flow.flow_constants(DEFAULT_TAU)  # the nulls and null gradients are a grid of their own
     stencils, grids = [], []
     _counting(monkeypatch, flow, "_pair_tables", stencils)
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     result = run_suites(RunConfig(samples=4, suites=("flow",))).suites[0]
     assert (result.samples_run, result.skip_reasons) == (4, {})
     # one batch: the 5-point stencils of all four samples in one call, on
     # grids of one radius each (4 characteristics x 81 terms a point at radius 4)
     assert [len(args[1]) for args in stencils] == [20]
-    assert sum(len(args[1]) for args in grids) == 20
-    assert len(grids) == len({args[3] for args in grids})
+    assert sum(len(args[2]) for args in grids) == 20
+    assert len(grids) == len({args[4] for args in grids})
 
 
 def test_parameterizations_suite_builds_one_grid_per_batch(monkeypatch):
     theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     result = run_suites(RunConfig(samples=5, suites=("parameterizations",))).suites[0]
     assert (result.samples_run, result.skip_reasons) == (5, {})
     # the ratios, the pair and the unit sums of all five samples read one
     # 16-characteristic grid per radius
     assert [len(args[0]) for args in grids] == [16] * len(grids)
-    assert sum(len(args[1]) for args in grids) == 5
-    assert len(grids) == len({args[3] for args in grids})
+    assert sum(len(args[2]) for args in grids) == 5
+    assert len(grids) == len({args[4] for args in grids})
 
 
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
     cd = theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     calls, grids = [], []
     _counting(monkeypatch, theta.CurveData, "values_at", calls)
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     pts = draw_points(9, "work-counts-riemann", 4)
     quad = Quadruple(tuple(pts))
     riemann_relation_residuals(cd, [quad])
     # the quadruple and its transform share one values_at call, and each
     # point is on one grid
     assert len(calls) == 1
-    points = [point for args in grids for point in args[1]]
+    points = [point for args in grids for point in args[2]]
     assert len(points) == len(set(points)) == 8
 
 
@@ -129,14 +153,14 @@ def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     cfg = RunConfig(samples=3, suites=("degeneration",))
     run_suites(cfg)  # memoizes the nulls of the split period matrix
     grids, genus1 = [], []
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     _counting(monkeypatch, degeneration, "_theta1_values", genus1)
     result = run_suites(cfg).suites[0]
     assert (result.samples_run, result.skip_reasons) == (3, {})
     # one batch: the splitting check and the recovered pair read one
     # 16-characteristic grid at tau12 = 0 ...
     assert [len(args[0]) for args in grids] == [16] * len(grids)
-    assert sum(len(args[1]) for args in grids) == 3
+    assert sum(len(args[2]) for args in grids) == 3
     # ... and one genus-1 evaluation, four values at u and four at v
     assert [len(args[0]) for args in genus1] == [8 * 3]
 
@@ -145,7 +169,7 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     theta._curve_data.cache_clear()
     degeneration._nulls1.cache_clear()
     grids, genus1, sizes = [], [], []
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     _counting(monkeypatch, degeneration, "_theta1_grid", genus1)
     _grid_sizes(monkeypatch, sizes)
     report = run_suites(RunConfig(samples=20))
@@ -156,7 +180,7 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     # each point is evaluated once per period matrix, the origin too: the
     # nulls and the null gradients are one grid
     evaluated = Counter(
-        (cd.tau, point) for chars, points, cd, _ in grids for point in points
+        (cd.tau, point) for _, _, points, cd, _ in grids for point in points
     )
     assert {key: n for key, n in evaluated.items() if n > 1} == {}
     rows = Counter(row for rows, _ in genus1 for row in rows)
@@ -166,11 +190,11 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
 def test_cli_invert_builds_one_grid_at_its_point(monkeypatch, capsys):
     theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
-    _counting(monkeypatch, theta, "_lattice_terms", grids)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
     assert main(["invert", "--u", "0.21,-0.09", "--v=-0.13,0.11"]) == 0
     capsys.readouterr()
     # the pair and all 18 parameterization rows read one 16-characteristic grid
-    assert [(len(args[0]), len(args[1])) for args in grids] == [(16, 1)]
+    assert [(len(args[0]), len(args[2])) for args in grids] == [(16, 1)]
 
 
 def test_verify_builds_per_tau_data_once(monkeypatch):
