@@ -88,7 +88,7 @@ class PointPair:
     sign_flipped: bool  # True if the chosen class negates the principal sigma2
 
 
-def f5(x: complex, curve: CurveSpec) -> complex:
+def f5(x: complex, curve: CurveSpec | ModuliSet) -> complex:
     return (
         x
         * (1.0 - x)
@@ -98,7 +98,7 @@ def f5(x: complex, curve: CurveSpec) -> complex:
     )
 
 
-def _linear_factor(i: int, x: complex, curve: CurveSpec) -> complex:
+def _linear_factor(i: int, x: complex, curve: CurveSpec | ModuliSet) -> complex:
     if i == 0:
         return x
     if i == 1:
@@ -118,6 +118,11 @@ def f_factor(i: int, j: int, x: complex, curve: CurveSpec) -> complex:
     """
     if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j <= 4):
         raise InvalidFactorIndex(f"need 0 <= i < j <= 4, got ({i}, {j})")
+    return _factor_product(i, j, x, curve)
+
+
+def _factor_product(i: int, j: int, x: complex, curve: CurveSpec | ModuliSet) -> complex:
+    """f_factor without its index check, for the fixed indices of this module."""
     return _linear_factor(i, x, curve) * _linear_factor(j, x, curve)
 
 
@@ -194,19 +199,22 @@ def _pair_tables(cd: CurveData, points) -> list[dict]:
 
 def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPair:
     """recover_pair from theta values already evaluated at the point."""
-    den = _reference_denominator(th, point, cd)
+    return _pair_at(ms, th, _reference_denominator(th, point, cd))
+
+
+def _pair_at(ms: ModuliSet, th: dict, den: complex) -> PointPair:
+    """_pair_from_thetas with the reference denominator already computed."""
     x1, x2 = _solve_pair(_symmetric_from_thetas(ms, th, den))
     if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
         raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
-    curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
-    sigma1 = cmath.sqrt(f5(x1, curve))
-    sigma2 = cmath.sqrt(f5(x2, curve))
+    sigma1 = cmath.sqrt(f5(x1, ms))
+    sigma2 = cmath.sqrt(f5(x2, ms))
 
     # resolve the essential sign class against one bracket parameterization
     lhs_ratio = th[(0, 0, 0, 1)] ** 2 / den
     pref = -1.0 / (ms.kp0 * ms.kp1 * ms.kp2)
-    fx1 = f_factor(0, 1, x1, curve)
-    fx2 = f_factor(0, 1, x2, curve)
+    fx1 = _factor_product(0, 1, x1, ms)
+    fx2 = _factor_product(0, 1, x2, ms)
     best_flip = False
     best_res = None
     for flip in (False, True):
@@ -287,28 +295,30 @@ def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float],
     linear factor vanishes stay regular.  All use the single sign class
     recovered by recover_pair.  Every row and the pair read one table of the
     sixteen theta values at the point, and the tables of all the points come
-    from one values_at call.
+    from one values_at call.  The moduli table of the rows is built once.
     """
     ms = cd.moduli
     values = cd.values_at(ALL_CHARACTERISTICS, points)
-    return [
-        _parameterization_rows(cd, ms, dict(zip(_ALL_BITS, row)), point)
-        for point, row in zip(points, values)
-    ]
+    results, table = [], None
+    for point, row in zip(points, values):
+        th = dict(zip(_ALL_BITS, row))
+        den = _reference_denominator(th, point, cd)
+        pair = _pair_at(ms, th, den)
+        if table is None:  # after the first pair, so a point error raises first
+            table = _parameterization_table(ms)
+        results.append((_parameterization_rows(cd, ms, th, den, pair, table), pair))
+    return results
 
 
-def _parameterization_rows(cd: CurveData, ms: ModuliSet, th: dict, point):
-    pair = _pair_from_thetas(cd, ms, th, point)
+def _parameterization_rows(cd: CurveData, ms: ModuliSet, th: dict, den: complex, pair, table):
     x1, x2, sg1, sg2 = pair.x1, pair.x2, pair.sigma1, pair.sigma2
-    curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
-    den = _reference_denominator(th, point, cd)
-    poly, bracket = _parameterization_table(ms)
+    poly, bracket = table
 
     out = [_rel(th[bits] ** 2 / den, pref * lin(x1) * lin(x2)) for bits, pref, lin in poly]
     for bits, (i, j), pref in bracket:
         lhs_ratio = th[bits] ** 2 / den
-        fx1 = f_factor(i, j, x1, curve)
-        fx2 = f_factor(i, j, x2, curve)
+        fx1 = _factor_product(i, j, x1, ms)
+        fx2 = _factor_product(i, j, x2, ms)
         lhs, rhs = _bracket_residual_terms(lhs_ratio, pref, fx1, fx2, x1, x2, sg1, sg2)
         out.append(_rel(lhs, rhs))
     nulls = cd.nulls
@@ -316,4 +326,4 @@ def _parameterization_rows(cd: CurveData, ms: ModuliSet, th: dict, point):
         den_sum = nulls[den_bits] ** 2 * den
         vals = [sign * nulls[nb] ** 2 * th[tb] ** 2 / den_sum for sign, nb, tb in terms]
         out.append(abs(sum(vals) - 1.0) / (1.0 + max(abs(t) for t in vals)))
-    return out, pair
+    return out

@@ -35,6 +35,11 @@ a characteristic's high and low, its unit applied as a swap or negation of
 real and imaginary parts, certify its own row; the row of an output left
 unsettled is built and summed by exact_row_sums.  So every output is
 bit-reproducible and does not depend on what was evaluated with it.
+What a request (the characteristics of its values and gradients) reads
+at one radius is built once, a _Plan kept on the period matrix's lattice
+form.  A grid of at most _SCALAR_OUTPUTS outputs certifies its sums on
+Python floats, a larger one on arrays: the same IEEE operations, so the
+same bits.
 
 A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
@@ -60,6 +65,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,26 +245,37 @@ def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
 class _LatticeForm:
     """The tau-only factors of the lattice terms on the box of one radius N.
 
-    offsets[a] holds m + a/2 for m in [-N, N].  quad[2a + c] is the (2N+1,
-    2N+1) table of tau1 p^2 + tau2 q^2 + 2 tau12 p q, p = offsets[a] down and
-    q = offsets[c] across; a form keeps tau_factor = exp(i pi quad) where
-    _in_factor_range, else quad itself, and None for the other.
+    quad[2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2 tau12
+    p q, p = offsets[a] down and q = offsets[c] across (_box); a form keeps
+    tau_factor = exp(i pi quad) where _in_factor_range, else quad itself, and
+    None for the other.  plans holds the _Plan of each request evaluated at
+    this radius.
     """
 
-    offsets: np.ndarray
     quad: np.ndarray | None
     tau_factor: np.ndarray | None
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+@lru_cache(maxsize=16)
+def _box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """offsets, offsets[a] holding m + a/2 for m in [-n, n], and the p and q
+    of the four class tables of _lattice_form.  Shared, so read-only."""
+    offsets = np.arange(-n, n + 1) + np.array([[0.0], [0.5]])
+    p, q = offsets[:, :, None], offsets[:, None, :]
+    box = offsets, p[[0, 0, 1, 1]], q[[0, 1, 0, 1]]
+    for array in box:
+        array.flags.writeable = False
+    return box
 
 
 def _lattice_form(tau: PeriodMatrix, n: int) -> _LatticeForm:
-    offsets = np.arange(-n, n + 1) + np.array([[0.0], [0.5]])
-    p, q = offsets[:, :, None], offsets[:, None, :]
-    pc, qc = p[[0, 0, 1, 1]], q[[0, 1, 0, 1]]
+    _, pc, qc = _box(n)
     quad = tau.tau1 * pc * pc + tau.tau2 * qc * qc + 2.0 * tau.tau12 * pc * qc
     if not _in_factor_range(tau, n):
-        return _LatticeForm(offsets, quad, None)
+        return _LatticeForm(quad, None)
     np.multiply(_IPI, quad, out=quad)
-    return _LatticeForm(offsets, None, np.exp(quad, out=quad))
+    return _LatticeForm(None, np.exp(quad, out=quad))
 
 
 @lru_cache(maxsize=16)
@@ -277,18 +294,37 @@ def _parity_signs(radius: int) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=64)
-def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...]):
-    """The class-jet grids a request sums, and where each of its outputs reads them.
+class _Plan(NamedTuple):
+    """What the grids of one request (theta[c] for c in values, then d/du and
+    d/dv theta[c] for c in grads) read at one radius, built once.
 
-    The outputs are theta[c] for c in values, then d/du and d/dv theta[c]
-    for c in grads.  Returns grids, the (jet, 2a + c) of each grid, ascending
-    (jet 0 the class term, 1 and 2 its d/du and d/dv); classes, the classes
-    read, ascending; grid_class, the position there of each grid's class;
-    and columns and signs: part r of output k is signs[2k + r] times
-    sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part r of grid g
-    signed for (b, d) (_parity_signs).  The arrays are shared, so read-only.
+    The classes 2a + c read, ascending, have bits a and c, offsets[a] and
+    offsets[c] stacked, and tau, the form's tau factors (quad if not
+    factored) at select.  Grid g, (jet, class) ascending, jet 1 and 2 the
+    d/du and d/dv, is class grid_class[g] times jets[g] (None without grads).
+    Part r of output k is signs[2k + r] sums[columns[2k + r]], sums[8g +
+    2(2b + d) + r] being part r of grid g signed for (b, d) (parity); reads
+    pairs them.
     """
+
+    select: slice | np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    offsets: np.ndarray
+    grid_class: np.ndarray
+    jets: np.ndarray | None
+    parity: np.ndarray
+    split: tuple[int, float]
+    columns: np.ndarray
+    signs: np.ndarray
+    reads: tuple[tuple[int, float], ...]
+    factored: bool = True
+    tau: np.ndarray | None = None
+
+
+@lru_cache(maxsize=64)
+def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...], radius: int):
+    """The _Plan of a request at a radius but for factored and tau.  Shared, so read-only."""
     wanted = [(c, 0) for c in values] + [(c, jet) for jet in (1, 2) for c in grads]
     grids = sorted({(jet, 2 * c.a + c.c) for c, jet in wanted})
     classes = sorted({cls for _, cls in grids})
@@ -300,26 +336,45 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
         columns += (column + power % 2, column + 1 - power % 2)
         signs += ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))[power]
     grid_class = [classes.index(cls) for _, cls in grids]
-    layout = (tuple(grids), *map(np.array, (classes, grid_class, columns, signs)))
-    for array in layout[1:]:
-        array.flags.writeable = False
-    return layout
+    offsets = _box(radius)[0]
+    jets = None
+    if grads:
+        two_pi_i = _TWO_PI_I * offsets
+        jet, cls = np.array(grids).T
+        jet = jet[:, None, None]
+        cols = np.where(jet == 2, two_pi_i[cls & 1, None, :], 1.0 + 0.0j)
+        jets = np.where(jet == 1, two_pi_i[cls >> 1, :, None], cols)
+    reads = tuple(zip(columns, signs))
+    # a slice, so the plan's tau is a view, unless the classes are {0, 1, 3} or {0, 2, 3}
+    step = classes[-1] - classes[-2] if len(classes) > 1 else 1
+    span = range(classes[0], classes[-1] + 1, step)
+    select = slice(span.start, span.stop, step) if classes == list(span) else np.array(classes)
+    classes = np.array(classes)
+    a, c = classes >> 1, classes & 1
+    stacked = np.stack((offsets[a], offsets[c]))
+    columns, signs, grid_class = map(np.array, (columns, signs, grid_class))
+    for array in (a, c, stacked, grid_class, columns, signs, jets):
+        if array is not None:
+            array.flags.writeable = False
+    split = _split_constants((2 * radius + 1) ** 2)
+    return _Plan(select, a, c, stacked, grid_class, jets, _parity_signs(radius), split, columns, signs, reads)
 
 
-@lru_cache(maxsize=16)
-def _jet_factors(radius: int, grids: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The factor of each class-jet grid at this radius, shape (G, 2N+1, 2N+1).
+_PLANS_PER_FORM = 16  # oldest dropped first; the library makes about eight requests
 
-    1 for a value; 2 pi i p for d/du and 2 pi i q for d/dv, term-wise
-    differentiation.  Shared, so read-only.
-    """
-    two_pi_i = _TWO_PI_I * (np.arange(-radius, radius + 1) + np.array([[0.0], [0.5]]))
-    jet, cls = np.array(grids).T
-    jet = jet[:, None, None]
-    cols = np.where(jet == 2, two_pi_i[cls & 1, None, :], 1.0 + 0.0j)
-    factors = np.where(jet == 1, two_pi_i[cls >> 1, :, None], cols)
-    factors.flags.writeable = False
-    return factors
+
+def _plan(cd: CurveData, values, grads, radius: int) -> _Plan:
+    """The _Plan of a request at a radius, kept on the CurveData's lattice form."""
+    form = cd._form(radius)
+    plan = form.plans.get((values, grads))
+    if plan is None:
+        if len(form.plans) >= _PLANS_PER_FORM:
+            form.plans.pop(next(iter(form.plans)))
+        plan = _layout(values, grads, radius)
+        factored = form.tau_factor is not None
+        tau = (form.tau_factor if factored else form.quad)[plan.select]
+        plan = form.plans[values, grads] = plan._replace(factored=factored, tau=tau)
+    return plan
 
 
 # A component u (or v) whose real part reaches this in size is evaluated at
@@ -328,44 +383,46 @@ def _jet_factors(radius: int, grids: tuple[tuple[int, int], ...]) -> np.ndarray:
 _REDUCE_RE = 2.0
 
 
-def _class_terms(layout, points, cd: CurveData, radius: int) -> np.ndarray:
-    """The class-jet grids of a _layout at every point, shape (P, G, 2N+1, 2N+1).
+def _class_terms(plan: _Plan, points, small: bool) -> np.ndarray:
+    """The class-jet grids of a _Plan at every point, shape (P, G, 2N+1, 2N+1).
 
-    N is radius, the points' truncation radius; m ascends along axis 2 and n
-    along axis 3.  exp overflow and a non-finite argument are not reported
-    here; either shows up as a non-finite term when it is summed.
+    N is the plan's radius, the points' truncation radius; m ascends along
+    axis 2 and n along axis 3.  A small grid tests for real parts to reduce
+    on the points' Python floats, a large one on an array.  exp overflow and
+    a non-finite argument are not reported here; either shows up as a
+    non-finite term when it is summed.
     """
-    form = cd._form(radius)
-    grids, classes, grid_class = layout[:3]
-    a, c = classes >> 1, classes & 1
     z = np.array([(point.u, point.v) for point in points], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = None
-        far = np.abs(z.real) >= _REDUCE_RE
-        if far.any():
+        if small:  # a few points' Python floats cost less than three array calls
+            far = any(abs(p.u.real) >= _REDUCE_RE or abs(p.v.real) >= _REDUCE_RE for p in points)
+        else:
+            far = (np.abs(z.real) >= _REDUCE_RE).any()
+        if far:
             # the terms at (u - k, v - l) times (-1)^(a k + c l); x - rint(x)
             # is exact, and so is the sign
-            shift = np.where(far, np.rint(z.real), 0.0)
+            shift = np.where(np.abs(z.real) >= _REDUCE_RE, np.rint(z.real), 0.0)
             z -= shift
-        if form.tau_factor is None:
+        if not plan.factored:
             # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
-            terms = form.offsets[a, :, None] * u + form.offsets[c, None, :] * v
+            terms = plan.offsets[0, :, :, None] * u + plan.offsets[1, :, None, :] * v
             terms *= 2.0
-            np.add(form.quad[classes], terms, out=terms)
+            np.add(plan.tau, terms, out=terms)
             np.multiply(_IPI, terms, out=terms)
             np.exp(terms, out=terms)
         else:
-            # exp(2 pi i (m + a/2) z) for z = u, v and a = 0, 1: (P, 2, 2, 2N+1)
-            factors = np.exp(_TWO_PI_I * (form.offsets * z[:, :, None, None]))
-            terms = factors[:, 0, a, :, None] * factors[:, 1, c, None, :]
-            terms *= form.tau_factor[classes]
+            # exp(2 pi i (m + a/2) u) and exp(2 pi i (n + c/2) v) per class: (P, 2, G, 2N+1)
+            factors = np.exp(_TWO_PI_I * (plan.offsets * z[:, :, None, None]))
+            terms = factors[:, 0, :, :, None] * factors[:, 1, :, None, :]
+            terms *= plan.tau
         if shift is not None:
             odd = np.abs(np.fmod(shift, 2.0))  # k mod 2, NaN for an infinite k
-            sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * a + odd[:, 1, None] * c, 2.0)
+            sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * plan.a + odd[:, 1, None] * plan.c, 2.0)
             terms *= sign[:, :, None, None]
-        if len(grids) > len(classes):  # derivative grids
-            terms = terms[:, grid_class] * _jet_factors(radius, grids)
+        if plan.jets is not None:
+            terms = terms[:, plan.grid_class] * plan.jets
     return terms
 
 
@@ -448,7 +505,7 @@ def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
     amax bounds max|x| of each row: one value for all rows (one split
     constant, computed on Python floats), or a column of one per row.
     """
-    parts, bound = _split(rows, amax, rows.shape[1])
+    parts, bound = _split(rows, amax, *_split_constants(rows.shape[1]))
     high, low = parts.sum(axis=2)
     res, bad = _settle(high, low, bound)
     if not bad.any():
@@ -462,12 +519,15 @@ def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
     return res
 
 
-def _split(rows: np.ndarray, amax, terms: int):
+def _split_constants(terms: int) -> tuple[int, float]:
+    """For rows of this many terms: log2 of sigma over 2^e, and the bound on a lo sum over sigma."""
+    return (terms + 1).bit_length(), 2.0 * terms * terms * 2.0**-106
+
+
+def _split(rows: np.ndarray, amax, shift: int, lo_error: float):
     """The hi and lo parts of rows split at sigma, stacked, and the bound on a lo sum."""
-    shift = (terms + 1).bit_length()
     # sigma is a power of two, so the product in the bound is exact unless it
     # underflows, and _TINY covers that rounding
-    lo_error = 2.0 * terms * terms * 2.0**-106
     if np.ndim(amax) == 0:
         sigma = math.ldexp(1.0, math.frexp(amax)[1] + shift)
         bound = sigma * lo_error + _TINY
@@ -508,34 +568,63 @@ def complex_row_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_sums(values, grads, points, cd: CurveData, radius: int) -> np.ndarray:
+# A grid of at most this many outputs (points times characteristics and
+# jets) tests its real parts and certifies its sums on Python floats
+# (_settle_floats), else on arrays (_settle); past about 20 outputs arrays
+# are faster at any radius.  recover_pair's 4 and a fresh tau's 14 are small.
+_SCALAR_OUTPUTS = 16
+
+
+def _grid_sums(values, grads, points, cd: CurveData, radius: int) -> list[list[complex]]:
     """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
 
-    Shape (P, R), R = len(values) + 2 len(grads), each the correctly rounded
-    sum of its row of terms of this radius.  Rows left unsettled, and all
-    rows when a term is non-finite or reaches 2^900, go to exact_row_sums.
+    One row of R = len(values) + 2 len(grads) outputs per point, each the
+    correctly rounded sum of its row of terms of this radius.  Rows left
+    unsettled, and all rows when a term is non-finite or reaches 2^900, go
+    to exact_row_sums.
     """
-    layout = _layout(tuple(values), tuple(grads))
-    columns, signs = layout[3:]
-    terms = _class_terms(layout, points, cd, radius)
-    count, width = len(points), terms.shape[-1] ** 2
+    plan = _plan(cd, tuple(values), tuple(grads), radius)
+    count, parts_out = len(points), len(plan.columns)
+    small = count * parts_out <= 2 * _SCALAR_OUTPUTS
+    terms = _class_terms(plan, points, small)
+    width = terms.shape[-1] ** 2
     flat = terms.view(np.float64).reshape(-1, 2 * width)
     top = np.abs(flat).max()
     if top < _EXACT_MAX:
-        parts, bound = _split(flat, top, width)
-        sums = (parts.reshape(-1, 2 * width) @ _parity_signs(radius)).reshape(2, count, -1)
-        high, low = np.take(sums, columns, axis=2) * signs
+        parts, bound = _split(flat, top, *plan.split)
+        sums = (parts.reshape(-1, 2 * width) @ plan.parity).reshape(2, count, -1)
+        if small and (rows := _settle_floats(sums.tolist(), plan.reads, bound)) is not None:
+            return rows
+        high, low = np.take(sums, plan.columns, axis=2) * plan.signs
         res, bad = _settle(high, low, bound)
     else:
-        shape = (count, len(columns))
-        res, bad = np.empty(shape), np.ones(shape, dtype=bool)
+        res, bad = np.empty((count, parts_out)), np.ones((count, parts_out), dtype=bool)
     if bad.any():
         at, out = np.nonzero(bad)
-        column = columns[out]
+        column = plan.columns[out]
         parts = terms.view(np.float64).reshape(count, -1, width, 2)[at, column // 8, :, column % 2]
-        parts *= _parity_signs(radius)[::2, column // 2 % 4 * 2].T * signs[out, None]
+        parts *= plan.parity[::2, column // 2 % 4 * 2].T * plan.signs[out, None]
         res[at, out] = exact_row_sums(parts)
-    return res.view(np.complex128)
+    return res.view(np.complex128).tolist()
+
+
+def _settle_floats(sums: list, reads, bound: float) -> list[list[complex]] | None:
+    """_grid_sums from sums, nested lists (2, P, 8G), on Python floats, or None if
+    a part is left unsettled.  The gather by reads and the tests of _settle are
+    the same IEEE operations, and math.ulp is np.spacing on values >= 0."""
+    res = []
+    for high_row, low_row in zip(*sums):
+        for column, sign in reads:
+            high, low = high_row[column] * sign, low_row[column] * sign
+            total = high + low
+            back = total - high
+            err = (high - (total - back)) + (low - back)
+            if abs(err) + bound >= 0.5 * math.ulp(math.nextafter(abs(total), 0.0)):
+                return None
+            res.append(total)
+    parts, step = iter(res), len(reads) // 2
+    res = list(map(complex, parts, parts))
+    return [res[i : i + step] for i in range(0, len(res), step)]
 
 
 _ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
@@ -583,7 +672,7 @@ class CurveData:
         object.__setattr__(self, "_decay_constants", _decay(self.tau, self.ctrl.tol))
         # one grid at the origin: the even nulls, then d/du and d/dv of the two odd ones
         grid = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), self, self._radius(ORIGIN))
-        sums = grid[0].tolist()
+        sums = grid[0]
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
         nulls = dict.fromkeys(_ALL_BITS, 0j)
         nulls.update(zip(_EVEN_BITS, values))
@@ -638,7 +727,7 @@ class CurveData:
         radii = [self._radius(point) for point in points]
 
         def grid(n, idx):
-            return _grid_sums(values, grads, [points[i] for i in idx], self, n).tolist()
+            return _grid_sums(values, grads, [points[i] for i in idx], self, n)
 
         return _by_grid(radii, lambda n: per_point * (2 * n + 1) ** 2, grid)
 

@@ -452,7 +452,27 @@ def _explicit_sums(tau, point, radius):
 
 _COMPONENTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-0.5, 0.5))
 
+# the two ways a grid certifies its sums, forced by the size cut-over: on
+# Python floats (_settle_floats) and on arrays (_settle)
+_PATHS = {"floats": 10**9, "arrays": 0}
 
+
+def _on_path(patch, path):
+    """Force every grid onto one certification path; returns the calls of
+    _settle_floats, which only the floats path makes."""
+    calls = []
+    settle_floats = theta._settle_floats
+
+    def counted(*args):
+        calls.append(args)
+        return settle_floats(*args)
+
+    patch.setattr(theta, "_SCALAR_OUTPUTS", _PATHS[path])
+    patch.setattr(theta, "_settle_floats", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", _PATHS)
 @settings(max_examples=30, deadline=None)
 @given(
     radius=st.integers(3, 8),
@@ -461,21 +481,28 @@ _COMPONENTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-0.5, 0.5))
 )
 @example(radius=4, tau=DEFAULT_TAU, parts=[((2.5, 0.1), (-2.0, -0.2)), ((0.3, -0.4), (2.75, 0.0))])
 @example(radius=8, tau=STRETCHED_TAU, parts=[((-2.25, 0.3), (0.4, -0.1))])
-def test_the_class_kernel_sums_every_row_as_fsum_does(radius, tau, parts):
+@example(radius=4, tau=DEFAULT_TAU, parts=[((-0.0, -0.0), (0.0, -0.0)), ((0.0, 0.0), (-0.0, 0.0))])
+def test_the_class_kernel_sums_every_row_as_fsum_does(path, radius, tau, parts):
     # each value and gradient of one class-grid kernel call equals, bit for
-    # bit, math.fsum of its own characteristic's terms; STRETCHED_TAU takes
-    # the per-term exp from radius 5 on
+    # bit, math.fsum of its own characteristic's terms, on either path;
+    # STRETCHED_TAU takes the per-term exp from radius 5 on
     points = [Point2(complex(*u), complex(*v)) for u, v in parts]
-    got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, curve_data(tau), radius)
-    for point, row in zip(points, got.tolist(), strict=True):
+    cd = curve_data(tau)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _on_path(patch, path)
+        got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd, radius)
+    assert len(calls) == (path == "floats")
+    for point, row in zip(points, got, strict=True):
         assert [_bits(z) for z in row] == _explicit_sums(tau, point, radius), point
 
 
-def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatch):
+@pytest.mark.parametrize("path", _PATHS)
+def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatch, path):
     cd = curve_data(DEFAULT_TAU)
     points = KERNEL_POINTS  # radii 4 and 5
     split, fsum = theta._split, theta._fsum
     rows = []
+    calls = _on_path(monkeypatch, path)
 
     def unsettled(*args):
         return split(*args)[0], math.inf  # no error bound certifies anything
@@ -487,12 +514,46 @@ def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatc
     monkeypatch.setattr(theta, "_split", unsettled)
     monkeypatch.setattr(theta, "_fsum", counted)
     values, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
+    # three grids, the radius-5 points on grids of their own; the floats path
+    # gives up on each at its first part and the array path redoes it
+    assert len(calls) == (3 if path == "floats" else 0)
     # every real and imaginary part of every value and gradient went to math.fsum
     assert len(rows) == len(points) * 3 * 16 * 2
     for point, vals, grad in zip(points, values, grads, strict=True):
         radius = truncation_radius(DEFAULT_TAU, point, SeriesControl())
         got = [_bits(z) for z in vals] + [_bits(g[0]) for g in grad] + [_bits(g[1]) for g in grad]
         assert got == _explicit_sums(DEFAULT_TAU, point, radius), point
+
+
+# zeros of both signs, subnormals, the smallest normal, powers of two and
+# their neighbours, and a large value
+_EDGE_VALUES = [0.0, 5e-324, 2.0**-1073, 2.0**-1022 - 5e-324, 2.0**-1022, 2.0**-60, 0.5, 1.0, 1.0 + 2.0**-52]
+_EDGE_VALUES += [1.5, 2.0 - 2.0**-52, 2.0, 3.0, 2.0**52, 2.0**53 + 2.0, 2.0**900]
+_EDGE_VALUES += [-x for x in _EDGE_VALUES]
+
+
+def test_the_float_and_array_certifications_agree_on_edge_values():
+    for x in _EDGE_VALUES:
+        if x >= 0.0:
+            assert math.ulp(math.nextafter(x, 0.0)) == np.spacing(np.nextafter(x, 0.0)), x
+    lows = _EDGE_VALUES + [2.0**-53, -(2.0**-53), 2.0**-54, 2.0**-106]
+    pairs = [(high, low) for high in _EDGE_VALUES for low in lows]
+    settled = unsettled = 0
+    for bound in (theta._TINY, 2.0**-80, 2.0**-40):
+        for sign in (1.0, -1.0):
+            for high, low in pairs:
+                # one output whose real and imaginary parts are the same part
+                floats = theta._settle_floats([[[high]], [[low]]], ((0, sign), (0, sign)), bound)
+                res, bad = theta._settle(np.array([high]) * sign, np.array([low]) * sign, bound)
+                assert (floats is None) == bad[0], (high, low, bound)
+                if floats is None:
+                    unsettled += 1
+                else:
+                    settled += 1
+                    assert _bits(floats[0][0]) == _bits(complex(res[0], res[0])), (high, low, bound)
+    # 1 + 2^-53 is a tie, left unsettled; most pairs settle
+    assert theta._settle_floats([[[1.0]], [[2.0**-53]]], ((0, 1.0), (0, 1.0)), theta._TINY) is None
+    assert 0 < unsettled < settled
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5])

@@ -13,13 +13,14 @@ import g2theta.degeneration as degeneration
 import g2theta.flow as flow
 import g2theta.inversion as inversion
 import g2theta.moduli as moduli
+import g2theta.riemann as riemann
 import g2theta.theta as theta
 from conftest import draw_points
 
 from g2theta.cli import main
 from g2theta.harness import RunConfig, run_suites
 from g2theta.riemann import Quadruple, riemann_relation_residuals
-from g2theta.theta import DEFAULT_TAU, PeriodMatrix
+from g2theta.theta import ALL_CHARACTERISTICS, DEFAULT_TAU, PeriodMatrix, Point2
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -87,6 +88,74 @@ def test_each_lattice_class_is_summed_once_for_all_of_its_characteristics(monkey
     inversion.recover_pair(point, DEFAULT_TAU)
     # the four characteristics recover_pair reads lie in two lattice classes
     assert sizes[2:] == [2 * 81]
+
+
+def _radius_4_points(cd, count):
+    points = [Point2(complex(0.3 - 0.05 * k, 0.1), complex(-0.2 + 0.04 * k, -0.1)) for k in range(count)]
+    assert {cd._radius(point) for point in points} == {4}
+    return points
+
+
+def test_repeated_inversions_at_one_curve_and_radius_build_their_plan_once(monkeypatch):
+    # a period matrix no other test uses, so its plans are built here
+    tau = PeriodMatrix(0.09 + 1.21j, -0.12 + 1.14j, 0.02 + 0.22j)
+    layouts = []
+    _counting(monkeypatch, theta, "_layout", layouts)
+    cd = theta.curve_data(tau)
+    for point in _radius_4_points(cd, 5):
+        inversion.recover_pair(point, tau)
+    # the origin grid's plan (10 values and 2 gradients), then the plan of
+    # the grid recover_pair reads (4 values), each built once, at radius 4
+    assert [(len(values), len(grads), radius) for values, grads, radius in layouts] == [
+        (10, 2, 4),
+        (4, 0, 4),
+    ]
+    assert list(cd._forms) == [4]
+    assert len(cd._form(4).plans) == 2
+
+
+def test_a_plan_is_dropped_with_its_lattice_form(monkeypatch):
+    tau = PeriodMatrix(0.11 + 1.16j, -0.09 + 1.24j, 0.01 + 0.19j)
+    cd = theta.curve_data(tau)
+    chars = ALL_CHARACTERISTICS[:2]
+    by_radius = {cd._radius(p): p for p in (Point2(0.1 + 0.25j * k, -0.35j * k) for k in range(10))}
+    radii = sorted(by_radius)[: theta._FORMS_PER_CURVE + 1]
+    layouts = []
+    _counting(monkeypatch, theta, "_layout", layouts)
+    first = cd._form(radii[0])
+    for n in radii:
+        cd.values_at(chars, (by_radius[n],))
+    # one plan per radius; the form of the first radius was dropped for the
+    # last, and its plans with it
+    assert [n for _, _, n in layouts] == radii
+    assert radii[0] not in cd._forms
+    cd.values_at(chars, (by_radius[radii[0]],))
+    assert [n for _, _, n in layouts[len(radii) :]] == radii[:1]
+    assert cd._form(radii[0]) is not first
+    assert all(len(form.plans) == 1 for form in cd._forms.values())
+
+
+def test_small_grids_certify_on_python_floats_and_large_ones_on_arrays(monkeypatch):
+    theta.curve_data(DEFAULT_TAU).moduli  # the nulls are a grid of their own
+    floats, arrays = [], []
+    _counting(monkeypatch, theta, "_settle_floats", floats)
+    _counting(monkeypatch, theta, "_settle", arrays)
+
+    def grid_arrays():  # exact_row_sums settles 1-d arrays of rows
+        return [args[0].shape for args in arrays if args[0].ndim == 2]
+
+    # a fresh tau's origin grid: 10 values and 2 gradients, 14 outputs
+    tau = PeriodMatrix(0.06 + 1.18j, -0.13 + 1.27j, 0.04 + 0.27j)
+    theta.CurveData(tau, theta.SeriesControl())
+    assert (len(floats), grid_arrays()) == (1, [])
+    # recover_pair's grid: 1 point, 4 outputs
+    cd = theta.curve_data(DEFAULT_TAU)
+    inversion.recover_pair(_radius_4_points(cd, 1)[0], DEFAULT_TAU)
+    assert (len(floats), grid_arrays()) == (2, [])
+    # a riemann grid: 12 points of the 8 characteristics of the products, 96
+    # outputs, in one grid of 7,776 terms
+    cd.values_at(riemann._PRODUCT_CHARS, _radius_4_points(cd, 12))
+    assert (len(floats), grid_arrays()) == (2, [(12, 16)])
 
 
 def _grid_sizes(monkeypatch, sizes):
