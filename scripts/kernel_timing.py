@@ -36,7 +36,7 @@ def _cases():
     cd = theta.curve_data(DEFAULT_TAU)
     cd.moduli  # recover_pair reads the moduli from the cache
     assert {cd._radius(point) for point in POINTS} == {4}
-    pair_chars = tuple(theta.HalfCharacteristic(*bits) for bits in inversion._PAIR_BITS)
+    pair_chars = inversion._PAIR_CHARS
     point, ctrl = POINTS[0], SeriesControl()
     return {
         "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), cd, 4)),

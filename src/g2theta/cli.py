@@ -128,14 +128,15 @@ def _cmd_moduli(args) -> int:
     for name in ("k0", "k1", "k2", "kp0", "kp1", "kp2", "k01", "k02", "k12"):
         print(f"  {name:<7} = {_fmt(getattr(ms, name))}")
     print("consistency residuals:")
-    for label, value in moduli_consistency_residuals(tau):
+    residuals = moduli_consistency_residuals(tau)
+    for label, value in residuals:
         print(f"  {label:<24} {value:.3e}")
     if branch_points_collapse(ms):
         print(
             f"note: moduli collapse, k0^2 = k1^2 = k2^2 within {COLLAPSE_TOL:g} "
             "(split period matrix)"
         )
-    return 0
+    return _residual_gate(residuals)
 
 
 def _cmd_invert(args) -> int:
@@ -151,6 +152,12 @@ def _cmd_invert(args) -> int:
     print("parameterization residuals:")
     for label, value in residuals:
         print(f"  {label:<10} {value:.3e}")
+    return _residual_gate(residuals)
+
+
+def _residual_gate(residuals) -> int:
+    """2, with one error line naming the worst, if a (label, residual) row
+    exceeds tol_identity, else 0."""
     tol = RunConfig().tol_identity
     over = [row for row in residuals if not row[1] <= tol]
     if over:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,15 +36,15 @@ from .errors import (
     ConfigInvalid,
     DegenerateTau,
     SingularDenominator,
-    TruncationOverflow,
 )
 from .inversion import PointPair, _pair_from_thetas
 from .quadrature import tanh_sinh_01
 from .theta import (
-    _ALL_BITS,
     _NULL_CACHE_TAUS,
     ALL_CHARACTERISTICS,
     _by_grid,
+    _decay,
+    _radius,
     PeriodMatrix,
     Point2,
     SeriesControl,
@@ -65,14 +66,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Genus1Characteristic:
-    a: int
-    b: int
+class Genus1Characteristic(namedtuple("Genus1Characteristic", "a b")):
+    """Two bits [a; b]; equals and hashes as its bit tuple (a, b)."""
 
-    def __post_init__(self):
-        if self.a not in (0, 1) or self.b not in (0, 1):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if a not in (0, 1) or b not in (0, 1):
             raise ValueError("characteristic entries must be bits")
+        return super().__new__(cls, a, b)
 
     @property
     def is_odd(self) -> bool:
@@ -96,16 +98,9 @@ class EllipticModulus:
 
 
 def _radius1(z: complex, tau: complex, ctrl: SeriesControl) -> int:
-    lam = tau.imag
-    reach = abs(z.imag) / lam + math.sqrt(math.log(1.0 / ctrl.tol) / (math.pi * lam))
-    if not math.isfinite(reach):
-        raise TruncationOverflow(f"genus-1 series radius is not finite ({reach}) at z = {z}")
-    n = int(reach) + 1
-    if n > ctrl.max_radius:
-        raise TruncationOverflow(
-            f"genus-1 series needs radius {n} > max_radius {ctrl.max_radius}"
-        )
-    return n
+    """The truncation radius of the genus-1 series: the genus-2 rule at (z, 0)
+    with the decay rate Im tau."""
+    return _radius(Point2(z, 0j), *_decay(tau.imag, ctrl.tol), ctrl.max_radius)
 
 
 def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
@@ -147,14 +142,13 @@ def theta1(
     return _theta1_values([(c, z, tau)], ctrl)[0]
 
 
-_GENUS1_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_GENUS1_CHARS = tuple(Genus1Characteristic(*ab) for ab in _GENUS1_BITS)
+_GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1))
 _ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
 
 
 def _theta1_table(z: complex, tau: complex, ctrl: SeriesControl) -> dict:
     """All four theta1[a; b](z), keyed by (a, b), from one grid."""
-    return dict(zip(_GENUS1_BITS, _theta1_values([(c, z, tau) for c in _GENUS1_CHARS], ctrl)))
+    return dict(zip(_GENUS1_CHARS, _theta1_values([(c, z, tau) for c in _GENUS1_CHARS], ctrl)))
 
 
 @lru_cache(maxsize=_NULL_CACHE_TAUS)
@@ -225,7 +219,7 @@ def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[
 
 
 def _elliptic_rows(nulls, mod: EllipticModulus, z, values, h: float) -> list[float]:
-    t = dict(zip(_GENUS1_BITS, values[:4]))
+    t = dict(zip(_GENUS1_CHARS, values[:4]))
     sn, cn, dn = _jacobi(nulls, t, z)
     stencil = (values[4:6], values[6:8], (t[0, 1], t[1, 1]))
     return _identity_rows(nulls, t) + [
@@ -279,7 +273,7 @@ def degeneration_residuals(
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
     g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
-    tables = [dict(zip(_GENUS1_BITS, g1[i : i + 4])) for i in range(0, len(g1), 4)]
+    tables = [dict(zip(_GENUS1_CHARS, g1[i : i + 4])) for i in range(0, len(g1), 4)]
     ms = cd.moduli
     return [
         _degeneration_rows(cd, ms, point, row, tables[2 * i], tables[2 * i + 1], tau1, ctrl)
@@ -288,7 +282,7 @@ def degeneration_residuals(
 
 
 def _degeneration_rows(cd, ms, point: Point2, g2, g1u, g1v, tau1: complex, ctrl: SeriesControl):
-    pair = _pair_from_thetas(cd, ms, dict(zip(_ALL_BITS, g2)), point)
+    pair = _pair_from_thetas(cd, ms, dict(zip(ALL_CHARACTERISTICS, g2)), point)
     x1, x2 = pair.x1, pair.x2
 
     nulls = _nulls1(tau1, ctrl)

@@ -244,12 +244,6 @@ def stencil_residuals(cd: CurveData, points, h: float) -> list[tuple[list[float]
     return out
 
 
-def _tables(chars, rows) -> list[dict]:
-    """Key each point's row of per-characteristic results by c.bits."""
-    bits = [c.bits for c in chars]
-    return [dict(zip(bits, row)) for row in rows]
-
-
 # characteristics the addition theorems read at p + q and p - q, and at p and q
 _SHIFTED_CHARS = _chars((1, 0, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1))
 _ADDITION_CHARS = _chars(
@@ -265,8 +259,8 @@ def addition_formula_residuals(cd: CurveData, pairs) -> list[list[float]]:
         x for p, q in pairs for x in (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
     ]
     points = [x for pq in pairs for x in pq]
-    at_shifted = _tables(_SHIFTED_CHARS, cd.values_at(_SHIFTED_CHARS, shifted))
-    at_points = _tables(_ADDITION_CHARS, cd.values_at(_ADDITION_CHARS, points))
+    at_shifted = [dict(zip(_SHIFTED_CHARS, row)) for row in cd.values_at(_SHIFTED_CHARS, shifted)]
+    at_points = [dict(zip(_ADDITION_CHARS, row)) for row in cd.values_at(_ADDITION_CHARS, points)]
     return [
         _addition_rows(cd.nulls, *at_shifted[i : i + 2], *at_points[i : i + 2])
         for i in range(0, len(at_points), 2)
@@ -335,8 +329,8 @@ def derivative_formula_residuals(cd: CurveData, points) -> list[list[float]]:
     """
     values, grads = cd.grads_at(_DERIVATIVE_CHARS, points)
     return [
-        _derivative_rows(cd, th, g)
-        for th, g in zip(_tables(_DERIVATIVE_CHARS, values), _tables(_DERIVATIVE_CHARS, grads))
+        _derivative_rows(cd, dict(zip(_DERIVATIVE_CHARS, th)), dict(zip(_DERIVATIVE_CHARS, g)))
+        for th, g in zip(values, grads)
     ]
 
 

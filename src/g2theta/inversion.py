@@ -34,7 +34,6 @@ from .errors import (
 )
 from .moduli import ModuliSet
 from .theta import (
-    _ALL_BITS,
     ALL_CHARACTERISTICS,
     CurveData,
     HalfCharacteristic,
@@ -57,11 +56,12 @@ __all__ = [
     "PARAMETERIZATION_LABELS",
 ]
 
-_TH_REF = (0, 0, 1, 1)  # reference denominator theta
+_TH_REF = HalfCharacteristic(0, 0, 1, 1)  # reference denominator theta
 # what recover_pair reads at its point: the reference, the two numerators of
 # the symmetric functions, and the bracket that fixes the sign class
-_PAIR_BITS = (_TH_REF, (1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 1))
-_PAIR_CHARS = tuple(HalfCharacteristic(*bits) for bits in _PAIR_BITS)
+_PAIR_CHARS = (
+    _TH_REF, HalfCharacteristic(1, 0, 1, 1), HalfCharacteristic(1, 0, 0, 1), HalfCharacteristic(0, 0, 0, 1)
+)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def symmetric_functions(
 ) -> SymmetricFunctions:
     cd = curve_data(tau, ctrl)
     ms = cd.moduli
-    th = cd.table(_PAIR_CHARS[:3], point)
+    [th] = _pair_tables(cd, (point,))
     return _symmetric_from_thetas(ms, th, _reference_denominator(th, point, cd))
 
 
@@ -193,8 +193,8 @@ def recover_pair(
 
 
 def _pair_tables(cd: CurveData, points) -> list[dict]:
-    """What recover_pair reads at each point, keyed by bits, from one values_at call."""
-    return [dict(zip(_PAIR_BITS, values)) for values in cd.values_at(_PAIR_CHARS, points)]
+    """What recover_pair reads at each point, keyed by characteristic, from one values_at call."""
+    return [dict(zip(_PAIR_CHARS, values)) for values in cd.values_at(_PAIR_CHARS, points)]
 
 
 def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPair:
@@ -301,7 +301,7 @@ def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float],
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     results, table = [], None
     for point, row in zip(points, values):
-        th = dict(zip(_ALL_BITS, row))
+        th = dict(zip(ALL_CHARACTERISTICS, row))
         den = _reference_denominator(th, point, cd)
         pair = _pair_at(ms, th, den)
         if table is None:  # after the first pair, so a point error raises first

@@ -72,7 +72,7 @@ class ModuliSet:
 
 def _null_sq(cd: CurveData) -> dict[tuple, complex]:
     nulls = cd.nulls
-    return {c.bits: nulls[c.bits] ** 2 for c in EVEN_CHARACTERISTICS}
+    return {c: nulls[c] ** 2 for c in EVEN_CHARACTERISTICS}
 
 
 def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> ModuliSet:

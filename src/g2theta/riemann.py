@@ -189,7 +189,7 @@ def fundamental_identity_residuals(cd: CurveData, points) -> list[list[float]]:
     null_sq = {bits: value**2 for bits, value in cd.nulls.items()}
     out = []
     for values in cd.values_at(_FUNDAMENTAL_CHARS, points):
-        th_sq = {c.bits: value**2 for c, value in zip(_FUNDAMENTAL_CHARS, values)}
+        th_sq = {c: value**2 for c, value in zip(_FUNDAMENTAL_CHARS, values)}
         rows = []
         for (n0, t0), rhs_terms in _FUNDAMENTAL_TERMS:
             lhs = null_sq[n0] * th_sq[t0]

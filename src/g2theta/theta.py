@@ -36,10 +36,10 @@ real and imaginary parts, certify its own row; the row of an output left
 unsettled is built and summed by exact_row_sums.  So every output is
 bit-reproducible and does not depend on what was evaluated with it.
 What a request (the characteristics of its values and gradients) reads
-at one radius is built once, a _Plan kept on the period matrix's lattice
-form.  A grid of at most _SCALAR_OUTPUTS outputs certifies its sums on
-Python floats, a larger one on arrays: the same IEEE operations, so the
-same bits.
+at one radius is built once for every period matrix, a _Plan that picks
+its classes' tables from the period matrix's lattice form.  A grid of at
+most _SCALAR_OUTPUTS outputs certifies its sums on Python floats, a larger
+one on arrays: the same IEEE operations, so the same bits.
 
 A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
@@ -47,20 +47,21 @@ theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).
 
 Theta values come two ways.  Batched: CurveData, built once per period
 matrix and kept by curve_data for the last _NULL_CACHE_TAUS of them, holds
-the nulls and evaluates values (values_at, table) and gradients (grads_at)
+the nulls and evaluates values (values_at) and gradients (grads_at)
 of any characteristics at any number of points, on grids of one truncation
 radius N and at most _GRID_TERMS terms, (2N+1)^2 per output, so memory
 stays bounded however many points a batch holds.  Scalar: theta2 and
 theta2_grad read one value of curve_data.
 
-Also here: parity of a characteristic, and the relative residual _rel that
-the identity checks of every layer report.
+Also here: parity of a characteristic, a validated bit tuple, and the
+relative residual _rel that the identity checks of every layer report.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -94,19 +95,20 @@ _IPI = 1j * math.pi
 _TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class HalfCharacteristic:
-    """Four bits laid out [a c; b d]; (a, c) index the lattice, (b, d) the argument."""
+class HalfCharacteristic(namedtuple("HalfCharacteristic", "a c b d")):
+    """Four bits laid out [a c; b d]; (a, c) index the lattice, (b, d) the argument.
 
-    a: int
-    c: int
-    b: int
-    d: int
+    A characteristic equals and hashes as its bit tuple (a, c, b, d), so a
+    table keyed by characteristics can be read by bits and the other way round.
+    """
 
-    def __post_init__(self):
-        for name in ("a", "c", "b", "d"):
-            if getattr(self, name) not in (0, 1):
+    __slots__ = ()
+
+    def __new__(cls, a: int, c: int, b: int, d: int):
+        for name, bit in zip(cls._fields, (a, c, b, d)):
+            if bit not in (0, 1):
                 raise ValueError(f"characteristic bit {name} must be 0 or 1")
+        return super().__new__(cls, a, c, b, d)
 
     @property
     def is_odd(self) -> bool:
@@ -114,7 +116,7 @@ class HalfCharacteristic:
 
     @property
     def bits(self) -> tuple[int, int, int, int]:
-        return (self.a, self.c, self.b, self.d)
+        return tuple(self)
 
     def label(self) -> str:
         return f"{self.a}{self.c}{self.b}{self.d}"
@@ -201,17 +203,17 @@ def truncation_radius(tau: PeriodMatrix, point: Point2, ctrl: SeriesControl) -> 
     eigenvalue of Im tau; r0 = (|Im u| + |Im v|)/lmin accounts for the
     argument pulling the Gaussian peak off the origin.
     """
-    return _radius(point, *_decay(tau, ctrl.tol), ctrl.max_radius)
+    return _radius(point, *_decay(tau.lambda_min, ctrl.tol), ctrl.max_radius)
 
 
-def _decay(tau: PeriodMatrix, tol: float) -> tuple[float, float]:
-    """lmin, and how far past r0 the summand stays above tol."""
-    lmin = tau.lambda_min
+def _decay(lmin: float, tol: float) -> tuple[float, float]:
+    """lmin, and how far past r0 a summand decaying at rate lmin stays above tol."""
     return lmin, math.sqrt(math.log(1.0 / tol) / (math.pi * lmin))
 
 
 def _radius(point: Point2, lmin: float, reach: float, max_radius: int) -> int:
-    """truncation_radius from the _decay of the period matrix."""
+    """truncation_radius from the _decay of the period matrix (or, with v = 0
+    and lmin = Im tau, of a genus-1 series)."""
     reach = (abs(point.u.imag) + abs(point.v.imag)) / lmin + reach
     if not math.isfinite(reach):
         raise TruncationOverflow(f"required radius is not finite ({reach}) at {point}")
@@ -248,13 +250,11 @@ class _LatticeForm:
     quad[2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2 tau12
     p q, p = offsets[a] down and q = offsets[c] across (_box); a form keeps
     tau_factor = exp(i pi quad) where _in_factor_range, else quad itself, and
-    None for the other.  plans holds the _Plan of each request evaluated at
-    this radius.
+    None for the other.
     """
 
     quad: np.ndarray | None
     tau_factor: np.ndarray | None
-    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @lru_cache(maxsize=16)
@@ -296,15 +296,14 @@ def _parity_signs(radius: int) -> np.ndarray:
 
 class _Plan(NamedTuple):
     """What the grids of one request (theta[c] for c in values, then d/du and
-    d/dv theta[c] for c in grads) read at one radius, built once.
+    d/dv theta[c] for c in grads) read at one radius, for every period matrix.
 
     The classes 2a + c read, ascending, have bits a and c, offsets[a] and
-    offsets[c] stacked, and tau, the form's tau factors (quad if not
-    factored) at select.  Grid g, (jet, class) ascending, jet 1 and 2 the
-    d/du and d/dv, is class grid_class[g] times jets[g] (None without grads).
-    Part r of output k is signs[2k + r] sums[columns[2k + r]], sums[8g +
-    2(2b + d) + r] being part r of grid g signed for (b, d) (parity); reads
-    pairs them.
+    offsets[c] stacked, and their tables at select of a lattice form.  Grid
+    g, (jet, class) ascending, jet 1 and 2 the d/du and d/dv, is class
+    grid_class[g] times jets[g] (None without grads).  Part r of output k is
+    signs[2k + r] sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part
+    r of grid g signed for (b, d) (parity); reads pairs them.
     """
 
     select: slice | np.ndarray
@@ -318,13 +317,11 @@ class _Plan(NamedTuple):
     columns: np.ndarray
     signs: np.ndarray
     reads: tuple[tuple[int, float], ...]
-    factored: bool = True
-    tau: np.ndarray | None = None
 
 
 @lru_cache(maxsize=64)
 def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...], radius: int):
-    """The _Plan of a request at a radius but for factored and tau.  Shared, so read-only."""
+    """The _Plan of a request at a radius.  Shared, so read-only."""
     wanted = [(c, 0) for c in values] + [(c, jet) for jet in (1, 2) for c in grads]
     grids = sorted({(jet, 2 * c.a + c.c) for c, jet in wanted})
     classes = sorted({cls for _, cls in grids})
@@ -345,7 +342,7 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
         cols = np.where(jet == 2, two_pi_i[cls & 1, None, :], 1.0 + 0.0j)
         jets = np.where(jet == 1, two_pi_i[cls >> 1, :, None], cols)
     reads = tuple(zip(columns, signs))
-    # a slice, so the plan's tau is a view, unless the classes are {0, 1, 3} or {0, 2, 3}
+    # a slice, so the classes' tables are a view, unless the classes are {0, 1, 3} or {0, 2, 3}
     step = classes[-1] - classes[-2] if len(classes) > 1 else 1
     span = range(classes[0], classes[-1] + 1, step)
     select = slice(span.start, span.stop, step) if classes == list(span) else np.array(classes)
@@ -360,63 +357,43 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
     return _Plan(select, a, c, stacked, grid_class, jets, _parity_signs(radius), split, columns, signs, reads)
 
 
-_PLANS_PER_FORM = 16  # oldest dropped first; the library makes about eight requests
-
-
-def _plan(cd: CurveData, values, grads, radius: int) -> _Plan:
-    """The _Plan of a request at a radius, kept on the CurveData's lattice form."""
-    form = cd._form(radius)
-    plan = form.plans.get((values, grads))
-    if plan is None:
-        if len(form.plans) >= _PLANS_PER_FORM:
-            form.plans.pop(next(iter(form.plans)))
-        plan = _layout(values, grads, radius)
-        factored = form.tau_factor is not None
-        tau = (form.tau_factor if factored else form.quad)[plan.select]
-        plan = form.plans[values, grads] = plan._replace(factored=factored, tau=tau)
-    return plan
-
-
 # A component u (or v) whose real part reaches this in size is evaluated at
 # u - k (v - l), k (l) its rounded real part: the phases 2 pi p u lose
 # accuracy in proportion to |Re u|.  No harness point has |Re| beyond 1.
 _REDUCE_RE = 2.0
 
 
-def _class_terms(plan: _Plan, points, small: bool) -> np.ndarray:
-    """The class-jet grids of a _Plan at every point, shape (P, G, 2N+1, 2N+1).
+def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
+    """The class-jet grids of a _Plan on a lattice form at every point, shape
+    (P, G, 2N+1, 2N+1).
 
     N is the plan's radius, the points' truncation radius; m ascends along
-    axis 2 and n along axis 3.  A small grid tests for real parts to reduce
-    on the points' Python floats, a large one on an array.  exp overflow and
-    a non-finite argument are not reported here; either shows up as a
-    non-finite term when it is summed.
+    axis 2 and n along axis 3.  exp overflow and a non-finite argument are
+    not reported here; either shows up as a non-finite term when it is summed.
     """
     z = np.array([(point.u, point.v) for point in points], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = None
-        if small:  # a few points' Python floats cost less than three array calls
-            far = any(abs(p.u.real) >= _REDUCE_RE or abs(p.v.real) >= _REDUCE_RE for p in points)
-        else:
-            far = (np.abs(z.real) >= _REDUCE_RE).any()
-        if far:
+        # tested on Python floats, which for a grid's few points (about 25
+        # for a request of four characteristics) costs less than array calls
+        if any(abs(p.u.real) >= _REDUCE_RE or abs(p.v.real) >= _REDUCE_RE for p in points):
             # the terms at (u - k, v - l) times (-1)^(a k + c l); x - rint(x)
             # is exact, and so is the sign
             shift = np.where(np.abs(z.real) >= _REDUCE_RE, np.rint(z.real), 0.0)
             z -= shift
-        if not plan.factored:
+        if form.tau_factor is None:
             # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
             terms = plan.offsets[0, :, :, None] * u + plan.offsets[1, :, None, :] * v
             terms *= 2.0
-            np.add(plan.tau, terms, out=terms)
+            np.add(form.quad[plan.select], terms, out=terms)
             np.multiply(_IPI, terms, out=terms)
             np.exp(terms, out=terms)
         else:
             # exp(2 pi i (m + a/2) u) and exp(2 pi i (n + c/2) v) per class: (P, 2, G, 2N+1)
             factors = np.exp(_TWO_PI_I * (plan.offsets * z[:, :, None, None]))
             terms = factors[:, 0, :, :, None] * factors[:, 1, :, None, :]
-            terms *= plan.tau
+            terms *= form.tau_factor[plan.select]
         if shift is not None:
             odd = np.abs(np.fmod(shift, 2.0))  # k mod 2, NaN for an infinite k
             sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * plan.a + odd[:, 1, None] * plan.c, 2.0)
@@ -482,39 +459,20 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     sum is exact in any order; the sum of the lo parts is off by at most
     2 T^2 2^-106 sigma.  TwoSum folds the two into res + err, and res is the
     correctly rounded sum when |err| plus that bound is below half the gap
-    from res to its nearer neighbour.  A row that is not settled this way
-    has the same exact sum as the row of its hi sum and lo parts.  When its
-    terms cancelled, or are all far below the largest term of the rows, the
-    largest of those is far below sigma, so one more pass on that row, split
-    at its own largest part, works on a much finer grid.  Rows still
-    unsettled are summed with math.fsum, and so is every row when some term
-    reaches 2^900.  A non-finite term, or a sum past double range, raises
-    TruncationOverflow.
+    from res to its nearer neighbour.  A row that is not settled this way,
+    as when its terms cancel far below the largest term of the rows, is
+    summed with math.fsum, and so is every row when some term reaches 2^900.
+    A non-finite term, or a sum past double range, raises TruncationOverflow.
     """
     top = np.abs(rows).max(initial=0.0)
     if not top < _EXACT_MAX:
         if not np.isfinite(top):
             raise TruncationOverflow("lattice sum left double range: non-finite term")
         return np.array([_fsum(row) for row in rows.tolist()])
-    return _split_sums(rows, top, refine=True)
-
-
-def _split_sums(rows: np.ndarray, amax, refine: bool) -> np.ndarray:
-    """exact_row_sums of finite rows below 2^900.
-
-    amax bounds max|x| of each row: one value for all rows (one split
-    constant, computed on Python floats), or a column of one per row.
-    """
-    parts, bound = _split(rows, amax, *_split_constants(rows.shape[1]))
+    parts, bound = _split(rows, top, *_split_constants(rows.shape[1]))
     high, low = parts.sum(axis=2)
     res, bad = _settle(high, low, bound)
-    if not bad.any():
-        return res
-    bad = np.nonzero(bad)
-    if refine:
-        exact = np.column_stack((high[bad], parts[1][bad]))
-        res[bad] = _split_sums(exact, np.abs(exact).max(axis=1, keepdims=True), refine=False)
-    else:
+    if bad.any():
         res[bad] = [_fsum(row) for row in rows[bad].tolist()]
     return res
 
@@ -524,16 +482,13 @@ def _split_constants(terms: int) -> tuple[int, float]:
     return (terms + 1).bit_length(), 2.0 * terms * terms * 2.0**-106
 
 
-def _split(rows: np.ndarray, amax, shift: int, lo_error: float):
-    """The hi and lo parts of rows split at sigma, stacked, and the bound on a lo sum."""
+def _split(rows: np.ndarray, top: float, shift: int, lo_error: float):
+    """The hi and lo parts of rows, max|x| <= top, split at sigma, stacked,
+    and the bound on a lo sum."""
     # sigma is a power of two, so the product in the bound is exact unless it
     # underflows, and _TINY covers that rounding
-    if np.ndim(amax) == 0:
-        sigma = math.ldexp(1.0, math.frexp(amax)[1] + shift)
-        bound = sigma * lo_error + _TINY
-    else:
-        sigma = np.ldexp(1.0, np.frexp(amax)[1] + shift)
-        bound = sigma[:, 0] * lo_error + _TINY
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+    bound = sigma * lo_error + _TINY
     parts = np.empty((2, *rows.shape))
     np.add(rows, sigma, out=parts[0])
     parts[0] -= sigma
@@ -569,9 +524,9 @@ def complex_row_sums(rows: np.ndarray) -> np.ndarray:
 
 
 # A grid of at most this many outputs (points times characteristics and
-# jets) tests its real parts and certifies its sums on Python floats
-# (_settle_floats), else on arrays (_settle); past about 20 outputs arrays
-# are faster at any radius.  recover_pair's 4 and a fresh tau's 14 are small.
+# jets) certifies its sums on Python floats (_settle_floats), else on
+# arrays (_settle); past about 20 outputs arrays are faster at any radius.
+# recover_pair's 4 and a fresh tau's 14 are small.
 _SCALAR_OUTPUTS = 16
 
 
@@ -583,18 +538,18 @@ def _grid_sums(values, grads, points, cd: CurveData, radius: int) -> list[list[c
     unsettled, and all rows when a term is non-finite or reaches 2^900, go
     to exact_row_sums.
     """
-    plan = _plan(cd, tuple(values), tuple(grads), radius)
+    plan = _layout(tuple(values), tuple(grads), radius)
     count, parts_out = len(points), len(plan.columns)
-    small = count * parts_out <= 2 * _SCALAR_OUTPUTS
-    terms = _class_terms(plan, points, small)
+    terms = _class_terms(plan, cd._form(radius), points)
     width = terms.shape[-1] ** 2
     flat = terms.view(np.float64).reshape(-1, 2 * width)
     top = np.abs(flat).max()
     if top < _EXACT_MAX:
         parts, bound = _split(flat, top, *plan.split)
         sums = (parts.reshape(-1, 2 * width) @ plan.parity).reshape(2, count, -1)
-        if small and (rows := _settle_floats(sums.tolist(), plan.reads, bound)) is not None:
-            return rows
+        if count * parts_out <= 2 * _SCALAR_OUTPUTS:
+            if (rows := _settle_floats(sums.tolist(), plan.reads, bound)) is not None:
+                return rows
         high, low = np.take(sums, plan.columns, axis=2) * plan.signs
         res, bad = _settle(high, low, bound)
     else:
@@ -627,13 +582,10 @@ def _settle_floats(sums: list, reads, bound: float) -> list[list[complex]] | Non
     return [res[i : i + step] for i in range(0, len(res), step)]
 
 
-_ALL_BITS = tuple(c.bits for c in ALL_CHARACTERISTICS)
 # The null gradients CurveData keeps: those of the odd theta[10;10] and
 # theta[11;10], whose u and v derivatives at the origin give the flow
 # constants; the even gradients vanish there.
-_NULL_GRAD_BITS = ((1, 0, 1, 0), (1, 1, 1, 0))
-_NULL_GRAD_CHARS = tuple(HalfCharacteristic(*bits) for bits in _NULL_GRAD_BITS)
-_EVEN_BITS = tuple(c.bits for c in EVEN_CHARACTERISTICS)
+_NULL_GRAD_CHARS = (HalfCharacteristic(1, 0, 1, 0), HalfCharacteristic(1, 1, 1, 0))
 
 # Per-tau data is kept for this many period matrices, least recently used
 # dropped first, so a process sweeping many of them keeps a fixed footprint;
@@ -649,10 +601,10 @@ class CurveData:
     """What the theta functions of one period matrix share at every point.
 
     Built on construction, from one grid at the origin: nulls, all sixteen
-    theta[c](0, 0) keyed by c.bits, where the six odd ones are exactly 0 and
+    theta[c](0, 0) keyed by c, where the six odd ones are exactly 0 and
     are not summed (on the box they leave only its unpaired edge, a sum far
     below the terms that only math.fsum can round); null_grads, (d/du, d/dv) theta[c](0, 0) for the
-    two odd c = [10;10] and [11;10], keyed by c.bits, from the same lattice
+    two odd c = [10;10] and [11;10], keyed by c, from the same lattice
     terms; and null_scale, the largest |theta[c](0, 0)| over the even c.
     Built on first use and then kept: moduli (the ModuliSet) and
     flow_constants (the FlowConstants); a build that raises keeps nothing,
@@ -669,15 +621,15 @@ class CurveData:
     _decay_constants: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_decay_constants", _decay(self.tau, self.ctrl.tol))
+        object.__setattr__(self, "_decay_constants", _decay(self.tau.lambda_min, self.ctrl.tol))
         # one grid at the origin: the even nulls, then d/du and d/dv of the two odd ones
         grid = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), self, self._radius(ORIGIN))
         sums = grid[0]
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
-        nulls = dict.fromkeys(_ALL_BITS, 0j)
-        nulls.update(zip(_EVEN_BITS, values))
+        nulls = dict.fromkeys(ALL_CHARACTERISTICS, 0j)
+        nulls.update(zip(EVEN_CHARACTERISTICS, values))
         object.__setattr__(self, "nulls", MappingProxyType(nulls))
-        grads = dict(zip(_NULL_GRAD_BITS, zip(du, dv)))
+        grads = dict(zip(_NULL_GRAD_CHARS, zip(du, dv)))
         object.__setattr__(self, "null_grads", MappingProxyType(grads))
         object.__setattr__(self, "null_scale", max(abs(value) for value in values))
 
@@ -714,10 +666,6 @@ class CurveData:
         k = len(chars)
         rows = self._on_grids(chars, chars, points)
         return [row[:k] for row in rows], [list(zip(row[k : 2 * k], row[2 * k :])) for row in rows]
-
-    def table(self, chars, point: Point2) -> dict[tuple[int, int, int, int], complex]:
-        """theta[c](point) keyed by c.bits, from one grid."""
-        return {c.bits: v for c, v in zip(chars, self.values_at(chars, (point,))[0])}
 
     def _on_grids(self, values, grads, points) -> list[list[complex]]:
         """The rows of _grid_sums(values, grads) at every point, on bounded grids."""

@@ -38,6 +38,7 @@ from g2theta.harness import (
     run_suites,
 )
 from g2theta.inversion import recover_pair
+from g2theta.moduli import CONSISTENCY_LABELS
 from g2theta.rng import SampleStream, fnv1a64, mix64
 from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, curve_data
 
@@ -592,6 +593,16 @@ def test_cli_unwritable_report_is_refused_before_the_suites_run(tmp_path, monkey
     assert "cannot write report file" in capsys.readouterr().err
 
 
+def test_cli_moduli_exits_2_when_a_consistency_residual_fails(capsys):
+    # Re tau1 = 1e20 loses the phases of the nulls: residuals up to 6.2e-4
+    assert main(["moduli", "--tau1=1e20,1", "--tau2=0,1", "--tau12=0,0.2"]) == 2
+    out, err = capsys.readouterr()
+    assert all(label in out for label in CONSISTENCY_LABELS)
+    assert err == "error: k0sq-complement = 6.183e-04 exceeds 1e-08\n"
+    assert main(["moduli"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_moduli_output(capsys):
     assert main(["moduli"]) == 0
     text = capsys.readouterr().out
@@ -663,13 +674,17 @@ def test_cli_version_flag():
     "script",
     [
         # a header, then one row per step size or per tau12
-        ("fd_convergence.py", ["--points", "1"], 1 + 16),
-        ("split_limit_scan.py", [], 1 + 7),
+        ("fd_convergence.py", ["--points", "1"], 1 + 16, {}),
+        ("split_limit_scan.py", [], 1 + 7, {}),
+        # one row per case, each case run at least once
+        ("kernel_timing.py", [], 5, {"ROUNDS": 1, "CALLS": 4}),
     ],
 )
 def test_scripts_run_to_completion(script, monkeypatch, capsys):
-    name, argv, lines = script
+    name, argv, lines, settings = script
     module = _load_script(name)
+    for attr, value in settings.items():
+        monkeypatch.setattr(module, attr, value)
     monkeypatch.setattr(sys, "argv", [name, *argv])
     assert module.main() == 0
     out = capsys.readouterr().out

@@ -836,3 +836,19 @@ def test_characteristic_bits_validated():
     with pytest.raises(ValueError):
         HalfCharacteristic(0, 0, -1, 0)
     assert HalfCharacteristic(1, 0, 0, 1).label() == "1001"
+
+
+def test_a_characteristic_equals_and_hashes_as_its_bit_tuple():
+    # so a table keyed by characteristics reads by bits, and the other way round
+    for c in ALL_CHARACTERISTICS:
+        bits = (c.a, c.c, c.b, c.d)
+        assert c == bits and hash(c) == hash(bits) and type(c.bits) is tuple and c.bits == bits
+        assert {bits: c}[c] is c and {c: bits}[bits] is bits
+    g = Genus1Characteristic(1, 0)
+    assert g == (1, 0) and hash(g) == hash((1, 0)) and {(1, 0): g}[g] is g
+    for bad in ((0, 0, 0, 2), (0, 0.5, 0, 0), (None, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            HalfCharacteristic(*bad)
+    for bad in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            Genus1Characteristic(*bad)

@@ -8,6 +8,7 @@ depending on timing.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 import g2theta.degeneration as degeneration
 import g2theta.flow as flow
@@ -96,43 +97,57 @@ def _radius_4_points(cd, count):
     return points
 
 
+def _counting_plan_builds(monkeypatch, builds):
+    """Record every _layout build, on a cache of its own so no earlier call hits it."""
+    build = theta._layout.__wrapped__
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(theta, "_layout", lru_cache(theta._layout.cache_info().maxsize)(counted))
+
+
 def test_repeated_inversions_at_one_curve_and_radius_build_their_plan_once(monkeypatch):
-    # a period matrix no other test uses, so its plans are built here
-    tau = PeriodMatrix(0.09 + 1.21j, -0.12 + 1.14j, 0.02 + 0.22j)
-    layouts = []
-    _counting(monkeypatch, theta, "_layout", layouts)
-    cd = theta.curve_data(tau)
-    for point in _radius_4_points(cd, 5):
-        inversion.recover_pair(point, tau)
+    # two period matrices no other test uses, so their grids are made here
+    taus = [
+        PeriodMatrix(0.09 + 1.21j, -0.12 + 1.14j, 0.02 + 0.22j),
+        PeriodMatrix(0.12 + 1.18j, -0.08 + 1.19j, 0.03 + 0.24j),
+    ]
+    builds = []
+    _counting_plan_builds(monkeypatch, builds)
+    for tau in taus:
+        cd = theta.curve_data(tau)
+        for point in _radius_4_points(cd, 5):
+            inversion.recover_pair(point, tau)
     # the origin grid's plan (10 values and 2 gradients), then the plan of
-    # the grid recover_pair reads (4 values), each built once, at radius 4
-    assert [(len(values), len(grads), radius) for values, grads, radius in layouts] == [
+    # the grid recover_pair reads (4 values), each built once, at radius 4,
+    # and shared by the second period matrix
+    assert [(len(values), len(grads), radius) for values, grads, radius in builds] == [
         (10, 2, 4),
         (4, 0, 4),
     ]
     assert list(cd._forms) == [4]
-    assert len(cd._form(4).plans) == 2
 
 
-def test_a_plan_is_dropped_with_its_lattice_form(monkeypatch):
+def test_a_plan_outlives_the_lattice_form_it_read(monkeypatch):
     tau = PeriodMatrix(0.11 + 1.16j, -0.09 + 1.24j, 0.01 + 0.19j)
     cd = theta.curve_data(tau)
     chars = ALL_CHARACTERISTICS[:2]
     by_radius = {cd._radius(p): p for p in (Point2(0.1 + 0.25j * k, -0.35j * k) for k in range(10))}
     radii = sorted(by_radius)[: theta._FORMS_PER_CURVE + 1]
-    layouts = []
-    _counting(monkeypatch, theta, "_layout", layouts)
+    builds = []
+    _counting_plan_builds(monkeypatch, builds)
     first = cd._form(radii[0])
     for n in radii:
         cd.values_at(chars, (by_radius[n],))
-    # one plan per radius; the form of the first radius was dropped for the
-    # last, and its plans with it
-    assert [n for _, _, n in layouts] == radii
+    # one plan per radius; the form of the first radius was dropped for the last
+    assert [n for _, _, n in builds] == radii
     assert radii[0] not in cd._forms
+    # the form is built again and the plan is not
     cd.values_at(chars, (by_radius[radii[0]],))
-    assert [n for _, _, n in layouts[len(radii) :]] == radii[:1]
+    assert [n for _, _, n in builds] == radii
     assert cd._form(radii[0]) is not first
-    assert all(len(form.plans) == 1 for form in cd._forms.values())
 
 
 def test_small_grids_certify_on_python_floats_and_large_ones_on_arrays(monkeypatch):
