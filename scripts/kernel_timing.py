@@ -7,7 +7,9 @@ Cases, all at DEFAULT_TAU and radius 4:
 - recover_pair: one whole inversion at that point, the nulls cached;
 - values_at 6x16 and grads_at 6x16: 6 points and all 16 characteristics,
   the size of one riemann grid;
-- fresh CurveData: one new period matrix, its lattice form and origin grid.
+- fresh CurveData: one new period matrix, its lattice form and origin grid;
+- stacked CurveData: 20 new period matrices from the harness's Siegel box,
+  built by curve_batch on stacked origin grids (compare 20 fresh ones).
 
 Each figure is the minimum over interleaved rounds of the mean of a run of
 calls, so the cases share whatever the machine is doing.  Run it as
@@ -19,11 +21,12 @@ import argparse
 import sys
 import time
 
-from g2theta import inversion, theta
-from g2theta.theta import ALL_CHARACTERISTICS, DEFAULT_TAU, CurveData, Point2, SeriesControl
+from g2theta import harness, inversion, theta
+from g2theta.rng import SampleStream
+from g2theta.theta import ALL_CHARACTERISTICS, DEFAULT_TAU, CurveData, PeriodMatrix, Point2, SeriesControl
 
 ROUNDS = 15
-CALLS = 400  # calls per run; a fresh CurveData runs a quarter as many
+CALLS = 400  # calls per run; a fresh CurveData, and 20 stacked ones, run a quarter as many
 
 # six points of truncation radius 4 at DEFAULT_TAU
 POINTS = tuple(
@@ -38,12 +41,15 @@ def _cases():
     assert {cd._radius(point) for point in POINTS} == {4}
     pair_chars = inversion._PAIR_CHARS
     point, ctrl = POINTS[0], SeriesControl()
+    boxes = (harness._TAU_DIAG, harness._TAU_DIAG, harness._TAU_OFF)
+    taus = [PeriodMatrix(*sample) for sample in SampleStream(0, "kernel-timing").draw(20, boxes)]
     return {
         "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), cd, 4)),
         "recover_pair": (CALLS, lambda: inversion.recover_pair(point, DEFAULT_TAU)),
         "values_at 6x16": (CALLS, lambda: cd.values_at(ALL_CHARACTERISTICS, POINTS)),
         "grads_at 6x16": (CALLS // 4, lambda: cd.grads_at(ALL_CHARACTERISTICS, POINTS)),
         "fresh CurveData": (CALLS // 4, lambda: CurveData(DEFAULT_TAU, ctrl)),
+        "stacked CurveData (20 taus)": (CALLS // 4, lambda: theta.curve_batch(taus, ctrl)),
     }
 
 

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import os
 import sys
+from functools import lru_cache
 
 from .errors import ConfigInvalid, DegenerateTau, G2ThetaError
 from .harness import (
@@ -167,7 +168,9 @@ def _residual_gate(residuals) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = _Parser(
         prog="g2theta",
         description="Genus-2 theta toolkit: verification suites, moduli, Jacobi inversion.",

@@ -115,7 +115,13 @@ def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
     for _, _, tau in rows:
         if tau.imag <= 0:
             raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
-    radii = [_radius1(z, tau, ctrl) for _, z, tau in rows]
+    # four characteristics share each (z, tau), and many z share a tau
+    decay = {tau: _decay(tau.imag, ctrl.tol) for tau in {tau for _, _, tau in rows}}
+    radius = {
+        (z, tau): _radius(Point2(z, 0j), *decay[tau], ctrl.max_radius)
+        for z, tau in dict.fromkeys((z, tau) for _, z, tau in rows)
+    }
+    radii = [radius[z, tau] for _, z, tau in rows]
     return _by_grid(
         radii, lambda n: 2 * n + 1, lambda n, idx: _theta1_grid([rows[i] for i in idx], n)
     )

@@ -14,10 +14,11 @@ every sample that ran.
 A drawn sample that lands on a theta divisor or otherwise breaks a
 precondition is re-drawn up to 10 times, then counted as skipped; the
 configured tau, evaluated as a batch of one, is never skipped.  The loop
-draws as many samples as are still open, evaluates them as one batch and
-replays that walk over the outcomes, until no sample is open.  Every open
-sample needs at least one more draw, so no batch holds a draw the walk
-would not reach, and the draws are the same as one at a time.  Errors take
+draws as many samples as are still open, in one block draw of the suite's
+stream (SampleStream.draw), evaluates them as one batch and replays that
+walk over the outcomes, until no sample is open.  Every open sample needs
+at least one more draw, so no batch holds a draw the walk would not reach,
+and the draws are the same as one at a time.  Errors take
 one path: a batch that raises, a skip included, is evaluated again one
 sample at a time (_outcomes), where a skippable error becomes its sample's
 outcome and any other error is raised at the first draw that raises it.
@@ -80,6 +81,7 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
+    curve_batch,
     curve_data,
 )
 
@@ -180,15 +182,17 @@ def _curve(cfg) -> CurveData:
     return curve_data(cfg.tau, cfg.series)
 
 
-def _sample_curve(cfg, sample) -> CurveData:
-    """The per-tau data of a moduli sample, a period matrix of its own.
+def _sample_curves(cfg, batch) -> list[CurveData]:
+    """The per-tau data of a batch of moduli samples, each a period matrix.
 
-    A drawn period matrix is used once, so its CurveData is built here and
-    kept out of the curve_data cache, where a run of 64 or more samples
-    would push out the configured tau's; the configured tau is read from it.
+    A drawn period matrix is used once, so the batch's CurveData are built
+    here, their origin grids stacked (curve_batch), and kept out of the
+    curve_data cache, where a run of 64 or more samples would push out the
+    configured tau's; the configured tau is read from it.
     """
-    tau = PeriodMatrix(*sample)
-    return _curve(cfg) if tau == cfg.tau else CurveData(tau, cfg.series)
+    taus = [PeriodMatrix(*sample) for sample in batch]
+    fresh = iter(curve_batch([tau for tau in taus if tau != cfg.tau], cfg.series))
+    return [_curve(cfg) if tau == cfg.tau else next(fresh) for tau in taus]
 
 
 _FLOW_LABELS = (
@@ -214,8 +218,8 @@ _SUITES = {
         boxes=(_TAU_DIAG, _TAU_DIAG, _TAU_OFF),
         labels=CONSISTENCY_LABELS,
         evaluate=lambda cfg, batch: [
-            ([value for _, value in _consistency_residuals(_sample_curve(cfg, s))], None)
-            for s in batch
+            ([value for _, value in _consistency_residuals(cd)], None)
+            for cd in _sample_curves(cfg, batch)
         ],
         final_labels=tuple("ratio-" + "".join(map(str, bits)) for bits in RATIO_CHARACTERISTICS),
         finalize=_moduli_final,
@@ -388,9 +392,7 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     # that many holds only draws the one-by-one walk reaches
     failed = 0  # failed attempts of the current sample
     while unresolved:
-        batch = [
-            [stream.next_complex(*box) for box in suite.boxes] for _ in range(unresolved)
-        ]
+        batch = stream.draw(unresolved, suite.boxes)
         for sample, outcome in zip(batch, _outcomes(suite, cfg, batch), strict=True):
             if isinstance(outcome, _SKIPPABLE):
                 reason = type(outcome).__name__

@@ -136,9 +136,9 @@ def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
 
 
 def _symmetric_from_thetas(ms: ModuliSet, th: dict, den: complex) -> SymmetricFunctions:
-    kkk = ms.k0 * ms.k1 * ms.k2
+    kkk, factor = ms.symmetric_factors
     s2 = th[(1, 0, 1, 1)] ** 2 / (kkk * den)
-    one_minus = -(ms.kp0 * ms.kp1 * ms.kp2 / kkk) * th[(1, 0, 0, 1)] ** 2 / den
+    one_minus = factor * th[(1, 0, 0, 1)] ** 2 / den
     s1 = 1.0 + s2 - one_minus
     return SymmetricFunctions(s1=s1, s2=s2)
 
@@ -212,7 +212,7 @@ def _pair_at(ms: ModuliSet, th: dict, den: complex) -> PointPair:
 
     # resolve the essential sign class against one bracket parameterization
     lhs_ratio = th[(0, 0, 0, 1)] ** 2 / den
-    pref = -1.0 / (ms.kp0 * ms.kp1 * ms.kp2)
+    pref = ms.bracket_prefactor
     fx1 = _factor_product(0, 1, x1, ms)
     fx2 = _factor_product(0, 1, x2, ms)
     best_flip = False

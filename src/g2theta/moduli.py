@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateTau, DivisionByZeroModulus
 from .theta import (
-    EVEN_CHARACTERISTICS,
     CurveData,
     PeriodMatrix,
     SeriesControl,
@@ -69,10 +69,17 @@ class ModuliSet:
     k02: complex
     k12: complex
 
+    # the moduli factors of a point pair's recovery (inversion), kept once per curve
+    @cached_property
+    def symmetric_factors(self) -> tuple[complex, complex]:
+        """k0 k1 k2, and -(k'0 k'1 k'2 / (k0 k1 k2)) of (1 - x1)(1 - x2)."""
+        kkk = self.k0 * self.k1 * self.k2
+        return kkk, -(self.kp0 * self.kp1 * self.kp2 / kkk)
 
-def _null_sq(cd: CurveData) -> dict[tuple, complex]:
-    nulls = cd.nulls
-    return {c: nulls[c] ** 2 for c in EVEN_CHARACTERISTICS}
+    @cached_property
+    def bracket_prefactor(self) -> complex:
+        """-1 / (k'0 k'1 k'2), of the bracket that fixes a pair's sign class."""
+        return -1.0 / (self.kp0 * self.kp1 * self.kp2)
 
 
 def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> ModuliSet:
@@ -116,7 +123,7 @@ def build_moduli(cd: CurveData) -> ModuliSet:
     DegenerateTau when a denominator null vanishes, or when some k_i^2 is
     zero or not finite, as when the nulls with a = 1 underflow.
     """
-    n = _null_sq(cd)
+    n = cd.null_squares
     scale = max(abs(v) for v in n.values())
     for denom in ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)):
         if abs(n[denom]) <= 1e-10 * scale:
@@ -178,7 +185,7 @@ def null_ratios_from_moduli(ms: ModuliSet) -> dict[tuple, complex]:
 def direct_null_ratios(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> dict[tuple, complex]:
-    n = _null_sq(curve_data(tau, ctrl))
+    n = curve_data(tau, ctrl).null_squares
     base = n[(0, 0, 0, 0)]
     return {bits: n[bits] / base for bits in RATIO_CHARACTERISTICS}
 
@@ -232,7 +239,7 @@ def moduli_consistency_residuals(
 def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
     """moduli_consistency_residuals from the per-tau data cd."""
     ms = cd.moduli
-    n = _null_sq(cd)
+    n = cd.null_squares
 
     # k_i^2 expressed through primed nulls: r/(1+r) with r = k_i^2/(1-k_i^2)
     r0 = n[(1, 0, 0, 0)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 0)] * n[(0, 1, 1, 0)])

@@ -49,9 +49,10 @@ Theta values come two ways.  Batched: CurveData, built once per period
 matrix and kept by curve_data for the last _NULL_CACHE_TAUS of them, holds
 the nulls and evaluates values (values_at) and gradients (grads_at)
 of any characteristics at any number of points, on grids of one truncation
-radius N and at most _GRID_TERMS terms, (2N+1)^2 per output, so memory
-stays bounded however many points a batch holds.  Scalar: theta2 and
-theta2_grad read one value of curve_data.
+radius N and at most _GRID_TERMS class and jet terms, so memory stays
+bounded however many points a batch holds; curve_batch builds many period
+matrices' nulls on stacked origin grids.  Scalar: theta2 and theta2_grad
+read one value of curve_data.
 
 Also here: parity of a characteristic, a validated bit tuple, and the
 relative residual _rel that the identity checks of every layer report.
@@ -60,17 +61,18 @@ relative residual _rel that the identity checks of every layer report.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTau, TruncationOverflow
+from .errors import DegenerateTau, G2ThetaError, TruncationOverflow
 
 __all__ = [
     "HalfCharacteristic",
@@ -86,6 +88,7 @@ __all__ = [
     "exact_row_sums",
     "complex_row_sums",
     "CurveData",
+    "curve_batch",
     "curve_data",
     "theta2",
     "theta2_grad",
@@ -247,10 +250,10 @@ def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
 class _LatticeForm:
     """The tau-only factors of the lattice terms on the box of one radius N.
 
-    quad[2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2 tau12
-    p q, p = offsets[a] down and q = offsets[c] across (_box); a form keeps
-    tau_factor = exp(i pi quad) where _in_factor_range, else quad itself, and
-    None for the other.
+    quad[t, 2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2
+    tau12 p q of period matrix t (one, or a stack), p = offsets[a] down and
+    q = offsets[c] across (_box); a form keeps tau_factor = exp(i pi quad)
+    where _in_factor_range, else quad itself, and None for the other.
     """
 
     quad: np.ndarray | None
@@ -260,19 +263,21 @@ class _LatticeForm:
 @lru_cache(maxsize=16)
 def _box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """offsets, offsets[a] holding m + a/2 for m in [-n, n], and the p and q
-    of the four class tables of _lattice_form.  Shared, so read-only."""
+    of the four class tables of a _lattice_form (axis 1).  Shared, so read-only."""
     offsets = np.arange(-n, n + 1) + np.array([[0.0], [0.5]])
     p, q = offsets[:, :, None], offsets[:, None, :]
-    box = offsets, p[[0, 0, 1, 1]], q[[0, 1, 0, 1]]
+    box = offsets, p[None, [0, 0, 1, 1]], q[None, [0, 1, 0, 1]]
     for array in box:
         array.flags.writeable = False
     return box
 
 
-def _lattice_form(tau: PeriodMatrix, n: int) -> _LatticeForm:
+def _lattice_form(taus, n: int) -> _LatticeForm:  # taus all in _in_factor_range, or one
     _, pc, qc = _box(n)
-    quad = tau.tau1 * pc * pc + tau.tau2 * qc * qc + 2.0 * tau.tau12 * pc * qc
-    if not _in_factor_range(tau, n):
+    entries = [(t.tau1, t.tau2, t.tau12) for t in taus]  # one's scalars, else arrays over a stack
+    t1, t2, t12 = entries[0] if len(taus) == 1 else np.array(entries).T[:, :, None, None, None]
+    quad = t1 * pc * pc + t2 * qc * qc + 2.0 * t12 * pc * qc
+    if not all(_in_factor_range(tau, n) for tau in taus):
         return _LatticeForm(quad, None)
     np.multiply(_IPI, quad, out=quad)
     return _LatticeForm(None, np.exp(quad, out=quad))
@@ -303,7 +308,8 @@ class _Plan(NamedTuple):
     g, (jet, class) ascending, jet 1 and 2 the d/du and d/dv, is class
     grid_class[g] times jets[g] (None without grads).  Part r of output k is
     signs[2k + r] sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part
-    r of grid g signed for (b, d) (parity); reads pairs them.
+    r of grid g signed for (b, d) (parity); reads pairs them.  terms counts
+    the class and jet terms of one point's grids.
     """
 
     select: slice | np.ndarray
@@ -317,6 +323,7 @@ class _Plan(NamedTuple):
     columns: np.ndarray
     signs: np.ndarray
     reads: tuple[tuple[int, float], ...]
+    terms: int
 
 
 @lru_cache(maxsize=64)
@@ -353,8 +360,9 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
     for array in (a, c, stacked, grid_class, columns, signs, jets):
         if array is not None:
             array.flags.writeable = False
-    split = _split_constants((2 * radius + 1) ** 2)
-    return _Plan(select, a, c, stacked, grid_class, jets, _parity_signs(radius), split, columns, signs, reads)
+    width = (2 * radius + 1) ** 2
+    split, terms = _split_constants(width), len(grid_class) * width
+    return _Plan(select, a, c, stacked, grid_class, jets, _parity_signs(radius), split, columns, signs, reads, terms)
 
 
 # A component u (or v) whose real part reaches this in size is evaluated at
@@ -365,37 +373,42 @@ _REDUCE_RE = 2.0
 
 def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
     """The class-jet grids of a _Plan on a lattice form at every point, shape
-    (P, G, 2N+1, 2N+1).
+    (P, G, 2N+1, 2N+1), or at one point on each of T stacked forms, (T, ...).
 
     N is the plan's radius, the points' truncation radius; m ascends along
-    axis 2 and n along axis 3.  exp overflow and a non-finite argument are
-    not reported here; either shows up as a non-finite term when it is summed.
+    axis 2 and n along axis 3.  A non-finite real part raises; exp overflow
+    of the per-term path shows up as a non-finite term when it is summed.
     """
     z = np.array([(point.u, point.v) for point in points], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
+    quiet = form.tau_factor is None  # the factors stay within exp(+-700)
+    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
         shift = None
-        # tested on Python floats, which for a grid's few points (about 25
-        # for a request of four characteristics) costs less than array calls
-        if any(abs(p.u.real) >= _REDUCE_RE or abs(p.v.real) >= _REDUCE_RE for p in points):
+        # tested on Python floats, which for a grid's few points (at most 50
+        # for a request of four characteristics at radius 4) costs less than
+        # array calls
+        if not all(abs(p.u.real) < _REDUCE_RE and abs(p.v.real) < _REDUCE_RE for p in points):
+            if not np.isfinite(z.real).all():
+                raise TruncationOverflow("lattice sum left double range: non-finite term")
             # the terms at (u - k, v - l) times (-1)^(a k + c l); x - rint(x)
             # is exact, and so is the sign
             shift = np.where(np.abs(z.real) >= _REDUCE_RE, np.rint(z.real), 0.0)
             z -= shift
-        if form.tau_factor is None:
+        if quiet:
             # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
             terms = plan.offsets[0, :, :, None] * u + plan.offsets[1, :, None, :] * v
             terms *= 2.0
-            np.add(form.quad[plan.select], terms, out=terms)
+            np.add(form.quad[:, plan.select], terms, out=terms)
             np.multiply(_IPI, terms, out=terms)
             np.exp(terms, out=terms)
         else:
             # exp(2 pi i (m + a/2) u) and exp(2 pi i (n + c/2) v) per class: (P, 2, G, 2N+1)
             factors = np.exp(_TWO_PI_I * (plan.offsets * z[:, :, None, None]))
             terms = factors[:, 0, :, :, None] * factors[:, 1, :, None, :]
-            terms *= form.tau_factor[plan.select]
+            tau_factor = form.tau_factor[:, plan.select]
+            terms = np.multiply(terms, tau_factor, out=terms if len(tau_factor) == 1 else None)
         if shift is not None:
-            odd = np.abs(np.fmod(shift, 2.0))  # k mod 2, NaN for an infinite k
+            odd = np.abs(np.fmod(shift, 2.0))  # k mod 2
             sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * plan.a + odd[:, 1, None] * plan.c, 2.0)
             terms *= sign[:, :, None, None]
         if plan.jets is not None:
@@ -404,7 +417,7 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
 
 
 # A grid holds the points of one truncation radius and at most this many
-# terms in all, counted as (2N+1)^2 per output row (characteristic and jet);
+# class and jet terms, (2N+1)^2 per class-jet grid of a point (_Plan.terms);
 # a point over the budget on its own gets a grid to itself.  The budget
 # bounds the kernel's temporaries however many points a batch holds; past a
 # few thousand terms a larger grid saves little per-call overhead.
@@ -414,10 +427,10 @@ _GRID_TERMS = 8192
 def _by_grid(radii, item_terms, evaluate) -> list:
     """evaluate(n, indices) over bounded grids, the results in input order.
 
-    radii[i] is the truncation radius of item i.  Items are grouped by radius,
-    in order of first appearance, and each group is cut, in input order, into
-    grids of at most _GRID_TERMS terms, item_terms(n) per item.  evaluate
-    returns one result per index it is given.
+    radii[i] is the truncation radius of item i (or a key).  Items are grouped
+    by radius, in order of first appearance, and each group is cut, in input
+    order, into grids of at most _GRID_TERMS terms, item_terms(n) per item.
+    evaluate returns one result per index it is given.
     """
     if len(radii) == 1:
         return evaluate(radii[0], [0])
@@ -530,17 +543,17 @@ def complex_row_sums(rows: np.ndarray) -> np.ndarray:
 _SCALAR_OUTPUTS = 16
 
 
-def _grid_sums(values, grads, points, cd: CurveData, radius: int) -> list[list[complex]]:
+def _grid_sums(values, grads, points, cd: CurveData | _Stack, radius: int) -> list[list[complex]]:
     """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
 
-    One row of R = len(values) + 2 len(grads) outputs per point, each the
-    correctly rounded sum of its row of terms of this radius.  Rows left
-    unsettled, and all rows when a term is non-finite or reaches 2^900, go
-    to exact_row_sums.
+    One row of R = len(values) + 2 len(grads) outputs per point (per period
+    matrix of a _Stack), each the correctly rounded sum of its row of terms
+    of this radius.  Rows left unsettled, and all rows when a term is
+    non-finite or reaches 2^900, go to exact_row_sums.
     """
     plan = _layout(tuple(values), tuple(grads), radius)
-    count, parts_out = len(points), len(plan.columns)
     terms = _class_terms(plan, cd._form(radius), points)
+    count, parts_out = len(terms), len(plan.columns)
     width = terms.shape[-1] ** 2
     flat = terms.view(np.float64).reshape(-1, 2 * width)
     top = np.abs(flat).max()
@@ -596,6 +609,14 @@ _NULL_CACHE_TAUS = 64
 _FORMS_PER_CURVE = 4
 
 
+class _Stack(NamedTuple):  # period matrices and their stacked form, read as a CurveData's
+    tau: tuple[PeriodMatrix, ...]
+    form: _LatticeForm
+
+    def _form(self, n: int) -> _LatticeForm:
+        return self.form
+
+
 @dataclass(frozen=True, eq=False)
 class CurveData:
     """What the theta functions of one period matrix share at every point.
@@ -606,10 +627,11 @@ class CurveData:
     below the terms that only math.fsum can round); null_grads, (d/du, d/dv) theta[c](0, 0) for the
     two odd c = [10;10] and [11;10], keyed by c, from the same lattice
     terms; and null_scale, the largest |theta[c](0, 0)| over the even c.
-    Built on first use and then kept: moduli (the ModuliSet) and
-    flow_constants (the FlowConstants); a build that raises keeps nothing,
-    so every later access raises again.  Kept too: the lattice forms of at
-    most _FORMS_PER_CURVE radii, and the _decay constants of each point's radius.
+    Built on first use and then kept: null_squares (the even nulls squared),
+    moduli (the ModuliSet) and flow_constants (the FlowConstants); a build
+    that raises keeps nothing, so every later access raises again.  Kept
+    too: the lattice forms of at most _FORMS_PER_CURVE radii, and the _decay
+    constants of each point's radius.
     """
 
     tau: PeriodMatrix
@@ -619,19 +641,27 @@ class CurveData:
     null_scale: float = field(init=False)
     _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
     _decay_constants: tuple[float, float] = field(init=False, repr=False)
+    origin: InitVar[tuple | None] = None  # (row, radius, form slice) of a stacked origin grid
 
-    def __post_init__(self):
+    def __post_init__(self, origin):
         object.__setattr__(self, "_decay_constants", _decay(self.tau.lambda_min, self.ctrl.tol))
-        # one grid at the origin: the even nulls, then d/du and d/dv of the two odd ones
-        grid = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), self, self._radius(ORIGIN))
-        sums = grid[0]
+        if origin is None:  # a batch of one: its own grid on its own form
+            [sums] = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), self, self._radius(ORIGIN))
+        else:  # summed by curve_batch
+            sums, n, form = origin
+            self._forms[n] = form
+        # the origin grid's row: the even nulls, then d/du and d/dv of the two odd ones
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
         nulls = dict.fromkeys(ALL_CHARACTERISTICS, 0j)
         nulls.update(zip(EVEN_CHARACTERISTICS, values))
         object.__setattr__(self, "nulls", MappingProxyType(nulls))
         grads = dict(zip(_NULL_GRAD_CHARS, zip(du, dv)))
         object.__setattr__(self, "null_grads", MappingProxyType(grads))
-        object.__setattr__(self, "null_scale", max(abs(value) for value in values))
+        object.__setattr__(self, "null_scale", max(map(abs, values)))
+
+    @cached_property
+    def null_squares(self) -> Mapping[tuple[int, int, int, int], complex]:
+        return MappingProxyType({c: self.nulls[c] ** 2 for c in EVEN_CHARACTERISTICS})
 
     # moduli.py and flow.py, which define these results, import this module,
     # so their build functions are imported at first use
@@ -669,15 +699,14 @@ class CurveData:
 
     def _on_grids(self, values, grads, points) -> list[list[complex]]:
         """The rows of _grid_sums(values, grads) at every point, on bounded grids."""
-        per_point = len(values) + 2 * len(grads)
-        if not per_point:
+        if not values and not grads:
             return [[] for _ in points]
         radii = [self._radius(point) for point in points]
 
         def grid(n, idx):
             return _grid_sums(values, grads, [points[i] for i in idx], self, n)
 
-        return _by_grid(radii, lambda n: per_point * (2 * n + 1) ** 2, grid)
+        return _by_grid(radii, lambda n: _layout(values, grads, n).terms, grid)
 
     def _radius(self, point: Point2) -> int:
         """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""
@@ -688,8 +717,36 @@ class CurveData:
         if form is None:
             if len(self._forms) >= _FORMS_PER_CURVE:
                 self._forms.pop(next(iter(self._forms)), None)
-            form = self._forms[n] = _lattice_form(self.tau, n)
+            form = self._forms[n] = _lattice_form((self.tau,), n)
         return form
+
+
+def curve_batch(taus, ctrl: SeriesControl = SeriesControl()) -> list[CurveData]:
+    """CurveData(tau, ctrl) for each tau, not kept by curve_data; raises what
+    building them one at a time raises.
+
+    At the origin every row and column factor is 1, so the period matrices of
+    one radius share origin grids of at most _GRID_TERMS class terms on their
+    stacked lattice forms, and each curve keeps its slice; one alone, or past
+    _in_factor_range, is a batch of one, CurveData(tau, ctrl).
+    """
+    request = (EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS)
+
+    def grid(key, idx):
+        n, factored = key
+        if not factored or len(idx) == 1:
+            return [CurveData(taus[i], ctrl) for i in idx]
+        members = tuple(taus[i] for i in idx)
+        stack = _Stack(members, _lattice_form(members, n))
+        rows = _grid_sums(*request, (ORIGIN,), stack, n)
+        slices = (_LatticeForm(None, stack.form.tau_factor[k : k + 1]) for k in range(len(idx)))
+        return [CurveData(tau, ctrl, (row, n, form)) for tau, row, form in zip(members, rows, slices)]
+
+    try:
+        keys = [(n, _in_factor_range(tau, n)) for tau in taus for n in [truncation_radius(tau, ORIGIN, ctrl)]]
+        return _by_grid(keys, lambda key: _layout(*request, key[0]).terms, grid)
+    except G2ThetaError:
+        return [CurveData(tau, ctrl) for tau in taus]
 
 
 @lru_cache(maxsize=_NULL_CACHE_TAUS)

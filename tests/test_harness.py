@@ -89,6 +89,61 @@ def test_stream_respects_bounds(seed, lo, width):
     assert -2.0 <= z.imag <= 2.0
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_floats(seed, label):
+    """The specified stream on Python ints, one float53 at a time: the scalar
+    SplitMix64 reference of the block draw."""
+
+    def mix(z):
+        z ^= z >> 30
+        z = (z * 0xBF58476D1CE4B209) & _MASK64
+        z ^= z >> 27
+        z = (z * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    base = mix((seed & _MASK64) ^ fnv1a64(label))
+    i = 0
+    while True:
+        i += 1
+        yield (mix((base + i * 0x9E3779B97F4A7C15) & _MASK64) >> 11) * 2.0**-53
+
+
+def _reference_draw(floats, count, boxes):
+    # each box's real part first, then its imaginary part, sample by sample
+    return [
+        [
+            complex(re_lo + (re_hi - re_lo) * next(floats), im_lo + (im_hi - im_lo) * next(floats))
+            for re_lo, re_hi, im_lo, im_hi in boxes
+        ]
+        for _ in range(count)
+    ]
+
+
+def _draw_bits(samples):
+    return [[(z.real.hex(), z.imag.hex()) for z in sample] for sample in samples]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+@pytest.mark.parametrize("label", ["riemann", "moduli", "", "fd-sweep-ü"])
+def test_the_block_draw_is_the_scalar_splitmix64_stream(seed, label):
+    box_sets = [harness._SUITES[name].boxes for name in ("riemann", "moduli", "elliptic")]
+    box_sets.append(((-3.0, 2.5, 0.0, 1e-3), (5.0, 5.0, -1.0, 1.0)))
+    for boxes in box_sets:
+        stream, reference = SampleStream(seed, label), _reference_floats(seed, label)
+        # consecutive batches continue the counter, an empty one included
+        for count in (3, 0, 1, 17, 0):
+            got = stream.draw(count, boxes)
+            assert _draw_bits(got) == _draw_bits(_reference_draw(reference, count, boxes))
+        # the one-value helpers read the same stream
+        z = stream.next_complex(*boxes[0])
+        assert _draw_bits([[z]]) == _draw_bits(_reference_draw(reference, 1, boxes[:1]))
+        assert stream.next_float().hex() == next(reference).hex()
+        lo, hi = boxes[-1][:2]
+        assert stream.next_uniform(lo, hi).hex() == (lo + (hi - lo) * next(reference)).hex()
+
+
 def test_reports_are_byte_identical():
     cfg = RunConfig(samples=3, suites=("fundamental", "moduli"))
     first = report_to_json(run_suites(cfg))
@@ -677,7 +732,7 @@ def test_cli_version_flag():
         ("fd_convergence.py", ["--points", "1"], 1 + 16, {}),
         ("split_limit_scan.py", [], 1 + 7, {}),
         # one row per case, each case run at least once
-        ("kernel_timing.py", [], 5, {"ROUNDS": 1, "CALLS": 4}),
+        ("kernel_timing.py", [], 6, {"ROUNDS": 1, "CALLS": 4}),
     ],
 )
 def test_scripts_run_to_completion(script, monkeypatch, capsys):

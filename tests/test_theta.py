@@ -5,6 +5,7 @@ import importlib.util
 import math
 import struct
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,7 +138,9 @@ def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
     original = theta._grid_sums
 
     def counted(values, grads, pts, cd, n):
-        grids.append(((len(values) + 2 * len(grads)) * len(pts) * (2 * n + 1) ** 2, n))
+        # the class and jet terms the grid allocates
+        classes = len(theta._layout(tuple(values), tuple(grads), n).grid_class)
+        grids.append((classes * len(pts) * (2 * n + 1) ** 2, n))
         return original(values, grads, pts, cd, n)
 
     monkeypatch.setattr(theta, "_grid_sums", counted)
@@ -152,7 +155,8 @@ def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
 
 
 def test_a_point_over_the_grid_budget_gets_a_grid_of_its_own(monkeypatch):
-    # two radius-4 points, each 16 x 81 = 1296 terms, against a 1000-term budget
+    # two radius-4 points, each 4 lattice classes x 81 = 324 class terms,
+    # against a 300-term budget
     points = KERNEL_POINTS[:2]
     assert {truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in points} == {4}
     cd = curve_data(DEFAULT_TAU)
@@ -164,7 +168,7 @@ def test_a_point_over_the_grid_budget_gets_a_grid_of_its_own(monkeypatch):
         return original(values, grads, pts, cd, n)
 
     monkeypatch.setattr(theta, "_grid_sums", counted)
-    monkeypatch.setattr(theta, "_GRID_TERMS", 1000)
+    monkeypatch.setattr(theta, "_GRID_TERMS", 300)
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     assert grids == [(16, 1), (16, 1)]
     for point, vals in zip(points, values):
@@ -182,6 +186,88 @@ def _fresh_taus(count, label):
         )
         for _ in range(count)
     ]
+
+
+def _origin_bits(cd):
+    """The bits of what a CurveData builds at the origin: nulls, null
+    gradients, null scale, and its lattice form of the origin's radius."""
+    n = cd._radius(ORIGIN)
+    form = cd._form(n)
+    table = form.quad if form.tau_factor is None else form.tau_factor
+    return (
+        [_bits(cd.nulls[c]) for c in ALL_CHARACTERISTICS],
+        [_bits(g) for c in sorted(cd.null_grads) for g in cd.null_grads[c]],
+        struct.pack("<d", cd.null_scale),
+        n,
+        table.tobytes(),
+    )
+
+
+# origin radius 5; radius 4 with Im tau2 = 30 or 25, past the factored
+# range; and two whose origin radius exceeds max_radius 64 (72, then 102)
+RADIUS_5_TAUS = [PeriodMatrix(0.1 + 0.6j, -0.1 + 0.7j, 0.05 + 0.1j), PeriodMatrix(0.2 + 0.5j, -0.1 + 0.55j, 0.02 + 0.05j)]
+PER_TERM_TAUS = [PeriodMatrix(0.1 + 1.1j, 30j, 0.05 + 0.25j), PeriodMatrix(0.1 + 1.1j, 25j, 0.05 + 0.25j)]
+TOO_WIDE_TAUS = [PeriodMatrix(0.002j, 1j, 0j), PeriodMatrix(0.001j, 1j, 0j)]
+
+
+def test_a_stacked_batch_of_curves_equals_curves_built_one_at_a_time(monkeypatch):
+    # the harness box gives origin radii 3 and 4, enough of radius 4 for
+    # several stacks
+    taus = _fresh_taus(30, "stacked-curves")
+    taus[3:3] = RADIUS_5_TAUS[:1]
+    taus[11:11] = PER_TERM_TAUS[:1]
+    taus += RADIUS_5_TAUS[1:] + PER_TERM_TAUS[1:]
+    ctrl = SeriesControl()
+    singles = [CurveData(tau, ctrl) for tau in taus]
+    radii = Counter(cd._radius(ORIGIN) for cd in singles)
+    assert set(radii) == {3, 4, 5}
+    assert not any(theta._in_factor_range(tau, 4) for tau in PER_TERM_TAUS)
+    grids = []
+    original = theta._grid_sums
+
+    def counted(values, grads, pts, cd, n):
+        grids.append((cd, n))
+        return original(values, grads, pts, cd, n)
+
+    monkeypatch.setattr(theta, "_grid_sums", counted)
+    batch = theta.curve_batch(taus, ctrl)
+    for tau, single, stacked in zip(taus, singles, batch, strict=True):
+        assert stacked.tau == tau
+        assert _origin_bits(stacked) == _origin_bits(single), tau
+    # each per-term tau on a grid of its own, the others stacked by radius in
+    # grids of at most _GRID_TERMS class terms
+    per_tau = {n: theta._layout(EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS, n).terms for n in radii}
+    stacks = [(cd, n) for cd, n in grids if isinstance(cd, theta._Stack)]
+    assert [cd.tau for cd, _ in grids if not isinstance(cd, theta._Stack)] == PER_TERM_TAUS
+    assert all(len(cd.tau) * per_tau[n] <= theta._GRID_TERMS for cd, n in stacks)
+    stacked = Counter(cd._radius(ORIGIN) for cd in singles if cd.tau not in PER_TERM_TAUS)
+    chunks = {n: -(-count // (theta._GRID_TERMS // per_tau[n])) for n, count in stacked.items()}
+    assert chunks[4] > 1
+    assert len(stacks) == sum(chunks.values()) < len(taus) / 4
+
+
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        (TOO_WIDE_TAUS[0], "required radius 72 exceeds max_radius 64"),
+        # a real part whose quadratic form overflows (with numpy's warning
+        # silenced) gives non-finite terms to its whole stack
+        (PeriodMatrix(1e308 + 1j, 1j, 0j), "lattice sum left double range: non-finite term"),
+    ],
+    ids=["radius", "non-finite"],
+)
+def test_a_batch_of_curves_raises_what_building_them_one_at_a_time_raises(first, message):
+    taus = _fresh_taus(4, "stacked-curves-raise")
+    taus[1:1] = [first]
+    taus += TOO_WIDE_TAUS[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TruncationOverflow) as walk:
+            for tau in taus:
+                CurveData(tau, SeriesControl())
+        with pytest.raises(TruncationOverflow) as batch:
+            theta.curve_batch(taus)
+    assert str(batch.value) == str(walk.value) == message
+    assert theta.curve_batch([]) == []
 
 
 def test_curve_cache_holds_at_most_its_bound():
@@ -344,6 +430,23 @@ def test_the_two_kernel_paths_agree_on_both_sides_of_the_range_guard(monkeypatch
         pairs += [(f[j], e[j]) for f, e in zip(factored[1][i], exp_path[1][i]) for j in (0, 1)]
         for f, e in pairs:
             assert abs(f - e) <= 1e-15 * max(1.0, abs(e))
+
+
+@pytest.mark.parametrize("tau", [DEFAULT_TAU, STRETCHED_TAU], ids=["factored", "per-term"])
+@pytest.mark.parametrize("part", ["Re u", "Im u", "Re v", "Im v"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_argument_raises_truncation_overflow_without_a_warning(tau, part, bad):
+    # filterwarnings = error turns a numpy RuntimeWarning into a failure; at
+    # this point of radius 5 STRETCHED_TAU takes the per-term exp
+    parts = dict(zip(["Re u", "Im u", "Re v", "Im v"], [0.3, 1.2, -0.2, -0.48]))
+    assert theta._in_factor_range(tau, 5) == (tau == DEFAULT_TAU)
+    parts[part] = bad
+    point = Point2(complex(parts["Re u"], parts["Im u"]), complex(parts["Re v"], parts["Im v"]))
+    cd = curve_data(tau)
+    with pytest.raises(TruncationOverflow):
+        cd.values_at(ALL_CHARACTERISTICS, (point,))
+    with pytest.raises(TruncationOverflow):
+        cd.grads_at(ALL_CHARACTERISTICS, (KERNEL_POINTS[1], point))
 
 
 @pytest.mark.parametrize(
@@ -514,9 +617,9 @@ def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatc
     monkeypatch.setattr(theta, "_split", unsettled)
     monkeypatch.setattr(theta, "_fsum", counted)
     values, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
-    # three grids, the radius-5 points on grids of their own; the floats path
-    # gives up on each at its first part and the array path redoes it
-    assert len(calls) == (3 if path == "floats" else 0)
+    # two grids, one per radius, of 12 class-jet grids a point; the floats
+    # path gives up on each at its first part and the array path redoes it
+    assert len(calls) == (2 if path == "floats" else 0)
     # every real and imaginary part of every value and gradient went to math.fsum
     assert len(rows) == len(points) * 3 * 16 * 2
     for point, vals, grad in zip(points, values, grads, strict=True):

@@ -271,6 +271,50 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     assert max(rows.values()) == 1
 
 
+def test_the_moduli_suite_stacks_the_origin_grids_of_its_batch(monkeypatch):
+    cfg = RunConfig(samples=20, suites=("moduli",))
+    theta.curve_data(cfg.tau)  # the configured tau, sample 0, is read from the cache
+    grids, sizes = [], []
+    _counting(monkeypatch, theta, "_grid_sums", grids)
+    _grid_sizes(monkeypatch, sizes)
+    result = run_suites(cfg).suites[0]
+    assert (result.samples_run, result.skip_reasons) == (20, {})
+    # the 19 drawn period matrices share stacked origin grids: at most one
+    # per radius and _GRID_TERMS chunk, not one grid per tau (a radius with
+    # one period matrix sums it on its own form)
+    members = [args[3].tau if isinstance(args[3], theta._Stack) else (args[3].tau,) for args in grids]
+    taus = Counter(tau for stack in members for tau in stack)
+    assert len(taus) == 19 and max(taus.values()) == 1
+    per_radius = Counter()
+    for (_, _, points, _, n), stack in zip(grids, members):
+        assert points == (theta.ORIGIN,)
+        per_radius[n] += len(stack)
+    request = (theta.EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS)
+    chunks = sum(
+        -(-count // (theta._GRID_TERMS // theta._layout(*request, n).terms))
+        for n, count in per_radius.items()
+    )
+    assert len(grids) == chunks < 19 / 4
+    # every grid's class terms, 8 class-jet grids of (2N+1)^2 a period matrix
+    assert len(sizes) == len(grids)
+    assert max(sizes) <= theta._GRID_TERMS
+
+
+def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
+    cfg = RunConfig(samples=20)
+    # every run but a process's first finds the configured and split period
+    # matrices' data in the cache
+    run_suites(cfg)
+    grids = []
+    _counting(monkeypatch, theta, "_grid_sums", grids)
+    assert run_suites(cfg).passed
+    # point grids within the class-term budget and the moduli suite's stacked
+    # origin grids; one origin grid per drawn period matrix made 60
+    stacks = [args for args in grids if isinstance(args[3], theta._Stack)]
+    assert len(grids) <= 22
+    assert len(stacks) <= 3
+
+
 def test_cli_invert_builds_one_grid_at_its_point(monkeypatch, capsys):
     theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
