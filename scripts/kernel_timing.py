@@ -3,7 +3,7 @@
 Cases, all at DEFAULT_TAU and radius 4:
 
 - pair grid: the grid recover_pair reads, 1 point and 4 characteristics
-  (theta._grid_sums called directly);
+  (theta._grid_sums called directly on the curve's lattice form);
 - recover_pair: one whole inversion at that point, the nulls cached;
 - values_at 6x16 and grads_at 6x16: 6 points and all 16 characteristics,
   the size of one riemann grid;
@@ -40,11 +40,11 @@ def _cases():
     cd.moduli  # recover_pair reads the moduli from the cache
     assert {cd._radius(point) for point in POINTS} == {4}
     pair_chars = inversion._PAIR_CHARS
-    point, ctrl = POINTS[0], SeriesControl()
+    point, ctrl, form = POINTS[0], SeriesControl(), cd._form(4)
     boxes = (harness._TAU_DIAG, harness._TAU_DIAG, harness._TAU_OFF)
     taus = [PeriodMatrix(*sample) for sample in SampleStream(0, "kernel-timing").draw(20, boxes)]
     return {
-        "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), cd, 4)),
+        "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), form, 4)),
         "recover_pair": (CALLS, lambda: inversion.recover_pair(point, DEFAULT_TAU)),
         "values_at 6x16": (CALLS, lambda: cd.values_at(ALL_CHARACTERISTICS, POINTS)),
         "grads_at 6x16": (CALLS // 4, lambda: cd.grads_at(ALL_CHARACTERISTICS, POINTS)),

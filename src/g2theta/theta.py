@@ -50,18 +50,21 @@ matrix and kept by curve_data for the last _NULL_CACHE_TAUS of them, holds
 the nulls and evaluates values (values_at) and gradients (grads_at)
 of any characteristics at any number of points, on grids of one truncation
 radius N and at most _GRID_TERMS class and jet terms, so memory stays
-bounded however many points a batch holds; curve_batch builds many period
-matrices' nulls on stacked origin grids.  Scalar: theta2 and theta2_grad
-read one value of curve_data.
+bounded however many points a batch holds.  Its nulls come from one
+path, _origin_grid: one origin grid on the stacked lattice forms of period
+matrices of one radius, a CurveData being a stack of one and curve_batch
+stacking many.  Scalar: theta2 and theta2_grad read one value of curve_data.
 
-Also here: parity of a characteristic, a validated bit tuple, and the
-relative residual _rel that the identity checks of every layer report.
+Also here: a characteristic, a validated bit tuple whose is_odd is its
+parity, and the relative residual _rel that the identity checks of every
+layer report.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Mapping
@@ -83,7 +86,6 @@ __all__ = [
     "EVEN_CHARACTERISTICS",
     "ODD_CHARACTERISTICS",
     "DEFAULT_TAU",
-    "parity",
     "truncation_radius",
     "exact_row_sums",
     "complex_row_sums",
@@ -117,28 +119,13 @@ class HalfCharacteristic(namedtuple("HalfCharacteristic", "a c b d")):
     def is_odd(self) -> bool:
         return (self.a * self.b + self.c * self.d) % 2 == 1
 
-    @property
-    def bits(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
     def label(self) -> str:
         return f"{self.a}{self.c}{self.b}{self.d}"
 
 
-ALL_CHARACTERISTICS = tuple(
-    HalfCharacteristic(a, c, b, d)
-    for a in (0, 1)
-    for c in (0, 1)
-    for b in (0, 1)
-    for d in (0, 1)
-)
+ALL_CHARACTERISTICS = tuple(HalfCharacteristic(*bits) for bits in itertools.product((0, 1), repeat=4))
 ODD_CHARACTERISTICS = tuple(x for x in ALL_CHARACTERISTICS if x.is_odd)
 EVEN_CHARACTERISTICS = tuple(x for x in ALL_CHARACTERISTICS if not x.is_odd)
-
-
-def parity(c: HalfCharacteristic) -> int:
-    """(-1)^(ab+cd); theta with an odd characteristic is an odd function."""
-    return -1 if c.is_odd else 1
 
 
 def _rel(lhs: complex, rhs: complex) -> float:
@@ -253,7 +240,7 @@ class _LatticeForm:
     quad[t, 2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2
     tau12 p q of period matrix t (one, or a stack), p = offsets[a] down and
     q = offsets[c] across (_box); a form keeps tau_factor = exp(i pi quad)
-    where _in_factor_range, else quad itself, and None for the other.
+    where every t is _in_factor_range, else quad itself, and None for the other.
     """
 
     quad: np.ndarray | None
@@ -263,24 +250,30 @@ class _LatticeForm:
 @lru_cache(maxsize=16)
 def _box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """offsets, offsets[a] holding m + a/2 for m in [-n, n], and the p and q
-    of the four class tables of a _lattice_form (axis 1).  Shared, so read-only."""
+    of the four class tables of a _lattice_form (axis 1), as complex: each
+    product of a form would cast them to complex again.  Shared, so read-only."""
     offsets = np.arange(-n, n + 1) + np.array([[0.0], [0.5]])
-    p, q = offsets[:, :, None], offsets[:, None, :]
+    p, q = offsets[:, :, None].astype(np.complex128), offsets[:, None, :].astype(np.complex128)
     box = offsets, p[None, [0, 0, 1, 1]], q[None, [0, 1, 0, 1]]
     for array in box:
         array.flags.writeable = False
     return box
 
 
-def _lattice_form(taus, n: int) -> _LatticeForm:  # taus all in _in_factor_range, or one
+def _lattice_form(taus, n: int) -> _LatticeForm:  # taus all in _in_factor_range, or none
     _, pc, qc = _box(n)
     entries = [(t.tau1, t.tau2, t.tau12) for t in taus]  # one's scalars, else arrays over a stack
+    # each product on the way to i pi quad is within pi size; a form that may leave
+    # double range is built quietly, and its non-finite terms raise when summed
+    size = max([abs(t1) + abs(t2) + 2.0 * abs(t12) for t1, t2, t12 in entries]) * (n + 0.5) ** 2
+    quiet = not math.isfinite(4.0 * math.pi * size)
     t1, t2, t12 = entries[0] if len(taus) == 1 else np.array(entries).T[:, :, None, None, None]
-    quad = t1 * pc * pc + t2 * qc * qc + 2.0 * t12 * pc * qc
-    if not all(_in_factor_range(tau, n) for tau in taus):
-        return _LatticeForm(quad, None)
-    np.multiply(_IPI, quad, out=quad)
-    return _LatticeForm(None, np.exp(quad, out=quad))
+    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+        quad = t1 * pc * pc + t2 * qc * qc + 2.0 * t12 * pc * qc
+        if not all(_in_factor_range(tau, n) for tau in taus):
+            return _LatticeForm(quad, None)
+        np.multiply(_IPI, quad, out=quad)
+        return _LatticeForm(None, np.exp(quad, out=quad))
 
 
 @lru_cache(maxsize=16)
@@ -393,20 +386,20 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
             # is exact, and so is the sign
             shift = np.where(np.abs(z.real) >= _REDUCE_RE, np.rint(z.real), 0.0)
             z -= shift
+        table = (form.quad if quiet else form.tau_factor)[:, plan.select]  # of one period matrix, or T
         if quiet:
             # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
             terms = plan.offsets[0, :, :, None] * u + plan.offsets[1, :, None, :] * v
             terms *= 2.0
-            np.add(form.quad[:, plan.select], terms, out=terms)
+            terms = np.add(table, terms, out=terms if len(table) == 1 else None)
             np.multiply(_IPI, terms, out=terms)
             np.exp(terms, out=terms)
         else:
             # exp(2 pi i (m + a/2) u) and exp(2 pi i (n + c/2) v) per class: (P, 2, G, 2N+1)
             factors = np.exp(_TWO_PI_I * (plan.offsets * z[:, :, None, None]))
             terms = factors[:, 0, :, :, None] * factors[:, 1, :, None, :]
-            tau_factor = form.tau_factor[:, plan.select]
-            terms = np.multiply(terms, tau_factor, out=terms if len(tau_factor) == 1 else None)
+            terms = np.multiply(terms, table, out=terms if len(table) == 1 else None)
         if shift is not None:
             odd = np.abs(np.fmod(shift, 2.0))  # k mod 2
             sign = 1.0 - 2.0 * np.fmod(odd[:, 0, None] * plan.a + odd[:, 1, None] * plan.c, 2.0)
@@ -543,16 +536,16 @@ def complex_row_sums(rows: np.ndarray) -> np.ndarray:
 _SCALAR_OUTPUTS = 16
 
 
-def _grid_sums(values, grads, points, cd: CurveData | _Stack, radius: int) -> list[list[complex]]:
+def _grid_sums(values, grads, points, form: _LatticeForm, radius: int) -> list[list[complex]]:
     """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
 
     One row of R = len(values) + 2 len(grads) outputs per point (per period
-    matrix of a _Stack), each the correctly rounded sum of its row of terms
-    of this radius.  Rows left unsettled, and all rows when a term is
-    non-finite or reaches 2^900, go to exact_row_sums.
+    matrix of a stacked form), each the correctly rounded sum of its row of
+    terms on the form of this radius.  Rows left unsettled, and all rows when
+    a term is non-finite or reaches 2^900, go to exact_row_sums.
     """
     plan = _layout(tuple(values), tuple(grads), radius)
-    terms = _class_terms(plan, cd._form(radius), points)
+    terms = _class_terms(plan, form, points)
     count, parts_out = len(terms), len(plan.columns)
     width = terms.shape[-1] ** 2
     flat = terms.view(np.float64).reshape(-1, 2 * width)
@@ -609,28 +602,37 @@ _NULL_CACHE_TAUS = 64
 _FORMS_PER_CURVE = 4
 
 
-class _Stack(NamedTuple):  # period matrices and their stacked form, read as a CurveData's
-    tau: tuple[PeriodMatrix, ...]
-    form: _LatticeForm
-
-    def _form(self, n: int) -> _LatticeForm:
-        return self.form
+def _origin_grid(taus, n: int) -> list[tuple[list[complex], _LatticeForm]]:
+    """For period matrices of origin radius n, all in _in_factor_range or none:
+    each one's origin row (the even nulls, then d/du and d/dv of the two odd
+    _NULL_GRAD_CHARS) and its slice of their stacked lattice form.  At the
+    origin every row and column factor is 1, so the rows are one grid."""
+    form = _lattice_form(taus, n)
+    rows = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), form, n)
+    if len(rows) == 1:  # a stack of one is its own slice
+        return [(rows[0], form)]
+    quad, factor = form.quad, form.tau_factor
+    return [
+        (row, _LatticeForm(None if quad is None else quad[k : k + 1], None if factor is None else factor[k : k + 1]))
+        for k, row in enumerate(rows)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
 class CurveData:
     """What the theta functions of one period matrix share at every point.
 
-    Built on construction, from one grid at the origin: nulls, all sixteen
-    theta[c](0, 0) keyed by c, where the six odd ones are exactly 0 and
-    are not summed (on the box they leave only its unpaired edge, a sum far
-    below the terms that only math.fsum can round); null_grads, (d/du, d/dv) theta[c](0, 0) for the
-    two odd c = [10;10] and [11;10], keyed by c, from the same lattice
-    terms; and null_scale, the largest |theta[c](0, 0)| over the even c.
-    Built on first use and then kept: null_squares (the even nulls squared),
-    moduli (the ModuliSet) and flow_constants (the FlowConstants); a build
-    that raises keeps nothing, so every later access raises again.  Kept
-    too: the lattice forms of at most _FORMS_PER_CURVE radii, and the _decay
+    Built on construction from its row of an origin grid (_origin_grid: its
+    own, or a curve_batch stack's), whose form slice it keeps: nulls, all
+    sixteen theta[c](0, 0) keyed by c, the six odd ones exactly 0 and not
+    summed (on the box they leave only its unpaired edge, a sum far below
+    the terms that only math.fsum can round); null_grads, (d/du, d/dv)
+    theta[c](0, 0) for the two odd c = [10;10] and [11;10], keyed by c; and
+    null_scale, the largest |theta[c](0, 0)| over the even c.  Built on
+    first use and then kept: null_squares (the even nulls squared), moduli
+    (the ModuliSet) and flow_constants (the FlowConstants); a build that
+    raises keeps nothing, so every later access raises again.  Kept too:
+    the lattice forms of at most _FORMS_PER_CURVE radii, and the _decay
     constants of each point's radius.
     """
 
@@ -641,16 +643,12 @@ class CurveData:
     null_scale: float = field(init=False)
     _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
     _decay_constants: tuple[float, float] = field(init=False, repr=False)
-    origin: InitVar[tuple | None] = None  # (row, radius, form slice) of a stacked origin grid
+    origin: InitVar[tuple | None] = None  # its (row, form slice) of a curve_batch origin grid
 
     def __post_init__(self, origin):
         object.__setattr__(self, "_decay_constants", _decay(self.tau.lambda_min, self.ctrl.tol))
-        if origin is None:  # a batch of one: its own grid on its own form
-            [sums] = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), self, self._radius(ORIGIN))
-        else:  # summed by curve_batch
-            sums, n, form = origin
-            self._forms[n] = form
-        # the origin grid's row: the even nulls, then d/du and d/dv of the two odd ones
+        n = self._radius(ORIGIN)
+        sums, self._forms[n] = origin or _origin_grid((self.tau,), n)[0]  # alone, a batch of one
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
         nulls = dict.fromkeys(ALL_CHARACTERISTICS, 0j)
         nulls.update(zip(EVEN_CHARACTERISTICS, values))
@@ -684,9 +682,7 @@ class CurveData:
         """
         return self._on_grids(tuple(chars), (), points)
 
-    def grads_at(
-        self, chars, points
-    ) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
+    def grads_at(self, chars, points) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
         """Values and (d theta/du, d theta/dv) at every point, on the grids of values_at.
 
         Gradients come from term-wise differentiation of the series; both lists
@@ -704,7 +700,7 @@ class CurveData:
         radii = [self._radius(point) for point in points]
 
         def grid(n, idx):
-            return _grid_sums(values, grads, [points[i] for i in idx], self, n)
+            return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), n)
 
         return _by_grid(radii, lambda n: _layout(values, grads, n).terms, grid)
 
@@ -725,33 +721,23 @@ def curve_batch(taus, ctrl: SeriesControl = SeriesControl()) -> list[CurveData]:
     """CurveData(tau, ctrl) for each tau, not kept by curve_data; raises what
     building them one at a time raises.
 
-    At the origin every row and column factor is 1, so the period matrices of
-    one radius share origin grids of at most _GRID_TERMS class terms on their
-    stacked lattice forms, and each curve keeps its slice; one alone, or past
-    _in_factor_range, is a batch of one, CurveData(tau, ctrl).
+    The period matrices of one origin radius share _origin_grid's grids of
+    at most _GRID_TERMS class terms, those past _in_factor_range apart from
+    the others, and each curve keeps its slice of their stacked lattice form.
     """
-    request = (EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS)
 
     def grid(key, idx):
-        n, factored = key
-        if not factored or len(idx) == 1:
-            return [CurveData(taus[i], ctrl) for i in idx]
-        members = tuple(taus[i] for i in idx)
-        stack = _Stack(members, _lattice_form(members, n))
-        rows = _grid_sums(*request, (ORIGIN,), stack, n)
-        slices = (_LatticeForm(None, stack.form.tau_factor[k : k + 1]) for k in range(len(idx)))
-        return [CurveData(tau, ctrl, (row, n, form)) for tau, row, form in zip(members, rows, slices)]
+        members = [taus[i] for i in idx]
+        return [CurveData(tau, ctrl, origin) for tau, origin in zip(members, _origin_grid(members, key[0]))]
 
     try:
         keys = [(n, _in_factor_range(tau, n)) for tau in taus for n in [truncation_radius(tau, ORIGIN, ctrl)]]
-        return _by_grid(keys, lambda key: _layout(*request, key[0]).terms, grid)
+        return _by_grid(keys, lambda key: _layout(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, key[0]).terms, grid)
     except G2ThetaError:
         return [CurveData(tau, ctrl) for tau in taus]
 
 
-@lru_cache(maxsize=_NULL_CACHE_TAUS)
-def _curve_data(tau: PeriodMatrix, ctrl: SeriesControl) -> CurveData:
-    return CurveData(tau, ctrl)
+_curve_data = lru_cache(maxsize=_NULL_CACHE_TAUS)(CurveData)
 
 
 def curve_data(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> CurveData:
@@ -759,21 +745,13 @@ def curve_data(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> Curv
     return _curve_data(tau, ctrl)
 
 
-def theta2(
-    c: HalfCharacteristic,
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> complex:
+def theta2(c: HalfCharacteristic, point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> complex:
     """theta[c](point), read from the CurveData of (tau, ctrl)."""
     return curve_data(tau, ctrl).values_at((c,), (point,))[0][0]
 
 
 def theta2_grad(
-    c: HalfCharacteristic,
-    point: Point2,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
+    c: HalfCharacteristic, point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> tuple[complex, complex]:
     """(d theta/du, d theta/dv) by term-wise differentiation of the series."""
     return curve_data(tau, ctrl).grads_at((c,), (point,))[1][0][0]

@@ -101,7 +101,7 @@ def reference_theta2_grad(c, point, tau, ctrl=SeriesControl()):
 def mp_theta_jets(tau, points, ctrl=SeriesControl()):
     """theta[c], d/du theta[c] and d/dv theta[c] of every c at each point, at 30 digits.
 
-    One dict per point, keyed by c.bits, summed on the production box.  The
+    One dict per point, keyed by c, summed on the production box.  The
     term exp(i pi quad) exp(2 pi i p (u + b/2)) exp(2 pi i q (v + d/2)) is
     factored as the kernel factors it, which is exact at any precision, so
     that the tau factors are shared by every point and the oracle stays fast.
@@ -151,7 +151,7 @@ def mp_theta_jets(tau, points, ctrl=SeriesControl()):
                             complex(two_pi_i * mpmath.fdot(p_row, inner)),
                             complex(two_pi_i * mpmath.fdot(row, inner_q)),
                         )
-            out.append({ch.bits: jets[ch.bits] for ch in ALL_CHARACTERISTICS})
+            out.append({ch: jets[ch] for ch in ALL_CHARACTERISTICS})
     return out
 
 

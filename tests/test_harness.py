@@ -648,6 +648,18 @@ def test_cli_unwritable_report_is_refused_before_the_suites_run(tmp_path, monkey
     assert "cannot write report file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--tau1=1e308,1", "--tau2=0,1"], ["--tau1=0,1", "--tau2=0,1e308"]],
+    ids=["real-part", "imaginary-part"],
+)
+def test_cli_moduli_exits_2_without_a_warning_when_the_lattice_form_overflows(argv, capsys):
+    # the quadratic form leaves double range; under filterwarnings = error a
+    # numpy warning would raise here instead of the typed error
+    assert main(["moduli", *argv, "--tau12=0,0"]) == 2
+    assert capsys.readouterr().err == "error: lattice sum left double range: non-finite term\n"
+
+
 def test_cli_moduli_exits_2_when_a_consistency_residual_fails(capsys):
     # Re tau1 = 1e20 loses the phases of the nulls: residuals up to 6.2e-4
     assert main(["moduli", "--tau1=1e20,1", "--tau2=0,1", "--tau12=0,0.2"]) == 2

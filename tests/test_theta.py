@@ -49,7 +49,6 @@ from g2theta.theta import (
     Point2,
     SeriesControl,
     curve_data,
-    parity,
     theta2,
     theta2_grad,
     truncation_radius,
@@ -65,7 +64,7 @@ TEST_POINTS = [
 
 
 def _null_scale(tau):
-    return max(abs(curve_data(tau).nulls[c.bits]) for c in EVEN_CHARACTERISTICS)
+    return max(abs(curve_data(tau).nulls[c]) for c in EVEN_CHARACTERISTICS)
 
 
 def test_matches_brute_force_double_sum():
@@ -225,21 +224,22 @@ def test_a_stacked_batch_of_curves_equals_curves_built_one_at_a_time(monkeypatch
     grids = []
     original = theta._grid_sums
 
-    def counted(values, grads, pts, cd, n):
-        grids.append((cd, n))
-        return original(values, grads, pts, cd, n)
+    def counted(values, grads, pts, form, n):
+        # the period matrices of a grid, counted from its form's leading axis
+        grids.append((len(form.quad if form.tau_factor is None else form.tau_factor), form.quad is None, n))
+        return original(values, grads, pts, form, n)
 
     monkeypatch.setattr(theta, "_grid_sums", counted)
     batch = theta.curve_batch(taus, ctrl)
     for tau, single, stacked in zip(taus, singles, batch, strict=True):
         assert stacked.tau == tau
         assert _origin_bits(stacked) == _origin_bits(single), tau
-    # each per-term tau on a grid of its own, the others stacked by radius in
-    # grids of at most _GRID_TERMS class terms
+    # the two per-term taus share one grid on their stacked quad tables, the
+    # others stacked by radius in grids of at most _GRID_TERMS class terms
     per_tau = {n: theta._layout(EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS, n).terms for n in radii}
-    stacks = [(cd, n) for cd, n in grids if isinstance(cd, theta._Stack)]
-    assert [cd.tau for cd, _ in grids if not isinstance(cd, theta._Stack)] == PER_TERM_TAUS
-    assert all(len(cd.tau) * per_tau[n] <= theta._GRID_TERMS for cd, n in stacks)
+    stacks = [(size, n) for size, factored, n in grids if factored]
+    assert [size for size, factored, _ in grids if not factored] == [len(PER_TERM_TAUS)]
+    assert all(size * per_tau[n] <= theta._GRID_TERMS for size, _, n in grids)
     stacked = Counter(cd._radius(ORIGIN) for cd in singles if cd.tau not in PER_TERM_TAUS)
     chunks = {n: -(-count // (theta._GRID_TERMS // per_tau[n])) for n, count in stacked.items()}
     assert chunks[4] > 1
@@ -250,8 +250,8 @@ def test_a_stacked_batch_of_curves_equals_curves_built_one_at_a_time(monkeypatch
     "first, message",
     [
         (TOO_WIDE_TAUS[0], "required radius 72 exceeds max_radius 64"),
-        # a real part whose quadratic form overflows (with numpy's warning
-        # silenced) gives non-finite terms to its whole stack
+        # a real part whose quadratic form overflows gives non-finite terms
+        # to its whole stack, without a numpy warning
         (PeriodMatrix(1e308 + 1j, 1j, 0j), "lattice sum left double range: non-finite term"),
     ],
     ids=["radius", "non-finite"],
@@ -260,12 +260,11 @@ def test_a_batch_of_curves_raises_what_building_them_one_at_a_time_raises(first,
     taus = _fresh_taus(4, "stacked-curves-raise")
     taus[1:1] = [first]
     taus += TOO_WIDE_TAUS[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TruncationOverflow) as walk:
-            for tau in taus:
-                CurveData(tau, SeriesControl())
-        with pytest.raises(TruncationOverflow) as batch:
-            theta.curve_batch(taus)
+    with pytest.raises(TruncationOverflow) as walk:
+        for tau in taus:
+            CurveData(tau, SeriesControl())
+    with pytest.raises(TruncationOverflow) as batch:
+        theta.curve_batch(taus)
     assert str(batch.value) == str(walk.value) == message
     assert theta.curve_batch([]) == []
 
@@ -341,7 +340,7 @@ def test_one_characteristic_forms_and_nulls_match_the_reference():
         origin_grads = cd.grads_at(ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
         for c, grad in zip(ALL_CHARACTERISTICS, origin_grads, strict=True):
             # an odd null is exactly 0, not the sum of its unpaired box edge
-            assert cd.nulls[c.bits] == (0j if c.is_odd else reference_theta2(c, ORIGIN, tau))
+            assert cd.nulls[c] == (0j if c.is_odd else reference_theta2(c, ORIGIN, tau))
             assert grad == reference_theta2_grad(c, ORIGIN, tau)
             point = KERNEL_POINTS[2]
             assert theta2(c, point, tau) == reference_theta2(c, point, tau)
@@ -385,7 +384,7 @@ def test_values_and_gradients_match_mpmath_over_the_widened_box(tau, value_bound
     value_err = grad_err = 0.0
     for vals, grad, exact in zip(values, grads, mp_theta_jets(tau, points), strict=True):
         for c, value, jet in zip(ALL_CHARACTERISTICS, vals, grad, strict=True):
-            ref, *ref_jet = exact[c.bits]
+            ref, *ref_jet = exact[c]
             value_err = max(value_err, abs(value - ref) / max(1.0, abs(ref)))
             for got, want in zip(jet, ref_jet):
                 grad_err = max(grad_err, abs(got - want) / max(1.0, abs(want)))
@@ -593,7 +592,7 @@ def test_the_class_kernel_sums_every_row_as_fsum_does(path, radius, tau, parts):
     cd = curve_data(tau)
     with pytest.MonkeyPatch.context() as patch:
         calls = _on_path(patch, path)
-        got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd, radius)
+        got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd._form(radius), radius)
     assert len(calls) == (path == "floats")
     for point, row in zip(points, got, strict=True):
         assert [_bits(z) for z in row] == _explicit_sums(tau, point, radius), point
@@ -695,11 +694,11 @@ def test_parity_counts_and_values():
     assert {c.label() for c in ODD_CHARACTERISTICS} == {
         "1010", "1011", "1110", "0101", "0111", "1101",
     }
-    assert parity(HalfCharacteristic(0, 0, 0, 0)) == 1
-    assert parity(HalfCharacteristic(1, 0, 1, 0)) == -1
-    assert parity(HalfCharacteristic(1, 1, 1, 0)) == -1
+    assert not HalfCharacteristic(0, 0, 0, 0).is_odd
+    assert HalfCharacteristic(1, 0, 1, 0).is_odd
+    assert HalfCharacteristic(1, 1, 1, 0).is_odd
     # the one that is easy to misread: ab + cd = 0, so it is even
-    assert parity(HalfCharacteristic(1, 0, 0, 1)) == 1
+    assert not HalfCharacteristic(1, 0, 0, 1).is_odd
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,14 +714,14 @@ def test_negation_flips_odd_values(ci, ur, ui, vr, vi):
     p = Point2(complex(ur, ui), complex(vr, vi))
     neg = Point2(-p.u, -p.v)
     lhs = theta2(c, neg, DEFAULT_TAU)
-    rhs = parity(c) * theta2(c, p, DEFAULT_TAU)
+    rhs = (-1 if c.is_odd else 1) * theta2(c, p, DEFAULT_TAU)
     assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-12
 
 
 def test_odd_nulls_vanish():
     scale = _null_scale(DEFAULT_TAU)
     for c in ODD_CHARACTERISTICS:
-        assert abs(curve_data(DEFAULT_TAU).nulls[c.bits]) <= 1e-13 * scale
+        assert abs(curve_data(DEFAULT_TAU).nulls[c]) <= 1e-13 * scale
 
 
 def test_even_null_gradients_vanish():
@@ -832,7 +831,7 @@ def test_value_stable_when_box_grows():
 def test_gradient_matches_finite_differences():
     h = 1e-5
     c = HalfCharacteristic(1, 0, 1, 0)
-    du, _ = curve_data(DEFAULT_TAU).null_grads[c.bits]
+    du, _ = curve_data(DEFAULT_TAU).null_grads[c]
     fd = (
         theta2(c, Point2(h, 0.0), DEFAULT_TAU)
         - theta2(c, Point2(-h, 0.0), DEFAULT_TAU)
@@ -945,7 +944,7 @@ def test_a_characteristic_equals_and_hashes_as_its_bit_tuple():
     # so a table keyed by characteristics reads by bits, and the other way round
     for c in ALL_CHARACTERISTICS:
         bits = (c.a, c.c, c.b, c.d)
-        assert c == bits and hash(c) == hash(bits) and type(c.bits) is tuple and c.bits == bits
+        assert c == bits and hash(c) == hash(bits) and tuple(c) == bits
         assert {bits: c}[c] is c and {c: bits}[bits] is bits
     g = Genus1Characteristic(1, 0)
     assert g == (1, 0) and hash(g) == hash((1, 0)) and {(1, 0): g}[g] is g

@@ -10,6 +10,8 @@ depending on timing.
 from collections import Counter
 from functools import lru_cache
 
+import pytest
+
 import g2theta.degeneration as degeneration
 import g2theta.flow as flow
 import g2theta.inversion as inversion
@@ -32,6 +34,12 @@ def _counting(monkeypatch, module, name, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def _members(form):
+    """The tables of each period matrix of a lattice form, along its leading
+    axis, as bytes: one per period matrix of the grid that read it."""
+    return [table.tobytes() for table in (form.quad if form.tau_factor is None else form.tau_factor)]
 
 
 def test_recover_pair_builds_one_grid_and_one_moduli_set(monkeypatch):
@@ -264,7 +272,7 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     # each point is evaluated once per period matrix, the origin too: the
     # nulls and the null gradients are one grid
     evaluated = Counter(
-        (cd.tau, point) for _, _, points, cd, _ in grids for point in points
+        (member, point) for _, _, points, form, _ in grids for member in _members(form) for point in points
     )
     assert {key: n for key, n in evaluated.items() if n > 1} == {}
     rows = Counter(row for rows, _ in genus1 for row in rows)
@@ -281,8 +289,8 @@ def test_the_moduli_suite_stacks_the_origin_grids_of_its_batch(monkeypatch):
     assert (result.samples_run, result.skip_reasons) == (20, {})
     # the 19 drawn period matrices share stacked origin grids: at most one
     # per radius and _GRID_TERMS chunk, not one grid per tau (a radius with
-    # one period matrix sums it on its own form)
-    members = [args[3].tau if isinstance(args[3], theta._Stack) else (args[3].tau,) for args in grids]
+    # one period matrix is a stack of one)
+    members = [_members(args[3]) for args in grids]
     taus = Counter(tau for stack in members for tau in stack)
     assert len(taus) == 19 and max(taus.values()) == 1
     per_radius = Counter()
@@ -310,9 +318,28 @@ def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
     assert run_suites(cfg).passed
     # point grids within the class-term budget and the moduli suite's stacked
     # origin grids; one origin grid per drawn period matrix made 60
-    stacks = [args for args in grids if isinstance(args[3], theta._Stack)]
+    stacks = [args for args in grids if len(_members(args[3])) > 1]
     assert len(grids) <= 22
     assert len(stacks) <= 3
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [PeriodMatrix(0.09 + 1.21j, -0.12 + 1.14j, 0.02 + 0.24j), PeriodMatrix(0.1 + 1.1j, 30j, 0.05 + 0.25j)],
+    ids=["factored", "per-term"],
+)
+def test_a_curve_alone_is_a_batch_of_one(monkeypatch, tau):
+    ctrl = theta.SeriesControl()
+    radius = theta.truncation_radius(tau, theta.ORIGIN, ctrl)
+    assert theta._in_factor_range(tau, radius) == (tau.tau2.imag < 2)
+    grids = []
+    _counting(monkeypatch, theta, "_grid_sums", grids)
+    alone = theta.CurveData(tau, ctrl)
+    [batch] = theta.curve_batch([tau], ctrl)
+    # one origin grid each, on a lattice form of one period matrix
+    assert [(args[2], len(_members(args[3])), args[4]) for args in grids] == [((theta.ORIGIN,), 1, radius)] * 2
+    assert _members(alone._form(radius)) == _members(batch._form(radius)) == _members(grids[0][3])
+    assert (batch.nulls, batch.null_grads) == (alone.nulls, alone.null_grads)
 
 
 def test_cli_invert_builds_one_grid_at_its_point(monkeypatch, capsys):
