@@ -173,7 +173,8 @@ def _load_script(name):
     return module
 
 
-GOLDENS = _load_script("regen_goldens.py").GOLDENS  # the configs the golden files hold
+REGEN = _load_script("regen_goldens.py")
+GOLDENS = REGEN.GOLDENS  # the configs the golden verify reports hold
 
 
 def _assert_golden(name):
@@ -203,6 +204,28 @@ def test_an_alternate_tau_report_of_more_samples_than_the_cache_holds_matches_it
 
 def test_the_golden_table_covers_every_golden_file():
     assert sorted(GOLDENS) == sorted(path.name for path in DATA.glob("verify_*.json"))
+
+
+def _golden_json(name):
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
+
+
+def test_the_pair_layer_keeps_its_bits():
+    # float.hex of every recovered pair and every pair-layer residual at 64
+    # points of the harness box at the default and the alternate tau
+    golden = _golden_json("pair_layer.json")
+    assert REGEN.pair_layer() == golden
+    flips = {v[-1] for k, v in golden.items() if k.endswith("/recover_pair")}
+    assert flips == {False, True}  # both sign classes are chosen
+
+
+def test_invert_and_moduli_print_what_they_printed():
+    # stdout, stderr and exit code of `g2theta invert` and `g2theta moduli`
+    # at each argument list of scripts/regen_goldens.py:CLI_CASES
+    golden = _golden_json("cli_output.json")
+    assert list(golden) == [" ".join(argv) for argv in REGEN.CLI_CASES]
+    for argv, result in REGEN.cli_outputs().items():
+        assert result == golden[argv], argv
 
 
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
