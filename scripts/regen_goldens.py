@@ -1,4 +1,4 @@
-"""Write the golden files under tests/data from one config table.
+"""Write the golden files under tests/data from the tables below.
 
     PYTHONPATH=src python scripts/regen_goldens.py
 

@@ -5,10 +5,11 @@ When the off-diagonal period vanishes the two-variable series factors,
     theta[a c; b d]((u, v); tau1, tau2, 0) = theta[a; b](u; tau1) theta[c; d](v; tau2),
 
 the three moduli collapse to a single elliptic modulus, and the recovered
-inversion pair becomes {x^2, 1/k0^2} with x = theta-ratio form of -sn.  This
-module certifies that entire chain plus the classical one-variable theory it
-lands on: squared-theta identities, the sn differential equation, and the
-complete-integral relation tau = iK'/K.
+inversion pair (inversion._pair_from_thetas) becomes {x^2, 1/k0^2} with x
+the theta-ratio form of -sn (_sn_ratio, which sn and the sn ODE read too).
+This module certifies that entire chain plus the classical one-variable
+theory it lands on: squared-theta identities, the sn differential equation,
+and the complete-integral relation tau = iK'/K.
 
 The checks are batched: degeneration_residuals takes a batch of points and
 the diagonal (tau1, tau2) of the split period matrix, elliptic_residuals a
@@ -106,21 +107,18 @@ def _radius1(z: complex, tau: complex, ctrl: SeriesControl) -> int:
 def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
     """theta1 of each (characteristic, z, tau) row, in input order.
 
-    The rows are evaluated on bounded grids of one radius each, 2N+1 terms a
-    row (theta._by_grid).  Each term goes through the operations of the
-    one-row series, i pi (tau m^2 + 2 m (z + b/2)) with m = k + a/2, in the
-    same order, and each row is summed exactly, so a value does not depend
-    on the other rows of its grid.
+    The rows are evaluated on bounded grids of one radius each (_radius1 of
+    each distinct (z, tau)), 2N+1 terms a row (theta._by_grid).  Each term
+    goes through the operations of the one-row series,
+    i pi (tau m^2 + 2 m (z + b/2)) with m = k + a/2, in the same order, and
+    each row is summed exactly, so a value does not depend on the other rows
+    of its grid.
     """
     for _, _, tau in rows:
         if tau.imag <= 0:
             raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
-    # four characteristics share each (z, tau), and many z share a tau
-    decay = {tau: _decay(tau.imag, ctrl.tol) for tau in {tau for _, _, tau in rows}}
-    radius = {
-        (z, tau): _radius(Point2(z, 0j), *decay[tau], ctrl.max_radius)
-        for z, tau in dict.fromkeys((z, tau) for _, z, tau in rows)
-    }
+    # four characteristics share each (z, tau)
+    radius = {key: _radius1(*key, ctrl) for key in dict.fromkeys((z, tau) for _, z, tau in rows)}
     radii = [radius[z, tau] for _, z, tau in rows]
     return _by_grid(
         radii, lambda n: 2 * n + 1, lambda n, idx: _theta1_grid([rows[i] for i in idx], n)
@@ -181,13 +179,20 @@ def jacobi_functions(
     return sn, cn, dn, elliptic_modulus(tau, ctrl)
 
 
+def _sn_ratio(nulls, t01: complex, t11: complex, z) -> complex:
+    """x = theta[0;0](0) theta[1;1](z) / (theta[1;0](0) theta[0;1](z)) = -sn(2Kz)
+    from t01, t11 at z; SingularDenominator where theta[0;1](z) vanishes."""
+    n00 = nulls[0, 0]
+    if abs(t01) <= 1e-10 * abs(n00):
+        raise SingularDenominator(f"theta[0;1]({z}) vanishes")
+    return (n00 * t11) / (nulls[1, 0] * t01)
+
+
 def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
     """sn, cn, dn from the nulls and the four theta1 values t at z."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    if abs(t01) <= 1e-10 * abs(n00):
-        raise SingularDenominator(f"theta[0;1]({z}) vanishes")
-    sn = -(n00 * t11) / (n10 * t01)
+    t00, t01, t10 = t[0, 0], t[0, 1], t[1, 0]
+    sn = -_sn_ratio(nulls, t01, t[1, 1], z)
     cn = (n01 * t10) / (n10 * t01)
     dn = (n01 * t00) / (n00 * t01)
     return sn, cn, dn
@@ -227,32 +232,26 @@ def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[
 def _elliptic_rows(nulls, mod: EllipticModulus, z, values, h: float) -> list[float]:
     t = dict(zip(_GENUS1_CHARS, values[:4]))
     sn, cn, dn = _jacobi(nulls, t, z)
-    stencil = (values[4:6], values[6:8], (t[0, 1], t[1, 1]))
     return _identity_rows(nulls, t) + [
         abs(sn * sn + cn * cn - 1.0),
         abs(dn * dn + mod.k_sq * sn * sn - 1.0),
-        _sn_ode(nulls, mod, stencil, (z + h, z - h, z), h),
+        _sn_ode(nulls, mod, values[4:], z, -sn, h),
     ]
 
 
-def _sn_ode(nulls, mod: EllipticModulus, values, args, h: float) -> float:
-    """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2), dx/du by central FD,
-    from the (theta1[0;1], theta1[1;1]) pairs at args = (z + h, z - h, z).
+def _sn_ode(nulls, mod: EllipticModulus, stencil, z, x: complex, h: float) -> float:
+    """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) at z, for x = -sn (_sn_ratio)
+    there, with dx/du by a central difference of step h from theta1[0;1],
+    theta1[1;1] at z + h, then at z - h (stencil).
 
     u = 2Kz with K = (pi/2) theta^2[0;0](0), so dx/du = (dx/dz) / (2K).
     """
-    n00, n10 = nulls[0, 0], nulls[1, 0]
+    n00 = nulls[0, 0]
     big_k = math.pi / 2.0 * n00 * n00
-
-    def xfun(k: int) -> complex:
-        t01, t11 = values[k]
-        if abs(t01) <= 1e-10 * abs(n00):
-            raise SingularDenominator(f"theta[0;1]({args[k]}) vanishes")
-        return (n00 * t11) / (n10 * t01)
-
-    dxdu = (xfun(0) - xfun(1)) / (2.0 * h) / (2.0 * big_k)
-    xv = xfun(2)
-    return _rel(dxdu * dxdu, (1.0 - xv * xv) * (1.0 - mod.k_sq * xv * xv))
+    x_plus = _sn_ratio(nulls, *stencil[:2], z + h)
+    x_minus = _sn_ratio(nulls, *stencil[2:], z - h)
+    dxdu = (x_plus - x_minus) / (2.0 * h) / (2.0 * big_k)
+    return _rel(dxdu * dxdu, (1.0 - x * x) * (1.0 - mod.k_sq * x * x))
 
 
 DEGENERATION_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS) + (
@@ -280,24 +279,19 @@ def degeneration_residuals(
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
     g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
     tables = [dict(zip(_GENUS1_CHARS, g1[i : i + 4])) for i in range(0, len(g1), 4)]
-    ms = cd.moduli
+    nulls = _nulls1(tau1, ctrl)
     return [
-        _degeneration_rows(cd, ms, point, row, tables[2 * i], tables[2 * i + 1], tau1, ctrl)
+        _degeneration_rows(cd, nulls, point, row, tables[2 * i], tables[2 * i + 1])
         for i, (point, row) in enumerate(zip(points, g2))
     ]
 
 
-def _degeneration_rows(cd, ms, point: Point2, g2, g1u, g1v, tau1: complex, ctrl: SeriesControl):
-    pair = _pair_from_thetas(cd, ms, dict(zip(ALL_CHARACTERISTICS, g2)), point)
+def _degeneration_rows(cd, nulls, point: Point2, g2, g1u, g1v):
+    pair = _pair_from_thetas(cd, dict(zip(ALL_CHARACTERISTICS, g2)), point)[0]
     x1, x2 = pair.x1, pair.x2
+    x = _sn_ratio(nulls, g1u[0, 1], g1u[1, 1], point.u)
 
-    nulls = _nulls1(tau1, ctrl)
-    n00, n10 = nulls[0, 0], nulls[1, 0]
-    t01, t11 = g1u[0, 1], g1u[1, 1]
-    if abs(t01) <= 1e-10 * abs(n00):
-        raise SingularDenominator(f"theta[0;1]({point.u}) vanishes")
-    x = (n00 * t11) / (n10 * t01)
-
+    ms = cd.moduli
     k0sq = ms.k0_sq
     predicted = (x * x, 1.0 / k0sq)
     direct = max(_rel(x1, predicted[0]), _rel(x2, predicted[1]))

@@ -14,11 +14,13 @@ the 2x2 system gives the Abelian differentials
 with P = -C/det, Q = -D/det, R = A/det, S = B/det, det = AD - BC.
 
 Closed forms are certified against central finite differences of the
-recovered pair.  The sigma_i carry one essential overall sign (the class
-choice of recover_pair is only fixed up to simultaneous negation by the
-squared parameterizations), so residuals are minimized over that single
-global sign; the relative sign between sigma1 and sigma2 is fixed and
-meaningful, and a wrong relative sign fails loudly.
+recovered pair, each stencil pair read off its theta values by
+inversion._pair_from_thetas, the one path from theta values to a pair.
+The sigma_i carry one essential overall sign (the class choice of
+recover_pair is only fixed up to simultaneous negation by the squared
+parameterizations), so residuals are minimized over that single global
+sign; the relative sign between sigma1 and sigma2 is fixed and meaningful,
+and a wrong relative sign fails loudly.
 
 Derivative nulls are always term-wise differentiated series, never finite
 differences; the finite-difference noise budget is reserved for the outer
@@ -161,14 +163,13 @@ def _pair_stencil(cd: CurveData, points, tables, h: float):
     raised as it is; a PointError at an offset is raised as
     StencilCrossesDivisor.
     """
-    ms = cd.moduli
-    center = _pair_from_thetas(cd, ms, tables[0], points[0])
+    center = _pair_from_thetas(cd, tables[0], points[0])[0]
     ref = (center.x1, center.x2)
 
     matched = []
     for (du, dv), point, th in zip(_offsets(h), points[1:], tables[1:], strict=True):
         try:
-            p = _pair_from_thetas(cd, ms, th, point)
+            p = _pair_from_thetas(cd, th, point)[0]
         except PointError as exc:
             raise StencilCrossesDivisor(
                 f"stencil point at offset ({du}, {dv}) failed: {exc}"

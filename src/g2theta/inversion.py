@@ -16,6 +16,12 @@ matrix; parameterization_residuals takes the CurveData and a batch of
 points, reads all sixteen theta values of the batch from one kernel call,
 and gives each point's residuals with the pair recovered there.
 
+One path turns theta values into a pair, _pair_from_thetas: recover_pair,
+the parameterization rows, flow's stencils and the degeneration rows all
+take it.  It computes the five linear factors of f5 once per recovered x
+(_linear_factors); f5, the sign-class choice and the fifteen rows read them
+by index, and every bracket row goes through one residual, _bracket.
+
 Moduli roots always come from a single ModuliSet, each signed as its
 unsquared theta-null quotient (see moduli.build_moduli), so one sign
 convention holds across all formulas.
@@ -88,26 +94,19 @@ class PointPair:
     sign_flipped: bool  # True if the chosen class negates the principal sigma2
 
 
+def _linear_factors(x: complex, curve: CurveSpec | ModuliSet) -> tuple[complex, ...]:
+    """The five linear factors of f5 at x, in the index order of f_factor."""
+    return (x, 1.0 - x, 1.0 - curve.k0_sq * x, 1.0 - curve.k1_sq * x, 1.0 - curve.k2_sq * x)
+
+
+def _quintic(factors) -> complex:
+    """f5 from its linear factors, multiplied left to right."""
+    a, b, c, d, e = factors
+    return a * b * c * d * e
+
+
 def f5(x: complex, curve: CurveSpec | ModuliSet) -> complex:
-    return (
-        x
-        * (1.0 - x)
-        * (1.0 - curve.k0_sq * x)
-        * (1.0 - curve.k1_sq * x)
-        * (1.0 - curve.k2_sq * x)
-    )
-
-
-def _linear_factor(i: int, x: complex, curve: CurveSpec | ModuliSet) -> complex:
-    if i == 0:
-        return x
-    if i == 1:
-        return 1.0 - x
-    if i == 2:
-        return 1.0 - curve.k0_sq * x
-    if i == 3:
-        return 1.0 - curve.k1_sq * x
-    return 1.0 - curve.k2_sq * x
+    return _quintic(_linear_factors(x, curve))
 
 
 def f_factor(i: int, j: int, x: complex, curve: CurveSpec) -> complex:
@@ -118,12 +117,8 @@ def f_factor(i: int, j: int, x: complex, curve: CurveSpec) -> complex:
     """
     if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j <= 4):
         raise InvalidFactorIndex(f"need 0 <= i < j <= 4, got ({i}, {j})")
-    return _factor_product(i, j, x, curve)
-
-
-def _factor_product(i: int, j: int, x: complex, curve: CurveSpec | ModuliSet) -> complex:
-    """f_factor without its index check, for the fixed indices of this module."""
-    return _linear_factor(i, x, curve) * _linear_factor(j, x, curve)
+    factors = _linear_factors(x, curve)
+    return factors[i] * factors[j]
 
 
 def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
@@ -147,9 +142,8 @@ def symmetric_functions(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> SymmetricFunctions:
     cd = curve_data(tau, ctrl)
-    ms = cd.moduli
     [th] = _pair_tables(cd, (point,))
-    return _symmetric_from_thetas(ms, th, _reference_denominator(th, point, cd))
+    return _symmetric_from_thetas(cd.moduli, th, _reference_denominator(th, point, cd))
 
 
 def _solve_pair(sf: SymmetricFunctions) -> tuple[complex, complex]:
@@ -166,30 +160,19 @@ def _solve_pair(sf: SymmetricFunctions) -> tuple[complex, complex]:
     return big, other
 
 
-def _bracket_residual_terms(
-    lhs_ratio: complex,
-    pref: complex,
-    fx1: complex,
-    fx2: complex,
-    x1: complex,
-    x2: complex,
-    sigma1: complex,
-    sigma2: complex,
-) -> tuple[complex, complex]:
-    # denominator-cleared form of pref * F(x1)F(x2)/(x2-x1)^2 * (s1/F(x1)-s2/F(x2))^2,
-    # regular when some F(x_i) = 0 (then also sigma_i = 0)
-    lhs = lhs_ratio * fx1 * fx2 * (x2 - x1) ** 2
-    rhs = pref * (sigma1 * fx2 - sigma2 * fx1) ** 2
-    return lhs, rhs
+def _bracket(ratio, pref, f1, f2, gap, sigma1, sigma2) -> float:
+    """_rel of ratio = pref F(x1)F(x2)/(x2-x1)^2 (sigma1/F(x1) - sigma2/F(x2))^2
+    with denominators cleared, for f_i = F(x_i), F = F_ij, and gap = (x2-x1)^2:
+    regular when some F(x_i) = 0 (then also sigma_i = 0)."""
+    return _rel(ratio * f1 * f2 * gap, pref * (sigma1 * f2 - sigma2 * f1) ** 2)
 
 
 def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
     cd = curve_data(tau, ctrl)
-    ms = cd.moduli
     [th] = _pair_tables(cd, (point,))
-    return _pair_from_thetas(cd, ms, th, point)
+    return _pair_from_thetas(cd, th, point)[0]
 
 
 def _pair_tables(cd: CurveData, points) -> list[dict]:
@@ -197,63 +180,55 @@ def _pair_tables(cd: CurveData, points) -> list[dict]:
     return [dict(zip(_PAIR_CHARS, values)) for values in cd.values_at(_PAIR_CHARS, points)]
 
 
-def _pair_from_thetas(cd: CurveData, ms: ModuliSet, th: dict, point) -> PointPair:
-    """recover_pair from theta values already evaluated at the point."""
-    return _pair_at(ms, th, _reference_denominator(th, point, cd))
-
-
-def _pair_at(ms: ModuliSet, th: dict, den: complex) -> PointPair:
-    """_pair_from_thetas with the reference denominator already computed."""
+def _pair_from_thetas(cd: CurveData, th: dict, point) -> tuple[PointPair, complex, tuple]:
+    """The PointPair at the point from its theta values th (keyed by
+    characteristic), with the squared reference theta den that the ratios
+    divide by and the _linear_factors of x1 and x2, which the
+    parameterization rows read.  Of the moduli only k0 k1 k2 and k'0 k'1 k'2
+    enter, so a pair is recovered where some k_ij vanish."""
+    ms = cd.moduli
+    den = _reference_denominator(th, point, cd)
     x1, x2 = _solve_pair(_symmetric_from_thetas(ms, th, den))
     if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
         raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
-    sigma1 = cmath.sqrt(f5(x1, ms))
-    sigma2 = cmath.sqrt(f5(x2, ms))
+    lin1, lin2 = _linear_factors(x1, ms), _linear_factors(x2, ms)
+    sigma1, sigma2 = cmath.sqrt(_quintic(lin1)), cmath.sqrt(_quintic(lin2))
 
-    # resolve the essential sign class against one bracket parameterization
-    lhs_ratio = th[(0, 0, 0, 1)] ** 2 / den
-    pref = ms.bracket_prefactor
-    fx1 = _factor_product(0, 1, x1, ms)
-    fx2 = _factor_product(0, 1, x2, ms)
-    best_flip = False
-    best_res = None
-    for flip in (False, True):
-        s2_signed = -sigma2 if flip else sigma2
-        lhs, rhs = _bracket_residual_terms(
-            lhs_ratio, pref, fx1, fx2, x1, x2, sigma1, s2_signed
-        )
-        res = _rel(lhs, rhs)
-        if best_res is None or res < best_res:
-            best_res = res
-            best_flip = flip
-    return PointPair(
+    # resolve the essential sign class against the bracket row of F_01 = x (1-x):
+    # negate sigma2 only when that fits strictly better
+    row = (th[(0, 0, 0, 1)] ** 2 / den, ms.bracket_prefactor, lin1[0] * lin1[1], lin2[0] * lin2[1])
+    gap = (x2 - x1) ** 2
+    flipped = _bracket(*row, gap, sigma1, -sigma2) < _bracket(*row, gap, sigma1, sigma2)
+    pair = PointPair(
         x1=x1,
         x2=x2,
         sigma1=sigma1,
-        sigma2=-sigma2 if best_flip else sigma2,
-        sign_flipped=best_flip,
+        sigma2=-sigma2 if flipped else sigma2,
+        sign_flipped=flipped,
     )
+    return pair, den, (lin1, lin2)
 
 
-# (characteristic bits, F-factor indices or None, prefactor builder, polynomial builder)
 def _parameterization_table(ms: ModuliSet):
+    """(bits, prefactor) of the polynomial rows, row i reading linear factor i,
+    and (bits, F-factor indices, prefactor) of the bracket rows."""
     for name in ("kp0", "kp1", "kp2", "k01", "k02", "k12"):
         if getattr(ms, name) == 0:
             raise DivisionByZeroModulus(f"modulus {name} vanishes")
     k0, k1, k2 = ms.k0, ms.k1, ms.k2
     kp0, kp1, kp2 = ms.kp0, ms.kp1, ms.kp2
     k01, k02, k12 = ms.k01, ms.k02, ms.k12
-    k0s, k1s, k2s = ms.k0_sq, ms.k1_sq, ms.k2_sq
+    kkk = ms.symmetric_factors[0]
 
     poly = [
-        ((1, 0, 1, 1), k0 * k1 * k2, lambda x: x),
-        ((1, 0, 0, 1), -k0 * k1 * k2 / (kp0 * kp1 * kp2), lambda x: 1.0 - x),
-        ((0, 1, 0, 1), -k1 * k2 / (kp0 * k01 * k02), lambda x: 1.0 - k0s * x),
-        ((0, 1, 0, 0), k0 * k2 / (kp1 * k01 * k12), lambda x: 1.0 - k1s * x),
-        ((0, 0, 0, 0), k0 * k1 / (kp2 * k02 * k12), lambda x: 1.0 - k2s * x),
+        ((1, 0, 1, 1), kkk),
+        ((1, 0, 0, 1), -kkk / (kp0 * kp1 * kp2)),
+        ((0, 1, 0, 1), -k1 * k2 / (kp0 * k01 * k02)),
+        ((0, 1, 0, 0), k0 * k2 / (kp1 * k01 * k12)),
+        ((0, 0, 0, 0), k0 * k1 / (kp2 * k02 * k12)),
     ]
     bracket = [
-        ((0, 0, 0, 1), (0, 1), -1.0 / (kp0 * kp1 * kp2)),
+        ((0, 0, 0, 1), (0, 1), ms.bracket_prefactor),
         ((0, 1, 1, 1), (3, 4), k1 * k2 / (kp1 * kp2 * k01 * k02)),
         ((0, 1, 1, 0), (2, 4), -k0 * k2 / (kp0 * kp2 * k01 * k12)),
         ((0, 0, 1, 0), (2, 3), -k0 * k1 / (kp0 * kp1 * k02 * k12)),
@@ -297,31 +272,25 @@ def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float],
     sixteen theta values at the point, and the tables of all the points come
     from one values_at call.  The moduli table of the rows is built once.
     """
-    ms = cd.moduli
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     results, table = [], None
     for point, row in zip(points, values):
         th = dict(zip(ALL_CHARACTERISTICS, row))
-        den = _reference_denominator(th, point, cd)
-        pair = _pair_at(ms, th, den)
+        pair, den, factors = _pair_from_thetas(cd, th, point)
         if table is None:  # after the first pair, so a point error raises first
-            table = _parameterization_table(ms)
-        results.append((_parameterization_rows(cd, ms, th, den, pair, table), pair))
+            table = _parameterization_table(cd.moduli)
+        results.append((_parameterization_rows(cd.nulls, th, den, pair, factors, table), pair))
     return results
 
 
-def _parameterization_rows(cd: CurveData, ms: ModuliSet, th: dict, den: complex, pair, table):
-    x1, x2, sg1, sg2 = pair.x1, pair.x2, pair.sigma1, pair.sigma2
+def _parameterization_rows(nulls, th: dict, den: complex, pair: PointPair, factors, table):
     poly, bracket = table
-
-    out = [_rel(th[bits] ** 2 / den, pref * lin(x1) * lin(x2)) for bits, pref, lin in poly]
-    for bits, (i, j), pref in bracket:
-        lhs_ratio = th[bits] ** 2 / den
-        fx1 = _factor_product(i, j, x1, ms)
-        fx2 = _factor_product(i, j, x2, ms)
-        lhs, rhs = _bracket_residual_terms(lhs_ratio, pref, fx1, fx2, x1, x2, sg1, sg2)
-        out.append(_rel(lhs, rhs))
-    nulls = cd.nulls
+    (l1, l2), gap, sg1, sg2 = factors, (pair.x2 - pair.x1) ** 2, pair.sigma1, pair.sigma2
+    out = [_rel(th[bits] ** 2 / den, pref * l1[i] * l2[i]) for i, (bits, pref) in enumerate(poly)]
+    out += [
+        _bracket(th[bits] ** 2 / den, pref, l1[i] * l1[j], l2[i] * l2[j], gap, sg1, sg2)
+        for bits, (i, j), pref in bracket
+    ]
     for den_bits, terms in _UNIT_SUM_TERMS:
         den_sum = nulls[den_bits] ** 2 * den
         vals = [sign * nulls[nb] ** 2 * th[tb] ** 2 / den_sum for sign, nb, tb in terms]

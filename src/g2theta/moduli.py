@@ -69,7 +69,7 @@ class ModuliSet:
     k02: complex
     k12: complex
 
-    # the moduli factors of a point pair's recovery (inversion), kept once per curve
+    # moduli factors of the pair recovery and parameterizations (inversion), once per curve
     @cached_property
     def symmetric_factors(self) -> tuple[complex, complex]:
         """k0 k1 k2, and -(k'0 k'1 k'2 / (k0 k1 k2)) of (1 - x1)(1 - x2)."""

@@ -196,3 +196,6 @@ def test_vanishing_modulus_root_in_a_denominator_is_typed(monkeypatch):
     monkeypatch.setattr(CurveData, "moduli", property(lambda cd: ms))
     with pytest.raises(DivisionByZeroModulus):
         parameterization_residuals(curve_data(DEFAULT_TAU), [Point2(0.1, 0.1)])
+    # the table is built after the first pair, so a point error raises first
+    with pytest.raises(SingularDenominator):
+        parameterization_residuals(curve_data(DEFAULT_TAU), [DIVISOR_POINT, Point2(0.1, 0.1)])
