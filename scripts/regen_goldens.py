@@ -4,11 +4,13 @@
 
 GOLDENS maps each golden verify report to the configuration of the
 `g2theta verify` run whose report it holds, byte for byte; tests/test_harness.py
-checks the reports against the same table.  Two more files pin what the
+checks the reports against the same table.  Three more files pin what the
 reports round away: pair_layer.json holds the float.hex of the recovered
-pairs and of the pair-layer residuals (pair_layer), and cli_output.json the
-stdout, stderr and exit code of `g2theta invert` and `g2theta moduli` at
-the argument lists of CLI_CASES (cli_outputs).  Regenerate the files only
+pairs and of the pair-layer residuals (pair_layer), check_rows.json the
+float.hex of every residual row of every suite's checks and of each
+suite's final rows (check_rows), and cli_output.json the stdout, stderr
+and exit code of `g2theta invert` and `g2theta moduli` at the argument
+lists of CLI_CASES (cli_outputs).  Regenerate the files only
 for a change that alters their bytes on purpose (a report version bump, or
 a change to theta values), and record the old and new residuals in
 CHANGES.md.
@@ -24,7 +26,7 @@ from g2theta.cli import main as cli_main
 from g2theta.degeneration import degeneration_residuals
 from g2theta.errors import G2ThetaError
 from g2theta.flow import stencil_residuals
-from g2theta.harness import RunConfig, report_to_json, run_suites
+from g2theta.harness import _SUITES, SUITE_ORDER, RunConfig, _outcomes, report_to_json, run_suites
 from g2theta.inversion import parameterization_residuals, recover_pair
 from g2theta.rng import SampleStream
 from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, curve_data
@@ -52,6 +54,8 @@ GOLDENS = {
 # the harness box of theta arguments, and how many points pair_layer draws there
 PAIR_BOX = (-0.5, 0.5, -0.2, 0.2)
 PAIR_POINTS = 64
+# how many samples check_rows draws per suite and period matrix
+CHECK_SAMPLES = 32
 
 _SPLIT = ("--tau1=0,1.1", "--tau2=0,1.3")
 _ALT = ("--tau1=0.2,1.4", "--tau2=-0.1,0.95", "--tau12=0.03,0.3")
@@ -146,6 +150,38 @@ def pair_layer() -> dict:
     return out
 
 
+def check_rows() -> dict:
+    """The bits of every suite's residual rows at CHECK_SAMPLES samples at
+    DEFAULT_TAU and at ALT_TAU, keyed "<tau>/<suite>/<index>".
+
+    Each suite's samples are one block draw of its own stream, evaluated as
+    one batch through the suite's evaluate (the riemann, fundamental,
+    moduli consistency, parameterization, stencil, addition, derivative,
+    degeneration and elliptic rows); a sample whose check raises a skippable
+    error holds ["error", name].  "<tau>/<suite>/final" holds the final rows
+    of the suites that end with them, finalized over those samples.
+    """
+    out = {}
+    for name, tau in (("default", DEFAULT_TAU), ("alt", ALT_TAU)):
+        cfg = RunConfig(tau=tau)
+        for suite_name in SUITE_ORDER:
+            suite = _SUITES[suite_name]
+            batch = SampleStream(0, f"check-rows/{suite_name}").draw(CHECK_SAMPLES, suite.boxes)
+            notes = []
+            for i, (sample, outcome) in enumerate(zip(batch, _outcomes(suite, cfg, batch), strict=True)):
+                key = f"{name}/{suite_name}/{i:02d}"
+                if isinstance(outcome, G2ThetaError):
+                    out[key] = ["error", type(outcome).__name__]
+                    continue
+                residuals, note = outcome
+                out[key] = _hex(residuals)
+                notes.append((note, sample))
+            if suite.finalize is not None:
+                final = suite.finalize(cfg, notes, {})
+                out[f"{name}/{suite_name}/final"] = _hex(value for value, _ in final)
+    return out
+
+
 def cli_outputs() -> dict:
     """The exit code, stdout and stderr of cli.main at each argument list of
     CLI_CASES, run in this process, keyed by the joined arguments."""
@@ -167,6 +203,7 @@ def main() -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     files = {name: report_to_json(run_suites(cfg)) for name, cfg in GOLDENS.items()}
     files["pair_layer.json"] = _lines(pair_layer())
+    files["check_rows.json"] = _lines(check_rows())
     files["cli_output.json"] = _lines(cli_outputs())
     for name, text in files.items():
         (DATA / name).write_text(text, encoding="utf-8")

@@ -177,8 +177,21 @@ REGEN = _load_script("regen_goldens.py")
 GOLDENS = REGEN.GOLDENS  # the configs the golden verify reports hold
 
 
+def _numpy_build() -> str:
+    """numpy's version and the CPU features it dispatches beyond its baseline.
+
+    The kernel's complex products are numpy multiplies, whose last bit
+    depends on the dispatched code path, so a golden mismatch names them.
+    """
+    umath = np._core._multiarray_umath
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return f"numpy {np.__version__}, dispatched CPU features {dispatched}"
+
+
 def _assert_golden(name):
-    assert report_to_json(run_suites(GOLDENS[name])) == (DATA / name).read_text(encoding="utf-8")
+    assert report_to_json(run_suites(GOLDENS[name])) == (DATA / name).read_text(
+        encoding="utf-8"
+    ), _numpy_build()
 
 
 @pytest.mark.parametrize("name", ["verify_default_samples20.json", "verify_alt_tau_samples20.json"])
@@ -214,7 +227,7 @@ def test_the_pair_layer_keeps_its_bits():
     # float.hex of every recovered pair and every pair-layer residual at 64
     # points of the harness box at the default and the alternate tau
     golden = _golden_json("pair_layer.json")
-    assert REGEN.pair_layer() == golden
+    assert REGEN.pair_layer() == golden, _numpy_build()
     flips = {v[-1] for k, v in golden.items() if k.endswith("/recover_pair")}
     assert flips == {False, True}  # both sign classes are chosen
 
@@ -225,7 +238,16 @@ def test_invert_and_moduli_print_what_they_printed():
     golden = _golden_json("cli_output.json")
     assert list(golden) == [" ".join(argv) for argv in REGEN.CLI_CASES]
     for argv, result in REGEN.cli_outputs().items():
-        assert result == golden[argv], argv
+        assert result == golden[argv], (argv, _numpy_build())
+
+
+def test_every_check_row_keeps_its_bits():
+    # float.hex of every residual row of every suite at 32 samples at the
+    # default and the alternate tau, and of each suite's final rows: the
+    # reports keep only each suite's max, mean and worst point
+    golden = _golden_json("check_rows.json")
+    assert REGEN.check_rows() == golden, _numpy_build()
+    assert not any(row[0] == "error" for row in golden.values())
 
 
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
