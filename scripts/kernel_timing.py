@@ -1,4 +1,5 @@
-"""Time the theta kernel's fixed cost per grid, in µs per call.
+"""Time the theta kernel's fixed cost per grid, in µs per call, or two source
+trees against each other, op by op.
 
 Cases, all at DEFAULT_TAU and radius 4:
 
@@ -15,11 +16,34 @@ Each figure is the minimum over interleaved rounds of the mean of a run of
 calls, so the cases share whatever the machine is doing.  Run it as
 
     PYTHONPATH=src python scripts/kernel_timing.py
+
+A minimum of rounds cannot resolve an effect of 1-2% on a shared host, and
+two benchmark processes run one after the other favour whichever runs
+second.  So --ab BEFORE [AFTER] loads the g2theta package of each source
+directory (AFTER defaults to this checkout's src) under a name of its own
+in this one process, and alternates the two trees op by op, the order
+flipped every round: a 20-sample `g2theta verify` through cli.main at a
+fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU, and
+CURVE_CALLS fresh CurveData.  Both trees get the same inputs.  For each op
+it prints the median over the rounds of BEFORE's time over AFTER's (above
+1 when AFTER is faster), the quartiles of that ratio, and whether the two
+trees' outputs were equal in every round:
+
+    PYTHONPATH=src python scripts/kernel_timing.py --ab ../parent/src --rounds 300
 """
 
 import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import os
+import random
+import statistics
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from g2theta import harness, inversion, theta
 from g2theta.rng import SampleStream
@@ -27,6 +51,9 @@ from g2theta.theta import ALL_CHARACTERISTICS, DEFAULT_TAU, CurveData, PeriodMat
 
 ROUNDS = 15
 CALLS = 400  # calls per run; a fresh CurveData, and 20 stacked ones, run a quarter as many
+AB_ROUNDS = 100  # rounds of --ab, each one op of each kind per tree
+PAIR_CALLS = 50  # recover_pair calls per timed --ab op
+CURVE_CALLS = 20  # fresh CurveData per timed --ab op
 
 # six points of truncation radius 4 at DEFAULT_TAU
 POINTS = tuple(
@@ -53,8 +80,7 @@ def _cases():
     }
 
 
-def main() -> int:
-    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+def _kernel_cases() -> None:
     cases = _cases()
     best = dict.fromkeys(cases, float("inf"))
     for _ in range(ROUNDS):
@@ -65,6 +91,92 @@ def main() -> int:
             best[name] = min(best[name], (time.perf_counter() - start) / calls)
     for name, seconds in best.items():
         print(f"{name:<30} {seconds * 1e6:8.1f} µs")
+
+
+def _load_tree(name: str, src: Path):
+    """The g2theta package under src, imported as the package `name`."""
+    init = src / "g2theta" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cli", "inversion", "theta")}
+
+
+def _tree_ops(tree, report: str) -> dict:
+    """Each --ab op of one tree: input -> a comparable output."""
+    cli, inversion_, theta_ = tree["cli"], tree["inversion"], tree["theta"]
+
+    def verify(seed):
+        argv = ["verify", "--samples", "20", "--seed", str(seed), "--json", report]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        return code, Path(report).read_bytes()
+
+    def pairs(points):
+        return [
+            tuple(inversion_.recover_pair(theta_.Point2(u, v), theta_.DEFAULT_TAU).__dict__.values())
+            for u, v in points
+        ]
+
+    def curves(taus):
+        return [tuple(theta_.CurveData(theta_.PeriodMatrix(*tau), theta_.SeriesControl()).nulls.values()) for tau in taus]
+
+    return {"verify": verify, "recover_pair": pairs, "fresh CurveData": curves}
+
+
+def _ab(before: Path, after: Path, rounds: int) -> None:
+    rng = random.Random(0)
+
+    def box(re_lo, re_hi, im_lo, im_hi):
+        return complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+
+    def inputs(op):
+        if op == "verify":
+            return rng.getrandbits(63)
+        if op == "recover_pair":
+            return [(box(*harness._BOX), box(*harness._BOX)) for _ in range(PAIR_CALLS)]
+        return [(box(*harness._TAU_DIAG), box(*harness._TAU_DIAG), box(*harness._TAU_OFF)) for _ in range(CURVE_CALLS)]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [
+            _tree_ops(_load_tree(name, src.resolve()), os.path.join(tmp, f"{name}.json"))
+            for name, src in (("g2theta_before", before), ("g2theta_after", after))
+        ]
+        for ops in trees:  # warm up: imports, the DEFAULT_TAU caches, the plans
+            for op, run in ops.items():
+                run(inputs(op))
+        ratios = {op: [] for op in trees[0]}
+        equal = dict.fromkeys(trees[0], True)
+        for k in range(rounds):
+            for op in ratios:
+                args, seconds, outputs = inputs(op), [0.0, 0.0], [None, None]
+                for i in (0, 1) if k % 2 == 0 else (1, 0):
+                    start = time.perf_counter()
+                    outputs[i] = trees[i][op](args)
+                    seconds[i] = time.perf_counter() - start
+                ratios[op].append(seconds[0] / seconds[1])
+                equal[op] = equal[op] and outputs[0] == outputs[1]
+    for op, values in ratios.items():
+        low, median, high = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        print(
+            f"{op:<16} before/after median {median:.3f} (quartiles {low:.3f}-{high:.3f}), "
+            f"{len(values)} rounds, outputs equal: {equal[op]}"
+        )
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--ab", nargs="+", metavar="SRC", type=Path,
+                    help="time the g2theta package under BEFORE against AFTER (default: this checkout's src)")
+    ap.add_argument("--rounds", type=int, default=AB_ROUNDS, help="rounds of --ab")
+    args = ap.parse_args()
+    if args.ab is None:
+        _kernel_cases()
+        return 0
+    if len(args.ab) > 2:
+        ap.error("--ab takes BEFORE and at most one AFTER")
+    before, after = (*args.ab, Path(__file__).resolve().parents[1] / "src")[:2]
+    _ab(before, after, args.rounds)
     return 0
 
 

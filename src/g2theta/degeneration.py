@@ -98,27 +98,32 @@ class EllipticModulus:
     kp: complex
 
 
-def _radius1(z: complex, tau: complex, ctrl: SeriesControl) -> int:
-    """The truncation radius of the genus-1 series: the genus-2 rule at (z, 0)
-    with the decay rate Im tau."""
-    return _radius(Point2(z, 0j), *_decay(tau.imag, ctrl.tol), ctrl.max_radius)
+def _radii1(args, ctrl: SeriesControl) -> dict:
+    """The truncation radius of the genus-1 series at each distinct (z, tau)
+    of args: the genus-2 rule at (z, 0) with the decay rate Im tau, whose
+    _decay is taken once per tau."""
+    decay, radii = {}, {}
+    for z, tau in args:
+        if (z, tau) not in radii:
+            if tau not in decay:
+                decay[tau] = _decay(tau.imag, ctrl.tol)
+            radii[z, tau] = _radius(Point2(z, 0j), *decay[tau], ctrl.max_radius)
+    return radii
 
 
 def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
     """theta1 of each (characteristic, z, tau) row, in input order.
 
-    The rows are evaluated on bounded grids of one radius each (_radius1 of
-    each distinct (z, tau)), 2N+1 terms a row (theta._by_grid).  Each term
-    goes through the operations of the one-row series,
-    i pi (tau m^2 + 2 m (z + b/2)) with m = k + a/2, in the same order, and
-    each row is summed exactly, so a value does not depend on the other rows
-    of its grid.
+    The rows are evaluated on bounded grids of one radius each (_radii1),
+    2N+1 terms a row (theta._by_grid).  Each term goes through the
+    operations of the one-row series, i pi (tau m^2 + 2 m (z + b/2)) with
+    m = k + a/2, in the same order, and each row is summed exactly, so a
+    value does not depend on the other rows of its grid.
     """
     for _, _, tau in rows:
         if tau.imag <= 0:
             raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
-    # four characteristics share each (z, tau)
-    radius = {key: _radius1(*key, ctrl) for key in dict.fromkeys((z, tau) for _, z, tau in rows)}
+    radius = _radii1([(z, tau) for _, z, tau in rows], ctrl)
     radii = [radius[z, tau] for _, z, tau in rows]
     return _by_grid(
         radii, lambda n: 2 * n + 1, lambda n, idx: _theta1_grid([rows[i] for i in idx], n)
@@ -150,15 +155,11 @@ _GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1)
 _ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
 
 
-def _theta1_table(z: complex, tau: complex, ctrl: SeriesControl) -> dict:
-    """All four theta1[a; b](z), keyed by (a, b), from one grid."""
-    return dict(zip(_GENUS1_CHARS, _theta1_values([(c, z, tau) for c in _GENUS1_CHARS], ctrl)))
-
-
 @lru_cache(maxsize=_NULL_CACHE_TAUS)
 def _nulls1(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
     """All four theta[a; b](0), keyed by (a, b); one memoized evaluation per tau."""
-    return MappingProxyType(_theta1_table(0.0, tau, ctrl))
+    values = _theta1_values([(c, 0.0, tau) for c in _GENUS1_CHARS], ctrl)
+    return MappingProxyType(dict(zip(_GENUS1_CHARS, values)))
 
 
 def elliptic_modulus(tau: complex, ctrl: SeriesControl = SeriesControl()) -> EllipticModulus:
@@ -175,7 +176,8 @@ def jacobi_functions(
     z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
 ) -> tuple[complex, complex, complex, EllipticModulus]:
     """sn, cn, dn at theta argument z (the sn argument is u = 2Kz)."""
-    sn, cn, dn = _jacobi(_nulls1(tau, ctrl), _theta1_table(z, tau, ctrl), z)
+    t = _theta1_values([(c, z, tau) for c in _GENUS1_CHARS], ctrl)
+    sn, cn, dn = _jacobi(_nulls1(tau, ctrl), t, z)
     return sn, cn, dn, elliptic_modulus(tau, ctrl)
 
 
@@ -189,25 +191,14 @@ def _sn_ratio(nulls, t01: complex, t11: complex, z) -> complex:
 
 
 def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
-    """sn, cn, dn from the nulls and the four theta1 values t at z."""
+    """sn, cn, dn from the nulls and the four theta1 values t at z, in
+    _GENUS1_CHARS order."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t00, t01, t10 = t[0, 0], t[0, 1], t[1, 0]
-    sn = -_sn_ratio(nulls, t01, t[1, 1], z)
+    t00, t01, t10, t11 = t
+    sn = -_sn_ratio(nulls, t01, t11, z)
     cn = (n01 * t10) / (n10 * t01)
     dn = (n01 * t00) / (n00 * t01)
     return sn, cn, dn
-
-
-def _identity_rows(nulls, t) -> list[float]:
-    """Residuals of the three squared-theta identities and the null quartic."""
-    n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    return [
-        _rel(n00**2 * t00**2, n01**2 * t01**2 + n10**2 * t10**2),
-        _rel(n00**2 * t11**2, n10**2 * t01**2 - n01**2 * t10**2),
-        _rel(n00**2 * t01**2, n01**2 * t00**2 + n10**2 * t11**2),
-        _rel(n00**4, n01**4 + n10**4),
-    ]
 
 
 def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[list[float]]:
@@ -218,40 +209,48 @@ def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[
     the sn ODE (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) with dx/du by a central
     difference of step h.  All the z read one genus-1 evaluation: the four
     values at each z, and theta1[0;1], theta1[1;1] at z + h and z - h.
+    What depends on tau alone is taken once: the null quartic's row, the
+    squared nulls that lead the identities' products, and 2K.
     """
     nulls = _nulls1(tau, ctrl)
-    mod = elliptic_modulus(tau, ctrl)
+    k_sq = elliptic_modulus(tau, ctrl).k_sq
     rows = []
     for z in zs:
         rows += [(c, z, tau) for c in _GENUS1_CHARS]
         rows += [(c, arg, tau) for arg in (z + h, z - h) for c in _ODE_CHARS]
     values = _theta1_values(rows, ctrl)
-    return [_elliptic_rows(nulls, mod, z, values[8 * i : 8 * i + 8], h) for i, z in enumerate(zs)]
+    n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
+    s00, s01, s10 = n00**2, n01**2, n10**2
+    quartic = _rel(n00**4, n01**4 + n10**4)
+    two_k = 2.0 * (math.pi / 2.0 * n00 * n00)  # u = 2Kz, K = (pi/2) theta^2[0;0](0)
+    out = []
+    for i, z in enumerate(zs):
+        t00, t01, t10, t11 = t = values[8 * i : 8 * i + 4]
+        q00, q01, q10, q11 = t00**2, t01**2, t10**2, t11**2
+        sn, cn, dn = _jacobi(nulls, t, z)
+        out.append([
+            _rel(s00 * q00, s01 * q01 + s10 * q10),
+            _rel(s00 * q11, s10 * q01 - s01 * q10),
+            _rel(s00 * q01, s01 * q00 + s10 * q11),
+            quartic,
+            abs(sn * sn + cn * cn - 1.0),
+            abs(dn * dn + k_sq * sn * sn - 1.0),
+            _sn_ode(nulls, k_sq, two_k, values[8 * i + 4 : 8 * i + 8], z, -sn, h),
+        ])
+    return out
 
 
-def _elliptic_rows(nulls, mod: EllipticModulus, z, values, h: float) -> list[float]:
-    t = dict(zip(_GENUS1_CHARS, values[:4]))
-    sn, cn, dn = _jacobi(nulls, t, z)
-    return _identity_rows(nulls, t) + [
-        abs(sn * sn + cn * cn - 1.0),
-        abs(dn * dn + mod.k_sq * sn * sn - 1.0),
-        _sn_ode(nulls, mod, values[4:], z, -sn, h),
-    ]
-
-
-def _sn_ode(nulls, mod: EllipticModulus, stencil, z, x: complex, h: float) -> float:
+def _sn_ode(nulls, k_sq: complex, two_k: complex, stencil, z, x: complex, h: float) -> float:
     """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) at z, for x = -sn (_sn_ratio)
     there, with dx/du by a central difference of step h from theta1[0;1],
     theta1[1;1] at z + h, then at z - h (stencil).
 
-    u = 2Kz with K = (pi/2) theta^2[0;0](0), so dx/du = (dx/dz) / (2K).
+    u = 2Kz, so dx/du = (dx/dz) / (2K), two_k.
     """
-    n00 = nulls[0, 0]
-    big_k = math.pi / 2.0 * n00 * n00
     x_plus = _sn_ratio(nulls, *stencil[:2], z + h)
     x_minus = _sn_ratio(nulls, *stencil[2:], z - h)
-    dxdu = (x_plus - x_minus) / (2.0 * h) / (2.0 * big_k)
-    return _rel(dxdu * dxdu, (1.0 - x * x) * (1.0 - mod.k_sq * x * x))
+    dxdu = (x_plus - x_minus) / (2.0 * h) / two_k
+    return _rel(dxdu * dxdu, (1.0 - x * x) * (1.0 - k_sq * x * x))
 
 
 DEGENERATION_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS) + (
@@ -272,41 +271,53 @@ def degeneration_residuals(
     {x^2, 1/k0^2}, x the theta-ratio form of -sn at theta argument u, so
     x^2 = sn^2(2Ku): the three symmetric-function relations, the collapse of
     the three moduli to one and the unordered pair match.  All the points
-    read one values_at call and one genus-1 evaluation.
+    read one values_at call and one genus-1 evaluation, and what the split
+    curve gives every point, the collapse rows among it, is taken once.
     """
     cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
     g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
-    tables = [dict(zip(_GENUS1_CHARS, g1[i : i + 4])) for i in range(0, len(g1), 4)]
     nulls = _nulls1(tau1, ctrl)
-    return [
-        _degeneration_rows(cd, nulls, point, row, tables[2 * i], tables[2 * i + 1])
-        for i, (point, row) in enumerate(zip(points, g2))
-    ]
+    out, curve = [], None
+    for i, (point, row) in enumerate(zip(points, g2)):
+        pair = _pair_from_thetas(cd, dict(zip(ALL_CHARACTERISTICS, row)), point)[0]
+        g1u, g1v = g1[8 * i : 8 * i + 4], g1[8 * i + 4 : 8 * i + 8]
+        x = _sn_ratio(nulls, g1u[1], g1u[3], point.u)
+        if curve is None:  # after the first point's pair and x, so its errors raise first
+            curve = _split_curve_rows(cd.moduli)
+        out.append((_degeneration_rows(curve, x, pair, row, g1u, g1v), pair))
+    return out
 
 
-def _degeneration_rows(cd, nulls, point: Point2, g2, g1u, g1v):
-    pair = _pair_from_thetas(cd, dict(zip(ALL_CHARACTERISTICS, g2)), point)[0]
-    x1, x2 = pair.x1, pair.x2
-    x = _sn_ratio(nulls, g1u[0, 1], g1u[1, 1], point.u)
-
-    ms = cd.moduli
+def _split_curve_rows(ms):
+    """What the rows of every point of the split curve share: k0^2, 1/k0^2,
+    the prefactor k0^2/(1 - k0^2) that leads the complement product, and
+    the two collapse rows."""
     k0sq = ms.k0_sq
-    predicted = (x * x, 1.0 / k0sq)
-    direct = max(_rel(x1, predicted[0]), _rel(x2, predicted[1]))
-    crossed = max(_rel(x1, predicted[1]), _rel(x2, predicted[0]))
+    return k0sq, 1.0 / k0sq, k0sq / (1.0 - k0sq), [_rel(k0sq, ms.k1_sq), _rel(k0sq, ms.k2_sq)]
+
+
+def _degeneration_rows(curve, x: complex, pair, g2, g1u, g1v) -> list[float]:
+    """The rows of one point from x = -sn there, its pair, its sixteen
+    genus-2 values g2, and its genus-1 values at u and at v, each in
+    _GENUS1_CHARS order."""
+    k0sq, inverse, complement, collapse = curve
+    x1, x2 = pair.x1, pair.x2
+    predicted = x * x
+    direct = max(_rel(x1, predicted), _rel(x2, inverse))
+    crossed = max(_rel(x1, inverse), _rel(x2, predicted))
     split = [
-        _rel(value, g1u[c.a, c.b] * g1v[c.c, c.d]) for c, value in zip(ALL_CHARACTERISTICS, g2)
+        _rel(value, g1u[2 * a + b] * g1v[2 * c + d])
+        for (a, c, b, d), value in zip(ALL_CHARACTERISTICS, g2)
     ]
     return split + [
-        _rel(k0sq * x1 * x2, x * x),
-        _rel((k0sq / (1.0 - k0sq)) * (1.0 - x1) * (1.0 - x2), -(1.0 - x * x)),
+        _rel(k0sq * x1 * x2, predicted),
+        _rel(complement * (1.0 - x1) * (1.0 - x2), -(1.0 - predicted)),
         _rel((1.0 - k0sq * x1) * (1.0 - k0sq * x2), 0.0),
-        _rel(k0sq, ms.k1_sq),
-        _rel(k0sq, ms.k2_sq),
+        *collapse,
         min(direct, crossed),
-    ], pair
+    ]
 
 
 def complete_integral_residuals(

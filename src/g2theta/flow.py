@@ -14,8 +14,9 @@ the 2x2 system gives the Abelian differentials
 with P = -C/det, Q = -D/det, R = A/det, S = B/det, det = AD - BC.
 
 Closed forms are certified against central finite differences of the
-recovered pair, each stencil pair read off its theta values by
-inversion._pair_from_thetas, the one path from theta values to a pair.
+recovered pair, the center pair read off its theta values by
+inversion._pair_from_thetas, the one path from theta values to a pair,
+and each offset's x1 and x2 by its first stage, inversion._pair_xs.
 The sigma_i carry one essential overall sign (the class choice of
 recover_pair is only fixed up to simultaneous negation by the squared
 parameterizations), so residuals are minimized over that single global
@@ -43,7 +44,7 @@ from .errors import (
     StencilCrossesDivisor,
     TildeMismatch,
 )
-from .inversion import _pair_from_thetas, _pair_tables
+from .inversion import _pair_from_thetas, _pair_tables, _pair_xs
 from .theta import (
     CurveData,
     HalfCharacteristic,
@@ -159,7 +160,9 @@ def _pair_stencil(cd: CurveData, points, tables, h: float):
     """Center pair plus the four offset pairs matched to it, and the central differences.
 
     points are the five of _stencil_points, and tables holds what
-    recover_pair reads at each (_pair_tables).  An error at the center is
+    recover_pair reads at each (_pair_tables).  The offsets' x1 and x2 come
+    from the first stage of the pair path (inversion._pair_xs), without the
+    sigma_i and sign class they do not read.  An error at the center is
     raised as it is; a PointError at an offset is raised as
     StencilCrossesDivisor.
     """
@@ -169,12 +172,12 @@ def _pair_stencil(cd: CurveData, points, tables, h: float):
     matched = []
     for (du, dv), point, th in zip(_offsets(h), points[1:], tables[1:], strict=True):
         try:
-            p = _pair_from_thetas(cd, th, point)[0]
+            x1, x2, _ = _pair_xs(cd, th, point)
         except PointError as exc:
             raise StencilCrossesDivisor(
                 f"stencil point at offset ({du}, {dv}) failed: {exc}"
             ) from exc
-        matched.append(_match_to_reference(ref, (p.x1, p.x2)))
+        matched.append(_match_to_reference(ref, (x1, x2)))
 
     up, um, vp, vm = matched
     d_du = ((up[0] - um[0]) / (2 * h), (up[1] - um[1]) / (2 * h))
@@ -255,62 +258,39 @@ _ADDITION_CHARS = _chars(
 
 def addition_formula_residuals(cd: CurveData, pairs) -> list[list[float]]:
     """Residuals of the two four-point addition theorems at each (p, q): one
-    values_at call for every p + q and p - q, one for every p and q."""
+    values_at call for every p + q and p - q, one for every p and q.  The
+    null products that lead each left-hand side are taken once per batch."""
     shifted = [
         x for p, q in pairs for x in (Point2(p.u + q.u, p.v + q.v), Point2(p.u - q.u, p.v - q.v))
     ]
     points = [x for pq in pairs for x in pq]
-    at_shifted = [dict(zip(_SHIFTED_CHARS, row)) for row in cd.values_at(_SHIFTED_CHARS, shifted)]
-    at_points = [dict(zip(_ADDITION_CHARS, row)) for row in cd.values_at(_ADDITION_CHARS, points)]
+    at_shifted = cd.values_at(_SHIFTED_CHARS, shifted)
+    at_points = cd.values_at(_ADDITION_CHARS, points)
+    n = cd.nulls
+    lhs_nulls = (n[(1, 0, 0, 1)] * n[(0, 0, 0, 1)], n[(1, 0, 0, 1)] * n[(0, 0, 1, 1)])
     return [
-        _addition_rows(cd.nulls, *at_shifted[i : i + 2], *at_points[i : i + 2])
+        _addition_rows(lhs_nulls, *at_shifted[i : i + 2], *at_points[i : i + 2])
         for i in range(0, len(at_points), 2)
     ]
 
 
-def _addition_rows(n, plus, minus, tp, tq) -> list[float]:
-    lhs1 = (
-        n[(1, 0, 0, 1)]
-        * n[(0, 0, 0, 1)]
-        * (
-            plus[(1, 0, 1, 1)] * minus[(0, 0, 1, 1)]
-            - plus[(0, 0, 1, 1)] * minus[(1, 0, 1, 1)]
-        )
-    )
-    rhs1 = 2.0 * (
-        tp[(1, 0, 0, 0)]
-        * tp[(0, 0, 0, 0)]
-        * tq[(0, 0, 1, 0)]
-        * tq[(1, 0, 1, 0)]
-        - tp[(1, 1, 0, 0)]
-        * tp[(0, 1, 0, 0)]
-        * tq[(1, 1, 1, 0)]
-        * tq[(0, 1, 1, 0)]
-    )
-
-    lhs2 = (
-        n[(1, 0, 0, 1)]
-        * n[(0, 0, 1, 1)]
-        * (
-            plus[(1, 0, 0, 1)] * minus[(0, 0, 1, 1)]
-            - plus[(0, 0, 1, 1)] * minus[(1, 0, 0, 1)]
-        )
-    )
-    rhs2 = 2.0 * (
-        -tp[(0, 0, 0, 0)]
-        * tp[(1, 0, 1, 0)]
-        * tq[(0, 0, 0, 0)]
-        * tq[(1, 0, 1, 0)]
-        + tp[(0, 1, 0, 0)]
-        * tp[(1, 1, 1, 0)]
-        * tq[(0, 1, 0, 0)]
-        * tq[(1, 1, 1, 0)]
-    )
+def _addition_rows(lhs_nulls, plus, minus, tp, tq) -> list[float]:
+    """The two residuals at one (p, q) from the _SHIFTED_CHARS values at
+    p + q and p - q and the _ADDITION_CHARS values at p and q."""
+    n1, n2 = lhs_nulls
+    s1011, s0011, s1001 = plus
+    d1011, d0011, d1001 = minus
+    p1000, p0000, p1100, p0100, p0010, p1010, p1110, p0110 = tp
+    q1000, q0000, q1100, q0100, q0010, q1010, q1110, q0110 = tq
+    lhs1 = n1 * (s1011 * d0011 - s0011 * d1011)
+    rhs1 = 2.0 * (p1000 * p0000 * q0010 * q1010 - p1100 * p0100 * q1110 * q0110)
+    lhs2 = n2 * (s1001 * d0011 - s0011 * d1001)
+    rhs2 = 2.0 * (-p0000 * p1010 * q0000 * q1010 + p0100 * p1110 * q0100 * q1110)
     return [_rel(lhs1, rhs1), _rel(lhs2, rhs2)]
 
 
-# what the derivative formulas read at their point, values and gradients
-# from one grid; the gradients of the first three enter the formulas
+# what the derivative formulas read at their point: the values of all nine,
+# and the gradients of the first three, which enter the formulas
 _DERIVATIVE_CHARS = _chars(
     (0, 0, 1, 1), (1, 0, 1, 1), (1, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0),
     (1, 1, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0),
@@ -326,42 +306,37 @@ def derivative_formula_residuals(cd: CurveData, points) -> list[list[float]]:
     compared against products of nulls, null derivatives, and theta values.
     Both sides here are the quotient-rule numerators (derivative times the
     squared denominator), which avoids dividing by small values twice.
-    Values and gradients come from one grads_at call.
+    Values and the three gradients the formulas read come from one grid
+    request; the null and null-derivative products that lead each side are
+    taken once per batch.
     """
-    values, grads = cd.grads_at(_DERIVATIVE_CHARS, points)
-    return [
-        _derivative_rows(cd, dict(zip(_DERIVATIVE_CHARS, th)), dict(zip(_DERIVATIVE_CHARS, g)))
-        for th, g in zip(values, grads)
-    ]
-
-
-def _derivative_rows(cd: CurveData, th: dict, g: dict) -> list[float]:
     n = cd.nulls
-    ref = th[(0, 0, 1, 1)]
+    d1010, d1110 = cd.null_grads[(1, 0, 1, 0)], cd.null_grads[(1, 1, 1, 0)]
     scale = max(abs(n[(0, 0, 0, 0)]), abs(n[(0, 0, 1, 1)]))
+    lhs_nulls = (n[(1, 0, 0, 1)] * n[(0, 0, 0, 1)], n[(1, 0, 0, 1)] * n[(0, 0, 1, 1)])
+    # per derivative (d/du, then d/dv), the leading factors of the rhs terms
+    rhs_nulls = [
+        (n[(0, 0, 1, 0)] * d1010[i], n[(0, 1, 1, 0)] * d1110[i], -n[(0, 0, 0, 0)] * d1010[i], n[(0, 1, 0, 0)] * d1110[i])
+        for i in (0, 1)
+    ]
+    rows = cd._on_grids(_DERIVATIVE_CHARS, _DERIVATIVE_CHARS[:3], points)
+    return [_derivative_rows(scale, lhs_nulls, rhs_nulls, row) for row in rows]
+
+
+def _derivative_rows(scale: float, lhs_nulls, rhs_nulls, row) -> list[float]:
+    """The four residuals at one point from its row: the _DERIVATIVE_CHARS
+    values, then d/du and d/dv of the first three."""
+    ref, t1011, t1001, t1000, t0000, t1100, t0100, t1010, t1110 = row[:9]
     if abs(ref) <= 1e-10 * scale:
         raise SingularDenominator("theta[00;11] vanishes at the point")
-
-    g1011, g1001, g0011 = g[(1, 0, 1, 1)], g[(1, 0, 0, 1)], g[(0, 0, 1, 1)]
-    t1011 = th[(1, 0, 1, 1)]
-    t1001 = th[(1, 0, 0, 1)]
-    null_grads = cd.null_grads
-    d1010 = null_grads[(1, 0, 1, 0)]
-    d1110 = null_grads[(1, 1, 1, 0)]
-
-    out = []
-    for idx in (0, 1):
-        lhs = n[(1, 0, 0, 1)] * n[(0, 0, 0, 1)] * (g1011[idx] * ref - t1011 * g0011[idx])
-        rhs = (
-            n[(0, 0, 1, 0)] * d1010[idx] * th[(1, 0, 0, 0)] * th[(0, 0, 0, 0)]
-            - n[(0, 1, 1, 0)] * d1110[idx] * th[(1, 1, 0, 0)] * th[(0, 1, 0, 0)]
-        )
-        out.append(_rel(lhs, rhs))
-    for idx in (0, 1):
-        lhs = n[(1, 0, 0, 1)] * n[(0, 0, 1, 1)] * (g1001[idx] * ref - t1001 * g0011[idx])
-        rhs = (
-            -n[(0, 0, 0, 0)] * d1010[idx] * th[(0, 0, 0, 0)] * th[(1, 0, 1, 0)]
-            + n[(0, 1, 0, 0)] * d1110[idx] * th[(0, 1, 0, 0)] * th[(1, 1, 1, 0)]
-        )
-        out.append(_rel(lhs, rhs))
+    grads = (row[9:12], row[12:15])  # (theta[00;11], theta[10;11], theta[10;01]) per derivative
+    n1, n2 = lhs_nulls
+    out = [
+        _rel(n1 * (g1011 * ref - t1011 * g0011), a * t1000 * t0000 - b * t1100 * t0100)
+        for (g0011, g1011, _), (a, b, _, _) in zip(grads, rhs_nulls)
+    ]
+    out += [
+        _rel(n2 * (g1001 * ref - t1001 * g0011), c * t0000 * t1010 + d * t0100 * t1110)
+        for (g0011, _, g1001), (_, _, c, d) in zip(grads, rhs_nulls)
+    ]
     return out

@@ -367,17 +367,17 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     """Draw, evaluate and fold one suite's samples, then its final rows."""
     suite = _SUITES[name]
     stream = SampleStream(cfg.seed, name)
-    rows: list[tuple[str, float, list[complex]]] = []  # in fold order
+    # (labels, residuals, point) of each sample, then of each final row, in fold order
+    rows: list[tuple[tuple[str, ...], list[float], list[complex]]] = []
     notes: list[tuple[object, list[complex]]] = []
     skip_reasons: dict[str, int] = {}
     skipped = 0
 
     def take(sample, outcome):
         residuals, note = outcome
-        rows.extend(
-            (label, value, sample)
-            for label, value in zip(suite.labels, residuals, strict=True)
-        )
+        if len(residuals) != len(suite.labels):
+            raise ValueError(f"{name}: {len(residuals)} residuals for {len(suite.labels)} labels")
+        rows.append((suite.labels, residuals, sample))
         notes.append((note, sample))
 
     unresolved = cfg.samples
@@ -409,18 +409,24 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     extras: dict = {}
     if suite.finalize is not None:
         final = suite.finalize(cfg, notes, extras)
-        rows.extend(
-            (label, value, point)
+        rows += [
+            ((label,), [value], point)
             for label, (value, point) in zip(suite.final_labels, final, strict=True)
-        )
+        ]
 
-    total, worst, worst_check, worst_point, within = 0.0, 0.0, "", [], True
-    for label, value, point in rows:
-        total += value
-        if value > worst:
-            worst, worst_check, worst_point = value, label, list(point)
-        if value > (cfg.tol_fd if label in suite.fd_labels else cfg.tol_identity):
-            within = False
+    tolerance = {
+        label: cfg.tol_fd if label in suite.fd_labels else cfg.tol_identity
+        for label in suite.labels + suite.final_labels
+    }
+    count, total, worst, worst_check, worst_point, within = 0, 0.0, 0.0, "", [], True
+    for labels, values, point in rows:
+        count += len(values)
+        for label, value in zip(labels, values):
+            total += value
+            if value > worst:
+                worst, worst_check, worst_point = value, label, point
+            if value > tolerance[label]:
+                within = False
     return SuiteResult(
         name=name,
         passed=within and skipped < 0.2 * cfg.samples,
@@ -430,9 +436,9 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
         skipped=skipped,
         skip_reasons=dict(sorted(skip_reasons.items())),
         max_residual=worst,
-        mean_residual=total / len(rows) if rows else 0.0,
+        mean_residual=total / count if count else 0.0,
         worst_check=worst_check,
-        worst_point=worst_point,
+        worst_point=list(worst_point),
         checks=list(suite.labels + suite.final_labels),
         extras=extras,
     )

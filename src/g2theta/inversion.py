@@ -17,10 +17,12 @@ points, reads all sixteen theta values of the batch from one kernel call,
 and gives each point's residuals with the pair recovered there.
 
 One path turns theta values into a pair, _pair_from_thetas: recover_pair,
-the parameterization rows, flow's stencils and the degeneration rows all
-take it.  It computes the five linear factors of f5 once per recovered x
-(_linear_factors); f5, the sign-class choice and the fifteen rows read them
-by index, and every bracket row goes through one residual, _bracket.
+the parameterization rows, flow's stencil centers and the degeneration rows
+all take it, and flow's stencil offsets, which read only x1 and x2, take
+its first stage, _pair_xs.  It computes the five linear factors of f5 once
+per recovered x (_linear_factors); f5, the sign-class choice and the
+fifteen rows read them by index, and every bracket row goes through one
+residual, _bracket.
 
 Moduli roots always come from a single ModuliSet, each signed as its
 unsquared theta-null quotient (see moduli.build_moduli), so one sign
@@ -130,12 +132,12 @@ def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
     return ref * ref
 
 
-def _symmetric_from_thetas(ms: ModuliSet, th: dict, den: complex) -> SymmetricFunctions:
+def _symmetric_from_thetas(ms: ModuliSet, th: dict, den: complex) -> tuple[complex, complex]:
+    """s1 = x1 + x2 and s2 = x1 x2, the SymmetricFunctions as a plain pair."""
     kkk, factor = ms.symmetric_factors
     s2 = th[(1, 0, 1, 1)] ** 2 / (kkk * den)
     one_minus = factor * th[(1, 0, 0, 1)] ** 2 / den
-    s1 = 1.0 + s2 - one_minus
-    return SymmetricFunctions(s1=s1, s2=s2)
+    return 1.0 + s2 - one_minus, s2
 
 
 def symmetric_functions(
@@ -143,17 +145,17 @@ def symmetric_functions(
 ) -> SymmetricFunctions:
     cd = curve_data(tau, ctrl)
     [th] = _pair_tables(cd, (point,))
-    return _symmetric_from_thetas(cd.moduli, th, _reference_denominator(th, point, cd))
+    return SymmetricFunctions(*_symmetric_from_thetas(cd.moduli, th, _reference_denominator(th, point, cd)))
 
 
-def _solve_pair(sf: SymmetricFunctions) -> tuple[complex, complex]:
+def _solve_pair(s1: complex, s2: complex) -> tuple[complex, complex]:
     # roots of t^2 - s1 t + s2, larger-magnitude root first for stability
-    disc = cmath.sqrt(sf.s1 * sf.s1 - 4.0 * sf.s2)
-    big = (sf.s1 + disc) / 2.0
-    alt = (sf.s1 - disc) / 2.0
+    disc = cmath.sqrt(s1 * s1 - 4.0 * s2)
+    big = (s1 + disc) / 2.0
+    alt = (s1 - disc) / 2.0
     if abs(alt) > abs(big):
         big = alt
-    other = sf.s2 / big if big != 0 else sf.s1 - big
+    other = s2 / big if big != 0 else s1 - big
     # canonical order: x1 has the larger real part, ties broken by imag part
     if (other.real, other.imag) > (big.real, big.imag):
         big, other = other, big
@@ -180,17 +182,26 @@ def _pair_tables(cd: CurveData, points) -> list[dict]:
     return [dict(zip(_PAIR_CHARS, values)) for values in cd.values_at(_PAIR_CHARS, points)]
 
 
+def _pair_xs(cd: CurveData, th: dict, point) -> tuple[complex, complex, complex]:
+    """The first stage of _pair_from_thetas: x1 and x2 at the point, and the
+    squared reference theta den, with the errors of a point the pair is not
+    defined at.  Flow's offset stencil pairs read no more than this."""
+    den = _reference_denominator(th, point, cd)
+    x1, x2 = _solve_pair(*_symmetric_from_thetas(cd.moduli, th, den))
+    if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
+        raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
+    return x1, x2, den
+
+
 def _pair_from_thetas(cd: CurveData, th: dict, point) -> tuple[PointPair, complex, tuple]:
     """The PointPair at the point from its theta values th (keyed by
     characteristic), with the squared reference theta den that the ratios
     divide by and the _linear_factors of x1 and x2, which the
     parameterization rows read.  Of the moduli only k0 k1 k2 and k'0 k'1 k'2
-    enter, so a pair is recovered where some k_ij vanish."""
+    enter, so a pair is recovered where some k_ij vanish.  x1 and x2 come
+    from _pair_xs; the sigma_i and their sign class are this stage's."""
     ms = cd.moduli
-    den = _reference_denominator(th, point, cd)
-    x1, x2 = _solve_pair(_symmetric_from_thetas(ms, th, den))
-    if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
-        raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
+    x1, x2, den = _pair_xs(cd, th, point)
     lin1, lin2 = _linear_factors(x1, ms), _linear_factors(x2, ms)
     sigma1, sigma2 = cmath.sqrt(_quintic(lin1)), cmath.sqrt(_quintic(lin2))
 
@@ -209,9 +220,12 @@ def _pair_from_thetas(cd: CurveData, th: dict, point) -> tuple[PointPair, comple
     return pair, den, (lin1, lin2)
 
 
-def _parameterization_table(ms: ModuliSet):
+def _parameterization_table(cd: CurveData):
     """(bits, prefactor) of the polynomial rows, row i reading linear factor i,
-    and (bits, F-factor indices, prefactor) of the bracket rows."""
+    (bits, F-factor indices, prefactor) of the bracket rows, and of each unit
+    sum its null square and (signed null square, theta bits) per term: the
+    left-most factors of its products, once per batch."""
+    ms = cd.moduli
     for name in ("kp0", "kp1", "kp2", "k01", "k02", "k12"):
         if getattr(ms, name) == 0:
             raise DivisionByZeroModulus(f"modulus {name} vanishes")
@@ -239,7 +253,12 @@ def _parameterization_table(ms: ModuliSet):
         ((1, 1, 0, 0), (0, 3), k1 / (kp1 * k01 * k12)),
         ((1, 0, 0, 0), (0, 4), k2 / (kp2 * k02 * k12)),
     ]
-    return poly, bracket
+    null_sq = cd.null_squares
+    unit = [
+        (null_sq[den_bits], *[(sign * null_sq[nb], tb) for sign, nb, tb in terms])
+        for den_bits, terms in _UNIT_SUM_TERMS
+    ]
+    return poly, bracket, unit
 
 
 # the three decompositions of unity tying parameterizations 1..5 together:
@@ -270,7 +289,8 @@ def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float],
     linear factor vanishes stay regular.  All use the single sign class
     recovered by recover_pair.  Every row and the pair read one table of the
     sixteen theta values at the point, and the tables of all the points come
-    from one values_at call.  The moduli table of the rows is built once.
+    from one values_at call.  The moduli prefactors and the unit sums' null
+    factors are taken once per batch (_parameterization_table).
     """
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     results, table = [], None
@@ -278,21 +298,24 @@ def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float],
         th = dict(zip(ALL_CHARACTERISTICS, row))
         pair, den, factors = _pair_from_thetas(cd, th, point)
         if table is None:  # after the first pair, so a point error raises first
-            table = _parameterization_table(cd.moduli)
-        results.append((_parameterization_rows(cd.nulls, th, den, pair, factors, table), pair))
+            table = _parameterization_table(cd)
+        results.append((_parameterization_rows(th, den, pair, factors, table), pair))
     return results
 
 
-def _parameterization_rows(nulls, th: dict, den: complex, pair: PointPair, factors, table):
-    poly, bracket = table
+def _parameterization_rows(th: dict, den: complex, pair: PointPair, factors, table):
+    """The rows of one point.  Each unit sum's terms are summed left to
+    right from an int 0, and its scale's max taken over the three, as sum()
+    and max() did."""
+    poly, bracket, unit = table
     (l1, l2), gap, sg1, sg2 = factors, (pair.x2 - pair.x1) ** 2, pair.sigma1, pair.sigma2
     out = [_rel(th[bits] ** 2 / den, pref * l1[i] * l2[i]) for i, (bits, pref) in enumerate(poly)]
     out += [
         _bracket(th[bits] ** 2 / den, pref, l1[i] * l1[j], l2[i] * l2[j], gap, sg1, sg2)
         for bits, (i, j), pref in bracket
     ]
-    for den_bits, terms in _UNIT_SUM_TERMS:
-        den_sum = nulls[den_bits] ** 2 * den
-        vals = [sign * nulls[nb] ** 2 * th[tb] ** 2 / den_sum for sign, nb, tb in terms]
-        out.append(abs(sum(vals) - 1.0) / (1.0 + max(abs(t) for t in vals)))
+    for null_sq, (w1, t1), (w2, t2), (w3, t3) in unit:
+        den_sum = null_sq * den
+        v1, v2, v3 = w1 * th[t1] ** 2 / den_sum, w2 * th[t2] ** 2 / den_sum, w3 * th[t3] ** 2 / den_sum
+        out.append(abs(0 + v1 + v2 + v3 - 1.0) / (1.0 + max(abs(v1), abs(v2), abs(v3))))
     return out

@@ -26,6 +26,7 @@ from functools import cached_property
 
 from .errors import DegenerateTau, DivisionByZeroModulus
 from .theta import (
+    EVEN_CHARACTERISTICS,
     CurveData,
     PeriodMatrix,
     SeriesControl,
@@ -88,30 +89,22 @@ def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) ->
 
 
 # each modulus root as a quotient of even theta-nulls, (numerator, denominator)
-# characteristics in ModuliSet field order: the squared modulus is the same
-# quotient of squared nulls
-_ROOT_QUOTIENTS = (
-    (((1, 0, 0, 0), (1, 1, 0, 0)), ((0, 0, 0, 0), (0, 1, 0, 0))),  # k0
-    (((1, 0, 0, 1), (1, 1, 0, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),  # k1
-    (((1, 0, 0, 1), (1, 0, 0, 0)), ((0, 0, 0, 1), (0, 0, 0, 0))),  # k2
-    (((0, 0, 1, 0), (0, 1, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 0))),  # k'0
-    (((0, 0, 1, 1), (0, 1, 1, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),  # k'1
-    (((0, 0, 1, 1), (0, 0, 1, 0)), ((0, 0, 0, 1), (0, 0, 0, 0))),  # k'2
-    (((1, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))),  # k01
-    (((1, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))),  # k02
-    (((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1)), ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 0, 0))),  # k12
+# positions in EVEN_CHARACTERISTICS, in ModuliSet field order: the squared
+# modulus is the same quotient of squared nulls
+_ROOT_QUOTIENTS = tuple(
+    tuple(tuple(map(EVEN_CHARACTERISTICS.index, side)) for side in quotient)
+    for quotient in (
+        (((1, 0, 0, 0), (1, 1, 0, 0)), ((0, 0, 0, 0), (0, 1, 0, 0))),  # k0
+        (((1, 0, 0, 1), (1, 1, 0, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),  # k1
+        (((1, 0, 0, 1), (1, 0, 0, 0)), ((0, 0, 0, 1), (0, 0, 0, 0))),  # k2
+        (((0, 0, 1, 0), (0, 1, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 0))),  # k'0
+        (((0, 0, 1, 1), (0, 1, 1, 0)), ((0, 0, 0, 1), (0, 1, 0, 0))),  # k'1
+        (((0, 0, 1, 1), (0, 0, 1, 0)), ((0, 0, 0, 1), (0, 0, 0, 0))),  # k'2
+        (((1, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1))),  # k01
+        (((1, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 0)), ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))),  # k02
+        (((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1)), ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 0, 0))),  # k12
+    )
 )
-
-
-def _quotient(values, num, den) -> complex:
-    """prod values[num] / prod values[den], each product taken left to right."""
-    top = values[num[0]]
-    for bits in num[1:]:
-        top *= values[bits]
-    bottom = values[den[0]]
-    for bits in den[1:]:
-        bottom *= values[bits]
-    return top / bottom
 
 
 def build_moduli(cd: CurveData) -> ModuliSet:
@@ -121,22 +114,28 @@ def build_moduli(cd: CurveData) -> ModuliSet:
     minus the quotient of unsquared nulls whose square is the squared
     modulus; so each root carries the sign of its null quotient.  Raises
     DegenerateTau when a denominator null vanishes, or when some k_i^2 is
-    zero or not finite, as when the nulls with a = 1 underflow.
+    zero or not finite, as when the nulls with a = 1 underflow.  The nulls
+    and their squares are read by position in EVEN_CHARACTERISTICS.
     """
-    n = cd.null_squares
-    scale = max(abs(v) for v in n.values())
+    n = list(cd.null_squares.values())  # in EVEN_CHARACTERISTICS order
+    scale = max(map(abs, n))
     for denom in ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)):
-        if abs(n[denom]) <= 1e-10 * scale:
+        if (size := abs(cd.null_squares[denom])) <= 1e-10 * scale:
             raise DegenerateTau(
-                f"even theta-null {denom} vanishes (|.|^2 = {abs(n[denom]):.3e}); "
+                f"even theta-null {denom} vanishes (|.|^2 = {size:.3e}); "
                 "tau lies on a singular locus"
             )
-    nulls = cd.nulls
+    t = list(map(cd.nulls.__getitem__, EVEN_CHARACTERISTICS))
     squares, roots = [], []
-    for num, den in _ROOT_QUOTIENTS:
-        square = _quotient(n, num, den)
+    for num, den in _ROOT_QUOTIENTS:  # each product taken left to right
+        if len(num) == 2:
+            (a, b), (c, d) = num, den
+            square, quotient = n[a] * n[b] / (n[c] * n[d]), t[a] * t[b] / (t[c] * t[d])
+        else:
+            (a, b, e), (c, d, f) = num, den
+            square = n[a] * n[b] * n[e] / (n[c] * n[d] * n[f])
+            quotient = t[a] * t[b] * t[e] / (t[c] * t[d] * t[f])
         root = cmath.sqrt(square)
-        quotient = _quotient(nulls, num, den)
         if abs(root + quotient) < abs(root - quotient):
             root = -root
         squares.append(square)
@@ -237,14 +236,15 @@ def moduli_consistency_residuals(
 
 
 def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
-    """moduli_consistency_residuals from the per-tau data cd."""
+    """moduli_consistency_residuals from the per-tau data cd, the squared
+    nulls read by position in EVEN_CHARACTERISTICS."""
     ms = cd.moduli
-    n = cd.null_squares
+    n0000, n0001, n0010, n0011, n0100, n0110, n1000, n1001, n1100, n1111 = cd.null_squares.values()
 
     # k_i^2 expressed through primed nulls: r/(1+r) with r = k_i^2/(1-k_i^2)
-    r0 = n[(1, 0, 0, 0)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 0)] * n[(0, 1, 1, 0)])
-    r1 = n[(1, 0, 0, 1)] * n[(1, 1, 0, 0)] / (n[(0, 0, 1, 1)] * n[(0, 1, 1, 0)])
-    r2 = n[(1, 0, 0, 1)] * n[(1, 0, 0, 0)] / (n[(0, 0, 1, 1)] * n[(0, 0, 1, 0)])
+    r0 = n1000 * n1100 / (n0010 * n0110)
+    r1 = n1001 * n1100 / (n0011 * n0110)
+    r2 = n1001 * n1000 / (n0011 * n0010)
     out = [
         _rel(r0 / (1.0 + r0), ms.k0_sq),
         _rel(r1 / (1.0 + r1), ms.k1_sq),
@@ -253,26 +253,20 @@ def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
 
     # sum rules among products of squared nulls
     sums = (
-        ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)),
-        ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)),
-        ((0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0)),
+        (n0000, n0100, n0010, n0110, n1000, n1100),
+        (n0001, n0100, n0011, n0110, n1001, n1100),
+        (n0001, n0000, n0011, n0010, n1001, n1000),
     )
     for a1, a2, b1, b2, c1, c2 in sums:
-        lhs = n[a1] * n[a2]
-        t1, t2 = n[b1] * n[b2], n[c1] * n[c2]
+        lhs = a1 * a2
+        t1, t2 = b1 * b2, c1 * c2
         scale = 1.0 + max(abs(lhs), abs(t1), abs(t2))
         out.append(abs(lhs - t1 - t2) / scale)
 
     # difference formulas: k_ij^2 from two-null cross terms vs triple product
-    d01 = (n[(1, 1, 0, 0)] / n[(0, 1, 0, 0)]) * (
-        n[(1, 0, 0, 0)] * n[(0, 0, 0, 1)] - n[(0, 0, 0, 0)] * n[(1, 0, 0, 1)]
-    ) / (n[(0, 0, 0, 0)] * n[(0, 0, 0, 1)])
-    d02 = (n[(1, 0, 0, 0)] / n[(0, 0, 0, 0)]) * (
-        n[(1, 1, 0, 0)] * n[(0, 0, 0, 1)] - n[(0, 1, 0, 0)] * n[(1, 0, 0, 1)]
-    ) / (n[(0, 1, 0, 0)] * n[(0, 0, 0, 1)])
-    d12 = (n[(1, 0, 0, 1)] / n[(0, 0, 0, 1)]) * (
-        n[(0, 0, 0, 0)] * n[(1, 1, 0, 0)] - n[(1, 0, 0, 0)] * n[(0, 1, 0, 0)]
-    ) / (n[(0, 1, 0, 0)] * n[(0, 0, 0, 0)])
+    d01 = (n1100 / n0100) * (n1000 * n0001 - n0000 * n1001) / (n0000 * n0001)
+    d02 = (n1000 / n0000) * (n1100 * n0001 - n0100 * n1001) / (n0100 * n0001)
+    d12 = (n1001 / n0001) * (n0000 * n1100 - n1000 * n0100) / (n0100 * n0000)
     out += [
         _rel(d01, ms.k01_sq),
         _rel(d02, ms.k02_sq),

@@ -68,39 +68,37 @@ _VARIANTS = (ProductVariant.M, ProductVariant.M1, ProductVariant.M2, ProductVari
 # every characteristic a product reads, variant pairs in _VARIANTS order
 _PRODUCT_CHARS = tuple(c for t in _VARIANTS for c in _VARIANT_PAIRS[t])
 
-# rows of 2A; its own inverse up to the factor 4 (S @ S == 4 I)
-_S_ROWS = (
-    (1, 1, 1, 1),
-    (1, 1, -1, -1),
-    (1, -1, 1, -1),
-    (1, -1, -1, 1),
-)
+
+def _s_rows(x0, x1, x2, x3) -> tuple:
+    """The four rows of S = 2A, (1,1,1,1), (1,1,-1,-1), (1,-1,1,-1) and
+    (1,-1,-1,1), applied to (x0, x1, x2, x3); S is its own inverse up to the
+    factor 4 (S @ S == 4 I).
+
+    Each row is summed left to right from an int 0, the fold of sum() over
+    the weighted terms: for finite x, x + y and x - y have the bits of
+    x + 1*y and x + (-1)*y, as a running sum from 0 is never -0.  Rows that
+    begin alike share their first sums.
+    """
+    first = 0 + x0
+    plus, minus = first + x1, first - x1
+    return plus + x2 + x3, plus - x2 - x3, minus + x2 - x3, minus - x2 + x3
 
 
 def riemann_transform(q: Quadruple) -> Quadruple:
-    us = [p.u for p in q.points]
-    vs = [p.v for p in q.points]
-    new = []
-    for row in _S_ROWS:
-        nu = sum(w * x for w, x in zip(row, us)) / 2.0
-        nv = sum(w * x for w, x in zip(row, vs)) / 2.0
-        new.append(Point2(nu, nv))
-    return Quadruple(tuple(new))
+    nus = _s_rows(*[p.u for p in q.points])
+    nvs = _s_rows(*[p.v for p in q.points])
+    return Quadruple(tuple([Point2(nu / 2.0, nv / 2.0) for nu, nv in zip(nus, nvs)]))
 
 
-def _fold_products(values) -> complex:
-    """Sum over characteristics of the product over points.
+def _products(values) -> list[complex]:
+    """Per variant pair, the sum over its two characteristics of the product
+    over the points: values[i][k] is theta of characteristic k at point i,
+    consecutive characteristics forming a pair.
 
-    values[i][k] is theta of the k-th characteristic of a variant pair at the
-    i-th point of the quadruple.
+    Each product runs left to right from 1 + 0j and each pair's sum from 0j.
     """
-    total = 0.0 + 0.0j
-    for k in (0, 1):
-        prod = 1.0 + 0.0j
-        for vals in values:
-            prod *= vals[k]
-        total += prod
-    return total
+    prods = [(1.0 + 0.0j) * a * b * c * d for a, b, c, d in zip(*values)]
+    return [0j + prods[k] + prods[k + 1] for k in range(0, len(prods), 2)]
 
 
 def product_m(
@@ -109,27 +107,20 @@ def product_m(
     tau: PeriodMatrix,
     ctrl: SeriesControl = SeriesControl(),
 ) -> complex:
-    return _fold_products(curve_data(tau, ctrl).values_at(_VARIANT_PAIRS[variant], q.points))
+    return _products(curve_data(tau, ctrl).values_at(_VARIANT_PAIRS[variant], q.points))[0]
 
 
-def _all_products(values) -> list[complex]:
-    """The four products in _VARIANTS order from _PRODUCT_CHARS values per point."""
-    return [
-        _fold_products([vals[2 * j : 2 * j + 2] for vals in values])
-        for j in range(len(_VARIANTS))
-    ]
-
-
-def _relation_residuals(lhs_vec, rhs_vec):
-    """Residuals of 2*lhs_i = sum_j S_ij rhs_j, normalized per relation."""
+def _relation_residuals(lhs_vec, rhs_vec) -> list[float]:
+    """Residuals of 2*lhs_i = sum_j S_ij rhs_j, normalized per relation by
+    1 + max(|2 lhs_i|, max_j |rhs_j|); the inner max, the same for every
+    relation, is taken once, and the outer one inline, the first of equals
+    kept as max() keeps it.  Each sum runs as _s_rows sums."""
+    top = max(map(abs, rhs_vec))
     out = []
-    for i, row in enumerate(_S_ROWS):
-        lhs = 2.0 * lhs_vec[i]
-        rhs = sum(w * m for w, m in zip(row, rhs_vec))
-        scale = 1.0 + max(
-            abs(lhs), max(abs(m) for m in rhs_vec)
-        )
-        out.append(abs(lhs - rhs) / scale)
+    for lhs, rhs in zip(lhs_vec, _s_rows(*rhs_vec)):
+        lhs = 2.0 * lhs
+        size = abs(lhs)
+        out.append(abs(lhs - rhs) / (1.0 + (top if top > size else size)))
     return out
 
 
@@ -141,8 +132,8 @@ def riemann_relation_residuals(cd: CurveData, quads) -> list[list[float]]:
     values = cd.values_at(_PRODUCT_CHARS, points)
     out = []
     for i in range(0, len(values), 8):
-        m = _all_products(values[i : i + 4])
-        mt = _all_products(values[i + 4 : i + 8])
+        m = _products(values[i : i + 4])
+        mt = _products(values[i + 4 : i + 8])
         out.append(_relation_residuals(m, mt) + _relation_residuals(mt, m))
     return out
 
@@ -185,17 +176,26 @@ _FUNDAMENTAL_CHARS = tuple(
 
 def fundamental_identity_residuals(cd: CurveData, points) -> list[list[float]]:
     """Residuals of the three four-term squared-theta identities at each
-    point (u, v), from one values_at call."""
-    null_sq = {bits: value**2 for bits, value in cd.nulls.items()}
+    point (u, v), from one values_at call.
+
+    Each term's left-most factor, its null square (signed on the right-hand
+    side), is taken once per batch, and the right-hand side is summed left
+    to right from an int 0, as sum() summed it.
+    """
+    null_sq = cd.null_squares
+    index = {c: i for i, c in enumerate(_FUNDAMENTAL_CHARS)}
+    table = [
+        (null_sq[n0], index[t0], *[(sign * null_sq[nb], index[tb]) for sign, nb, tb in rhs_terms])
+        for (n0, t0), rhs_terms in _FUNDAMENTAL_TERMS
+    ]
     out = []
     for values in cd.values_at(_FUNDAMENTAL_CHARS, points):
-        th_sq = {c: value**2 for c, value in zip(_FUNDAMENTAL_CHARS, values)}
+        th_sq = [value**2 for value in values]
         rows = []
-        for (n0, t0), rhs_terms in _FUNDAMENTAL_TERMS:
-            lhs = null_sq[n0] * th_sq[t0]
-            terms = [sign * null_sq[nb] * th_sq[tb] for sign, nb, tb in rhs_terms]
-            rhs = sum(terms)
-            scale = 1.0 + max(abs(lhs), max(abs(t) for t in terms))
-            rows.append(abs(lhs - rhs) / scale)
+        for n0, t0, (w1, t1), (w2, t2), (w3, t3) in table:
+            lhs = n0 * th_sq[t0]
+            r1, r2, r3 = w1 * th_sq[t1], w2 * th_sq[t2], w3 * th_sq[t3]
+            scale = 1.0 + max(abs(lhs), max(abs(r1), abs(r2), abs(r3)))
+            rows.append(abs(lhs - (0 + r1 + r2 + r3)) / scale)
         out.append(rows)
     return out

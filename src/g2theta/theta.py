@@ -130,7 +130,8 @@ EVEN_CHARACTERISTICS = tuple(x for x in ALL_CHARACTERISTICS if not x.is_odd)
 
 def _rel(lhs: complex, rhs: complex) -> float:
     """|lhs - rhs| / (1 + max(|lhs|, |rhs|)): the residual of an identity lhs = rhs."""
-    return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+    a, b = abs(lhs), abs(rhs)  # max() inline, the first of equals kept
+    return abs(lhs - rhs) / (1.0 + (b if b > a else a))
 
 
 @dataclass(frozen=True)
@@ -602,18 +603,18 @@ _NULL_CACHE_TAUS = 64
 _FORMS_PER_CURVE = 4
 
 
-def _origin_grid(taus, n: int) -> list[tuple[list[complex], _LatticeForm]]:
+def _origin_grid(taus, n: int) -> list[tuple[int, list[complex], _LatticeForm]]:
     """For period matrices of origin radius n, all in _in_factor_range or none:
-    each one's origin row (the even nulls, then d/du and d/dv of the two odd
+    n, each one's origin row (the even nulls, then d/du and d/dv of the two odd
     _NULL_GRAD_CHARS) and its slice of their stacked lattice form.  At the
     origin every row and column factor is 1, so the rows are one grid."""
     form = _lattice_form(taus, n)
     rows = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), form, n)
     if len(rows) == 1:  # a stack of one is its own slice
-        return [(rows[0], form)]
+        return [(n, rows[0], form)]
     quad, factor = form.quad, form.tau_factor
     return [
-        (row, _LatticeForm(None if quad is None else quad[k : k + 1], None if factor is None else factor[k : k + 1]))
+        (n, row, _LatticeForm(None if quad is None else quad[k : k + 1], None if factor is None else factor[k : k + 1]))
         for k, row in enumerate(rows)
     ]
 
@@ -643,12 +644,12 @@ class CurveData:
     null_scale: float = field(init=False)
     _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
     _decay_constants: tuple[float, float] = field(init=False, repr=False)
-    origin: InitVar[tuple | None] = None  # its (row, form slice) of a curve_batch origin grid
+    origin: InitVar[tuple | None] = None  # its (radius, row, form slice) of a curve_batch origin grid
 
     def __post_init__(self, origin):
         object.__setattr__(self, "_decay_constants", _decay(self.tau.lambda_min, self.ctrl.tol))
-        n = self._radius(ORIGIN)
-        sums, self._forms[n] = origin or _origin_grid((self.tau,), n)[0]  # alone, a batch of one
+        # alone, a batch of one; the radius is assigned first, then keys its form
+        n, sums, self._forms[n] = origin or _origin_grid((self.tau,), self._radius(ORIGIN))[0]
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
         nulls = dict.fromkeys(ALL_CHARACTERISTICS, 0j)
         nulls.update(zip(EVEN_CHARACTERISTICS, values))
@@ -697,12 +698,11 @@ class CurveData:
         """The rows of _grid_sums(values, grads) at every point, on bounded grids."""
         if not values and not grads:
             return [[] for _ in points]
-        radii = [self._radius(point) for point in points]
 
         def grid(n, idx):
             return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), n)
 
-        return _by_grid(radii, lambda n: _layout(values, grads, n).terms, grid)
+        return _by_grid([self._radius(point) for point in points], lambda n: _layout(values, grads, n).terms, grid)
 
     def _radius(self, point: Point2) -> int:
         """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""

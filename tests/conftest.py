@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from g2theta.degeneration import _radius1
+from g2theta.degeneration import _radii1
 from g2theta.rng import SampleStream
 from g2theta.theta import (
     ALL_CHARACTERISTICS,
@@ -161,7 +161,7 @@ def reference_theta1(c, z, tau, ctrl=SeriesControl()):
     The production radius is used, so the genus-1 grid must reproduce this
     value bit for bit.
     """
-    n = _radius1(z, tau, ctrl)
+    n = _radii1([(z, tau)], ctrl)[z, tau]
     m = np.arange(-n, n + 1, dtype=float) + c.a / 2.0
     expo = 1j * math.pi * (tau * m * m + 2.0 * m * (z + c.b / 2.0))
     return _reference_fsum(np.exp(expo))

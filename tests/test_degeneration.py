@@ -74,7 +74,7 @@ def test_genus1_grid_is_bit_identical_to_one_row_per_value():
     zs = [0.0, 0j, complex(-0.0, -0.0)]
     zs += [stream.next_complex(-0.5, 0.5, -1.5, 1.5) for _ in range(12)]
     rows = [(c, z, tau) for tau in (1j, TAU1, -0.2 + 0.8j) for z in zs for c in CHARS1]
-    radii = {degeneration._radius1(z, tau, SeriesControl()) for _, z, tau in rows}
+    radii = set(degeneration._radii1([(z, tau) for _, z, tau in rows], SeriesControl()).values())
     assert len(radii) >= 3
     expected = [reference_theta1(c, z, tau) for c, z, tau in rows]
     assert [theta1(c, z, tau) for c, z, tau in rows] == expected

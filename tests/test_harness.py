@@ -183,7 +183,7 @@ def _numpy_build() -> str:
     The kernel's complex products are numpy multiplies, whose last bit
     depends on the dispatched code path, so a golden mismatch names them.
     """
-    umath = np._core._multiarray_umath
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
     dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     return f"numpy {np.__version__}, dispatched CPU features {dispatched}"
 
@@ -790,6 +790,9 @@ def test_cli_version_flag():
         ("split_limit_scan.py", [], 1 + 7, {}),
         # one row per case, each case run at least once
         ("kernel_timing.py", [], 6, {"ROUNDS": 1, "CALLS": 4}),
+        # one row per op, this checkout timed against itself
+        ("kernel_timing.py", ["--ab", str(DATA.parents[1] / "src"), "--rounds", "2"], 3,
+         {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),
     ],
 )
 def test_scripts_run_to_completion(script, monkeypatch, capsys):

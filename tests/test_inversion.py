@@ -19,7 +19,6 @@ from g2theta.errors import (
 from g2theta.inversion import (
     PARAMETERIZATION_LABELS,
     CurveSpec,
-    SymmetricFunctions,
     f5,
     f_factor,
     parameterization_residuals,
@@ -183,7 +182,7 @@ def test_coincident_pair_guard(monkeypatch):
     monkeypatch.setattr(
         inversion,
         "_symmetric_from_thetas",
-        lambda ms, th, den: SymmetricFunctions(s1=2.0 + 0.0j, s2=1.0 + 0.0j),
+        lambda ms, th, den: (2.0 + 0.0j, 1.0 + 0.0j),  # s1 and s2
     )
     with pytest.raises(CoincidentPoints):
         inversion.recover_pair(Point2(0.1, 0.1), DEFAULT_TAU)

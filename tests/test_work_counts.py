@@ -226,6 +226,22 @@ def test_parameterizations_suite_builds_one_grid_per_batch(monkeypatch):
     assert len(grids) == len({args[4] for args in grids})
 
 
+def test_derivative_suite_reads_only_the_gradients_its_formulas_read(monkeypatch):
+    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
+    grids = []
+    _counting(monkeypatch, theta, "_grid_sums", grids)
+    result = run_suites(RunConfig(samples=20, suites=("derivative",))).suites[0]
+    assert (result.samples_run, result.skip_reasons) == (20, {})
+    # the values of nine characteristics and the gradients of the three the
+    # formulas read: 4 class grids and 2 jets of 2 classes, 8 class-jet grids
+    # a point, not 12, so the 20 points at radius 4 fill 2 grids, not 3
+    assert [(len(args[0]), len(args[1])) for args in grids] == [(9, 3)] * len(grids)
+    assert [args[4] for args in grids] == [4] * len(grids)
+    assert {theta._layout(tuple(args[0]), tuple(args[1]), 4).terms for args in grids} == {8 * 9**2}
+    assert sum(len(args[2]) for args in grids) == 20
+    assert len(grids) == 2
+
+
 def test_riemann_relations_evaluate_each_point_once(monkeypatch):
     cd = theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     calls, grids = [], []
