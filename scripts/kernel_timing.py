@@ -10,7 +10,11 @@ Cases, all at DEFAULT_TAU and radius 4:
   the size of one riemann grid;
 - fresh CurveData: one new period matrix, its lattice form and origin grid;
 - stacked CurveData: 20 new period matrices from the harness's Siegel box,
-  built by curve_batch on stacked origin grids (compare 20 fresh ones).
+  built by curve_batch on stacked origin grids (compare 20 fresh ones);
+- fresh import: the package and its CLI imported again, one import a run,
+  as the set-up of perfbench/run.py does, under a name of its own so the
+  other cases keep their modules.  Bytecode writing is off, so each import
+  compiles the sources unless a __pycache__ next to them holds bytecode.
 
 Each figure is the minimum over interleaved rounds of the mean of a run of
 calls, so the cases share whatever the machine is doing.  Run it as
@@ -23,11 +27,12 @@ second.  So --ab BEFORE [AFTER] loads the g2theta package of each source
 directory (AFTER defaults to this checkout's src) under a name of its own
 in this one process, and alternates the two trees op by op, the order
 flipped every round: a 20-sample `g2theta verify` through cli.main at a
-fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU, and
-CURVE_CALLS fresh CurveData.  Both trees get the same inputs.  For each op
-it prints the median over the rounds of BEFORE's time over AFTER's (above
-1 when AFTER is faster), the quartiles of that ratio, and whether the two
-trees' outputs were equal in every round:
+fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU,
+CURVE_CALLS fresh CurveData, and a fresh import of the package and its CLI
+(under a third name, so the other ops keep their modules).  Both trees get
+the same inputs.  For each op it prints the median over the rounds of
+BEFORE's time over AFTER's (above 1 when AFTER is faster), the quartiles of
+that ratio, and whether the two trees' outputs were equal in every round:
 
     PYTHONPATH=src python scripts/kernel_timing.py --ab ../parent/src --rounds 300
 """
@@ -77,6 +82,7 @@ def _cases():
         "grads_at 6x16": (CALLS // 4, lambda: cd.grads_at(ALL_CHARACTERISTICS, POINTS)),
         "fresh CurveData": (CALLS // 4, lambda: CurveData(DEFAULT_TAU, ctrl)),
         "stacked CurveData (20 taus)": (CALLS // 4, lambda: theta.curve_batch(taus, ctrl)),
+        "fresh import": (1, lambda: _fresh_import("g2theta_import", Path(theta.__file__).parents[1])),
     }
 
 
@@ -94,7 +100,9 @@ def _kernel_cases() -> None:
 
 
 def _load_tree(name: str, src: Path):
-    """The g2theta package under src, imported as the package `name`."""
+    """The g2theta package under src, imported afresh as the package `name`."""
+    for mod in [n for n in sys.modules if n == name or n.startswith(f"{name}.")]:
+        del sys.modules[mod]
     init = src / "g2theta" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     sys.modules[name] = importlib.util.module_from_spec(spec)
@@ -102,8 +110,21 @@ def _load_tree(name: str, src: Path):
     return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cli", "inversion", "theta")}
 
 
-def _tree_ops(tree, report: str) -> dict:
-    """Each --ab op of one tree: input -> a comparable output."""
+def _fresh_import(name: str, src: Path) -> list[str]:
+    """The package under src and its CLI imported afresh as `name`, which
+    the g2theta modules this process uses do not share: the names of the
+    modules it loaded."""
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        _load_tree(name, src)
+    finally:
+        sys.dont_write_bytecode = writes
+    return sorted(mod.removeprefix(f"{name}.") for mod in sys.modules if mod.startswith(f"{name}."))
+
+
+def _tree_ops(name: str, src: Path, report: str) -> dict:
+    """Each --ab op of the tree under src, loaded as `name`: input -> a comparable output."""
+    tree = _load_tree(name, src)
     cli, inversion_, theta_ = tree["cli"], tree["inversion"], tree["theta"]
 
     def verify(seed):
@@ -113,15 +134,19 @@ def _tree_ops(tree, report: str) -> dict:
         return code, Path(report).read_bytes()
 
     def pairs(points):
-        return [
-            tuple(inversion_.recover_pair(theta_.Point2(u, v), theta_.DEFAULT_TAU).__dict__.values())
-            for u, v in points
-        ]
+        recovered = [inversion_.recover_pair(theta_.Point2(u, v), theta_.DEFAULT_TAU) for u, v in points]
+        # by name, which reads a record tree and a dataclass tree alike
+        return [(p.x1, p.x2, p.sigma1, p.sigma2, p.sign_flipped) for p in recovered]
 
     def curves(taus):
         return [tuple(theta_.CurveData(theta_.PeriodMatrix(*tau), theta_.SeriesControl()).nulls.values()) for tau in taus]
 
-    return {"verify": verify, "recover_pair": pairs, "fresh CurveData": curves}
+    return {
+        "verify": verify,
+        "recover_pair": pairs,
+        "fresh CurveData": curves,
+        "fresh import": lambda _: _fresh_import(f"{name}_import", src),
+    }
 
 
 def _ab(before: Path, after: Path, rounds: int) -> None:
@@ -133,13 +158,15 @@ def _ab(before: Path, after: Path, rounds: int) -> None:
     def inputs(op):
         if op == "verify":
             return rng.getrandbits(63)
+        if op == "fresh import":
+            return None
         if op == "recover_pair":
             return [(box(*harness._BOX), box(*harness._BOX)) for _ in range(PAIR_CALLS)]
         return [(box(*harness._TAU_DIAG), box(*harness._TAU_DIAG), box(*harness._TAU_OFF)) for _ in range(CURVE_CALLS)]
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = [
-            _tree_ops(_load_tree(name, src.resolve()), os.path.join(tmp, f"{name}.json"))
+            _tree_ops(name, src.resolve(), os.path.join(tmp, f"{name}.json"))
             for name, src in (("g2theta_before", before), ("g2theta_after", after))
         ]
         for ops in trees:  # warm up: imports, the DEFAULT_TAU caches, the plans

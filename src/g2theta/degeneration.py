@@ -27,7 +27,6 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -71,6 +70,7 @@ class Genus1Characteristic(namedtuple("Genus1Characteristic", "a b")):
     """Two bits [a; b]; equals and hashes as its bit tuple (a, b)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, a: int, b: int):
         if a not in (0, 1) or b not in (0, 1):
@@ -85,17 +85,13 @@ class Genus1Characteristic(namedtuple("Genus1Characteristic", "a b")):
         return f"{self.a}{self.b}"
 
 
-@dataclass(frozen=True)
-class EllipticModulus:
+class EllipticModulus(namedtuple("EllipticModulus", "k_sq kp_sq k kp")):
     """k = (theta[1;0]/theta[0;0])^2(0), k' = (theta[0;1]/theta[0;0])^2(0).
 
     k_sq + kp_sq = 1 is the quartic null identity; roots are principal.
     """
 
-    k_sq: complex
-    kp_sq: complex
-    k: complex
-    kp: complex
+    __slots__ = ()
 
 
 def _radii1(args, ctrl: SeriesControl) -> dict:

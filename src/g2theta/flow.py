@@ -35,7 +35,7 @@ no result depends on which items share a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     PointError,
@@ -64,21 +64,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlowConstants:
-    a_u: complex
-    b_u: complex
-    c_v: complex
-    d_v: complex
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    P: complex
-    Q: complex
-    R: complex
-    S: complex
-    det: complex
+class FlowConstants(namedtuple("FlowConstants", "a_u b_u c_v d_v A B C D P Q R S det")):
+    __slots__ = ()
 
 
 def _chars(*bits_seq) -> tuple[HalfCharacteristic, ...]:
@@ -186,17 +173,18 @@ def _pair_stencil(cd: CurveData, points, tables, h: float):
 
 
 def _flow_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
-    x1, x2 = center.x1, center.x2
+    x1, x2, sigma1, sigma2, _ = center
+    A, B, C, D = fc[4:8]
     dx = x2 - x1
 
     best = None
     for s in (1.0, -1.0):
-        sg1, sg2 = s * center.sigma1, s * center.sigma2
+        sg1, sg2 = s * sigma1, s * sigma2
         closed = (
-            (fc.A + fc.B * x2) * sg1 / dx,
-            -(fc.A + fc.B * x1) * sg2 / dx,
-            (fc.C + fc.D * x2) * sg1 / dx,
-            -(fc.C + fc.D * x1) * sg2 / dx,
+            (A + B * x2) * sg1 / dx,
+            -(A + B * x1) * sg2 / dx,
+            (C + D * x2) * sg1 / dx,
+            -(C + D * x1) * sg2 / dx,
         )
         fd = (d_du[0], d_du[1], d_dv[0], d_dv[1])
         res = [_rel(f, c) for f, c in zip(fd, closed)]
@@ -206,17 +194,18 @@ def _flow_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
 
 
 def _abelian_rows(fc: FlowConstants, center, d_du, d_dv) -> list[float]:
-    x1, x2 = center.x1, center.x2
-    small, large = sorted((abs(center.sigma1), abs(center.sigma2)))
+    x1, x2, sigma1, sigma2, _ = center
+    P, Q, R, S = fc[8:12]
+    small, large = sorted((abs(sigma1), abs(sigma2)))
     if small <= 1e-10 * large:
         # a branch point of the pair, as at the collapsed root of a split tau
         raise SingularDenominator(f"sigma vanishes at the pair ({x1}, {x2})")
 
     best = None
     for s in (1.0, -1.0):
-        sg1, sg2 = s * center.sigma1, s * center.sigma2
-        du_rec = (fc.P + fc.Q * x1) * d_du[0] / sg1 + (fc.P + fc.Q * x2) * d_du[1] / sg2
-        dv_rec = (fc.R + fc.S * x1) * d_dv[0] / sg1 + (fc.R + fc.S * x2) * d_dv[1] / sg2
+        sg1, sg2 = s * sigma1, s * sigma2
+        du_rec = (P + Q * x1) * d_du[0] / sg1 + (P + Q * x2) * d_du[1] / sg2
+        dv_rec = (R + S * x1) * d_dv[0] / sg1 + (R + S * x2) * d_dv[1] / sg2
         res = [abs(du_rec - 1.0), abs(dv_rec - 1.0)]
         if best is None or max(res) < max(best):
             best = res

@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from functools import partial
 
 from .degeneration import (
@@ -110,26 +109,27 @@ _TAU_OFF = (-0.1, 0.1, 0.1, 0.35)
 _SKIPPABLE = (PointError, DivisionByZeroModulus, DegenerateTau)
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(
+    namedtuple(
+        "_Suite",
+        "boxes labels evaluate fd_labels final_labels finalize config_tau_first reads_curve",
+        defaults=(frozenset(), (), None, False, False),
+    )
+):
     """One suite: what each sample draws, the residuals it gives, how a run ends.
 
+    boxes holds a sample's draw boxes and labels its residuals' labels.
     evaluate(cfg, samples) returns, in order, each sample's residuals in
     label order and a note; an error at any sample raises for the whole
-    batch, and _outcomes sorts it out.  finalize(cfg, notes, extras) gets
-    the (note, sample) of every sample that ran, records what it reports
-    beyond residuals in extras, and returns one (residual, point) per final
-    label.
+    batch, and _outcomes sorts it out.  fd_labels are checked against the
+    finite-difference tolerance.  finalize(cfg, notes, extras), if not
+    None, gets the (note, sample) of every sample that ran, records what it
+    reports beyond residuals in extras, and returns one (residual, point)
+    per final label.  With config_tau_first the configured tau is sample 0;
+    reads_curve says the suite needs the pair on the configured curve.
     """
 
-    boxes: tuple[tuple[float, float, float, float], ...]
-    labels: tuple[str, ...]
-    evaluate: Callable[[RunConfig, list[list[complex]]], list[tuple[list[float], object]]]
-    fd_labels: frozenset[str] = frozenset()
-    final_labels: tuple[str, ...] = ()
-    finalize: Callable[[RunConfig, list, dict], list[tuple[float, list[complex]]]] | None = None
-    config_tau_first: bool = False  # the configured tau is sample 0
-    reads_curve: bool = False  # needs the pair on the configured curve
+    __slots__ = ()
 
 
 def _points(batch) -> list[Point2]:
@@ -287,16 +287,14 @@ _SUITES = {
 SUITE_ORDER = tuple(_SUITES)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tau: PeriodMatrix = DEFAULT_TAU
-    seed: int = 0
-    samples: int = 100
-    tol_identity: float = 1e-8
-    tol_fd: float = 1e-5
-    fd_step: float = 1e-5
-    series: SeriesControl = SeriesControl()
-    suites: tuple[str, ...] = SUITE_ORDER
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        "tau seed samples tol_identity tol_fd fd_step series suites",
+        defaults=(DEFAULT_TAU, 0, 100, 1e-8, 1e-5, 1e-5, SeriesControl(), SUITE_ORDER),
+    )
+):
+    __slots__ = ()
 
     def validate(self) -> None:
         if not isinstance(self.samples, int) or self.samples < 1:
@@ -314,29 +312,25 @@ class RunConfig:
             raise ConfigInvalid(f"unknown suites: {unknown}; known: {list(SUITE_ORDER)}")
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    tolerance: float
-    fd_tolerance: float
-    samples_run: int
-    skipped: int
-    skip_reasons: dict[str, int]
-    max_residual: float
-    mean_residual: float
-    worst_check: str
-    worst_point: list[complex]
-    checks: list[str]
-    extras: dict = field(default_factory=dict)
+class SuiteResult(
+    namedtuple(
+        "SuiteResult",
+        "name passed tolerance fd_tolerance samples_run skipped skip_reasons max_residual "
+        "mean_residual worst_check worst_point checks extras",
+        defaults=(None,),
+    )
+):
+    """extras, what the suite reports beyond residuals, is a new dict when not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        result = super().__new__(cls, *fields, **named)
+        return result if result.extras is not None else result._replace(extras={})
 
 
-@dataclass
-class Report:
-    version: str
-    config: RunConfig
-    suites: list[SuiteResult]
-    passed: bool
+class Report(namedtuple("Report", "version config suites passed")):
+    __slots__ = ()
 
 
 def _outcomes(suite: _Suite, cfg: RunConfig, batch: list[list[complex]]) -> list:
@@ -478,9 +472,7 @@ def parse_complex_pair(text: str) -> complex:
 _DEFAULTS = RunConfig()
 _TAU_KEYS = ("tau1", "tau2", "tau12")
 # the int and float fields of RunConfig share their config-file key
-_NUMBER_KEYS = tuple(
-    f.name for f in fields(RunConfig) if type(getattr(_DEFAULTS, f.name)) in (int, float)
-)
+_NUMBER_KEYS = tuple(name for name in RunConfig._fields if type(getattr(_DEFAULTS, name)) in (int, float))
 _SERIES_KEYS = {"series_tol": "tol", "max_radius": "max_radius"}  # key -> SeriesControl field
 _CONFIG_KEYS = {*_TAU_KEYS, *_NUMBER_KEYS, *_SERIES_KEYS, "suites"}
 
@@ -567,7 +559,7 @@ def config_from_sources(
         ]
     cfg = RunConfig(tau=tau, series=series, suites=tuple(suites), **numbers)
     cfg.validate()
-    return replace(cfg, suites=tuple(name for name in SUITE_ORDER if name in cfg.suites))
+    return cfg._replace(suites=tuple(name for name in SUITE_ORDER if name in cfg.suites))
 
 
 def _fmt_float(x: float) -> str:

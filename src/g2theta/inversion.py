@@ -32,7 +32,7 @@ convention holds across all formulas.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CoincidentPoints,
@@ -72,28 +72,23 @@ _PAIR_CHARS = (
 )
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(namedtuple("CurveSpec", "k0_sq k1_sq k2_sq")):
     """Branch data of f5; the k_i^2 must be pairwise distinct and not 0 or 1."""
 
-    k0_sq: complex
-    k1_sq: complex
-    k2_sq: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SymmetricFunctions:
-    s1: complex  # x1 + x2
-    s2: complex  # x1 * x2
+class SymmetricFunctions(namedtuple("SymmetricFunctions", "s1 s2")):
+    """s1 = x1 + x2 and s2 = x1 x2."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PointPair:
-    x1: complex
-    x2: complex
-    sigma1: complex
-    sigma2: complex
-    sign_flipped: bool  # True if the chosen class negates the principal sigma2
+class PointPair(namedtuple("PointPair", "x1 x2 sigma1 sigma2 sign_flipped")):
+    """The pair (x_i, sigma_i) on the curve; sign_flipped is True if the
+    chosen class negates the principal sigma2."""
+
+    __slots__ = ()
 
 
 def _linear_factors(x: complex, curve: CurveSpec | ModuliSet) -> tuple[complex, ...]:
@@ -132,9 +127,10 @@ def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
     return ref * ref
 
 
-def _symmetric_from_thetas(ms: ModuliSet, th: dict, den: complex) -> tuple[complex, complex]:
-    """s1 = x1 + x2 and s2 = x1 x2, the SymmetricFunctions as a plain pair."""
-    kkk, factor = ms.symmetric_factors
+def _symmetric_from_thetas(factors: tuple[complex, complex], th: dict, den: complex) -> tuple[complex, complex]:
+    """s1 = x1 + x2 and s2 = x1 x2, the SymmetricFunctions as a plain pair,
+    from a CurveData's symmetric_factors."""
+    kkk, factor = factors
     s2 = th[(1, 0, 1, 1)] ** 2 / (kkk * den)
     one_minus = factor * th[(1, 0, 0, 1)] ** 2 / den
     return 1.0 + s2 - one_minus, s2
@@ -145,7 +141,7 @@ def symmetric_functions(
 ) -> SymmetricFunctions:
     cd = curve_data(tau, ctrl)
     [th] = _pair_tables(cd, (point,))
-    return SymmetricFunctions(*_symmetric_from_thetas(cd.moduli, th, _reference_denominator(th, point, cd)))
+    return SymmetricFunctions(*_symmetric_from_thetas(cd.symmetric_factors, th, _reference_denominator(th, point, cd)))
 
 
 def _solve_pair(s1: complex, s2: complex) -> tuple[complex, complex]:
@@ -187,7 +183,7 @@ def _pair_xs(cd: CurveData, th: dict, point) -> tuple[complex, complex, complex]
     squared reference theta den, with the errors of a point the pair is not
     defined at.  Flow's offset stencil pairs read no more than this."""
     den = _reference_denominator(th, point, cd)
-    x1, x2 = _solve_pair(*_symmetric_from_thetas(cd.moduli, th, den))
+    x1, x2 = _solve_pair(*_symmetric_from_thetas(cd.symmetric_factors, th, den))
     if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
         raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
     return x1, x2, den
@@ -207,7 +203,7 @@ def _pair_from_thetas(cd: CurveData, th: dict, point) -> tuple[PointPair, comple
 
     # resolve the essential sign class against the bracket row of F_01 = x (1-x):
     # negate sigma2 only when that fits strictly better
-    row = (th[(0, 0, 0, 1)] ** 2 / den, ms.bracket_prefactor, lin1[0] * lin1[1], lin2[0] * lin2[1])
+    row = (th[(0, 0, 0, 1)] ** 2 / den, cd.bracket_prefactor, lin1[0] * lin1[1], lin2[0] * lin2[1])
     gap = (x2 - x1) ** 2
     flipped = _bracket(*row, gap, sigma1, -sigma2) < _bracket(*row, gap, sigma1, sigma2)
     pair = PointPair(
@@ -229,10 +225,8 @@ def _parameterization_table(cd: CurveData):
     for name in ("kp0", "kp1", "kp2", "k01", "k02", "k12"):
         if getattr(ms, name) == 0:
             raise DivisionByZeroModulus(f"modulus {name} vanishes")
-    k0, k1, k2 = ms.k0, ms.k1, ms.k2
-    kp0, kp1, kp2 = ms.kp0, ms.kp1, ms.kp2
-    k01, k02, k12 = ms.k01, ms.k02, ms.k12
-    kkk = ms.symmetric_factors[0]
+    k0, k1, k2, kp0, kp1, kp2, k01, k02, k12 = ms[9:]
+    kkk = cd.symmetric_factors[0]
 
     poly = [
         ((1, 0, 1, 1), kkk),
@@ -242,7 +236,7 @@ def _parameterization_table(cd: CurveData):
         ((0, 0, 0, 0), k0 * k1 / (kp2 * k02 * k12)),
     ]
     bracket = [
-        ((0, 0, 0, 1), (0, 1), ms.bracket_prefactor),
+        ((0, 0, 0, 1), (0, 1), cd.bracket_prefactor),
         ((0, 1, 1, 1), (3, 4), k1 * k2 / (kp1 * kp2 * k01 * k02)),
         ((0, 1, 1, 0), (2, 4), -k0 * k2 / (kp0 * kp2 * k01 * k12)),
         ((0, 0, 1, 0), (2, 3), -k0 * k1 / (kp0 * kp1 * k02 * k12)),

@@ -21,8 +21,7 @@ directly computed ratio and reported, never hidden (see null_ratio_signs).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from .errors import DegenerateTau, DivisionByZeroModulus
 from .theta import (
@@ -49,38 +48,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuliSet:
-    k0_sq: complex
-    k1_sq: complex
-    k2_sq: complex
-    kp0_sq: complex
-    kp1_sq: complex
-    kp2_sq: complex
-    k01_sq: complex
-    k02_sq: complex
-    k12_sq: complex
-    k0: complex
-    k1: complex
-    k2: complex
-    kp0: complex
-    kp1: complex
-    kp2: complex
-    k01: complex
-    k02: complex
-    k12: complex
+class ModuliSet(
+    namedtuple(
+        "ModuliSet",
+        "k0_sq k1_sq k2_sq kp0_sq kp1_sq kp2_sq k01_sq k02_sq k12_sq k0 k1 k2 kp0 kp1 kp2 k01 k02 k12",
+    )
+):
+    """The nine squared moduli, then their nine roots, each group in the
+    order k0 k1 k2 k'0 k'1 k'2 k01 k02 k12."""
 
-    # moduli factors of the pair recovery and parameterizations (inversion), once per curve
-    @cached_property
-    def symmetric_factors(self) -> tuple[complex, complex]:
-        """k0 k1 k2, and -(k'0 k'1 k'2 / (k0 k1 k2)) of (1 - x1)(1 - x2)."""
-        kkk = self.k0 * self.k1 * self.k2
-        return kkk, -(self.kp0 * self.kp1 * self.kp2 / kkk)
-
-    @cached_property
-    def bracket_prefactor(self) -> complex:
-        """-1 / (k'0 k'1 k'2), of the bracket that fixes a pair's sign class."""
-        return -1.0 / (self.kp0 * self.kp1 * self.kp2)
+    __slots__ = ()
 
 
 def moduli_from_tau(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> ModuliSet:
@@ -167,17 +144,17 @@ def null_ratios_from_moduli(ms: ModuliSet) -> dict[tuple, complex]:
     for name in ("k1", "kp1", "k02"):
         if getattr(ms, name) == 0:
             raise DivisionByZeroModulus(f"modulus {name} vanishes")
-    r = ms
+    k0, k1, k2, kp0, kp1, kp2, k01, k02, k12 = ms[9:]
     return {
-        (0, 0, 1, 1): r.k0 * r.kp2 * r.k12 / (r.k1 * r.k02),
-        (0, 1, 1, 0): r.kp0 * r.k2 * r.k01 / (r.k1 * r.k02),
-        (0, 0, 1, 0): r.kp0 * r.kp2 / r.kp1,
-        (1, 1, 0, 0): r.k0 * r.kp2 * r.k01 / (r.kp1 * r.k02),
-        (1, 0, 0, 1): r.kp0 * r.k2 * r.k12 / (r.kp1 * r.k02),
-        (1, 0, 0, 0): r.k0 * r.k2 / r.k1,
-        (1, 1, 1, 1): r.k01 * r.k12 / (r.k1 * r.kp1),
-        (0, 0, 0, 1): r.k0 * r.kp0 * r.k12 / (r.k1 * r.kp1 * r.k02),
-        (0, 1, 0, 0): r.k2 * r.kp2 * r.k01 / (r.k1 * r.kp1 * r.k02),
+        (0, 0, 1, 1): k0 * kp2 * k12 / (k1 * k02),
+        (0, 1, 1, 0): kp0 * k2 * k01 / (k1 * k02),
+        (0, 0, 1, 0): kp0 * kp2 / kp1,
+        (1, 1, 0, 0): k0 * kp2 * k01 / (kp1 * k02),
+        (1, 0, 0, 1): kp0 * k2 * k12 / (kp1 * k02),
+        (1, 0, 0, 0): k0 * k2 / k1,
+        (1, 1, 1, 1): k01 * k12 / (k1 * kp1),
+        (0, 0, 0, 1): k0 * kp0 * k12 / (k1 * kp1 * k02),
+        (0, 1, 0, 0): k2 * kp2 * k01 / (k1 * kp1 * k02),
     }
 
 
@@ -238,7 +215,7 @@ def moduli_consistency_residuals(
 def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
     """moduli_consistency_residuals from the per-tau data cd, the squared
     nulls read by position in EVEN_CHARACTERISTICS."""
-    ms = cd.moduli
+    k0_sq, k1_sq, k2_sq, kp0_sq, kp1_sq, kp2_sq, k01_sq, k02_sq, k12_sq = cd.moduli[:9]
     n0000, n0001, n0010, n0011, n0100, n0110, n1000, n1001, n1100, n1111 = cd.null_squares.values()
 
     # k_i^2 expressed through primed nulls: r/(1+r) with r = k_i^2/(1-k_i^2)
@@ -246,9 +223,9 @@ def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
     r1 = n1001 * n1100 / (n0011 * n0110)
     r2 = n1001 * n1000 / (n0011 * n0010)
     out = [
-        _rel(r0 / (1.0 + r0), ms.k0_sq),
-        _rel(r1 / (1.0 + r1), ms.k1_sq),
-        _rel(r2 / (1.0 + r2), ms.k2_sq),
+        _rel(r0 / (1.0 + r0), k0_sq),
+        _rel(r1 / (1.0 + r1), k1_sq),
+        _rel(r2 / (1.0 + r2), k2_sq),
     ]
 
     # sum rules among products of squared nulls
@@ -268,15 +245,15 @@ def _consistency_residuals(cd: CurveData) -> list[tuple[str, float]]:
     d02 = (n1000 / n0000) * (n1100 * n0001 - n0100 * n1001) / (n0100 * n0001)
     d12 = (n1001 / n0001) * (n0000 * n1100 - n1000 * n0100) / (n0100 * n0000)
     out += [
-        _rel(d01, ms.k01_sq),
-        _rel(d02, ms.k02_sq),
-        _rel(d12, ms.k12_sq),
-        _rel(ms.kp0_sq, 1.0 - ms.k0_sq),
-        _rel(ms.kp1_sq, 1.0 - ms.k1_sq),
-        _rel(ms.kp2_sq, 1.0 - ms.k2_sq),
-        _rel(ms.k01_sq, ms.k0_sq - ms.k1_sq),
-        _rel(ms.k02_sq, ms.k0_sq - ms.k2_sq),
-        _rel(ms.k12_sq, ms.k1_sq - ms.k2_sq),
+        _rel(d01, k01_sq),
+        _rel(d02, k02_sq),
+        _rel(d12, k12_sq),
+        _rel(kp0_sq, 1.0 - k0_sq),
+        _rel(kp1_sq, 1.0 - k1_sq),
+        _rel(kp2_sq, 1.0 - k2_sq),
+        _rel(k01_sq, k0_sq - k1_sq),
+        _rel(k02_sq, k0_sq - k2_sq),
+        _rel(k12_sq, k1_sq - k2_sq),
     ]
     return list(zip(CONSISTENCY_LABELS, out, strict=True))
 

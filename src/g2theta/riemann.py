@@ -19,7 +19,7 @@ linking a product of nulls and theta values across four characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .theta import (
@@ -41,13 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    points: tuple[Point2, Point2, Point2, Point2]
+class Quadruple(namedtuple("Quadruple", "points")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if len(self.points) != 4:
+    def __new__(cls, points: tuple[Point2, Point2, Point2, Point2]):
+        if len(points) != 4:
             raise ValueError("quadruple needs exactly 4 points")
+        return super().__new__(cls, points)
 
 
 class ProductVariant(Enum):
@@ -85,8 +86,8 @@ def _s_rows(x0, x1, x2, x3) -> tuple:
 
 
 def riemann_transform(q: Quadruple) -> Quadruple:
-    nus = _s_rows(*[p.u for p in q.points])
-    nvs = _s_rows(*[p.v for p in q.points])
+    us, vs = zip(*q.points)
+    nus, nvs = _s_rows(*us), _s_rows(*vs)
     return Quadruple(tuple([Point2(nu / 2.0, nv / 2.0) for nu, nv in zip(nus, nvs)]))
 
 

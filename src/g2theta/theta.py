@@ -68,10 +68,8 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +106,7 @@ class HalfCharacteristic(namedtuple("HalfCharacteristic", "a c b d")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, a: int, c: int, b: int, d: int):
         for name, bit in zip(cls._fields, (a, c, b, d)):
@@ -134,21 +133,21 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / (1.0 + (b if b > a else a))
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
-    tau1: complex
-    tau2: complex
-    tau12: complex
+class PeriodMatrix(namedtuple("PeriodMatrix", "tau1 tau2 tau12")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if not all(cmath.isfinite(entry) for entry in (self.tau1, self.tau2, self.tau12)):
+    def __new__(cls, tau1: complex, tau2: complex, tau12: complex):
+        self = super().__new__(cls, tau1, tau2, tau12)
+        if not all(cmath.isfinite(entry) for entry in self):
             raise DegenerateTau(f"period matrix entries must be finite, got {self}")
-        y1, y2, y12 = self.tau1.imag, self.tau2.imag, self.tau12.imag
+        y1, y2, y12 = tau1.imag, tau2.imag, tau12.imag
         # positive definiteness of Im tau via leading minors
         if not (y1 > 0.0 and y1 * y2 - y12 * y12 > 0.0):
             raise DegenerateTau(
                 f"Im tau not positive definite: Im tau1={y1}, det={y1 * y2 - y12 * y12}"
             )
+        return self
 
     @property
     def lambda_min(self) -> float:
@@ -164,22 +163,20 @@ class PeriodMatrix:
         return (y1 * y2 - y12 * y12) / (half_tr + rad)
 
 
-@dataclass(frozen=True)
-class Point2:
-    u: complex
-    v: complex
+class Point2(namedtuple("Point2", "u v")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    tol: float = 1e-14
-    max_radius: int = 64
+class SeriesControl(namedtuple("SeriesControl", "tol max_radius")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_radius < 4:
+    def __new__(cls, tol: float = 1e-14, max_radius: int = 64):
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"tol must lie in (0, 1), got {tol}")
+        if max_radius < 4:
             raise ValueError("max_radius must be at least 4")
+        return super().__new__(cls, tol, max_radius)
 
 
 DEFAULT_TAU = PeriodMatrix(0.1 + 1.1j, -0.15 + 1.3j, 0.05 + 0.25j)
@@ -205,7 +202,8 @@ def _decay(lmin: float, tol: float) -> tuple[float, float]:
 def _radius(point: Point2, lmin: float, reach: float, max_radius: int) -> int:
     """truncation_radius from the _decay of the period matrix (or, with v = 0
     and lmin = Im tau, of a genus-1 series)."""
-    reach = (abs(point.u.imag) + abs(point.v.imag)) / lmin + reach
+    u, v = point
+    reach = (abs(u.imag) + abs(v.imag)) / lmin + reach
     if not math.isfinite(reach):
         raise TruncationOverflow(f"required radius is not finite ({reach}) at {point}")
     n = int(math.floor(reach)) + 1
@@ -234,8 +232,7 @@ def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
     return corner <= _FACTOR_LOG
 
 
-@dataclass(frozen=True)
-class _LatticeForm:
+class _LatticeForm(namedtuple("_LatticeForm", "quad tau_factor")):
     """The tau-only factors of the lattice terms on the box of one radius N.
 
     quad[t, 2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2
@@ -244,8 +241,7 @@ class _LatticeForm:
     where every t is _in_factor_range, else quad itself, and None for the other.
     """
 
-    quad: np.ndarray | None
-    tau_factor: np.ndarray | None
+    __slots__ = ()
 
 
 @lru_cache(maxsize=16)
@@ -263,12 +259,12 @@ def _box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _lattice_form(taus, n: int) -> _LatticeForm:  # taus all in _in_factor_range, or none
     _, pc, qc = _box(n)
-    entries = [(t.tau1, t.tau2, t.tau12) for t in taus]  # one's scalars, else arrays over a stack
     # each product on the way to i pi quad is within pi size; a form that may leave
     # double range is built quietly, and its non-finite terms raise when summed
-    size = max([abs(t1) + abs(t2) + 2.0 * abs(t12) for t1, t2, t12 in entries]) * (n + 0.5) ** 2
+    size = max([abs(t1) + abs(t2) + 2.0 * abs(t12) for t1, t2, t12 in taus]) * (n + 0.5) ** 2
     quiet = not math.isfinite(4.0 * math.pi * size)
-    t1, t2, t12 = entries[0] if len(taus) == 1 else np.array(entries).T[:, :, None, None, None]
+    # one's scalars, else arrays over a stack
+    t1, t2, t12 = taus[0] if len(taus) == 1 else np.array(taus).T[:, :, None, None, None]
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
         quad = t1 * pc * pc + t2 * qc * qc + 2.0 * t12 * pc * qc
         if not all(_in_factor_range(tau, n) for tau in taus):
@@ -293,7 +289,7 @@ def _parity_signs(radius: int) -> np.ndarray:
     return matrix
 
 
-class _Plan(NamedTuple):
+class _Plan(namedtuple("_Plan", "select a c offsets grid_class jets parity split columns signs reads terms")):
     """What the grids of one request (theta[c] for c in values, then d/du and
     d/dv theta[c] for c in grads) read at one radius, for every period matrix.
 
@@ -306,18 +302,7 @@ class _Plan(NamedTuple):
     the class and jet terms of one point's grids.
     """
 
-    select: slice | np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-    offsets: np.ndarray
-    grid_class: np.ndarray
-    jets: np.ndarray | None
-    parity: np.ndarray
-    split: tuple[int, float]
-    columns: np.ndarray
-    signs: np.ndarray
-    reads: tuple[tuple[int, float], ...]
-    terms: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=64)
@@ -373,14 +358,14 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
     axis 2 and n along axis 3.  A non-finite real part raises; exp overflow
     of the per-term path shows up as a non-finite term when it is summed.
     """
-    z = np.array([(point.u, point.v) for point in points], dtype=np.complex128)
+    z = np.array(points, dtype=np.complex128)
     quiet = form.tau_factor is None  # the factors stay within exp(+-700)
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
         shift = None
         # tested on Python floats, which for a grid's few points (at most 50
         # for a request of four characteristics at radius 4) costs less than
         # array calls
-        if not all(abs(p.u.real) < _REDUCE_RE and abs(p.v.real) < _REDUCE_RE for p in points):
+        if not all(abs(u.real) < _REDUCE_RE and abs(v.real) < _REDUCE_RE for u, v in points):
             if not np.isfinite(z.real).all():
                 raise TruncationOverflow("lattice sum left double range: non-finite term")
             # the terms at (u - k, v - l) times (-1)^(a k + c l); x - rint(x)
@@ -396,6 +381,9 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
             terms = np.add(table, terms, out=terms if len(table) == 1 else None)
             np.multiply(_IPI, terms, out=terms)
             np.exp(terms, out=terms)
+        elif points == (ORIGIN,):
+            # every row and column factor is exp(0) = 1, so the terms are the tau factors
+            terms = table.copy()
         else:
             # exp(2 pi i (m + a/2) u) and exp(2 pi i (n + c/2) v) per class: (P, 2, G, 2N+1)
             factors = np.exp(_TWO_PI_I * (plan.offsets * z[:, :, None, None]))
@@ -619,7 +607,6 @@ def _origin_grid(taus, n: int) -> list[tuple[int, list[complex], _LatticeForm]]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
 class CurveData:
     """What the theta functions of one period matrix share at every point.
 
@@ -631,32 +618,26 @@ class CurveData:
     theta[c](0, 0) for the two odd c = [10;10] and [11;10], keyed by c; and
     null_scale, the largest |theta[c](0, 0)| over the even c.  Built on
     first use and then kept: null_squares (the even nulls squared), moduli
-    (the ModuliSet) and flow_constants (the FlowConstants); a build that
-    raises keeps nothing, so every later access raises again.  Kept too:
-    the lattice forms of at most _FORMS_PER_CURVE radii, and the _decay
-    constants of each point's radius.
+    (the ModuliSet), its symmetric_factors and bracket_prefactor, and
+    flow_constants (the FlowConstants); a build that raises keeps nothing,
+    so every later access raises again.  Kept too: the lattice forms of at
+    most _FORMS_PER_CURVE radii, and the _decay constants and max_radius of
+    each point's _radius.
     """
 
-    tau: PeriodMatrix
-    ctrl: SeriesControl
-    nulls: Mapping[tuple[int, int, int, int], complex] = field(init=False)
-    null_grads: Mapping[tuple[int, int, int, int], tuple[complex, complex]] = field(init=False)
-    null_scale: float = field(init=False)
-    _forms: dict[int, _LatticeForm] = field(init=False, default_factory=dict, repr=False)
-    _decay_constants: tuple[float, float] = field(init=False, repr=False)
-    origin: InitVar[tuple | None] = None  # its (radius, row, form slice) of a curve_batch origin grid
-
-    def __post_init__(self, origin):
-        object.__setattr__(self, "_decay_constants", _decay(self.tau.lambda_min, self.ctrl.tol))
+    def __init__(self, tau: PeriodMatrix, ctrl: SeriesControl, origin: tuple | None = None):
+        """origin is the curve's (radius, row, form slice) of a curve_batch origin grid."""
+        self.tau, self.ctrl = tau, ctrl
+        self._radius_constants = (*_decay(tau.lambda_min, ctrl.tol), ctrl.max_radius)
+        self._forms = {}
         # alone, a batch of one; the radius is assigned first, then keys its form
-        n, sums, self._forms[n] = origin or _origin_grid((self.tau,), self._radius(ORIGIN))[0]
+        n, sums, self._forms[n] = origin or _origin_grid((tau,), self._radius(ORIGIN))[0]
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
         nulls = dict.fromkeys(ALL_CHARACTERISTICS, 0j)
         nulls.update(zip(EVEN_CHARACTERISTICS, values))
-        object.__setattr__(self, "nulls", MappingProxyType(nulls))
-        grads = dict(zip(_NULL_GRAD_CHARS, zip(du, dv)))
-        object.__setattr__(self, "null_grads", MappingProxyType(grads))
-        object.__setattr__(self, "null_scale", max(map(abs, values)))
+        self.nulls = MappingProxyType(nulls)
+        self.null_grads = MappingProxyType(dict(zip(_NULL_GRAD_CHARS, zip(du, dv))))
+        self.null_scale = max(map(abs, values))
 
     @cached_property
     def null_squares(self) -> Mapping[tuple[int, int, int, int], complex]:
@@ -675,6 +656,20 @@ class CurveData:
         from .flow import build_flow_constants
 
         return build_flow_constants(self)
+
+    # moduli factors of the pair recovery and parameterizations (inversion)
+    @cached_property
+    def symmetric_factors(self) -> tuple[complex, complex]:
+        """k0 k1 k2, and -(k'0 k'1 k'2 / (k0 k1 k2)) of (1 - x1)(1 - x2)."""
+        ms = self.moduli
+        kkk = ms.k0 * ms.k1 * ms.k2
+        return kkk, -(ms.kp0 * ms.kp1 * ms.kp2 / kkk)
+
+    @cached_property
+    def bracket_prefactor(self) -> complex:
+        """-1 / (k'0 k'1 k'2), of the bracket that fixes a pair's sign class."""
+        ms = self.moduli
+        return -1.0 / (ms.kp0 * ms.kp1 * ms.kp2)
 
     def values_at(self, chars, points) -> list[list[complex]]:
         """theta[c](point) for every point (outer) and c in chars (inner).
@@ -706,7 +701,7 @@ class CurveData:
 
     def _radius(self, point: Point2) -> int:
         """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""
-        return _radius(point, *self._decay_constants, self.ctrl.max_radius)
+        return _radius(point, *self._radius_constants)
 
     def _form(self, n: int) -> _LatticeForm:
         form = self._forms.get(n)

@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import os
-from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -255,7 +254,7 @@ def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatc
         raise SingularDenominator("on the divisor")
 
     suite = harness._SUITES["degeneration"]
-    monkeypatch.setitem(harness._SUITES, "degeneration", replace(suite, evaluate=divisor))
+    monkeypatch.setitem(harness._SUITES, "degeneration", suite._replace(evaluate=divisor))
     result = run_suites(RunConfig(samples=3, suites=("degeneration",))).suites[0]
     assert (result.samples_run, result.skipped) == (0, 3)
     assert result.skip_reasons == {"SingularDenominator": 30}
@@ -266,7 +265,7 @@ def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatc
 
 def test_a_residual_list_that_drifts_from_its_labels_fails_loudly(monkeypatch):
     suite = harness._SUITES["fundamental"]
-    short = replace(suite, evaluate=lambda cfg, batch: [([0.0, 0.0], None) for _ in batch])
+    short = suite._replace(evaluate=lambda cfg, batch: [([0.0, 0.0], None) for _ in batch])
     monkeypatch.setitem(harness._SUITES, "fundamental", short)
     with pytest.raises(ValueError):
         run_suites(RunConfig(samples=1, suites=("fundamental",)))
@@ -364,7 +363,7 @@ def _inject(monkeypatch, name, cfg, errors):
                 raise errors[i]
         return suite.evaluate(cfg, batch)
 
-    monkeypatch.setitem(harness._SUITES, name, replace(suite, evaluate=evaluate))
+    monkeypatch.setitem(harness._SUITES, name, suite._replace(evaluate=evaluate))
 
 
 @pytest.mark.parametrize("name", ["flow", "degeneration", "moduli"])
@@ -789,9 +788,9 @@ def test_cli_version_flag():
         ("fd_convergence.py", ["--points", "1"], 1 + 16, {}),
         ("split_limit_scan.py", [], 1 + 7, {}),
         # one row per case, each case run at least once
-        ("kernel_timing.py", [], 6, {"ROUNDS": 1, "CALLS": 4}),
+        ("kernel_timing.py", [], 7, {"ROUNDS": 1, "CALLS": 4}),
         # one row per op, this checkout timed against itself
-        ("kernel_timing.py", ["--ab", str(DATA.parents[1] / "src"), "--rounds", "2"], 3,
+        ("kernel_timing.py", ["--ab", str(DATA.parents[1] / "src"), "--rounds", "2"], 4,
          {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),
     ],
 )

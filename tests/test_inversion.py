@@ -1,8 +1,6 @@
 """Two-point recovery from theta ratios, the 15 ratio parameterizations and
 the three unit sums."""
 
-import dataclasses
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -191,7 +189,7 @@ def test_coincident_pair_guard(monkeypatch):
 def test_vanishing_modulus_root_in_a_denominator_is_typed(monkeypatch):
     # k01 sits only in parameterization denominators, so the pair is still
     # recovered and the table must refuse the zero root with a typed error
-    ms = dataclasses.replace(moduli_from_tau(DEFAULT_TAU), k01=0j)
+    ms = moduli_from_tau(DEFAULT_TAU)._replace(k01=0j)
     monkeypatch.setattr(CurveData, "moduli", property(lambda cd: ms))
     with pytest.raises(DivisionByZeroModulus):
         parameterization_residuals(curve_data(DEFAULT_TAU), [Point2(0.1, 0.1)])

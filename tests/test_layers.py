@@ -15,6 +15,10 @@ batch must give, bit for bit, what its items give one at a time.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,30 @@ def test_every_exported_name_is_defined_in_its_layer(layer):
         assert name in defined, f"{layer}.{name} is not defined in g2theta.{layer}"
         if callable(obj):
             assert obj.__module__ == module.__name__, name
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# what perfbench/run.py reads from sys.modules after `import g2theta; import g2theta.cli`
+EAGER_MODULES = ("theta", "inversion", "moduli", "flow", "errors", "cli")
+
+
+def test_the_package_and_its_cli_load_the_layers_and_no_dataclasses():
+    # a fresh interpreter, so no test has imported a layer first
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    code = "import sys, g2theta, g2theta.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True)
+    loaded = set(proc.stdout.split())
+    assert {f"g2theta.{name}" for name in EAGER_MODULES} <= loaded
+    # records are tuples: no module of the package imports dataclasses, not even lazily
+    for path in sorted((SRC / "g2theta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in [module.split(".")[0] for module in modules], path.name
 
 
 def test_run_suites_dispatches_every_suite_through_the_runner_table(monkeypatch):

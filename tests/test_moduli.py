@@ -197,7 +197,7 @@ def test_small_cross_modulus_keeps_moduli_nearly_equal():
 def test_zero_modulus_rejected_in_ratio_products():
     base = moduli_from_tau(DEFAULT_TAU)
     for name in ("k1", "kp1", "k02"):
-        fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
+        fields = {f: getattr(base, f) for f in base._fields}
         fields[name] = 0.0 + 0.0j
         with pytest.raises(DivisionByZeroModulus):
             null_ratios_from_moduli(ModuliSet(**fields))
