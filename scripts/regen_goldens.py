@@ -23,13 +23,21 @@ import json
 from pathlib import Path
 
 from g2theta.cli import main as cli_main
-from g2theta.degeneration import degeneration_residuals
+from g2theta.degeneration import degeneration_residuals, genus1_nulls
 from g2theta.errors import G2ThetaError
 from g2theta.flow import stencil_residuals
-from g2theta.harness import _SUITES, SUITE_ORDER, RunConfig, _outcomes, report_to_json, run_suites
+from g2theta.harness import (
+    _SUITES,
+    SUITE_ORDER,
+    RunConfig,
+    _outcomes,
+    _PerTau,
+    report_to_json,
+    run_suites,
+)
 from g2theta.inversion import parameterization_residuals, recover_pair
 from g2theta.rng import SampleStream
-from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, curve_data
+from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, SeriesControl
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 ALT_TAU = PeriodMatrix(0.2 + 1.4j, -0.1 + 0.95j, 0.03 + 0.3j)
@@ -46,8 +54,7 @@ GOLDENS = {
     "verify_seed1_samples100.json": RunConfig(seed=1, samples=100),
     "verify_seed7_samples100.json": RunConfig(seed=7, samples=100),
     # g2theta verify --samples 100 --tau1=0.2,1.4 --tau2=-0.1,0.95
-    # --tau12=0.03,0.3: the moduli suite draws 99 period matrices, more than
-    # the curve_data cache holds
+    # --tau12=0.03,0.3: the moduli suite draws 99 period matrices
     "verify_alt_tau_samples100.json": RunConfig(tau=ALT_TAU, samples=100),
 }
 
@@ -124,15 +131,16 @@ def pair_layer() -> dict:
     DEFAULT_TAU and at ALT_TAU, one point at a time, keyed "<tau>/<index>/<what>".
 
     recover_pair gives a pair, parameterization_residuals and
-    degeneration_residuals (at tau12 = 0) their rows and pair, and
+    degeneration_residuals (on the split curve, tau12 = 0) their rows and pair, and
     stencil_residuals the flow and Abelian rows of one stencil.  The last
     key holds recover_pair at a huge real part of u.
     """
-    h = RunConfig().fd_step
+    h, ctrl = RunConfig().fd_step, SeriesControl()
     stream = SampleStream(0, "pair-layer")
     out = {}
     for name, tau in (("default", DEFAULT_TAU), ("alt", ALT_TAU)):
-        cd = curve_data(tau)
+        cd, split = CurveData(tau, ctrl), CurveData(PeriodMatrix(tau.tau1, tau.tau2, 0.0), ctrl)
+        [nulls] = genus1_nulls([tau.tau1], ctrl)
         for i in range(PAIR_POINTS):
             p = Point2(stream.next_complex(*PAIR_BOX), stream.next_complex(*PAIR_BOX))
             key = f"{name}/{i:02d}"
@@ -143,7 +151,7 @@ def pair_layer() -> dict:
             )
             out[f"{key}/stencil"] = _or_error(lambda: _hex(sum(stencil_residuals(cd, [p], h)[0], [])))
             out[f"{key}/degeneration"] = _or_error(
-                lambda: _batch_of_one_hex(degeneration_residuals([p], tau.tau1, tau.tau2, cd.ctrl))
+                lambda: _batch_of_one_hex(degeneration_residuals(split, nulls, [p]))
             )
     far = Point2(1e12 + 0.1j, 0.2 + 0j)
     out["far/recover_pair"] = _hex((far.u, far.v)) + _pair_hex(recover_pair(far, DEFAULT_TAU))
@@ -155,7 +163,8 @@ def check_rows() -> dict:
     DEFAULT_TAU and at ALT_TAU, keyed "<tau>/<suite>/<index>".
 
     Each suite's samples are one block draw of its own stream, evaluated as
-    one batch through the suite's evaluate (the riemann, fundamental,
+    one batch through the suite's evaluate on the per-tau data of a run of
+    every suite (the riemann, fundamental,
     moduli consistency, parameterization, stencil, addition, derivative,
     degeneration and elliptic rows); a sample whose check raises a skippable
     error holds ["error", name].  "<tau>/<suite>/final" holds the final rows
@@ -164,11 +173,12 @@ def check_rows() -> dict:
     out = {}
     for name, tau in (("default", DEFAULT_TAU), ("alt", ALT_TAU)):
         cfg = RunConfig(tau=tau)
+        data = _PerTau(cfg, SUITE_ORDER)
         for suite_name in SUITE_ORDER:
             suite = _SUITES[suite_name]
             batch = SampleStream(0, f"check-rows/{suite_name}").draw(CHECK_SAMPLES, suite.boxes)
             notes = []
-            for i, (sample, outcome) in enumerate(zip(batch, _outcomes(suite, cfg, batch), strict=True)):
+            for i, (sample, outcome) in enumerate(zip(batch, _outcomes(suite, cfg, data, batch), strict=True)):
                 key = f"{name}/{suite_name}/{i:02d}"
                 if isinstance(outcome, G2ThetaError):
                     out[key] = ["error", type(outcome).__name__]
@@ -177,7 +187,7 @@ def check_rows() -> dict:
                 out[key] = _hex(residuals)
                 notes.append((note, sample))
             if suite.finalize is not None:
-                final = suite.finalize(cfg, notes, {})
+                final = suite.finalize(cfg, data, notes, {})
                 out[f"{name}/{suite_name}/final"] = _hex(value for value, _ in final)
     return out
 

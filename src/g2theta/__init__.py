@@ -9,7 +9,7 @@ runs all of it as seeded verification suites with deterministic JSON
 reports; the `g2theta` console script fronts it.
 
 The package re-exports nothing: import each name from its module, e.g.
-`from g2theta.theta import curve_data`.
+`from g2theta.theta import CurveData`.
 """
 
 from .harness import VERSION as __version__  # noqa: F401

@@ -30,12 +30,11 @@ from .harness import (
 from .inversion import PARAMETERIZATION_LABELS, parameterization_residuals
 from .moduli import (
     COLLAPSE_TOL,
+    _consistency_residuals,
     branch_points_collapse,
-    moduli_consistency_residuals,
-    moduli_from_tau,
     require_five_branch_points,
 )
-from .theta import Point2, curve_data
+from .theta import CurveData, Point2, SeriesControl
 
 __all__ = ["main"]
 
@@ -117,7 +116,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_moduli(args) -> int:
     tau = tau_from_sources(None, args.tau1, args.tau2, args.tau12)
-    ms = moduli_from_tau(tau)
+    cd = CurveData(tau, SeriesControl())
+    ms = cd.moduli
     print(f"tau1  = {_fmt(tau.tau1)}")
     print(f"tau2  = {_fmt(tau.tau2)}")
     print(f"tau12 = {_fmt(tau.tau12)}")
@@ -129,7 +129,7 @@ def _cmd_moduli(args) -> int:
     for name in ("k0", "k1", "k2", "kp0", "kp1", "kp2", "k01", "k02", "k12"):
         print(f"  {name:<7} = {_fmt(getattr(ms, name))}")
     print("consistency residuals:")
-    residuals = moduli_consistency_residuals(tau)
+    residuals = _consistency_residuals(cd)
     for label, value in residuals:
         print(f"  {label:<24} {value:.3e}")
     if branch_points_collapse(ms):
@@ -141,7 +141,7 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    cd = curve_data(tau_from_sources(None, args.tau1, args.tau2, args.tau12))
+    cd = CurveData(tau_from_sources(None, args.tau1, args.tau2, args.tau12), SeriesControl())
     require_five_branch_points(cd.moduli)
     [(rows, pair)] = parameterization_residuals(cd, [Point2(args.u, args.v)])
     residuals = list(zip(PARAMETERIZATION_LABELS, rows, strict=True))

@@ -11,10 +11,13 @@ This module certifies that entire chain plus the classical one-variable
 theory it lands on: squared-theta identities, the sn differential equation,
 and the complete-integral relation tau = iK'/K.
 
-The checks are batched: degeneration_residuals takes a batch of points and
-the diagonal (tau1, tau2) of the split period matrix, elliptic_residuals a
-batch of theta arguments z and tau.  Each returns one result per item and
-reads the theta values of the whole batch together.
+The checks are batched and take their per-tau data as arguments:
+degeneration_residuals the CurveData of the split period matrix, the
+genus1_nulls of its tau1 and a batch of points, elliptic_residuals a tau,
+its genus1_nulls and a batch of theta arguments z.  Each returns one result
+per item and reads the theta values of the whole batch together.
+genus1_nulls evaluates the nulls of any number of taus together; the
+modulus comes from them by one path, elliptic_modulus.
 
 Conventions: genus-1 characteristics are column vectors [a; b] with the odd
 one [1; 1]; sn, cn, dn take the theta argument z with u = 2Kz, where
@@ -27,7 +30,6 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -40,25 +42,23 @@ from .errors import (
 from .inversion import PointPair, _pair_from_thetas
 from .quadrature import tanh_sinh_01
 from .theta import (
-    _NULL_CACHE_TAUS,
     ALL_CHARACTERISTICS,
+    CurveData,
     _by_grid,
     _decay,
     _radius,
-    PeriodMatrix,
     Point2,
     SeriesControl,
     _rel,
     complex_row_sums,
-    curve_data,
 )
 
 __all__ = [
     "Genus1Characteristic",
     "EllipticModulus",
     "theta1",
+    "genus1_nulls",
     "elliptic_modulus",
-    "jacobi_functions",
     "elliptic_residuals",
     "degeneration_residuals",
     "complete_integral_residuals",
@@ -151,30 +151,21 @@ _GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1)
 _ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
 
 
-@lru_cache(maxsize=_NULL_CACHE_TAUS)
-def _nulls1(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
-    """All four theta[a; b](0), keyed by (a, b); one memoized evaluation per tau."""
-    values = _theta1_values([(c, 0.0, tau) for c in _GENUS1_CHARS], ctrl)
-    return MappingProxyType(dict(zip(_GENUS1_CHARS, values)))
+def genus1_nulls(taus, ctrl: SeriesControl) -> list[Mapping[tuple[int, int], complex]]:
+    """All four theta[a; b](0) of each tau, keyed by (a, b), from one genus-1
+    evaluation of them all."""
+    values = _theta1_values([(c, 0.0, tau) for tau in taus for c in _GENUS1_CHARS], ctrl)
+    return [MappingProxyType(dict(zip(_GENUS1_CHARS, values[i : i + 4]))) for i in range(0, len(values), 4)]
 
 
-def elliptic_modulus(tau: complex, ctrl: SeriesControl = SeriesControl()) -> EllipticModulus:
-    nulls = _nulls1(tau, ctrl)
+def elliptic_modulus(nulls) -> EllipticModulus:
+    """The modulus of a tau from its genus1_nulls."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     k_sq = (n10 / n00) ** 4
     kp_sq = (n01 / n00) ** 4
     return EllipticModulus(
         k_sq=k_sq, kp_sq=kp_sq, k=cmath.sqrt(k_sq), kp=cmath.sqrt(kp_sq)
     )
-
-
-def jacobi_functions(
-    z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()
-) -> tuple[complex, complex, complex, EllipticModulus]:
-    """sn, cn, dn at theta argument z (the sn argument is u = 2Kz)."""
-    t = _theta1_values([(c, z, tau) for c in _GENUS1_CHARS], ctrl)
-    sn, cn, dn = _jacobi(_nulls1(tau, ctrl), t, z)
-    return sn, cn, dn, elliptic_modulus(tau, ctrl)
 
 
 def _sn_ratio(nulls, t01: complex, t11: complex, z) -> complex:
@@ -197,8 +188,9 @@ def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
     return sn, cn, dn
 
 
-def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[list[float]]:
-    """The seven residuals of the genus-1 theory at each theta argument z.
+def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float) -> list[list[float]]:
+    """The seven residuals of the genus-1 theory at tau, whose genus1_nulls
+    are nulls, at each theta argument z.
 
     In order: the three squared-theta identities and the null quartic, the
     Jacobi-function identities sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1, and
@@ -208,8 +200,7 @@ def elliptic_residuals(zs, tau: complex, ctrl: SeriesControl, h: float) -> list[
     What depends on tau alone is taken once: the null quartic's row, the
     squared nulls that lead the identities' products, and 2K.
     """
-    nulls = _nulls1(tau, ctrl)
-    k_sq = elliptic_modulus(tau, ctrl).k_sq
+    k_sq = elliptic_modulus(nulls).k_sq
     rows = []
     for z in zs:
         rows += [(c, z, tau) for c in _GENUS1_CHARS]
@@ -255,11 +246,10 @@ DEGENERATION_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS) +
 )
 
 
-def degeneration_residuals(
-    points, tau1: complex, tau2: complex, ctrl: SeriesControl
-) -> list[tuple[list[float], PointPair]]:
+def degeneration_residuals(cd: CurveData, nulls, points) -> list[tuple[list[float], PointPair]]:
     """At each point, the residuals in DEGENERATION_LABELS order and the pair
-    recovered at tau12 = 0.
+    recovered on cd, the CurveData of a split period matrix (tau12 = 0)
+    whose tau1 has the genus1_nulls nulls.
 
     The split-* rows are the relative gaps between the sixteen genus-2 values
     at tau12 = 0 and their genus-1 products at (u, tau1) and (v, tau2).  The
@@ -270,11 +260,10 @@ def degeneration_residuals(
     read one values_at call and one genus-1 evaluation, and what the split
     curve gives every point, the collapse rows among it, is taken once.
     """
-    cd = curve_data(PeriodMatrix(tau1, tau2, 0.0), ctrl)
+    tau1, tau2 = cd.tau.tau1, cd.tau.tau2
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
-    g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], ctrl)
-    nulls = _nulls1(tau1, ctrl)
+    g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], cd.ctrl)
     out, curve = [], None
     for i, (point, row) in enumerate(zip(points, g2)):
         pair = _pair_from_thetas(cd, dict(zip(ALL_CHARACTERISTICS, row)), point)[0]
@@ -316,10 +305,9 @@ def _degeneration_rows(curve, x: complex, pair, g2, g1u, g1v) -> list[float]:
     ]
 
 
-def complete_integral_residuals(
-    tau: complex, ctrl: SeriesControl = SeriesControl()
-) -> list[float]:
-    """Check tau = iK'/K and theta^2[0;0](0) = 2K/pi by tanh-sinh quadrature.
+def complete_integral_residuals(tau: complex, nulls) -> list[float]:
+    """Check tau = iK'/K and theta^2[0;0](0) = 2K/pi by tanh-sinh quadrature,
+    from the genus1_nulls of tau.
 
     Restricted to purely imaginary tau with Im in [0.5, 3]: there the modulus
     is real in (0, 1) and the integrals are the classical real ones.
@@ -328,7 +316,7 @@ def complete_integral_residuals(
         raise ConfigInvalid(
             f"tau = {tau} must be purely imaginary with Im in [0.5, 3]"
         )
-    mod = elliptic_modulus(tau, ctrl)
+    mod = elliptic_modulus(nulls)
     m = mod.k_sq.real
     mp = mod.kp_sq.real
 
@@ -341,7 +329,7 @@ def complete_integral_residuals(
 
     big_k = tanh_sinh_01(integrand(m))
     big_kp = tanh_sinh_01(integrand(mp))
-    n00 = _nulls1(tau, ctrl)[0, 0]
+    n00 = nulls[0, 0]
     return [
         abs(1j * big_kp / big_k - tau) / (1.0 + abs(tau)),
         _rel(n00 * n00, 2.0 * big_k / math.pi),

@@ -3,13 +3,18 @@
 Every suite is one _Suite record in _SUITES, and one loop, _run_suite, runs
 them all.  A record gives the boxes a sample draws (one complex number per
 box, from the suite's own counter-based stream, see rng.py), the labels of
-the residuals each sample gives, and which of them are finite-difference
-checks.  evaluate(cfg, samples) takes a batch of samples and returns the
-residuals and a note of each, or raises; the batched checks behind it read
-the theta values of the whole batch from one kernel call.  Suites that end
-with checks made once per run also give the labels of those final rows and
-finalize(cfg, notes, extras), which sees the note evaluate returned with
-every sample that ran.
+the residuals each sample gives, which of them are finite-difference
+checks, and the taus whose per-tau data it reads.  evaluate(cfg, data,
+samples) takes a batch of samples and returns the residuals and a note of
+each, or raises; the batched checks behind it read the theta values of the
+whole batch from one kernel call.  Suites that end with checks made once
+per run also give the labels of those final rows and finalize(cfg, data,
+notes, extras), which sees the note evaluate returned with every sample
+that ran.
+
+run_suites builds the per-tau data its selected suites read once per run,
+before any suite runs (_PerTau), and keeps nothing from one run to the
+next, so a run does the same work whatever ran before it in the process.
 
 A drawn sample that lands on a theta divisor or otherwise breaks a
 precondition is re-drawn up to 10 times, then counted as skipped; the
@@ -43,6 +48,7 @@ two runs with the same config produce byte-identical JSON.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from collections import namedtuple
@@ -54,6 +60,7 @@ from .degeneration import (
     degeneration_residuals,
     elliptic_modulus,
     elliptic_residuals,
+    genus1_nulls,
 )
 from .errors import (
     ConfigInvalid,
@@ -68,8 +75,7 @@ from .moduli import (
     CONSISTENCY_LABELS,
     RATIO_CHARACTERISTICS,
     _consistency_residuals,
-    moduli_from_tau,
-    null_ratio_signs,
+    _null_ratio_signs,
     require_five_branch_points,
 )
 from .riemann import Quadruple, fundamental_identity_residuals, riemann_relation_residuals
@@ -81,7 +87,6 @@ from .theta import (
     Point2,
     SeriesControl,
     curve_batch,
-    curve_data,
 )
 
 __all__ = [
@@ -107,26 +112,39 @@ _TAU_DIAG = (-0.3, 0.3, 0.9, 1.5)
 _TAU_OFF = (-0.1, 0.1, 0.1, 0.35)
 
 _SKIPPABLE = (PointError, DivisionByZeroModulus, DegenerateTau)
+# the genus-1 taus of the elliptic final's complete integrals
+_INTEGRAL_TAUS = (1j, 1.5j)
+
+
+def _configured(cfg) -> tuple:
+    return (cfg.tau,)
+
+
+def _split(cfg) -> PeriodMatrix:
+    """The split period matrix on the configured diagonal: tau12 is forced to 0."""
+    return PeriodMatrix(cfg.tau.tau1, cfg.tau.tau2, 0.0)
 
 
 class _Suite(
     namedtuple(
         "_Suite",
-        "boxes labels evaluate fd_labels final_labels finalize config_tau_first reads_curve",
-        defaults=(frozenset(), (), None, False, False),
+        "boxes labels evaluate fd_labels final_labels finalize config_tau_first reads_curve taus",
+        defaults=(frozenset(), (), None, False, False, _configured),
     )
 ):
     """One suite: what each sample draws, the residuals it gives, how a run ends.
 
     boxes holds a sample's draw boxes and labels its residuals' labels.
-    evaluate(cfg, samples) returns, in order, each sample's residuals in
-    label order and a note; an error at any sample raises for the whole
+    evaluate(cfg, data, samples) returns, in order, each sample's residuals
+    in label order and a note; an error at any sample raises for the whole
     batch, and _outcomes sorts it out.  fd_labels are checked against the
-    finite-difference tolerance.  finalize(cfg, notes, extras), if not
-    None, gets the (note, sample) of every sample that ran, records what it
-    reports beyond residuals in extras, and returns one (residual, point)
-    per final label.  With config_tau_first the configured tau is sample 0;
-    reads_curve says the suite needs the pair on the configured curve.
+    finite-difference tolerance.  finalize(cfg, data, notes, extras), if
+    not None, gets the (note, sample) of every sample that ran, records
+    what it reports beyond residuals in extras, and returns one (residual,
+    point) per final label.  With config_tau_first the configured tau is
+    sample 0; reads_curve says the suite needs the pair on the configured
+    curve.  taus(cfg) names the taus whose data it reads in data: a
+    PeriodMatrix's CurveData, a genus-1 tau's genus1_nulls.
     """
 
     __slots__ = ()
@@ -136,9 +154,9 @@ def _points(batch) -> list[Point2]:
     return [Point2(*sample) for sample in batch]
 
 
-def _moduli_final(cfg, notes, extras):
+def _moduli_final(cfg, data, notes, extras):
     """Root-product null ratios at the configured tau, sign branch recorded."""
-    signs = null_ratio_signs(cfg.tau, cfg.series)
+    signs = _null_ratio_signs(data[cfg.tau])
     extras["null_ratio_signs"] = {
         "".join(map(str, bits)): signs[bits][0] for bits in RATIO_CHARACTERISTICS
     }
@@ -146,10 +164,9 @@ def _moduli_final(cfg, notes, extras):
     return [(signs[bits][1], point) for bits in RATIO_CHARACTERISTICS]
 
 
-def _degeneration_final(cfg, notes, extras):
+def _degeneration_final(cfg, data, notes, extras):
     """Spread of the pair member frozen at 1/k0^2 of the split curve."""
-    split_tau = PeriodMatrix(cfg.tau.tau1, cfg.tau.tau2, 0.0)
-    predicted = 1.0 / moduli_from_tau(split_tau, cfg.series).k0_sq
+    predicted = 1.0 / data[_split(cfg)].moduli.k0_sq
     members = [
         (min((pair.x1, pair.x2), key=lambda x: abs(x - predicted)), sample)
         for pair, sample in notes
@@ -166,33 +183,28 @@ def _degeneration_final(cfg, notes, extras):
     return [(spread, point)]
 
 
-def _elliptic_final(cfg, notes, extras):
+def _elliptic_final(cfg, data, notes, extras):
     """Complete integrals at two fixed taus and the self-dual modulus at i."""
     rows = []
-    for t in (1j, 1.5j):
-        res = complete_integral_residuals(t, cfg.series)
+    for t in _INTEGRAL_TAUS:
+        res = complete_integral_residuals(t, data[t])
         rows += [(res[0], [t]), (res[1], [t])]
-    mod_i = elliptic_modulus(1j, cfg.series)
+    mod_i = elliptic_modulus(data[1j])
     extras["modulus_sq_at_i"] = mod_i.k_sq
     rows.append((abs(mod_i.k_sq - 0.5), [1j]))
     return rows
 
 
-def _curve(cfg) -> CurveData:
-    return curve_data(cfg.tau, cfg.series)
-
-
-def _sample_curves(cfg, batch) -> list[CurveData]:
+def _sample_curves(cfg, data, batch) -> list[CurveData]:
     """The per-tau data of a batch of moduli samples, each a period matrix.
 
     A drawn period matrix is used once, so the batch's CurveData are built
-    here, their origin grids stacked (curve_batch), and kept out of the
-    curve_data cache, where a run of 64 or more samples would push out the
-    configured tau's; the configured tau is read from it.
+    here, their origin grids stacked (curve_batch); the configured tau's is
+    the run's.
     """
     taus = [PeriodMatrix(*sample) for sample in batch]
     fresh = iter(curve_batch([tau for tau in taus if tau != cfg.tau], cfg.series))
-    return [_curve(cfg) if tau == cfg.tau else next(fresh) for tau in taus]
+    return [data[cfg.tau] if tau == cfg.tau else next(fresh) for tau in taus]
 
 
 _FLOW_LABELS = (
@@ -203,23 +215,23 @@ _SUITES = {
     "riemann": _Suite(
         boxes=(_BOX,) * 8,
         labels=tuple(f"riemann-{way}-{i}" for way in ("forward", "inverse") for i in range(1, 5)),
-        evaluate=lambda cfg, batch: [(r, None) for r in riemann_relation_residuals(
-            _curve(cfg), [Quadruple(tuple(map(Point2, s[::2], s[1::2]))) for s in batch]
+        evaluate=lambda cfg, data, batch: [(r, None) for r in riemann_relation_residuals(
+            data[cfg.tau], [Quadruple(tuple(map(Point2, s[::2], s[1::2]))) for s in batch]
         )],
     ),
     "fundamental": _Suite(
         boxes=(_BOX, _BOX),
         labels=("fund-1", "fund-2", "fund-3"),
-        evaluate=lambda cfg, batch: [
-            (r, None) for r in fundamental_identity_residuals(_curve(cfg), _points(batch))
+        evaluate=lambda cfg, data, batch: [
+            (r, None) for r in fundamental_identity_residuals(data[cfg.tau], _points(batch))
         ],
     ),
     "moduli": _Suite(
         boxes=(_TAU_DIAG, _TAU_DIAG, _TAU_OFF),
         labels=CONSISTENCY_LABELS,
-        evaluate=lambda cfg, batch: [
+        evaluate=lambda cfg, data, batch: [
             ([value for _, value in _consistency_residuals(cd)], None)
-            for cd in _sample_curves(cfg, batch)
+            for cd in _sample_curves(cfg, data, batch)
         ],
         final_labels=tuple("ratio-" + "".join(map(str, bits)) for bits in RATIO_CHARACTERISTICS),
         finalize=_moduli_final,
@@ -228,15 +240,15 @@ _SUITES = {
     "parameterizations": _Suite(
         boxes=(_BOX, _BOX),
         labels=PARAMETERIZATION_LABELS,
-        evaluate=lambda cfg, batch: parameterization_residuals(_curve(cfg), _points(batch)),
+        evaluate=lambda cfg, data, batch: parameterization_residuals(data[cfg.tau], _points(batch)),
         reads_curve=True,
     ),
     "flow": _Suite(
         boxes=(_BOX, _BOX),
         labels=_FLOW_LABELS,
-        evaluate=lambda cfg, batch: [
+        evaluate=lambda cfg, data, batch: [
             (flow + abelian, None)
-            for flow, abelian in stencil_residuals(_curve(cfg), _points(batch), cfg.fd_step)
+            for flow, abelian in stencil_residuals(data[cfg.tau], _points(batch), cfg.fd_step)
         ],
         fd_labels=frozenset(_FLOW_LABELS),
         reads_curve=True,
@@ -244,26 +256,27 @@ _SUITES = {
     "addition": _Suite(
         boxes=(_BOX,) * 4,
         labels=("addition-1", "addition-2"),
-        evaluate=lambda cfg, batch: [(r, None) for r in addition_formula_residuals(
-            _curve(cfg), [(Point2(s[0], s[1]), Point2(s[2], s[3])) for s in batch]
+        evaluate=lambda cfg, data, batch: [(r, None) for r in addition_formula_residuals(
+            data[cfg.tau], [(Point2(s[0], s[1]), Point2(s[2], s[3])) for s in batch]
         )],
     ),
     "derivative": _Suite(
         boxes=(_BOX, _BOX),
         labels=("deriv-ratio1-du", "deriv-ratio1-dv", "deriv-ratio2-du", "deriv-ratio2-dv"),
-        evaluate=lambda cfg, batch: [
-            (r, None) for r in derivative_formula_residuals(_curve(cfg), _points(batch))
+        evaluate=lambda cfg, data, batch: [
+            (r, None) for r in derivative_formula_residuals(data[cfg.tau], _points(batch))
         ],
     ),
     "degeneration": _Suite(
         boxes=(_BOX, _BOX),
         labels=DEGENERATION_LABELS,
-        # the split locus attached to the configured diagonal: tau12 is forced to 0
-        evaluate=lambda cfg, batch: degeneration_residuals(
-            _points(batch), cfg.tau.tau1, cfg.tau.tau2, cfg.series
+        # the split locus attached to the configured diagonal
+        evaluate=lambda cfg, data, batch: degeneration_residuals(
+            data[_split(cfg)], data[cfg.tau.tau1], _points(batch)
         ),
         final_labels=("constant-member-spread",),
         finalize=_degeneration_final,
+        taus=lambda cfg: (_split(cfg), cfg.tau.tau1),
     ),
     "elliptic": _Suite(
         boxes=(_BOX,),
@@ -272,8 +285,8 @@ _SUITES = {
             "jacobi-sn-cn", "jacobi-dn", "sn-ode",
         ),
         # genus-1 theory at tau = tau1 of the config
-        evaluate=lambda cfg, batch: [(r, None) for r in elliptic_residuals(
-            [s[0] for s in batch], cfg.tau.tau1, cfg.series, cfg.fd_step
+        evaluate=lambda cfg, data, batch: [(r, None) for r in elliptic_residuals(
+            cfg.tau.tau1, data[cfg.tau.tau1], [s[0] for s in batch], cfg.series, cfg.fd_step
         )],
         fd_labels=frozenset(["sn-ode"]),
         final_labels=(
@@ -281,6 +294,7 @@ _SUITES = {
             "self-dual-modulus",
         ),
         finalize=_elliptic_final,
+        taus=lambda cfg: (cfg.tau.tau1, *_INTEGRAL_TAUS),
     ),
 }
 
@@ -333,8 +347,8 @@ class Report(namedtuple("Report", "version config suites passed")):
     __slots__ = ()
 
 
-def _outcomes(suite: _Suite, cfg: RunConfig, batch: list[list[complex]]) -> list:
-    """suite.evaluate over the batch, one outcome per sample: the sample's
+def _outcomes(suite: _Suite, cfg: RunConfig, data: _PerTau, batch: list[list[complex]]) -> list:
+    """suite.evaluate over the batch, with the run's per-tau data, one outcome per sample: the sample's
     (residuals, note), or the skippable error raised at it.
 
     This is where the errors of a batch become outcomes.  A batch that
@@ -345,20 +359,21 @@ def _outcomes(suite: _Suite, cfg: RunConfig, batch: list[list[complex]]) -> list
     """
     if len(batch) > 1:
         try:
-            return suite.evaluate(cfg, batch)
+            return suite.evaluate(cfg, data, batch)
         except G2ThetaError:
             pass
     outcomes = []
     for sample in batch:
         try:
-            outcomes += suite.evaluate(cfg, [sample])
+            outcomes += suite.evaluate(cfg, data, [sample])
         except _SKIPPABLE as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
-    """Draw, evaluate and fold one suite's samples, then its final rows."""
+def _run_suite(name: str, cfg: RunConfig, data: _PerTau) -> SuiteResult:
+    """Draw, evaluate and fold one suite's samples, then its final rows, on
+    the run's per-tau data."""
     suite = _SUITES[name]
     stream = SampleStream(cfg.seed, name)
     # (labels, residuals, point) of each sample, then of each final row, in fold order
@@ -377,7 +392,7 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     unresolved = cfg.samples
     if suite.config_tau_first:  # never skipped: an error there ends the run
         sample = [cfg.tau.tau1, cfg.tau.tau2, cfg.tau.tau12]
-        [outcome] = _outcomes(suite, cfg, [sample])
+        [outcome] = _outcomes(suite, cfg, data, [sample])
         if isinstance(outcome, G2ThetaError):
             raise outcome
         take(sample, outcome)
@@ -387,7 +402,7 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
     failed = 0  # failed attempts of the current sample
     while unresolved:
         batch = stream.draw(unresolved, suite.boxes)
-        for sample, outcome in zip(batch, _outcomes(suite, cfg, batch), strict=True):
+        for sample, outcome in zip(batch, _outcomes(suite, cfg, data, batch), strict=True):
             if isinstance(outcome, _SKIPPABLE):
                 reason = type(outcome).__name__
                 skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
@@ -402,7 +417,7 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
 
     extras: dict = {}
     if suite.finalize is not None:
-        final = suite.finalize(cfg, notes, extras)
+        final = suite.finalize(cfg, data, notes, extras)
         rows += [
             ((label,), [value], point)
             for label, (value, point) in zip(suite.final_labels, final, strict=True)
@@ -441,12 +456,42 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
 _SUITE_RUNNERS = {name: partial(_run_suite, name) for name in SUITE_ORDER}
 
 
+class _PerTau(dict):
+    """The per-tau data of a run, each tau's once: a PeriodMatrix's
+    CurveData, a genus-1 tau's genus1_nulls.
+
+    Built for the taus the named suites read (_Suite.taus), the period
+    matrices by one curve_batch and the genus-1 taus by one genus1_nulls
+    call; a tau equal to one named before it shares that one's data.  A
+    build that raises leaves its taus to be built alone at their first read,
+    so a run raises the error it reaches first, where it reaches it, as a
+    run that built each tau's data at its first read would.
+    """
+
+    def __init__(self, cfg: RunConfig, names):
+        super().__init__()
+        self.ctrl = cfg.series
+        taus = list(dict.fromkeys(tau for name in names for tau in _SUITES[name].taus(cfg)))
+        curves = [tau for tau in taus if isinstance(tau, PeriodMatrix)]
+        genus1 = [tau for tau in taus if not isinstance(tau, PeriodMatrix)]
+        with contextlib.suppress(G2ThetaError):
+            self.update(zip(curves, curve_batch(curves, self.ctrl)))
+            self.update(zip(genus1, genus1_nulls(genus1, self.ctrl)))
+
+    def __missing__(self, tau):
+        built = self[tau] = (
+            CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else genus1_nulls([tau], self.ctrl)[0]
+        )
+        return built
+
+
 def run_suites(config: RunConfig) -> Report:
     config.validate()
     selected = [name for name in SUITE_ORDER if name in config.suites]
+    data = _PerTau(config, selected)
     if any(_SUITES[name].reads_curve for name in selected):
-        require_five_branch_points(moduli_from_tau(config.tau, config.series))
-    results = [_SUITE_RUNNERS[name](config) for name in selected]
+        require_five_branch_points(data[config.tau].moduli)
+    results = [_SUITE_RUNNERS[name](config, data) for name in selected]
     return Report(
         version=VERSION,
         config=config,

@@ -54,11 +54,9 @@ from .theta import (
 
 __all__ = [
     "CurveSpec",
-    "SymmetricFunctions",
     "PointPair",
     "f5",
     "f_factor",
-    "symmetric_functions",
     "recover_pair",
     "parameterization_residuals",
     "PARAMETERIZATION_LABELS",
@@ -74,12 +72,6 @@ _PAIR_CHARS = (
 
 class CurveSpec(namedtuple("CurveSpec", "k0_sq k1_sq k2_sq")):
     """Branch data of f5; the k_i^2 must be pairwise distinct and not 0 or 1."""
-
-    __slots__ = ()
-
-
-class SymmetricFunctions(namedtuple("SymmetricFunctions", "s1 s2")):
-    """s1 = x1 + x2 and s2 = x1 x2."""
 
     __slots__ = ()
 
@@ -128,20 +120,11 @@ def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
 
 
 def _symmetric_from_thetas(factors: tuple[complex, complex], th: dict, den: complex) -> tuple[complex, complex]:
-    """s1 = x1 + x2 and s2 = x1 x2, the SymmetricFunctions as a plain pair,
-    from a CurveData's symmetric_factors."""
+    """s1 = x1 + x2 and s2 = x1 x2 from a CurveData's symmetric_factors."""
     kkk, factor = factors
     s2 = th[(1, 0, 1, 1)] ** 2 / (kkk * den)
     one_minus = factor * th[(1, 0, 0, 1)] ** 2 / den
     return 1.0 + s2 - one_minus, s2
-
-
-def symmetric_functions(
-    point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> SymmetricFunctions:
-    cd = curve_data(tau, ctrl)
-    [th] = _pair_tables(cd, (point,))
-    return SymmetricFunctions(*_symmetric_from_thetas(cd.symmetric_factors, th, _reference_denominator(th, point, cd)))
 
 
 def _solve_pair(s1: complex, s2: complex) -> tuple[complex, complex]:

@@ -37,7 +37,6 @@ __all__ = [
     "ModuliSet",
     "moduli_from_tau",
     "null_ratios_from_moduli",
-    "direct_null_ratios",
     "null_ratio_signs",
     "moduli_consistency_residuals",
     "branch_points_collapse",
@@ -158,14 +157,6 @@ def null_ratios_from_moduli(ms: ModuliSet) -> dict[tuple, complex]:
     }
 
 
-def direct_null_ratios(
-    tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> dict[tuple, complex]:
-    n = curve_data(tau, ctrl).null_squares
-    base = n[(0, 0, 0, 0)]
-    return {bits: n[bits] / base for bits in RATIO_CHARACTERISTICS}
-
-
 def null_ratio_signs(
     tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> dict[tuple, tuple[int, float]]:
@@ -176,12 +167,18 @@ def null_ratio_signs(
     With every root signed as its null quotient each product equals its
     ratio, so the signs read +1; a -1 records a root that left its quotient.
     """
-    ms = moduli_from_tau(tau, ctrl)
-    products = null_ratios_from_moduli(ms)
-    direct = direct_null_ratios(tau, ctrl)
+    return _null_ratio_signs(curve_data(tau, ctrl))
+
+
+def _null_ratio_signs(cd: CurveData) -> dict[tuple, tuple[int, float]]:
+    """null_ratio_signs from the per-tau data cd: each direct ratio is a
+    squared null over the squared null of [00;00]."""
+    products = null_ratios_from_moduli(cd.moduli)
+    n = cd.null_squares
+    base = n[(0, 0, 0, 0)]
     out = {}
     for bits in RATIO_CHARACTERISTICS:
-        d = direct[bits]
+        d = n[bits] / base
         p = products[bits]
         plus = _rel(p, d)
         minus = _rel(p, -d)

@@ -20,22 +20,12 @@ linking a product of nulls and theta values across four characteristics.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
-from .theta import (
-    CurveData,
-    HalfCharacteristic,
-    PeriodMatrix,
-    Point2,
-    SeriesControl,
-    curve_data,
-)
+from .theta import CurveData, HalfCharacteristic, Point2
 
 __all__ = [
     "Quadruple",
-    "ProductVariant",
     "riemann_transform",
-    "product_m",
     "riemann_relation_residuals",
     "fundamental_identity_residuals",
 ]
@@ -51,23 +41,14 @@ class Quadruple(namedtuple("Quadruple", "points")):
         return super().__new__(cls, points)
 
 
-class ProductVariant(Enum):
-    M = "M"
-    M1 = "M1"
-    M2 = "M2"
-    M3 = "M3"
-
-
-_VARIANT_PAIRS = {
-    ProductVariant.M: (HalfCharacteristic(0, 0, 0, 0), HalfCharacteristic(0, 1, 0, 0)),
-    ProductVariant.M1: (HalfCharacteristic(1, 0, 0, 0), HalfCharacteristic(1, 1, 0, 0)),
-    ProductVariant.M2: (HalfCharacteristic(1, 0, 1, 0), HalfCharacteristic(1, 1, 1, 0)),
-    ProductVariant.M3: (HalfCharacteristic(0, 0, 1, 0), HalfCharacteristic(0, 1, 1, 0)),
-}
-
-_VARIANTS = (ProductVariant.M, ProductVariant.M1, ProductVariant.M2, ProductVariant.M3)
-# every characteristic a product reads, variant pairs in _VARIANTS order
-_PRODUCT_CHARS = tuple(c for t in _VARIANTS for c in _VARIANT_PAIRS[t])
+# every characteristic a product reads: the pairs of M, M', M'' and M'''
+_PRODUCT_CHARS = tuple(
+    HalfCharacteristic(*bits)
+    for bits in (
+        (0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0),
+        (1, 0, 1, 0), (1, 1, 1, 0), (0, 0, 1, 0), (0, 1, 1, 0),
+    )
+)
 
 
 def _s_rows(x0, x1, x2, x3) -> tuple:
@@ -100,15 +81,6 @@ def _products(values) -> list[complex]:
     """
     prods = [(1.0 + 0.0j) * a * b * c * d for a, b, c, d in zip(*values)]
     return [0j + prods[k] + prods[k + 1] for k in range(0, len(prods), 2)]
-
-
-def product_m(
-    variant: ProductVariant,
-    q: Quadruple,
-    tau: PeriodMatrix,
-    ctrl: SeriesControl = SeriesControl(),
-) -> complex:
-    return _products(curve_data(tau, ctrl).values_at(_VARIANT_PAIRS[variant], q.points))[0]
 
 
 def _relation_residuals(lhs_vec, rhs_vec) -> list[float]:

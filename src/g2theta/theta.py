@@ -45,15 +45,17 @@ A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
 theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).
 
-Theta values come two ways.  Batched: CurveData, built once per period
-matrix and kept by curve_data for the last _NULL_CACHE_TAUS of them, holds
-the nulls and evaluates values (values_at) and gradients (grads_at)
-of any characteristics at any number of points, on grids of one truncation
-radius N and at most _GRID_TERMS class and jet terms, so memory stays
-bounded however many points a batch holds.  Its nulls come from one
-path, _origin_grid: one origin grid on the stacked lattice forms of period
-matrices of one radius, a CurveData being a stack of one and curve_batch
-stacking many.  Scalar: theta2 and theta2_grad read one value of curve_data.
+Theta values come from CurveData, built once per period matrix by its
+caller and passed in: it holds the nulls and evaluates values (values_at)
+and gradients (grads_at) of any characteristics at any number of points,
+on grids of one truncation radius N and at most _GRID_TERMS class and jet
+terms, so memory stays bounded however many points a batch holds.  Its
+nulls come from one path, _origin_grid: one origin grid on the stacked
+lattice forms of period matrices of one radius, a CurveData being a stack
+of one and curve_batch stacking many.  For callers that hold only a period
+matrix, curve_data keeps the CurveData of the last _NULL_CACHE_TAUS of
+them, and theta2 reads one value from it; the harness and the CLI build
+their own CurveData and never read it.
 
 Also here: a characteristic, a validated bit tuple whose is_odd is its
 parity, and the relative residual _rel that the identity checks of every
@@ -91,7 +93,6 @@ __all__ = [
     "curve_batch",
     "curve_data",
     "theta2",
-    "theta2_grad",
 ]
 
 _IPI = 1j * math.pi
@@ -582,9 +583,9 @@ def _settle_floats(sums: list, reads, bound: float) -> list[list[complex]] | Non
 # constants; the even gradients vanish there.
 _NULL_GRAD_CHARS = (HalfCharacteristic(1, 0, 1, 0), HalfCharacteristic(1, 1, 1, 0))
 
-# Per-tau data is kept for this many period matrices, least recently used
-# dropped first, so a process sweeping many of them keeps a fixed footprint;
-# a verification run reuses about twenty.
+# curve_data keeps the per-tau data of this many period matrices, least
+# recently used dropped first, so a process sweeping many of them keeps a
+# fixed footprint.
 _NULL_CACHE_TAUS = 64
 # Lattice forms kept per period matrix, oldest dropped first; the checks at
 # sampled points use two or three radii.
@@ -743,10 +744,3 @@ def curve_data(tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> Curv
 def theta2(c: HalfCharacteristic, point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()) -> complex:
     """theta[c](point), read from the CurveData of (tau, ctrl)."""
     return curve_data(tau, ctrl).values_at((c,), (point,))[0][0]
-
-
-def theta2_grad(
-    c: HalfCharacteristic, point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
-) -> tuple[complex, complex]:
-    """(d theta/du, d theta/dv) by term-wise differentiation of the series."""
-    return curve_data(tau, ctrl).grads_at((c,), (point,))[1][0][0]

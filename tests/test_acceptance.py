@@ -15,6 +15,7 @@ from g2theta.degeneration import (
     degeneration_residuals,
     elliptic_modulus,
     elliptic_residuals,
+    genus1_nulls,
 )
 from g2theta.flow import (
     addition_formula_residuals,
@@ -34,6 +35,7 @@ from g2theta.rng import SampleStream
 from g2theta.theta import (
     ALL_CHARACTERISTICS,
     DEFAULT_TAU,
+    CurveData,
     PeriodMatrix,
     Point2,
     SeriesControl,
@@ -184,26 +186,27 @@ def test_criterion_7_addition_and_derivative_formulas():
 def test_criterion_8_genus1_degeneration():
     tau1, tau2 = 0.1 + 1.1j, -0.15 + 1.3j
     ctrl = SeriesControl()
-    split = degeneration_residuals(draw_points(109, "acc-split", 10), tau1, tau2, ctrl)
+    tau = PeriodMatrix(tau1, tau2, 0.0)
+    nulls1, nulls_i, nulls_15i = genus1_nulls([tau1, 1.0j, 1.5j], ctrl)
+    split = degeneration_residuals(CurveData(tau, ctrl), nulls1, draw_points(109, "acc-split", 10))
     worst_split = max(max(rows[:16]) for rows, _ in split)  # the split-* rows
 
     stream = SampleStream(110, "acc-elliptic")
     zs = [stream.next_complex(-0.4, 0.4, -0.2, 0.2) for _ in range(10)]
     # the three squared-theta identities and the null quartic
-    worst_ell = max(max(rows[:4]) for rows in elliptic_residuals(zs, tau1, ctrl, 1e-5))
+    worst_ell = max(max(rows[:4]) for rows in elliptic_residuals(tau1, nulls1, zs, ctrl, 1e-5))
 
-    tau = PeriodMatrix(tau1, tau2, 0.0)
     ms = moduli_from_tau(tau)
     members = [recover_pair(pt, tau).x1 for pt in draw_points(111, "acc-constant", 8)]
     spread = max(abs(v - members[0]) for v in members)
     const_gap = max(spread, abs(members[0] - 1.0 / ms.k0_sq))
 
-    ode = max(rows[6] for rows in elliptic_residuals([0.17 - 0.06j, 0.0], tau1, ctrl, 1e-5))
+    ode = max(rows[6] for rows in elliptic_residuals(tau1, nulls1, [0.17 - 0.06j, 0.0], ctrl, 1e-5))
     integ = max(
-        max(complete_integral_residuals(1.0j)),
-        max(complete_integral_residuals(1.5j)),
+        max(complete_integral_residuals(1.0j, nulls_i)),
+        max(complete_integral_residuals(1.5j, nulls_15i)),
     )
-    half_gap = abs(elliptic_modulus(1.0j).k_sq - 0.5)
+    half_gap = abs(elliptic_modulus(nulls_i).k_sq - 0.5)
 
     ok = (
         worst_split < 1e-12

@@ -17,7 +17,7 @@ from g2theta.degeneration import (
     degeneration_residuals,
     elliptic_modulus,
     elliptic_residuals,
-    jacobi_functions,
+    genus1_nulls,
     theta1,
 )
 from g2theta.errors import (
@@ -28,26 +28,40 @@ from g2theta.errors import (
 )
 from g2theta.quadrature import tanh_sinh_01
 from g2theta.rng import SampleStream
-from g2theta.theta import ALL_CHARACTERISTICS, Point2, SeriesControl
+from g2theta.theta import ALL_CHARACTERISTICS, CurveData, PeriodMatrix, Point2, SeriesControl
 
 TAU1 = 0.1 + 1.1j
 TAU2 = -0.15 + 1.3j
 CHARS1 = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1))
 ZS = (0.23 - 0.11j, -0.37 + 0.21j)
 CTRL = SeriesControl()
+SPLIT = CurveData(PeriodMatrix(TAU1, TAU2, 0.0), CTRL)
+[NULLS1] = genus1_nulls([TAU1], CTRL)
+
+
+def _nulls(tau):
+    return genus1_nulls([tau], CTRL)[0]
 
 
 def _degeneration_rows(points):
     """The degeneration residuals at each point, keyed by label."""
     return [
         dict(zip(DEGENERATION_LABELS, rows, strict=True))
-        for rows, _ in degeneration_residuals(points, TAU1, TAU2, CTRL)
+        for rows, _ in degeneration_residuals(SPLIT, NULLS1, points)
     ]
 
 
 def _sn_ode(z, h=1e-5):
     """The sn ODE residual, the last of the elliptic residuals at z."""
-    return elliptic_residuals([z], TAU1, CTRL, h)[0][6]
+    return elliptic_residuals(TAU1, NULLS1, [z], CTRL, h)[0][6]
+
+
+def _jacobi_functions(z, tau):
+    """sn, cn, dn at theta argument z (the sn argument is u = 2Kz) and the
+    modulus, by the path elliptic_residuals takes."""
+    nulls = _nulls(tau)
+    t = degeneration._theta1_values([(c, z, tau) for c in CHARS1], CTRL)
+    return (*degeneration._jacobi(nulls, t, z), elliptic_modulus(nulls))
 
 
 def brute_theta1(c, z, tau, radius=30):
@@ -80,6 +94,10 @@ def test_genus1_grid_is_bit_identical_to_one_row_per_value():
     assert [theta1(c, z, tau) for c, z, tau in rows] == expected
     # one grid for all rows, as the call sites use it
     assert degeneration._theta1_values(rows, SeriesControl()) == expected
+    # the nulls of several taus, one evaluation of them all
+    taus = [1j, TAU1, -0.2 + 0.8j]
+    nulls = [{c: theta1(c, 0.0, tau) for c in CHARS1} for tau in taus]
+    assert [dict(n) for n in genus1_nulls(taus, CTRL)] == nulls
 
 
 def test_matches_reference_library():
@@ -108,17 +126,17 @@ def test_block_diagonal_values_split_into_products():
 
 def test_modulus_complement_and_duality():
     for tau in (1.0j, TAU1, 0.6j):
-        mod = elliptic_modulus(tau)
+        mod = elliptic_modulus(_nulls(tau))
         assert abs(mod.k_sq + mod.kp_sq - 1.0) < 1e-12
         assert mod.k == cmath.sqrt(mod.k_sq)
         assert mod.kp == cmath.sqrt(mod.kp_sq)
     # tau -> -1/tau swaps the modulus with its complement
-    assert abs(elliptic_modulus(0.6j).k_sq - elliptic_modulus(1j / 0.6).kp_sq) < 1e-12
+    assert abs(elliptic_modulus(_nulls(0.6j)).k_sq - elliptic_modulus(_nulls(1j / 0.6)).kp_sq) < 1e-12
 
 
 def test_jacobi_functions_against_reference_library():
     tau = 1.2j
-    sn0, cn0, dn0, mod = jacobi_functions(0.0, tau)
+    sn0, cn0, dn0, mod = _jacobi_functions(0.0, tau)
     assert abs(sn0) < 1e-14
     assert abs(cn0 - 1.0) < 1e-14
     assert abs(dn0 - 1.0) < 1e-14
@@ -126,7 +144,7 @@ def test_jacobi_functions_against_reference_library():
     big_k = math.pi / 2.0 * theta1(Genus1Characteristic(0, 0), 0.0, tau).real ** 2
     assert abs(big_k - ellipk(m)) < 1e-12
     for z in (0.08, 0.21, 0.37):
-        sn, cn, dn, _ = jacobi_functions(z, tau)
+        sn, cn, dn, _ = _jacobi_functions(z, tau)
         sn_ref, cn_ref, dn_ref, _ = ellipj(2.0 * big_k * z, m)
         assert abs(sn - sn_ref) < 1e-10
         assert abs(cn - cn_ref) < 1e-10
@@ -135,8 +153,8 @@ def test_jacobi_functions_against_reference_library():
 
 def test_jacobi_parity():
     z = 0.19 - 0.07j
-    sn_p, cn_p, dn_p, _ = jacobi_functions(z, TAU1)
-    sn_m, cn_m, dn_m, _ = jacobi_functions(-z, TAU1)
+    sn_p, cn_p, dn_p, _ = _jacobi_functions(z, TAU1)
+    sn_m, cn_m, dn_m, _ = _jacobi_functions(-z, TAU1)
     assert abs(sn_p + sn_m) < 1e-13
     assert abs(cn_p - cn_m) < 1e-13
     assert abs(dn_p - dn_m) < 1e-13
@@ -144,15 +162,15 @@ def test_jacobi_parity():
 
 def test_jacobi_rejects_zero_of_reference_theta():
     with pytest.raises(SingularDenominator):
-        jacobi_functions(0.6j, 1.2j)
+        _jacobi_functions(0.6j, 1.2j)
 
 
 def test_identities_at_seeded_points_and_zero():
     # the first four rows: the three squared-theta identities and the null quartic
-    assert max(elliptic_residuals([0.0], TAU1, CTRL, 1e-5)[0][:4]) < 1e-12
+    assert max(elliptic_residuals(TAU1, NULLS1, [0.0], CTRL, 1e-5)[0][:4]) < 1e-12
     stream = SampleStream(31, "elliptic")
     zs = [stream.next_complex(-0.4, 0.4, -0.2, 0.2) for _ in range(10)]
-    assert max(max(rows[:4]) for rows in elliptic_residuals(zs, TAU1, CTRL, 1e-5)) < 1e-11
+    assert max(max(rows[:4]) for rows in elliptic_residuals(TAU1, NULLS1, zs, CTRL, 1e-5)) < 1e-11
 
 
 def test_degenerate_inversion_matches_elliptic_prediction():
@@ -188,15 +206,15 @@ def test_sn_ode_residual_and_step_scaling():
 
 def test_complete_integrals_reproduce_tau_and_null():
     for tau in (1.0j, 1.5j):
-        assert max(complete_integral_residuals(tau)) < 1e-9
+        assert max(complete_integral_residuals(tau, _nulls(tau))) < 1e-9
     # the self-dual point: k^2 = 1/2 exactly at tau = i
-    assert abs(elliptic_modulus(1.0j).k_sq - 0.5) < 1e-10
+    assert abs(elliptic_modulus(_nulls(1.0j)).k_sq - 0.5) < 1e-10
 
 
 def test_complete_integrals_domain_guard():
     for tau in (0.3 + 1.0j, 0.4j, 4.0j):
         with pytest.raises(ConfigInvalid):
-            complete_integral_residuals(tau)
+            complete_integral_residuals(tau, _nulls(tau))
 
 
 def test_quadrature_reference_integrals():
@@ -212,18 +230,3 @@ def test_quadrature_reference_integrals():
 def test_quadrature_refuses_wild_oscillation():
     with pytest.raises(QuadratureNonconvergence):
         tanh_sinh_01(lambda x, dist: math.sin(1e8 * x) * 1e6)
-
-
-def test_genus1_nulls_are_one_bounded_entry_per_tau():
-    from g2theta import degeneration, theta
-
-    degeneration._nulls1.cache_clear()
-    taus = [complex(0.05 * k, 1.0 + 0.1 * k) for k in range(3)]
-    for tau in taus:
-        elliptic_modulus(tau)
-        jacobi_functions(0.1 + 0.05j, tau)
-        nulls = degeneration._nulls1(tau, degeneration.SeriesControl())
-        assert dict(nulls) == {(c.a, c.b): theta1(c, 0.0, tau) for c in CHARS1}
-    info = degeneration._nulls1.cache_info()
-    assert info.currsize == len(taus)
-    assert info.maxsize == theta._NULL_CACHE_TAUS

@@ -26,6 +26,7 @@ from g2theta.errors import (
     StencilCrossesDivisor,
     TruncationOverflow,
 )
+from g2theta.degeneration import genus1_nulls
 from g2theta.flow import stencil_residuals
 from g2theta.harness import (
     VERSION,
@@ -39,7 +40,7 @@ from g2theta.harness import (
 from g2theta.inversion import recover_pair
 from g2theta.moduli import CONSISTENCY_LABELS
 from g2theta.rng import SampleStream, fnv1a64, mix64
-from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, curve_data
+from g2theta.theta import DEFAULT_TAU, PeriodMatrix, Point2, SeriesControl, curve_data
 
 DATA = Path(__file__).resolve().parent / "data"
 SPLIT_TAU = PeriodMatrix(1.1j, 1.3j, 0.0)
@@ -250,7 +251,7 @@ def test_every_check_row_keeps_its_bits():
 
 
 def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatch):
-    def divisor(cfg, batch):
+    def divisor(cfg, data, batch):
         raise SingularDenominator("on the divisor")
 
     suite = harness._SUITES["degeneration"]
@@ -265,7 +266,7 @@ def test_a_suite_whose_samples_all_skip_reports_nothing_but_the_skips(monkeypatc
 
 def test_a_residual_list_that_drifts_from_its_labels_fails_loudly(monkeypatch):
     suite = harness._SUITES["fundamental"]
-    short = suite._replace(evaluate=lambda cfg, batch: [([0.0, 0.0], None) for _ in batch])
+    short = suite._replace(evaluate=lambda cfg, data, batch: [([0.0, 0.0], None) for _ in batch])
     monkeypatch.setitem(harness._SUITES, "fundamental", short)
     with pytest.raises(ValueError):
         run_suites(RunConfig(samples=1, suites=("fundamental",)))
@@ -278,12 +279,13 @@ def _one_by_one_walk(name, cfg):
     costs its sample one of 10 attempts.  The fold is the harness's own.
     """
     suite = harness._SUITES[name]
+    data = harness._PerTau(cfg, [name])
     stream = SampleStream(cfg.seed, name)
     rows, notes, skip_reasons, skipped = [], [], {}, 0
 
     def evaluate(sample):
         try:
-            [outcome] = suite.evaluate(cfg, [sample])
+            [outcome] = suite.evaluate(cfg, data, [sample])
         except harness._SKIPPABLE as exc:
             return exc
         return outcome
@@ -314,7 +316,7 @@ def _one_by_one_walk(name, cfg):
             skipped += 1
     extras = {}
     if suite.finalize is not None:
-        final = suite.finalize(cfg, notes, extras)
+        final = suite.finalize(cfg, data, notes, extras)
         rows.extend(
             (label, value, point)
             for label, (value, point) in zip(suite.final_labels, final, strict=True)
@@ -343,6 +345,11 @@ def _one_by_one_walk(name, cfg):
     )
 
 
+def _run_suite(name, cfg):
+    """_run_suite on the per-tau data run_suites builds for the suite alone."""
+    return harness._run_suite(name, cfg, harness._PerTau(cfg, [name]))
+
+
 def _inject(monkeypatch, name, cfg, errors):
     """Make the draws at the given stream indices fail with errors[index].
 
@@ -356,12 +363,12 @@ def _inject(monkeypatch, name, cfg, errors):
         tuple(stream.next_complex(*box) for box in suite.boxes): i for i in range(40 * cfg.samples)
     }
 
-    def evaluate(cfg, batch):
+    def evaluate(cfg, data, batch):
         for sample in reversed(batch):
             i = index.get(tuple(sample))
             if i in errors:
                 raise errors[i]
-        return suite.evaluate(cfg, batch)
+        return suite.evaluate(cfg, data, batch)
 
     monkeypatch.setitem(harness._SUITES, name, suite._replace(evaluate=evaluate))
 
@@ -383,12 +390,12 @@ def test_batched_walk_with_skips_equals_the_one_by_one_walk(monkeypatch, name):
     batches = []
     outcomes = harness._outcomes
 
-    def recorded(suite, cfg, batch):
+    def recorded(suite, cfg, data, batch):
         batches.append(batch)
-        return outcomes(suite, cfg, batch)
+        return outcomes(suite, cfg, data, batch)
 
     monkeypatch.setattr(harness, "_outcomes", recorded)
-    batched = harness._run_suite(name, cfg)
+    batched = _run_suite(name, cfg)
     assert batched == _one_by_one_walk(name, cfg)
     assert (batched.samples_run, batched.skipped) == (cfg.samples - 1, 1)
     assert batched.skip_reasons == {
@@ -422,8 +429,33 @@ def test_an_overflow_the_walk_reaches_is_raised_as_the_one_by_one_walk_raises_it
     with pytest.raises(TruncationOverflow) as reference:
         _one_by_one_walk("fundamental", cfg)
     with pytest.raises(TruncationOverflow) as batched:
-        harness._run_suite("fundamental", cfg)
+        _run_suite("fundamental", cfg)
     assert str(batched.value) == str(reference.value) == "required radius 70 exceeds max_radius 64"
+
+
+@pytest.mark.parametrize(
+    ("tau", "tol", "error", "message"),
+    [
+        # the moduli of the configured tau collapse, and the run refuses it
+        # before any suite runs
+        (
+            (0.1 + 8j, -0.1 + 3j, 0.02 + 0.3j), 1e-25, DegenerateTau,
+            "moduli collapse, k0^2 = k1^2 = k2^2 within 1e-10 (split period matrix): "
+            "the parameterizations and flow suites need five distinct branch points",
+        ),
+        # a point of an earlier suite needs radius 5
+        ((0.1 + 2j, -0.1 + 3j, 0.02 + 0.2j), 1e-40, TruncationOverflow, "required radius 5 exceeds max_radius 4"),
+    ],
+)
+def test_a_per_tau_build_that_raises_leaves_the_run_its_first_error(tau, tol, error, message):
+    # the genus-1 nulls at i and 1.5i, built before any suite runs, need radius
+    # 5 or 6, past max_radius; the run still raises the error it reaches first
+    cfg = RunConfig(tau=PeriodMatrix(*tau), samples=5, series=SeriesControl(tol, 4))
+    with pytest.raises(TruncationOverflow):
+        genus1_nulls(harness._INTEGRAL_TAUS, cfg.series)
+    with pytest.raises(error) as caught:
+        run_suites(cfg)
+    assert str(caught.value) == message
 
 
 def test_an_overflow_past_the_last_draw_is_never_evaluated(monkeypatch):
@@ -431,7 +463,7 @@ def test_an_overflow_past_the_last_draw_is_never_evaluated(monkeypatch):
     cfg = RunConfig(samples=5, suites=("fundamental",))
     errors = {1: SingularDenominator("on the divisor"), 6: TruncationOverflow("unreached")}
     _inject(monkeypatch, "fundamental", cfg, errors)
-    result = harness._run_suite("fundamental", cfg)
+    result = _run_suite("fundamental", cfg)
     assert result == _one_by_one_walk("fundamental", cfg)
     assert (result.samples_run, result.skip_reasons) == (5, {"SingularDenominator": 1})
 
@@ -453,16 +485,16 @@ def _outcome_key(outcome):
 )
 def test_a_real_error_in_a_batch_gives_the_outcomes_of_one_sample_at_a_time(name, bad, error):
     cfg = RunConfig(suites=(name,))
-    suite = harness._SUITES[name]
+    suite, data = harness._SUITES[name], harness._PerTau(cfg, [name])
     good = [0.21 - 0.09j, -0.13 + 0.11j]
     batch = [good, bad, [0.1 + 0.05j, -0.2 + 0.1j]]
-    batched = harness._outcomes(suite, cfg, batch)
-    alone = [outcome for sample in batch for outcome in harness._outcomes(suite, cfg, [sample])]
+    batched = harness._outcomes(suite, cfg, data, batch)
+    alone = [outcome for sample in batch for outcome in harness._outcomes(suite, cfg, data, [sample])]
     assert [_outcome_key(o) for o in batched] == [_outcome_key(o) for o in alone]
     assert type(batched[1]) is error
     assert not isinstance(batched[0], Exception) and not isinstance(batched[2], Exception)
     with pytest.raises(error):  # the check itself raises it, batched or alone
-        suite.evaluate(cfg, [bad])
+        suite.evaluate(cfg, data, [bad])
 
 
 def test_parse_config_file(tmp_path):
@@ -781,6 +813,23 @@ def test_cli_version_flag():
     assert exc.value.code == 0
 
 
+SRC = DATA.parents[1] / "src"
+# loads the script at argv[1] as _load_script does, sets the module constants
+# of the JSON object argv[2], and exits with its main() on the arguments after
+_RUN_SCRIPT = """
+import importlib.util, json, sys
+from pathlib import Path
+path, settings = Path(sys.argv[1]), json.loads(sys.argv[2])
+spec = importlib.util.spec_from_file_location(path.stem, path)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+for attr, value in settings.items():
+    setattr(module, attr, value)
+sys.argv = [path.name, *sys.argv[3:]]
+sys.exit(module.main())
+"""
+
+
 @pytest.mark.parametrize(
     "script",
     [
@@ -790,16 +839,18 @@ def test_cli_version_flag():
         # one row per case, each case run at least once
         ("kernel_timing.py", [], 7, {"ROUNDS": 1, "CALLS": 4}),
         # one row per op, this checkout timed against itself
-        ("kernel_timing.py", ["--ab", str(DATA.parents[1] / "src"), "--rounds", "2"], 4,
+        ("kernel_timing.py", ["--ab", str(SRC), "--rounds", "2"], 4,
          {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),
     ],
 )
-def test_scripts_run_to_completion(script, monkeypatch, capsys):
+def test_scripts_run_to_completion(script):
+    # in a child interpreter, so what a script does to sys.modules stays there
     name, argv, lines, settings = script
-    module = _load_script(name)
-    for attr, value in settings.items():
-        monkeypatch.setattr(module, attr, value)
-    monkeypatch.setattr(sys, "argv", [name, *argv])
-    assert module.main() == 0
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == lines
+    path = DATA.parents[1] / "scripts" / name
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_SCRIPT, str(path), json.dumps(settings), *argv],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == lines

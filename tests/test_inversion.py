@@ -21,7 +21,6 @@ from g2theta.inversion import (
     f_factor,
     parameterization_residuals,
     recover_pair,
-    symmetric_functions,
 )
 from g2theta.moduli import moduli_from_tau
 from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, curve_data
@@ -29,6 +28,14 @@ from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, curve_da
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 DIVISOR_POINT = Point2(DIVISOR_U, DIVISOR_V)
 TEST_CURVE = CurveSpec(2.0 + 0.0j, 3.0 + 0.0j, 5.0 + 0.0j)
+
+
+def _symmetric_functions(point, tau):
+    """s1 = x1 + x2 and s2 = x1 x2 at the point, by the path recover_pair takes."""
+    cd = curve_data(tau)
+    [th] = inversion._pair_tables(cd, (point,))
+    den = inversion._reference_denominator(th, point, cd)
+    return inversion._symmetric_from_thetas(cd.symmetric_factors, th, den)
 
 
 def test_quintic_reference_values():
@@ -58,9 +65,9 @@ def test_factor_index_validation():
 
 def test_origin_recovers_branch_point_pair():
     ms = moduli_from_tau(DEFAULT_TAU)
-    sf = symmetric_functions(ORIGIN, DEFAULT_TAU)
-    assert abs(sf.s2) < 1e-12
-    assert abs(sf.s1 - 1.0 / ms.k0_sq) < 1e-12
+    s1, s2 = _symmetric_functions(ORIGIN, DEFAULT_TAU)
+    assert abs(s2) < 1e-12
+    assert abs(s1 - 1.0 / ms.k0_sq) < 1e-12
     pair = recover_pair(ORIGIN, DEFAULT_TAU)
     assert abs(pair.x2) < 1e-12
     assert abs(pair.x1 * ms.k0_sq - 1.0) < 1e-12
@@ -103,12 +110,12 @@ def test_pair_consistent_with_symmetric_functions(ur, ui, vr, vi):
     except (SingularDenominator, CoincidentPoints):
         assume(False)
         return
-    sf = symmetric_functions(pt, DEFAULT_TAU)
+    s1, s2 = _symmetric_functions(pt, DEFAULT_TAU)
     ms = moduli_from_tau(DEFAULT_TAU)
     curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
     scale = 1.0 + abs(pair.x1) + abs(pair.x2)
-    assert abs(pair.x1 + pair.x2 - sf.s1) < 1e-10 * scale
-    assert abs(pair.x1 * pair.x2 - sf.s2) < 1e-10 * scale**2
+    assert abs(pair.x1 + pair.x2 - s1) < 1e-10 * scale
+    assert abs(pair.x1 * pair.x2 - s2) < 1e-10 * scale**2
     for x, sg in ((pair.x1, pair.sigma1), (pair.x2, pair.sigma2)):
         val = f5(x, curve)
         assert abs(sg * sg - val) < 1e-10 * (1.0 + abs(val))
@@ -169,7 +176,7 @@ def test_block_diagonal_collapse_pins_one_member():
 
 
 def test_divisor_point_raises_everywhere():
-    for fn in (symmetric_functions, recover_pair, _labeled_rows):
+    for fn in (_symmetric_functions, recover_pair, _labeled_rows):
         with pytest.raises(SingularDenominator):
             fn(DIVISOR_POINT, DEFAULT_TAU)
 

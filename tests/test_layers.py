@@ -14,8 +14,10 @@ batch must give, bit for bit, what its items give one at a time.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +27,8 @@ import pytest
 from conftest import draw_points
 
 import g2theta.harness as harness
-from g2theta.degeneration import degeneration_residuals, elliptic_residuals
+import g2theta.theta as theta
+from g2theta.degeneration import degeneration_residuals, elliptic_residuals, genus1_nulls
 from g2theta.flow import (
     addition_formula_residuals,
     derivative_formula_residuals,
@@ -38,7 +41,7 @@ from g2theta.riemann import (
     fundamental_identity_residuals,
     riemann_relation_residuals,
 )
-from g2theta.theta import DEFAULT_TAU, Point2, SeriesControl, curve_data
+from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, SeriesControl, curve_data
 
 LAYERS = (
     "theta",
@@ -110,9 +113,9 @@ def test_run_suites_dispatches_every_suite_through_the_runner_table(monkeypatch)
     for name, runner in list(harness._SUITE_RUNNERS.items()):
         assert callable(runner), name
 
-        def recorded(cfg, name=name, runner=runner):
+        def recorded(*args, name=name, runner=runner):
             calls.append(name)
-            return runner(cfg)
+            return runner(*args)
 
         monkeypatch.setitem(harness._SUITE_RUNNERS, name, recorded)
     report = run_suites(RunConfig(samples=1))
@@ -120,8 +123,29 @@ def test_run_suites_dispatches_every_suite_through_the_runner_table(monkeypatch)
     assert [s.name for s in report.suites] == list(SUITE_ORDER)
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["verify", "invert", "curves"])
+def test_the_benchmark_workloads_run_on_the_library(workload, tmp_path):
+    # what perfbench/workloads.py calls of the library, loaded as it stands;
+    # it reads the layers from sys.modules, where perfbench/run.py imports them
+    importlib.import_module("g2theta.cli")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.make(workload, tmp_path)
+    for item in bench.make_round(random.Random(0))[:2]:
+        assert bench.check(item, bench.run(item)) == []
+    # Verify.deep_check reads theta values at the reports' worst points
+    c, origin = theta.HalfCharacteristic(0, 0, 0, 0), theta.Point2(0j, 0j)
+    assert theta.theta2(c, origin, theta.PeriodMatrix(*DEFAULT_TAU)) == CD.nulls[c]
+
+
 CD = curve_data(DEFAULT_TAU)
 TAU1, TAU2 = 0.1 + 1.1j, -0.15 + 1.3j
+SPLIT = CurveData(PeriodMatrix(TAU1, TAU2, 0.0), SeriesControl())
+[NULLS1] = genus1_nulls([TAU1], SeriesControl())
 # two points of the harness box, and one far enough out to need a larger
 # truncation radius, so the batch spans more than one grid
 POINTS = draw_points(43, "batch-of-three", 2) + [Point2(0.31 + 0.55j, -0.22 - 0.48j)]
@@ -138,11 +162,11 @@ BATCHED_CHECKS = {
     "derivative": (lambda items: derivative_formula_residuals(CD, items), POINTS),
     "parameterization": (lambda items: parameterization_residuals(CD, items), POINTS),
     "degeneration": (
-        lambda items: degeneration_residuals(items, TAU1, TAU2, SeriesControl()),
+        lambda items: degeneration_residuals(SPLIT, NULLS1, items),
         POINTS,
     ),
     "elliptic": (
-        lambda items: elliptic_residuals(items, TAU1, SeriesControl(), 1e-5),
+        lambda items: elliptic_residuals(TAU1, NULLS1, items, SeriesControl(), 1e-5),
         [point.u for point in POINTS],
     ),
 }

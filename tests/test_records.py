@@ -30,8 +30,12 @@ MODULI_NAMES = (
 FLOW_NAMES = "a_u b_u c_v d_v A B C D P Q R S det".split()
 
 
-def _evaluate(cfg, batch):
+def _evaluate(cfg, data, batch):
     return []
+
+
+def _taus(cfg):
+    return ()
 
 
 RESULT = {
@@ -58,7 +62,6 @@ RECORDS = [
         True,
     ),
     (inversion.CurveSpec, {"k0_sq": 1, "k1_sq": 2, "k2_sq": 3j}, "CurveSpec(k0_sq=1, k1_sq=2, k2_sq=3j)", True),
-    (inversion.SymmetricFunctions, {"s1": 1j, "s2": 2}, "SymmetricFunctions(s1=1j, s2=2)", True),
     (
         inversion.PointPair,
         {"x1": 1, "x2": 2, "sigma1": 3, "sigma2": 4, "sign_flipped": True},
@@ -83,10 +86,11 @@ RECORDS = [
         {
             "boxes": ((0.0, 1.0, 0.0, 1.0),), "labels": ("a",), "evaluate": _evaluate,
             "fd_labels": frozenset(), "final_labels": (), "finalize": None,
-            "config_tau_first": False, "reads_curve": False,
+            "config_tau_first": False, "reads_curve": False, "taus": _taus,
         },
         f"_Suite(boxes=((0.0, 1.0, 0.0, 1.0),), labels=('a',), evaluate={_evaluate!r}, "
-        "fd_labels=frozenset(), final_labels=(), finalize=None, config_tau_first=False, reads_curve=False)",
+        "fd_labels=frozenset(), final_labels=(), finalize=None, config_tau_first=False, reads_curve=False, "
+        f"taus={_taus!r})",
         True,
     ),
     (
@@ -115,7 +119,6 @@ ALTERED = {
     theta._LatticeForm: ("quad", 0j),
     moduli.ModuliSet: ("k12", 0),
     inversion.CurveSpec: ("k2_sq", 3),
-    inversion.SymmetricFunctions: ("s1", -1j),
     inversion.PointPair: ("sign_flipped", False),
     degeneration.EllipticModulus: ("kp", 5),
     flow.FlowConstants: ("det", 0),
@@ -164,6 +167,7 @@ def test_defaults_are_filled_in_and_no_result_shares_its_extras():
     suite = harness._Suite((), (), _evaluate)
     assert (suite.fd_labels, suite.final_labels, suite.finalize) == (frozenset(), (), None)
     assert (suite.config_tau_first, suite.reads_curve) == (False, False)
+    assert suite.taus(harness.RunConfig(samples=3)) == (theta.DEFAULT_TAU,)
     twelve = {name: value for name, value in RESULT.items() if name != "extras"}
     first, second = harness.SuiteResult(**twelve), harness.SuiteResult(*twelve.values())
     assert first.extras == second.extras == {}

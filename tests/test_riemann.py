@@ -4,12 +4,11 @@ import numpy as np
 
 from conftest import brute_theta2, draw_points
 
+from g2theta import riemann
 from g2theta.moduli import moduli_consistency_residuals
 from g2theta.riemann import (
-    ProductVariant,
     Quadruple,
     fundamental_identity_residuals,
-    product_m,
     riemann_relation_residuals,
     riemann_transform,
 )
@@ -29,6 +28,11 @@ GENERIC = Quadruple((
     Point2(0.11 + 0.02j, -0.3 + 0.0j),
     Point2(0.25 + 0.0j, 0.125 - 0.06j),
 ))
+
+
+def _products(q):
+    """M, M', M'' and M''' over the quadruple, as the relations read them."""
+    return riemann._products(CD.values_at(riemann._PRODUCT_CHARS, q.points))
 
 
 def _draw_quadruples(seed, label, count):
@@ -69,14 +73,13 @@ def test_products_at_zero_quadruple():
     def nul(bits):
         return curve_data(DEFAULT_TAU).nulls[bits]
 
-    m = product_m(ProductVariant.M, ZEROS, DEFAULT_TAU)
-    m3 = product_m(ProductVariant.M3, ZEROS, DEFAULT_TAU)
+    m, _, _, m3 = _products(ZEROS)
     assert abs(m - (nul((0, 0, 0, 0)) ** 4 + nul((0, 1, 0, 0)) ** 4)) < 1e-14
     assert abs(m3 - (nul((0, 0, 1, 0)) ** 4 + nul((0, 1, 1, 0)) ** 4)) < 1e-14
 
 
 def test_product_matches_brute_force():
-    got = product_m(ProductVariant.M1, GENERIC, DEFAULT_TAU)
+    got = _products(GENERIC)[1]
     ref = 0.0 + 0.0j
     for bits in ((1, 0, 0, 0), (1, 1, 0, 0)):
         prod = 1.0 + 0.0j
@@ -97,11 +100,8 @@ def test_relations_at_seeded_quadruples():
 
 def test_relation_roundtrip():
     # applying the transform twice at the product level returns the start
-    variants = (ProductVariant.M, ProductVariant.M1, ProductVariant.M2, ProductVariant.M3)
-    m = np.array([product_m(t, GENERIC, DEFAULT_TAU) for t in variants])
-    mt = np.array(
-        [product_m(t, riemann_transform(GENERIC), DEFAULT_TAU) for t in variants]
-    )
+    m = np.array(_products(GENERIC))
+    mt = np.array(_products(riemann_transform(GENERIC)))
     back = S @ (S @ m) / 4.0
     scale = 1.0 + np.abs(m).max()
     assert np.abs(back - m).max() / scale < 1e-14
@@ -111,9 +111,7 @@ def test_relation_roundtrip():
 
 def test_products_even_under_negation():
     neg = Quadruple(tuple(Point2(-p.u, -p.v) for p in GENERIC.points))
-    for t in ProductVariant:
-        a = product_m(t, GENERIC, DEFAULT_TAU)
-        b = product_m(t, neg, DEFAULT_TAU)
+    for a, b in zip(_products(GENERIC), _products(neg), strict=True):
         assert abs(a - b) / max(1.0, abs(a)) < 1e-12
     res_pos, res_neg = riemann_relation_residuals(CD, [GENERIC, neg])
     assert max(abs(a - b) for a, b in zip(res_pos, res_neg)) < 1e-12

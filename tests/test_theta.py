@@ -50,7 +50,6 @@ from g2theta.theta import (
     SeriesControl,
     curve_data,
     theta2,
-    theta2_grad,
     truncation_radius,
 )
 
@@ -344,7 +343,7 @@ def test_one_characteristic_forms_and_nulls_match_the_reference():
             assert grad == reference_theta2_grad(c, ORIGIN, tau)
             point = KERNEL_POINTS[2]
             assert theta2(c, point, tau) == reference_theta2(c, point, tau)
-            assert theta2_grad(c, point, tau) == reference_theta2_grad(c, point, tau)
+            assert cd.grads_at((c,), (point,))[1][0][0] == reference_theta2_grad(c, point, tau)
 
 
 def test_non_finite_lattice_terms_raise_truncation_overflow():
@@ -840,7 +839,7 @@ def test_gradient_matches_finite_differences():
 
     c0 = HalfCharacteristic(0, 0, 0, 0)
     p = Point2(0.21 - 0.09j, -0.13 + 0.11j)
-    gu, gv = theta2_grad(c0, p, DEFAULT_TAU)
+    gu, gv = curve_data(DEFAULT_TAU).grads_at((c0,), (p,))[1][0][0]
     fdu = (
         theta2(c0, Point2(p.u + h, p.v), DEFAULT_TAU)
         - theta2(c0, Point2(p.u - h, p.v), DEFAULT_TAU)
@@ -857,7 +856,7 @@ def test_gradient_richardson_extrapolation():
     h = 1e-5
     c = HalfCharacteristic(0, 0, 0, 0)
     for p in draw_points(3, "grad-richardson", 20):
-        gu, _ = theta2_grad(c, p, DEFAULT_TAU)
+        gu, _ = curve_data(DEFAULT_TAU).grads_at((c,), (p,))[1][0][0]
         d1 = (
             theta2(c, Point2(p.u + h, p.v), DEFAULT_TAU)
             - theta2(c, Point2(p.u - h, p.v), DEFAULT_TAU)

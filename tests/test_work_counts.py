@@ -4,7 +4,8 @@ radius within the term budget, and the per-tau data (moduli, flow
 constants) is built once per period matrix.
 
 The counts are deterministic, so they pin the evaluation structure without
-depending on timing.
+depending on timing.  A run builds its own per-tau data, so its counts do
+not depend on what ran before it in the process either.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ import pytest
 
 import g2theta.degeneration as degeneration
 import g2theta.flow as flow
+import g2theta.harness as harness
 import g2theta.inversion as inversion
 import g2theta.moduli as moduli
 import g2theta.riemann as riemann
@@ -181,6 +183,14 @@ def test_small_grids_certify_on_python_floats_and_large_ones_on_arrays(monkeypat
     assert (len(floats), grid_arrays()) == (2, [(12, 16)])
 
 
+def _after_the_run_curve(grids):
+    """The grids after the first, which must be the origin grid of the one
+    curve a run of a suite on one curve builds for itself."""
+    first = grids[0]
+    assert (first[2], len(_members(first[3]))) == ((theta.ORIGIN,), 1)
+    return grids[1:]
+
+
 def _grid_sizes(monkeypatch, sizes):
     """Record the number of terms of every grid summed: the class-jet grids
     of genus 2 and the rows of genus 1."""
@@ -200,12 +210,12 @@ def _grid_sizes(monkeypatch, sizes):
 
 
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
-    flow.flow_constants(DEFAULT_TAU)  # the nulls and null gradients are a grid of their own
     stencils, grids = [], []
     _counting(monkeypatch, flow, "_pair_tables", stencils)
     _counting(monkeypatch, theta, "_grid_sums", grids)
     result = run_suites(RunConfig(samples=4, suites=("flow",))).suites[0]
     assert (result.samples_run, result.skip_reasons) == (4, {})
+    grids = _after_the_run_curve(grids)
     # one batch: the 5-point stencils of all four samples in one call, on
     # grids of one radius each (4 characteristics x 81 terms a point at radius 4)
     assert [len(args[1]) for args in stencils] == [20]
@@ -214,11 +224,11 @@ def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
 
 
 def test_parameterizations_suite_builds_one_grid_per_batch(monkeypatch):
-    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     result = run_suites(RunConfig(samples=5, suites=("parameterizations",))).suites[0]
     assert (result.samples_run, result.skip_reasons) == (5, {})
+    grids = _after_the_run_curve(grids)
     # the ratios, the pair and the unit sums of all five samples read one
     # 16-characteristic grid per radius
     assert [len(args[0]) for args in grids] == [16] * len(grids)
@@ -227,11 +237,11 @@ def test_parameterizations_suite_builds_one_grid_per_batch(monkeypatch):
 
 
 def test_derivative_suite_reads_only_the_gradients_its_formulas_read(monkeypatch):
-    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     result = run_suites(RunConfig(samples=20, suites=("derivative",))).suites[0]
     assert (result.samples_run, result.skip_reasons) == (20, {})
+    grids = _after_the_run_curve(grids)
     # the values of nine characteristics and the gradients of the three the
     # formulas read: 4 class grids and 2 jets of 2 classes, 8 class-jet grids
     # a point, not 12, so the 20 points at radius 4 fill 2 grids, not 3
@@ -259,23 +269,22 @@ def test_riemann_relations_evaluate_each_point_once(monkeypatch):
 
 def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     cfg = RunConfig(samples=3, suites=("degeneration",))
-    run_suites(cfg)  # memoizes the nulls of the split period matrix
     grids, genus1 = [], []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     _counting(monkeypatch, degeneration, "_theta1_values", genus1)
     result = run_suites(cfg).suites[0]
     assert (result.samples_run, result.skip_reasons) == (3, {})
-    # one batch: the splitting check and the recovered pair read one
-    # 16-characteristic grid at tau12 = 0 ...
+    # the run's split curve, then one batch: the splitting check and the
+    # recovered pair read one 16-characteristic grid at tau12 = 0 ...
+    grids = _after_the_run_curve(grids)
     assert [len(args[0]) for args in grids] == [16] * len(grids)
     assert sum(len(args[2]) for args in grids) == 3
-    # ... and one genus-1 evaluation, four values at u and four at v
-    assert [len(args[0]) for args in genus1] == [8 * 3]
+    # ... and, after the run's genus-1 nulls of tau1, one genus-1
+    # evaluation, four values at u and four at v
+    assert [len(args[0]) for args in genus1] == [4, 8 * 3]
 
 
 def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once(monkeypatch):
-    theta._curve_data.cache_clear()
-    degeneration._nulls1.cache_clear()
     grids, genus1, sizes = [], [], []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     _counting(monkeypatch, degeneration, "_theta1_grid", genus1)
@@ -297,12 +306,13 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
 
 def test_the_moduli_suite_stacks_the_origin_grids_of_its_batch(monkeypatch):
     cfg = RunConfig(samples=20, suites=("moduli",))
-    theta.curve_data(cfg.tau)  # the configured tau, sample 0, is read from the cache
     grids, sizes = [], []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     _grid_sizes(monkeypatch, sizes)
     result = run_suites(cfg).suites[0]
     assert (result.samples_run, result.skip_reasons) == (20, {})
+    # the configured tau, sample 0, is the run's curve
+    grids, sizes = _after_the_run_curve(grids), sizes[1:]
     # the 19 drawn period matrices share stacked origin grids: at most one
     # per radius and _GRID_TERMS chunk, not one grid per tau (a radius with
     # one period matrix is a stack of one)
@@ -325,18 +335,68 @@ def test_the_moduli_suite_stacks_the_origin_grids_of_its_batch(monkeypatch):
 
 
 def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
-    cfg = RunConfig(samples=20)
-    # every run but a process's first finds the configured and split period
-    # matrices' data in the cache
-    run_suites(cfg)
     grids = []
     _counting(monkeypatch, theta, "_grid_sums", grids)
-    assert run_suites(cfg).passed
-    # point grids within the class-term budget and the moduli suite's stacked
+    assert run_suites(RunConfig(samples=20)).passed
+    # the configured and split curves' origin grids stacked in one, the point
+    # grids within the class-term budget and the moduli suite's stacked
     # origin grids; one origin grid per drawn period matrix made 60
-    stacks = [args for args in grids if len(_members(args[3])) > 1]
-    assert len(grids) <= 22
-    assert len(stacks) <= 3
+    stacks = [len(_members(args[3])) for args in grids if len(_members(args[3])) > 1]
+    assert len(grids) == 21
+    assert len(stacks) == 3
+    assert stacks[0] == 2 and grids[0][2] == (theta.ORIGIN,)
+
+
+def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
+    calls = {"grids": [], "genus1": [], "moduli": [], "flow": []}
+    _counting(monkeypatch, theta, "_grid_sums", calls["grids"])
+    _counting(monkeypatch, degeneration, "_theta1_values", calls["genus1"])
+    _counting(monkeypatch, moduli, "build_moduli", calls["moduli"])
+    _counting(monkeypatch, flow, "build_flow_constants", calls["flow"])
+    counts = []
+    for run in range(4):
+        if run == 3:
+            theta._curve_data.cache_clear()
+        for recorded in calls.values():
+            recorded.clear()
+        assert run_suites(RunConfig(samples=20, seed=3)).passed
+        counts.append({name: len(recorded) for name, recorded in calls.items()})
+    # the genus-1 nulls of the run, then one batch each of the degeneration
+    # and elliptic suites; the moduli of the configured and split curves and
+    # of the 19 drawn period matrices
+    assert counts == [{"grids": 22, "genus1": 3, "moduli": 21, "flow": 1}] * 4
+
+
+@pytest.mark.parametrize(
+    ("suites", "curves", "genus1"),
+    [
+        # no curve, the genus-1 nulls of tau1, i and 1.5i in one call, then
+        # one batch; an empty build builds nothing
+        (("elliptic",), [[]], [12, 8 * 20]),
+        (("moduli",), [[DEFAULT_TAU]], [0]),
+        # the configured and split curves stacked, and the nulls of tau1
+        (("fundamental", "degeneration"), [[DEFAULT_TAU, PeriodMatrix(*DEFAULT_TAU[:2], 0.0)]], [4, 8 * 20]),
+    ],
+)
+def test_a_run_builds_only_the_per_tau_data_its_suites_read(monkeypatch, suites, curves, genus1):
+    batches, rows = [], []
+    _counting(monkeypatch, harness, "curve_batch", batches)
+    _counting(monkeypatch, degeneration, "_theta1_values", rows)
+    assert run_suites(RunConfig(samples=20, suites=suites)).passed
+    # the run's own build, before the moduli suite's batches of drawn taus
+    assert [args[0] for args in batches[:1]] == curves
+    assert [len(args[0]) for args in rows] == genus1
+
+
+def test_the_library_leaves_the_curve_cache_alone(capsys):
+    theta.curve_data(DEFAULT_TAU)  # so a stray read would be a hit, and counted
+    info = theta._curve_data.cache_info()
+    assert run_suites(RunConfig(samples=2)).passed
+    assert main(["verify", "--samples", "2"]) == 0
+    assert main(["moduli"]) == 0
+    assert main(["invert", "--u", "0.21,-0.09", "--v=-0.13,0.11"]) == 0
+    capsys.readouterr()
+    assert theta._curve_data.cache_info() == info
 
 
 @pytest.mark.parametrize(
@@ -359,17 +419,16 @@ def test_a_curve_alone_is_a_batch_of_one(monkeypatch, tau):
 
 
 def test_cli_invert_builds_one_grid_at_its_point(monkeypatch, capsys):
-    theta.curve_data(DEFAULT_TAU)  # the nulls are a grid of their own
     grids = []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     assert main(["invert", "--u", "0.21,-0.09", "--v=-0.13,0.11"]) == 0
     capsys.readouterr()
-    # the pair and all 18 parameterization rows read one 16-characteristic grid
-    assert [(len(args[0]), len(args[2])) for args in grids] == [(16, 1)]
+    # the command's curve: its 10 even nulls at the origin; then the pair and
+    # all 18 parameterization rows read one 16-characteristic grid
+    assert [(len(args[0]), len(args[2])) for args in grids] == [(10, 1), (16, 1)]
 
 
 def test_verify_builds_per_tau_data_once(monkeypatch):
-    theta._curve_data.cache_clear()
     moduli_builds, flow_builds = [], []
     _counting(monkeypatch, moduli, "build_moduli", moduli_builds)
     _counting(monkeypatch, flow, "build_flow_constants", flow_builds)
@@ -377,13 +436,12 @@ def test_verify_builds_per_tau_data_once(monkeypatch):
     assert report.passed
     # the configured tau, its split partner and the moduli suite's samples
     per_tau = Counter((cd.tau, cd.ctrl) for (cd,) in moduli_builds)
-    assert len(per_tau) >= 21
+    assert len(per_tau) == 21
     assert max(per_tau.values()) == 1
     assert [cd.tau for (cd,) in flow_builds] == [DEFAULT_TAU]
 
 
 def test_a_run_of_more_samples_than_the_cache_holds_builds_per_tau_data_once(monkeypatch):
-    theta._curve_data.cache_clear()
     moduli_builds, flow_builds = [], []
     _counting(monkeypatch, moduli, "build_moduli", moduli_builds)
     _counting(monkeypatch, flow, "build_flow_constants", flow_builds)
@@ -391,8 +449,8 @@ def test_a_run_of_more_samples_than_the_cache_holds_builds_per_tau_data_once(mon
     assert 100 > theta._NULL_CACHE_TAUS
     report = run_suites(cfg)
     assert report.passed
-    # the moduli suite's 99 drawn period matrices do not push the configured
-    # tau's per-tau data out of the cache
+    # the run's configured curve and the moduli suite's 99 drawn period
+    # matrices, none of them kept by the cache
     per_tau = Counter((cd.tau, cd.ctrl) for (cd,) in moduli_builds)
     assert len(per_tau) == 100
     assert max(per_tau.values()) == 1
