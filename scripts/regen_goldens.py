@@ -140,7 +140,7 @@ def pair_layer() -> dict:
     out = {}
     for name, tau in (("default", DEFAULT_TAU), ("alt", ALT_TAU)):
         cd, split = CurveData(tau, ctrl), CurveData(PeriodMatrix(tau.tau1, tau.tau2, 0.0), ctrl)
-        [nulls] = genus1_nulls([tau.tau1], ctrl)
+        nulls = genus1_nulls(tau.tau1, ctrl)
         for i in range(PAIR_POINTS):
             p = Point2(stream.next_complex(*PAIR_BOX), stream.next_complex(*PAIR_BOX))
             key = f"{name}/{i:02d}"
@@ -173,7 +173,7 @@ def check_rows() -> dict:
     out = {}
     for name, tau in (("default", DEFAULT_TAU), ("alt", ALT_TAU)):
         cfg = RunConfig(tau=tau)
-        data = _PerTau(cfg, SUITE_ORDER)
+        data = _PerTau(cfg.series)
         for suite_name in SUITE_ORDER:
             suite = _SUITES[suite_name]
             batch = SampleStream(0, f"check-rows/{suite_name}").draw(CHECK_SAMPLES, suite.boxes)

@@ -16,8 +16,8 @@ degeneration_residuals the CurveData of the split period matrix, the
 genus1_nulls of its tau1 and a batch of points, elliptic_residuals a tau,
 its genus1_nulls and a batch of theta arguments z.  Each returns one result
 per item and reads the theta values of the whole batch together.
-genus1_nulls evaluates the nulls of any number of taus together; the
-modulus comes from them by one path, elliptic_modulus.
+genus1_nulls evaluates the nulls of a tau, and the modulus comes from them
+by one path, elliptic_modulus.
 
 Conventions: genus-1 characteristics are column vectors [a; b] with the odd
 one [1; 1]; sn, cn, dn take the theta argument z with u = 2Kz, where
@@ -151,11 +151,10 @@ _GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1)
 _ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
 
 
-def genus1_nulls(taus, ctrl: SeriesControl) -> list[Mapping[tuple[int, int], complex]]:
-    """All four theta[a; b](0) of each tau, keyed by (a, b), from one genus-1
-    evaluation of them all."""
-    values = _theta1_values([(c, 0.0, tau) for tau in taus for c in _GENUS1_CHARS], ctrl)
-    return [MappingProxyType(dict(zip(_GENUS1_CHARS, values[i : i + 4]))) for i in range(0, len(values), 4)]
+def genus1_nulls(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
+    """All four theta[a; b](0), keyed by (a, b), from one genus-1 evaluation."""
+    values = _theta1_values([(c, 0.0, tau) for c in _GENUS1_CHARS], ctrl)
+    return MappingProxyType(dict(zip(_GENUS1_CHARS, values)))
 
 
 def elliptic_modulus(nulls) -> EllipticModulus:

@@ -3,18 +3,18 @@
 Every suite is one _Suite record in _SUITES, and one loop, _run_suite, runs
 them all.  A record gives the boxes a sample draws (one complex number per
 box, from the suite's own counter-based stream, see rng.py), the labels of
-the residuals each sample gives, which of them are finite-difference
-checks, and the taus whose per-tau data it reads.  evaluate(cfg, data,
-samples) takes a batch of samples and returns the residuals and a note of
-each, or raises; the batched checks behind it read the theta values of the
-whole batch from one kernel call.  Suites that end with checks made once
-per run also give the labels of those final rows and finalize(cfg, data,
-notes, extras), which sees the note evaluate returned with every sample
-that ran.
+the residuals each sample gives, and which of them are finite-difference
+checks.  evaluate(cfg, data, samples) takes a batch of samples and returns
+the residuals and a note of each, or raises; the batched checks behind it
+read the theta values of the whole batch from one kernel call.  Suites
+that end with checks made once per run also give the labels of those final
+rows and finalize(cfg, data, notes, extras), which sees the note evaluate
+returned with every sample that ran.
 
-run_suites builds the per-tau data its selected suites read once per run,
-before any suite runs (_PerTau), and keeps nothing from one run to the
-next, so a run does the same work whatever ran before it in the process.
+data holds the run's per-tau data (_PerTau): each tau's is built at its
+first read and kept for the rest of the run, and nothing is kept from one
+run to the next, so a run does the same work whatever ran before it in the
+process.
 
 A drawn sample that lands on a theta divisor or otherwise breaks a
 precondition is re-drawn up to 10 times, then counted as skipped; the
@@ -48,7 +48,6 @@ two runs with the same config produce byte-identical JSON.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from collections import namedtuple
@@ -112,12 +111,6 @@ _TAU_DIAG = (-0.3, 0.3, 0.9, 1.5)
 _TAU_OFF = (-0.1, 0.1, 0.1, 0.35)
 
 _SKIPPABLE = (PointError, DivisionByZeroModulus, DegenerateTau)
-# the genus-1 taus of the elliptic final's complete integrals
-_INTEGRAL_TAUS = (1j, 1.5j)
-
-
-def _configured(cfg) -> tuple:
-    return (cfg.tau,)
 
 
 def _split(cfg) -> PeriodMatrix:
@@ -128,8 +121,8 @@ def _split(cfg) -> PeriodMatrix:
 class _Suite(
     namedtuple(
         "_Suite",
-        "boxes labels evaluate fd_labels final_labels finalize config_tau_first reads_curve taus",
-        defaults=(frozenset(), (), None, False, False, _configured),
+        "boxes labels evaluate fd_labels final_labels finalize config_tau_first reads_curve",
+        defaults=(frozenset(), (), None, False, False),
     )
 ):
     """One suite: what each sample draws, the residuals it gives, how a run ends.
@@ -143,8 +136,7 @@ class _Suite(
     what it reports beyond residuals in extras, and returns one (residual,
     point) per final label.  With config_tau_first the configured tau is
     sample 0; reads_curve says the suite needs the pair on the configured
-    curve.  taus(cfg) names the taus whose data it reads in data: a
-    PeriodMatrix's CurveData, a genus-1 tau's genus1_nulls.
+    curve.
     """
 
     __slots__ = ()
@@ -186,7 +178,7 @@ def _degeneration_final(cfg, data, notes, extras):
 def _elliptic_final(cfg, data, notes, extras):
     """Complete integrals at two fixed taus and the self-dual modulus at i."""
     rows = []
-    for t in _INTEGRAL_TAUS:
+    for t in (1j, 1.5j):
         res = complete_integral_residuals(t, data[t])
         rows += [(res[0], [t]), (res[1], [t])]
     mod_i = elliptic_modulus(data[1j])
@@ -276,7 +268,6 @@ _SUITES = {
         ),
         final_labels=("constant-member-spread",),
         finalize=_degeneration_final,
-        taus=lambda cfg: (_split(cfg), cfg.tau.tau1),
     ),
     "elliptic": _Suite(
         boxes=(_BOX,),
@@ -294,7 +285,6 @@ _SUITES = {
             "self-dual-modulus",
         ),
         finalize=_elliptic_final,
-        taus=lambda cfg: (cfg.tau.tau1, *_INTEGRAL_TAUS),
     ),
 }
 
@@ -348,8 +338,9 @@ class Report(namedtuple("Report", "version config suites passed")):
 
 
 def _outcomes(suite: _Suite, cfg: RunConfig, data: _PerTau, batch: list[list[complex]]) -> list:
-    """suite.evaluate over the batch, with the run's per-tau data, one outcome per sample: the sample's
-    (residuals, note), or the skippable error raised at it.
+    """suite.evaluate over the batch on the run's per-tau data, one outcome
+    per sample: the sample's (residuals, note), or the skippable error
+    raised at it.
 
     This is where the errors of a batch become outcomes.  A batch that
     raises, whatever the error, is evaluated again one sample at a time, in
@@ -457,30 +448,18 @@ _SUITE_RUNNERS = {name: partial(_run_suite, name) for name in SUITE_ORDER}
 
 
 class _PerTau(dict):
-    """The per-tau data of a run, each tau's once: a PeriodMatrix's
-    CurveData, a genus-1 tau's genus1_nulls.
+    """The per-tau data of a run: a PeriodMatrix's CurveData, a genus-1
+    tau's genus1_nulls, each built at its first read, so a run builds only
+    what its suites read, once, and raises a build's error where it first
+    reads it."""
 
-    Built for the taus the named suites read (_Suite.taus), the period
-    matrices by one curve_batch and the genus-1 taus by one genus1_nulls
-    call; a tau equal to one named before it shares that one's data.  A
-    build that raises leaves its taus to be built alone at their first read,
-    so a run raises the error it reaches first, where it reaches it, as a
-    run that built each tau's data at its first read would.
-    """
-
-    def __init__(self, cfg: RunConfig, names):
+    def __init__(self, ctrl: SeriesControl):
         super().__init__()
-        self.ctrl = cfg.series
-        taus = list(dict.fromkeys(tau for name in names for tau in _SUITES[name].taus(cfg)))
-        curves = [tau for tau in taus if isinstance(tau, PeriodMatrix)]
-        genus1 = [tau for tau in taus if not isinstance(tau, PeriodMatrix)]
-        with contextlib.suppress(G2ThetaError):
-            self.update(zip(curves, curve_batch(curves, self.ctrl)))
-            self.update(zip(genus1, genus1_nulls(genus1, self.ctrl)))
+        self.ctrl = ctrl
 
     def __missing__(self, tau):
         built = self[tau] = (
-            CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else genus1_nulls([tau], self.ctrl)[0]
+            CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else genus1_nulls(tau, self.ctrl)
         )
         return built
 
@@ -488,7 +467,7 @@ class _PerTau(dict):
 def run_suites(config: RunConfig) -> Report:
     config.validate()
     selected = [name for name in SUITE_ORDER if name in config.suites]
-    data = _PerTau(config, selected)
+    data = _PerTau(config.series)
     if any(_SUITES[name].reads_curve for name in selected):
         require_five_branch_points(data[config.tau].moduli)
     results = [_SUITE_RUNNERS[name](config, data) for name in selected]

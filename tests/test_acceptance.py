@@ -187,7 +187,7 @@ def test_criterion_8_genus1_degeneration():
     tau1, tau2 = 0.1 + 1.1j, -0.15 + 1.3j
     ctrl = SeriesControl()
     tau = PeriodMatrix(tau1, tau2, 0.0)
-    nulls1, nulls_i, nulls_15i = genus1_nulls([tau1, 1.0j, 1.5j], ctrl)
+    nulls1, nulls_i, nulls_15i = (genus1_nulls(t, ctrl) for t in (tau1, 1.0j, 1.5j))
     split = degeneration_residuals(CurveData(tau, ctrl), nulls1, draw_points(109, "acc-split", 10))
     worst_split = max(max(rows[:16]) for rows, _ in split)  # the split-* rows
 

@@ -279,7 +279,7 @@ def _one_by_one_walk(name, cfg):
     costs its sample one of 10 attempts.  The fold is the harness's own.
     """
     suite = harness._SUITES[name]
-    data = harness._PerTau(cfg, [name])
+    data = harness._PerTau(cfg.series)
     stream = SampleStream(cfg.seed, name)
     rows, notes, skip_reasons, skipped = [], [], {}, 0
 
@@ -346,8 +346,8 @@ def _one_by_one_walk(name, cfg):
 
 
 def _run_suite(name, cfg):
-    """_run_suite on the per-tau data run_suites builds for the suite alone."""
-    return harness._run_suite(name, cfg, harness._PerTau(cfg, [name]))
+    """_run_suite on per-tau data of its own, as run_suites passes it."""
+    return harness._run_suite(name, cfg, harness._PerTau(cfg.series))
 
 
 def _inject(monkeypatch, name, cfg, errors):
@@ -448,11 +448,11 @@ def test_an_overflow_the_walk_reaches_is_raised_as_the_one_by_one_walk_raises_it
     ],
 )
 def test_a_per_tau_build_that_raises_leaves_the_run_its_first_error(tau, tol, error, message):
-    # the genus-1 nulls at i and 1.5i, built before any suite runs, need radius
-    # 5 or 6, past max_radius; the run still raises the error it reaches first
+    # the genus-1 nulls at i, read by the last suite's final, need radius 5
+    # or 6, past max_radius; the run raises the error it reaches first
     cfg = RunConfig(tau=PeriodMatrix(*tau), samples=5, series=SeriesControl(tol, 4))
     with pytest.raises(TruncationOverflow):
-        genus1_nulls(harness._INTEGRAL_TAUS, cfg.series)
+        genus1_nulls(1j, cfg.series)
     with pytest.raises(error) as caught:
         run_suites(cfg)
     assert str(caught.value) == message
@@ -485,7 +485,7 @@ def _outcome_key(outcome):
 )
 def test_a_real_error_in_a_batch_gives_the_outcomes_of_one_sample_at_a_time(name, bad, error):
     cfg = RunConfig(suites=(name,))
-    suite, data = harness._SUITES[name], harness._PerTau(cfg, [name])
+    suite, data = harness._SUITES[name], harness._PerTau(cfg.series)
     good = [0.21 - 0.09j, -0.13 + 0.11j]
     batch = [good, bad, [0.1 + 0.05j, -0.2 + 0.1j]]
     batched = harness._outcomes(suite, cfg, data, batch)

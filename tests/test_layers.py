@@ -145,7 +145,7 @@ def test_the_benchmark_workloads_run_on_the_library(workload, tmp_path):
 CD = curve_data(DEFAULT_TAU)
 TAU1, TAU2 = 0.1 + 1.1j, -0.15 + 1.3j
 SPLIT = CurveData(PeriodMatrix(TAU1, TAU2, 0.0), SeriesControl())
-[NULLS1] = genus1_nulls([TAU1], SeriesControl())
+NULLS1 = genus1_nulls(TAU1, SeriesControl())
 # two points of the harness box, and one far enough out to need a larger
 # truncation radius, so the batch spans more than one grid
 POINTS = draw_points(43, "batch-of-three", 2) + [Point2(0.31 + 0.55j, -0.22 - 0.48j)]

@@ -34,10 +34,6 @@ def _evaluate(cfg, data, batch):
     return []
 
 
-def _taus(cfg):
-    return ()
-
-
 RESULT = {
     "name": "a", "passed": True, "tolerance": 1e-8, "fd_tolerance": 1e-5, "samples_run": 3,
     "skipped": 0, "skip_reasons": {}, "max_residual": 0.0, "mean_residual": 0.0,
@@ -86,11 +82,10 @@ RECORDS = [
         {
             "boxes": ((0.0, 1.0, 0.0, 1.0),), "labels": ("a",), "evaluate": _evaluate,
             "fd_labels": frozenset(), "final_labels": (), "finalize": None,
-            "config_tau_first": False, "reads_curve": False, "taus": _taus,
+            "config_tau_first": False, "reads_curve": False,
         },
         f"_Suite(boxes=((0.0, 1.0, 0.0, 1.0),), labels=('a',), evaluate={_evaluate!r}, "
-        "fd_labels=frozenset(), final_labels=(), finalize=None, config_tau_first=False, reads_curve=False, "
-        f"taus={_taus!r})",
+        "fd_labels=frozenset(), final_labels=(), finalize=None, config_tau_first=False, reads_curve=False)",
         True,
     ),
     (
@@ -167,7 +162,6 @@ def test_defaults_are_filled_in_and_no_result_shares_its_extras():
     suite = harness._Suite((), (), _evaluate)
     assert (suite.fd_labels, suite.final_labels, suite.finalize) == (frozenset(), (), None)
     assert (suite.config_tau_first, suite.reads_curve) == (False, False)
-    assert suite.taus(harness.RunConfig(samples=3)) == (theta.DEFAULT_TAU,)
     twelve = {name: value for name, value in RESULT.items() if name != "extras"}
     first, second = harness.SuiteResult(**twelve), harness.SuiteResult(*twelve.values())
     assert first.extras == second.extras == {}

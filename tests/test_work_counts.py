@@ -279,8 +279,8 @@ def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     grids = _after_the_run_curve(grids)
     assert [len(args[0]) for args in grids] == [16] * len(grids)
     assert sum(len(args[2]) for args in grids) == 3
-    # ... and, after the run's genus-1 nulls of tau1, one genus-1
-    # evaluation, four values at u and four at v
+    # ... and, after the genus-1 nulls of tau1, one genus-1 evaluation, four
+    # values at u and four at v
     assert [len(args[0]) for args in genus1] == [4, 8 * 3]
 
 
@@ -338,13 +338,16 @@ def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
     grids = []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     assert run_suites(RunConfig(samples=20)).passed
-    # the configured and split curves' origin grids stacked in one, the point
-    # grids within the class-term budget and the moduli suite's stacked
-    # origin grids; one origin grid per drawn period matrix made 60
-    stacks = [len(_members(args[3])) for args in grids if len(_members(args[3])) > 1]
-    assert len(grids) == 21
-    assert len(stacks) == 3
-    assert stacks[0] == 2 and grids[0][2] == (theta.ORIGIN,)
+    assert len(grids) == 22
+    # the configured and the split curve's origin grids, one each: the first
+    # grid and the one before the degeneration suite's ...
+    built = [grids.pop(-2), grids.pop(0)]
+    assert [(args[2], len(_members(args[3]))) for args in built] == [((theta.ORIGIN,), 1)] * 2
+    # ... then point grids within the class-term budget and the moduli
+    # suite's stacked origin grids; one origin grid per drawn period matrix
+    # made 60
+    stacks = [args for args in grids if len(_members(args[3])) > 1]
+    assert len(stacks) == 2
 
 
 def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
@@ -361,30 +364,30 @@ def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
             recorded.clear()
         assert run_suites(RunConfig(samples=20, seed=3)).passed
         counts.append({name: len(recorded) for name, recorded in calls.items()})
-    # the genus-1 nulls of the run, then one batch each of the degeneration
-    # and elliptic suites; the moduli of the configured and split curves and
-    # of the 19 drawn period matrices
-    assert counts == [{"grids": 22, "genus1": 3, "moduli": 21, "flow": 1}] * 4
+    # the 21 grids of the samples and one origin grid each of the configured
+    # and split curves; the genus-1 nulls of tau1, i and 1.5i and one batch
+    # each of the degeneration and elliptic suites; the moduli of the two
+    # curves and of the 19 drawn period matrices
+    assert counts == [{"grids": 23, "genus1": 5, "moduli": 21, "flow": 1}] * 4
 
 
 @pytest.mark.parametrize(
     ("suites", "curves", "genus1"),
     [
-        # no curve, the genus-1 nulls of tau1, i and 1.5i in one call, then
-        # one batch; an empty build builds nothing
-        (("elliptic",), [[]], [12, 8 * 20]),
-        (("moduli",), [[DEFAULT_TAU]], [0]),
-        # the configured and split curves stacked, and the nulls of tau1
-        (("fundamental", "degeneration"), [[DEFAULT_TAU, PeriodMatrix(*DEFAULT_TAU[:2], 0.0)]], [4, 8 * 20]),
+        # no curve; the nulls of tau1, one batch, then the nulls of i and 1.5i
+        (("elliptic",), [], [4, 8 * 20, 4, 4]),
+        # the configured curve; the drawn period matrices are the suite's own
+        (("moduli",), [DEFAULT_TAU], []),
+        # the configured curve, then the split curve and the nulls of tau1
+        (("fundamental", "degeneration"), [DEFAULT_TAU, PeriodMatrix(*DEFAULT_TAU[:2], 0.0)], [4, 8 * 20]),
     ],
 )
 def test_a_run_builds_only_the_per_tau_data_its_suites_read(monkeypatch, suites, curves, genus1):
-    batches, rows = [], []
-    _counting(monkeypatch, harness, "curve_batch", batches)
+    built, rows = [], []
+    _counting(monkeypatch, harness, "CurveData", built)
     _counting(monkeypatch, degeneration, "_theta1_values", rows)
     assert run_suites(RunConfig(samples=20, suites=suites)).passed
-    # the run's own build, before the moduli suite's batches of drawn taus
-    assert [args[0] for args in batches[:1]] == curves
+    assert [args[0] for args in built] == curves
     assert [len(args[0]) for args in rows] == genus1
 
 
