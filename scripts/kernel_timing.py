@@ -6,8 +6,8 @@ Cases, all at DEFAULT_TAU and radius 4:
 - pair grid: the grid recover_pair reads, 1 point and 4 characteristics
   (theta._grid_sums called directly on the curve's lattice form);
 - recover_pair: one whole inversion at that point, the nulls cached;
-- values_at 6x16 and grads_at 6x16: 6 points and all 16 characteristics,
-  the size of one riemann grid;
+- values_at 6x16 and rows_at 6x16: 6 points and all 16 characteristics,
+  the size of one riemann grid, as values and as values and gradients;
 - fresh CurveData: one new period matrix, its lattice form and origin grid;
 - stacked CurveData: 20 new period matrices from the harness's Siegel box,
   built by curve_batch on stacked origin grids (compare 20 fresh ones);
@@ -79,7 +79,7 @@ def _cases():
         "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), form, 4)),
         "recover_pair": (CALLS, lambda: inversion.recover_pair(point, DEFAULT_TAU)),
         "values_at 6x16": (CALLS, lambda: cd.values_at(ALL_CHARACTERISTICS, POINTS)),
-        "grads_at 6x16": (CALLS // 4, lambda: cd.grads_at(ALL_CHARACTERISTICS, POINTS)),
+        "rows_at 6x16": (CALLS // 4, lambda: cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, POINTS)),
         "fresh CurveData": (CALLS // 4, lambda: CurveData(DEFAULT_TAU, ctrl)),
         "stacked CurveData (20 taus)": (CALLS // 4, lambda: theta.curve_batch(taus, ctrl)),
         "fresh import": (1, lambda: _fresh_import("g2theta_import", Path(theta.__file__).parents[1])),

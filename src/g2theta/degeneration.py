@@ -16,8 +16,9 @@ degeneration_residuals the CurveData of the split period matrix, the
 genus1_nulls of its tau1 and a batch of points, elliptic_residuals a tau,
 its genus1_nulls and a batch of theta arguments z.  Each returns one result
 per item and reads the theta values of the whole batch together.
-genus1_nulls evaluates the nulls of a tau, and the modulus comes from them
-by one path, elliptic_modulus.
+genus1_nulls evaluates the nulls of a tau, and the squared modulus k^2 and
+its complement k'^2, an EllipticModulus, come from them by one path,
+elliptic_modulus.
 
 Conventions: genus-1 characteristics are column vectors [a; b] with the odd
 one [1; 1]; sn, cn, dn take the theta argument z with u = 2Kz, where
@@ -26,7 +27,6 @@ K = (pi/2) theta^2[0;0](0) links the two normalizations.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from collections.abc import Mapping
@@ -50,7 +50,7 @@ from .theta import (
     Point2,
     SeriesControl,
     _rel,
-    complex_row_sums,
+    exact_row_sums,
 )
 
 __all__ = [
@@ -77,18 +77,11 @@ class Genus1Characteristic(namedtuple("Genus1Characteristic", "a b")):
             raise ValueError("characteristic entries must be bits")
         return super().__new__(cls, a, b)
 
-    @property
-    def is_odd(self) -> bool:
-        return self.a * self.b == 1
 
-    def label(self) -> str:
-        return f"{self.a}{self.b}"
+class EllipticModulus(namedtuple("EllipticModulus", "k_sq kp_sq")):
+    """k^2 = (theta[1;0]/theta[0;0])^4(0), k'^2 = (theta[0;1]/theta[0;0])^4(0).
 
-
-class EllipticModulus(namedtuple("EllipticModulus", "k_sq kp_sq k kp")):
-    """k = (theta[1;0]/theta[0;0])^2(0), k' = (theta[0;1]/theta[0;0])^2(0).
-
-    k_sq + kp_sq = 1 is the quartic null identity; roots are principal.
+    k_sq + kp_sq = 1 is the quartic null identity.
     """
 
     __slots__ = ()
@@ -134,7 +127,12 @@ def _theta1_grid(rows, n: int) -> list[complex]:
     shift = np.array([z + c.b / 2.0 for c, z, _ in rows], dtype=complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
         terms = np.exp(1j * math.pi * (taus * m * m + 2.0 * m * shift))
-    return complex_row_sums(terms).tolist()
+    # the real and imaginary parts in one exact_row_sums call
+    sums = exact_row_sums(np.concatenate((terms.real, terms.imag)))
+    out = np.empty(len(rows), dtype=np.complex128)
+    out.real = sums[: len(rows)]
+    out.imag = sums[len(rows) :]
+    return out.tolist()
 
 
 def theta1(
@@ -160,11 +158,7 @@ def genus1_nulls(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], 
 def elliptic_modulus(nulls) -> EllipticModulus:
     """The modulus of a tau from its genus1_nulls."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    k_sq = (n10 / n00) ** 4
-    kp_sq = (n01 / n00) ** 4
-    return EllipticModulus(
-        k_sq=k_sq, kp_sq=kp_sq, k=cmath.sqrt(k_sq), kp=cmath.sqrt(kp_sq)
-    )
+    return EllipticModulus((n10 / n00) ** 4, (n01 / n00) ** 4)
 
 
 def _sn_ratio(nulls, t01: complex, t11: complex, z) -> complex:

@@ -52,10 +52,6 @@ class StencilCrossesDivisor(PointError):
     """A finite-difference stencil point hit a divisor or coincident pair."""
 
 
-class InvalidFactorIndex(G2ThetaError):
-    """Factor indices for F_ij must satisfy 0 <= i < j <= 4."""
-
-
 class QuadratureNonconvergence(G2ThetaError):
     """Tanh-sinh quadrature failed to converge within the level cap."""
 

@@ -308,7 +308,7 @@ def derivative_formula_residuals(cd: CurveData, points) -> list[list[float]]:
         (n[(0, 0, 1, 0)] * d1010[i], n[(0, 1, 1, 0)] * d1110[i], -n[(0, 0, 0, 0)] * d1010[i], n[(0, 1, 0, 0)] * d1110[i])
         for i in (0, 1)
     ]
-    rows = cd._on_grids(_DERIVATIVE_CHARS, _DERIVATIVE_CHARS[:3], points)
+    rows = cd.rows_at(_DERIVATIVE_CHARS, _DERIVATIVE_CHARS[:3], points)
     return [_derivative_rows(scale, lhs_nulls, rhs_nulls, row) for row in rows]
 
 

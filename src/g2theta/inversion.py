@@ -20,7 +20,8 @@ One path turns theta values into a pair, _pair_from_thetas: recover_pair,
 the parameterization rows, flow's stencil centers and the degeneration rows
 all take it, and flow's stencil offsets, which read only x1 and x2, take
 its first stage, _pair_xs.  It computes the five linear factors of f5 once
-per recovered x (_linear_factors); f5, the sign-class choice and the
+per recovered x (_linear_factors), in the order x, 1 - x, 1 - k0^2 x,
+1 - k1^2 x, 1 - k2^2 x; f5 (_quintic), the sign-class choice and the
 fifteen rows read them by index, and every bracket row goes through one
 residual, _bracket.
 
@@ -37,7 +38,6 @@ from collections import namedtuple
 from .errors import (
     CoincidentPoints,
     DivisionByZeroModulus,
-    InvalidFactorIndex,
     SingularDenominator,
 )
 from .moduli import ModuliSet
@@ -53,10 +53,7 @@ from .theta import (
 )
 
 __all__ = [
-    "CurveSpec",
     "PointPair",
-    "f5",
-    "f_factor",
     "recover_pair",
     "parameterization_residuals",
     "PARAMETERIZATION_LABELS",
@@ -70,12 +67,6 @@ _PAIR_CHARS = (
 )
 
 
-class CurveSpec(namedtuple("CurveSpec", "k0_sq k1_sq k2_sq")):
-    """Branch data of f5; the k_i^2 must be pairwise distinct and not 0 or 1."""
-
-    __slots__ = ()
-
-
 class PointPair(namedtuple("PointPair", "x1 x2 sigma1 sigma2 sign_flipped")):
     """The pair (x_i, sigma_i) on the curve; sign_flipped is True if the
     chosen class negates the principal sigma2."""
@@ -83,31 +74,15 @@ class PointPair(namedtuple("PointPair", "x1 x2 sigma1 sigma2 sign_flipped")):
     __slots__ = ()
 
 
-def _linear_factors(x: complex, curve: CurveSpec | ModuliSet) -> tuple[complex, ...]:
-    """The five linear factors of f5 at x, in the index order of f_factor."""
-    return (x, 1.0 - x, 1.0 - curve.k0_sq * x, 1.0 - curve.k1_sq * x, 1.0 - curve.k2_sq * x)
+def _linear_factors(x: complex, ms: ModuliSet) -> tuple[complex, ...]:
+    """The five linear factors of f5 at x: x, 1 - x and 1 - k_i^2 x for i = 0, 1, 2."""
+    return (x, 1.0 - x, 1.0 - ms.k0_sq * x, 1.0 - ms.k1_sq * x, 1.0 - ms.k2_sq * x)
 
 
 def _quintic(factors) -> complex:
     """f5 from its linear factors, multiplied left to right."""
     a, b, c, d, e = factors
     return a * b * c * d * e
-
-
-def f5(x: complex, curve: CurveSpec | ModuliSet) -> complex:
-    return _quintic(_linear_factors(x, curve))
-
-
-def f_factor(i: int, j: int, x: complex, curve: CurveSpec) -> complex:
-    """F_ij(x): product of two of the five linear factors of f5.
-
-    Index labels: 0 <-> x, 1 <-> (1-x), 2 <-> (1-k0^2 x), 3 <-> (1-k1^2 x),
-    4 <-> (1-k2^2 x).
-    """
-    if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j <= 4):
-        raise InvalidFactorIndex(f"need 0 <= i < j <= 4, got ({i}, {j})")
-    factors = _linear_factors(x, curve)
-    return factors[i] * factors[j]
 
 
 def _reference_denominator(th: dict, point, cd: CurveData) -> complex:

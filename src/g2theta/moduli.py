@@ -259,13 +259,15 @@ COLLAPSE_TOL = 1e-10
 
 
 def branch_points_collapse(ms: ModuliSet) -> bool:
-    """True when k0^2 = k1^2 = k2^2 within COLLAPSE_TOL, relative to 1 + |k0^2|.
+    """True when k0^2 = k1^2 = k2^2 within COLLAPSE_TOL, relative to max |k_i^2|.
 
     Then the five branch points of the curve collapse to three, as at a split
     period matrix (tau12 = 0), and the pair on the curve loses its meaning.
+    Against the largest k_i^2, not 1, so moduli that are all small but far
+    apart relative to each other do not read as collapsed.
     """
     gap = max(abs(ms.k0_sq - ms.k1_sq), abs(ms.k0_sq - ms.k2_sq))
-    return gap / (1.0 + abs(ms.k0_sq)) < COLLAPSE_TOL
+    return gap < COLLAPSE_TOL * max(abs(ms.k0_sq), abs(ms.k1_sq), abs(ms.k2_sq))
 
 
 def require_five_branch_points(ms: ModuliSet) -> None:

@@ -23,9 +23,8 @@ in a box (re_lo, re_hi, im_lo, im_hi) takes its real part, then its
 imaginary part, from two consecutive values.  The stream is specified by
 its block draw, SampleStream.draw: count samples of one complex number per
 box, sample-major, the values i in order, from one pass of numpy uint64
-arithmetic, which wraps mod 2^64.  The one-value helpers (next_u64,
-next_float, next_uniform, next_complex) and mix64 read the same arithmetic,
-one value at a time.
+arithmetic, which wraps mod 2^64.  next_complex, one complex number from
+one box, and mix64 read the same arithmetic.
 """
 
 from __future__ import annotations
@@ -85,16 +84,6 @@ class SampleStream:
         shape = (count, len(bounds), 2)
         parts = self._uniforms(np.broadcast_to(bounds[..., 0], shape), np.broadcast_to(bounds[..., 1], shape))
         return parts.view(np.complex128)[..., 0].tolist()
-
-    def next_u64(self) -> int:
-        return int(self._values(1)[0])
-
-    def next_float(self) -> float:
-        # 53-bit mantissa, uniform in [0, 1)
-        return self.next_uniform(0.0, 1.0)
-
-    def next_uniform(self, lo: float, hi: float) -> float:
-        return float(self._uniforms(np.array([lo]), np.array([hi]))[0])
 
     def next_complex(self, re_lo: float, re_hi: float, im_lo: float, im_hi: float) -> complex:
         return self.draw(1, [(re_lo, re_hi, im_lo, im_hi)])[0][0]

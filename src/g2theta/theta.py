@@ -46,16 +46,16 @@ rounded real part, and its terms take the exact sign of
 theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).
 
 Theta values come from CurveData, built once per period matrix by its
-caller and passed in: it holds the nulls and evaluates values (values_at)
-and gradients (grads_at) of any characteristics at any number of points,
-on grids of one truncation radius N and at most _GRID_TERMS class and jet
-terms, so memory stays bounded however many points a batch holds.  Its
-nulls come from one path, _origin_grid: one origin grid on the stacked
-lattice forms of period matrices of one radius, a CurveData being a stack
-of one and curve_batch stacking many.  For callers that hold only a period
-matrix, curve_data keeps the CurveData of the last _NULL_CACHE_TAUS of
-them, and theta2 reads one value from it; the harness and the CLI build
-their own CurveData and never read it.
+caller and passed in: it holds the nulls and evaluates values (values_at),
+or values and gradients (rows_at), of any characteristics at any number
+of points, on grids of one truncation radius N and at most _GRID_TERMS
+class and jet terms, so memory stays bounded however many points a batch
+holds.  Its nulls come from one path, _origin_grid: one origin grid on the
+stacked lattice forms of period matrices of one radius, a CurveData being
+a stack of one and curve_batch stacking many.  For callers that hold only
+a period matrix, curve_data keeps the CurveData of the last
+_NULL_CACHE_TAUS of them, and theta2 reads one value from it; the harness
+and the CLI build their own CurveData and never read it.
 
 Also here: a characteristic, a validated bit tuple whose is_odd is its
 parity, and the relative residual _rel that the identity checks of every
@@ -84,11 +84,9 @@ __all__ = [
     "SeriesControl",
     "ALL_CHARACTERISTICS",
     "EVEN_CHARACTERISTICS",
-    "ODD_CHARACTERISTICS",
     "DEFAULT_TAU",
     "truncation_radius",
     "exact_row_sums",
-    "complex_row_sums",
     "CurveData",
     "curve_batch",
     "curve_data",
@@ -124,7 +122,6 @@ class HalfCharacteristic(namedtuple("HalfCharacteristic", "a c b d")):
 
 
 ALL_CHARACTERISTICS = tuple(HalfCharacteristic(*bits) for bits in itertools.product((0, 1), repeat=4))
-ODD_CHARACTERISTICS = tuple(x for x in ALL_CHARACTERISTICS if x.is_odd)
 EVEN_CHARACTERISTICS = tuple(x for x in ALL_CHARACTERISTICS if not x.is_odd)
 
 
@@ -506,19 +503,6 @@ def _settle(high, low, bound):
     return res, np.abs(err) + bound >= half_gap
 
 
-def complex_row_sums(rows: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row of a complex (R, T) array.
-
-    The real and imaginary parts are summed in one exact_row_sums call.
-    """
-    count = len(rows)
-    sums = exact_row_sums(np.concatenate((rows.real, rows.imag)))
-    out = np.empty(count, dtype=np.complex128)
-    out.real = sums[:count]
-    out.imag = sums[count:]
-    return out
-
-
 # A grid of at most this many outputs (points times characteristics and
 # jets) certifies its sums on Python floats (_settle_floats), else on
 # arrays (_settle); past about 20 outputs arrays are faster at any radius.
@@ -677,21 +661,15 @@ class CurveData:
 
         The points are evaluated on bounded grids of one radius each (_by_grid).
         """
-        return self._on_grids(tuple(chars), (), points)
+        return self.rows_at(chars, (), points)
 
-    def grads_at(self, chars, points) -> tuple[list[list[complex]], list[list[tuple[complex, complex]]]]:
-        """Values and (d theta/du, d theta/dv) at every point, on the grids of values_at.
+    def rows_at(self, values, grads, points) -> list[list[complex]]:
+        """One row per point: theta[c] for c in values, then d/du theta[c] for c
+        in grads, then d/dv theta[c] for c in grads, on the grids of values_at.
 
-        Gradients come from term-wise differentiation of the series; both lists
-        are indexed [point][characteristic] like values_at.
+        Gradients come from term-wise differentiation of the series.
         """
-        chars = tuple(chars)
-        k = len(chars)
-        rows = self._on_grids(chars, chars, points)
-        return [row[:k] for row in rows], [list(zip(row[k : 2 * k], row[2 * k :])) for row in rows]
-
-    def _on_grids(self, values, grads, points) -> list[list[complex]]:
-        """The rows of _grid_sums(values, grads) at every point, on bounded grids."""
+        values, grads = tuple(values), tuple(grads)
         if not values and not grads:
             return [[] for _ in points]
 

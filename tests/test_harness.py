@@ -53,23 +53,29 @@ def test_mix_and_hash_known_answers():
     assert fnv1a64("a") == 0xAF63DC4C8601EC8C
 
 
+# a draw in the unit box is the float53 of each value: 0 + 1 * x is x
+UNIT_BOX = (0.0, 1.0, 0.0, 1.0)
+
+
 def test_stream_pinned_values():
-    s = SampleStream(0, "riemann")
-    assert s.next_float() == 0.3948055002748527
-    assert s.next_float() == 0.7452756863015642
-    assert s.next_float() == 0.454166256931657
-    assert SampleStream(1, "riemann").next_float() == 0.7145816533346537
-    assert SampleStream(0, "moduli").next_float() == 0.16105031671539194
+    [[first], [second]] = SampleStream(0, "riemann").draw(2, [UNIT_BOX])
+    assert first.real == 0.3948055002748527
+    assert first.imag == 0.7452756863015642
+    assert second.real == 0.454166256931657
+    assert SampleStream(1, "riemann").draw(1, [UNIT_BOX])[0][0].real == 0.7145816533346537
+    assert SampleStream(0, "moduli").draw(1, [UNIT_BOX])[0][0].real == 0.16105031671539194
+
+
+def _first_u64(seed, label):
+    return int(SampleStream(seed, label)._values(1)[0])
 
 
 def test_stream_restart_and_divergence():
-    a = [SampleStream(5, "x").next_u64() for _ in range(4)]
-    b = [SampleStream(5, "x").next_u64() for _ in range(4)]
+    a = [_first_u64(5, "x") for _ in range(4)]
+    b = [_first_u64(5, "x") for _ in range(4)]
     assert a == b
-    c = SampleStream(6, "x")
-    d = SampleStream(5, "y")
-    assert c.next_u64() != a[0]
-    assert d.next_u64() != a[0]
+    assert _first_u64(6, "x") != a[0]
+    assert _first_u64(5, "y") != a[0]
 
 
 @given(
@@ -81,9 +87,8 @@ def test_stream_restart_and_divergence():
 def test_stream_respects_bounds(seed, lo, width):
     hi = lo + width
     stream = SampleStream(seed, "bounds")
-    for _ in range(8):
-        v = stream.next_uniform(lo, hi)
-        assert lo <= v <= hi
+    for [v] in stream.draw(4, [(lo, hi, lo, hi)]):
+        assert lo <= v.real <= hi and lo <= v.imag <= hi
     z = stream.next_complex(lo, hi, -2.0, 2.0)
     assert lo <= z.real <= hi
     assert -2.0 <= z.imag <= 2.0
@@ -136,12 +141,13 @@ def test_the_block_draw_is_the_scalar_splitmix64_stream(seed, label):
         for count in (3, 0, 1, 17, 0):
             got = stream.draw(count, boxes)
             assert _draw_bits(got) == _draw_bits(_reference_draw(reference, count, boxes))
-        # the one-value helpers read the same stream
+        # next_complex reads the same stream, and the unit box gives float53 itself
         z = stream.next_complex(*boxes[0])
         assert _draw_bits([[z]]) == _draw_bits(_reference_draw(reference, 1, boxes[:1]))
-        assert stream.next_float().hex() == next(reference).hex()
         lo, hi = boxes[-1][:2]
-        assert stream.next_uniform(lo, hi).hex() == (lo + (hi - lo) * next(reference)).hex()
+        [[z]] = stream.draw(1, [(0.0, 1.0, lo, hi)])
+        assert z.real.hex() == next(reference).hex()
+        assert z.imag.hex() == (lo + (hi - lo) * next(reference)).hex()
 
 
 def test_reports_are_byte_identical():
@@ -436,10 +442,10 @@ def test_an_overflow_the_walk_reaches_is_raised_as_the_one_by_one_walk_raises_it
 @pytest.mark.parametrize(
     ("tau", "tol", "error", "message"),
     [
-        # the moduli of the configured tau collapse, and the run refuses it
-        # before any suite runs
+        # the configured tau is split, so its moduli collapse, and the run
+        # refuses it before any suite runs
         (
-            (0.1 + 8j, -0.1 + 3j, 0.02 + 0.3j), 1e-25, DegenerateTau,
+            (0.1 + 8j, -0.1 + 3j, 0j), 1e-25, DegenerateTau,
             "moduli collapse, k0^2 = k1^2 = k2^2 within 1e-10 (split period matrix): "
             "the parameterizations and flow suites need five distinct branch points",
         ),
@@ -796,6 +802,22 @@ def test_cli_invert_refuses_a_split_period_matrix_before_printing(tau12, capsys)
     with pytest.raises(DegenerateTau) as verify_error:
         run_suites(RunConfig(tau=SPLIT_TAU, samples=1, suites=("parameterizations",)))
     assert captured.err == f"error: {verify_error.value}\n"
+
+
+def test_small_but_distinct_moduli_are_not_a_collapse(capsys):
+    # k0^2 = 2.4e-10 and k2^2 = 1.9e-10 differ by 19%, though their gap,
+    # 4.7e-11, is below COLLAPSE_TOL: the gap is measured against max |k_i^2|
+    tau = ["--tau1=0.1,8", "--tau2=-0.1,3"]
+    point = ["--u=0.1,0.05", "--v=0.2,0"]
+    assert main(["invert", *point, *tau, "--tau12=0.02,0.3"]) == 0
+    assert "unit-sum-3" in capsys.readouterr().out
+    assert main(["moduli", *tau, "--tau12=0.02,0.3"]) == 0
+    assert "moduli collapse" not in capsys.readouterr().out
+    # the split period matrix of the same tau1 and tau2 still collapses
+    assert main(["invert", *point, *tau, "--tau12=0,0"]) == 3
+    assert capsys.readouterr().err.startswith("error: moduli collapse")
+    assert main(["moduli", *tau, "--tau12=0,0"]) == 0
+    assert "moduli collapse" in capsys.readouterr().out
 
 
 def test_invert_at_a_huge_real_part_equals_the_pair_in_the_cell(capsys):

@@ -11,14 +11,10 @@ import g2theta.inversion as inversion
 from g2theta.errors import (
     CoincidentPoints,
     DivisionByZeroModulus,
-    InvalidFactorIndex,
     SingularDenominator,
 )
 from g2theta.inversion import (
     PARAMETERIZATION_LABELS,
-    CurveSpec,
-    f5,
-    f_factor,
     parameterization_residuals,
     recover_pair,
 )
@@ -27,7 +23,11 @@ from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, curve_da
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
 DIVISOR_POINT = Point2(DIVISOR_U, DIVISOR_V)
-TEST_CURVE = CurveSpec(2.0 + 0.0j, 3.0 + 0.0j, 5.0 + 0.0j)
+
+
+def f5(x, ms):
+    """x (1 - x) (1 - k0^2 x) (1 - k1^2 x) (1 - k2^2 x), on the pair recovery's path."""
+    return inversion._quintic(inversion._linear_factors(x, ms))
 
 
 def _symmetric_functions(point, tau):
@@ -39,28 +39,10 @@ def _symmetric_functions(point, tau):
 
 
 def test_quintic_reference_values():
-    assert f5(2.0, TEST_CURVE) == 270.0
+    curve = moduli_from_tau(DEFAULT_TAU)._replace(k0_sq=2.0 + 0.0j, k1_sq=3.0 + 0.0j, k2_sq=5.0 + 0.0j)
+    assert f5(2.0, curve) == 270.0
     for root in (0.0, 1.0, 0.5, 1.0 / 3.0, 0.2):
-        assert abs(f5(root, TEST_CURVE)) < 1e-14
-
-
-def test_factor_products_recompose_quintic():
-    assert f_factor(0, 1, 0.5, TEST_CURVE) == 0.25
-    assert f_factor(3, 4, 0.0, TEST_CURVE) == 1.0
-    for x in (0.3, -0.7, 0.25 + 0.1j):
-        split = (
-            f_factor(0, 1, x, TEST_CURVE)
-            * f_factor(2, 3, x, TEST_CURVE)
-            * (1.0 - TEST_CURVE.k2_sq * x)
-        )
-        whole = f5(x, TEST_CURVE)
-        assert abs(split - whole) <= 1e-15 * (1.0 + abs(whole))
-
-
-def test_factor_index_validation():
-    for i, j in ((1, 1), (3, 2), (0, 5), (-1, 3), (0.5, 2), ("0", 1)):
-        with pytest.raises(InvalidFactorIndex):
-            f_factor(i, j, 0.3, TEST_CURVE)
+        assert abs(f5(root, curve)) < 1e-14
 
 
 def test_origin_recovers_branch_point_pair():
@@ -112,12 +94,11 @@ def test_pair_consistent_with_symmetric_functions(ur, ui, vr, vi):
         return
     s1, s2 = _symmetric_functions(pt, DEFAULT_TAU)
     ms = moduli_from_tau(DEFAULT_TAU)
-    curve = CurveSpec(ms.k0_sq, ms.k1_sq, ms.k2_sq)
     scale = 1.0 + abs(pair.x1) + abs(pair.x2)
     assert abs(pair.x1 + pair.x2 - s1) < 1e-10 * scale
     assert abs(pair.x1 * pair.x2 - s2) < 1e-10 * scale**2
     for x, sg in ((pair.x1, pair.sigma1), (pair.x2, pair.sigma2)):
-        val = f5(x, curve)
+        val = f5(x, ms)
         assert abs(sg * sg - val) < 1e-10 * (1.0 + abs(val))
 
 

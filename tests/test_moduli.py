@@ -180,10 +180,12 @@ def test_block_diagonal_tau_collapses_to_one_elliptic_modulus():
 
 
 @pytest.mark.parametrize(
-    ("tau12", "collapsed"), [(0.0, True), (1e-5j, True), (1e-3j, False), (0.2j, False)]
+    ("tau12", "collapsed"),
+    [(0.0, True), (1e-6j, True), (1e-5j, False), (1e-3j, False), (0.2j, False)],
 )
 def test_branch_points_collapse_near_a_split_period_matrix(tau12, collapsed):
-    # relative collapse |k0^2 - k_i^2| / (1 + |k0^2|): 4e-17, 6.2e-11, 6.2e-7, O(1)
+    # relative collapse |k0^2 - k_i^2| / max |k_i^2|: 1.4e-16, 2.2e-12,
+    # 2.2e-10, 2.2e-6, 0.081
     ms = moduli_from_tau(PeriodMatrix(1.1j, 1.3j, tau12))
     assert branch_points_collapse(ms) is collapsed
 

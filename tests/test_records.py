@@ -57,19 +57,13 @@ RECORDS = [
         "ModuliSet(" + ", ".join(f"{name}={i}" for i, name in enumerate(MODULI_NAMES)) + ")",
         True,
     ),
-    (inversion.CurveSpec, {"k0_sq": 1, "k1_sq": 2, "k2_sq": 3j}, "CurveSpec(k0_sq=1, k1_sq=2, k2_sq=3j)", True),
     (
         inversion.PointPair,
         {"x1": 1, "x2": 2, "sigma1": 3, "sigma2": 4, "sign_flipped": True},
         "PointPair(x1=1, x2=2, sigma1=3, sigma2=4, sign_flipped=True)",
         True,
     ),
-    (
-        degeneration.EllipticModulus,
-        {"k_sq": 1, "kp_sq": 2, "k": 3, "kp": 4},
-        "EllipticModulus(k_sq=1, kp_sq=2, k=3, kp=4)",
-        True,
-    ),
+    (degeneration.EllipticModulus, {"k_sq": 1, "kp_sq": 2}, "EllipticModulus(k_sq=1, kp_sq=2)", True),
     (
         flow.FlowConstants,
         dict(zip(FLOW_NAMES, range(13))),
@@ -113,9 +107,8 @@ ALTERED = {
     theta.SeriesControl: ("max_radius", 65),
     theta._LatticeForm: ("quad", 0j),
     moduli.ModuliSet: ("k12", 0),
-    inversion.CurveSpec: ("k2_sq", 3),
     inversion.PointPair: ("sign_flipped", False),
-    degeneration.EllipticModulus: ("kp", 5),
+    degeneration.EllipticModulus: ("kp_sq", 5),
     flow.FlowConstants: ("det", 0),
     riemann.Quadruple: ("points", (P, P, P, theta.Point2(0j, 0j))),
     harness._Suite: ("reads_curve", True),

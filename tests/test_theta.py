@@ -42,7 +42,6 @@ from g2theta.theta import (
     ALL_CHARACTERISTICS,
     DEFAULT_TAU,
     EVEN_CHARACTERISTICS,
-    ODD_CHARACTERISTICS,
     CurveData,
     HalfCharacteristic,
     PeriodMatrix,
@@ -54,6 +53,16 @@ from g2theta.theta import (
 )
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
+ODD_CHARACTERISTICS = tuple(c for c in ALL_CHARACTERISTICS if c.is_odd)
+
+
+def grads_at(cd, chars, points):
+    """Values and (d/du, d/dv) of chars at every point, from one rows_at
+    request, each indexed [point][characteristic] like values_at."""
+    chars = tuple(chars)
+    k = len(chars)
+    rows = cd.rows_at(chars, chars, points)
+    return [row[:k] for row in rows], [list(zip(row[k : 2 * k], row[2 * k :])) for row in rows]
 
 TEST_POINTS = [
     ORIGIN,
@@ -89,7 +98,7 @@ def test_stacked_kernel_is_bit_identical_to_one_grid_per_characteristic():
         for point in KERNEL_POINTS:
             radii.add(truncation_radius(tau, point, SeriesControl()))
             values = cd.values_at(ALL_CHARACTERISTICS, (point,))[0]
-            grads = cd.grads_at(ALL_CHARACTERISTICS, (point,))[1][0]
+            grads = grads_at(cd, ALL_CHARACTERISTICS, (point,))[1][0]
             for c, value, grad in zip(ALL_CHARACTERISTICS, values, grads):
                 assert value == reference_theta2(c, point, tau), (c.label(), point)
                 assert grad == reference_theta2_grad(c, point, tau), (c.label(), point)
@@ -110,11 +119,11 @@ def test_multi_point_grid_equals_per_point_evaluation():
     assert set(radii) == {4, 5, 6}
     cd = curve_data(DEFAULT_TAU)
     values = cd.values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
-    jets, grads = cd.grads_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
+    jets, grads = grads_at(cd, ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
     assert jets == values
     for point, vals, grad in zip(MIXED_RADIUS_POINTS, values, grads):
         assert vals == cd.values_at(ALL_CHARACTERISTICS, (point,))[0], point
-        assert grad == cd.grads_at(ALL_CHARACTERISTICS, (point,))[1][0], point
+        assert grad == grads_at(cd, ALL_CHARACTERISTICS, (point,))[1][0], point
     # the order of the points does not matter either
     backwards = cd.values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS[::-1])
     assert backwards == values[::-1]
@@ -124,10 +133,12 @@ def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
     # radii 4, 5 and 6 interleaved, enough points of each radius to fill
     # several grids, so values come back from many grids in input order
     stream = SampleStream(2, "bounded-grids")
+    # the real parts of u and v of each point, from one complex draw
     points = [
-        Point2(stream.next_uniform(-0.5, 0.5) + im * 1j, stream.next_uniform(-0.5, 0.5) - im * 1j)
+        Point2(z.real + im * 1j, z.imag - im * 1j)
         for _ in range(24)
         for im in (0.05, 0.35, 0.95)
+        for [z] in stream.draw(1, [(-0.5, 0.5, -0.5, 0.5)])
     ]
     radii = [truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in points]
     assert set(radii) == {4, 5, 6}
@@ -143,13 +154,13 @@ def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
 
     monkeypatch.setattr(theta, "_grid_sums", counted)
     values = cd.values_at(ALL_CHARACTERISTICS, points)
-    jets, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
+    jets, grads = grads_at(cd, ALL_CHARACTERISTICS, points)
     assert len(grids) > 2 * len(set(radii))
     assert all(terms <= theta._GRID_TERMS for terms, _ in grids)
     assert jets == values
     for point, vals, grad in zip(points, values, grads):
         assert vals == cd.values_at(ALL_CHARACTERISTICS, (point,))[0], point
-        assert grad == cd.grads_at(ALL_CHARACTERISTICS, (point,))[1][0], point
+        assert grad == grads_at(cd, ALL_CHARACTERISTICS, (point,))[1][0], point
 
 
 def test_a_point_over_the_grid_budget_gets_a_grid_of_its_own(monkeypatch):
@@ -336,14 +347,14 @@ def test_one_characteristic_forms_and_nulls_match_the_reference():
         assert list(cd.null_grads) == [(1, 0, 1, 0), (1, 1, 1, 0)]
         for bits, grad in cd.null_grads.items():
             assert grad == reference_theta2_grad(HalfCharacteristic(*bits), ORIGIN, tau)
-        origin_grads = cd.grads_at(ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
+        origin_grads = grads_at(cd, ALL_CHARACTERISTICS, (ORIGIN,))[1][0]
         for c, grad in zip(ALL_CHARACTERISTICS, origin_grads, strict=True):
             # an odd null is exactly 0, not the sum of its unpaired box edge
             assert cd.nulls[c] == (0j if c.is_odd else reference_theta2(c, ORIGIN, tau))
             assert grad == reference_theta2_grad(c, ORIGIN, tau)
             point = KERNEL_POINTS[2]
             assert theta2(c, point, tau) == reference_theta2(c, point, tau)
-            assert cd.grads_at((c,), (point,))[1][0][0] == reference_theta2_grad(c, point, tau)
+            assert grads_at(cd, (c,), (point,))[1][0][0] == reference_theta2_grad(c, point, tau)
 
 
 def test_non_finite_lattice_terms_raise_truncation_overflow():
@@ -355,7 +366,7 @@ def test_non_finite_lattice_terms_raise_truncation_overflow():
         with pytest.raises(TruncationOverflow):
             cd.values_at(ALL_CHARACTERISTICS, (far,))
         with pytest.raises(TruncationOverflow):
-            cd.grads_at(ALL_CHARACTERISTICS[:1], (far,))
+            grads_at(cd, ALL_CHARACTERISTICS[:1], (far,))
         with pytest.raises(TruncationOverflow):
             cd.values_at(ALL_CHARACTERISTICS, [ORIGIN, far])
 
@@ -379,7 +390,7 @@ def test_values_and_gradients_match_mpmath_over_the_widened_box(tau, value_bound
         Point2(stream.next_complex(-1.0, 1.0, -0.4, 0.4), stream.next_complex(-1.0, 1.0, -0.4, 0.4))
         for _ in range(80)
     ]
-    values, grads = curve_data(tau).grads_at(ALL_CHARACTERISTICS, points)
+    values, grads = grads_at(curve_data(tau), ALL_CHARACTERISTICS, points)
     value_err = grad_err = 0.0
     for vals, grad, exact in zip(values, grads, mp_theta_jets(tau, points), strict=True):
         for c, value, jet in zip(ALL_CHARACTERISTICS, vals, grad, strict=True):
@@ -398,10 +409,10 @@ STRETCHED_TAU = PeriodMatrix(0.1 + 8j, -0.15 + 1.3j, 0.05 + 0.25j)
 
 
 def _one_path(monkeypatch, tau, factored, points):
-    """grads_at on a fresh CurveData whose every radius takes the one path."""
+    """Values and gradients on a fresh CurveData whose every radius takes the one path."""
     with monkeypatch.context() as patch:
         patch.setattr(theta, "_FACTOR_LOG", math.inf if factored else -math.inf)
-        return CurveData(tau, SeriesControl()).grads_at(ALL_CHARACTERISTICS, points)
+        return grads_at(CurveData(tau, SeriesControl()), ALL_CHARACTERISTICS, points)
 
 
 def test_the_range_guard_sits_where_the_tau_factor_would_leave_range():
@@ -417,7 +428,7 @@ def test_the_two_kernel_paths_agree_on_both_sides_of_the_range_guard(monkeypatch
     inside, outside = Point2(0.3 + 0.9j, -0.2 - 0.36j), Point2(0.3 + 1.2j, -0.2 - 0.48j)
     points = (inside, outside)
     assert [truncation_radius(STRETCHED_TAU, p, SeriesControl()) for p in points] == [4, 5]
-    values, grads = curve_data(STRETCHED_TAU).grads_at(ALL_CHARACTERISTICS, points)
+    values, grads = grads_at(curve_data(STRETCHED_TAU), ALL_CHARACTERISTICS, points)
     factored = _one_path(monkeypatch, STRETCHED_TAU, True, points)
     exp_path = _one_path(monkeypatch, STRETCHED_TAU, False, points)
     # radius 4 is factored and radius 5 keeps the exp kernel
@@ -444,7 +455,7 @@ def test_a_non_finite_argument_raises_truncation_overflow_without_a_warning(tau,
     with pytest.raises(TruncationOverflow):
         cd.values_at(ALL_CHARACTERISTICS, (point,))
     with pytest.raises(TruncationOverflow):
-        cd.grads_at(ALL_CHARACTERISTICS, (KERNEL_POINTS[1], point))
+        grads_at(cd, ALL_CHARACTERISTICS, (KERNEL_POINTS[1], point))
 
 
 @pytest.mark.parametrize(
@@ -483,7 +494,7 @@ def test_whole_periods_in_the_real_parts_change_only_the_sign(k, l):
     # is past the reduction threshold the kernel sums the same terms
     base = Point2(0.25 + 0.1j, -0.375 - 0.15j)
     far = Point2(base.u + k, base.v + l)
-    values, grads = curve_data(DEFAULT_TAU).grads_at(ALL_CHARACTERISTICS, (base, far))
+    values, grads = grads_at(curve_data(DEFAULT_TAU), ALL_CHARACTERISTICS, (base, far))
     reduced = all(
         shift == 0 or abs(z.real + shift) >= theta._REDUCE_RE
         for z, shift in ((base.u, k), (base.v, l))
@@ -614,7 +625,7 @@ def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatc
 
     monkeypatch.setattr(theta, "_split", unsettled)
     monkeypatch.setattr(theta, "_fsum", counted)
-    values, grads = cd.grads_at(ALL_CHARACTERISTICS, points)
+    values, grads = grads_at(cd, ALL_CHARACTERISTICS, points)
     # two grids, one per radius, of 12 class-jet grids a point; the floats
     # path gives up on each at its first part and the array path redoes it
     assert len(calls) == (2 if path == "floats" else 0)
@@ -662,7 +673,7 @@ def test_an_empty_characteristic_set_gives_one_empty_list_per_point(count):
     points = KERNEL_POINTS[:count] + [ORIGIN] * max(0, count - len(KERNEL_POINTS))
     cd = curve_data(DEFAULT_TAU)
     assert cd.values_at((), points) == [[] for _ in range(count)]
-    assert cd.grads_at([], points) == ([[] for _ in range(count)], [[] for _ in range(count)])
+    assert cd.rows_at([], [], points) == [[] for _ in range(count)]
 
 
 def test_curve_data_radii_equal_truncation_radius_over_the_harness_and_benchmark_boxes():
@@ -725,7 +736,7 @@ def test_odd_nulls_vanish():
 
 def test_even_null_gradients_vanish():
     scale = _null_scale(DEFAULT_TAU)
-    grads = curve_data(DEFAULT_TAU).grads_at(EVEN_CHARACTERISTICS, (ORIGIN,))[1][0]
+    grads = grads_at(curve_data(DEFAULT_TAU), EVEN_CHARACTERISTICS, (ORIGIN,))[1][0]
     assert len(grads) == 10
     for du, dv in grads:
         assert max(abs(du), abs(dv)) <= 1e-13 * scale
@@ -839,7 +850,7 @@ def test_gradient_matches_finite_differences():
 
     c0 = HalfCharacteristic(0, 0, 0, 0)
     p = Point2(0.21 - 0.09j, -0.13 + 0.11j)
-    gu, gv = curve_data(DEFAULT_TAU).grads_at((c0,), (p,))[1][0][0]
+    gu, gv = grads_at(curve_data(DEFAULT_TAU), (c0,), (p,))[1][0][0]
     fdu = (
         theta2(c0, Point2(p.u + h, p.v), DEFAULT_TAU)
         - theta2(c0, Point2(p.u - h, p.v), DEFAULT_TAU)
@@ -856,7 +867,7 @@ def test_gradient_richardson_extrapolation():
     h = 1e-5
     c = HalfCharacteristic(0, 0, 0, 0)
     for p in draw_points(3, "grad-richardson", 20):
-        gu, _ = curve_data(DEFAULT_TAU).grads_at((c,), (p,))[1][0][0]
+        gu, _ = grads_at(curve_data(DEFAULT_TAU), (c,), (p,))[1][0][0]
         d1 = (
             theta2(c, Point2(p.u + h, p.v), DEFAULT_TAU)
             - theta2(c, Point2(p.u - h, p.v), DEFAULT_TAU)

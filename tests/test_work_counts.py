@@ -94,7 +94,7 @@ def test_each_lattice_class_is_summed_once_for_all_of_its_characteristics(monkey
     # 4 lattice classes of 81 terms, not one grid per characteristic (16 x 81
     # = 1,296 terms)
     assert sizes == [4 * 81]
-    cd.grads_at(theta.ALL_CHARACTERISTICS, (point,))
+    cd.rows_at(theta.ALL_CHARACTERISTICS, theta.ALL_CHARACTERISTICS, (point,))
     assert sizes[1:] == [3 * 4 * 81]
     inversion.recover_pair(point, DEFAULT_TAU)
     # the four characteristics recover_pair reads lie in two lattice classes
@@ -194,19 +194,19 @@ def _after_the_run_curve(grids):
 def _grid_sizes(monkeypatch, sizes):
     """Record the number of terms of every grid summed: the class-jet grids
     of genus 2 and the rows of genus 1."""
-    class_terms, row_sums = theta._class_terms, degeneration.complex_row_sums
+    class_terms, theta1_grid = theta._class_terms, degeneration._theta1_grid
 
     def counted_terms(*args):
         terms = class_terms(*args)
         sizes.append(terms.size)
         return terms
 
-    def counted_rows(rows):
-        sizes.append(rows.size)
-        return row_sums(rows)
+    def counted_rows(rows, n):
+        sizes.append(len(rows) * (2 * n + 1))
+        return theta1_grid(rows, n)
 
     monkeypatch.setattr(theta, "_class_terms", counted_terms)
-    monkeypatch.setattr(degeneration, "complex_row_sums", counted_rows)
+    monkeypatch.setattr(degeneration, "_theta1_grid", counted_rows)
 
 
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
