@@ -28,9 +28,12 @@ directory (AFTER defaults to this checkout's src) under a name of its own
 in this one process, and alternates the two trees op by op, the order
 flipped every round: a 20-sample `g2theta verify` through cli.main at a
 fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU,
-CURVE_CALLS fresh CurveData, and a fresh import of the package and its CLI
-(under a third name, so the other ops keep their modules).  Both trees get
-the same inputs.  For each op it prints the median over the rounds of
+CURVE_CALLS fresh CurveData, CURVE_CALLS operations of perfbench's curves
+workload (each on a fresh period matrix: its moduli, their consistency
+residuals, the null ratio signs, the flow constants and a recover_pair at
+each of CURVE_POINTS), and a fresh import of the package and its CLI (under
+a third name, so the other ops keep their modules).  Both trees get the
+same inputs.  For each op it prints the median over the rounds of
 BEFORE's time over AFTER's (above 1 when AFTER is faster), the quartiles of
 that ratio, and whether the two trees' outputs were equal in every round:
 
@@ -58,7 +61,9 @@ ROUNDS = 15
 CALLS = 400  # calls per run; a fresh CurveData, and 20 stacked ones, run a quarter as many
 AB_ROUNDS = 100  # rounds of --ab, each one op of each kind per tree
 PAIR_CALLS = 50  # recover_pair calls per timed --ab op
-CURVE_CALLS = 20  # fresh CurveData per timed --ab op
+CURVE_CALLS = 20  # fresh CurveData, or curves operations, per timed --ab op
+# the points perfbench's curves workload inverts on every period matrix
+CURVE_POINTS = ((0.1 + 0.05j, -0.2 + 0.1j), (-0.3 + 0.15j, 0.25 - 0.1j))
 
 # six points of truncation radius 4 at DEFAULT_TAU
 POINTS = tuple(
@@ -107,7 +112,7 @@ def _load_tree(name: str, src: Path):
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
-    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cli", "inversion", "theta")}
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("cli", "flow", "inversion", "moduli", "theta")}
 
 
 def _fresh_import(name: str, src: Path) -> list[str]:
@@ -125,7 +130,7 @@ def _fresh_import(name: str, src: Path) -> list[str]:
 def _tree_ops(name: str, src: Path, report: str) -> dict:
     """Each --ab op of the tree under src, loaded as `name`: input -> a comparable output."""
     tree = _load_tree(name, src)
-    cli, inversion_, theta_ = tree["cli"], tree["inversion"], tree["theta"]
+    cli, flow_, inversion_, moduli_, theta_ = (tree[mod] for mod in ("cli", "flow", "inversion", "moduli", "theta"))
 
     def verify(seed):
         argv = ["verify", "--samples", "20", "--seed", str(seed), "--json", report]
@@ -138,13 +143,26 @@ def _tree_ops(name: str, src: Path, report: str) -> dict:
         # by name, which reads a record tree and a dataclass tree alike
         return [(p.x1, p.x2, p.sigma1, p.sigma2, p.sign_flipped) for p in recovered]
 
-    def curves(taus):
+    def fresh_curves(taus):
         return [tuple(theta_.CurveData(theta_.PeriodMatrix(*tau), theta_.SeriesControl()).nulls.values()) for tau in taus]
+
+    def curves(taus):
+        out = []
+        for tau in map(theta_.PeriodMatrix._make, taus):
+            out.append((
+                tuple(moduli_.moduli_from_tau(tau)),
+                moduli_.moduli_consistency_residuals(tau),
+                moduli_.null_ratio_signs(tau),
+                tuple(flow_.flow_constants(tau)),
+                [tuple(inversion_.recover_pair(theta_.Point2(u, v), tau)) for u, v in CURVE_POINTS],
+            ))
+        return out
 
     return {
         "verify": verify,
         "recover_pair": pairs,
-        "fresh CurveData": curves,
+        "fresh CurveData": fresh_curves,
+        "curves": curves,
         "fresh import": lambda _: _fresh_import(f"{name}_import", src),
     }
 

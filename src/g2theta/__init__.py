@@ -12,4 +12,4 @@ The package re-exports nothing: import each name from its module, e.g.
 `from g2theta.theta import CurveData`.
 """
 
-from .harness import VERSION as __version__  # noqa: F401
+__version__ = "0.2.0"  # also the version a report records (harness.VERSION)

@@ -53,6 +53,7 @@ import math
 from collections import namedtuple
 from functools import partial
 
+from . import __version__
 from .degeneration import (
     DEGENERATION_LABELS,
     complete_integral_residuals,
@@ -102,7 +103,7 @@ __all__ = [
     "report_to_json",
 ]
 
-VERSION = "0.2.0"
+VERSION = __version__
 
 # sampling box for theta arguments (and genus-1 z draws)
 _BOX = (-0.5, 0.5, -0.2, 0.2)

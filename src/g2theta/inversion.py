@@ -127,8 +127,8 @@ def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
     cd = curve_data(tau, ctrl)
-    [th] = _pair_tables(cd, (point,))
-    return _pair_from_thetas(cd, th, point)[0]
+    [values] = cd.values_at(_PAIR_CHARS, (point,))
+    return _pair_from_thetas(cd, dict(zip(_PAIR_CHARS, values)), point)[0]
 
 
 def _pair_tables(cd: CurveData, points) -> list[dict]:

@@ -39,7 +39,10 @@ What a request (the characteristics of its values and gradients) reads
 at one radius is built once for every period matrix, a _Plan that picks
 its classes' tables from the period matrix's lattice form.  A grid of at
 most _SCALAR_OUTPUTS outputs certifies its sums on Python floats, a larger
-one on arrays: the same IEEE operations, so the same bits.
+one on arrays: the same IEEE operations, so the same bits.  A values request
+at one point, factored and with no component to reduce, builds its class
+terms from that one point's factors and skips grid grouping: the batch's
+operations in the same order, so the same bits again.
 
 A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
@@ -356,6 +359,14 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
     axis 2 and n along axis 3.  A non-finite real part raises; exp overflow
     of the per-term path shows up as a non-finite term when it is summed.
     """
+    if len(points) == 1 and form.tau_factor is not None and plan.jets is None and points != (ORIGIN,):
+        u, v = point = points[0]
+        if abs(u.real) < _REDUCE_RE and abs(v.real) < _REDUCE_RE:
+            # the factored path's operations on one point's (2, G, 2N+1)
+            # factors, without the point axis and the plumbing of a batch
+            factors = np.exp(_TWO_PI_I * (plan.offsets * np.array(point, dtype=np.complex128)[:, None, None]))
+            terms = factors[0, :, :, None] * factors[1, :, None, :]
+            return np.multiply(terms, form.tau_factor[0, plan.select], out=terms)[None]
     z = np.array(points, dtype=np.complex128)
     quiet = form.tau_factor is None  # the factors stay within exp(+-700)
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
@@ -515,8 +526,8 @@ def _grid_sums(values, grads, points, form: _LatticeForm, radius: int) -> list[l
 
     One row of R = len(values) + 2 len(grads) outputs per point (per period
     matrix of a stacked form), each the correctly rounded sum of its row of
-    terms on the form of this radius.  Rows left unsettled, and all rows when
-    a term is non-finite or reaches 2^900, go to exact_row_sums.
+    terms on the form of this radius.  Only the parts left unsettled, and all
+    parts when a term is non-finite or reaches 2^900, go to exact_row_sums.
     """
     plan = _layout(tuple(values), tuple(grads), radius)
     terms = _class_terms(plan, form, points)
@@ -528,10 +539,14 @@ def _grid_sums(values, grads, points, form: _LatticeForm, radius: int) -> list[l
         parts, bound = _split(flat, top, *plan.split)
         sums = (parts.reshape(-1, 2 * width) @ plan.parity).reshape(2, count, -1)
         if count * parts_out <= 2 * _SCALAR_OUTPUTS:
-            if (rows := _settle_floats(sums.tolist(), plan.reads, bound)) is not None:
+            rows, unsettled = _settle_floats(sums.tolist(), plan.reads, bound)
+            if not unsettled:
                 return rows
-        high, low = np.take(sums, plan.columns, axis=2) * plan.signs
-        res, bad = _settle(high, low, bound)
+            res, bad = np.array(rows).view(np.float64), np.zeros((count, parts_out), dtype=bool)
+            bad.flat[unsettled] = True
+        else:
+            high, low = np.take(sums, plan.columns, axis=2) * plan.signs
+            res, bad = _settle(high, low, bound)
     else:
         res, bad = np.empty((count, parts_out)), np.ones((count, parts_out), dtype=bool)
     if bad.any():
@@ -543,11 +558,12 @@ def _grid_sums(values, grads, points, form: _LatticeForm, radius: int) -> list[l
     return res.view(np.complex128).tolist()
 
 
-def _settle_floats(sums: list, reads, bound: float) -> list[list[complex]] | None:
-    """_grid_sums from sums, nested lists (2, P, 8G), on Python floats, or None if
-    a part is left unsettled.  The gather by reads and the tests of _settle are
-    the same IEEE operations, and math.ulp is np.spacing on values >= 0."""
-    res = []
+def _settle_floats(sums: list, reads, bound: float) -> tuple[list[list[complex]], list[int]]:
+    """_grid_sums from sums, nested lists (2, P, 8G), on Python floats, and the
+    indices of the parts left unsettled in the rows read as one flat list of
+    parts.  The gather by reads and the tests of _settle are the same IEEE
+    operations, and math.ulp is np.spacing on values >= 0."""
+    res, unsettled = [], []
     for high_row, low_row in zip(*sums):
         for column, sign in reads:
             high, low = high_row[column] * sign, low_row[column] * sign
@@ -555,11 +571,11 @@ def _settle_floats(sums: list, reads, bound: float) -> list[list[complex]] | Non
             back = total - high
             err = (high - (total - back)) + (low - back)
             if abs(err) + bound >= 0.5 * math.ulp(math.nextafter(abs(total), 0.0)):
-                return None
+                unsettled.append(len(res))
             res.append(total)
     parts, step = iter(res), len(reads) // 2
     res = list(map(complex, parts, parts))
-    return [res[i : i + step] for i in range(0, len(res), step)]
+    return [res[i : i + step] for i in range(0, len(res), step)], unsettled
 
 
 # The null gradients CurveData keeps: those of the odd theta[10;10] and
@@ -659,7 +675,8 @@ class CurveData:
     def values_at(self, chars, points) -> list[list[complex]]:
         """theta[c](point) for every point (outer) and c in chars (inner).
 
-        The points are evaluated on bounded grids of one radius each (_by_grid).
+        The points are evaluated on bounded grids of one radius each (_by_grid),
+        a single point on the grid of its own.
         """
         return self.rows_at(chars, (), points)
 
@@ -672,6 +689,10 @@ class CurveData:
         values, grads = tuple(values), tuple(grads)
         if not values and not grads:
             return [[] for _ in points]
+        if len(points) == 1:
+            [point] = points
+            n = self._radius(point)
+            return _grid_sums(values, grads, [point], self._form(n), n)
 
         def grid(n, idx):
             return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), n)

@@ -861,7 +861,7 @@ sys.exit(module.main())
         # one row per case, each case run at least once
         ("kernel_timing.py", [], 7, {"ROUNDS": 1, "CALLS": 4}),
         # one row per op, this checkout timed against itself
-        ("kernel_timing.py", ["--ab", str(SRC), "--rounds", "2"], 4,
+        ("kernel_timing.py", ["--ab", str(SRC), "--rounds", "2"], 5,
          {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),
     ],
 )

@@ -84,17 +84,29 @@ def test_every_exported_name_is_defined_in_its_layer(layer):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# what perfbench/run.py reads from sys.modules after `import g2theta; import g2theta.cli`
-EAGER_MODULES = ("theta", "inversion", "moduli", "flow", "errors", "cli")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    """A module of perfbench/, loaded by path as it stands."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_the_package_and_its_cli_load_the_layers_and_no_dataclasses():
+    # perfbench/spans.py's Tracer.install reads every layer of its LAYERS from
+    # sys.modules after perfbench/run.py's `import g2theta; import g2theta.cli`;
+    # they are the layers whose exported names are checked above
+    layers = _perfbench_module("spans").LAYERS
+    assert set(layers) == set(LAYERS)
     # a fresh interpreter, so no test has imported a layer first
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     code = "import sys, g2theta, g2theta.cli; print(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True)
     loaded = set(proc.stdout.split())
-    assert {f"g2theta.{name}" for name in EAGER_MODULES} <= loaded
+    assert {f"g2theta.{name}" for name in layers} <= loaded
     # records are tuples: no module of the package imports dataclasses, not even lazily
     for path in sorted((SRC / "g2theta").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -123,17 +135,12 @@ def test_run_suites_dispatches_every_suite_through_the_runner_table(monkeypatch)
     assert [s.name for s in report.suites] == list(SUITE_ORDER)
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
 @pytest.mark.parametrize("workload", ["verify", "invert", "curves"])
 def test_the_benchmark_workloads_run_on_the_library(workload, tmp_path):
     # what perfbench/workloads.py calls of the library, loaded as it stands;
     # it reads the layers from sys.modules, where perfbench/run.py imports them
     importlib.import_module("g2theta.cli")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_module("workloads")
     bench = workloads.make(workload, tmp_path)
     for item in bench.make_round(random.Random(0))[:2]:
         assert bench.check(item, bench.run(item)) == []

@@ -35,7 +35,7 @@ from g2theta.degeneration import Genus1Characteristic, theta1
 from g2theta.errors import DegenerateTau, TruncationOverflow
 from g2theta.flow import flow_constants
 from g2theta.harness import RunConfig, run_suites
-from g2theta.inversion import recover_pair
+from g2theta.inversion import _PAIR_CHARS, recover_pair
 from g2theta.moduli import moduli_from_tau
 from g2theta.rng import SampleStream
 from g2theta.theta import (
@@ -114,6 +114,25 @@ def test_stacked_kernel_is_bit_identical_to_one_grid_per_characteristic():
 MIXED_RADIUS_POINTS = KERNEL_POINTS + [Point2(0.1 + 0.9j, -0.2 - 0.75j), TEST_POINTS[2]]
 
 
+# a period matrix whose lattice terms leave the factored path from radius 5 on
+EXP_PATH_TAU = PeriodMatrix(0.1 + 1.1j, 8j, 0.05 + 0.2j)
+# a point on each path of the kernel: one point of a factored values request,
+# a reduced component (|Re| >= 2), zeros of both signs, and the per-term exp
+BRANCH_POINTS = [
+    (DEFAULT_TAU, Point2(0.31 - 0.18j, -0.42 + 0.2j)),
+    (DEFAULT_TAU, Point2(2.3 + 0.1j, -0.4 - 0.15j)),
+    (DEFAULT_TAU, Point2(0.2 - 0.1j, -2.75 + 0.3j)),
+    (DEFAULT_TAU, Point2(0j, 0j)),
+    (DEFAULT_TAU, Point2(-0j, 0j)),
+    (EXP_PATH_TAU, Point2(0.3 + 1.4j, -0.2 - 1.1j)),
+]
+
+
+def _hex_rows(rows):
+    """The rows as float.hex of real and imaginary parts, so signed zeros count."""
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+
 def test_multi_point_grid_equals_per_point_evaluation():
     radii = [truncation_radius(DEFAULT_TAU, p, SeriesControl()) for p in MIXED_RADIUS_POINTS]
     assert set(radii) == {4, 5, 6}
@@ -122,11 +141,23 @@ def test_multi_point_grid_equals_per_point_evaluation():
     jets, grads = grads_at(cd, ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS)
     assert jets == values
     for point, vals, grad in zip(MIXED_RADIUS_POINTS, values, grads):
-        assert vals == cd.values_at(ALL_CHARACTERISTICS, (point,))[0], point
+        assert _hex_rows([vals]) == _hex_rows(cd.values_at(ALL_CHARACTERISTICS, (point,))), point
         assert grad == grads_at(cd, ALL_CHARACTERISTICS, (point,))[1][0], point
     # the order of the points does not matter either
     backwards = cd.values_at(ALL_CHARACTERISTICS, MIXED_RADIUS_POINTS[::-1])
     assert backwards == values[::-1]
+    # a point alone gives, bit for bit, its row of a grid it shares with a
+    # point of its radius, on every path, for values and for values and gradients
+    for tau, point in BRANCH_POINTS:
+        cd = CurveData(tau, SeriesControl())
+        radius = cd._radius(point)
+        assert (cd._form(radius).tau_factor is None) == (tau is EXP_PATH_TAU), point
+        partner = Point2(point.u + 0.25, point.v - 0.25)
+        assert cd._radius(partner) == radius
+        for chars in (_PAIR_CHARS, ALL_CHARACTERISTICS):  # recover_pair's 4, and 16
+            alone = cd.values_at(chars, (point,)) + cd.rows_at(chars, chars, (point,))
+            shared = cd.values_at(chars, (point, partner))[:1] + cd.rows_at(chars, chars, (point, partner))[:1]
+            assert _hex_rows(alone) == _hex_rows(shared), (tau, point, len(chars))
 
 
 def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
@@ -626,8 +657,8 @@ def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatc
     monkeypatch.setattr(theta, "_split", unsettled)
     monkeypatch.setattr(theta, "_fsum", counted)
     values, grads = grads_at(cd, ALL_CHARACTERISTICS, points)
-    # two grids, one per radius, of 12 class-jet grids a point; the floats
-    # path gives up on each at its first part and the array path redoes it
+    # two grids, one per radius, of 12 class-jet grids a point; each path
+    # leaves every part unsettled and sends it to exact_row_sums
     assert len(calls) == (2 if path == "floats" else 0)
     # every real and imaginary part of every value and gradient went to math.fsum
     assert len(rows) == len(points) * 3 * 16 * 2
@@ -655,16 +686,16 @@ def test_the_float_and_array_certifications_agree_on_edge_values():
         for sign in (1.0, -1.0):
             for high, low in pairs:
                 # one output whose real and imaginary parts are the same part
-                floats = theta._settle_floats([[[high]], [[low]]], ((0, sign), (0, sign)), bound)
+                floats, left = theta._settle_floats([[[high]], [[low]]], ((0, sign), (0, sign)), bound)
                 res, bad = theta._settle(np.array([high]) * sign, np.array([low]) * sign, bound)
-                assert (floats is None) == bad[0], (high, low, bound)
-                if floats is None:
+                assert left == ([0, 1] if bad[0] else []), (high, low, bound)
+                if bad[0]:
                     unsettled += 1
                 else:
                     settled += 1
                     assert _bits(floats[0][0]) == _bits(complex(res[0], res[0])), (high, low, bound)
     # 1 + 2^-53 is a tie, left unsettled; most pairs settle
-    assert theta._settle_floats([[[1.0]], [[2.0**-53]]], ((0, 1.0), (0, 1.0)), theta._TINY) is None
+    assert theta._settle_floats([[[1.0]], [[2.0**-53]]], ((0, 1.0), (0, 1.0)), theta._TINY)[1] == [0, 1]
     assert 0 < unsettled < settled
 
 
