@@ -423,8 +423,6 @@ def _by_grid(radii, item_terms, evaluate) -> list:
     order, into grids of at most _GRID_TERMS terms, item_terms(n) per item.
     evaluate returns one result per index it is given.
     """
-    if len(radii) == 1:
-        return evaluate(radii[0], [0])
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(radii):
         groups.setdefault(n, []).append(i)
@@ -690,9 +688,9 @@ class CurveData:
         if not values and not grads:
             return [[] for _ in points]
         if len(points) == 1:
-            [point] = points
-            n = self._radius(point)
-            return _grid_sums(values, grads, [point], self._form(n), n)
+            n = self._radius(points[0])
+            # as a list, which is never the origin grid's (ORIGIN,)
+            return _grid_sums(values, grads, list(points), self._form(n), n)
 
         def grid(n, idx):
             return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), n)
