@@ -540,15 +540,15 @@ def _grid_sums(values, grads, points, form: _LatticeForm, radius: int) -> list[l
             rows, unsettled = _settle_floats(sums.tolist(), plan.reads, bound)
             if not unsettled:
                 return rows
-            res, bad = np.array(rows).view(np.float64), np.zeros((count, parts_out), dtype=bool)
-            bad.flat[unsettled] = True
+            res = np.array(rows).view(np.float64)
         else:
             high, low = np.take(sums, plan.columns, axis=2) * plan.signs
             res, bad = _settle(high, low, bound)
+            unsettled = np.flatnonzero(bad)
     else:
-        res, bad = np.empty((count, parts_out)), np.ones((count, parts_out), dtype=bool)
-    if bad.any():
-        at, out = np.nonzero(bad)
+        res, unsettled = np.empty((count, parts_out)), np.arange(count * parts_out)
+    if len(unsettled):
+        at, out = np.divmod(unsettled, parts_out)
         column = plan.columns[out]
         parts = terms.view(np.float64).reshape(count, -1, width, 2)[at, column // 8, :, column % 2]
         parts *= plan.parity[::2, column // 2 % 4 * 2].T * plan.signs[out, None]
