@@ -26,8 +26,9 @@ two benchmark processes run one after the other favour whichever runs
 second.  So --ab BEFORE [AFTER] loads the g2theta package of each source
 directory (AFTER defaults to this checkout's src) under a name of its own
 in this one process, and alternates the two trees op by op, the order
-flipped every round: a 20-sample `g2theta verify` through cli.main at a
-fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU,
+flipped every round: a `g2theta verify` of --samples samples (20 by
+default) of the suites named by --suite (repeatable; all nine by default)
+through cli.main at a fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU,
 CURVE_CALLS fresh CurveData, CURVE_CALLS operations of perfbench's curves
 workload (each on a fresh period matrix: its moduli, their consistency
 residuals, the null ratio signs, the flow constants and a recover_pair at
@@ -38,6 +39,7 @@ BEFORE's time over AFTER's (above 1 when AFTER is faster), the quartiles of
 that ratio, and whether the two trees' outputs were equal in every round:
 
     PYTHONPATH=src python scripts/kernel_timing.py --ab ../parent/src --rounds 300
+    PYTHONPATH=src python scripts/kernel_timing.py --ab ../parent/src --suite degeneration --suite elliptic
 """
 
 import argparse
@@ -81,7 +83,7 @@ def _cases():
     boxes = (harness._TAU_DIAG, harness._TAU_DIAG, harness._TAU_OFF)
     taus = [PeriodMatrix(*sample) for sample in SampleStream(0, "kernel-timing").draw(20, boxes)]
     return {
-        "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), form, 4)),
+        "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), form, (4, 4))),
         "recover_pair": (CALLS, lambda: inversion.recover_pair(point, DEFAULT_TAU)),
         "values_at 6x16": (CALLS, lambda: cd.values_at(ALL_CHARACTERISTICS, POINTS)),
         "rows_at 6x16": (CALLS // 4, lambda: cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, POINTS)),
@@ -127,13 +129,14 @@ def _fresh_import(name: str, src: Path) -> list[str]:
     return sorted(mod.removeprefix(f"{name}.") for mod in sys.modules if mod.startswith(f"{name}."))
 
 
-def _tree_ops(name: str, src: Path, report: str) -> dict:
-    """Each --ab op of the tree under src, loaded as `name`: input -> a comparable output."""
+def _tree_ops(name: str, src: Path, report: str, verify_args: list[str]) -> dict:
+    """Each --ab op of the tree under src, loaded as `name`: input -> a comparable
+    output; verify_args are the verify op's --samples and --suite arguments."""
     tree = _load_tree(name, src)
     cli, flow_, inversion_, moduli_, theta_ = (tree[mod] for mod in ("cli", "flow", "inversion", "moduli", "theta"))
 
     def verify(seed):
-        argv = ["verify", "--samples", "20", "--seed", str(seed), "--json", report]
+        argv = ["verify", *verify_args, "--seed", str(seed), "--json", report]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         return code, Path(report).read_bytes()
@@ -167,7 +170,7 @@ def _tree_ops(name: str, src: Path, report: str) -> dict:
     }
 
 
-def _ab(before: Path, after: Path, rounds: int) -> None:
+def _ab(before: Path, after: Path, rounds: int, verify_args: list[str]) -> None:
     rng = random.Random(0)
 
     def box(re_lo, re_hi, im_lo, im_hi):
@@ -184,7 +187,7 @@ def _ab(before: Path, after: Path, rounds: int) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = [
-            _tree_ops(name, src.resolve(), os.path.join(tmp, f"{name}.json"))
+            _tree_ops(name, src.resolve(), os.path.join(tmp, f"{name}.json"), verify_args)
             for name, src in (("g2theta_before", before), ("g2theta_after", after))
         ]
         for ops in trees:  # warm up: imports, the DEFAULT_TAU caches, the plans
@@ -214,6 +217,9 @@ def main() -> int:
     ap.add_argument("--ab", nargs="+", metavar="SRC", type=Path,
                     help="time the g2theta package under BEFORE against AFTER (default: this checkout's src)")
     ap.add_argument("--rounds", type=int, default=AB_ROUNDS, help="rounds of --ab")
+    ap.add_argument("--samples", type=int, default=20, help="samples of the --ab verify op")
+    ap.add_argument("--suite", action="append", choices=harness.SUITE_ORDER, default=[],
+                    help="a suite of the --ab verify op (repeatable; default: all)")
     args = ap.parse_args()
     if args.ab is None:
         _kernel_cases()
@@ -221,7 +227,8 @@ def main() -> int:
     if len(args.ab) > 2:
         ap.error("--ab takes BEFORE and at most one AFTER")
     before, after = (*args.ab, Path(__file__).resolve().parents[1] / "src")[:2]
-    _ab(before, after, args.rounds)
+    verify_args = ["--samples", str(args.samples), *(arg for suite in args.suite for arg in ("--suite", suite))]
+    _ab(before, after, args.rounds, verify_args)
     return 0
 
 

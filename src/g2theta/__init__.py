@@ -12,4 +12,4 @@ The package re-exports nothing: import each name from its module, e.g.
 `from g2theta.theta import CurveData`.
 """
 
-__version__ = "0.2.0"  # also the version a report records (harness.VERSION)
+__version__ = "0.3.0"  # also the version a report records (harness.VERSION)

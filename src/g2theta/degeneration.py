@@ -18,7 +18,9 @@ its genus1_nulls and a batch of theta arguments z.  Each returns one result
 per item and reads the theta values of the whole batch together.
 genus1_nulls evaluates the nulls of a tau, and the squared modulus k^2 and
 its complement k'^2, an EllipticModulus, come from them by one path,
-elliptic_modulus.
+elliptic_modulus.  Genus 1 has no kernel of its own: theta[a; b](z, t) is
+theta's class-grid kernel on the box (N, 0) of diag(t, t) (_theta1_rows),
+so the splitting rows compare a square-box sum with two (N, 0) sums.
 
 Conventions: genus-1 characteristics are column vectors [a; b] with the odd
 one [1; 1]; sn, cn, dn take the theta argument z with u = 2Kz, where
@@ -32,25 +34,23 @@ from collections import namedtuple
 from collections.abc import Mapping
 from types import MappingProxyType
 
-import numpy as np
-
-from .errors import (
-    ConfigInvalid,
-    DegenerateTau,
-    SingularDenominator,
-)
+from .errors import ConfigInvalid, SingularDenominator
 from .inversion import PointPair, _pair_from_thetas
 from .quadrature import tanh_sinh_01
 from .theta import (
     ALL_CHARACTERISTICS,
     CurveData,
-    _by_grid,
-    _decay,
-    _radius,
+    HalfCharacteristic,
+    PeriodMatrix,
     Point2,
     SeriesControl,
+    _by_grid,
+    _decay,
+    _grid_sums,
+    _lattice_form,
+    _layout,
+    _radius,
     _rel,
-    exact_row_sums,
 )
 
 __all__ = [
@@ -87,72 +87,50 @@ class EllipticModulus(namedtuple("EllipticModulus", "k_sq kp_sq")):
     __slots__ = ()
 
 
-def _radii1(args, ctrl: SeriesControl) -> dict:
-    """The truncation radius of the genus-1 series at each distinct (z, tau)
-    of args: the genus-2 rule at (z, 0) with the decay rate Im tau, whose
-    _decay is taken once per tau."""
-    decay, radii = {}, {}
-    for z, tau in args:
-        if (z, tau) not in radii:
-            if tau not in decay:
-                decay[tau] = _decay(tau.imag, ctrl.tol)
-            radii[z, tau] = _radius(Point2(z, 0j), *decay[tau], ctrl.max_radius)
-    return radii
+def _theta1_rows(values, grads, args, ctrl: SeriesControl) -> list[list[complex]]:
+    """One row per (z, tau) of args: theta1[c](z, tau) for c in values, then
+    d/dz theta1[c](z, tau) for c in grads.
 
-
-def _theta1_values(rows, ctrl: SeriesControl) -> list[complex]:
-    """theta1 of each (characteristic, z, tau) row, in input order.
-
-    The rows are evaluated on bounded grids of one radius each (_radii1),
-    2N+1 terms a row (theta._by_grid).  Each term goes through the
-    operations of the one-row series, i pi (tau m^2 + 2 m (z + b/2)) with
-    m = k + a/2, in the same order, and each row is summed exactly, so a
-    value does not depend on the other rows of its grid.
+    theta1[a; b](z, tau) is theta[a 0; b 0]((z, 0); diag(tau, tau)) summed
+    over the box (N, 0), m in [-N, N] and n = 0, N the truncation radius of
+    (z, 0): the class-grid kernel's terms, units, argument reduction and
+    certification (theta._grid_sums), on grids of one tau and radius each
+    (theta._by_grid).  A tau is validated as that period matrix.
     """
-    for _, _, tau in rows:
-        if tau.imag <= 0:
-            raise DegenerateTau(f"Im tau = {tau.imag} is not positive")
-    radius = _radii1([(z, tau) for _, z, tau in rows], ctrl)
-    radii = [radius[z, tau] for _, z, tau in rows]
-    return _by_grid(
-        radii, lambda n: 2 * n + 1, lambda n, idx: _theta1_grid([rows[i] for i in idx], n)
-    )
+    values, grads = (tuple(HalfCharacteristic(c.a, 0, c.b, 0) for c in chars) for chars in (values, grads))
+    curves = {}  # by tau: diag(tau, tau) and its _radius constants
+    keys = []
+    for z, tau in args:
+        if tau not in curves:
+            curve = PeriodMatrix(tau, tau, 0j)
+            curves[tau] = curve, (*_decay(curve.lambda_min, ctrl.tol), ctrl.max_radius)
+        keys.append((tau, _radius(Point2(z, 0j), *curves[tau][1])))
+
+    def grid(key, idx):
+        tau, n = key
+        form = _lattice_form(curves[tau][:1], (n, 0))
+        return _grid_sums(values, grads, tuple(Point2(args[i][0], 0j) for i in idx), form, (n, 0))
+
+    width = len(values) + len(grads)  # the d/dv of the box (N, 0) are 0, and dropped
+    rows = _by_grid(keys, lambda key: _layout(values, grads, (key[1], 0)).terms, grid)
+    return [row[:width] for row in rows]
 
 
-def _theta1_grid(rows, n: int) -> list[complex]:
-    """theta1 of rows that share the radius n, from one (R, 2n+1) grid."""
-    half_a = np.array([c.a / 2.0 for c, _, _ in rows])[:, None]
-    m = np.arange(-n, n + 1, dtype=float) + half_a
-    taus = np.array([tau for _, _, tau in rows], dtype=complex)[:, None]
-    shift = np.array([z + c.b / 2.0 for c, z, _ in rows], dtype=complex)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise below
-        terms = np.exp(1j * math.pi * (taus * m * m + 2.0 * m * shift))
-    # the real and imaginary parts in one exact_row_sums call
-    sums = exact_row_sums(np.concatenate((terms.real, terms.imag)))
-    out = np.empty(len(rows), dtype=np.complex128)
-    out.real = sums[: len(rows)]
-    out.imag = sums[len(rows) :]
-    return out.tolist()
-
-
-def theta1(
-    c: Genus1Characteristic,
-    z: complex,
-    tau: complex,
-    ctrl: SeriesControl = SeriesControl(),
-) -> complex:
+def theta1(c: Genus1Characteristic, z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()) -> complex:
     """One-variable theta with half-integer characteristic [a; b]."""
-    return _theta1_values([(c, z, tau)], ctrl)[0]
+    return _theta1_rows((c,), (), [(z, tau)], ctrl)[0][0]
 
 
 _GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1))
-_ODE_CHARS = (Genus1Characteristic(0, 1), Genus1Characteristic(1, 1))  # what x reads
 
 
 def genus1_nulls(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
-    """All four theta[a; b](0), keyed by (a, b), from one genus-1 evaluation."""
-    values = _theta1_values([(c, 0.0, tau) for c in _GENUS1_CHARS], ctrl)
-    return MappingProxyType(dict(zip(_GENUS1_CHARS, values)))
+    """All four theta[a; b](0), keyed by (a, b): the three even ones from one
+    genus-1 evaluation, and the odd [1; 1], exactly 0 and not summed (on the
+    box its terms leave only the unpaired edge, a sum far below the terms
+    that only math.fsum can round)."""
+    [values] = _theta1_rows(_GENUS1_CHARS[:3], (), [(0.0, tau)], ctrl)
+    return MappingProxyType(dict(zip(_GENUS1_CHARS, [*values, 0j])))
 
 
 def elliptic_modulus(nulls) -> EllipticModulus:
@@ -189,23 +167,19 @@ def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float) -
     Jacobi-function identities sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1, and
     the sn ODE (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) with dx/du by a central
     difference of step h.  All the z read one genus-1 evaluation: the four
-    values at each z, and theta1[0;1], theta1[1;1] at z + h and z - h.
+    values at each z, at z + h and at z - h.
     What depends on tau alone is taken once: the null quartic's row, the
     squared nulls that lead the identities' products, and 2K.
     """
     k_sq = elliptic_modulus(nulls).k_sq
-    rows = []
-    for z in zs:
-        rows += [(c, z, tau) for c in _GENUS1_CHARS]
-        rows += [(c, arg, tau) for arg in (z + h, z - h) for c in _ODE_CHARS]
-    values = _theta1_values(rows, ctrl)
+    values = _theta1_rows(_GENUS1_CHARS, (), [(arg, tau) for z in zs for arg in (z, z + h, z - h)], ctrl)
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     s00, s01, s10 = n00**2, n01**2, n10**2
     quartic = _rel(n00**4, n01**4 + n10**4)
     two_k = 2.0 * (math.pi / 2.0 * n00 * n00)  # u = 2Kz, K = (pi/2) theta^2[0;0](0)
     out = []
     for i, z in enumerate(zs):
-        t00, t01, t10, t11 = t = values[8 * i : 8 * i + 4]
+        t00, t01, t10, t11 = t = values[3 * i]
         q00, q01, q10, q11 = t00**2, t01**2, t10**2, t11**2
         sn, cn, dn = _jacobi(nulls, t, z)
         out.append([
@@ -215,20 +189,21 @@ def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float) -
             quartic,
             abs(sn * sn + cn * cn - 1.0),
             abs(dn * dn + k_sq * sn * sn - 1.0),
-            _sn_ode(nulls, k_sq, two_k, values[8 * i + 4 : 8 * i + 8], z, -sn, h),
+            _sn_ode(nulls, k_sq, two_k, values[3 * i + 1 : 3 * i + 3], z, -sn, h),
         ])
     return out
 
 
 def _sn_ode(nulls, k_sq: complex, two_k: complex, stencil, z, x: complex, h: float) -> float:
     """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) at z, for x = -sn (_sn_ratio)
-    there, with dx/du by a central difference of step h from theta1[0;1],
-    theta1[1;1] at z + h, then at z - h (stencil).
+    there, with dx/du by a central difference of step h from the four
+    theta1 values at z + h, then at z - h (stencil), in _GENUS1_CHARS order.
 
     u = 2Kz, so dx/du = (dx/dz) / (2K), two_k.
     """
-    x_plus = _sn_ratio(nulls, *stencil[:2], z + h)
-    x_minus = _sn_ratio(nulls, *stencil[2:], z - h)
+    (_, t01, _, t11), (_, m01, _, m11) = stencil
+    x_plus = _sn_ratio(nulls, t01, t11, z + h)
+    x_minus = _sn_ratio(nulls, m01, m11, z - h)
     dxdu = (x_plus - x_minus) / (2.0 * h) / two_k
     return _rel(dxdu * dxdu, (1.0 - x * x) * (1.0 - k_sq * x * x))
 
@@ -256,11 +231,11 @@ def degeneration_residuals(cd: CurveData, nulls, points) -> list[tuple[list[floa
     tau1, tau2 = cd.tau.tau1, cd.tau.tau2
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
-    g1 = _theta1_values([(c, z, t) for z, t in args for c in _GENUS1_CHARS], cd.ctrl)
+    g1 = _theta1_rows(_GENUS1_CHARS, (), args, cd.ctrl)
     out, curve = [], None
     for i, (point, row) in enumerate(zip(points, g2)):
         pair = _pair_from_thetas(cd, dict(zip(ALL_CHARACTERISTICS, row)), point)[0]
-        g1u, g1v = g1[8 * i : 8 * i + 4], g1[8 * i + 4 : 8 * i + 8]
+        g1u, g1v = g1[2 * i], g1[2 * i + 1]
         x = _sn_ratio(nulls, g1u[1], g1u[3], point.u)
         if curve is None:  # after the first point's pair and x, so its errors raise first
             curve = _split_curve_rows(cd.moduli)

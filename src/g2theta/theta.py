@@ -8,7 +8,11 @@ The basic object is the two-variable series
 
 for bits a, b, c, d in {0, 1} and a period matrix (tau1, tau12; tau12, tau2)
 with positive-definite imaginary part.  The lattice sum is truncated to a
-square box whose radius comes from the Gaussian decay of the summand.
+box (N1, N2), m in [-N1, N1] and n in [-N2, N2]: for a genus-2 value a
+square box whose radius comes from the Gaussian decay of the summand, and
+for a genus-1 theta[a; b](z, t), which the degeneration layer reads as
+theta[a 0; b 0]((z, 0); diag(t, t)), the box (N, 0), whose terms are those
+of the one-variable series.  One kernel does both, every step below.
 
 The kernel sums each lattice class (a, c) once for all four of its
 characteristics.  With p = m + a/2, q = n + c/2 and
@@ -19,9 +23,11 @@ quad = tau1 p^2 + tau2 q^2 + 2 tau12 p q, a term is
 The bracket, the class term, depends on the point and (a, c) alone, and
 the exact unit on (b, d) and the parities of m and n.  The class term is
 factored (Deconinck et al., Computing Riemann theta functions, Math. Comp.
-73, 2004): 4 (2N+1) exp calls per point and one complex product per term,
-while the factors stay within exp(+-700) (_in_factor_range; at DEFAULT_TAU
-up to N = 8), else one exp per class term.  Against a 30-digit mpmath sum
+73, 2004): a row of exp(2 pi i p u) per bit a and a column of
+exp(2 pi i q v) per bit c that a request reads, at most 4 (2N+1) exp
+calls per point, and one complex product per term, while the factors stay
+within exp(+-700) (_in_factor_range; at DEFAULT_TAU up to N = 8), else one
+exp per class term.  Against a 30-digit mpmath sum
 over 80 points with |Re| <= 1 and |Im| <= 0.4, values are within 6.6e-16
 and 1.25e-15 of max(1, |theta|), and gradients within 9.6e-16 and 2.7e-15,
 at DEFAULT_TAU and at (0.2+1.4i, -0.1+0.95i, 0.03+0.3i).
@@ -36,7 +42,7 @@ real and imaginary parts, certify its own row; the row of an output left
 unsettled is built and summed by exact_row_sums.  So every output is
 bit-reproducible and does not depend on what was evaluated with it.
 What a request (the characteristics of its values and gradients) reads
-at one radius is built once for every period matrix, a _Plan that picks
+on one box is built once for every period matrix, a _Plan that picks
 its classes' tables from the period matrix's lattice form.  A grid of at
 most _SCALAR_OUTPUTS outputs certifies its sums on Python floats, a larger
 one on arrays: the same IEEE operations, so the same bits.  A values request
@@ -201,8 +207,7 @@ def _decay(lmin: float, tol: float) -> tuple[float, float]:
 
 
 def _radius(point: Point2, lmin: float, reach: float, max_radius: int) -> int:
-    """truncation_radius from the _decay of the period matrix (or, with v = 0
-    and lmin = Im tau, of a genus-1 series)."""
+    """truncation_radius from the _decay of the period matrix."""
     u, v = point
     reach = (abs(u.imag) + abs(v.imag)) / lmin + reach
     if not math.isfinite(reach):
@@ -220,95 +225,103 @@ def _radius(point: Point2, lmin: float, reach: float, max_radius: int) -> int:
 _FACTOR_LOG = 700.0
 
 
-def _in_factor_range(tau: PeriodMatrix, n: int) -> bool:
-    """Whether the lattice terms of radius n may be built from factors.
+def _in_factor_range(tau: PeriodMatrix, shape: tuple[int, int]) -> bool:
+    """Whether the lattice terms of the box (N1, N2) may be built from factors.
 
-    pi Im quad, the -log of the tau factor, is largest at a box corner.  A
-    point of radius n has |Im u| + |Im v| < n lambda_min, so its row times
-    column factor stays within exp(2 pi (n + 1/2) n lambda_min), below the
-    corner bound as y1 + y2 >= 2 lambda_min.
+    pi Im quad, the -log of the tau factor, is largest at a corner of the
+    square box of radius n = max(N1, N2), which holds the box.  A point of
+    radius n has |Im u| + |Im v| < n lambda_min, so its row times column
+    factor stays within exp(2 pi (n + 1/2) n lambda_min), below the corner
+    bound as y1 + y2 >= 2 lambda_min.
     """
     y1, y2, y12 = tau.tau1.imag, tau.tau2.imag, tau.tau12.imag
-    corner = math.pi * (n + 0.5) ** 2 * (y1 + y2 + 2.0 * abs(y12))
+    corner = math.pi * (max(shape) + 0.5) ** 2 * (y1 + y2 + 2.0 * abs(y12))
     return corner <= _FACTOR_LOG
 
 
 class _LatticeForm(namedtuple("_LatticeForm", "quad tau_factor")):
-    """The tau-only factors of the lattice terms on the box of one radius N.
+    """The tau-only factors of the lattice terms on one box (N1, N2).
 
-    quad[t, 2a + c] is the (2N+1, 2N+1) table of tau1 p^2 + tau2 q^2 + 2
-    tau12 p q of period matrix t (one, or a stack), p = offsets[a] down and
-    q = offsets[c] across (_box); a form keeps tau_factor = exp(i pi quad)
-    where every t is _in_factor_range, else quad itself, and None for the other.
+    quad[t, 2a + c] is the (2N1+1, 2N2+1) table of tau1 p^2 + tau2 q^2 + 2
+    tau12 p q of period matrix t (one, or a stack), p = down[a] and
+    q = across[c] (_box); a form keeps tau_factor = exp(i pi quad) where
+    every t is _in_factor_range, else quad itself, and None for the other.
     """
 
     __slots__ = ()
 
 
 @lru_cache(maxsize=16)
-def _box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """offsets, offsets[a] holding m + a/2 for m in [-n, n], and the p and q
-    of the four class tables of a _lattice_form (axis 1), as complex: each
-    product of a form would cast them to complex again.  Shared, so read-only."""
-    offsets = np.arange(-n, n + 1) + np.array([[0.0], [0.5]])
-    p, q = offsets[:, :, None].astype(np.complex128), offsets[:, None, :].astype(np.complex128)
-    box = offsets, p[None, [0, 0, 1, 1]], q[None, [0, 1, 0, 1]]
+def _box(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The box (N1, N2): down[a] holding m + a/2 for m in [-N1, N1], across[c]
+    holding n + c/2 for n in [-N2, N2], and the p and q of the four class
+    tables of a _lattice_form (axis 1), as complex: each product of a form
+    would cast them to complex again.  Shared, so read-only."""
+    down, across = (np.arange(-n, n + 1) + np.array([[0.0], [0.5]]) for n in shape)
+    p, q = down[:, :, None].astype(np.complex128), across[:, None, :].astype(np.complex128)
+    box = down, across, p[None, [0, 0, 1, 1]], q[None, [0, 1, 0, 1]]
     for array in box:
         array.flags.writeable = False
     return box
 
 
-def _lattice_form(taus, n: int) -> _LatticeForm:  # taus all in _in_factor_range, or none
-    _, pc, qc = _box(n)
+def _lattice_form(taus, shape: tuple[int, int]) -> _LatticeForm:  # taus all in _in_factor_range, or none
+    _, _, pc, qc = _box(shape)
     # each product on the way to i pi quad is within pi size; a form that may leave
     # double range is built quietly, and its non-finite terms raise when summed
-    size = max([abs(t1) + abs(t2) + 2.0 * abs(t12) for t1, t2, t12 in taus]) * (n + 0.5) ** 2
+    size = max([abs(t1) + abs(t2) + 2.0 * abs(t12) for t1, t2, t12 in taus]) * (max(shape) + 0.5) ** 2
     quiet = not math.isfinite(4.0 * math.pi * size)
     # one's scalars, else arrays over a stack
     t1, t2, t12 = taus[0] if len(taus) == 1 else np.array(taus).T[:, :, None, None, None]
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
         quad = t1 * pc * pc + t2 * qc * qc + 2.0 * t12 * pc * qc
-        if not all(_in_factor_range(tau, n) for tau in taus):
+        if not all(_in_factor_range(tau, shape) for tau in taus):
             return _LatticeForm(quad, None)
         np.multiply(_IPI, quad, out=quad)
         return _LatticeForm(None, np.exp(quad, out=quad))
 
 
 @lru_cache(maxsize=16)
-def _parity_signs(radius: int) -> np.ndarray:
+def _parity_signs(shape: tuple[int, int]) -> np.ndarray:
     """The signs (-1)^(m b + n d) that sum a class grid once per (b, d).
 
-    A class grid of W^2 terms, W = 2 radius + 1, read as 2 W^2 doubles (parts
-    r = 0, 1 interleaved), times this (2 W^2, 8) matrix gives part r of its
-    signed sum for (b, d) in column 2 (2b + d) + r.  Shared, so read-only.
+    A class grid of W1 W2 terms on the box (N1, N2), W = 2N + 1, read as
+    2 W1 W2 doubles (parts r = 0, 1 interleaved), times this (2 W1 W2, 8)
+    matrix gives part r of its signed sum for (b, d) in column 2 (2b + d) + r.
+    Shared, so read-only.
     """
-    sign = np.where(np.arange(-radius, radius + 1) % 2 == 0, 1.0, -1.0)
-    rows = np.array([np.ones_like(sign), sign])  # (-1)^(m b) at [b, m]
-    signs = (rows[:, None, :, None] * rows[None, :, None, :]).reshape(4, -1)
+    # (-1)^(m b) at [b, m], then (-1)^(n d) at [d, n]
+    down, across = (np.array([np.ones(2 * n + 1), (-1.0) ** np.arange(-n, n + 1)]) for n in shape)
+    signs = (down[:, None, :, None] * across[None, :, None, :]).reshape(4, -1)
     matrix = (signs.T[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(-1, 8)
     matrix.flags.writeable = False
     return matrix
 
 
-class _Plan(namedtuple("_Plan", "select a c offsets grid_class jets parity split columns signs reads terms")):
+class _Plan(
+    namedtuple("_Plan", "select a c phases axis rows cols grid_class jets parity split columns signs reads terms")
+):
     """What the grids of one request (theta[c] for c in values, then d/du and
-    d/dv theta[c] for c in grads) read at one radius, for every period matrix.
+    d/dv theta[c] for c in grads) read on one box, for every period matrix.
 
-    The classes 2a + c read, ascending, have bits a and c, offsets[a] and
-    offsets[c] stacked, and their tables at select of a lattice form.  Grid
-    g, (jet, class) ascending, jet 1 and 2 the d/du and d/dv, is class
-    grid_class[g] times jets[g] (None without grads).  Part r of output k is
-    signs[2k + r] sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part
-    r of grid g signed for (b, d) (parity); reads pairs them.  terms counts
-    the class and jet terms of one point's grids.
+    The classes 2a + c read, ascending, have bits a and c and their tables
+    at select of a lattice form.  A point's factors are exp(2 pi i phases
+    z[axis]), z = (u, v): a row of 2N1+1 for each bit a read, then a column
+    of 2N2+1 for each bit c read; rows[k] and cols[k] index the row and the
+    column of class k.  Grid g, (jet, class) ascending, jet 1 and 2 the d/du
+    and d/dv, is class grid_class[g] times jets[g] (None without grads).
+    Part r of output k is signs[2k + r] sums[columns[2k + r]],
+    sums[8g + 2(2b + d) + r] being part r of grid g signed for (b, d)
+    (parity); reads pairs them.  terms counts the class and jet terms of one
+    point's grids.
     """
 
     __slots__ = ()
 
 
 @lru_cache(maxsize=64)
-def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...], radius: int):
-    """The _Plan of a request at a radius.  Shared, so read-only."""
+def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...], shape: tuple[int, int]):
+    """The _Plan of a request on the box shape (N1, N2).  Shared, so read-only."""
     wanted = [(c, 0) for c in values] + [(c, jet) for jet in (1, 2) for c in grads]
     grids = sorted({(jet, 2 * c.a + c.c) for c, jet in wanted})
     classes = sorted({cls for _, cls in grids})
@@ -320,14 +333,13 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
         columns += (column + power % 2, column + 1 - power % 2)
         signs += ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))[power]
     grid_class = [classes.index(cls) for _, cls in grids]
-    offsets = _box(radius)[0]
+    down, across = _box(shape)[:2]
     jets = None
     if grads:
-        two_pi_i = _TWO_PI_I * offsets
         jet, cls = np.array(grids).T
         jet = jet[:, None, None]
-        cols = np.where(jet == 2, two_pi_i[cls & 1, None, :], 1.0 + 0.0j)
-        jets = np.where(jet == 1, two_pi_i[cls >> 1, :, None], cols)
+        cols = np.where(jet == 2, _TWO_PI_I * across[cls & 1, None, :], 1.0 + 0.0j)
+        jets = np.where(jet == 1, _TWO_PI_I * down[cls >> 1, :, None], cols)
     reads = tuple(zip(columns, signs))
     # a slice, so the classes' tables are a view, unless the classes are {0, 1, 3} or {0, 2, 3}
     step = classes[-1] - classes[-2] if len(classes) > 1 else 1
@@ -335,14 +347,21 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
     select = slice(span.start, span.stop, step) if classes == list(span) else np.array(classes)
     classes = np.array(classes)
     a, c = classes >> 1, classes & 1
-    stacked = np.stack((offsets[a], offsets[c]))
+    # one exp per lattice bit and point: the rows of the bits a read, then the columns of the bits c
+    row_bits, col_bits = sorted(set(a.tolist())), sorted(set(c.tolist()))
+    phases = np.concatenate([down[bit] for bit in row_bits] + [across[bit] for bit in col_bits])
+    height, width = down.shape[1], across.shape[1]
+    axis = np.repeat([0, 1], [len(row_bits) * height, len(col_bits) * width])
+    rows = (np.searchsorted(row_bits, a) * height)[:, None] + np.arange(height)
+    cols = (len(row_bits) * height + np.searchsorted(col_bits, c) * width)[:, None] + np.arange(width)
     columns, signs, grid_class = map(np.array, (columns, signs, grid_class))
-    for array in (a, c, stacked, grid_class, columns, signs, jets):
+    for array in (a, c, phases, axis, rows, cols, grid_class, columns, signs, jets):
         if array is not None:
             array.flags.writeable = False
-    width = (2 * radius + 1) ** 2
-    split, terms = _split_constants(width), len(grid_class) * width
-    return _Plan(select, a, c, stacked, grid_class, jets, _parity_signs(radius), split, columns, signs, reads, terms)
+    size = height * width
+    split, terms = _split_constants(size), len(grid_class) * size
+    parity = _parity_signs(shape)
+    return _Plan(select, a, c, phases, axis, rows, cols, grid_class, jets, parity, split, columns, signs, reads, terms)
 
 
 # A component u (or v) whose real part reaches this in size is evaluated at
@@ -353,19 +372,19 @@ _REDUCE_RE = 2.0
 
 def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
     """The class-jet grids of a _Plan on a lattice form at every point, shape
-    (P, G, 2N+1, 2N+1), or at one point on each of T stacked forms, (T, ...).
+    (P, G, 2N1+1, 2N2+1), or at one point on each of T stacked forms, (T, ...).
 
-    N is the plan's radius, the points' truncation radius; m ascends along
-    axis 2 and n along axis 3.  A non-finite real part raises; exp overflow
-    of the per-term path shows up as a non-finite term when it is summed.
+    (N1, N2) is the plan's box; m ascends along axis 2 and n along axis 3.
+    A non-finite real part raises; exp overflow of the per-term path shows
+    up as a non-finite term when it is summed.
     """
     if len(points) == 1 and form.tau_factor is not None and plan.jets is None and points != (ORIGIN,):
         u, v = point = points[0]
         if abs(u.real) < _REDUCE_RE and abs(v.real) < _REDUCE_RE:
-            # the factored path's operations on one point's (2, G, 2N+1)
-            # factors, without the point axis and the plumbing of a batch
-            factors = np.exp(_TWO_PI_I * (plan.offsets * np.array(point, dtype=np.complex128)[:, None, None]))
-            terms = factors[0, :, :, None] * factors[1, :, None, :]
+            # the factored path's operations on one point's factors, without
+            # the point axis and the plumbing of a batch
+            factors = np.exp(_TWO_PI_I * (plan.phases * np.array(point, dtype=np.complex128)[plan.axis]))
+            terms = factors[plan.rows][:, :, None] * factors[plan.cols][:, None, :]
             return np.multiply(terms, form.tau_factor[0, plan.select], out=terms)[None]
     z = np.array(points, dtype=np.complex128)
     quiet = form.tau_factor is None  # the factors stay within exp(+-700)
@@ -385,7 +404,7 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
         if quiet:
             # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
-            terms = plan.offsets[0, :, :, None] * u + plan.offsets[1, :, None, :] * v
+            terms = plan.phases[plan.rows][:, :, None] * u + plan.phases[plan.cols][:, None, :] * v
             terms *= 2.0
             terms = np.add(table, terms, out=terms if len(table) == 1 else None)
             np.multiply(_IPI, terms, out=terms)
@@ -394,9 +413,10 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
             # every row and column factor is exp(0) = 1, so the terms are the tau factors
             terms = table.copy()
         else:
-            # exp(2 pi i (m + a/2) u) and exp(2 pi i (n + c/2) v) per class: (P, 2, G, 2N+1)
-            factors = np.exp(_TWO_PI_I * (plan.offsets * z[:, :, None, None]))
-            terms = factors[:, 0, :, :, None] * factors[:, 1, :, None, :]
+            # exp(2 pi i (m + a/2) u) per bit a and exp(2 pi i (n + c/2) v) per bit c,
+            # then each class's row times its column: (P, G, 2N1+1, 2N2+1)
+            factors = np.exp(_TWO_PI_I * (plan.phases * z[:, plan.axis]))
+            terms = np.take(factors, plan.rows, axis=1)[..., None] * np.take(factors, plan.cols, axis=1)[:, :, None, :]
             terms = np.multiply(terms, table, out=terms if len(table) == 1 else None)
         if shift is not None:
             odd = np.abs(np.fmod(shift, 2.0))  # k mod 2
@@ -464,9 +484,12 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     from res to its nearer neighbour.  A row that is not settled this way,
     as when its terms cancel far below the largest term of the rows, is
     summed with math.fsum, and so is every row when some term reaches 2^900.
+    Rows of zeros only sum to +0.0, as math.fsum gives them, with no pass.
     A non-finite term, or a sum past double range, raises TruncationOverflow.
     """
     top = np.abs(rows).max(initial=0.0)
+    if not top:
+        return np.zeros(len(rows))
     if not top < _EXACT_MAX:
         if not np.isfinite(top):
             raise TruncationOverflow("lattice sum left double range: non-finite term")
@@ -519,18 +542,18 @@ def _settle(high, low, bound):
 _SCALAR_OUTPUTS = 16
 
 
-def _grid_sums(values, grads, points, form: _LatticeForm, radius: int) -> list[list[complex]]:
+def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]) -> list[list[complex]]:
     """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
 
     One row of R = len(values) + 2 len(grads) outputs per point (per period
     matrix of a stacked form), each the correctly rounded sum of its row of
-    terms on the form of this radius.  Only the parts left unsettled, and all
+    terms on the form of this box shape (N1, N2).  Only the parts left unsettled, and all
     parts when a term is non-finite or reaches 2^900, go to exact_row_sums.
     """
-    plan = _layout(tuple(values), tuple(grads), radius)
+    plan = _layout(tuple(values), tuple(grads), shape)
     terms = _class_terms(plan, form, points)
     count, parts_out = len(terms), len(plan.columns)
-    width = terms.shape[-1] ** 2
+    width = terms.shape[-2] * terms.shape[-1]
     flat = terms.view(np.float64).reshape(-1, 2 * width)
     top = np.abs(flat).max()
     if top < _EXACT_MAX:
@@ -595,8 +618,8 @@ def _origin_grid(taus, n: int) -> list[tuple[int, list[complex], _LatticeForm]]:
     n, each one's origin row (the even nulls, then d/du and d/dv of the two odd
     _NULL_GRAD_CHARS) and its slice of their stacked lattice form.  At the
     origin every row and column factor is 1, so the rows are one grid."""
-    form = _lattice_form(taus, n)
-    rows = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), form, n)
+    form = _lattice_form(taus, (n, n))
+    rows = _grid_sums(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, (ORIGIN,), form, (n, n))
     if len(rows) == 1:  # a stack of one is its own slice
         return [(n, rows[0], form)]
     quad, factor = form.quad, form.tau_factor
@@ -690,12 +713,13 @@ class CurveData:
         if len(points) == 1:
             n = self._radius(points[0])
             # as a list, which is never the origin grid's (ORIGIN,)
-            return _grid_sums(values, grads, list(points), self._form(n), n)
+            return _grid_sums(values, grads, list(points), self._form(n), (n, n))
 
         def grid(n, idx):
-            return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), n)
+            return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), (n, n))
 
-        return _by_grid([self._radius(point) for point in points], lambda n: _layout(values, grads, n).terms, grid)
+        radii = [self._radius(point) for point in points]
+        return _by_grid(radii, lambda n: _layout(values, grads, (n, n)).terms, grid)
 
     def _radius(self, point: Point2) -> int:
         """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""
@@ -706,7 +730,7 @@ class CurveData:
         if form is None:
             if len(self._forms) >= _FORMS_PER_CURVE:
                 self._forms.pop(next(iter(self._forms)), None)
-            form = self._forms[n] = _lattice_form((self.tau,), n)
+            form = self._forms[n] = _lattice_form((self.tau,), (n, n))
         return form
 
 
@@ -724,8 +748,8 @@ def curve_batch(taus, ctrl: SeriesControl = SeriesControl()) -> list[CurveData]:
         return [CurveData(tau, ctrl, origin) for tau, origin in zip(members, _origin_grid(members, key[0]))]
 
     try:
-        keys = [(n, _in_factor_range(tau, n)) for tau in taus for n in [truncation_radius(tau, ORIGIN, ctrl)]]
-        return _by_grid(keys, lambda key: _layout(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, key[0]).terms, grid)
+        keys = [(n, _in_factor_range(tau, (n, n))) for tau in taus for n in [truncation_radius(tau, ORIGIN, ctrl)]]
+        return _by_grid(keys, lambda key: _layout(EVEN_CHARACTERISTICS, _NULL_GRAD_CHARS, key[:1] * 2).terms, grid)
     except G2ThetaError:
         return [CurveData(tau, ctrl) for tau in taus]
 

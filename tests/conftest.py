@@ -10,7 +10,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from g2theta.degeneration import _radii1
 from g2theta.rng import SampleStream
 from g2theta.theta import (
     ALL_CHARACTERISTICS,
@@ -48,26 +47,27 @@ def brute_theta2(c, point, tau, radius=30):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def _reference_grid(c, point, tau, n):
-    """The lattice terms of one characteristic at one point, radius n.
+def _reference_grid(c, point, tau, shape):
+    """The lattice terms of one characteristic at one point, on the box
+    shape = (N1, N2): m in [-N1, N1] down and n in [-N2, N2] across.
 
     The operations of the production kernel, in the same order, up to the
     sign of a zero: the term of the lattice class (a, c) times the unit
-    (-1)^(m b + n d) i^(a b + c d).  Where the factors of radius n stay in
+    (-1)^(m b + n d) i^(a b + c d).  Where the factors of the box stay in
     range the class term is the row factor exp(2 pi i p u) times the column
     factor exp(2 pi i q v), times the tau factor exp(i pi quad); elsewhere
     it is one exp of i pi (quad + 2 p u + 2 q v).
     """
-    idx = np.arange(-n, n + 1, dtype=np.float64)
-    p_row = idx + 0.5 * c.a
-    q_col = idx + 0.5 * c.c
+    down, across = (np.arange(-n, n + 1, dtype=np.float64) for n in shape)
+    p_row = down + 0.5 * c.a
+    q_col = across + 0.5 * c.c
     p = p_row[:, None]
     q = q_col[None, :]
     quad = tau.tau1 * p * p + tau.tau2 * q * q + 2.0 * tau.tau12 * p * q
-    row_unit = 1j ** (c.a * c.b) * (-1.0) ** (idx * c.b)
-    col_unit = 1j ** (c.c * c.d) * (-1.0) ** (idx * c.d)
+    row_unit = 1j ** (c.a * c.b) * (-1.0) ** (down * c.b)
+    col_unit = 1j ** (c.c * c.d) * (-1.0) ** (across * c.d)
     unit = row_unit[:, None] * col_unit[None, :]
-    if not _in_factor_range(tau, n):
+    if not _in_factor_range(tau, shape):
         return p, q, np.exp(1j * math.pi * (quad + 2.0 * (p * point.u + q * point.v))) * unit
     two_pi_i = 2j * math.pi
     row = np.exp(two_pi_i * (p_row * point.u))
@@ -87,13 +87,13 @@ def reference_theta2(c, point, tau, ctrl=SeriesControl()):
     reproduce this value bit for bit.
     """
     n = truncation_radius(tau, point, ctrl)
-    return _reference_fsum(_reference_grid(c, point, tau, n)[2])
+    return _reference_fsum(_reference_grid(c, point, tau, (n, n))[2])
 
 
 def reference_theta2_grad(c, point, tau, ctrl=SeriesControl()):
     """Term-wise gradient of one characteristic on its own grid."""
     n = truncation_radius(tau, point, ctrl)
-    p, q, terms = _reference_grid(c, point, tau, n)
+    p, q, terms = _reference_grid(c, point, tau, (n, n))
     two_pi_i = 2j * math.pi
     return _reference_fsum((two_pi_i * p) * terms), _reference_fsum((two_pi_i * q) * terms)
 
@@ -156,15 +156,16 @@ def mp_theta_jets(tau, points, ctrl=SeriesControl()):
 
 
 def reference_theta1(c, z, tau, ctrl=SeriesControl()):
-    """One genus-1 value on its own row of terms, summed with math.fsum.
+    """One genus-1 value and its d/dz on their own rows of terms, summed with
+    math.fsum: theta[a 0; b 0]((z, 0); diag(tau, tau)) on the box (N, 0).
 
-    The production radius is used, so the genus-1 grid must reproduce this
-    value bit for bit.
+    The production radius is used, so the kernel must reproduce both bit
+    for bit.
     """
-    n = _radii1([(z, tau)], ctrl)[z, tau]
-    m = np.arange(-n, n + 1, dtype=float) + c.a / 2.0
-    expo = 1j * math.pi * (tau * m * m + 2.0 * m * (z + c.b / 2.0))
-    return _reference_fsum(np.exp(expo))
+    curve, point = PeriodMatrix(tau, tau, 0j), Point2(z, 0j)
+    n = truncation_radius(curve, point, ctrl)
+    p, _, terms = _reference_grid(HalfCharacteristic(c.a, 0, c.b, 0), point, curve, (n, 0))
+    return _reference_fsum(terms), _reference_fsum((2j * math.pi * p) * terms)
 
 
 def draw_points(seed, label, count):

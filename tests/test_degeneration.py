@@ -9,7 +9,7 @@ from scipy.special import ellipj, ellipk
 
 from conftest import draw_points, reference_theta1
 
-from g2theta import degeneration
+from g2theta import degeneration, harness
 from g2theta.degeneration import (
     DEGENERATION_LABELS,
     Genus1Characteristic,
@@ -28,7 +28,7 @@ from g2theta.errors import (
 )
 from g2theta.quadrature import tanh_sinh_01
 from g2theta.rng import SampleStream
-from g2theta.theta import ALL_CHARACTERISTICS, CurveData, PeriodMatrix, Point2, SeriesControl
+from g2theta.theta import ALL_CHARACTERISTICS, CurveData, PeriodMatrix, Point2, SeriesControl, truncation_radius
 
 TAU1 = 0.1 + 1.1j
 TAU2 = -0.15 + 1.3j
@@ -60,7 +60,7 @@ def _jacobi_functions(z, tau):
     """sn, cn, dn at theta argument z (the sn argument is u = 2Kz) and the
     modulus, by the path elliptic_residuals takes."""
     nulls = _nulls(tau)
-    t = degeneration._theta1_values([(c, z, tau) for c in CHARS1], CTRL)
+    [t] = degeneration._theta1_rows(CHARS1, (), [(z, tau)], CTRL)
     return (*degeneration._jacobi(nulls, t, z), elliptic_modulus(nulls))
 
 
@@ -87,27 +87,61 @@ def test_genus1_grid_is_bit_identical_to_one_row_per_value():
     # degeneration suite pass
     zs = [0.0, 0j, complex(-0.0, -0.0)]
     zs += [stream.next_complex(-0.5, 0.5, -1.5, 1.5) for _ in range(12)]
-    rows = [(c, z, tau) for tau in (1j, TAU1, -0.2 + 0.8j) for z in zs for c in CHARS1]
-    radii = set(degeneration._radii1([(z, tau) for _, z, tau in rows], SeriesControl()).values())
+    args = [(z, tau) for tau in (1j, TAU1, -0.2 + 0.8j) for z in zs]
+    radii = {truncation_radius(PeriodMatrix(tau, tau, 0j), Point2(z, 0j), CTRL) for z, tau in args}
     assert len(radii) >= 3
-    expected = [reference_theta1(c, z, tau) for c, z, tau in rows]
-    assert [theta1(c, z, tau) for c, z, tau in rows] == expected
-    # one grid for all rows, as the call sites use it
-    assert degeneration._theta1_values(rows, SeriesControl()) == expected
-    # the nulls of a tau are its four theta values at the origin
+    expected = [[reference_theta1(c, z, tau) for c in CHARS1] for z, tau in args]
+    assert [[theta1(c, z, tau) for c in CHARS1] for z, tau in args] == [[v for v, _ in row] for row in expected]
+    # one kernel call for all of them, values and d/dz, as the call sites use it
+    rows = degeneration._theta1_rows(CHARS1, CHARS1, args, CTRL)
+    assert rows == [[v for v, _ in row] + [g for _, g in row] for row in expected]
+    # the nulls of a tau are its even theta values at the origin, and the odd one is 0
     for tau in (1j, TAU1, -0.2 + 0.8j):
-        assert dict(genus1_nulls(tau, CTRL)) == {c: theta1(c, 0.0, tau) for c in CHARS1}
+        assert dict(genus1_nulls(tau, CTRL)) == {c: theta1(c, 0.0, tau) if c != (1, 1) else 0j for c in CHARS1}
+
+
+# theta1[a; b](z, t) in mpmath's Jacobi thetas at pi z and nome exp(i pi t):
+# the index and sign of each characteristic
+_JTHETA = {(0, 0): (3, 1), (0, 1): (4, 1), (1, 0): (2, 1), (1, 1): (1, -1)}
 
 
 def test_matches_reference_library():
-    q = mpmath.mpc(cmath.exp(1j * math.pi * TAU1))
-    table = {(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 1}
-    for (a, b), idx in table.items():
-        sign = -1.0 if (a, b) == (1, 1) else 1.0
-        for z in ZS:
-            ref = sign * complex(mpmath.jtheta(idx, mpmath.mpc(math.pi * z), q))
-            got = theta1(Genus1Characteristic(a, b), z, TAU1)
-            assert abs(got - ref) < 1e-12 * (1.0 + abs(ref))
+    # 40 seeded points of the elliptic suite's box, every characteristic, at
+    # i, 1.5i and tau1, against a 30-digit jtheta; the error is
+    # |err| / max(1, |exact|), held to the main kernel's bounds at DEFAULT_TAU
+    stream = SampleStream(5, "genus1-mpmath")
+    zs = [stream.next_complex(*harness._BOX) for _ in range(40)]
+    value_err = grad_err = 0.0
+    with mpmath.workdps(30):
+        for tau in (1j, 1.5j, TAU1):
+            rows = degeneration._theta1_rows(CHARS1, CHARS1, [(z, tau) for z in zs], CTRL)
+            nome = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi * mpmath.mpc(tau))
+            for z, row in zip(zs, rows, strict=True):
+                arg = mpmath.pi * mpmath.mpc(z)
+                for k, c in enumerate(CHARS1):
+                    index, sign = _JTHETA[c]
+                    value = sign * complex(mpmath.jtheta(index, arg, nome))
+                    grad = sign * complex(mpmath.pi * mpmath.jtheta(index, arg, nome, derivative=1))
+                    value_err = max(value_err, abs(row[k] - value) / max(1.0, abs(value)))
+                    grad_err = max(grad_err, abs(row[4 + k] - grad) / max(1.0, abs(grad)))
+    assert value_err <= 1.0e-15
+    assert grad_err <= 1.5e-15
+
+
+@pytest.mark.parametrize("tau", [1j, TAU1], ids=["i", "tau1"])
+def test_whole_periods_in_z_change_only_the_sign(tau):
+    # theta1[a; b](z + k) = (-1)^(a k) theta1[a; b](z): each z + k is exact
+    # and reduces back to z, so the bits agree, up to the sign of a zero
+    def bits(z, k=0):
+        values = [(-1) ** (c.a * k) * theta1(c, z, tau) for c in CHARS1]
+        return [((v.real + 0.0).hex(), (v.imag + 0.0).hex()) for v in values]
+
+    for z in (0.3j, 0.25 - 0.2j, -0.375 + 0.15j):
+        for k in (3, -7, 2**40):
+            assert bits(z + k) == bits(z, k), (z, k)
+    # 1e300 is an even integer
+    for y in (0.0, 0.3, -0.45):
+        assert bits(complex(1e300, y)) == bits(complex(0.0, y)), y
 
 
 def test_odd_null_vanishes_and_bad_tau_rejected():

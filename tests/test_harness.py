@@ -863,6 +863,10 @@ sys.exit(module.main())
         # one row per op, this checkout timed against itself
         ("kernel_timing.py", ["--ab", str(SRC), "--rounds", "2"], 5,
          {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),
+        # the verify op cut to a few samples of two suites
+        ("kernel_timing.py", ["--ab", str(SRC), "--rounds", "2", "--samples", "3",
+                              "--suite", "degeneration", "--suite", "elliptic"], 5,
+         {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),
     ],
 )
 def test_scripts_run_to_completion(script):

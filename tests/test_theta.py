@@ -177,11 +177,10 @@ def test_bounded_grids_over_mixed_radii_equal_per_point_evaluation(monkeypatch):
     grids = []
     original = theta._grid_sums
 
-    def counted(values, grads, pts, cd, n):
+    def counted(values, grads, pts, cd, shape):
         # the class and jet terms the grid allocates
-        classes = len(theta._layout(tuple(values), tuple(grads), n).grid_class)
-        grids.append((classes * len(pts) * (2 * n + 1) ** 2, n))
-        return original(values, grads, pts, cd, n)
+        grids.append((theta._layout(tuple(values), tuple(grads), shape).terms * len(pts), shape))
+        return original(values, grads, pts, cd, shape)
 
     monkeypatch.setattr(theta, "_grid_sums", counted)
     values = cd.values_at(ALL_CHARACTERISTICS, points)
@@ -261,14 +260,14 @@ def test_a_stacked_batch_of_curves_equals_curves_built_one_at_a_time(monkeypatch
     singles = [CurveData(tau, ctrl) for tau in taus]
     radii = Counter(cd._radius(ORIGIN) for cd in singles)
     assert set(radii) == {3, 4, 5}
-    assert not any(theta._in_factor_range(tau, 4) for tau in PER_TERM_TAUS)
+    assert not any(theta._in_factor_range(tau, (4, 4)) for tau in PER_TERM_TAUS)
     grids = []
     original = theta._grid_sums
 
-    def counted(values, grads, pts, form, n):
+    def counted(values, grads, pts, form, shape):
         # the period matrices of a grid, counted from its form's leading axis
-        grids.append((len(form.quad if form.tau_factor is None else form.tau_factor), form.quad is None, n))
-        return original(values, grads, pts, form, n)
+        grids.append((len(form.quad if form.tau_factor is None else form.tau_factor), form.quad is None, shape[0]))
+        return original(values, grads, pts, form, shape)
 
     monkeypatch.setattr(theta, "_grid_sums", counted)
     batch = theta.curve_batch(taus, ctrl)
@@ -277,7 +276,7 @@ def test_a_stacked_batch_of_curves_equals_curves_built_one_at_a_time(monkeypatch
         assert _origin_bits(stacked) == _origin_bits(single), tau
     # the two per-term taus share one grid on their stacked quad tables, the
     # others stacked by radius in grids of at most _GRID_TERMS class terms
-    per_tau = {n: theta._layout(EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS, n).terms for n in radii}
+    per_tau = {n: theta._layout(EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS, (n, n)).terms for n in radii}
     stacks = [(size, n) for size, factored, n in grids if factored]
     assert [size for size, factored, _ in grids if not factored] == [len(PER_TERM_TAUS)]
     assert all(size * per_tau[n] <= theta._GRID_TERMS for size, _, n in grids)
@@ -448,8 +447,8 @@ def _one_path(monkeypatch, tau, factored, points):
 
 def test_the_range_guard_sits_where_the_tau_factor_would_leave_range():
     # pi (n + 1/2)^2 (y1 + y2 + 2 |y12|) <= 700
-    assert [n for n in range(1, 12) if theta._in_factor_range(DEFAULT_TAU, n)] == list(range(1, 9))
-    assert [n for n in range(1, 12) if theta._in_factor_range(STRETCHED_TAU, n)] == [1, 2, 3, 4]
+    assert [n for n in range(1, 12) if theta._in_factor_range(DEFAULT_TAU, (n, n))] == list(range(1, 9))
+    assert [n for n in range(1, 12) if theta._in_factor_range(STRETCHED_TAU, (n, n))] == [1, 2, 3, 4]
     cd = curve_data(STRETCHED_TAU)
     assert cd._form(4).tau_factor is not None
     assert cd._form(5).tau_factor is None
@@ -479,7 +478,7 @@ def test_a_non_finite_argument_raises_truncation_overflow_without_a_warning(tau,
     # filterwarnings = error turns a numpy RuntimeWarning into a failure; at
     # this point of radius 5 STRETCHED_TAU takes the per-term exp
     parts = dict(zip(["Re u", "Im u", "Re v", "Im v"], [0.3, 1.2, -0.2, -0.48]))
-    assert theta._in_factor_range(tau, 5) == (tau == DEFAULT_TAU)
+    assert theta._in_factor_range(tau, (5, 5)) == (tau == DEFAULT_TAU)
     parts[part] = bad
     point = Point2(complex(parts["Re u"], parts["Im u"]), complex(parts["Re v"], parts["Im v"]))
     cd = curve_data(tau)
@@ -510,7 +509,7 @@ def test_every_point_the_exp_kernel_evaluates_still_evaluates(monkeypatch, tau):
         scale = max(1.0, max(abs(value) for value in head))
         assert max(abs(a - b) for a, b in zip(values, head)) <= 1e-13 * scale, y
         radius = truncation_radius(tau, point, SeriesControl())
-        if not theta._in_factor_range(tau, radius):
+        if not theta._in_factor_range(tau, (radius, radius)):
             assert values == head, y
 
 
@@ -586,7 +585,7 @@ def _explicit_sums(tau, point, radius):
     near = Point2(point.u - k, point.v - l)
     jets = ([], [], [])
     for c in ALL_CHARACTERISTICS:
-        p, q, terms = _reference_grid(c, near, tau, radius)
+        p, q, terms = _reference_grid(c, near, tau, (radius, radius))
         terms = terms * (-1.0) ** (c.a * k + c.c * l)
         for sums, row in zip(jets, (terms, (2j * math.pi * p) * terms, (2j * math.pi * q) * terms)):
             sums.append(_fsum_bits(row))
@@ -633,7 +632,7 @@ def test_the_class_kernel_sums_every_row_as_fsum_does(path, radius, tau, parts):
     cd = curve_data(tau)
     with pytest.MonkeyPatch.context() as patch:
         calls = _on_path(patch, path)
-        got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd._form(radius), radius)
+        got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd._form(radius), (radius, radius))
     assert len(calls) == (path == "floats")
     for point, row in zip(points, got, strict=True):
         assert [_bits(z) for z in row] == _explicit_sums(tau, point, radius), point
@@ -826,11 +825,16 @@ def test_cli_moduli_at_a_huge_diagonal_entry_exits_without_a_traceback(capsys):
         (1.1j, complex(math.nan, 1.3), 0.25j),
         (1.1j, 1.3j, complex(math.inf, 0.25)),
         (1.1j, 1.3j, complex(0.0, math.nan)),
+        # a genus-1 tau t alone, refused as the period matrix diag(t, t)
+        (complex(math.nan, 1.0),),
     ],
 )
 def test_non_finite_period_matrix_entries_are_refused(entries):
     with pytest.raises(DegenerateTau, match="finite"):
-        PeriodMatrix(*entries)
+        if len(entries) == 1:
+            theta1(Genus1Characteristic(0, 0), 0.1, *entries)
+        else:
+            PeriodMatrix(*entries)
 
 
 _INF, _NAN = math.inf, math.nan

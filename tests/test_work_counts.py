@@ -77,7 +77,7 @@ def test_a_fresh_tau_evaluates_the_origin_once(monkeypatch):
     # [10;10] and [11;10], at radius 4; the six odd nulls are exactly 0 and
     # are not summed
     assert [(len(values), len(grads), points, radius) for values, grads, points, _, radius in grids] == [
-        (10, 2, (theta.ORIGIN,), 4)
+        (10, 2, (theta.ORIGIN,), (4, 4))
     ]
     # the values of the four lattice classes and the two jets of the classes
     # (1, 0) and (1, 1): 8 class-jet grids of 81 terms for 14 outputs
@@ -133,9 +133,9 @@ def test_repeated_inversions_at_one_curve_and_radius_build_their_plan_once(monke
     # the origin grid's plan (10 values and 2 gradients), then the plan of
     # the grid recover_pair reads (4 values), each built once, at radius 4,
     # and shared by the second period matrix
-    assert [(len(values), len(grads), radius) for values, grads, radius in builds] == [
-        (10, 2, 4),
-        (4, 0, 4),
+    assert [(len(values), len(grads), shape) for values, grads, shape in builds] == [
+        (10, 2, (4, 4)),
+        (4, 0, (4, 4)),
     ]
     assert list(cd._forms) == [4]
 
@@ -152,11 +152,11 @@ def test_a_plan_outlives_the_lattice_form_it_read(monkeypatch):
     for n in radii:
         cd.values_at(chars, (by_radius[n],))
     # one plan per radius; the form of the first radius was dropped for the last
-    assert [n for _, _, n in builds] == radii
+    assert [n for _, _, (n, _) in builds] == radii
     assert radii[0] not in cd._forms
     # the form is built again and the plan is not
     cd.values_at(chars, (by_radius[radii[0]],))
-    assert [n for _, _, n in builds] == radii
+    assert [n for _, _, (n, _) in builds] == radii
     assert cd._form(radii[0]) is not first
 
 
@@ -192,21 +192,15 @@ def _after_the_run_curve(grids):
 
 
 def _grid_sizes(monkeypatch, sizes):
-    """Record the number of terms of every grid summed: the class-jet grids
-    of genus 2 and the rows of genus 1."""
-    class_terms, theta1_grid = theta._class_terms, degeneration._theta1_grid
+    """Record the number of terms of every grid summed, of genus 2 and of genus 1."""
+    class_terms = theta._class_terms
 
     def counted_terms(*args):
         terms = class_terms(*args)
         sizes.append(terms.size)
         return terms
 
-    def counted_rows(rows, n):
-        sizes.append(len(rows) * (2 * n + 1))
-        return theta1_grid(rows, n)
-
     monkeypatch.setattr(theta, "_class_terms", counted_terms)
-    monkeypatch.setattr(degeneration, "_theta1_grid", counted_rows)
 
 
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
@@ -246,8 +240,8 @@ def test_derivative_suite_reads_only_the_gradients_its_formulas_read(monkeypatch
     # formulas read: 4 class grids and 2 jets of 2 classes, 8 class-jet grids
     # a point, not 12, so the 20 points at radius 4 fill 2 grids, not 3
     assert [(len(args[0]), len(args[1])) for args in grids] == [(9, 3)] * len(grids)
-    assert [args[4] for args in grids] == [4] * len(grids)
-    assert {theta._layout(tuple(args[0]), tuple(args[1]), 4).terms for args in grids} == {8 * 9**2}
+    assert [args[4] for args in grids] == [(4, 4)] * len(grids)
+    assert {theta._layout(tuple(args[0]), tuple(args[1]), (4, 4)).terms for args in grids} == {8 * 9**2}
     assert sum(len(args[2]) for args in grids) == 20
     assert len(grids) == 2
 
@@ -271,7 +265,7 @@ def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     cfg = RunConfig(samples=3, suites=("degeneration",))
     grids, genus1 = [], []
     _counting(monkeypatch, theta, "_grid_sums", grids)
-    _counting(monkeypatch, degeneration, "_theta1_values", genus1)
+    _counting(monkeypatch, degeneration, "_grid_sums", genus1)
     result = run_suites(cfg).suites[0]
     assert (result.samples_run, result.skip_reasons) == (3, {})
     # the run's split curve, then one batch: the splitting check and the
@@ -279,15 +273,18 @@ def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     grids = _after_the_run_curve(grids)
     assert [len(args[0]) for args in grids] == [16] * len(grids)
     assert sum(len(args[2]) for args in grids) == 3
-    # ... and, after the genus-1 nulls of tau1, one genus-1 evaluation, four
-    # values at u and four at v
-    assert [len(args[0]) for args in genus1] == [4, 8 * 3]
+    # ... and, after the three even genus-1 nulls of tau1, one genus-1
+    # evaluation of the four values at (u, tau1) and at (v, tau2), on (N, 0)
+    # boxes
+    assert [(len(args[0]), args[2]) for args in genus1[:1]] == [(3, (theta.ORIGIN,))]
+    assert {(len(args[0]), len(args[1]), args[4][1]) for args in genus1[1:]} == {(4, 0, 0)}
+    assert sum(len(args[2]) for args in genus1[1:]) == 2 * 3
 
 
 def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once(monkeypatch):
     grids, genus1, sizes = [], [], []
     _counting(monkeypatch, theta, "_grid_sums", grids)
-    _counting(monkeypatch, degeneration, "_theta1_grid", genus1)
+    _counting(monkeypatch, degeneration, "_grid_sums", genus1)
     _grid_sizes(monkeypatch, sizes)
     report = run_suites(RunConfig(samples=20))
     assert report.passed
@@ -295,13 +292,15 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     # the 305 grids of one sample at a time, less than a third of them
     assert len(sizes) == len(grids) + len(genus1) < 305 / 3
     # each point is evaluated once per period matrix, the origin too: the
-    # nulls and the null gradients are one grid
+    # nulls and the null gradients are one grid; a genus-1 tau's period
+    # matrix diag(tau, tau) on its (N, 0) boxes counts as one more
     evaluated = Counter(
-        (member, point) for _, _, points, form, _ in grids for member in _members(form) for point in points
+        (member, point)
+        for _, _, points, form, _ in grids + genus1
+        for member in _members(form)
+        for point in points
     )
     assert {key: n for key, n in evaluated.items() if n > 1} == {}
-    rows = Counter(row for rows, _ in genus1 for row in rows)
-    assert max(rows.values()) == 1
 
 
 def test_the_moduli_suite_stacks_the_origin_grids_of_its_batch(monkeypatch):
@@ -353,7 +352,7 @@ def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
 def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
     calls = {"grids": [], "genus1": [], "moduli": [], "flow": []}
     _counting(monkeypatch, theta, "_grid_sums", calls["grids"])
-    _counting(monkeypatch, degeneration, "_theta1_values", calls["genus1"])
+    _counting(monkeypatch, degeneration, "_grid_sums", calls["genus1"])
     _counting(monkeypatch, moduli, "build_moduli", calls["moduli"])
     _counting(monkeypatch, flow, "build_flow_constants", calls["flow"])
     counts = []
@@ -365,30 +364,45 @@ def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
         assert run_suites(RunConfig(samples=20, seed=3)).passed
         counts.append({name: len(recorded) for name, recorded in calls.items()})
     # the 21 grids of the samples and one origin grid each of the configured
-    # and split curves; the genus-1 nulls of tau1, i and 1.5i and one batch
-    # each of the degeneration and elliptic suites; the moduli of the two
-    # curves and of the 19 drawn period matrices
-    assert counts == [{"grids": 23, "genus1": 5, "moduli": 21, "flow": 1}] * 4
+    # and split curves; the genus-1 grids: the nulls of tau1, i and 1.5i, the
+    # degeneration batch's at (u, tau1) and at (v, tau2) and the elliptic
+    # batch's (one radius each); the moduli of the two curves and of the 19
+    # drawn period matrices
+    assert counts == [{"grids": 23, "genus1": 6, "moduli": 21, "flow": 1}] * 4
+
+
+def test_a_verify_run_sends_only_vanishing_parts_to_exact_row_sums(monkeypatch):
+    rows = []
+    _counting(monkeypatch, theta, "exact_row_sums", rows)
+    assert run_suites(RunConfig(samples=20, seed=3)).passed
+    # the parts whose terms sum to exactly 0, which no certified sum can
+    # round: on the split curve's origin grid (81 terms), the null of
+    # [11;11] and the d/dv of [10;10] and [11;10]; the imaginary parts of the
+    # even genus-1 nulls of i (9 terms) and 1.5i (7), whose terms are real
+    assert [args[0].shape for args in rows] == [(6, 81), (3, 9), (3, 7)]
 
 
 @pytest.mark.parametrize(
     ("suites", "curves", "genus1"),
     [
-        # no curve; the nulls of tau1, one batch, then the nulls of i and 1.5i
-        (("elliptic",), [], [4, 8 * 20, 4, 4]),
+        # no curve; the nulls of tau1, one batch at z, z + h and z - h, then
+        # the nulls of i and 1.5i
+        (("elliptic",), [], [1, 3 * 20, 1, 1]),
         # the configured curve; the drawn period matrices are the suite's own
         (("moduli",), [DEFAULT_TAU], []),
-        # the configured curve, then the split curve and the nulls of tau1
-        (("fundamental", "degeneration"), [DEFAULT_TAU, PeriodMatrix(*DEFAULT_TAU[:2], 0.0)], [4, 8 * 20]),
+        # the configured curve, then the split curve and the nulls of tau1,
+        # and one batch at (u, tau1) and at (v, tau2)
+        (("fundamental", "degeneration"), [DEFAULT_TAU, PeriodMatrix(*DEFAULT_TAU[:2], 0.0)], [1, 20, 20]),
     ],
 )
 def test_a_run_builds_only_the_per_tau_data_its_suites_read(monkeypatch, suites, curves, genus1):
-    built, rows = [], []
+    built, grids = [], []
     _counting(monkeypatch, harness, "CurveData", built)
-    _counting(monkeypatch, degeneration, "_theta1_values", rows)
+    _counting(monkeypatch, degeneration, "_grid_sums", grids)
     assert run_suites(RunConfig(samples=20, suites=suites)).passed
     assert [args[0] for args in built] == curves
-    assert [len(args[0]) for args in rows] == genus1
+    # the points of each genus-1 grid
+    assert [len(args[2]) for args in grids] == genus1
 
 
 def test_the_library_leaves_the_curve_cache_alone(capsys):
@@ -410,13 +424,15 @@ def test_the_library_leaves_the_curve_cache_alone(capsys):
 def test_a_curve_alone_is_a_batch_of_one(monkeypatch, tau):
     ctrl = theta.SeriesControl()
     radius = theta.truncation_radius(tau, theta.ORIGIN, ctrl)
-    assert theta._in_factor_range(tau, radius) == (tau.tau2.imag < 2)
+    assert theta._in_factor_range(tau, (radius, radius)) == (tau.tau2.imag < 2)
     grids = []
     _counting(monkeypatch, theta, "_grid_sums", grids)
     alone = theta.CurveData(tau, ctrl)
     [batch] = theta.curve_batch([tau], ctrl)
     # one origin grid each, on a lattice form of one period matrix
-    assert [(args[2], len(_members(args[3])), args[4]) for args in grids] == [((theta.ORIGIN,), 1, radius)] * 2
+    assert [(args[2], len(_members(args[3])), args[4]) for args in grids] == [
+        ((theta.ORIGIN,), 1, (radius, radius))
+    ] * 2
     assert _members(alone._form(radius)) == _members(batch._form(radius)) == _members(grids[0][3])
     assert (batch.nulls, batch.null_grads) == (alone.nulls, alone.null_grads)
 
