@@ -7,7 +7,9 @@ Cases, all at DEFAULT_TAU and radius 4:
   (theta._grid_sums called directly on the curve's lattice form);
 - recover_pair: one whole inversion at that point, the nulls cached;
 - values_at 6x16 and rows_at 6x16: 6 points and all 16 characteristics,
-  the size of one riemann grid, as values and as values and gradients;
+  as values and as values and gradients;
+- values_at 25x8: a full riemann grid, 25 points of the 8 characteristics
+  of riemann's products, whose batch point conversion and radii show here;
 - fresh CurveData: one new period matrix, its lattice form and origin grid;
 - stacked CurveData: 20 new period matrices from the harness's Siegel box,
   built by curve_batch on stacked origin grids (compare 20 fresh ones);
@@ -55,7 +57,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from g2theta import harness, inversion, theta
+from g2theta import harness, inversion, riemann, theta
 from g2theta.rng import SampleStream
 from g2theta.theta import ALL_CHARACTERISTICS, DEFAULT_TAU, CurveData, PeriodMatrix, Point2, SeriesControl
 
@@ -72,12 +74,16 @@ POINTS = tuple(
     Point2(complex(0.31 - 0.12 * k, -0.18 + 0.05 * k), complex(-0.42 + 0.15 * k, 0.2 - 0.07 * k))
     for k in range(6)
 )
+# 25 points of truncation radius 4 at DEFAULT_TAU, as many as a riemann grid holds
+RIEMANN_POINTS = tuple(
+    Point2(complex(-0.6 + 0.05 * k, 0.1 - 0.008 * k), complex(0.5 - 0.04 * k, -0.12 + 0.01 * k)) for k in range(25)
+)
 
 
 def _cases():
     cd = theta.curve_data(DEFAULT_TAU)
     cd.moduli  # recover_pair reads the moduli from the cache
-    assert {cd._radius(point) for point in POINTS} == {4}
+    assert {cd._radius(point) for point in POINTS + RIEMANN_POINTS} == {4}
     pair_chars = inversion._PAIR_CHARS
     point, ctrl, form = POINTS[0], SeriesControl(), cd._form(4)
     boxes = (harness._TAU_DIAG, harness._TAU_DIAG, harness._TAU_OFF)
@@ -87,6 +93,7 @@ def _cases():
         "recover_pair": (CALLS, lambda: inversion.recover_pair(point, DEFAULT_TAU)),
         "values_at 6x16": (CALLS, lambda: cd.values_at(ALL_CHARACTERISTICS, POINTS)),
         "rows_at 6x16": (CALLS // 4, lambda: cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, POINTS)),
+        "values_at 25x8 (riemann)": (CALLS // 4, lambda: cd.values_at(riemann._PRODUCT_CHARS, RIEMANN_POINTS)),
         "fresh CurveData": (CALLS // 4, lambda: CurveData(DEFAULT_TAU, ctrl)),
         "stacked CurveData (20 taus)": (CALLS // 4, lambda: theta.curve_batch(taus, ctrl)),
         "fresh import": (1, lambda: _fresh_import("g2theta_import", Path(theta.__file__).parents[1])),

@@ -111,9 +111,7 @@ def _theta1_rows(values, grads, args, ctrl: SeriesControl) -> list[list[complex]
         form = _lattice_form(curves[tau][:1], (n, 0))
         return _grid_sums(values, grads, tuple(Point2(args[i][0], 0j) for i in idx), form, (n, 0))
 
-    width = len(values) + len(grads)  # the d/dv of the box (N, 0) are 0, and dropped
-    rows = _by_grid(keys, lambda key: _layout(values, grads, (key[1], 0)).terms, grid)
-    return [row[:width] for row in rows]
+    return _by_grid(keys, lambda key: _layout(values, grads, (key[1], 0)).terms, grid)
 
 
 def theta1(c: Genus1Characteristic, z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()) -> complex:

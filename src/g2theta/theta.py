@@ -44,8 +44,10 @@ bit-reproducible and does not depend on what was evaluated with it.
 What a request (the characteristics of its values and gradients) reads
 on one box is built once for every period matrix, a _Plan that picks
 its classes' tables from the period matrix's lattice form.  A grid of at
-most _SCALAR_OUTPUTS outputs certifies its sums on Python floats, a larger
-one on arrays: the same IEEE operations, so the same bits.  A values request
+most _SCALAR_OUTPUTS outputs takes each output's signed high and low sums
+in output order from products with the plan's fold, matrices of 0 and
++-1, and certifies them on Python floats, a larger one on arrays: the same
+IEEE operations, so the same bits.  A values request
 at one point, factored and with no component to reduce, builds its class
 terms from that one point's factors and skips grid grouping: the batch's
 operations in the same order, so the same bits again.
@@ -218,6 +220,16 @@ def _radius(point: Point2, lmin: float, reach: float, max_radius: int) -> int:
     return n
 
 
+def _radii(points, lmin: float, reach: float, max_radius: int) -> list[int]:
+    """_radius of every point, by its float operations in one array pass."""
+    im = np.abs(np.fromiter(itertools.chain.from_iterable(points), np.complex128, 2 * len(points)).imag)
+    radii = np.floor((im[0::2] + im[1::2]) / lmin + reach) + 1.0
+    fits = radii <= max_radius  # False where not finite
+    if not fits.all():
+        _radius(points[fits.argmin()], lmin, reach, max_radius)  # raises the first bad point's error
+    return radii.astype(int).tolist()
+
+
 # On the factored path every factor, and a row times a column factor, has
 # |log| <= _FACTOR_LOG: exp(-700) is a normal double and exp(700) is finite,
 # so each keeps its full relative precision.  Only a term that underflows
@@ -299,7 +311,7 @@ def _parity_signs(shape: tuple[int, int]) -> np.ndarray:
 
 
 class _Plan(
-    namedtuple("_Plan", "select a c phases axis rows cols grid_class jets parity split columns signs reads terms")
+    namedtuple("_Plan", "select a c phases axis rows cols grid_class jets parity split columns signs fold terms")
 ):
     """What the grids of one request (theta[c] for c in values, then d/du and
     d/dv theta[c] for c in grads) read on one box, for every period matrix.
@@ -307,13 +319,16 @@ class _Plan(
     The classes 2a + c read, ascending, have bits a and c and their tables
     at select of a lattice form.  A point's factors are exp(2 pi i phases
     z[axis]), z = (u, v): a row of 2N1+1 for each bit a read, then a column
-    of 2N2+1 for each bit c read; rows[k] and cols[k] index the row and the
-    column of class k.  Grid g, (jet, class) ascending, jet 1 and 2 the d/du
-    and d/dv, is class grid_class[g] times jets[g] (None without grads).
-    Part r of output k is signs[2k + r] sums[columns[2k + r]],
-    sums[8g + 2(2b + d) + r] being part r of grid g signed for (b, d)
-    (parity); reads pairs them.  terms counts the class and jet terms of one
-    point's grids.
+    of 2N2+1 for each bit c read; rows[k] (a column) and cols[k] (a row)
+    index the row and the column factors of class k.  Grid g, (jet, class)
+    ascending, jet 1 and 2 the d/du and d/dv, is class grid_class[g] times
+    jets[g] (None without grads).  Part r of output k is signs[2k + r]
+    sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part r of grid g
+    signed for (b, d) (parity).  fold, for at most _SCALAR_OUTPUTS outputs,
+    holds that as matrices of 0 and +-1 which a point's grids, as doubles,
+    times each in turn give its 2R parts in output order: parity then the
+    gather of signs at columns, or for at most 8 parts their one product.
+    terms counts the class and jet terms of one point's grids.
     """
 
     __slots__ = ()
@@ -321,8 +336,8 @@ class _Plan(
 
 @lru_cache(maxsize=64)
 def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteristic, ...], shape: tuple[int, int]):
-    """The _Plan of a request on the box shape (N1, N2).  Shared, so read-only."""
-    wanted = [(c, 0) for c in values] + [(c, jet) for jet in (1, 2) for c in grads]
+    """The _Plan of a request on the box (N1, N2), no d/dv, exactly 0, on (N, 0).  Shared, so read-only."""
+    wanted = [(c, 0) for c in values] + [(c, jet) for jet in (1, 2)[: 1 + (shape[1] > 0)] for c in grads]
     grids = sorted({(jet, 2 * c.a + c.c) for c, jet in wanted})
     classes = sorted({cls for _, cls in grids})
     columns, signs = [], []
@@ -340,7 +355,6 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
         jet = jet[:, None, None]
         cols = np.where(jet == 2, _TWO_PI_I * across[cls & 1, None, :], 1.0 + 0.0j)
         jets = np.where(jet == 1, _TWO_PI_I * down[cls >> 1, :, None], cols)
-    reads = tuple(zip(columns, signs))
     # a slice, so the classes' tables are a view, unless the classes are {0, 1, 3} or {0, 2, 3}
     step = classes[-1] - classes[-2] if len(classes) > 1 else 1
     span = range(classes[0], classes[-1] + 1, step)
@@ -352,16 +366,18 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
     phases = np.concatenate([down[bit] for bit in row_bits] + [across[bit] for bit in col_bits])
     height, width = down.shape[1], across.shape[1]
     axis = np.repeat([0, 1], [len(row_bits) * height, len(col_bits) * width])
-    rows = (np.searchsorted(row_bits, a) * height)[:, None] + np.arange(height)
-    cols = (len(row_bits) * height + np.searchsorted(col_bits, c) * width)[:, None] + np.arange(width)
+    rows = (np.searchsorted(row_bits, a) * height)[:, None, None] + np.arange(height)[:, None]
+    cols = (len(row_bits) * height + np.searchsorted(col_bits, c) * width)[:, None, None] + np.arange(width)
     columns, signs, grid_class = map(np.array, (columns, signs, grid_class))
-    for array in (a, c, phases, axis, rows, cols, grid_class, columns, signs, jets):
+    parity, fold = _parity_signs(shape), ()
+    if len(wanted) <= _SCALAR_OUTPUTS:  # one product while no wider than parity, so it costs no more
+        gather = np.eye(8 * len(grids))[:, columns] * signs
+        fold = (np.kron(np.eye(len(grids)), parity) @ gather,) if len(columns) <= 8 else (parity, gather)
+    for array in (a, c, phases, axis, rows, cols, grid_class, columns, signs, jets, *fold):
         if array is not None:
             array.flags.writeable = False
-    size = height * width
-    split, terms = _split_constants(size), len(grid_class) * size
-    parity = _parity_signs(shape)
-    return _Plan(select, a, c, phases, axis, rows, cols, grid_class, jets, parity, split, columns, signs, reads, terms)
+    split, terms = _split_constants(height * width), len(grid_class) * height * width
+    return _Plan(select, a, c, phases, axis, rows, cols, grid_class, jets, parity, split, columns, signs, fold, terms)
 
 
 # A component u (or v) whose real part reaches this in size is evaluated at
@@ -383,10 +399,10 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
         if abs(u.real) < _REDUCE_RE and abs(v.real) < _REDUCE_RE:
             # the factored path's operations on one point's factors, without
             # the point axis and the plumbing of a batch
-            factors = np.exp(_TWO_PI_I * (plan.phases * np.array(point, dtype=np.complex128)[plan.axis]))
-            terms = factors[plan.rows][:, :, None] * factors[plan.cols][:, None, :]
+            factors = np.exp(_TWO_PI_I * (plan.phases * np.fromiter(point, np.complex128, 2)[plan.axis]))
+            terms = factors[plan.rows] * factors[plan.cols]
             return np.multiply(terms, form.tau_factor[0, plan.select], out=terms)[None]
-    z = np.array(points, dtype=np.complex128)
+    z = np.fromiter(itertools.chain.from_iterable(points), np.complex128, 2 * len(points)).reshape(-1, 2)
     quiet = form.tau_factor is None  # the factors stay within exp(+-700)
     with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
         shift = None
@@ -404,7 +420,7 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
         if quiet:
             # the exponent becomes the terms in place
             u, v = z[:, 0, None, None, None], z[:, 1, None, None, None]
-            terms = plan.phases[plan.rows][:, :, None] * u + plan.phases[plan.cols][:, None, :] * v
+            terms = plan.phases[plan.rows] * u + plan.phases[plan.cols] * v
             terms *= 2.0
             terms = np.add(table, terms, out=terms if len(table) == 1 else None)
             np.multiply(_IPI, terms, out=terms)
@@ -416,7 +432,7 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
             # exp(2 pi i (m + a/2) u) per bit a and exp(2 pi i (n + c/2) v) per bit c,
             # then each class's row times its column: (P, G, 2N1+1, 2N2+1)
             factors = np.exp(_TWO_PI_I * (plan.phases * z[:, plan.axis]))
-            terms = np.take(factors, plan.rows, axis=1)[..., None] * np.take(factors, plan.cols, axis=1)[:, :, None, :]
+            terms = np.take(factors, plan.rows, axis=1) * np.take(factors, plan.cols, axis=1)
             terms = np.multiply(terms, table, out=terms if len(table) == 1 else None)
         if shift is not None:
             odd = np.abs(np.fmod(shift, 2.0))  # k mod 2
@@ -515,9 +531,9 @@ def _split(rows: np.ndarray, top: float, shift: int, lo_error: float):
     sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
     bound = sigma * lo_error + _TINY
     parts = np.empty((2, *rows.shape))
-    np.add(rows, sigma, out=parts[0])
-    parts[0] -= sigma
-    np.subtract(rows, parts[0], out=parts[1])
+    high = np.add(rows, sigma, out=parts[0])
+    high -= sigma
+    np.subtract(rows, high, out=parts[1])
     return parts, bound
 
 
@@ -545,26 +561,27 @@ _SCALAR_OUTPUTS = 16
 def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]) -> list[list[complex]]:
     """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
 
-    One row of R = len(values) + 2 len(grads) outputs per point (per period
-    matrix of a stacked form), each the correctly rounded sum of its row of
+    One row of R = len(values) + 2 len(grads) outputs per point (per period matrix of a
+    stacked form; no d/dv on a box (N, 0)), each the correctly rounded sum of its row of
     terms on the form of this box shape (N1, N2).  Only the parts left unsettled, and all
     parts when a term is non-finite or reaches 2^900, go to exact_row_sums.
     """
     plan = _layout(tuple(values), tuple(grads), shape)
     terms = _class_terms(plan, form, points)
     count, parts_out = len(terms), len(plan.columns)
-    width = terms.shape[-2] * terms.shape[-1]
-    flat = terms.view(np.float64).reshape(-1, 2 * width)
+    flat = terms.view(np.float64).reshape(count, -1)
     top = np.abs(flat).max()
     if top < _EXACT_MAX:
-        parts, bound = _split(flat, top, *plan.split)
-        sums = (parts.reshape(-1, 2 * width) @ plan.parity).reshape(2, count, -1)
+        sums, bound = _split(flat, top, *plan.split)  # the hi and lo parts, summed below
         if count * parts_out <= 2 * _SCALAR_OUTPUTS:
-            rows, unsettled = _settle_floats(sums.tolist(), plan.reads, bound)
+            for matrix in plan.fold:  # to every point's high parts in output order, then its low parts
+                sums = sums.reshape(-1, len(matrix)) @ matrix
+            rows, unsettled = _settle_floats(sums.ravel().tolist(), parts_out // 2, bound)
             if not unsettled:
                 return rows
             res = np.array(rows).view(np.float64)
         else:
+            sums = (sums.reshape(-1, len(plan.parity)) @ plan.parity).reshape(2, count, -1)
             high, low = np.take(sums, plan.columns, axis=2) * plan.signs
             res, bad = _settle(high, low, bound)
             unsettled = np.flatnonzero(bad)
@@ -573,30 +590,28 @@ def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]
     if len(unsettled):
         at, out = np.divmod(unsettled, parts_out)
         column = plan.columns[out]
-        parts = terms.view(np.float64).reshape(count, -1, width, 2)[at, column // 8, :, column % 2]
+        parts = terms.view(np.float64).reshape(count, len(plan.grid_class), -1, 2)[at, column // 8, :, column % 2]
         parts *= plan.parity[::2, column // 2 % 4 * 2].T * plan.signs[out, None]
         res[at, out] = exact_row_sums(parts)
     return res.view(np.complex128).tolist()
 
 
-def _settle_floats(sums: list, reads, bound: float) -> tuple[list[list[complex]], list[int]]:
-    """_grid_sums from sums, nested lists (2, P, 8G), on Python floats, and the
-    indices of the parts left unsettled in the rows read as one flat list of
-    parts.  The gather by reads and the tests of _settle are the same IEEE
-    operations, and math.ulp is np.spacing on values >= 0."""
+def _settle_floats(sums: list, step: int, bound: float) -> tuple[list[list[complex]], list[int]]:
+    """_grid_sums from sums, every part's high sum in output order, then every
+    low sum, on Python floats: rows of step outputs, and the indices of the
+    unsettled parts in the rows read as one flat list of parts.  The tests of
+    _settle are the same IEEE operations; math.ulp is np.spacing on x >= 0."""
     res, unsettled = [], []
-    for high_row, low_row in zip(*sums):
-        for column, sign in reads:
-            high, low = high_row[column] * sign, low_row[column] * sign
-            total = high + low
-            back = total - high
-            err = (high - (total - back)) + (low - back)
-            if abs(err) + bound >= 0.5 * math.ulp(math.nextafter(abs(total), 0.0)):
-                unsettled.append(len(res))
-            res.append(total)
-    parts, step = iter(res), len(reads) // 2
+    for high, low in zip(sums, sums[len(sums) // 2 :]):
+        total = high + low
+        back = total - high
+        err = (high - (total - back)) + (low - back)
+        if abs(err) + bound >= 0.5 * math.ulp(math.nextafter(abs(total), 0.0)):
+            unsettled.append(len(res))
+        res.append(total)
+    parts = iter(res)
     res = list(map(complex, parts, parts))
-    return [res[i : i + step] for i in range(0, len(res), step)], unsettled
+    return ([res] if len(res) == step else [res[i : i + step] for i in range(0, len(res), step)]), unsettled
 
 
 # The null gradients CurveData keeps: those of the odd theta[10;10] and
@@ -718,7 +733,7 @@ class CurveData:
         def grid(n, idx):
             return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), (n, n))
 
-        radii = [self._radius(point) for point in points]
+        radii = _radii(points, *self._radius_constants)
         return _by_grid(radii, lambda n: _layout(values, grads, (n, n)).terms, grid)
 
     def _radius(self, point: Point2) -> int:

@@ -9,7 +9,7 @@ from scipy.special import ellipj, ellipk
 
 from conftest import draw_points, reference_theta1
 
-from g2theta import degeneration, harness
+from g2theta import degeneration, harness, theta
 from g2theta.degeneration import (
     DEGENERATION_LABELS,
     Genus1Characteristic,
@@ -98,6 +98,28 @@ def test_genus1_grid_is_bit_identical_to_one_row_per_value():
     # the nulls of a tau are its even theta values at the origin, and the odd one is 0
     for tau in (1j, TAU1, -0.2 + 0.8j):
         assert dict(genus1_nulls(tau, CTRL)) == {c: theta1(c, 0.0, tau) if c != (1, 1) else 0j for c in CHARS1}
+
+
+def test_a_genus1_gradient_request_builds_no_d_dv_and_settles_every_part(monkeypatch):
+    # the box (N, 0) has no d/dv jets, which are exactly 0 there and no
+    # certified sum can round: at generic points every value and d/dz
+    # settles, on the floats path (one point) and on arrays (40)
+    parts = []
+    exact_row_sums = theta.exact_row_sums
+
+    def counted(rows):
+        parts.append(rows.shape)
+        return exact_row_sums(rows)
+
+    monkeypatch.setattr(theta, "exact_row_sums", counted)
+    stream = SampleStream(6, "genus1-grads")
+    args = [(stream.next_complex(*harness._BOX), tau) for tau in (TAU1, -0.2 + 0.8j) for _ in range(20)]
+    rows = degeneration._theta1_rows(CHARS1, CHARS1, args, CTRL)
+    rows += degeneration._theta1_rows(CHARS1, CHARS1, args[:1], CTRL)
+    assert parts == []
+    expected = [[reference_theta1(c, z, tau) for c in CHARS1] for z, tau in args + args[:1]]
+    hexes = [[(x.real.hex(), x.imag.hex()) for x in row] for row in rows]
+    assert hexes == [[(x.real.hex(), x.imag.hex()) for pair in zip(*row) for x in pair] for row in expected]
 
 
 # theta1[a; b](z, t) in mpmath's Jacobi thetas at pi z and nome exp(i pi t):

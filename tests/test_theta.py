@@ -3,10 +3,12 @@
 import cmath
 import importlib.util
 import math
+import re
 import struct
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -601,7 +603,9 @@ _PATHS = {"floats": 10**9, "arrays": 0}
 
 def _on_path(patch, path):
     """Force every grid onto one certification path; returns the calls of
-    _settle_floats, which only the floats path makes."""
+    _settle_floats, which only the floats path makes.  The plans are built
+    on a cache of their own, so each holds the fold the forced cut-over gives
+    it, and no plan built here is left in the kept cache."""
     calls = []
     settle_floats = theta._settle_floats
 
@@ -610,6 +614,7 @@ def _on_path(patch, path):
         return settle_floats(*args)
 
     patch.setattr(theta, "_SCALAR_OUTPUTS", _PATHS[path])
+    patch.setattr(theta, "_layout", lru_cache(theta._layout.cache_info().maxsize)(theta._layout.__wrapped__))
     patch.setattr(theta, "_settle_floats", counted)
     return calls
 
@@ -685,7 +690,7 @@ def test_the_float_and_array_certifications_agree_on_edge_values():
         for sign in (1.0, -1.0):
             for high, low in pairs:
                 # one output whose real and imaginary parts are the same part
-                floats, left = theta._settle_floats([[[high]], [[low]]], ((0, sign), (0, sign)), bound)
+                floats, left = theta._settle_floats([high * sign] * 2 + [low * sign] * 2, 1, bound)
                 res, bad = theta._settle(np.array([high]) * sign, np.array([low]) * sign, bound)
                 assert left == ([0, 1] if bad[0] else []), (high, low, bound)
                 if bad[0]:
@@ -694,7 +699,7 @@ def test_the_float_and_array_certifications_agree_on_edge_values():
                     settled += 1
                     assert _bits(floats[0][0]) == _bits(complex(res[0], res[0])), (high, low, bound)
     # 1 + 2^-53 is a tie, left unsettled; most pairs settle
-    assert theta._settle_floats([[[1.0]], [[2.0**-53]]], ((0, 1.0), (0, 1.0)), theta._TINY)[1] == [0, 1]
+    assert theta._settle_floats([1.0, 1.0, 2.0**-53, 2.0**-53], 1, theta._TINY)[1] == [0, 1]
     assert 0 < unsettled < settled
 
 
@@ -726,6 +731,77 @@ def test_curve_data_radii_equal_truncation_radius_over_the_harness_and_benchmark
         assert [cd._radius(p) for p in points] == [
             truncation_radius(tau, p, SeriesControl()) for p in points
         ]
+
+
+def test_batch_radii_equal_the_per_point_radii_and_raise_the_first_error():
+    cd = curve_data(DEFAULT_TAU)
+    constants = lmin, reach, max_radius = cd._radius_constants
+    stream = SampleStream(8, "batch-radii")
+    points = [Point2(stream.next_complex(-1, 1, -4, 4), stream.next_complex(-1, 1, -4, 4)) for _ in range(300)]
+    # signed zeros, a NaN real part (the radius reads only Im), and the
+    # largest radius that fits, 64, next to the first that does not
+    edge = (max_radius - 0.5 - reach) * lmin
+    points += [ORIGIN, Point2(-0j, complex(-0.0, -0.0)), Point2(complex(math.nan, 0.1), 0.2j), Point2(edge * 1j, 0j)]
+    assert theta._radii(points, *constants) == [theta._radius(p, *constants) for p in points]
+    assert theta._radii(points[-1:], *constants) == [max_radius]
+    over, nan = Point2((edge + lmin) * 1j, 0j), Point2(0j, complex(0.0, math.nan))
+    inf = Point2(complex(0.0, -math.inf), 0j)
+    for batch in ([over], [nan], [inf], points[:5] + [nan, over], points[:5] + [over, inf, nan]):
+        with pytest.raises(TruncationOverflow) as loop:
+            [theta._radius(p, *constants) for p in batch]
+        with pytest.raises(TruncationOverflow, match=re.escape(str(loop.value))):
+            theta._radii(batch, *constants)
+        # rows_at reads them, before any grid
+        with pytest.raises(TruncationOverflow, match=re.escape(str(loop.value))):
+            cd.rows_at(_PAIR_CHARS, (), points[:3] + batch)
+
+
+# requests of at most _SCALAR_OUTPUTS outputs, which the float path takes:
+# values alone, values and gradients (the origin grid's among them), and
+# genus 1's on the box (N, 0), which has no d/dv
+_FLOAT_REQUESTS = [
+    ((c,), ()) for c in ALL_CHARACTERISTICS
+] + [
+    (_PAIR_CHARS, ()),
+    (EVEN_CHARACTERISTICS, ()),
+    (ALL_CHARACTERISTICS, ()),
+    (EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS),
+    (ALL_CHARACTERISTICS[:4], ALL_CHARACTERISTICS[:4]),
+    ((), ALL_CHARACTERISTICS[5:10]),
+]
+_GENUS1 = tuple(HalfCharacteristic(a, 0, b, 0) for a in (0, 1) for b in (0, 1))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 5), (4, 0), (9, 0)])
+def test_the_fold_gathers_and_signs_every_part_as_the_array_path_does(shape):
+    requests = _FLOAT_REQUESTS if shape[1] else [(_GENUS1[:k], ()) for k in (1, 3)] + [(_GENUS1, _GENUS1)]
+    rng = np.random.default_rng(sum(shape))
+    for values, grads in requests:
+        plan = theta._layout(values, grads, shape)
+        outputs = len(plan.columns) // 2
+        assert outputs == len(values) + (2 if shape[1] else 1) * len(grads) <= theta._SCALAR_OUTPUTS
+        # one product where it is no wider than the parity matrix, else two
+        assert len(plan.fold) == (1 if outputs <= 4 else 2)
+        for count in {1, theta._SCALAR_OUTPUTS // outputs}:
+            # parts whose sums are exact in any order, so any summation tree
+            # gives one result: small integers times a power of two, normal or
+            # subnormal, a fifth of them zeros of either sign
+            for unit in (2.0**-30, 2.0**-1074):
+                parts = rng.integers(-(2**20), 2**20, (2, count, len(plan.grid_class) * len(plan.parity))) * unit
+                parts[rng.random(parts.shape) < 0.2] = 0.0
+                parts[rng.random(parts.shape) < 0.1] = -0.0
+                sums = parts
+                for matrix in plan.fold:
+                    sums = sums.reshape(-1, len(matrix)) @ matrix
+                gathered = (parts.reshape(-1, len(plan.parity)) @ plan.parity).reshape(2, count, -1)
+                expected = np.take(gathered, plan.columns, axis=2) * plan.signs
+                # bit for bit but for the sign of a zero sum, which the
+                # certification never settles (the gap around 0 is 0)
+                assert np.array_equal(sums.reshape(2, count, -1), expected), (values, grads, count, unit)
+                nonzero = expected != 0.0
+                assert sums.reshape(2, count, -1)[nonzero].tobytes() == expected[nonzero].tobytes()
+    # a request past the cut-over takes the array path and has no fold
+    assert theta._layout(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS[:1], shape).fold == ()
 
 
 def test_parity_counts_and_values():
