@@ -6,6 +6,8 @@ Cases, all at DEFAULT_TAU and radius 4:
 - pair grid: the grid recover_pair reads, 1 point and 4 characteristics
   (theta._grid_sums called directly on the curve's lattice form);
 - recover_pair: one whole inversion at that point, the nulls cached;
+- pair stage: the pair from the four theta values recover_pair reads there
+  (inversion._pair_from_thetas on one kept row), the kernel left out;
 - values_at 6x16 and rows_at 6x16: 6 points and all 16 characteristics,
   as values and as values and gradients;
 - values_at 25x8: a full riemann grid, 25 points of the 8 characteristics
@@ -30,12 +32,13 @@ directory (AFTER defaults to this checkout's src) under a name of its own
 in this one process, and alternates the two trees op by op, the order
 flipped every round: a `g2theta verify` of --samples samples (20 by
 default) of the suites named by --suite (repeatable; all nine by default)
-through cli.main at a fresh seed, PAIR_CALLS recover_pair at fresh points at DEFAULT_TAU,
-CURVE_CALLS fresh CurveData, CURVE_CALLS operations of perfbench's curves
-workload (each on a fresh period matrix: its moduli, their consistency
-residuals, the null ratio signs, the flow constants and a recover_pair at
-each of CURVE_POINTS), and a fresh import of the package and its CLI (under
-a third name, so the other ops keep their modules).  Both trees get the
+through cli.main at a fresh seed, PAIR_CALLS recover_pair at fresh points
+of INVERT_BOX at DEFAULT_TAU (of radius 4 or 5, as perfbench's invert
+workload draws them), CURVE_CALLS fresh CurveData, CURVE_CALLS operations
+of perfbench's curves workload (each on a fresh period matrix: its moduli,
+their consistency residuals, the null ratio signs, the flow constants and
+a recover_pair at each of CURVE_POINTS), and a fresh import of the package
+and its CLI (under a third name, so the other ops keep their modules).  Both trees get the
 same inputs.  For each op it prints the median over the rounds of
 BEFORE's time over AFTER's (above 1 when AFTER is faster), the quartiles of
 that ratio, and whether the two trees' outputs were equal in every round:
@@ -66,6 +69,11 @@ CALLS = 400  # calls per run; a fresh CurveData, and 20 stacked ones, run a quar
 AB_ROUNDS = 100  # rounds of --ab, each one op of each kind per tree
 PAIR_CALLS = 50  # recover_pair calls per timed --ab op
 CURVE_CALLS = 20  # fresh CurveData, or curves operations, per timed --ab op
+# the box of perfbench's invert workload (POINT_BOX in perfbench/workloads.py):
+# |Re| <= 0.5 and |Im| <= 0.6 in u and v, so at DEFAULT_TAU about 44% of its
+# points have truncation radius 5 and the rest 4 (harness._BOX, |Im| <= 0.2,
+# gives radius 4 only)
+INVERT_BOX = (-0.5, 0.5, -0.6, 0.6)
 # the points perfbench's curves workload inverts on every period matrix
 CURVE_POINTS = ((0.1 + 0.05j, -0.2 + 0.1j), (-0.3 + 0.15j, 0.25 - 0.1j))
 
@@ -86,11 +94,13 @@ def _cases():
     assert {cd._radius(point) for point in POINTS + RIEMANN_POINTS} == {4}
     pair_chars = inversion._PAIR_CHARS
     point, ctrl, form = POINTS[0], SeriesControl(), cd._form(4)
+    [row] = cd.values_at(pair_chars, (point,))
     boxes = (harness._TAU_DIAG, harness._TAU_DIAG, harness._TAU_OFF)
     taus = [PeriodMatrix(*sample) for sample in SampleStream(0, "kernel-timing").draw(20, boxes)]
     return {
         "pair grid (1 point, 4 chars)": (CALLS, lambda: theta._grid_sums(pair_chars, (), (point,), form, (4, 4))),
         "recover_pair": (CALLS, lambda: inversion.recover_pair(point, DEFAULT_TAU)),
+        "pair stage": (CALLS, lambda: inversion._pair_from_thetas(cd, row, point)),
         "values_at 6x16": (CALLS, lambda: cd.values_at(ALL_CHARACTERISTICS, POINTS)),
         "rows_at 6x16": (CALLS // 4, lambda: cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, POINTS)),
         "values_at 25x8 (riemann)": (CALLS // 4, lambda: cd.values_at(riemann._PRODUCT_CHARS, RIEMANN_POINTS)),
@@ -189,7 +199,7 @@ def _ab(before: Path, after: Path, rounds: int, verify_args: list[str]) -> None:
         if op == "fresh import":
             return None
         if op == "recover_pair":
-            return [(box(*harness._BOX), box(*harness._BOX)) for _ in range(PAIR_CALLS)]
+            return [(box(*INVERT_BOX), box(*INVERT_BOX)) for _ in range(PAIR_CALLS)]
         return [(box(*harness._TAU_DIAG), box(*harness._TAU_DIAG), box(*harness._TAU_OFF)) for _ in range(CURVE_CALLS)]
 
     with tempfile.TemporaryDirectory() as tmp:

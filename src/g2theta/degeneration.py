@@ -15,7 +15,9 @@ The checks are batched and take their per-tau data as arguments:
 degeneration_residuals the CurveData of the split period matrix, the
 genus1_nulls of its tau1 and a batch of points, elliptic_residuals a tau,
 its genus1_nulls and a batch of theta arguments z.  Each returns one result
-per item and reads the theta values of the whole batch together.
+per item and reads the theta values of the whole batch together.  Both,
+and genus1_nulls, also take kept, a dict of the genus-1 kernel's per-tau
+data (_theta1_rows), which a verify run keeps for the whole run.
 genus1_nulls evaluates the nulls of a tau, and the squared modulus k^2 and
 its complement k'^2, an EllipticModulus, come from them by one path,
 elliptic_modulus.  Genus 1 has no kernel of its own: theta[a; b](z, t) is
@@ -35,7 +37,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import ConfigInvalid, SingularDenominator
-from .inversion import PointPair, _pair_from_thetas
+from .inversion import PointPair, _pair_from_thetas, _pick_pair
 from .quadrature import tanh_sinh_01
 from .theta import (
     ALL_CHARACTERISTICS,
@@ -87,7 +89,7 @@ class EllipticModulus(namedtuple("EllipticModulus", "k_sq kp_sq")):
     __slots__ = ()
 
 
-def _theta1_rows(values, grads, args, ctrl: SeriesControl) -> list[list[complex]]:
+def _theta1_rows(values, grads, args, ctrl: SeriesControl, kept: dict | None = None) -> list[list[complex]]:
     """One row per (z, tau) of args: theta1[c](z, tau) for c in values, then
     d/dz theta1[c](z, tau) for c in grads.
 
@@ -95,21 +97,25 @@ def _theta1_rows(values, grads, args, ctrl: SeriesControl) -> list[list[complex]
     over the box (N, 0), m in [-N, N] and n = 0, N the truncation radius of
     (z, 0): the class-grid kernel's terms, units, argument reduction and
     certification (theta._grid_sums), on grids of one tau and radius each
-    (theta._by_grid).  A tau is validated as that period matrix.
+    (theta._by_grid).  A tau is validated as that period matrix.  Its
+    diag(tau, tau), _radius constants and lattice forms by radius are built
+    once and kept in kept, a caller's dict for one ctrl, else this call's.
     """
     values, grads = (tuple(HalfCharacteristic(c.a, 0, c.b, 0) for c in chars) for chars in (values, grads))
-    curves = {}  # by tau: diag(tau, tau) and its _radius constants
+    kept = {} if kept is None else kept  # by tau: (diag(tau, tau), its _radius constants, its forms)
     keys = []
     for z, tau in args:
-        if tau not in curves:
+        if tau not in kept:
             curve = PeriodMatrix(tau, tau, 0j)
-            curves[tau] = curve, (*_decay(curve.lambda_min, ctrl.tol), ctrl.max_radius)
-        keys.append((tau, _radius(Point2(z, 0j), *curves[tau][1])))
+            kept[tau] = curve, (*_decay(curve.lambda_min, ctrl.tol), ctrl.max_radius), {}
+        keys.append((tau, _radius(Point2(z, 0j), *kept[tau][1])))
 
     def grid(key, idx):
         tau, n = key
-        form = _lattice_form(curves[tau][:1], (n, 0))
-        return _grid_sums(values, grads, tuple(Point2(args[i][0], 0j) for i in idx), form, (n, 0))
+        curve, _, forms = kept[tau]
+        if n not in forms:
+            forms[n] = _lattice_form((curve,), (n, 0))
+        return _grid_sums(values, grads, tuple(Point2(args[i][0], 0j) for i in idx), forms[n], (n, 0))
 
     return _by_grid(keys, lambda key: _layout(values, grads, (key[1], 0)).terms, grid)
 
@@ -122,12 +128,12 @@ def theta1(c: Genus1Characteristic, z: complex, tau: complex, ctrl: SeriesContro
 _GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1))
 
 
-def genus1_nulls(tau: complex, ctrl: SeriesControl) -> Mapping[tuple[int, int], complex]:
+def genus1_nulls(tau: complex, ctrl: SeriesControl, kept: dict | None = None) -> Mapping[tuple[int, int], complex]:
     """All four theta[a; b](0), keyed by (a, b): the three even ones from one
     genus-1 evaluation, and the odd [1; 1], exactly 0 and not summed (on the
     box its terms leave only the unpaired edge, a sum far below the terms
     that only math.fsum can round)."""
-    [values] = _theta1_rows(_GENUS1_CHARS[:3], (), [(0.0, tau)], ctrl)
+    [values] = _theta1_rows(_GENUS1_CHARS[:3], (), [(0.0, tau)], ctrl, kept)
     return MappingProxyType(dict(zip(_GENUS1_CHARS, [*values, 0j])))
 
 
@@ -157,7 +163,7 @@ def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
     return sn, cn, dn
 
 
-def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float) -> list[list[float]]:
+def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float, kept=None) -> list[list[float]]:
     """The seven residuals of the genus-1 theory at tau, whose genus1_nulls
     are nulls, at each theta argument z.
 
@@ -170,7 +176,7 @@ def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float) -
     squared nulls that lead the identities' products, and 2K.
     """
     k_sq = elliptic_modulus(nulls).k_sq
-    values = _theta1_rows(_GENUS1_CHARS, (), [(arg, tau) for z in zs for arg in (z, z + h, z - h)], ctrl)
+    values = _theta1_rows(_GENUS1_CHARS, (), [(arg, tau) for z in zs for arg in (z, z + h, z - h)], ctrl, kept)
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     s00, s01, s10 = n00**2, n01**2, n10**2
     quartic = _rel(n00**4, n01**4 + n10**4)
@@ -212,7 +218,7 @@ DEGENERATION_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS) +
 )
 
 
-def degeneration_residuals(cd: CurveData, nulls, points) -> list[tuple[list[float], PointPair]]:
+def degeneration_residuals(cd: CurveData, nulls, points, kept=None) -> list[tuple[list[float], PointPair]]:
     """At each point, the residuals in DEGENERATION_LABELS order and the pair
     recovered on cd, the CurveData of a split period matrix (tau12 = 0)
     whose tau1 has the genus1_nulls nulls.
@@ -229,10 +235,10 @@ def degeneration_residuals(cd: CurveData, nulls, points) -> list[tuple[list[floa
     tau1, tau2 = cd.tau.tau1, cd.tau.tau2
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
     args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
-    g1 = _theta1_rows(_GENUS1_CHARS, (), args, cd.ctrl)
+    g1 = _theta1_rows(_GENUS1_CHARS, (), args, cd.ctrl, kept)
     out, curve = [], None
     for i, (point, row) in enumerate(zip(points, g2)):
-        pair = _pair_from_thetas(cd, dict(zip(ALL_CHARACTERISTICS, row)), point)[0]
+        pair = _pair_from_thetas(cd, _pick_pair(row), point)[0]
         g1u, g1v = g1[2 * i], g1[2 * i + 1]
         x = _sn_ratio(nulls, g1u[1], g1u[3], point.u)
         if curve is None:  # after the first point's pair and x, so its errors raise first

@@ -48,10 +48,10 @@ two runs with the same config produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .degeneration import (
@@ -265,7 +265,7 @@ _SUITES = {
         labels=DEGENERATION_LABELS,
         # the split locus attached to the configured diagonal
         evaluate=lambda cfg, data, batch: degeneration_residuals(
-            data[_split(cfg)], data[cfg.tau.tau1], _points(batch)
+            data[_split(cfg)], data[cfg.tau.tau1], _points(batch), data.genus1
         ),
         final_labels=("constant-member-spread",),
         finalize=_degeneration_final,
@@ -278,7 +278,7 @@ _SUITES = {
         ),
         # genus-1 theory at tau = tau1 of the config
         evaluate=lambda cfg, data, batch: [(r, None) for r in elliptic_residuals(
-            cfg.tau.tau1, data[cfg.tau.tau1], [s[0] for s in batch], cfg.series, cfg.fd_step
+            cfg.tau.tau1, data[cfg.tau.tau1], [s[0] for s in batch], cfg.series, cfg.fd_step, data.genus1
         )],
         fd_labels=frozenset(["sn-ode"]),
         final_labels=(
@@ -452,15 +452,15 @@ class _PerTau(dict):
     """The per-tau data of a run: a PeriodMatrix's CurveData, a genus-1
     tau's genus1_nulls, each built at its first read, so a run builds only
     what its suites read, once, and raises a build's error where it first
-    reads it."""
+    reads it; genus1 is the kept genus-1 kernel data of degeneration's checks."""
 
     def __init__(self, ctrl: SeriesControl):
         super().__init__()
-        self.ctrl = ctrl
+        self.ctrl, self.genus1 = ctrl, {}
 
     def __missing__(self, tau):
         built = self[tau] = (
-            CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else genus1_nulls(tau, self.ctrl)
+            CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else genus1_nulls(tau, self.ctrl, self.genus1)
         )
         return built
 
@@ -593,43 +593,44 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# The JSON of a scalar by its type; a str is quoted by encode_basestring_ascii,
+# the C encoder json.dumps itself uses for one
+_SCALAR_JSON = {
+    type(None): lambda _: "null",
+    bool: lambda flag: "true" if flag else "false",
+    int: str,
+    float: _fmt_float,
+    complex: lambda z: f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]",
+    str: encode_basestring_ascii,
+}
+
+
 def _json_value(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    for kind in type(obj).__mro__:  # its own type first, so a subclass is written as its base
+        write = _SCALAR_JSON.get(kind)
+        if write is not None:
+            return write(obj)
     raise TypeError(f"unserializable value {obj!r}")
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    """obj as indented JSON; a dict, list or tuple of exactly that type is a container."""
+    kind = type(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return _json_value(obj)
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if kind is dict:
         parts = [
-            f"{inner}{json.dumps(str(key))}: {_json_dumps(value, indent + 1)}"
+            f"{inner}{encode_basestring_ascii(str(key))}: {_json_dumps(value, indent + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (int, float, complex, str)) and not isinstance(v, bool) for v in obj):
-            return "[" + ", ".join(_json_value(v) for v in obj) + "]"
-        parts = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _json_value(obj)
+    if all(type(v) in (int, float, complex, str) for v in obj):
+        return "[" + ", ".join(map(_json_value, obj)) + "]"
+    parts = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
+    return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
 
 
 def report_to_json(report: Report) -> str:

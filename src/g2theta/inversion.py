@@ -19,11 +19,14 @@ and gives each point's residuals with the pair recovered there.
 One path turns theta values into a pair, _pair_from_thetas: recover_pair,
 the parameterization rows, flow's stencil centers and the degeneration rows
 all take it, and flow's stencil offsets, which read only x1 and x2, take
-its first stage, _pair_xs.  It computes the five linear factors of f5 once
-per recovered x (_linear_factors), in the order x, 1 - x, 1 - k0^2 x,
-1 - k1^2 x, 1 - k2^2 x; f5 (_quintic), the sign-class choice and the
-fifteen rows read them by index, and every bracket row goes through one
-residual, _bracket.
+its first stage, _pair_xs.  Both read the four thetas of _PAIR_CHARS by
+position: recover_pair and flow pass the kernel's rows as they are, the
+parameterization and degeneration rows pick their four of sixteen once
+(_pick_pair).  It computes the five linear factors of f5 once per
+recovered x, in the order x, 1 - x, 1 - k0^2 x, 1 - k1^2 x, 1 - k2^2 x,
+and from them f5, its square roots and the sign-class test inline, the
+products the test's two residuals share once; the fifteen rows read the
+factors by index, and every bracket row goes through one residual, _bracket.
 
 Moduli roots always come from a single ModuliSet, each signed as its
 unsquared theta-null quotient (see moduli.build_moduli), so one sign
@@ -34,13 +37,13 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import (
     CoincidentPoints,
     DivisionByZeroModulus,
     SingularDenominator,
 )
-from .moduli import ModuliSet
 from .theta import (
     ALL_CHARACTERISTICS,
     CurveData,
@@ -59,12 +62,13 @@ __all__ = [
     "PARAMETERIZATION_LABELS",
 ]
 
-_TH_REF = HalfCharacteristic(0, 0, 1, 1)  # reference denominator theta
-# what recover_pair reads at its point: the reference, the two numerators of
-# the symmetric functions, and the bracket that fixes the sign class
-_PAIR_CHARS = (
-    _TH_REF, HalfCharacteristic(1, 0, 1, 1), HalfCharacteristic(1, 0, 0, 1), HalfCharacteristic(0, 0, 0, 1)
-)
+# what recover_pair reads at its point: the reference denominator theta[00;11],
+# the two numerators of the symmetric functions, and the bracket that fixes the sign class
+_PAIR_CHARS = tuple(HalfCharacteristic(*bits) for bits in ((0, 0, 1, 1), (1, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 1)))
+# each characteristic's position in a row of the sixteen values (ALL_CHARACTERISTICS
+# order), and the pair's four of such a row
+_POSITION = {c: i for i, c in enumerate(ALL_CHARACTERISTICS)}
+_pick_pair = itemgetter(*map(_POSITION.get, _PAIR_CHARS))
 
 
 class PointPair(namedtuple("PointPair", "x1 x2 sigma1 sigma2 sign_flipped")):
@@ -72,48 +76,6 @@ class PointPair(namedtuple("PointPair", "x1 x2 sigma1 sigma2 sign_flipped")):
     chosen class negates the principal sigma2."""
 
     __slots__ = ()
-
-
-def _linear_factors(x: complex, ms: ModuliSet) -> tuple[complex, ...]:
-    """The five linear factors of f5 at x: x, 1 - x and 1 - k_i^2 x for i = 0, 1, 2."""
-    return (x, 1.0 - x, 1.0 - ms.k0_sq * x, 1.0 - ms.k1_sq * x, 1.0 - ms.k2_sq * x)
-
-
-def _quintic(factors) -> complex:
-    """f5 from its linear factors, multiplied left to right."""
-    a, b, c, d, e = factors
-    return a * b * c * d * e
-
-
-def _reference_denominator(th: dict, point, cd: CurveData) -> complex:
-    ref = th[_TH_REF]
-    if abs(ref) <= 1e-10 * cd.null_scale:
-        raise SingularDenominator(
-            f"theta[00;11]({point.u}, {point.v}) ~ 0: point on the theta divisor"
-        )
-    return ref * ref
-
-
-def _symmetric_from_thetas(factors: tuple[complex, complex], th: dict, den: complex) -> tuple[complex, complex]:
-    """s1 = x1 + x2 and s2 = x1 x2 from a CurveData's symmetric_factors."""
-    kkk, factor = factors
-    s2 = th[(1, 0, 1, 1)] ** 2 / (kkk * den)
-    one_minus = factor * th[(1, 0, 0, 1)] ** 2 / den
-    return 1.0 + s2 - one_minus, s2
-
-
-def _solve_pair(s1: complex, s2: complex) -> tuple[complex, complex]:
-    # roots of t^2 - s1 t + s2, larger-magnitude root first for stability
-    disc = cmath.sqrt(s1 * s1 - 4.0 * s2)
-    big = (s1 + disc) / 2.0
-    alt = (s1 - disc) / 2.0
-    if abs(alt) > abs(big):
-        big = alt
-    other = s2 / big if big != 0 else s1 - big
-    # canonical order: x1 has the larger real part, ties broken by imag part
-    if (other.real, other.imag) > (big.real, big.imag):
-        big, other = other, big
-    return big, other
 
 
 def _bracket(ratio, pref, f1, f2, gap, sigma1, sigma2) -> float:
@@ -126,59 +88,90 @@ def _bracket(ratio, pref, f1, f2, gap, sigma1, sigma2) -> float:
 def recover_pair(
     point: Point2, tau: PeriodMatrix, ctrl: SeriesControl = SeriesControl()
 ) -> PointPair:
+    """The pair at point = (u, v) on the curve of tau, a PointPair: x1 has the
+    larger real part (ties broken by the imaginary part), sigma_i^2 = f5(x_i),
+    and the sign class is the one the bracket of F_01 fits best.  It reads
+    the four thetas of _PAIR_CHARS at the point from one kernel call on
+    curve_data(tau, ctrl).  Raises SingularDenominator on the theta divisor,
+    CoincidentPoints where x1 ~ x2 and TruncationOverflow past max_radius or
+    double range (the CLI exits 2 for each), and DegenerateTau where the
+    moduli do not exist (exit 3).  Each theta is the correctly rounded sum of
+    its series, alone or in any batch, so the pair's bits are a function of
+    (point, tau, ctrl), as the parameterization and stencil rows read it.
+    """
     cd = curve_data(tau, ctrl)
-    [values] = cd.values_at(_PAIR_CHARS, (point,))
-    return _pair_from_thetas(cd, dict(zip(_PAIR_CHARS, values)), point)[0]
+    return _pair_from_thetas(cd, cd.values_at(_PAIR_CHARS, (point,))[0], point)[0]
 
 
-def _pair_tables(cd: CurveData, points) -> list[dict]:
-    """What recover_pair reads at each point, keyed by characteristic, from one values_at call."""
-    return [dict(zip(_PAIR_CHARS, values)) for values in cd.values_at(_PAIR_CHARS, points)]
+def _pair_tables(cd: CurveData, points) -> list[list[complex]]:
+    """What recover_pair reads at each point, in _PAIR_CHARS order, from one values_at call."""
+    return cd.values_at(_PAIR_CHARS, points)
 
 
-def _pair_xs(cd: CurveData, th: dict, point) -> tuple[complex, complex, complex]:
+def _pair_xs(cd: CurveData, th, point) -> tuple[complex, complex, complex]:
     """The first stage of _pair_from_thetas: x1 and x2 at the point, and the
     squared reference theta den, with the errors of a point the pair is not
     defined at.  Flow's offset stencil pairs read no more than this."""
-    den = _reference_denominator(th, point, cd)
-    x1, x2 = _solve_pair(*_symmetric_from_thetas(cd.symmetric_factors, th, den))
+    ref, num, comp, _ = th
+    if abs(ref) <= 1e-10 * cd.null_scale:
+        raise SingularDenominator(f"theta[00;11]({point.u}, {point.v}) ~ 0: point on the theta divisor")
+    den = ref * ref
+    # s1 = x1 + x2 and s2 = x1 x2 from the symmetric_factors
+    kkk, factor = cd.symmetric_factors
+    s2 = num**2 / (kkk * den)
+    s1 = 1.0 + s2 - factor * comp**2 / den
+    # roots of t^2 - s1 t + s2, larger-magnitude root first for stability
+    disc = cmath.sqrt(s1 * s1 - 4.0 * s2)
+    x1 = (s1 + disc) / 2.0
+    alt = (s1 - disc) / 2.0
+    if abs(alt) > abs(x1):
+        x1 = alt
+    x2 = s2 / x1 if x1 != 0 else s1 - x1
+    # canonical order: x1 has the larger real part, ties broken by imag part
+    if (x2.real, x2.imag) > (x1.real, x1.imag):
+        x1, x2 = x2, x1
     if abs(x2 - x1) <= 1e-8 * (1.0 + abs(x1) + abs(x2)):
         raise CoincidentPoints(f"x1 ~ x2 ~ {x1}: sign resolution ill-posed")
     return x1, x2, den
 
 
-def _pair_from_thetas(cd: CurveData, th: dict, point) -> tuple[PointPair, complex, tuple]:
-    """The PointPair at the point from its theta values th (keyed by
-    characteristic), with the squared reference theta den that the ratios
-    divide by and the _linear_factors of x1 and x2, which the
-    parameterization rows read.  Of the moduli only k0 k1 k2 and k'0 k'1 k'2
-    enter, so a pair is recovered where some k_ij vanish.  x1 and x2 come
-    from _pair_xs; the sigma_i and their sign class are this stage's."""
+def _pair_from_thetas(cd: CurveData, th, point) -> tuple[PointPair, complex, tuple]:
+    """The PointPair at the point from its four theta values th, in
+    _PAIR_CHARS order, with the squared reference theta den that the ratios
+    divide by and the linear factors of f5 at x1 and at x2, x, 1 - x and
+    1 - k_i^2 x for i = 0, 1, 2, which the parameterization rows read.  Of
+    the moduli only k0 k1 k2 and k'0 k'1 k'2 enter, so a pair is recovered
+    where some k_ij vanish.  x1 and x2 come from _pair_xs; the sigma_i and
+    their sign class are this stage's."""
     ms = cd.moduli
     x1, x2, den = _pair_xs(cd, th, point)
-    lin1, lin2 = _linear_factors(x1, ms), _linear_factors(x2, ms)
-    sigma1, sigma2 = cmath.sqrt(_quintic(lin1)), cmath.sqrt(_quintic(lin2))
+    k0, k1, k2 = ms.k0_sq, ms.k1_sq, ms.k2_sq
+    lin1 = (x1, 1.0 - x1, 1.0 - k0 * x1, 1.0 - k1 * x1, 1.0 - k2 * x1)
+    lin2 = (x2, 1.0 - x2, 1.0 - k0 * x2, 1.0 - k1 * x2, 1.0 - k2 * x2)
+    # f5 multiplied left to right
+    sigma1 = cmath.sqrt(x1 * lin1[1] * lin1[2] * lin1[3] * lin1[4])
+    sigma2 = cmath.sqrt(x2 * lin2[1] * lin2[2] * lin2[3] * lin2[4])
 
-    # resolve the essential sign class against the bracket row of F_01 = x (1-x):
-    # negate sigma2 only when that fits strictly better
-    row = (th[(0, 0, 0, 1)] ** 2 / den, cd.bracket_prefactor, lin1[0] * lin1[1], lin2[0] * lin2[1])
-    gap = (x2 - x1) ** 2
-    flipped = _bracket(*row, gap, sigma1, -sigma2) < _bracket(*row, gap, sigma1, sigma2)
-    pair = PointPair(
-        x1=x1,
-        x2=x2,
-        sigma1=sigma1,
-        sigma2=-sigma2 if flipped else sigma2,
-        sign_flipped=flipped,
+    # resolve the essential sign class against the bracket row of F_01 = x (1-x)
+    # (_bracket of each class, the products both share once): negate sigma2
+    # only when that fits strictly better
+    f1, f2, pref = x1 * lin1[1], x2 * lin2[1], cd.bracket_prefactor
+    lhs = th[3] ** 2 / den * f1 * f2 * (x2 - x1) ** 2
+    size, s1f2 = abs(lhs), sigma1 * f2
+    principal, negated = pref * (s1f2 - sigma2 * f1) ** 2, pref * (s1f2 - -sigma2 * f1) ** 2
+    p_size, n_size = abs(principal), abs(negated)
+    flipped = abs(lhs - negated) / (1.0 + (n_size if n_size > size else size)) < abs(lhs - principal) / (
+        1.0 + (p_size if p_size > size else size)
     )
-    return pair, den, (lin1, lin2)
+    return PointPair(x1, x2, sigma1, -sigma2 if flipped else sigma2, flipped), den, (lin1, lin2)
 
 
 def _parameterization_table(cd: CurveData):
-    """(bits, prefactor) of the polynomial rows, row i reading linear factor i,
-    (bits, F-factor indices, prefactor) of the bracket rows, and of each unit
-    sum its null square and (signed null square, theta bits) per term: the
-    left-most factors of its products, once per batch."""
+    """(theta, prefactor) of the polynomial rows, row i reading linear factor i,
+    (theta, F-factor indices, prefactor) of the bracket rows, and of each unit
+    sum its null square and (signed null square, theta) per term: the
+    left-most factors of its products, once per batch.  Each theta is the
+    position of its bits in a row of the sixteen values."""
     ms = cd.moduli
     for name in ("kp0", "kp1", "kp2", "k01", "k02", "k12"):
         if getattr(ms, name) == 0:
@@ -205,12 +198,12 @@ def _parameterization_table(cd: CurveData):
         ((1, 1, 0, 0), (0, 3), k1 / (kp1 * k01 * k12)),
         ((1, 0, 0, 0), (0, 4), k2 / (kp2 * k02 * k12)),
     ]
-    null_sq = cd.null_squares
+    null_sq, at = cd.null_squares, _POSITION.get
     unit = [
-        (null_sq[den_bits], *[(sign * null_sq[nb], tb) for sign, nb, tb in terms])
+        (null_sq[den_bits], *[(sign * null_sq[nb], at(tb)) for sign, nb, tb in terms])
         for den_bits, terms in _UNIT_SUM_TERMS
     ]
-    return poly, bracket, unit
+    return [(at(bits), pref) for bits, pref in poly], [(at(bits), *rest) for bits, *rest in bracket], unit
 
 
 # the three decompositions of unity tying parameterizations 1..5 together:
@@ -239,24 +232,24 @@ def parameterization_residuals(cd: CurveData, points) -> list[tuple[list[float],
     symmetric polynomial in (x1, x2); 6-15 are the square-root bracket
     forms, evaluated with denominators cleared so that points where a
     linear factor vanishes stay regular.  All use the single sign class
-    recovered by recover_pair.  Every row and the pair read one table of the
-    sixteen theta values at the point, and the tables of all the points come
-    from one values_at call.  The moduli prefactors and the unit sums' null
-    factors are taken once per batch (_parameterization_table).
+    recovered by recover_pair.  Every row and the pair read one row of the
+    sixteen theta values at the point, the pair its four of _PAIR_CHARS, and
+    the rows of all the points come from one values_at call.  The moduli
+    prefactors and the unit sums' null factors are taken once per batch
+    (_parameterization_table).
     """
     values = cd.values_at(ALL_CHARACTERISTICS, points)
     results, table = [], None
-    for point, row in zip(points, values):
-        th = dict(zip(ALL_CHARACTERISTICS, row))
-        pair, den, factors = _pair_from_thetas(cd, th, point)
+    for point, th in zip(points, values):
+        pair, den, factors = _pair_from_thetas(cd, _pick_pair(th), point)
         if table is None:  # after the first pair, so a point error raises first
             table = _parameterization_table(cd)
         results.append((_parameterization_rows(th, den, pair, factors, table), pair))
     return results
 
 
-def _parameterization_rows(th: dict, den: complex, pair: PointPair, factors, table):
-    """The rows of one point.  Each unit sum's terms are summed left to
+def _parameterization_rows(th: list, den: complex, pair: PointPair, factors, table):
+    """The rows of one point, th its sixteen values.  Each unit sum's terms are summed left to
     right from an int 0, and its scale's max taken over the three, as sum()
     and max() did."""
     poly, bracket, unit = table

@@ -44,13 +44,13 @@ bit-reproducible and does not depend on what was evaluated with it.
 What a request (the characteristics of its values and gradients) reads
 on one box is built once for every period matrix, a _Plan that picks
 its classes' tables from the period matrix's lattice form.  A grid of at
-most _SCALAR_OUTPUTS outputs takes each output's signed high and low sums
-in output order from products with the plan's fold, matrices of 0 and
-+-1, and certifies them on Python floats, a larger one on arrays: the same
-IEEE operations, so the same bits.  A values request
-at one point, factored and with no component to reduce, builds its class
-terms from that one point's factors and skips grid grouping: the batch's
-operations in the same order, so the same bits again.
+most _SCALAR_OUTPUTS outputs splits its terms into one (2, n) array whose
+product with the plan's fold, matrices of 0 and +-1, is each output's
+signed high and low sums in output order, and pairs them into complex
+outputs on Python floats, a larger one on arrays: the same IEEE
+operations, so the same bits.  A values request at one point, factored
+and with no component to reduce, builds its class terms from that one
+point's factors and skips grid grouping: the same bits again.
 
 A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
@@ -397,8 +397,7 @@ def _class_terms(plan: _Plan, form: _LatticeForm, points) -> np.ndarray:
     if len(points) == 1 and form.tau_factor is not None and plan.jets is None and points != (ORIGIN,):
         u, v = point = points[0]
         if abs(u.real) < _REDUCE_RE and abs(v.real) < _REDUCE_RE:
-            # the factored path's operations on one point's factors, without
-            # the point axis and the plumbing of a batch
+            # the factored path's operations on one point, without a batch's point axis
             factors = np.exp(_TWO_PI_I * (plan.phases * np.fromiter(point, np.complex128, 2)[plan.axis]))
             terms = factors[plan.rows] * factors[plan.cols]
             return np.multiply(terms, form.tau_factor[0, plan.select], out=terms)[None]
@@ -559,29 +558,29 @@ _SCALAR_OUTPUTS = 16
 
 
 def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]) -> list[list[complex]]:
-    """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads, at every point.
+    """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads (tuples), at every point.
 
     One row of R = len(values) + 2 len(grads) outputs per point (per period matrix of a
     stacked form; no d/dv on a box (N, 0)), each the correctly rounded sum of its row of
     terms on the form of this box shape (N1, N2).  Only the parts left unsettled, and all
     parts when a term is non-finite or reaches 2^900, go to exact_row_sums.
     """
-    plan = _layout(tuple(values), tuple(grads), shape)
+    plan = _layout(values, grads, shape)
     terms = _class_terms(plan, form, points)
     count, parts_out = len(terms), len(plan.columns)
-    flat = terms.view(np.float64).reshape(count, -1)
-    top = np.abs(flat).max()
+    flat = terms.view(np.float64)
+    top = np.maximum.reduce(np.abs(flat), axis=None)
     if top < _EXACT_MAX:
         sums, bound = _split(flat, top, *plan.split)  # the hi and lo parts, summed below
         if count * parts_out <= 2 * _SCALAR_OUTPUTS:
             for matrix in plan.fold:  # to every point's high parts in output order, then its low parts
-                sums = sums.reshape(-1, len(matrix)) @ matrix
-            rows, unsettled = _settle_floats(sums.ravel().tolist(), parts_out // 2, bound)
+                sums = np.dot(sums.reshape(-1, len(matrix)), matrix)
+            rows, unsettled = _settle_floats(*sums.reshape(2, -1).tolist(), parts_out // 2, bound)
             if not unsettled:
                 return rows
             res = np.array(rows).view(np.float64)
         else:
-            sums = (sums.reshape(-1, len(plan.parity)) @ plan.parity).reshape(2, count, -1)
+            sums = np.dot(sums.reshape(-1, len(plan.parity)), plan.parity).reshape(2, count, -1)
             high, low = np.take(sums, plan.columns, axis=2) * plan.signs
             res, bad = _settle(high, low, bound)
             unsettled = np.flatnonzero(bad)
@@ -590,27 +589,29 @@ def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]
     if len(unsettled):
         at, out = np.divmod(unsettled, parts_out)
         column = plan.columns[out]
-        parts = terms.view(np.float64).reshape(count, len(plan.grid_class), -1, 2)[at, column // 8, :, column % 2]
+        parts = flat.reshape(count, len(plan.grid_class), -1, 2)[at, column // 8, :, column % 2]
         parts *= plan.parity[::2, column // 2 % 4 * 2].T * plan.signs[out, None]
         res[at, out] = exact_row_sums(parts)
     return res.view(np.complex128).tolist()
 
 
-def _settle_floats(sums: list, step: int, bound: float) -> tuple[list[list[complex]], list[int]]:
-    """_grid_sums from sums, every part's high sum in output order, then every
-    low sum, on Python floats: rows of step outputs, and the indices of the
-    unsettled parts in the rows read as one flat list of parts.  The tests of
-    _settle are the same IEEE operations; math.ulp is np.spacing on x >= 0."""
-    res, unsettled = [], []
-    for high, low in zip(sums, sums[len(sums) // 2 :]):
+def _settle_floats(highs: list, lows: list, step: int, bound: float) -> tuple[list[list[complex]], list[int]]:
+    """_grid_sums from every part's high and low sums, in output order, on
+    Python floats: rows of step outputs, and the indices of the unsettled
+    parts in the rows read as one flat list of parts.  The tests of _settle
+    are the same IEEE operations; math.ulp is np.spacing on x >= 0."""
+    res, unsettled, real = [], [], None
+    for high, low in zip(highs, lows):
         total = high + low
         back = total - high
         err = (high - (total - back)) + (low - back)
         if abs(err) + bound >= 0.5 * math.ulp(math.nextafter(abs(total), 0.0)):
-            unsettled.append(len(res))
-        res.append(total)
-    parts = iter(res)
-    res = list(map(complex, parts, parts))
+            unsettled.append(2 * len(res) + (real is not None))
+        if real is None:
+            real = total
+        else:
+            res.append(complex(real, total))
+            real = None
     return ([res] if len(res) == step else [res[i : i + step] for i in range(0, len(res), step)]), unsettled
 
 
@@ -726,9 +727,8 @@ class CurveData:
         if not values and not grads:
             return [[] for _ in points]
         if len(points) == 1:
-            n = self._radius(points[0])
-            # as a list, which is never the origin grid's (ORIGIN,)
-            return _grid_sums(values, grads, list(points), self._form(n), (n, n))
+            n = _radius(points[0], *self._radius_constants)
+            return _grid_sums(values, grads, points, self._forms.get(n) or self._form(n), (n, n))
 
         def grid(n, idx):
             return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), (n, n))

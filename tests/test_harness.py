@@ -859,7 +859,7 @@ sys.exit(module.main())
         ("fd_convergence.py", ["--points", "1"], 1 + 16, {}),
         ("split_limit_scan.py", [], 1 + 7, {}),
         # one row per case, each case run at least once
-        ("kernel_timing.py", [], 8, {"ROUNDS": 1, "CALLS": 4}),
+        ("kernel_timing.py", [], 9, {"ROUNDS": 1, "CALLS": 4}),
         # one row per op, this checkout timed against itself
         ("kernel_timing.py", ["--ab", str(SRC), "--rounds", "2"], 5,
          {"PAIR_CALLS": 2, "CURVE_CALLS": 2}),

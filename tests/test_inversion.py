@@ -1,6 +1,8 @@
 """Two-point recovery from theta ratios, the 15 ratio parameterizations and
 the three unit sums."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from g2theta.inversion import (
     recover_pair,
 )
 from g2theta.moduli import moduli_from_tau
+from g2theta.rng import SampleStream
 from g2theta.theta import DEFAULT_TAU, CurveData, PeriodMatrix, Point2, curve_data
 
 ORIGIN = Point2(0.0 + 0.0j, 0.0 + 0.0j)
@@ -26,16 +29,44 @@ DIVISOR_POINT = Point2(DIVISOR_U, DIVISOR_V)
 
 
 def f5(x, ms):
-    """x (1 - x) (1 - k0^2 x) (1 - k1^2 x) (1 - k2^2 x), on the pair recovery's path."""
-    return inversion._quintic(inversion._linear_factors(x, ms))
+    """x (1 - x) (1 - k0^2 x) (1 - k1^2 x) (1 - k2^2 x), multiplied left to right
+    as the pair recovery does."""
+    return x * (1.0 - x) * (1.0 - ms.k0_sq * x) * (1.0 - ms.k1_sq * x) * (1.0 - ms.k2_sq * x)
 
 
 def _symmetric_functions(point, tau):
-    """s1 = x1 + x2 and s2 = x1 x2 at the point, by the path recover_pair takes."""
+    """s1 = x1 + x2 and s2 = x1 x2 at the point, from the four thetas
+    recover_pair reads and the curve's symmetric_factors."""
     cd = curve_data(tau)
-    [th] = inversion._pair_tables(cd, (point,))
-    den = inversion._reference_denominator(th, point, cd)
-    return inversion._symmetric_from_thetas(cd.symmetric_factors, th, den)
+    [(ref, num, comp, _)] = inversion._pair_tables(cd, (point,))
+    (kkk, factor), den = cd.symmetric_factors, ref * ref
+    s2 = num**2 / (kkk * den)
+    return 1.0 + s2 - factor * comp**2 / den, s2
+
+
+def _first_stage(point, tau):
+    """x1, x2 and the squared reference theta at the point: the pair path's first stage."""
+    cd = curve_data(tau)
+    return inversion._pair_xs(cd, inversion._pair_tables(cd, (point,))[0], point)
+
+
+def _hex(pair):
+    """A PointPair's bits: float.hex of every real and imaginary part, and the sign class."""
+    parts = (part for z in pair[:4] for part in (z.real, z.imag))
+    return (*map(float.hex, parts), pair.sign_flipped)
+
+
+def test_recover_pair_alone_gives_the_pairs_of_a_batch():
+    # points of the benchmark's invert box, |Re| <= 0.5 and |Im| <= 0.6, of
+    # truncation radius 4 and 5 at DEFAULT_TAU: recover_pair's one-point grid,
+    # certified on Python floats, against parameterization_residuals' batch,
+    # on grids of each radius certified on arrays
+    stream = SampleStream(29, "invert-box")
+    points = [Point2(*stream.draw(1, [(-0.5, 0.5, -0.6, 0.6)] * 2)[0]) for _ in range(24)]
+    cd = curve_data(DEFAULT_TAU)
+    assert sorted({cd._radius(point) for point in points}) == [4, 5]
+    batch = [_hex(pair) for _, pair in parameterization_residuals(cd, points)]
+    assert [_hex(recover_pair(point, DEFAULT_TAU)) for point in points] == batch
 
 
 def test_quintic_reference_values():
@@ -157,19 +188,23 @@ def test_block_diagonal_collapse_pins_one_member():
 
 
 def test_divisor_point_raises_everywhere():
-    for fn in (_symmetric_functions, recover_pair, _labeled_rows):
+    for fn in (_first_stage, recover_pair, _labeled_rows):
         with pytest.raises(SingularDenominator):
             fn(DIVISOR_POINT, DEFAULT_TAU)
 
 
 def test_coincident_pair_guard(monkeypatch):
     # a discriminant of exactly zero cannot be produced by honest series
-    # evaluation (noise keeps it above threshold), so feed one in directly
-    monkeypatch.setattr(
-        inversion,
-        "_symmetric_from_thetas",
-        lambda ms, th, den: (2.0 + 0.0j, 1.0 + 0.0j),  # s1 and s2
+    # evaluation (noise keeps it above threshold), so feed one in directly:
+    # the thetas (1, 1, 0, 0) on a curve whose symmetric_factors are (1, 1)
+    # give s1 = 2 and s2 = 1
+    curve = SimpleNamespace(
+        null_scale=1.0,
+        symmetric_factors=(1.0 + 0.0j, 1.0 + 0.0j),
+        moduli=moduli_from_tau(DEFAULT_TAU),
+        values_at=lambda chars, points: [[1.0 + 0.0j, 1.0 + 0.0j, 0j, 0j]],
     )
+    monkeypatch.setattr(inversion, "curve_data", lambda tau, ctrl: curve)
     with pytest.raises(CoincidentPoints):
         inversion.recover_pair(Point2(0.1, 0.1), DEFAULT_TAU)
 

@@ -690,7 +690,7 @@ def test_the_float_and_array_certifications_agree_on_edge_values():
         for sign in (1.0, -1.0):
             for high, low in pairs:
                 # one output whose real and imaginary parts are the same part
-                floats, left = theta._settle_floats([high * sign] * 2 + [low * sign] * 2, 1, bound)
+                floats, left = theta._settle_floats([high * sign] * 2, [low * sign] * 2, 1, bound)
                 res, bad = theta._settle(np.array([high]) * sign, np.array([low]) * sign, bound)
                 assert left == ([0, 1] if bad[0] else []), (high, low, bound)
                 if bad[0]:
@@ -699,7 +699,7 @@ def test_the_float_and_array_certifications_agree_on_edge_values():
                     settled += 1
                     assert _bits(floats[0][0]) == _bits(complex(res[0], res[0])), (high, low, bound)
     # 1 + 2^-53 is a tie, left unsettled; most pairs settle
-    assert theta._settle_floats([1.0, 1.0, 2.0**-53, 2.0**-53], 1, theta._TINY)[1] == [0, 1]
+    assert theta._settle_floats([1.0, 1.0], [2.0**-53, 2.0**-53], 1, theta._TINY)[1] == [0, 1]
     assert 0 < unsettled < settled
 
 

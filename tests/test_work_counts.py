@@ -350,9 +350,10 @@ def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
 
 
 def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
-    calls = {"grids": [], "genus1": [], "moduli": [], "flow": []}
+    calls = {"grids": [], "genus1": [], "forms1": [], "moduli": [], "flow": []}
     _counting(monkeypatch, theta, "_grid_sums", calls["grids"])
     _counting(monkeypatch, degeneration, "_grid_sums", calls["genus1"])
+    _counting(monkeypatch, degeneration, "_lattice_form", calls["forms1"])
     _counting(monkeypatch, moduli, "build_moduli", calls["moduli"])
     _counting(monkeypatch, flow, "build_flow_constants", calls["flow"])
     counts = []
@@ -366,9 +367,11 @@ def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
     # the 21 grids of the samples and one origin grid each of the configured
     # and split curves; the genus-1 grids: the nulls of tau1, i and 1.5i, the
     # degeneration batch's at (u, tau1) and at (v, tau2) and the elliptic
-    # batch's (one radius each); the moduli of the two curves and of the 19
-    # drawn period matrices
-    assert counts == [{"grids": 23, "genus1": 6, "moduli": 21, "flow": 1}] * 4
+    # batch's (one radius each); the genus-1 lattice forms, kept for the run:
+    # one each of tau1 (its nulls, degeneration and elliptic batches read the
+    # same radius), tau2, i and 1.5i; the moduli of the two curves and of the
+    # 19 drawn period matrices
+    assert counts == [{"grids": 23, "genus1": 6, "forms1": 4, "moduli": 21, "flow": 1}] * 4
 
 
 def test_a_verify_run_sends_only_vanishing_parts_to_exact_row_sums(monkeypatch):
