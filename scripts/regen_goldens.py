@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 
 from g2theta.cli import main as cli_main
-from g2theta.degeneration import degeneration_residuals, genus1_nulls
+from g2theta.degeneration import Genus1Data, degeneration_residuals
 from g2theta.errors import G2ThetaError
 from g2theta.flow import stencil_residuals
 from g2theta.harness import (
@@ -140,7 +140,7 @@ def pair_layer() -> dict:
     out = {}
     for name, tau in (("default", DEFAULT_TAU), ("alt", ALT_TAU)):
         cd, split = CurveData(tau, ctrl), CurveData(PeriodMatrix(tau.tau1, tau.tau2, 0.0), ctrl)
-        nulls = genus1_nulls(tau.tau1, ctrl)
+        g1, g2 = Genus1Data(tau.tau1, ctrl), Genus1Data(tau.tau2, ctrl)
         for i in range(PAIR_POINTS):
             p = Point2(stream.next_complex(*PAIR_BOX), stream.next_complex(*PAIR_BOX))
             key = f"{name}/{i:02d}"
@@ -151,7 +151,7 @@ def pair_layer() -> dict:
             )
             out[f"{key}/stencil"] = _or_error(lambda: _hex(sum(stencil_residuals(cd, [p], h)[0], [])))
             out[f"{key}/degeneration"] = _or_error(
-                lambda: _batch_of_one_hex(degeneration_residuals(split, nulls, [p]))
+                lambda: _batch_of_one_hex(degeneration_residuals(split, g1, g2, [p]))
             )
     far = Point2(1e12 + 0.1j, 0.2 + 0j)
     out["far/recover_pair"] = _hex((far.u, far.v)) + _pair_hex(recover_pair(far, DEFAULT_TAU))

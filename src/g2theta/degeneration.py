@@ -11,18 +11,17 @@ This module certifies that entire chain plus the classical one-variable
 theory it lands on: squared-theta identities, the sn differential equation,
 and the complete-integral relation tau = iK'/K.
 
-The checks are batched and take their per-tau data as arguments:
-degeneration_residuals the CurveData of the split period matrix, the
-genus1_nulls of its tau1 and a batch of points, elliptic_residuals a tau,
-its genus1_nulls and a batch of theta arguments z.  Each returns one result
-per item and reads the theta values of the whole batch together.  Both,
-and genus1_nulls, also take kept, a dict of the genus-1 kernel's per-tau
-data (_theta1_rows), which a verify run keeps for the whole run.
-genus1_nulls evaluates the nulls of a tau, and the squared modulus k^2 and
-its complement k'^2, an EllipticModulus, come from them by one path,
-elliptic_modulus.  Genus 1 has no kernel of its own: theta[a; b](z, t) is
-theta's class-grid kernel on the box (N, 0) of diag(t, t) (_theta1_rows),
-so the splitting rows compare a square-box sum with two (N, 0) sums.
+The checks are batched and take their per-tau data as arguments, as the
+genus-2 checks take a CurveData: degeneration_residuals the CurveData of
+the split period matrix, the Genus1Data of its tau1 and of its tau2 and a
+batch of points, elliptic_residuals the Genus1Data of a tau and a batch
+of theta arguments z, and complete_integral_residuals the Genus1Data of a
+tau.  Each returns one result per item and reads the theta values of the
+whole batch together.  A Genus1Data keeps the nulls of its tau and the
+squared modulus k^2 and its complement k'^2, an EllipticModulus, that
+come from them.  Genus 1 has no kernel of its own: Genus1Data is theta's
+kernel driver on the boxes (N, 0) of diag(t, t), so the splitting rows
+compare a square-box sum with two (N, 0) sums.
 
 Conventions: genus-1 characteristics are column vectors [a; b] with the odd
 one [1; 1]; sn, cn, dn take the theta argument z with u = 2Kz, where
@@ -34,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import ConfigInvalid, SingularDenominator
@@ -46,21 +46,14 @@ from .theta import (
     PeriodMatrix,
     Point2,
     SeriesControl,
-    _by_grid,
-    _decay,
-    _grid_sums,
-    _lattice_form,
-    _layout,
-    _radius,
+    _Kernel,
     _rel,
 )
 
 __all__ = [
     "Genus1Characteristic",
     "EllipticModulus",
-    "theta1",
-    "genus1_nulls",
-    "elliptic_modulus",
+    "Genus1Data",
     "elliptic_residuals",
     "degeneration_residuals",
     "complete_integral_residuals",
@@ -89,58 +82,40 @@ class EllipticModulus(namedtuple("EllipticModulus", "k_sq kp_sq")):
     __slots__ = ()
 
 
-def _theta1_rows(values, grads, args, ctrl: SeriesControl, kept: dict | None = None) -> list[list[complex]]:
-    """One row per (z, tau) of args: theta1[c](z, tau) for c in values, then
-    d/dz theta1[c](z, tau) for c in grads.
-
-    theta1[a; b](z, tau) is theta[a 0; b 0]((z, 0); diag(tau, tau)) summed
-    over the box (N, 0), m in [-N, N] and n = 0, N the truncation radius of
-    (z, 0): the class-grid kernel's terms, units, argument reduction and
-    certification (theta._grid_sums), on grids of one tau and radius each
-    (theta._by_grid).  A tau is validated as that period matrix.  Its
-    diag(tau, tau), _radius constants and lattice forms by radius are built
-    once and kept in kept, a caller's dict for one ctrl, else this call's.
-    """
-    values, grads = (tuple(HalfCharacteristic(c.a, 0, c.b, 0) for c in chars) for chars in (values, grads))
-    kept = {} if kept is None else kept  # by tau: (diag(tau, tau), its _radius constants, its forms)
-    keys = []
-    for z, tau in args:
-        if tau not in kept:
-            curve = PeriodMatrix(tau, tau, 0j)
-            kept[tau] = curve, (*_decay(curve.lambda_min, ctrl.tol), ctrl.max_radius), {}
-        keys.append((tau, _radius(Point2(z, 0j), *kept[tau][1])))
-
-    def grid(key, idx):
-        tau, n = key
-        curve, _, forms = kept[tau]
-        if n not in forms:
-            forms[n] = _lattice_form((curve,), (n, 0))
-        return _grid_sums(values, grads, tuple(Point2(args[i][0], 0j) for i in idx), forms[n], (n, 0))
-
-    return _by_grid(keys, lambda key: _layout(values, grads, (key[1], 0)).terms, grid)
-
-
-def theta1(c: Genus1Characteristic, z: complex, tau: complex, ctrl: SeriesControl = SeriesControl()) -> complex:
-    """One-variable theta with half-integer characteristic [a; b]."""
-    return _theta1_rows((c,), (), [(z, tau)], ctrl)[0][0]
-
-
 _GENUS1_CHARS = tuple(Genus1Characteristic(a, b) for a in (0, 1) for b in (0, 1))
 
 
-def genus1_nulls(tau: complex, ctrl: SeriesControl, kept: dict | None = None) -> Mapping[tuple[int, int], complex]:
-    """All four theta[a; b](0), keyed by (a, b): the three even ones from one
-    genus-1 evaluation, and the odd [1; 1], exactly 0 and not summed (on the
-    box its terms leave only the unpaired edge, a sum far below the terms
-    that only math.fsum can round)."""
-    [values] = _theta1_rows(_GENUS1_CHARS[:3], (), [(0.0, tau)], ctrl, kept)
-    return MappingProxyType(dict(zip(_GENUS1_CHARS, [*values, 0j])))
+class Genus1Data(_Kernel):
+    """What the genus-1 thetas of one tau share at every theta argument z:
+    theta[a; b](z, tau) is theta[a 0; b 0]((z, 0); diag(tau, tau)), summed
+    over the box (N, 0), whose terms are those of the one-variable series.
+    self.tau is diag(tau, tau), validated on construction; rows_at and
+    values_at take genus-1 characteristics and z, a gradient being d/dz.
+    Built on first read and then kept: nulls, all four theta[a; b](0) keyed
+    by (a, b), the odd [1; 1] exactly 0 and not summed (on the box its terms
+    leave only the unpaired edge, a sum far below the terms that only
+    math.fsum can round), and modulus, the EllipticModulus; a build that
+    raises keeps nothing, so every later read raises again.
+    """
 
+    _shape = staticmethod(lambda n: (n, 0))  # the box of radius n
 
-def elliptic_modulus(nulls) -> EllipticModulus:
-    """The modulus of a tau from its genus1_nulls."""
-    n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
-    return EllipticModulus((n10 / n00) ** 4, (n01 / n00) ** 4)
+    def __init__(self, tau: complex, ctrl: SeriesControl):
+        super().__init__(PeriodMatrix(tau, tau, 0j), ctrl)
+
+    def rows_at(self, values, grads, zs) -> list[list[complex]]:
+        values, grads = ([HalfCharacteristic(c.a, 0, c.b, 0) for c in chars] for chars in (values, grads))
+        return super().rows_at(values, grads, [Point2(z, 0j) for z in zs])
+
+    @cached_property
+    def nulls(self) -> Mapping[tuple[int, int], complex]:
+        [values] = self.values_at(_GENUS1_CHARS[:3], (0.0,))
+        return MappingProxyType(dict(zip(_GENUS1_CHARS, [*values, 0j])))
+
+    @cached_property
+    def modulus(self) -> EllipticModulus:
+        n00, n01, n10, _ = self.nulls.values()  # in _GENUS1_CHARS order
+        return EllipticModulus((n10 / n00) ** 4, (n01 / n00) ** 4)
 
 
 def _sn_ratio(nulls, t01: complex, t11: complex, z) -> complex:
@@ -153,7 +128,7 @@ def _sn_ratio(nulls, t01: complex, t11: complex, z) -> complex:
 
 
 def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
-    """sn, cn, dn from the nulls and the four theta1 values t at z, in
+    """sn, cn, dn from the nulls and the four genus-1 values t at z, in
     _GENUS1_CHARS order."""
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     t00, t01, t10, t11 = t
@@ -163,9 +138,9 @@ def _jacobi(nulls, t, z) -> tuple[complex, complex, complex]:
     return sn, cn, dn
 
 
-def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float, kept=None) -> list[list[float]]:
-    """The seven residuals of the genus-1 theory at tau, whose genus1_nulls
-    are nulls, at each theta argument z.
+def elliptic_residuals(g: Genus1Data, zs, h: float) -> list[list[float]]:
+    """The seven residuals of the genus-1 theory at the tau of g, the
+    Genus1Data of that tau, at each theta argument z.
 
     In order: the three squared-theta identities and the null quartic, the
     Jacobi-function identities sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1, and
@@ -175,8 +150,8 @@ def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float, k
     What depends on tau alone is taken once: the null quartic's row, the
     squared nulls that lead the identities' products, and 2K.
     """
-    k_sq = elliptic_modulus(nulls).k_sq
-    values = _theta1_rows(_GENUS1_CHARS, (), [(arg, tau) for z in zs for arg in (z, z + h, z - h)], ctrl, kept)
+    nulls, k_sq = g.nulls, g.modulus.k_sq
+    values = g.values_at(_GENUS1_CHARS, [arg for z in zs for arg in (z, z + h, z - h)])
     n00, n10, n01 = nulls[0, 0], nulls[1, 0], nulls[0, 1]
     s00, s01, s10 = n00**2, n01**2, n10**2
     quartic = _rel(n00**4, n01**4 + n10**4)
@@ -201,7 +176,7 @@ def elliptic_residuals(tau: complex, nulls, zs, ctrl: SeriesControl, h: float, k
 def _sn_ode(nulls, k_sq: complex, two_k: complex, stencil, z, x: complex, h: float) -> float:
     """Residual of (dx/du)^2 = (1 - x^2)(1 - k^2 x^2) at z, for x = -sn (_sn_ratio)
     there, with dx/du by a central difference of step h from the four
-    theta1 values at z + h, then at z - h (stencil), in _GENUS1_CHARS order.
+    genus-1 values at z + h, then at z - h (stencil), in _GENUS1_CHARS order.
 
     u = 2Kz, so dx/du = (dx/dz) / (2K), two_k.
     """
@@ -218,10 +193,12 @@ DEGENERATION_LABELS = tuple(f"split-{c.label()}" for c in ALL_CHARACTERISTICS) +
 )
 
 
-def degeneration_residuals(cd: CurveData, nulls, points, kept=None) -> list[tuple[list[float], PointPair]]:
+def degeneration_residuals(
+    cd: CurveData, g_tau1: Genus1Data, g_tau2: Genus1Data, points
+) -> list[tuple[list[float], PointPair]]:
     """At each point, the residuals in DEGENERATION_LABELS order and the pair
-    recovered on cd, the CurveData of a split period matrix (tau12 = 0)
-    whose tau1 has the genus1_nulls nulls.
+    recovered on cd, the CurveData of a split period matrix (tau12 = 0),
+    whose tau1 and tau2 have the Genus1Data g_tau1 and g_tau2.
 
     The split-* rows are the relative gaps between the sixteen genus-2 values
     at tau12 = 0 and their genus-1 products at (u, tau1) and (v, tau2).  The
@@ -229,17 +206,17 @@ def degeneration_residuals(cd: CurveData, nulls, points, kept=None) -> list[tupl
     {x^2, 1/k0^2}, x the theta-ratio form of -sn at theta argument u, so
     x^2 = sn^2(2Ku): the three symmetric-function relations, the collapse of
     the three moduli to one and the unordered pair match.  All the points
-    read one values_at call and one genus-1 evaluation, and what the split
-    curve gives every point, the collapse rows among it, is taken once.
+    read one values_at call of each of cd, g_tau1 (at u) and g_tau2 (at v),
+    and what the split curve gives every point, the collapse rows among it,
+    is taken once.
     """
-    tau1, tau2 = cd.tau.tau1, cd.tau.tau2
+    nulls = g_tau1.nulls
     g2 = cd.values_at(ALL_CHARACTERISTICS, points)
-    args = [(z, t) for point in points for z, t in ((point.u, tau1), (point.v, tau2))]
-    g1 = _theta1_rows(_GENUS1_CHARS, (), args, cd.ctrl, kept)
+    g1u_rows = g_tau1.values_at(_GENUS1_CHARS, [point.u for point in points])
+    g1v_rows = g_tau2.values_at(_GENUS1_CHARS, [point.v for point in points])
     out, curve = [], None
-    for i, (point, row) in enumerate(zip(points, g2)):
+    for point, row, g1u, g1v in zip(points, g2, g1u_rows, g1v_rows):
         pair = _pair_from_thetas(cd, _pick_pair(row), point)[0]
-        g1u, g1v = g1[2 * i], g1[2 * i + 1]
         x = _sn_ratio(nulls, g1u[1], g1u[3], point.u)
         if curve is None:  # after the first point's pair and x, so its errors raise first
             curve = _split_curve_rows(cd.moduli)
@@ -277,18 +254,19 @@ def _degeneration_rows(curve, x: complex, pair, g2, g1u, g1v) -> list[float]:
     ]
 
 
-def complete_integral_residuals(tau: complex, nulls) -> list[float]:
+def complete_integral_residuals(g: Genus1Data) -> list[float]:
     """Check tau = iK'/K and theta^2[0;0](0) = 2K/pi by tanh-sinh quadrature,
-    from the genus1_nulls of tau.
+    from the nulls and modulus of g, the Genus1Data of tau.
 
     Restricted to purely imaginary tau with Im in [0.5, 3]: there the modulus
     is real in (0, 1) and the integrals are the classical real ones.
     """
+    tau = g.tau.tau1
     if abs(tau.real) > 1e-12 or not (0.5 <= tau.imag <= 3.0):
         raise ConfigInvalid(
             f"tau = {tau} must be purely imaginary with Im in [0.5, 3]"
         )
-    mod = elliptic_modulus(nulls)
+    mod = g.modulus
     m = mod.k_sq.real
     mp = mod.kp_sq.real
 
@@ -301,7 +279,7 @@ def complete_integral_residuals(tau: complex, nulls) -> list[float]:
 
     big_k = tanh_sinh_01(integrand(m))
     big_kp = tanh_sinh_01(integrand(mp))
-    n00 = nulls[0, 0]
+    n00 = g.nulls[0, 0]
     return [
         abs(1j * big_kp / big_k - tau) / (1.0 + abs(tau)),
         _rel(n00 * n00, 2.0 * big_k / math.pi),

@@ -16,9 +16,12 @@ first read and kept for the rest of the run, and nothing is kept from one
 run to the next, so a run does the same work whatever ran before it in the
 process.
 
-A drawn sample that lands on a theta divisor or otherwise breaks a
-precondition is re-drawn up to 10 times, then counted as skipped; the
-configured tau, evaluated as a batch of one, is never skipped.  The loop
+A drawn sample whose check raises a PointError (it lands on a theta
+divisor or otherwise breaks a precondition of its point) is re-drawn up to
+10 times, then counted as skipped; an error of the period matrix, as
+DivisionByZeroModulus or DegenerateTau, ends the run at the first draw
+that raises it, and the configured tau, evaluated as a batch of one, is
+never skipped.  The loop
 draws as many samples as are still open, in one block draw of the suite's
 stream (SampleStream.draw), evaluates them as one batch and replays that
 walk over the outcomes, until no sample is open.  Every open sample needs
@@ -58,16 +61,13 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .degeneration import (
     DEGENERATION_LABELS,
+    Genus1Data,
     complete_integral_residuals,
     degeneration_residuals,
-    elliptic_modulus,
     elliptic_residuals,
-    genus1_nulls,
 )
 from .errors import (
     ConfigInvalid,
-    DegenerateTau,
-    DivisionByZeroModulus,
     G2ThetaError,
     NonFiniteResidual,
     PointError,
@@ -114,7 +114,7 @@ _BOX = (-0.5, 0.5, -0.2, 0.2)
 _TAU_DIAG = (-0.3, 0.3, 0.9, 1.5)
 _TAU_OFF = (-0.1, 0.1, 0.1, 0.35)
 
-_SKIPPABLE = (PointError, DivisionByZeroModulus, DegenerateTau)
+_SKIPPABLE = PointError
 
 
 def _split(cfg) -> PeriodMatrix:
@@ -183,9 +183,9 @@ def _elliptic_final(cfg, data, notes, extras):
     """Complete integrals at two fixed taus and the self-dual modulus at i."""
     rows = []
     for t in (1j, 1.5j):
-        res = complete_integral_residuals(t, data[t])
+        res = complete_integral_residuals(data[t])
         rows += [(res[0], [t]), (res[1], [t])]
-    mod_i = elliptic_modulus(data[1j])
+    mod_i = data[1j].modulus
     extras["modulus_sq_at_i"] = mod_i.k_sq
     rows.append((abs(mod_i.k_sq - 0.5), [1j]))
     return rows
@@ -268,7 +268,7 @@ _SUITES = {
         labels=DEGENERATION_LABELS,
         # the split locus attached to the configured diagonal
         evaluate=lambda cfg, data, batch: degeneration_residuals(
-            data[_split(cfg)], data[cfg.tau.tau1], _points(batch), data.genus1
+            data[_split(cfg)], data[cfg.tau.tau1], data[cfg.tau.tau2], _points(batch)
         ),
         final_labels=("constant-member-spread",),
         finalize=_degeneration_final,
@@ -280,9 +280,9 @@ _SUITES = {
             "jacobi-sn-cn", "jacobi-dn", "sn-ode",
         ),
         # genus-1 theory at tau = tau1 of the config
-        evaluate=lambda cfg, data, batch: [(r, None) for r in elliptic_residuals(
-            cfg.tau.tau1, data[cfg.tau.tau1], [s[0] for s in batch], cfg.series, cfg.fd_step, data.genus1
-        )],
+        evaluate=lambda cfg, data, batch: [
+            (r, None) for r in elliptic_residuals(data[cfg.tau.tau1], [s[0] for s in batch], cfg.fd_step)
+        ],
         fd_labels=frozenset(["sn-ode"]),
         final_labels=(
             "complete-tau-i", "complete-norm-i", "complete-tau-1.5i", "complete-norm-1.5i",
@@ -455,18 +455,16 @@ _SUITE_RUNNERS = {name: partial(_run_suite, name) for name in SUITE_ORDER}
 
 class _PerTau(dict):
     """The per-tau data of a run: a PeriodMatrix's CurveData, a genus-1
-    tau's genus1_nulls, each built at its first read, so a run builds only
+    tau's Genus1Data, each built at its first read, so a run builds only
     what its suites read, once, and raises a build's error where it first
-    reads it; genus1 is the kept genus-1 kernel data of degeneration's checks."""
+    reads it."""
 
     def __init__(self, ctrl: SeriesControl):
         super().__init__()
-        self.ctrl, self.genus1 = ctrl, {}
+        self.ctrl = ctrl
 
     def __missing__(self, tau):
-        built = self[tau] = (
-            CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else genus1_nulls(tau, self.ctrl, self.genus1)
-        )
+        built = self[tau] = CurveData(tau, self.ctrl) if isinstance(tau, PeriodMatrix) else Genus1Data(tau, self.ctrl)
         return built
 
 

@@ -53,14 +53,16 @@ A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
 theta[c](u + k, v + l) = (-1)^(a k + c l) theta[c](u, v).
 
-Theta values come from CurveData, built once per period matrix by its
-caller and passed in: it holds the nulls and evaluates values (values_at),
-or values and gradients (rows_at), of any characteristics at any number
-of points, on grids of one truncation radius N and at most _GRID_TERMS
-class and jet terms, so memory stays bounded however many points a batch
-holds.  Its nulls come from one path, _origin_grid: one origin grid on the
-stacked lattice forms of period matrices of one radius, a CurveData being
-a stack of one and curve_batch stacking many.  For callers that hold only
+Theta values come from a per-tau object built once by its caller and
+passed in, whose kernel driver (_Kernel) evaluates values (values_at), or
+values and gradients (rows_at), of any characteristics at any number of
+points, on grids of one truncation radius N and at most _GRID_TERMS class
+and jet terms, so memory stays bounded however many points a batch holds:
+CurveData on the boxes (N, N), and the degeneration layer's Genus1Data on
+the boxes (N, 0).  The nulls of a CurveData come from one path,
+_origin_grid: one origin grid on the stacked lattice forms of period
+matrices of one radius, a CurveData being a stack of one and curve_batch
+stacking many.  For callers that hold only
 a period matrix, curve_data keeps the CurveData of the last
 _NULL_CACHE_TAUS of them, and theta2 reads one value from it; the harness
 and the CLI build their own CurveData and never read it.
@@ -582,13 +584,13 @@ def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]
     return res.view(np.complex128).tolist()
 
 
-def _point_row(cd: CurveData, values, grads, point: Point2) -> list[list[complex]]:
+def _point_row(kernel: _Kernel, values, grads, point: Point2) -> list[list[complex]]:
     """rows_at of one point: a values request from the point to its certified row in one
     pass, _grid_sums' factored terms and float path, so the same bits.  _grid_sums takes
     gradients, a component with |Re| >= _REDUCE_RE, a form outside _in_factor_range, a
     fold not of one matrix, a term of 2^900 or more and a part left unsettled."""
-    n = _radius(point, *cd._radius_constants)
-    form, shape = cd._forms.get(n) or cd._form(n), (n, n)
+    n = _radius(point, *kernel._radius_constants)
+    form, shape = kernel._forms.get(n) or kernel._form(n), kernel._shape(n)
     plan = _layout(values, grads, shape)
     near = abs(point.u.real) < _REDUCE_RE and abs(point.v.real) < _REDUCE_RE
     if near and not grads and form.tau_factor is not None and len(plan.fold) == 1:
@@ -648,8 +650,57 @@ def _origin_grid(taus, n: int) -> list[tuple[int, list[complex], _LatticeForm]]:
     return [(n, row, _LatticeForm(*(None if t is None else t[k : k + 1] for t in form))) for k, row in enumerate(rows)]
 
 
-class CurveData:
-    """What the theta functions of one period matrix share at every point.
+class _Kernel:
+    """The kernel's driver for one period matrix tau: the sums of any
+    characteristics at any number of points, on grids of one truncation
+    radius N and the box _shape(N) each.  It keeps the _decay constants and
+    max_radius of each point's _radius, and the lattice forms of at most
+    _FORMS_PER_CURVE radii, oldest dropped first.  The subclass fixes the
+    box: (N, N) for CurveData, (N, 0) for the genus-1 data of the
+    degeneration layer, on diag(t, t).
+    """
+
+    def __init__(self, tau: PeriodMatrix, ctrl: SeriesControl):
+        self.tau, self.ctrl = tau, ctrl
+        self._radius_constants = (*_decay(tau.lambda_min, ctrl.tol), ctrl.max_radius)
+        self._forms = {}
+
+    def values_at(self, chars, points) -> list[list[complex]]:
+        """theta[c](point) for every point (outer) and c in chars (inner), on rows_at's grids."""
+        return self.rows_at(chars, (), points)
+
+    def rows_at(self, values, grads, points) -> list[list[complex]]:
+        """One row per point: theta[c] for c in values, then d/du and then d/dv theta[c] for c in
+        grads (no d/dv on a box (N, 0)), the series differentiated term by term, on bounded grids
+        of one radius each (_by_grid); a single point goes to _point_row."""
+        values, grads = tuple(values), tuple(grads)
+        if not values and not grads:
+            return [[] for _ in points]
+        if len(points) == 1:
+            return _point_row(self, values, grads, points[0])
+
+        def grid(n, idx):
+            return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), self._shape(n))
+
+        radii = _radii(points, *self._radius_constants)
+        return _by_grid(radii, lambda n: _layout(values, grads, self._shape(n)).terms, grid)
+
+    def _radius(self, point: Point2) -> int:
+        """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""
+        return _radius(point, *self._radius_constants)
+
+    def _form(self, n: int) -> _LatticeForm:
+        form = self._forms.get(n)
+        if form is None:
+            if len(self._forms) >= _FORMS_PER_CURVE:
+                self._forms.pop(next(iter(self._forms)), None)
+            form = self._forms[n] = _lattice_form((self.tau,), self._shape(n))
+        return form
+
+
+class CurveData(_Kernel):
+    """What the theta functions of one period matrix share at every point,
+    summed over the square boxes (N, N).
 
     Built on construction from its row of an origin grid (_origin_grid: its
     own, or a curve_batch stack's), whose form slice it keeps: nulls, all
@@ -661,16 +712,14 @@ class CurveData:
     first use and then kept: null_squares (the even nulls squared), moduli
     (the ModuliSet), its symmetric_factors and bracket_prefactor, and
     flow_constants (the FlowConstants); a build that raises keeps nothing,
-    so every later access raises again.  Kept too: the lattice forms of at
-    most _FORMS_PER_CURVE radii, and the _decay constants and max_radius of
-    each point's _radius.
+    so every later access raises again.
     """
+
+    _shape = staticmethod(lambda n: (n, n))  # the box of radius n
 
     def __init__(self, tau: PeriodMatrix, ctrl: SeriesControl, origin: tuple | None = None):
         """origin is the curve's (radius, row, form slice) of a curve_batch origin grid."""
-        self.tau, self.ctrl = tau, ctrl
-        self._radius_constants = (*_decay(tau.lambda_min, ctrl.tol), ctrl.max_radius)
-        self._forms = {}
+        super().__init__(tau, ctrl)
         # alone, a batch of one; the radius is assigned first, then keys its form
         n, sums, self._forms[n] = origin or _origin_grid((tau,), self._radius(ORIGIN))[0]
         values, du, dv = sums[:-4], sums[-4:-2], sums[-2:]
@@ -714,38 +763,6 @@ class CurveData:
         if not (kpkpkp := ms.kp0 * ms.kp1 * ms.kp2):
             raise DivisionByZeroModulus("k'0 k'1 k'2 = 0 in a denominator")
         return -1.0 / kpkpkp
-
-    def values_at(self, chars, points) -> list[list[complex]]:
-        """theta[c](point) for every point (outer) and c in chars (inner), on rows_at's grids."""
-        return self.rows_at(chars, (), points)
-
-    def rows_at(self, values, grads, points) -> list[list[complex]]:
-        """One row per point: theta[c] for c in values, then d/du and then d/dv theta[c] for c in
-        grads, the series differentiated term by term, on bounded grids of one radius each
-        (_by_grid); a single point goes to _point_row."""
-        values, grads = tuple(values), tuple(grads)
-        if not values and not grads:
-            return [[] for _ in points]
-        if len(points) == 1:
-            return _point_row(self, values, grads, points[0])
-
-        def grid(n, idx):
-            return _grid_sums(values, grads, [points[i] for i in idx], self._form(n), (n, n))
-
-        radii = _radii(points, *self._radius_constants)
-        return _by_grid(radii, lambda n: _layout(values, grads, (n, n)).terms, grid)
-
-    def _radius(self, point: Point2) -> int:
-        """truncation_radius(self.tau, point, self.ctrl), from the kept constants."""
-        return _radius(point, *self._radius_constants)
-
-    def _form(self, n: int) -> _LatticeForm:
-        form = self._forms.get(n)
-        if form is None:
-            if len(self._forms) >= _FORMS_PER_CURVE:
-                self._forms.pop(next(iter(self._forms)), None)
-            form = self._forms[n] = _lattice_form((self.tau,), (n, n))
-        return form
 
 
 def curve_batch(taus, ctrl: SeriesControl = SeriesControl()) -> list[CurveData]:

@@ -11,11 +11,10 @@ import pytest
 from conftest import ShiftKind, draw_points, half_shift, shifted_argument
 
 from g2theta.degeneration import (
+    Genus1Data,
     complete_integral_residuals,
     degeneration_residuals,
-    elliptic_modulus,
     elliptic_residuals,
-    genus1_nulls,
 )
 from g2theta.flow import (
     addition_formula_residuals,
@@ -187,26 +186,26 @@ def test_criterion_8_genus1_degeneration():
     tau1, tau2 = 0.1 + 1.1j, -0.15 + 1.3j
     ctrl = SeriesControl()
     tau = PeriodMatrix(tau1, tau2, 0.0)
-    nulls1, nulls_i, nulls_15i = (genus1_nulls(t, ctrl) for t in (tau1, 1.0j, 1.5j))
-    split = degeneration_residuals(CurveData(tau, ctrl), nulls1, draw_points(109, "acc-split", 10))
+    g1, g2, g_i, g_15i = (Genus1Data(t, ctrl) for t in (tau1, tau2, 1.0j, 1.5j))
+    split = degeneration_residuals(CurveData(tau, ctrl), g1, g2, draw_points(109, "acc-split", 10))
     worst_split = max(max(rows[:16]) for rows, _ in split)  # the split-* rows
 
     stream = SampleStream(110, "acc-elliptic")
     zs = [stream.next_complex(-0.4, 0.4, -0.2, 0.2) for _ in range(10)]
     # the three squared-theta identities and the null quartic
-    worst_ell = max(max(rows[:4]) for rows in elliptic_residuals(tau1, nulls1, zs, ctrl, 1e-5))
+    worst_ell = max(max(rows[:4]) for rows in elliptic_residuals(g1, zs, 1e-5))
 
     ms = moduli_from_tau(tau)
     members = [recover_pair(pt, tau).x1 for pt in draw_points(111, "acc-constant", 8)]
     spread = max(abs(v - members[0]) for v in members)
     const_gap = max(spread, abs(members[0] - 1.0 / ms.k0_sq))
 
-    ode = max(rows[6] for rows in elliptic_residuals(tau1, nulls1, [0.17 - 0.06j, 0.0], ctrl, 1e-5))
+    ode = max(rows[6] for rows in elliptic_residuals(g1, [0.17 - 0.06j, 0.0], 1e-5))
     integ = max(
-        max(complete_integral_residuals(1.0j, nulls_i)),
-        max(complete_integral_residuals(1.5j, nulls_15i)),
+        max(complete_integral_residuals(g_i)),
+        max(complete_integral_residuals(g_15i)),
     )
-    half_gap = abs(elliptic_modulus(nulls_i).k_sq - 0.5)
+    half_gap = abs(g_i.modulus.k_sq - 0.5)
 
     ok = (
         worst_split < 1e-12

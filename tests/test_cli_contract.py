@@ -93,12 +93,16 @@ def test_invert_and_moduli_keep_the_cli_contract(command, tau, u, v):
 
 
 def test_verify_at_the_inputs_that_crashed_it_exits_with_one_error_line():
-    # the degeneration suite refuses the first tau, and the pair stage of the
-    # parameterizations suite raises TruncationOverflow at the second
-    for tau, code in ((_UNDERFLOW, 3), (_NAN_RESIDUAL, 2)):
+    # the parameterizations suite raises DivisionByZeroModulus (k0 k1 k2 = 0)
+    # at the first draw at the first tau, an error of the curve that ends the
+    # run there, and its pair stage raises TruncationOverflow at the second
+    for tau, code in ((_UNDERFLOW, 2), (_NAN_RESIDUAL, 2)):
         argv = ["verify", "--samples", "2", *(_flag(name, z) for name, z in zip(("tau1", "tau2", "tau12"), tau))]
         assert _run(argv)[:2] == (code, "")
         _assert_contract(argv)
+    argv = ["verify", "--samples", "2", "--suite", "parameterizations"]
+    argv += [_flag(name, z) for name, z in zip(("tau1", "tau2", "tau12"), _UNDERFLOW)]
+    assert _run(argv) == (2, "", "error: k0 k1 k2 = 0 in a denominator\n")
 
 
 def test_a_non_finite_residual_ends_verify_with_one_error_line(monkeypatch):

@@ -21,12 +21,14 @@ from g2theta.errors import (
     CoincidentPoints,
     ConfigInvalid,
     DegenerateTau,
+    DivisionByZeroModulus,
     G2ThetaError,
+    PointError,
     SingularDenominator,
     StencilCrossesDivisor,
     TruncationOverflow,
 )
-from g2theta.degeneration import genus1_nulls
+from g2theta.degeneration import Genus1Data
 from g2theta.flow import stencil_residuals
 from g2theta.harness import (
     VERSION,
@@ -385,12 +387,12 @@ def test_batched_walk_with_skips_equals_the_one_by_one_walk(monkeypatch, name):
     cfg = RunConfig(samples=6 + (name == "moduli"), suites=(name,))
     # draws by sample: 0 | 1 2 | 3 | 4..13, ten failed attempts, skipped |
     # 14 15 | 16 17; the failure at draw 1 sits in the middle of the first
-    # batch, and DegenerateTau is a skip that is not a PointError
+    # batch, and the base PointError is a skip too
     errors = {
         1: SingularDenominator("mid-batch"),
         4: CoincidentPoints("coincident"),
         **{i: StencilCrossesDivisor(f"crossing {i}") for i in range(5, 15)},
-        16: DegenerateTau("degenerate"),
+        16: PointError("at one point"),
     }
     _inject(monkeypatch, name, cfg, errors)
     batches = []
@@ -405,7 +407,7 @@ def test_batched_walk_with_skips_equals_the_one_by_one_walk(monkeypatch, name):
     assert batched == _one_by_one_walk(name, cfg)
     assert (batched.samples_run, batched.skipped) == (cfg.samples - 1, 1)
     assert batched.skip_reasons == {
-        "CoincidentPoints": 1, "DegenerateTau": 1, "SingularDenominator": 1,
+        "CoincidentPoints": 1, "PointError": 1, "SingularDenominator": 1,
         "StencilCrossesDivisor": 10,
     }
     # the walk takes draws 0..17; each batch holds as many draws as samples
@@ -439,6 +441,24 @@ def test_an_overflow_the_walk_reaches_is_raised_as_the_one_by_one_walk_raises_it
     assert str(batched.value) == str(reference.value) == "required radius 70 exceeds max_radius 64"
 
 
+@pytest.mark.parametrize("name", ["parameterizations", "flow", "degeneration"])
+def test_an_error_of_the_period_matrix_ends_the_run_at_the_draw_that_raises_it(monkeypatch, name):
+    # a DivisionByZeroModulus belongs to the curve, not to a point: the run
+    # raises it at draw 3, not skips it, and so never reaches draw 4
+    cfg = RunConfig(samples=5, suites=(name,))
+    errors = {
+        1: SingularDenominator("skipped first"),
+        3: DivisionByZeroModulus("k0 k1 k2 = 0 in a denominator"),
+        4: TruncationOverflow("unreached"),
+    }
+    _inject(monkeypatch, name, cfg, errors)
+    with pytest.raises(DivisionByZeroModulus) as reference:
+        _one_by_one_walk(name, cfg)
+    with pytest.raises(DivisionByZeroModulus) as batched:
+        _run_suite(name, cfg)
+    assert str(batched.value) == str(reference.value) == "k0 k1 k2 = 0 in a denominator"
+
+
 @pytest.mark.parametrize(
     ("tau", "tol", "error", "message"),
     [
@@ -458,7 +478,7 @@ def test_a_per_tau_build_that_raises_leaves_the_run_its_first_error(tau, tol, er
     # or 6, past max_radius; the run raises the error it reaches first
     cfg = RunConfig(tau=PeriodMatrix(*tau), samples=5, series=SeriesControl(tol, 4))
     with pytest.raises(TruncationOverflow):
-        genus1_nulls(1j, cfg.series)
+        Genus1Data(1j, cfg.series).nulls
     with pytest.raises(error) as caught:
         run_suites(cfg)
     assert str(caught.value) == message

@@ -28,7 +28,7 @@ from conftest import draw_points
 
 import g2theta.harness as harness
 import g2theta.theta as theta
-from g2theta.degeneration import degeneration_residuals, elliptic_residuals, genus1_nulls
+from g2theta.degeneration import Genus1Data, degeneration_residuals, elliptic_residuals
 from g2theta.flow import (
     addition_formula_residuals,
     derivative_formula_residuals,
@@ -152,7 +152,7 @@ def test_the_benchmark_workloads_run_on_the_library(workload, tmp_path):
 CD = curve_data(DEFAULT_TAU)
 TAU1, TAU2 = 0.1 + 1.1j, -0.15 + 1.3j
 SPLIT = CurveData(PeriodMatrix(TAU1, TAU2, 0.0), SeriesControl())
-NULLS1 = genus1_nulls(TAU1, SeriesControl())
+G1, G2 = Genus1Data(TAU1, SeriesControl()), Genus1Data(TAU2, SeriesControl())
 # two points of the harness box, and one far enough out to need a larger
 # truncation radius, so the batch spans more than one grid
 POINTS = draw_points(43, "batch-of-three", 2) + [Point2(0.31 + 0.55j, -0.22 - 0.48j)]
@@ -169,11 +169,11 @@ BATCHED_CHECKS = {
     "derivative": (lambda items: derivative_formula_residuals(CD, items), POINTS),
     "parameterization": (lambda items: parameterization_residuals(CD, items), POINTS),
     "degeneration": (
-        lambda items: degeneration_residuals(SPLIT, NULLS1, items),
+        lambda items: degeneration_residuals(SPLIT, G1, G2, items),
         POINTS,
     ),
     "elliptic": (
-        lambda items: elliptic_residuals(TAU1, NULLS1, items, SeriesControl(), 1e-5),
+        lambda items: elliptic_residuals(G1, items, 1e-5),
         [point.u for point in POINTS],
     ),
 }

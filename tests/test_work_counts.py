@@ -38,6 +38,38 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def _counting_grids(monkeypatch, genus2, genus1):
+    """Record each grid as the arguments (values, grads, points, form, box)
+    of _grid_sums: in genus2, every call on a square box (N, N), and in
+    genus1 each genus-1 grid, a call on a box (N, 0) or a one-point row
+    (_point_row), which may take its row without a call and else makes the
+    call for the same grid."""
+    grid_sums, point_row = theta._grid_sums, theta._point_row
+    in_row = []
+
+    def counted_grid(*args):
+        if args[4][1]:
+            genus2.append(args)
+        elif not in_row:
+            genus1.append(args)
+        return grid_sums(*args)
+
+    def counted_row(kernel, values, grads, point):
+        if not isinstance(kernel, degeneration.Genus1Data):
+            return point_row(kernel, values, grads, point)
+        in_row.append(point)
+        try:
+            row = point_row(kernel, values, grads, point)
+        finally:
+            in_row.pop()
+        n = kernel._radius(point)
+        genus1.append((values, grads, (point,), kernel._forms[n], kernel._shape(n)))
+        return row
+
+    monkeypatch.setattr(theta, "_grid_sums", counted_grid)
+    monkeypatch.setattr(theta, "_point_row", counted_row)
+
+
 def _members(form):
     """The tables of each period matrix of a lattice form, along its leading
     axis, as bytes: one per period matrix of the grid that read it."""
@@ -166,6 +198,20 @@ def test_a_plan_outlives_the_lattice_form_it_read(monkeypatch):
     assert cd._form(radii[0]) is not first
 
 
+def test_a_genus1_tau_keeps_the_lattice_forms_of_a_few_radii(monkeypatch):
+    g = degeneration.Genus1Data(1j, theta.SeriesControl())
+    zs = [complex(0.1, 0.5 + k) for k in range(6)]
+    radii = [g._radius(Point2(z, 0j)) for z in zs]
+    assert len(set(radii)) == 6
+    forms = []
+    _counting(monkeypatch, theta, "_lattice_form", forms)
+    for z in zs:
+        g.values_at(degeneration._GENUS1_CHARS, [z])
+    # one form per radius, of which the last _FORMS_PER_CURVE are kept
+    assert [shape for _, shape in forms] == [(n, 0) for n in radii]
+    assert list(g._forms) == radii[-theta._FORMS_PER_CURVE :]
+
+
 def test_small_grids_certify_on_python_floats_and_large_ones_on_arrays(monkeypatch):
     theta.curve_data(DEFAULT_TAU).moduli  # the nulls are a grid of their own
     floats, arrays = [], []
@@ -270,8 +316,7 @@ def test_riemann_relations_evaluate_each_point_once(monkeypatch):
 def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
     cfg = RunConfig(samples=3, suites=("degeneration",))
     grids, genus1 = [], []
-    _counting(monkeypatch, theta, "_grid_sums", grids)
-    _counting(monkeypatch, degeneration, "_grid_sums", genus1)
+    _counting_grids(monkeypatch, grids, genus1)
     result = run_suites(cfg).suites[0]
     assert (result.samples_run, result.skip_reasons) == (3, {})
     # the run's split curve, then one batch: the splitting check and the
@@ -289,14 +334,14 @@ def test_degeneration_suite_evaluates_each_sample_point_once(monkeypatch):
 
 def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once(monkeypatch):
     grids, genus1, sizes = [], [], []
-    _counting(monkeypatch, theta, "_grid_sums", grids)
-    _counting(monkeypatch, degeneration, "_grid_sums", genus1)
+    _counting_grids(monkeypatch, grids, genus1)
     _grid_sizes(monkeypatch, sizes)
     report = run_suites(RunConfig(samples=20))
     assert report.passed
     assert max(sizes) <= theta._GRID_TERMS
-    # the 305 grids of one sample at a time, less than a third of them
-    assert len(sizes) == len(grids) + len(genus1) < 305 / 3
+    # the 305 grids of one sample at a time, less than a third of them; the
+    # one-point row of tau1's nulls builds no class-term grid
+    assert len(sizes) + 1 == len(grids) + len(genus1) < 305 / 3
     # each point is evaluated once per period matrix, the origin too: the
     # nulls and the null gradients are one grid; a genus-1 tau's period
     # matrix diag(tau, tau) on its (N, 0) boxes counts as one more
@@ -341,7 +386,7 @@ def test_the_moduli_suite_stacks_the_origin_grids_of_its_batch(monkeypatch):
 
 def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
     grids = []
-    _counting(monkeypatch, theta, "_grid_sums", grids)
+    _counting_grids(monkeypatch, grids, [])
     assert run_suites(RunConfig(samples=20)).passed
     assert len(grids) == 22
     # the configured and the split curve's origin grids, one each: the first
@@ -357,9 +402,15 @@ def test_a_verify_run_makes_at_most_22_grids(monkeypatch):
 
 def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
     calls = {"grids": [], "genus1": [], "forms1": [], "moduli": [], "flow": []}
-    _counting(monkeypatch, theta, "_grid_sums", calls["grids"])
-    _counting(monkeypatch, degeneration, "_grid_sums", calls["genus1"])
-    _counting(monkeypatch, degeneration, "_lattice_form", calls["forms1"])
+    _counting_grids(monkeypatch, calls["grids"], calls["genus1"])
+    lattice_form = theta._lattice_form
+
+    def genus1_form(taus, shape):
+        if not shape[1]:
+            calls["forms1"].append(taus)
+        return lattice_form(taus, shape)
+
+    monkeypatch.setattr(theta, "_lattice_form", genus1_form)
     _counting(monkeypatch, moduli, "build_moduli", calls["moduli"])
     _counting(monkeypatch, flow, "build_flow_constants", calls["flow"])
     counts = []
@@ -373,7 +424,8 @@ def test_a_run_does_the_same_work_whatever_ran_before_it(monkeypatch):
     # the 21 grids of the samples and one origin grid each of the configured
     # and split curves; the genus-1 grids: the nulls of tau1, i and 1.5i, the
     # degeneration batch's at (u, tau1) and at (v, tau2) and the elliptic
-    # batch's (one radius each); the genus-1 lattice forms, kept for the run:
+    # batch's (one radius each); the genus-1 lattice forms, kept for the run
+    # by each tau's Genus1Data:
     # one each of tau1 (its nulls, degeneration and elliptic batches read the
     # same radius), tau2, i and 1.5i; the moduli of the two curves and of the
     # 19 drawn period matrices
@@ -407,7 +459,7 @@ def test_a_verify_run_sends_only_vanishing_parts_to_exact_row_sums(monkeypatch):
 def test_a_run_builds_only_the_per_tau_data_its_suites_read(monkeypatch, suites, curves, genus1):
     built, grids = [], []
     _counting(monkeypatch, harness, "CurveData", built)
-    _counting(monkeypatch, degeneration, "_grid_sums", grids)
+    _counting_grids(monkeypatch, [], grids)
     assert run_suites(RunConfig(samples=20, suites=suites)).passed
     assert [args[0] for args in built] == curves
     # the points of each genus-1 grid
