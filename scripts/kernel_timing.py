@@ -4,7 +4,8 @@ trees against each other, op by op.
 Cases, all at DEFAULT_TAU and radius 4:
 
 - pair grid: the row recover_pair reads, 1 point and 4 characteristics
-  (theta._point_row, which goes from the point to its certified row);
+  (theta._point_row: the point's terms from its factors, then theta._certify,
+  the one step that certifies every request's terms);
 - recover_pair: one whole inversion at that point, the nulls cached;
 - pair stage: the pair from the four theta values recover_pair reads there
   (inversion._pair_from_thetas on one kept row), the kernel left out;

@@ -5,7 +5,9 @@ within tolerance), 1 bad configuration, 2 numerical failure (suite or invert
 residual over tolerance or not a finite number, or a divisor/singularity
 error), 3 degenerate
 period matrix (a split one included, where verify's parameterizations and
-flow suites and invert refuse it before printing anything).
+flow suites and invert refuse it before printing anything), 141 (128 +
+SIGPIPE, as a shell reports a command that SIGPIPE ends) when the reader of
+stdout closed it before the output was written, as `| head -1` may.
 """
 
 from __future__ import annotations
@@ -221,7 +223,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

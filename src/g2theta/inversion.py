@@ -94,7 +94,8 @@ def recover_pair(
     larger real part (ties broken by the imaginary part), sigma_i^2 = f5(x_i),
     and the sign class is the one the bracket of F_01 fits best.  It reads
     the four thetas of _PAIR_CHARS at the point from one kernel call on
-    curve_data(tau, ctrl), its one-point row (theta._point_row).  Raises
+    curve_data(tau, ctrl), its one-point row (theta._point_row: the point's
+    terms from its factors, certified once on Python floats).  Raises
     SingularDenominator on the theta divisor, CoincidentPoints where
     x1 ~ x2, DivisionByZeroModulus where k0 k1 k2, or k0 k1 k2 times the
     squared reference theta, is 0 (an underflow too), and TruncationOverflow

@@ -33,21 +33,24 @@ and 1.25e-15 of max(1, |theta|), and gradients within 9.6e-16 and 2.7e-15,
 at DEFAULT_TAU and at (0.2+1.4i, -0.1+0.95i, 0.03+0.3i).
 
 Every output is the correctly rounded sum of its own row of terms, the
-bits math.fsum gives.  The class terms are split once into hi + lo, as in
-exact_row_sums, and hi and lo are each summed four ways, signed by
-(-1)^(m b + n d).  Sums of hi parts are exact under any signs and in any
-order, and the error bound of the lo sum holds for any summation tree, so
-a characteristic's high and low, its unit applied as a swap or negation of
-real and imaginary parts, certify its own row; the row of an output left
-unsettled is built and summed by exact_row_sums.  So every output is
-bit-reproducible and does not depend on what was evaluated with it.
+bits math.fsum gives.  The kernel takes two steps: it makes a request's
+terms, _class_terms on a grid of points, or a one-point row's factored
+product (_point_row), and certifies them, _certify.  The class terms are
+split once into hi + lo, as in exact_row_sums, and hi and lo are each
+summed four ways, signed by (-1)^(m b + n d).  Sums of hi parts are exact
+under any signs and in any order, and the error bound of the lo sum holds
+for any summation tree, so a characteristic's high and low, its unit
+applied as a swap or negation of real and imaginary parts, certify its own
+row; the row of an output left unsettled is gathered from the same terms
+and summed by exact_row_sums.  So every output is bit-reproducible and does
+not depend on what was evaluated with it.
 What a request (the characteristics of its values and gradients) reads on
 one box is built once for every period matrix, a _Plan that picks its
-classes' tables from the lattice form.  A grid of at most _SCALAR_OUTPUTS
-outputs folds its split terms by the plan's fold, matrices of 0 and +-1,
+classes' tables from the lattice form.  One point's request of at most 4
+outputs folds its split terms by the plan's fold, a matrix of 0 and +-1,
 into each output's signed high and low sums and certifies them on Python
-floats, a larger one on arrays; a values request at one point goes from
-its factors to its row in one pass, _point_row.  The same bits each way.
+floats; every other request, and a one-point row that leaves a part
+unsettled there, certifies on arrays.  The same bits each way.
 
 A component with |Re| >= 2 (_REDUCE_RE) is evaluated at u - k, k its
 rounded real part, and its terms take the exact sign of
@@ -323,10 +326,9 @@ class _Plan(
     ascending, jet 1 and 2 the d/du and d/dv, is class grid_class[g] times
     jets[g] (None without grads).  Part r of output k is signs[2k + r]
     sums[columns[2k + r]], sums[8g + 2(2b + d) + r] being part r of grid g
-    signed for (b, d) (parity).  fold, for at most _SCALAR_OUTPUTS outputs,
-    holds that as matrices of 0 and +-1 which a point's grids, as doubles,
-    times each in turn give its 2R parts in output order: parity then the
-    gather of signs at columns, or for at most 8 parts their one product.
+    signed for (b, d) (parity).  fold, for a request of at most 4 outputs,
+    holds that as one matrix of 0 and +-1 which a point's grids, as doubles,
+    times give its 2R parts in output order; None for more outputs.
     terms counts the class and jet terms of one point's grids.
     """
 
@@ -368,11 +370,10 @@ def _layout(values: tuple[HalfCharacteristic, ...], grads: tuple[HalfCharacteris
     rows = (np.searchsorted(row_bits, a) * height)[:, None, None] + np.arange(height)[:, None]
     cols = (len(row_bits) * height + np.searchsorted(col_bits, c) * width)[:, None, None] + np.arange(width)
     columns, signs, grid_class = map(np.array, (columns, signs, grid_class))
-    parity, fold = _parity_signs(shape), ()
-    if len(wanted) <= _SCALAR_OUTPUTS:  # one product while no wider than parity, so it costs no more
-        gather = np.eye(8 * len(grids))[:, columns] * signs
-        fold = (np.kron(np.eye(len(grids)), parity) @ gather,) if len(columns) <= 8 else (parity, gather)
-    for array in (a, c, phases, axis, rows, cols, grid_class, columns, signs, jets, *fold):
+    parity, fold = _parity_signs(shape), None
+    if len(columns) <= 8:  # one point's at most 4 outputs: one product, no wider than parity, so it costs no more
+        fold = np.kron(np.eye(len(grids)), parity) @ (np.eye(8 * len(grids))[:, columns] * signs)
+    for array in (a, c, phases, axis, rows, cols, grid_class, columns, signs, jets, fold):
         if array is not None:
             array.flags.writeable = False
     split, terms = _split_constants(height * width), len(grid_class) * height * width
@@ -540,90 +541,79 @@ def _settle(high, low, bound):
     return res, np.abs(err) + bound >= half_gap
 
 
-# A grid of at most this many outputs (points times characteristics and
-# jets) certifies its sums on Python floats (_settle_floats), else on
-# arrays (_settle); past about 20 outputs arrays are faster at any radius.
-_SCALAR_OUTPUTS = 16
-
-
 def _grid_sums(values, grads, points, form: _LatticeForm, shape: tuple[int, int]) -> list[list[complex]]:
-    """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads (tuples), at every point.
-
-    One row of R = len(values) + 2 len(grads) outputs per point (per period matrix of a
-    stacked form; no d/dv on a box (N, 0)), each the correctly rounded sum of its row of
-    terms on the form of this box shape (N1, N2).  Only the parts left unsettled, and all
-    parts when a term is non-finite or reaches 2^900, go to exact_row_sums.
-    """
+    """theta[c] for c in values, then d/du and d/dv theta[c] for c in grads (tuples), at every
+    point (per period matrix of a stacked form; no d/dv on a box (N, 0)) on the form of this box
+    shape (N1, N2): their _class_terms, certified."""
     plan = _layout(values, grads, shape)
-    terms = _class_terms(plan, form, points)
-    count, parts_out = len(terms), len(plan.columns)
-    flat = terms.view(np.float64)
-    top = np.maximum.reduce(np.abs(flat), axis=None)
-    if top < _EXACT_MAX:
-        sums, bound = _split(flat, top, *plan.split)  # the hi and lo parts, summed below
-        if count * parts_out <= 2 * _SCALAR_OUTPUTS:
-            for matrix in plan.fold:  # to every point's high parts in output order, then its low parts
-                sums = np.dot(sums.reshape(-1, len(matrix)), matrix)
-            rows, unsettled = _settle_floats(*sums.reshape(2, -1).tolist(), parts_out // 2, bound)
-            if not unsettled:
-                return rows
-            res = np.array(rows).view(np.float64)
-        else:
-            sums = np.dot(sums.reshape(-1, len(plan.parity)), plan.parity).reshape(2, count, -1)
-            high, low = np.take(sums, plan.columns, axis=2) * plan.signs
-            res, bad = _settle(high, low, bound)
-            unsettled = np.flatnonzero(bad)
+    return _certify(plan, _class_terms(plan, form, points))
+
+
+def _point_row(kernel: _Kernel, values, grads, point: Point2) -> list[list[complex]]:
+    """rows_at of one point: a values request with |Re| < _REDUCE_RE in both components, on a
+    form in _in_factor_range, takes its terms from its factors, as _class_terms would, others
+    from _class_terms; each is certified once."""
+    n = _radius(point, *kernel._radius_constants)
+    form, shape = kernel._forms.get(n) or kernel._form(n), kernel._shape(n)
+    plan = _layout(values, grads, shape)
+    near = abs(point.u.real) < _REDUCE_RE and abs(point.v.real) < _REDUCE_RE
+    if near and not grads and form.tau_factor is not None:
+        factors = np.exp(_TWO_PI_I * (plan.phases * np.fromiter(point, np.complex128, 2)[plan.axis]))
+        terms = factors[plan.rows] * factors[plan.cols]
+        terms = np.multiply(terms, form.tau_factor[0, plan.select], out=terms)
     else:
-        res, unsettled = np.empty((count, parts_out)), np.arange(count * parts_out)
+        terms = _class_terms(plan, form, (point,))[0]
+    return _certify(plan, terms)
+
+
+def _certify(plan: _Plan, terms: np.ndarray) -> list[list[complex]]:
+    """The rows of a _Plan's class-jet grids of terms at one point, (G, 2N1+1, 2N2+1), or at P
+    points or stacked forms, (P, G, ...): R outputs each, every one the correctly rounded sum of
+    its own row of terms.  One point with a fold certifies on Python floats where that settles
+    every part, the others on arrays.  Only the parts left unsettled, and all parts when a
+    term is non-finite or reaches 2^900, are gathered from terms for exact_row_sums."""
+    flat = terms.view(np.float64).ravel()
+    top = np.maximum.reduce(np.abs(flat))
+    if top < _EXACT_MAX:
+        parts, bound = _split(flat, top, *plan.split)
+        if terms.ndim == 3 and plan.fold is not None:
+            row = _settle_floats(*parts.dot(plan.fold).tolist(), bound)
+            if row is not None:
+                return [row]
+        # each grid's parts signed for every (b, d), then gathered and signed in output order
+        sums = parts.reshape(-1, len(plan.parity)).dot(plan.parity).reshape(2, -1, 8 * len(plan.grid_class))
+        high, low = np.take(sums, plan.columns, axis=2) * plan.signs
+        res, bad = _settle(high, low, bound)
+        unsettled = np.flatnonzero(bad)
+    else:
+        res = np.empty((terms.size // plan.terms, len(plan.columns)))
+        unsettled = np.arange(res.size)
     if len(unsettled):
-        at, out = np.divmod(unsettled, parts_out)
+        at, out = np.divmod(unsettled, len(plan.columns))
         column = plan.columns[out]
-        parts = flat.reshape(count, len(plan.grid_class), -1, 2)[at, column // 8, :, column % 2]
+        parts = flat.reshape(len(res), len(plan.grid_class), -1, 2)[at, column // 8, :, column % 2]
         parts *= plan.parity[::2, column // 2 % 4 * 2].T * plan.signs[out, None]
         res[at, out] = exact_row_sums(parts)
     return res.view(np.complex128).tolist()
 
 
-def _point_row(kernel: _Kernel, values, grads, point: Point2) -> list[list[complex]]:
-    """rows_at of one point: a values request from the point to its certified row in one
-    pass, _grid_sums' factored terms and float path, so the same bits.  _grid_sums takes
-    gradients, a component with |Re| >= _REDUCE_RE, a form outside _in_factor_range, a
-    fold not of one matrix, a term of 2^900 or more and a part left unsettled."""
-    n = _radius(point, *kernel._radius_constants)
-    form, shape = kernel._forms.get(n) or kernel._form(n), kernel._shape(n)
-    plan = _layout(values, grads, shape)
-    near = abs(point.u.real) < _REDUCE_RE and abs(point.v.real) < _REDUCE_RE
-    if near and not grads and form.tau_factor is not None and len(plan.fold) == 1:
-        factors = np.exp(_TWO_PI_I * (plan.phases * np.fromiter(point, np.complex128, 2)[plan.axis]))
-        terms = factors[plan.rows] * factors[plan.cols]
-        flat = np.multiply(terms, form.tau_factor[0, plan.select], out=terms).view(np.float64).ravel()
-        top = np.maximum.reduce(np.abs(flat))
-        if top < _EXACT_MAX:
-            parts, bound = _split(flat, top, *plan.split)
-            rows, unsettled = _settle_floats(*parts.dot(plan.fold[0]).tolist(), len(values), bound)
-            if not unsettled:
-                return rows
-    return _grid_sums(values, grads, (point,), form, shape)
-
-
-def _settle_floats(highs: list, lows: list, step: int, bound: float) -> tuple[list[list[complex]], list[int]]:
-    """_grid_sums from every part's high and low sums, in output order, on
-    Python floats: rows of step outputs, and the indices of the unsettled
-    parts in the rows read as one flat list of parts.  The tests of _settle
-    are the same IEEE operations; math.ulp is np.spacing on x >= 0."""
-    res, unsettled, real = [], [], None
+def _settle_floats(highs: list, lows: list, bound: float) -> list[complex] | None:
+    """_settle on Python floats, from one point's high and low sums of every part in output
+    order: its row, or None where a part is left unsettled.  The tests are the same IEEE
+    operations; math.ulp is np.spacing on x >= 0."""
+    row, real = [], None
     for high, low in zip(highs, lows):
         total = high + low
         back = total - high
         err = (high - (total - back)) + (low - back)
         if abs(err) + bound >= 0.5 * math.ulp(math.nextafter(abs(total), 0.0)):
-            unsettled.append(2 * len(res) + (real is not None))
+            return None
         if real is None:
             real = total
         else:
-            res.append(complex(real, total))
+            row.append(complex(real, total))
             real = None
-    return ([res] if len(res) == step else [res[i : i + step] for i in range(0, len(res), step)]), unsettled
+    return row
 
 
 # The null gradients CurveData keeps: those of the odd theta[10;10] and

@@ -1,15 +1,22 @@
-"""The CLI contract of invert and moduli over wide inputs, and the typed
-failure of a residual that is not a finite number.
+"""The CLI contract of invert, moduli and verify over wide inputs, the typed
+failure of a residual that is not a finite number, and a stdout closed by
+its reader.
 
-Every run exits 0, 1, 2 or 3 without a traceback, prints no nan or inf,
-and an exit of 2 or 3 prints exactly one error line.
+Every run exits 0, 1, 2 or 3 without a traceback and prints no nan or inf.
+An exit of 2 or 3 prints exactly one error line, but for a verify report
+whose suites ran and failed, which prints none; an exit of 0 from invert or
+moduli means every printed residual is within tol_identity.
 """
 
 import contextlib
 import io
+import json
 import math
+import os
 import re
+import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,13 +41,24 @@ def _flag(name, z):
 _NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])")
 
 
+# the residual rows invert and moduli print
+_RESIDUAL_ROWS = {"invert": 18, "moduli": 15}
+
+
 def _assert_contract(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), argv
     assert not _NON_FINITE.search(out.lower()), (argv, out)
-    if code in (2, 3):
+    if argv[0] == "verify" and out:
+        # the report: exit 0 exactly when every suite passed
+        assert (code, err) == (0 if json.loads(out)["passed"] else 2, ""), (argv, err)
+    elif code in (2, 3):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+    elif code == 0 and argv[0] in _RESIDUAL_ROWS:
+        rows = [line.split() for line in out.split("residuals:\n", 1)[1].splitlines() if line.startswith("  ")]
+        assert len(rows) == _RESIDUAL_ROWS[argv[0]], (argv, out)
+        assert all(float(value) <= harness.RunConfig().tol_identity for _, value in rows), (argv, out)
 
 
 # a real part of either sign, or 0, up to 1e20 in size
@@ -90,6 +108,14 @@ def test_invert_and_moduli_keep_the_cli_contract(command, tau, u, v):
     if command == "invert":
         argv += [_flag("u", u), _flag("v", v)]
     _assert_contract(argv)
+
+
+# 40 examples in about 0.7 s: most taus exit 3 or 2 before the suites
+# finish, and a few pass
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(tau=_taus())
+def test_verify_keeps_the_cli_contract(tau):
+    _assert_contract(["verify", "--samples", "2", *(_flag(name, z) for name, z in zip(("tau1", "tau2", "tau12"), tau))])
 
 
 def test_verify_at_the_inputs_that_crashed_it_exits_with_one_error_line():
@@ -144,3 +170,39 @@ def test_a_non_finite_residual_ends_invert_and_moduli_before_anything_is_printed
     assert (code, out) == (2, "")
     assert err.startswith(f"error: moduli: {CONSISTENCY_LABELS[2]} is not finite at tau = (")
     assert len(err.splitlines()) == 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its fileno is the write end of a pipe whose read end is closed."""
+
+    def __init__(self):
+        read, self.fd = os.pipe()
+        os.close(read)
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moduli"], ["invert", "--u=0.21,-0.09", "--v=-0.13,0.11"], ["verify", "--samples", "2"]],
+    ids=["moduli", "invert", "verify"],
+)
+def test_a_stdout_closed_by_its_reader_exits_141_without_a_traceback(monkeypatch, capsys, argv):
+    # as `g2theta moduli | head -1` closes it
+    pipe = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert main(argv) == 141
+        # stdout now writes to devnull, so the flush at exit does not raise again
+        assert os.path.samestat(os.fstat(pipe.fd), os.stat(os.devnull))
+    finally:
+        os.close(pipe.fd)
+    assert capsys.readouterr().err == ""

@@ -70,19 +70,20 @@ def test_recover_pair_alone_gives_the_pairs_of_a_batch(monkeypatch):
     points = [Point2(*stream.draw(1, [(-0.5, 0.5, -0.6, 0.6)] * 2)[0]) for _ in range(24)]
     cd = curve_data(DEFAULT_TAU)
     assert sorted({cd._radius(point) for point in points}) == [4, 5]
-    # and points the one-point row hands to the grid path: a component with
-    # |Re| >= 2, reduced by its rounded real part, and at radius 5 of
-    # STRETCHED_TAU a form of per-term exp, outside the factored range
+    # and points whose one-point row builds its terms with _class_terms, not
+    # from its factors: a component with |Re| >= 2, reduced by its rounded
+    # real part, and at radius 5 of STRETCHED_TAU a form of per-term exp,
+    # outside the factored range
     far = [Point2(p.u + 3.0, p.v) for p in points[:3]] + [Point2(p.u, p.v - 2.5) for p in points[3:6]]
     stretched = [Point2(0.3 + 1.2j, -0.2 - 0.48j), Point2(-0.25 + 1.15j, 0.1 + 0.5j)]
     assert {curve_data(STRETCHED_TAU)._radius(point) for point in stretched} == {5}
     assert curve_data(STRETCHED_TAU)._form(5).tau_factor is None
-    split, fsum, grid_sums = theta._split, theta._fsum, theta._grid_sums
+    split, fsum, class_terms = theta._split, theta._fsum, theta._class_terms
     grids, rows = [], []
 
-    def counted_grid(*args):
+    def counted_terms(*args):
         grids.append(args[2])
-        return grid_sums(*args)
+        return class_terms(*args)
 
     def counted_fsum(row):
         rows.append(row)
@@ -91,11 +92,12 @@ def test_recover_pair_alone_gives_the_pairs_of_a_batch(monkeypatch):
     for tau, batch_points, handed in ((DEFAULT_TAU, points + far, far), (STRETCHED_TAU, stretched, stretched)):
         batch = [_hex(pair) for _, pair in parameterization_residuals(curve_data(tau), batch_points)]
         with monkeypatch.context() as patch:
-            patch.setattr(theta, "_grid_sums", counted_grid)
+            patch.setattr(theta, "_class_terms", counted_terms)
             assert [_hex(recover_pair(point, tau)) for point in batch_points] == batch
         assert grids == [(point,) for point in handed]
-        # every part left unsettled, so the one-point row hands each point to
-        # the grid path, whose parts all go to math.fsum: the same bits again
+        # every part left unsettled, so the one-point row goes on to the array
+        # path and gathers each part from its own terms for math.fsum: the
+        # same bits again
         with monkeypatch.context() as patch:
             patch.setattr(theta, "_split", lambda *args: (split(*args)[0], math.inf))
             patch.setattr(theta, "_fsum", counted_fsum)

@@ -10,7 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "g2theta"
 
 KERNEL_NAMES = {
-    "_grid_sums", "_class_terms", "_point_row", "_lattice_form", "_layout",
+    "_grid_sums", "_class_terms", "_point_row", "_certify", "_lattice_form", "_layout",
     "_by_grid", "_radius", "_radii", "_decay",
 }
 

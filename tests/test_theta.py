@@ -8,7 +8,6 @@ import struct
 import warnings
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -546,13 +545,19 @@ def _perfbench_workloads():
 
 def test_no_point_the_harness_or_the_benchmark_evaluates_is_reduced(monkeypatch):
     largest = []
-    original = theta._grid_sums
+    grid_sums, point_row = theta._grid_sums, theta._point_row
 
     def spy(values, grads, points, cd, radius):
         largest.append(max(max(abs(p.u.real), abs(p.v.real)) for p in points))
-        return original(values, grads, points, cd, radius)
+        return grid_sums(values, grads, points, cd, radius)
 
+    def row_spy(kernel, values, grads, point):
+        largest.append(max(abs(point.u.real), abs(point.v.real)))
+        return point_row(kernel, values, grads, point)
+
+    # a one-point row makes no _grid_sums call
     monkeypatch.setattr(theta, "_grid_sums", spy)
+    monkeypatch.setattr(theta, "_point_row", row_spy)
     for cfg in (RunConfig(samples=20), RunConfig(tau=ALT_TAU, samples=20)):
         run_suites(cfg)
     assert 0.5 < max(largest) < theta._REDUCE_RE
@@ -591,16 +596,14 @@ def _explicit_sums(tau, point, radius):
 
 _COMPONENTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-0.5, 0.5))
 
-# the two ways a grid certifies its sums, forced by the size cut-over: on
-# Python floats (_settle_floats) and on arrays (_settle)
-_PATHS = {"floats": 10**9, "arrays": 0}
+# the two ways the kernel certifies its sums: on Python floats
+# (_settle_floats), a one-point row of at most 4 outputs, and on arrays
+# (_settle), every other request
+_PATHS = ("floats", "arrays")
 
 
-def _on_path(patch, path):
-    """Force every grid onto one certification path; returns the calls of
-    _settle_floats, which only the floats path makes.  The plans are built
-    on a cache of their own, so each holds the fold the forced cut-over gives
-    it, and no plan built here is left in the kept cache."""
+def _counting_float_rows(patch):
+    """The calls of _settle_floats, which only the floats path makes."""
     calls = []
     settle_floats = theta._settle_floats
 
@@ -608,10 +611,40 @@ def _on_path(patch, path):
         calls.append(args)
         return settle_floats(*args)
 
-    patch.setattr(theta, "_SCALAR_OUTPUTS", _PATHS[path])
-    patch.setattr(theta, "_layout", lru_cache(theta._layout.cache_info().maxsize)(theta._layout.__wrapped__))
     patch.setattr(theta, "_settle_floats", counted)
     return calls
+
+
+def _pair_and_jet_rows(cd, point):
+    """A point's one-point rows on the floats path, as bytes: the pair's four
+    values, from the point's factors, and each characteristic's value, d/du
+    and d/dv, from _class_terms; 17 rows in all, to compare with
+    _explicit_sums in its order."""
+    rows = [cd.values_at(_PAIR_CHARS, (point,))[0]]
+    rows += [cd.rows_at((c,), (c,), (point,))[0] for c in ALL_CHARACTERISTICS]
+    return [[_bits(z) for z in row] for row in rows]
+
+
+def _explicit_pair_and_jet_rows(explicit):
+    """_explicit_sums picked as _pair_and_jet_rows orders its outputs."""
+    index = ALL_CHARACTERISTICS.index
+    return [[explicit[index(c)] for c in _PAIR_CHARS]] + [explicit[k::16] for k in range(16)]
+
+
+def _origin_bytes(cd):
+    """What a lone origin grid sums, as bytes: the even nulls, then d/du and
+    d/dv of the two odd _NULL_GRAD_CHARS, in the order of _explicit_sums."""
+    return [_bits(cd.nulls[c]) for c in EVEN_CHARACTERISTICS] + [
+        _bits(cd.null_grads[c][jet]) for jet in (0, 1) for c in theta._NULL_GRAD_CHARS
+    ]
+
+
+def _explicit_origin(tau):
+    explicit = _explicit_sums(tau, ORIGIN, truncation_radius(tau, ORIGIN, SeriesControl()))
+    index = ALL_CHARACTERISTICS.index
+    return [explicit[index(c)] for c in EVEN_CHARACTERISTICS] + [
+        explicit[16 * jet + index(c)] for jet in (1, 2) for c in theta._NULL_GRAD_CHARS
+    ]
 
 
 @pytest.mark.parametrize("path", _PATHS)
@@ -625,29 +658,35 @@ def _on_path(patch, path):
 @example(radius=8, tau=STRETCHED_TAU, parts=[((-2.25, 0.3), (0.4, -0.1))])
 @example(radius=4, tau=DEFAULT_TAU, parts=[((-0.0, -0.0), (0.0, -0.0)), ((0.0, 0.0), (-0.0, 0.0))])
 def test_the_class_kernel_sums_every_row_as_fsum_does(path, radius, tau, parts):
-    # each value and gradient of one class-grid kernel call equals, bit for
-    # bit, math.fsum of its own characteristic's terms, on either path;
-    # STRETCHED_TAU takes the per-term exp from radius 5 on
+    # each value and gradient of the kernel equals, bit for bit, math.fsum of
+    # its own characteristic's terms, on either path; STRETCHED_TAU takes the
+    # per-term exp from radius 5 on
     points = [Point2(complex(*u), complex(*v)) for u, v in parts]
     cd = curve_data(tau)
     with pytest.MonkeyPatch.context() as patch:
-        calls = _on_path(patch, path)
-        got = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd._form(radius), (radius, radius))
-        # and each point alone, a values request of the pair's four
-        # characteristics at the point's own radius: the one-point row
-        alone = [cd.values_at(_PAIR_CHARS, (point,))[0] for point in points]
-    # on floats one certification of the grid's 48 outputs a point, then of
-    # each point alone, and one more where the one-point row left a part
-    # unsettled (as a zero sum always is) and handed the point to the grid path
-    steps = [args[2] for args in calls]
-    if path == "floats":
-        assert steps[0] == 48 and set(steps[1:]) == {4} and len(points) <= len(steps) - 1 <= 2 * len(points)
-    else:
-        assert steps == []
-    for point, row, pair_row in zip(points, got, alone, strict=True):
-        assert [_bits(z) for z in row] == _explicit_sums(tau, point, radius), point
+        calls = _counting_float_rows(patch)
+        if path == "floats":
+            # each point alone, at its own radius: one float certification a
+            # row; a row it leaves a part of unsettled (as a zero sum always
+            # is) goes on to the array path with the same split parts
+            rows = [_pair_and_jet_rows(cd, point) for point in points]
+            assert len(calls) == 17 * len(points)
+        else:
+            # a class grid of every value and gradient at every point, each
+            # point's one-point gradient row, and a lone curve's origin grid
+            grid = theta._grid_sums(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, points, cd._form(radius), (radius, radius))
+            alone = [cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, (point,))[0] for point in points]
+            origin = _origin_bytes(CurveData(tau, SeriesControl()))
+            assert calls == []
+    if path == "arrays":
+        assert origin == _explicit_origin(tau)
+    for k, point in enumerate(points):
         explicit = _explicit_sums(tau, point, cd._radius(point))
-        assert [_bits(z) for z in pair_row] == [explicit[ALL_CHARACTERISTICS.index(c)] for c in _PAIR_CHARS], point
+        if path == "floats":
+            assert rows[k] == _explicit_pair_and_jet_rows(explicit), point
+        else:
+            assert [_bits(z) for z in grid[k]] == _explicit_sums(tau, point, radius), point
+            assert [_bits(z) for z in alone[k]] == explicit, point
 
 
 @pytest.mark.parametrize("path", _PATHS)
@@ -656,7 +695,7 @@ def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatc
     points = KERNEL_POINTS  # radii 4 and 5
     split, fsum = theta._split, theta._fsum
     rows = []
-    calls = _on_path(monkeypatch, path)
+    calls = _counting_float_rows(monkeypatch)
 
     def unsettled(*args):
         return split(*args)[0], math.inf  # no error bound certifies anything
@@ -667,24 +706,35 @@ def test_outputs_the_certification_leaves_unsettled_get_the_fsum_bits(monkeypatc
 
     monkeypatch.setattr(theta, "_split", unsettled)
     monkeypatch.setattr(theta, "_fsum", counted)
+    if path == "floats":
+        # each point alone: the pair's four values and each characteristic's
+        # value, d/du and d/dv, each row on floats once, then, every part
+        # unsettled, on arrays, each part gathered from the row's own terms
+        # for math.fsum
+        got = [_pair_and_jet_rows(cd, point) for point in points]
+        assert len(calls) == 17 * len(points)
+        assert len(rows) == len(points) * (4 + 16 * 3) * 2
+        for point, point_rows in zip(points, got, strict=True):
+            explicit = _explicit_sums(DEFAULT_TAU, point, truncation_radius(DEFAULT_TAU, point, SeriesControl()))
+            assert point_rows == _explicit_pair_and_jet_rows(explicit), point
+        return
+    # two grids, one per radius, of 12 class-jet grids a point, then each point
+    # alone as a one-point gradient row, and a lone curve's origin grid: every
+    # real and imaginary part of every value and gradient went to math.fsum
     values, grads = grads_at(cd, ALL_CHARACTERISTICS, points)
-    # two grids, one per radius, of 12 class-jet grids a point; each path
-    # leaves every part unsettled and sends it to exact_row_sums
-    assert len(calls) == (2 if path == "floats" else 0)
-    # every real and imaginary part of every value and gradient went to math.fsum
     assert len(rows) == len(points) * 3 * 16 * 2
-    # each point alone, a values request of the pair's four characteristics:
-    # on floats the one-point row leaves every part unsettled and hands the
-    # point to the grid path, which leaves them unsettled too
-    alone = [cd.values_at(_PAIR_CHARS, (point,))[0] for point in points]
-    assert len(calls) == (2 + 2 * len(points) if path == "floats" else 0)
-    assert len(rows) == len(points) * (3 * 16 + 4) * 2
-    for point, vals, grad, pair_row in zip(points, values, grads, alone, strict=True):
+    alone = [cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, (point,))[0] for point in points]
+    assert len(rows) == 2 * len(points) * 3 * 16 * 2
+    origin = _origin_bytes(CurveData(DEFAULT_TAU, SeriesControl()))
+    assert len(rows) == 2 * len(points) * 3 * 16 * 2 + (10 + 2 * 2) * 2
+    assert calls == []
+    assert origin == _explicit_origin(DEFAULT_TAU)
+    for point, vals, grad, row in zip(points, values, grads, alone, strict=True):
         radius = truncation_radius(DEFAULT_TAU, point, SeriesControl())
         got = [_bits(z) for z in vals] + [_bits(g[0]) for g in grad] + [_bits(g[1]) for g in grad]
         explicit = _explicit_sums(DEFAULT_TAU, point, radius)
         assert got == explicit, point
-        assert [_bits(z) for z in pair_row] == [explicit[ALL_CHARACTERISTICS.index(c)] for c in _PAIR_CHARS], point
+        assert [_bits(z) for z in row] == explicit, point
 
 
 # zeros of both signs, subnormals, the smallest normal, powers of two and
@@ -705,16 +755,20 @@ def test_the_float_and_array_certifications_agree_on_edge_values():
         for sign in (1.0, -1.0):
             for high, low in pairs:
                 # one output whose real and imaginary parts are the same part
-                floats, left = theta._settle_floats([high * sign] * 2, [low * sign] * 2, 1, bound)
+                row = theta._settle_floats([high * sign] * 2, [low * sign] * 2, bound)
                 res, bad = theta._settle(np.array([high]) * sign, np.array([low]) * sign, bound)
-                assert left == ([0, 1] if bad[0] else []), (high, low, bound)
+                assert (row is None) == bad[0], (high, low, bound)
                 if bad[0]:
                     unsettled += 1
                 else:
                     settled += 1
-                    assert _bits(floats[0][0]) == _bits(complex(res[0], res[0])), (high, low, bound)
-    # 1 + 2^-53 is a tie, left unsettled; most pairs settle
-    assert theta._settle_floats([1.0, 1.0], [2.0**-53, 2.0**-53], 1, theta._TINY)[1] == [0, 1]
+                    assert _bits(row[0]) == _bits(complex(res[0], res[0])), (high, low, bound)
+    # 1 + 2^-53 is a tie, left unsettled, in the real or the imaginary part
+    # alone too; most pairs settle
+    assert theta._settle_floats([1.0, 1.0], [2.0**-53, 2.0**-53], theta._TINY) is None
+    assert theta._settle_floats([1.0, 1.0], [0.0, 2.0**-53], theta._TINY) is None
+    assert theta._settle_floats([1.0, 1.0], [2.0**-53, 0.0], theta._TINY) is None
+    assert theta._settle_floats([1.0, 1.0], [0.0, 0.0], theta._TINY) == [1 + 1j]
     assert 0 < unsettled < settled
 
 
@@ -771,52 +825,43 @@ def test_batch_radii_equal_the_per_point_radii_and_raise_the_first_error():
             cd.rows_at(_PAIR_CHARS, (), points[:3] + batch)
 
 
-# requests of at most _SCALAR_OUTPUTS outputs, which the float path takes:
-# values alone, values and gradients (the origin grid's among them), and
-# genus 1's on the box (N, 0), which has no d/dv
-_FLOAT_REQUESTS = [
-    ((c,), ()) for c in ALL_CHARACTERISTICS
-] + [
+# requests of at most 4 outputs, which a one-point row certifies on the
+# float path: values alone, and values and gradients; genus 1's on the box
+# (N, 0) have no d/dv
+_FLOAT_REQUESTS = [((c,), ()) for c in ALL_CHARACTERISTICS] + [
     (_PAIR_CHARS, ()),
-    (EVEN_CHARACTERISTICS, ()),
-    (ALL_CHARACTERISTICS, ()),
-    (EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS),
-    (ALL_CHARACTERISTICS[:4], ALL_CHARACTERISTICS[:4]),
-    ((), ALL_CHARACTERISTICS[5:10]),
+    (ALL_CHARACTERISTICS[5:6], ALL_CHARACTERISTICS[5:6]),
+    ((), ALL_CHARACTERISTICS[9:11]),
 ]
 _GENUS1 = tuple(HalfCharacteristic(a, 0, b, 0) for a in (0, 1) for b in (0, 1))
+_GENUS1_FLOAT_REQUESTS = [(_GENUS1[:k], ()) for k in (1, 3, 4)] + [(_GENUS1[:2], _GENUS1[:2])]
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (4, 0), (9, 0)])
 def test_the_fold_gathers_and_signs_every_part_as_the_array_path_does(shape):
-    requests = _FLOAT_REQUESTS if shape[1] else [(_GENUS1[:k], ()) for k in (1, 3)] + [(_GENUS1, _GENUS1)]
     rng = np.random.default_rng(sum(shape))
-    for values, grads in requests:
+    for values, grads in _FLOAT_REQUESTS if shape[1] else _GENUS1_FLOAT_REQUESTS:
         plan = theta._layout(values, grads, shape)
-        outputs = len(plan.columns) // 2
-        assert outputs == len(values) + (2 if shape[1] else 1) * len(grads) <= theta._SCALAR_OUTPUTS
-        # one product where it is no wider than the parity matrix, else two
-        assert len(plan.fold) == (1 if outputs <= 4 else 2)
-        for count in {1, theta._SCALAR_OUTPUTS // outputs}:
-            # parts whose sums are exact in any order, so any summation tree
-            # gives one result: small integers times a power of two, normal or
-            # subnormal, a fifth of them zeros of either sign
-            for unit in (2.0**-30, 2.0**-1074):
-                parts = rng.integers(-(2**20), 2**20, (2, count, len(plan.grid_class) * len(plan.parity))) * unit
-                parts[rng.random(parts.shape) < 0.2] = 0.0
-                parts[rng.random(parts.shape) < 0.1] = -0.0
-                sums = parts
-                for matrix in plan.fold:
-                    sums = sums.reshape(-1, len(matrix)) @ matrix
-                gathered = (parts.reshape(-1, len(plan.parity)) @ plan.parity).reshape(2, count, -1)
-                expected = np.take(gathered, plan.columns, axis=2) * plan.signs
-                # bit for bit but for the sign of a zero sum, which the
-                # certification never settles (the gap around 0 is 0)
-                assert np.array_equal(sums.reshape(2, count, -1), expected), (values, grads, count, unit)
-                nonzero = expected != 0.0
-                assert sums.reshape(2, count, -1)[nonzero].tobytes() == expected[nonzero].tobytes()
-    # a request past the cut-over takes the array path and has no fold
-    assert theta._layout(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS[:1], shape).fold == ()
+        assert len(plan.columns) // 2 == len(values) + (2 if shape[1] else 1) * len(grads) <= 4
+        # parts whose sums are exact in any order, so any summation tree gives
+        # one result: small integers times a power of two, normal or
+        # subnormal, a fifth of them zeros of either sign
+        for unit in (2.0**-30, 2.0**-1074):
+            parts = rng.integers(-(2**20), 2**20, (2, len(plan.grid_class) * len(plan.parity))) * unit
+            parts[rng.random(parts.shape) < 0.2] = 0.0
+            parts[rng.random(parts.shape) < 0.1] = -0.0
+            sums = parts @ plan.fold
+            gathered = (parts.reshape(-1, len(plan.parity)) @ plan.parity).reshape(2, -1)
+            expected = gathered[:, plan.columns] * plan.signs
+            # bit for bit but for the sign of a zero sum, which the
+            # certification never settles (the gap around 0 is 0)
+            assert np.array_equal(sums, expected), (values, grads, unit)
+            nonzero = expected != 0.0
+            assert sums[nonzero].tobytes() == expected[nonzero].tobytes()
+    # a request of more outputs certifies on arrays and has no fold
+    wider = [(ALL_CHARACTERISTICS[:5], ()), (EVEN_CHARACTERISTICS, theta._NULL_GRAD_CHARS), (_GENUS1[:3], _GENUS1[:2])]
+    for values, grads in wider:
+        assert theta._layout(values, grads, shape).fold is None
 
 
 def test_parity_counts_and_values():

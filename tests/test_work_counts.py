@@ -40,30 +40,20 @@ def _counting(monkeypatch, module, name, calls):
 
 def _counting_grids(monkeypatch, genus2, genus1):
     """Record each grid as the arguments (values, grads, points, form, box)
-    of _grid_sums: in genus2, every call on a square box (N, N), and in
-    genus1 each genus-1 grid, a call on a box (N, 0) or a one-point row
-    (_point_row), which may take its row without a call and else makes the
-    call for the same grid."""
+    of _grid_sums, or of a one-point row (_point_row), which makes no
+    _grid_sums call: in genus2 those on a square box (N, N), and in genus1
+    those on a box (N, 0)."""
     grid_sums, point_row = theta._grid_sums, theta._point_row
-    in_row = []
 
     def counted_grid(*args):
-        if args[4][1]:
-            genus2.append(args)
-        elif not in_row:
-            genus1.append(args)
+        (genus2 if args[4][1] else genus1).append(args)
         return grid_sums(*args)
 
     def counted_row(kernel, values, grads, point):
-        if not isinstance(kernel, degeneration.Genus1Data):
-            return point_row(kernel, values, grads, point)
-        in_row.append(point)
-        try:
-            row = point_row(kernel, values, grads, point)
-        finally:
-            in_row.pop()
+        row = point_row(kernel, values, grads, point)
         n = kernel._radius(point)
-        genus1.append((values, grads, (point,), kernel._forms[n], kernel._shape(n)))
+        shape = kernel._shape(n)
+        (genus2 if shape[1] else genus1).append((values, grads, (point,), kernel._forms[n], shape))
         return row
 
     monkeypatch.setattr(theta, "_grid_sums", counted_grid)
@@ -134,8 +124,8 @@ def test_each_lattice_class_is_summed_once_for_all_of_its_characteristics(monkey
     _counting(monkeypatch, theta, "_split", splits)
     inversion.recover_pair(point, DEFAULT_TAU)
     # the four characteristics recover_pair reads lie in two lattice classes,
-    # whose terms its one-point row splits once, building no batch grid
-    assert sizes[2:] == []
+    # whose terms its one-point row builds and splits once
+    assert sizes[2:] == [2 * 81]
     assert [args[0].size for args in splits] == [2 * 2 * 81]  # real and imaginary parts
 
 
@@ -212,7 +202,7 @@ def test_a_genus1_tau_keeps_the_lattice_forms_of_a_few_radii(monkeypatch):
     assert list(g._forms) == radii[-theta._FORMS_PER_CURVE :]
 
 
-def test_small_grids_certify_on_python_floats_and_large_ones_on_arrays(monkeypatch):
+def test_one_point_rows_of_at_most_4_outputs_certify_on_python_floats_and_the_rest_on_arrays(monkeypatch):
     theta.curve_data(DEFAULT_TAU).moduli  # the nulls are a grid of their own
     floats, arrays = [], []
     _counting(monkeypatch, theta, "_settle_floats", floats)
@@ -224,15 +214,54 @@ def test_small_grids_certify_on_python_floats_and_large_ones_on_arrays(monkeypat
     # a fresh tau's origin grid: 10 values and 2 gradients, 14 outputs
     tau = PeriodMatrix(0.06 + 1.18j, -0.13 + 1.27j, 0.04 + 0.27j)
     theta.CurveData(tau, theta.SeriesControl())
-    assert (len(floats), grid_arrays()) == (1, [])
-    # recover_pair's grid: 1 point, 4 outputs
+    assert (len(floats), grid_arrays()) == (0, [(1, 28)])
+    # recover_pair's row: 1 point, 4 outputs, from the point's factors
     cd = theta.curve_data(DEFAULT_TAU)
-    inversion.recover_pair(_radius_4_points(cd, 1)[0], DEFAULT_TAU)
-    assert (len(floats), grid_arrays()) == (2, [])
+    point = _radius_4_points(cd, 1)[0]
+    inversion.recover_pair(point, DEFAULT_TAU)
+    assert (len(floats), grid_arrays()) == (1, [(1, 28)])
+    # one-point gradient rows from _class_terms: a value, d/du and d/dv of one
+    # characteristic, 3 outputs, and of all 16, 48 outputs
+    cd.rows_at(ALL_CHARACTERISTICS[:1], ALL_CHARACTERISTICS[:1], (point,))
+    cd.rows_at(ALL_CHARACTERISTICS, ALL_CHARACTERISTICS, (point,))
+    assert (len(floats), grid_arrays()) == (2, [(1, 28), (1, 96)])
     # a riemann grid: 12 points of the 8 characteristics of the products, 96
     # outputs, in one grid of 7,776 terms
     cd.values_at(riemann._PRODUCT_CHARS, _radius_4_points(cd, 12))
-    assert (len(floats), grid_arrays()) == (2, [(12, 16)])
+    assert (len(floats), grid_arrays()) == (2, [(1, 28), (1, 96), (12, 16)])
+
+
+@pytest.mark.parametrize(
+    ("kernel", "request_"),
+    [
+        (lambda: degeneration.Genus1Data(1j, theta.SeriesControl()), lambda g: g.nulls),
+        (lambda: degeneration.Genus1Data(1.5j, theta.SeriesControl()), lambda g: g.nulls),
+        (
+            lambda: theta.curve_data(DEFAULT_TAU),
+            lambda cd: cd.rows_at(inversion._PAIR_CHARS, inversion._PAIR_CHARS, (Point2(0.31 - 0.18j, -0.42 + 0.2j),)),
+        ),
+    ],
+    ids=["genus1-nulls-i", "genus1-nulls-1.5i", "gradient-row"],
+)
+def test_a_one_point_row_builds_its_terms_once(monkeypatch, kernel, request_):
+    kernel = kernel()
+    point_rows, grids, class_terms, splits, exact = [], [], [], [], []
+    _counting(monkeypatch, theta, "_point_row", point_rows)
+    _counting(monkeypatch, theta, "_grid_sums", grids)
+    _counting(monkeypatch, theta, "_class_terms", class_terms)
+    _counting(monkeypatch, theta, "_split", splits)
+    _counting(monkeypatch, theta, "exact_row_sums", exact)
+    request_(kernel)
+    # one row, whose terms are built once, from the point's factors (the
+    # nulls) or by _class_terms (the gradients), and split once; no grid
+    assert (len(point_rows), len(grids), len(splits)) == (1, 0, 1)
+    assert len(class_terms) == (0 if isinstance(kernel, degeneration.Genus1Data) else 1)
+    # the parts the row leaves unsettled are gathered from those terms: the
+    # imaginary parts of the three even genus-1 nulls, whose terms are real,
+    # at radius 4 of i (9 terms) and 3 of 1.5i (7 terms); rows of zeros,
+    # which exact_row_sums sums without a split
+    shapes = [args[0].shape for args in exact]
+    assert shapes == {1j: [(3, 9)], 1.5j: [(3, 7)]}.get(kernel.tau.tau1, [])
 
 
 def _after_the_run_curve(grids):
@@ -244,15 +273,15 @@ def _after_the_run_curve(grids):
 
 
 def _grid_sizes(monkeypatch, sizes):
-    """Record the number of terms of every grid summed, of genus 2 and of genus 1."""
-    class_terms = theta._class_terms
+    """Record the number of terms of every grid and one-point row certified,
+    of genus 2 and of genus 1."""
+    certify = theta._certify
 
-    def counted_terms(*args):
-        terms = class_terms(*args)
+    def counted(plan, terms):
         sizes.append(terms.size)
-        return terms
+        return certify(plan, terms)
 
-    monkeypatch.setattr(theta, "_class_terms", counted_terms)
+    monkeypatch.setattr(theta, "_certify", counted)
 
 
 def test_flow_suite_evaluates_each_batch_of_stencils_together(monkeypatch):
@@ -339,9 +368,9 @@ def test_verify_keeps_every_grid_within_its_budget_and_evaluates_each_point_once
     report = run_suites(RunConfig(samples=20))
     assert report.passed
     assert max(sizes) <= theta._GRID_TERMS
-    # the 305 grids of one sample at a time, less than a third of them; the
-    # one-point row of tau1's nulls builds no class-term grid
-    assert len(sizes) + 1 == len(grids) + len(genus1) < 305 / 3
+    # the 305 grids of one sample at a time, less than a third of them, each
+    # grid and one-point row certified once
+    assert len(sizes) == len(grids) + len(genus1) < 305 / 3
     # each point is evaluated once per period matrix, the origin too: the
     # nulls and the null gradients are one grid; a genus-1 tau's period
     # matrix diag(tau, tau) on its (N, 0) boxes counts as one more
@@ -500,7 +529,7 @@ def test_a_curve_alone_is_a_batch_of_one(monkeypatch, tau):
 
 def test_cli_invert_builds_one_grid_at_its_point(monkeypatch, capsys):
     grids = []
-    _counting(monkeypatch, theta, "_grid_sums", grids)
+    _counting_grids(monkeypatch, grids, [])
     assert main(["invert", "--u", "0.21,-0.09", "--v=-0.13,0.11"]) == 0
     capsys.readouterr()
     # the command's curve: its 10 even nulls at the origin; then the pair and
